@@ -1145,9 +1145,7 @@ func zeroMember(b *testing.B, eng *Engine) {
 // BenchmarkFedQuery measures the router's cross-member scatter-gather
 // read path against the direct in-process engine the federation
 // replaces. The 1-member case isolates the wire + routing-tier tax;
-// 2 and 4 members add the real scatter. The unpipelined variants
-// revert the members to the synchronous one-call-per-connection
-// transport (the pre-pipelining baseline); the skew variants hold all
+// 2 and 4 members add the real scatter. The skew variants hold all
 // the population on member 0 (the rest zeroed) and compare pruned
 // scatter against the forced full fan-out on that identical skew.
 func BenchmarkFedQuery(b *testing.B) {
@@ -1161,40 +1159,28 @@ func BenchmarkFedQuery(b *testing.B) {
 		})
 	})
 	for _, members := range []int{1, 2, 4} {
-		for _, unpiped := range []bool{false, true} {
-			name := fmt.Sprintf("members=%d/clients=8", members)
-			if unpiped {
-				name = fmt.Sprintf("members=%d/unpipelined/clients=8", members)
-			}
-			b.Run(name, func(b *testing.B) {
-				router, engs := newBenchFed(b, members, 128, FedRouterConfig{Unpipelined: unpiped})
-				demands := benchDemands(engs[0], 512)
-				runServeBench(b, members, 8, func(c, i int) {
-					if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {
-						b.Error(err)
-					}
-				})
-			})
-		}
-	}
-	// High concurrency is where pipelining pays most: more concurrent
-	// legs share each flush train, so the syscall amortization deepens
-	// with offered load while the synchronous transport stays flat.
-	for _, unpiped := range []bool{false, true} {
-		name := "members=2/clients=32"
-		if unpiped {
-			name = "members=2/unpipelined/clients=32"
-		}
-		b.Run(name, func(b *testing.B) {
-			router, engs := newBenchFed(b, 2, 128, FedRouterConfig{Unpipelined: unpiped})
+		b.Run(fmt.Sprintf("members=%d/clients=8", members), func(b *testing.B) {
+			router, engs := newBenchFed(b, members, 128, FedRouterConfig{})
 			demands := benchDemands(engs[0], 512)
-			runServeBench(b, 2, 32, func(c, i int) {
+			runServeBench(b, members, 8, func(c, i int) {
 				if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {
 					b.Error(err)
 				}
 			})
 		})
 	}
+	// High concurrency is where pipelining pays most: more concurrent
+	// legs share each flush train, so the syscall amortization deepens
+	// with offered load.
+	b.Run("members=2/clients=32", func(b *testing.B) {
+		router, engs := newBenchFed(b, 2, 128, FedRouterConfig{})
+		demands := benchDemands(engs[0], 512)
+		runServeBench(b, 2, 32, func(c, i int) {
+			if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {
+				b.Error(err)
+			}
+		})
+	})
 	for _, members := range []int{2, 4} {
 		for _, prune := range []bool{true, false} {
 			name := fmt.Sprintf("members=%d/skew/full-fanout/clients=8", members)
@@ -1227,29 +1213,23 @@ func BenchmarkFedQuery(b *testing.B) {
 // member, queries fan out to all of them.
 func BenchmarkFedMixed(b *testing.B) {
 	for _, members := range []int{1, 2, 4} {
-		for _, unpiped := range []bool{false, true} {
-			name := fmt.Sprintf("members=%d/clients=8", members)
-			if unpiped {
-				name = fmt.Sprintf("members=%d/unpipelined/clients=8", members)
-			}
-			b.Run(name, func(b *testing.B) {
-				router, engs := newBenchFed(b, members, 128, FedRouterConfig{Unpipelined: unpiped})
-				demands := benchDemands(engs[0], 512)
-				ids := router.Nodes()
-				avail := engs[0].Config().CMax.Scale(0.5)
-				runServeBench(b, members, 8, func(c, i int) {
-					if i%10 == 9 {
-						if err := router.Update(ids[(c*31+i)%len(ids)], avail, false); err != nil {
-							b.Error(err)
-						}
-						return
-					}
-					if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {
+		b.Run(fmt.Sprintf("members=%d/clients=8", members), func(b *testing.B) {
+			router, engs := newBenchFed(b, members, 128, FedRouterConfig{})
+			demands := benchDemands(engs[0], 512)
+			ids := router.Nodes()
+			avail := engs[0].Config().CMax.Scale(0.5)
+			runServeBench(b, members, 8, func(c, i int) {
+				if i%10 == 9 {
+					if err := router.Update(ids[(c*31+i)%len(ids)], avail, false); err != nil {
 						b.Error(err)
 					}
-				})
+					return
+				}
+				if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {
+					b.Error(err)
+				}
 			})
-		}
+		})
 	}
 }
 

@@ -45,11 +45,8 @@ func main() {
 		members  = flag.String("members", "", "federation members: comma-separated, each a pipe-separated wire address list (primary first)")
 		scatter  = flag.Duration("scatter-timeout", 2*time.Second, "whole-gather deadline of cross-member scatter queries")
 		grace    = flag.Duration("forward-grace", time.Minute, "how long a migrated-away id stays routable after its move")
-		pool     = flag.Int("pool", 0, "pipelined wire connections per member (0 = default 1)")
-		unpiped  = flag.Bool("unpipelined", false, "synchronous one-call-per-connection member transport (benchmark baseline)")
 		sumTTL   = flag.Duration("summary-ttl", time.Second, "max availability-summary age that may still prune a scatter leg")
 		sumEvery = flag.Duration("summary-refresh", 250*time.Millisecond, "background summary exchange period (<0 disables)")
-		noPrune  = flag.Bool("no-prune", false, "disable demand-region pruning (always full fan-out)")
 	)
 	flag.Parse()
 
@@ -73,11 +70,8 @@ func main() {
 		Members:        lists,
 		ScatterTimeout: *scatter,
 		ForwardGrace:   *grace,
-		PoolSize:       *pool,
-		Unpipelined:    *unpiped,
 		SummaryTTL:     *sumTTL,
 		SummaryRefresh: *sumEvery,
-		DisablePruning: *noPrune,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -68,7 +68,6 @@ func main() {
 		cacheTTL = flag.Duration("cache-ttl", 25*time.Millisecond, "query-cache freshness bound")
 		noCache  = flag.Bool("no-cache", false, "disable the query cache")
 		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 freezes TTL/quantum/epoch-bound at their configured values)")
-		noIndex  = flag.Bool("no-index", false, "rank queries by linear snapshot scan instead of the flat dominance index")
 		populate = flag.Bool("populate", true, "publish a random initial availability per node")
 		scatter  = flag.Duration("scatter-timeout", 5*time.Second, "whole-gather deadline of scatter-gather consistent queries")
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
@@ -94,7 +93,6 @@ func main() {
 		CacheTTL:           *cacheTTL,
 		CacheDisabled:      *noCache,
 		CacheAdaptEvery:    *adaptEvr,
-		IndexDisabled:      *noIndex,
 		ScatterTimeout:     *scatter,
 		RebalanceInterval:  *rebal,
 		RebalanceThreshold: *rebalThr,

@@ -32,12 +32,12 @@ import (
 // With Config.CacheAdaptEvery set, the knobs stop being fixed: every
 // adaptEvery lookups the controller compares the window's hit-rate
 // and staleness-invalidation rate and adjusts TTL, quantization
-// granularity and the epoch bound within the configured
-// floors/ceilings — staleness-driven misses extend entry lifetime,
-// compulsory misses (demand drift marching across grid cells) coarsen
-// the grid so moving demands keep aliasing onto live cells, and
-// sustained high hit-rates decay the knobs back toward the
-// configured (freshest, most precise) baselines.
+// granularity and the epoch bound within fixed floors/ceilings
+// around the configured values — staleness-driven misses extend
+// entry lifetime, compulsory misses (demand drift marching across
+// grid cells) coarsen the grid so moving demands keep aliasing onto
+// live cells, and sustained high hit-rates decay the knobs back
+// toward the configured (freshest, most precise) baselines.
 type queryCache struct {
 	max  int // total entry bound; each generation holds up to max/2
 	cmax vector.Vec
@@ -112,9 +112,9 @@ func newQueryCache(cfg Config) *queryCache {
 	qc := &queryCache{
 		max:      cfg.CacheSize,
 		cmax:     cfg.CMax,
-		ttlMin:   int64(cfg.CacheTTLMin),
-		ttlMax:   int64(cfg.CacheTTLMax),
-		qMin:     cfg.CacheQuantumMin,
+		ttlMin:   int64(cfg.CacheTTL / 4),
+		ttlMax:   int64(40 * cfg.CacheTTL),
+		qMin:     cfg.CacheQuantum,
 		qMax:     cfg.CacheQuantumMax,
 		boundMin: bound,
 		newGen:   make(map[string]cacheEntry),
@@ -156,6 +156,16 @@ func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec) {
 		}
 		cell := int64(math.Ceil(d * g.inv[i]))
 		ub[i] = float64(cell) / g.inv[i]
+		if ub[i] < d {
+			// The division rounded below a demand whose product
+			// rounded into the cell (cmax 16, quantum 0.1125: 1.8 ->
+			// 1.7999999999999998). Such a demand keys the next cell:
+			// the bound stays a function of the cell alone, so an
+			// entry dominates every demand that can hit it whichever
+			// of them filled it.
+			cell++
+			ub[i] = float64(cell) / g.inv[i]
+		}
 		buf = strconv.AppendInt(buf, cell, 36)
 		buf = append(buf, '|')
 	}

@@ -507,7 +507,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	return resp, nil
 }
 
-// searchShards merges every shard snapshot's QueryIndex search for
+// searchShards merges every shard snapshot's Search for
 // the k best-fit candidates dominating demand — the one read-path
 // ranking entry the uncached and cache-fill queries both go through.
 // The returned candidates still need bestFit: per-shard searches

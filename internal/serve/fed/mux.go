@@ -23,17 +23,26 @@ import (
 //
 // A transport error poisons the whole connection: the sticky error
 // fails every in-flight and subsequent call fast (responses on a
-// desynced stream can no longer be trusted), and the owning pool
-// replaces the conn on its next checkout. Server-side rejections are
-// NOT transport errors — they complete their call normally and the
-// connection keeps serving.
+// desynced stream can no longer be trusted), and the owning
+// RemotePrimary replaces the conn on its next checkout. Server-side
+// rejections are NOT transport errors — they complete their call
+// normally and the connection keeps serving.
 type muxConn struct {
 	c    *wire.Client
 	addr string
 
+	// mu serializes the client's enqueue/flush half and keeps FIFO
+	// order equal to frame order. The reader never takes it: a
+	// submitter may block on a full FIFO while holding it, and only
+	// the reader frees slots.
 	mu        sync.Mutex
-	unflushed int   // requests enqueued since the last Flush
-	err       error // sticky poison; set once, never cleared
+	unflushed int // requests enqueued since the last Flush
+
+	// Poison is lock-free for the same reason: fail sets err, then
+	// closes dead. err is read only after observing dead closed.
+	failOnce sync.Once
+	err      error
+	dead     chan struct{}
 
 	// kick wakes the flusher goroutine (cap 1: wake-ups coalesce).
 	// The flusher yields one scheduler round before flushing, so on a
@@ -49,15 +58,7 @@ type muxConn struct {
 	// order, and reqID equality is verified per response.
 	pending chan muxCall
 
-	dead     atomic.Bool  // mirrors err != nil for lock-free checks
 	inflight atomic.Int64 // submitted minus completed (depth gauge)
-
-	// serial selects the unpipelined fallback transport: one call
-	// owns the connection end-to-end (enqueue, flush, read) under
-	// serialMu — the pre-pipelining behavior, kept as a benchmark
-	// baseline and escape hatch.
-	serial   bool
-	serialMu sync.Mutex
 
 	closeOnce sync.Once
 }
@@ -73,7 +74,8 @@ type muxCall struct {
 
 // muxPendingCap bounds the in-flight FIFO. A full FIFO does not drop
 // or fail calls: the submitter flushes (so the reader can drain) and
-// then blocks for a slot, still in order.
+// then blocks for a slot, still in order, until one frees or the
+// conn is poisoned.
 const muxPendingCap = 1024
 
 // donePool recycles the per-call completion channels: a call's
@@ -81,54 +83,47 @@ const muxPendingCap = 1024
 // the next call instead of allocating one per request.
 var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
-func newMuxConn(c *wire.Client, addr string, serial bool) *muxConn {
+func newMuxConn(c *wire.Client, addr string) *muxConn {
 	// The mux accounts for its own in-flight calls; the client's
 	// close-time drain only needs to cover a response mid-read.
 	c.DrainTimeout = 10 * time.Millisecond
 	m := &muxConn{
-		c: c, addr: addr, serial: serial,
+		c: c, addr: addr,
+		dead:    make(chan struct{}),
 		pending: make(chan muxCall, muxPendingCap),
 		kick:    make(chan struct{}, 1),
 	}
-	if !serial {
-		go m.readLoop()
-		go m.flushLoop()
-	}
+	go m.readLoop()
+	go m.flushLoop()
 	return m
 }
 
-// submit runs one request over the shared connection: enqueue the
-// frame (stamped with writeEpoch) under mu, register the call in the
-// FIFO, kick the flusher, and wait for the reader to deliver the
-// response to on. The returned error is the transport error that
-// poisoned the conn, or whatever on returned.
-func (m *muxConn) submit(writeEpoch uint64, enq func(*wire.Client) uint32, on func(*wire.Response) error) error {
-	if m.serial {
-		return m.submitSerial(writeEpoch, enq, on)
+// isDead reports whether the conn is poisoned.
+func (m *muxConn) isDead() bool {
+	select {
+	case <-m.dead:
+		return true
+	default:
+		return false
 	}
-	done, err := m.start(writeEpoch, enq, on)
-	if err != nil {
-		return err
-	}
-	err = <-done
-	donePool.Put(done)
-	return err
 }
 
-// start is submit's non-blocking half: enqueue, register, kick the
-// flusher, and return the call's completion channel — the reader
-// sends its outcome exactly once. Callers that receive from it must
-// return the channel to donePool; callers that abandon the wait must
-// NOT (the reader's late send still lands in the buffer). Not valid
-// in serial mode.
+// start issues one request over the shared connection without
+// waiting for its response: enqueue the frame (stamped with
+// writeEpoch) under mu, register the call in the FIFO, kick the
+// flusher, and return the call's completion channel. The reader runs
+// on against the response and sends the outcome exactly once: the
+// transport error that poisoned the conn, or whatever on returned.
+// Callers that receive from it must return the channel to donePool;
+// callers that abandon the wait must NOT (the reader's late send
+// still lands in the buffer).
 func (m *muxConn) start(writeEpoch uint64, enq func(*wire.Client) uint32, on func(*wire.Response) error) (chan error, error) {
 	done := donePool.Get().(chan error)
 	m.mu.Lock()
-	if m.err != nil {
-		err := m.err
+	if m.isDead() {
 		m.mu.Unlock()
 		donePool.Put(done)
-		return nil, err
+		return nil, m.err
 	}
 	m.c.WriteEpoch = writeEpoch
 	id := enq(m.c)
@@ -140,9 +135,16 @@ func (m *muxConn) start(writeEpoch uint64, enq func(*wire.Client) uint32, on fun
 		// FIFO full. Flush first — our frame included — so the reader
 		// can drain responses and free a slot, then block for it. The
 		// push stays under mu: FIFO order must keep matching frame
-		// order on the wire.
+		// order on the wire. A member that stalls and then resets
+		// never frees a slot; poison wakes the wait instead.
 		m.flushLocked()
-		m.pending <- call
+		select {
+		case m.pending <- call:
+		case <-m.dead:
+			m.mu.Unlock()
+			donePool.Put(done)
+			return nil, m.err
+		}
 	}
 	m.inflight.Add(1)
 	m.mu.Unlock()
@@ -162,27 +164,21 @@ func (m *muxConn) flushLoop() {
 	for range m.kick {
 		runtime.Gosched()
 		m.mu.Lock()
-		for m.err == nil && m.unflushed > 0 {
-			m.unflushed = 0
-			if err := m.c.Flush(); err != nil {
-				m.failLocked(err)
-			}
-		}
-		dead := m.err != nil
+		m.flushLocked()
 		m.mu.Unlock()
-		if dead {
+		if m.isDead() {
 			return
 		}
 	}
 }
 
 func (m *muxConn) flushLocked() {
-	if m.err != nil || m.unflushed == 0 {
+	if m.unflushed == 0 || m.isDead() {
 		return
 	}
 	m.unflushed = 0
 	if err := m.c.Flush(); err != nil {
-		m.failLocked(err)
+		m.fail(err)
 	}
 }
 
@@ -193,10 +189,8 @@ func (m *muxConn) flushLocked() {
 func (m *muxConn) readLoop() {
 	for call := range m.pending {
 		var err error
-		if m.dead.Load() {
-			m.mu.Lock()
+		if m.isDead() {
 			err = m.err
-			m.mu.Unlock()
 		} else {
 			var r *wire.Response
 			r, err = m.c.ReadResponse()
@@ -214,66 +208,33 @@ func (m *muxConn) readLoop() {
 	}
 }
 
-// submitSerial is the unpipelined transport: exclusive ownership of
-// the connection for the whole enqueue-flush-read exchange.
-func (m *muxConn) submitSerial(writeEpoch uint64, enq func(*wire.Client) uint32, on func(*wire.Response) error) error {
-	m.serialMu.Lock()
-	defer m.serialMu.Unlock()
-	m.mu.Lock()
-	if m.err != nil {
-		err := m.err
-		m.mu.Unlock()
-		return err
-	}
-	m.mu.Unlock()
-	m.c.WriteEpoch = writeEpoch
-	reqID := enq(m.c)
-	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
-	if err := m.c.Flush(); err != nil {
-		m.fail(err)
-		return err
-	}
-	r, err := m.c.ReadResponse()
-	if err != nil {
-		m.fail(err)
-		return err
-	}
-	if r.ReqID != reqID {
-		err = fmt.Errorf("wire: response id %d for request %d", r.ReqID, reqID)
-		m.fail(err)
-		return err
-	}
-	return on(r)
-}
-
+// fail poisons the conn with its first error. It takes no lock, so
+// the reader can poison while a submitter holds mu blocked on a full
+// FIFO. Closing the client unblocks a reader mid-ReadResponse and a
+// flusher mid-write; the kick lets an idle-parked flusher observe
+// the poison and exit.
 func (m *muxConn) fail(err error) {
-	m.mu.Lock()
-	m.failLocked(err)
-	m.mu.Unlock()
-}
-
-func (m *muxConn) failLocked(err error) {
-	if m.err == nil {
+	m.failOnce.Do(func() {
 		m.err = err
-		m.dead.Store(true)
-		// Closing the client unblocks a reader mid-ReadResponse; the
-		// kick lets an idle-parked flusher observe the poison and exit.
+		close(m.dead)
 		m.c.Close()
 		select {
 		case m.kick <- struct{}{}:
 		default:
 		}
-	}
+	})
 }
 
 // Close poisons the conn and closes the FIFO. Safe against concurrent
-// submits: the sticky error is set under mu before the channel
-// closes, so no submitter can push afterwards, and the reader drains
-// what remains (failing each call fast) before exiting.
+// submits: the poison lands first and the FIFO closes under mu, so a
+// submitter mid-push finishes (or wakes on the poison) before the
+// close and none can push afterwards; the reader drains what remains
+// (failing each call fast) before exiting.
 func (m *muxConn) Close() {
 	m.closeOnce.Do(func() {
 		m.fail(wire.ErrClosed)
+		m.mu.Lock()
 		close(m.pending)
+		m.mu.Unlock()
 	})
 }

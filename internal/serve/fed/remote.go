@@ -13,24 +13,17 @@ import (
 	"pidcan/internal/vector"
 )
 
-// defaultPoolSize is the pipelined connections kept per member.
-// Concurrent callers multiplex onto them round-robin. One shared
-// connection wins under load: every concurrent leg lands in the same
-// flush train, so the syscall amortization is maximal — spreading the
-// same traffic over more connections only dilutes the batches.
-// Config.PoolSize raises it for deployments where a single reader
-// goroutine per member becomes the bottleneck.
-const defaultPoolSize = 1
-
 // RemotePrimary adapts one federation member — a whole primary
 // process reached over the wire protocol — to the serve.Placement
 // interface, so the scatter/migrate machinery written for in-process
 // shards drives remote processes unchanged.
 //
-// The transport is a fixed pool of shared pipelined connections
-// (muxConn): concurrent scatter legs and router requests enqueue
-// onto the same connection and a single flush carries them all, so a
-// leg costs a fraction of an RTT instead of a synchronous exchange.
+// The transport is one shared pipelined connection (muxConn):
+// concurrent scatter legs and router requests enqueue onto it and a
+// single flush carries them all, so a leg costs a fraction of an RTT
+// instead of a synchronous exchange — and every concurrent leg lands
+// in the same flush train, which is where the syscall amortization
+// comes from.
 // The member's address list rotates on transport failure or
 // read-only answers — after a fail-over the router converges onto
 // the promoted follower without configuration changes — and repeated
@@ -44,7 +37,7 @@ type RemotePrimary struct {
 	mu    sync.Mutex
 	addrs []string
 	cur   int
-	conns []*muxConn // fixed slots, dialed lazily
+	conn  *muxConn // dialed lazily, replaced when dead or rotated away
 	// Dial backoff: consecutive failures gate redials exponentially
 	// (jittered); rotation clears the gate — it belongs to the
 	// address that failed, not to its fallback.
@@ -52,11 +45,6 @@ type RemotePrimary struct {
 	nextDial    time.Time
 	lastDialErr error
 	closed      bool
-
-	poolSize    int
-	unpipelined bool
-
-	rr atomic.Uint64 // round-robin slot pick
 
 	// depthSum/depthN sample the pipeline depth seen at submit time
 	// (in-flight calls on the chosen conn, this one included) — the
@@ -91,10 +79,9 @@ var _ serve.Placement = (*RemotePrimary)(nil)
 // fwd may be nil when the caller owns forwarding state itself.
 func NewRemotePrimary(member int, addrs []string, fwd *serve.ForwardTable) *RemotePrimary {
 	return &RemotePrimary{
-		member:   member,
-		addrs:    append([]string(nil), addrs...),
-		fwd:      fwd,
-		poolSize: defaultPoolSize,
+		member: member,
+		addrs:  append([]string(nil), addrs...),
+		fwd:    fwd,
 	}
 }
 
@@ -108,18 +95,16 @@ func (r *RemotePrimary) Addr() string {
 	return r.addrs[r.cur]
 }
 
-// Close poisons every pooled connection and fails subsequent calls
+// Close poisons the member connection and fails subsequent calls
 // with serve.ErrClosed.
 func (r *RemotePrimary) Close() {
 	r.mu.Lock()
 	r.closed = true
-	conns := r.conns
-	r.conns = nil
+	mc := r.conn
+	r.conn = nil
 	r.mu.Unlock()
-	for _, mc := range conns {
-		if mc != nil {
-			mc.Close()
-		}
+	if mc != nil {
+		mc.Close()
 	}
 }
 
@@ -136,22 +121,18 @@ func backoffAfter(fails int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d/2)))
 }
 
-// getConn returns a healthy shared connection to the member's
-// current address, replacing a dead or rotated-away slot by dialing
+// getConn returns the healthy shared connection to the member's
+// current address, replacing a dead or rotated-away one by dialing
 // (outside the lock) — or failing fast while the backoff gate holds.
 func (r *RemotePrimary) getConn() (*muxConn, string, error) {
-	slot := int(r.rr.Add(1)-1) % r.poolSize
 	for tries := 0; tries < 2; tries++ {
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
 			return nil, "", serve.ErrClosed
 		}
-		if r.conns == nil {
-			r.conns = make([]*muxConn, r.poolSize)
-		}
 		addr := r.addrs[r.cur]
-		if mc := r.conns[slot]; mc != nil && mc.addr == addr && !mc.dead.Load() {
+		if mc := r.conn; mc != nil && mc.addr == addr && !mc.isDead() {
 			r.mu.Unlock()
 			return mc, addr, nil
 		}
@@ -188,15 +169,15 @@ func (r *RemotePrimary) getConn() (*muxConn, string, error) {
 			c.Close()
 			continue
 		}
-		if mc := r.conns[slot]; mc != nil && mc.addr == addr && !mc.dead.Load() {
-			// A concurrent caller already replaced the slot.
+		if mc := r.conn; mc != nil && mc.addr == addr && !mc.isDead() {
+			// A concurrent caller already replaced it.
 			r.mu.Unlock()
 			c.Close()
 			return mc, addr, nil
 		}
-		old := r.conns[slot]
-		mc := newMuxConn(c, addr, r.unpipelined)
-		r.conns[slot] = mc
+		old := r.conn
+		mc := newMuxConn(c, addr)
+		r.conn = mc
 		r.mu.Unlock()
 		if old != nil {
 			old.Close()
@@ -239,6 +220,47 @@ func (r *RemotePrimary) beginWrite() func() {
 	return func() { r.writeEnd(r.member) }
 }
 
+// pendingCall is one request in flight on the member connection.
+type pendingCall struct {
+	done  chan error // the mux call's completion channel (see muxConn.start)
+	epoch uint64     // the response's epoch; valid once done has delivered
+}
+
+// begin enqueues one request — enq appends the frame, on consumes a
+// non-errored response — onto mc, stamped with the member's recorded
+// write epoch. A server rejection completes the call with its
+// *wire.Error. After receiving from done, pass the call to observe.
+func (r *RemotePrimary) begin(mc *muxConn, enq func(c *wire.Client) uint32, on func(resp *wire.Response) error) (*pendingCall, error) {
+	var we uint64
+	if r.writeEpoch != nil {
+		we = r.writeEpoch(r.member)
+	}
+	r.depthSum.Add(uint64(mc.inflight.Load() + 1))
+	r.depthN.Add(1)
+	pc := new(pendingCall)
+	var err error
+	pc.done, err = mc.start(we, enq, func(resp *wire.Response) error {
+		pc.epoch = resp.Epoch
+		if resp.Errored {
+			e := resp.Err
+			return &e
+		}
+		return on(resp)
+	})
+	return pc, err
+}
+
+// observe reports a completed call's epoch to the router. Every
+// response — rejections included — carries the member's replication
+// epoch; a jump is the first evidence of a promotion and feeds the
+// federation map. (Safe to read after the done receive: the reader
+// goroutine's write happens-before it.)
+func (r *RemotePrimary) observe(pc *pendingCall) {
+	if r.onEpoch != nil && pc.epoch > 0 {
+		r.onEpoch(r.member, pc.epoch)
+	}
+}
+
 // do runs one request — enq appends the frame, on consumes the
 // decoded response — over the shared pipelined transport with
 // bounded retries: a transport failure or a read-only/not-ready
@@ -263,28 +285,11 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 			r.rotate(addr)
 			continue
 		}
-		var we uint64
-		if r.writeEpoch != nil {
-			we = r.writeEpoch(r.member)
-		}
-		r.depthSum.Add(uint64(mc.inflight.Load() + 1))
-		r.depthN.Add(1)
-		var gotEpoch uint64
-		err = mc.submit(we, enq, func(resp *wire.Response) error {
-			gotEpoch = resp.Epoch
-			if resp.Errored {
-				e := resp.Err
-				return &e
-			}
-			return on(resp)
-		})
-		// Every response — rejections included — carries the member's
-		// replication epoch; a jump is the first evidence of a
-		// promotion and feeds the federation map. (Safe to read after
-		// submit: the reader goroutine's write happens-before the
-		// done-channel receive.)
-		if r.onEpoch != nil && gotEpoch > 0 {
-			r.onEpoch(r.member, gotEpoch)
+		pc, err := r.begin(mc, enq, on)
+		if err == nil {
+			err = <-pc.done
+			donePool.Put(pc.done)
+			r.observe(pc)
 		}
 		if err == nil {
 			return nil
@@ -292,7 +297,7 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 		var werr *wire.Error
 		if errors.As(err, &werr) {
 			// The server answered; the shared connection is healthy
-			// and stays in the pool.
+			// and keeps serving.
 			switch werr.Code {
 			case wire.CodeReadOnly, wire.CodeNotReady:
 				lastErr = r.translate(werr)
@@ -310,7 +315,7 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 			return serve.ErrClosed
 		}
 		// Transport error: the mux poisoned the shared connection;
-		// the pool replaces it on the next checkout.
+		// the next getConn replaces it.
 		lastErr = fmt.Errorf("fed: member %d: %w", r.member, err)
 		r.rotate(addr)
 	}
@@ -424,8 +429,8 @@ func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, cancel <-chan struct{})
 // a scatter and gather them on its own goroutine — no per-leg
 // goroutine, no per-leg flush.
 //
-// done == nil means the fast path could not start (unpipelined
-// transport, dial failure/backoff); call collect(nil) and it runs the
+// done == nil means the fast path could not start (dial
+// failure/backoff, dead connection); call collect(nil) and it runs the
 // synchronous QueryLeg instead. When done is non-nil, receive from it
 // and pass the received error to collect — on any in-flight failure
 // collect also falls back to the synchronous path, whose do() owns
@@ -435,41 +440,20 @@ func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, cancel <-chan struct{})
 // completes regardless.
 func (r *RemotePrimary) QueryLegAsync(req serve.QueryRequest) (done chan error, collect func(err error) (serve.PlacementLeg, error)) {
 	sync := func(error) (serve.PlacementLeg, error) { return r.QueryLeg(req, nil) }
-	if r.unpipelined {
-		return nil, sync
-	}
 	mc, _, err := r.getConn()
 	if err != nil {
 		return nil, sync
 	}
-	var we uint64
-	if r.writeEpoch != nil {
-		we = r.writeEpoch(r.member)
-	}
-	r.depthSum.Add(uint64(mc.inflight.Load() + 1))
-	r.depthN.Add(1)
 	wq := legWireQuery(req)
 	leg := new(serve.PlacementLeg)
-	var gotEpoch uint64
-	done, err = mc.start(we,
+	pc, err := r.begin(mc,
 		func(c *wire.Client) uint32 { return c.EnqueueFedQuery(r.curMapVer(), &wq) },
-		func(resp *wire.Response) error {
-			gotEpoch = resp.Epoch
-			if resp.Errored {
-				e := resp.Err
-				return &e
-			}
-			return r.legDecoder(leg)(resp)
-		})
+		r.legDecoder(leg))
 	if err != nil {
 		return nil, sync
 	}
 	collect = func(err error) (serve.PlacementLeg, error) {
-		// Safe to read gotEpoch here: the reader goroutine's write
-		// happens-before the caller's done-channel receive.
-		if r.onEpoch != nil && gotEpoch > 0 {
-			r.onEpoch(r.member, gotEpoch)
-		}
+		r.observe(pc)
 		if err == nil {
 			return *leg, nil
 		}
@@ -478,7 +462,7 @@ func (r *RemotePrimary) QueryLegAsync(req serve.QueryRequest) (done chan error, 
 		}
 		return r.QueryLeg(req, nil)
 	}
-	return done, collect
+	return pc.done, collect
 }
 
 func (r *RemotePrimary) Update(node serve.GlobalID, avail vector.Vec, announce bool) error {

@@ -37,18 +37,6 @@ type Config struct {
 	// after its last repoint (default 1m).
 	ForwardGrace time.Duration
 
-	// PoolSize is the number of shared pipelined wire connections
-	// kept per member (default 1 — one connection concentrates every
-	// concurrent leg into the same flush train). Raising it only
-	// helps once a member's single reader goroutine saturates a core.
-	PoolSize int
-
-	// Unpipelined reverts members to the synchronous
-	// one-call-owns-the-connection transport (the pre-pipelining
-	// baseline, kept for benchmarking; PoolSize then caps per-member
-	// concurrency).
-	Unpipelined bool
-
 	// SummaryTTL bounds how old a member's availability summary may
 	// be and still prune that member's scatter leg (default 1s).
 	// Stale, missing or write-dirtied summaries force the full
@@ -61,7 +49,8 @@ type Config struct {
 	SummaryRefresh time.Duration
 
 	// DisablePruning turns demand-region pruning off: every query
-	// fans out to every member regardless of summaries.
+	// fans out to every member regardless of summaries. Test hook for
+	// the pruned ≡ unpruned property; no router flag sets it.
 	DisablePruning bool
 
 	// AfterTake, when non-nil, runs between a migration's take and
@@ -110,8 +99,9 @@ type MemberStats struct {
 const fedRetries = 8
 
 // Router federates primary processes behind the serve.Service
-// surface: queries scatter-gather across the members through the
-// same ScatterQuery loop an Engine runs across its shards, writes
+// surface: queries scatter-gather across the members with the
+// semantics of the ScatterQuery loop an Engine runs across its
+// shards (fedScatter, over the members' pipelined connections), writes
 // chase nodes through a forwarding table exactly as in-process
 // migrations do, and the versioned federation map propagates
 // promotions (a member answering with a higher replication epoch)
@@ -122,13 +112,11 @@ type Router struct {
 
 	mapVer  atomic.Uint64 // mirror of m.Version for lock-free stamping
 	members []*RemotePrimary
-	places  []serve.Placement
 	fwd     *serve.ForwardTable
 	cmax    vector.Vec
 
 	scatterTimeout time.Duration
 	afterTake      func()
-	unpipelined    bool
 
 	// Demand-region pruning state: sums holds each member's last
 	// adopted availability summary; wstart/wdone count writes routed
@@ -193,7 +181,6 @@ func New(cfg Config) (*Router, error) {
 		cmax:           cfg.CMax,
 		scatterTimeout: cfg.ScatterTimeout,
 		afterTake:      cfg.AfterTake,
-		unpipelined:    cfg.Unpipelined,
 		stop:           make(chan struct{}),
 	}
 	if r.scatterTimeout <= 0 {
@@ -215,10 +202,6 @@ func New(cfg Config) (*Router, error) {
 	r.mapVer.Store(m.Version)
 	for i := range m.Members {
 		rp := NewRemotePrimary(i, m.Members[i].Addrs, r.fwd)
-		if cfg.PoolSize > 0 {
-			rp.poolSize = cfg.PoolSize
-		}
-		rp.unpipelined = cfg.Unpipelined
 		rp.mapVer = r.mapVer.Load
 		rp.writeEpoch = r.epochOf
 		rp.onEpoch = r.observeEpoch
@@ -226,7 +209,6 @@ func New(cfg Config) (*Router, error) {
 		rp.writeBegin = r.noteWriteStart
 		rp.writeEnd = r.noteWriteEnd
 		r.members = append(r.members, rp)
-		r.places = append(r.places, rp)
 	}
 	if r.cmax == nil {
 		if err := r.discoverCMax(); err != nil {
@@ -283,7 +265,7 @@ func (r *Router) discoverCMax() error {
 	return fmt.Errorf("fed: capacity discovery failed: %w", lastErr)
 }
 
-// Close drops every member's connection pool. In-flight operations
+// Close drops every member's connection. In-flight operations
 // unwind with serve.ErrClosed.
 func (r *Router) Close() error {
 	if !r.closed.CompareAndSwap(false, true) {
@@ -488,25 +470,25 @@ func canSatisfy(s *memberSummary, demand vector.Vec) bool {
 // summaries do not prove them unable to satisfy demand. Members
 // without a valid summary are always kept — stale falls back to full
 // fan-out, never to a wrong answer.
-func (r *Router) scatterTargets(demand vector.Vec) ([]serve.Placement, int) {
+func (r *Router) scatterTargets(demand vector.Vec) ([]*RemotePrimary, int) {
 	now := time.Now()
-	var keep []serve.Placement
+	var keep []*RemotePrimary
 	pruned := 0
-	for i, p := range r.places {
+	for i, rp := range r.members {
 		s := r.summaryOf(i, now)
 		if s != nil && !canSatisfy(s, demand) {
 			if keep == nil {
-				keep = append(make([]serve.Placement, 0, len(r.places)), r.places[:i]...)
+				keep = append(make([]*RemotePrimary, 0, len(r.members)), r.members[:i]...)
 			}
 			pruned++
 			continue
 		}
 		if keep != nil {
-			keep = append(keep, p)
+			keep = append(keep, rp)
 		}
 	}
 	if keep == nil {
-		return r.places, 0
+		return r.members, 0
 	}
 	return keep, pruned
 }
@@ -544,8 +526,8 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	}
 	r.queries.Add(1)
 	if req.Consistent && req.Scope == serve.ScopeOne {
-		p := r.places[(r.rrQuery.Add(1)-1)%uint64(len(r.places))]
-		leg, err := p.QueryLeg(req, nil)
+		rp := r.members[(r.rrQuery.Add(1)-1)%uint64(len(r.members))]
+		leg, err := rp.QueryLeg(req, nil)
 		if err != nil {
 			r.errors.Add(1)
 			return serve.QueryResponse{}, err
@@ -561,19 +543,19 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	// member cannot satisfy the demand. Consistent queries never
 	// prune — they must observe writes still queued behind the
 	// members' published snapshots, which summaries cannot bound.
-	places := r.places
+	targets := r.members
 	pruned := 0
 	if !r.noPrune && !req.Consistent {
-		places, pruned = r.scatterTargets(req.Demand)
+		targets, pruned = r.scatterTargets(req.Demand)
 	}
-	r.legsSent.Add(uint64(len(places)))
+	r.legsSent.Add(uint64(len(targets)))
 	r.legsPruned.Add(uint64(pruned))
-	if len(places) == 0 {
+	if len(targets) == 0 {
 		// Every member provably empty-handed: an honest miss without
 		// a single network hop.
 		return serve.QueryResponse{ShardsQueried: 0}, nil
 	}
-	resp, err := r.fedScatter(places, req)
+	resp, err := r.fedScatter(targets, req)
 	if err != nil {
 		r.errors.Add(1)
 		return serve.QueryResponse{}, err
@@ -582,7 +564,7 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	return resp, nil
 }
 
-// fedScatter runs one scatter-gather across places entirely on the
+// fedScatter runs one scatter-gather across targets entirely on the
 // calling goroutine: every leg is enqueued up front through the
 // members' shared pipelined connections (QueryLegAsync) — one flush
 // train often carries all of them — and then gathered against one
@@ -592,22 +574,13 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 // partial gathers merge, the query fails only when no leg succeeds,
 // and legs still outstanding at the deadline are abandoned (their
 // completion sends land in the calls' buffered channels).
-func (r *Router) fedScatter(places []serve.Placement, req serve.QueryRequest) (serve.QueryResponse, error) {
-	if r.unpipelined {
-		return serve.ScatterQuery(places, req, r.scatterTimeout)
-	}
+func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (serve.QueryResponse, error) {
 	type legCall struct {
 		done    chan error
 		collect func(error) (serve.PlacementLeg, error)
 	}
-	pend := make([]legCall, 0, len(places))
-	for _, p := range places {
-		rp, ok := p.(*RemotePrimary)
-		if !ok {
-			// A foreign placement in the list: fall back to the
-			// goroutine scatter, which needs nothing beyond QueryLeg.
-			return serve.ScatterQuery(places, req, r.scatterTimeout)
-		}
+	pend := make([]legCall, 0, len(targets))
+	for _, rp := range targets {
 		done, collect := rp.QueryLegAsync(req)
 		pend = append(pend, legCall{done: done, collect: collect})
 	}
@@ -645,7 +618,7 @@ func (r *Router) fedScatter(places []serve.Placement, req serve.QueryRequest) (s
 					timedOut = true
 					if firstErr == nil {
 						firstErr = fmt.Errorf("%w: after %v (%d of %d legs gathered)",
-							serve.ErrScatterTimeout, r.scatterTimeout, resp.ShardsQueried, len(places))
+							serve.ErrScatterTimeout, r.scatterTimeout, resp.ShardsQueried, len(targets))
 					}
 					continue
 				}
@@ -683,11 +656,11 @@ func (r *Router) resolveApply(node serve.GlobalID, do func(p serve.Placement, ph
 	for attempt := 0; ; attempt++ {
 		phys := r.fwd.Resolve(node)
 		mi, _ := SplitID(phys)
-		if mi < 0 || mi >= len(r.places) {
+		if mi < 0 || mi >= len(r.members) {
 			r.errors.Add(1)
 			return fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
 		}
-		err := do(r.places[mi], phys)
+		err := do(r.members[mi], phys)
 		if err == nil {
 			return nil
 		}
@@ -729,11 +702,11 @@ func (r *Router) JoinOn(member int, avail vector.Vec) (serve.GlobalID, error) {
 	if r.closed.Load() {
 		return 0, serve.ErrClosed
 	}
-	if member < 0 || member >= len(r.places) {
+	if member < 0 || member >= len(r.members) {
 		r.errors.Add(1)
 		return 0, fmt.Errorf("%w: member %d (join target)", serve.ErrNoShard, member)
 	}
-	id, err := r.places[member].Join(avail)
+	id, err := r.members[member].Join(avail)
 	if err != nil {
 		r.errors.Add(1)
 		return 0, err
@@ -767,11 +740,11 @@ func (r *Router) Take(node serve.GlobalID) (vector.Vec, error) {
 	}
 	defer release()
 	mi, _ := SplitID(phys)
-	if mi < 0 || mi >= len(r.places) {
+	if mi < 0 || mi >= len(r.members) {
 		r.errors.Add(1)
 		return nil, fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
 	}
-	avail, err := r.places[mi].Take(phys, true)
+	avail, err := r.members[mi].Take(phys, true)
 	if err != nil && !errors.Is(err, serve.ErrWAL) {
 		r.errors.Add(1)
 		return nil, fmt.Errorf("fed: take %v: %w", node, err)
@@ -790,7 +763,7 @@ func (r *Router) Migrate(node serve.GlobalID, to int) error {
 	if r.closed.Load() {
 		return serve.ErrClosed
 	}
-	if to < 0 || to >= len(r.places) {
+	if to < 0 || to >= len(r.members) {
 		r.errors.Add(1)
 		return fmt.Errorf("%w: member %d (migration destination)", serve.ErrNoShard, to)
 	}
@@ -801,14 +774,14 @@ func (r *Router) Migrate(node serve.GlobalID, to int) error {
 	}
 	defer release()
 	mi, _ := SplitID(phys)
-	if mi < 0 || mi >= len(r.places) {
+	if mi < 0 || mi >= len(r.members) {
 		r.errors.Add(1)
 		return fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
 	}
 	if mi == to {
 		return nil
 	}
-	src, dst := r.places[mi], r.places[to]
+	src, dst := r.members[mi], r.members[to]
 	avail, err := src.Take(phys, true)
 	var walDegraded error
 	if errors.Is(err, serve.ErrWAL) {
@@ -855,7 +828,7 @@ func (r *Router) Nodes() []serve.GlobalID {
 		K:       0xFFFF,
 		NoCache: true,
 	}
-	resp, err := serve.ScatterQuery(r.places, req, r.scatterTimeout)
+	resp, err := r.fedScatter(r.members, req)
 	if err != nil {
 		r.errors.Add(1)
 		return nil

@@ -69,8 +69,6 @@ const tieSlack = 1e-9
 // Build or derive it from a predecessor with Update; never mutate it
 // afterwards — concurrent readers Search it lock-free.
 type Flat struct {
-	recs []proto.Record // the indexed records, ascending by node id (shared)
-
 	// Sorted-order arrays, one entry per record, ascending
 	// (score, node).
 	nodes   []overlay.NodeID
@@ -85,11 +83,17 @@ type Flat struct {
 }
 
 // Build indexes recs (ascending by node id, as snapshots publish
-// them) against the cmax scale. The records and their availability
-// vectors are shared, not copied, and must stay immutable.
+// them) against the cmax scale. Availability is copied into the
+// index's packed matrix; recs is not retained.
 func Build(recs []proto.Record, cmax vector.Vec) *Flat {
-	f := newFlat(recs, cmax)
 	n := len(recs)
+	inv := make([]float64, cmax.Dim())
+	for d, c := range cmax {
+		if c > 0 {
+			inv[d] = 1 / c
+		}
+	}
+	f := newFlat(n, inv)
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -120,8 +124,7 @@ func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 // must already reflect those changes. Cost is O(n·d + b·log b) for b
 // dirty nodes.
 func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat {
-	nf := newFlat(recs, nil)
-	nf.inv = f.inv
+	nf := newFlat(len(recs), f.inv)
 	// Score the dirty survivors (recs is ascending by node, so the
 	// fresh entries come out pre-sorted by node — the tie-break —
 	// and only need sorting by score).
@@ -160,22 +163,17 @@ func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat 
 	return nf
 }
 
-func newFlat(recs []proto.Record, cmax vector.Vec) *Flat {
-	f := &Flat{recs: recs}
-	if cmax != nil {
-		f.dims = cmax.Dim()
-		f.inv = make([]float64, f.dims)
-		for d, c := range cmax {
-			if c > 0 {
-				f.inv[d] = 1 / c
-			}
-		}
+// newFlat allocates an n-entry index over the inv scale (shared, never
+// mutated); the caller fills every entry, then calls finish.
+func newFlat(n int, inv []float64) *Flat {
+	return &Flat{
+		nodes:   make([]overlay.NodeID, n),
+		score:   make([]float64, n),
+		expires: make([]sim.Time, n),
+		vals:    make([]float64, n*len(inv)),
+		inv:     inv,
+		dims:    len(inv),
 	}
-	n := len(recs)
-	f.nodes = make([]overlay.NodeID, n)
-	f.score = make([]float64, n)
-	f.expires = make([]sim.Time, n)
-	return f
 }
 
 // scoreOf computes Σ_d avail[d]*inv[d] over the scored dimensions —
@@ -193,10 +191,6 @@ func (f *Flat) scoreOf(avail vector.Vec) float64 {
 }
 
 func (f *Flat) setEntry(i int, r *proto.Record, score float64) {
-	if f.vals == nil {
-		f.dims = len(f.inv)
-		f.vals = make([]float64, len(f.nodes)*f.dims)
-	}
 	f.nodes[i] = r.Node
 	f.score[i] = score
 	f.expires[i] = r.Expires
@@ -204,10 +198,6 @@ func (f *Flat) setEntry(i int, r *proto.Record, score float64) {
 }
 
 func (f *Flat) copyEntry(i int, src *Flat, j int) {
-	if f.vals == nil {
-		f.dims = src.dims
-		f.vals = make([]float64, len(f.nodes)*f.dims)
-	}
 	f.nodes[i] = src.nodes[j]
 	f.score[i] = src.score[j]
 	f.expires[i] = src.expires[j]
@@ -217,10 +207,6 @@ func (f *Flat) copyEntry(i int, src *Flat, j int) {
 // finish derives the suffix-max pruning arrays and the expiry flag.
 func (f *Flat) finish() {
 	n := len(f.nodes)
-	if f.vals == nil {
-		f.dims = len(f.inv)
-		f.vals = make([]float64, 0)
-	}
 	f.sufMax = make([]float64, f.dims*n)
 	for d := 0; d < f.dims; d++ {
 		col := f.sufMax[d*n : (d+1)*n]
@@ -242,7 +228,7 @@ func (f *Flat) finish() {
 }
 
 // Len returns the number of indexed records.
-func (f *Flat) Len() int { return len(f.recs) }
+func (f *Flat) Len() int { return len(f.nodes) }
 
 // NodeAt returns the node id of the sorted-order entry a Search
 // returned.
@@ -255,16 +241,6 @@ func (f *Flat) NodeAt(entry int32) overlay.NodeID { return f.nodes[entry] }
 func (f *Flat) Row(entry int32) vector.Vec {
 	a := int(entry) * f.dims
 	return vector.Vec(f.vals[a : a+f.dims : a+f.dims])
-}
-
-// Record returns the indexed record of the node (binary search over
-// the ascending-by-node record array), or nil for an unknown id.
-func (f *Flat) Record(id overlay.NodeID) *proto.Record {
-	i := sort.Search(len(f.recs), func(i int) bool { return f.recs[i].Node >= id })
-	if i < len(f.recs) && f.recs[i].Node == id {
-		return &f.recs[i]
-	}
-	return nil
 }
 
 // Search appends to dst the sorted-order entry positions (resolve

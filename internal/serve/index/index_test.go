@@ -275,9 +275,6 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if len(got) != 1 || z.NodeAt(got[0]) != 1 {
 		t.Fatalf("zero-scale search returned %v, want [node 1]", got)
 	}
-	if z.Record(2) == nil || z.Record(99) != nil {
-		t.Fatal("Record lookup misbehaved")
-	}
 	if math.IsNaN(z.score[0]) {
 		t.Fatal("zero-scale score is NaN")
 	}

@@ -328,28 +328,23 @@ type Config struct {
 	// into an adaptive controller: every CacheAdaptEvery cache
 	// lookups the controller inspects the window's hit-rate and
 	// staleness-invalidation rate and steers TTL, quantization
-	// granularity and the epoch bound within the floors/ceilings
-	// below — so the hit-rate survives demand drift (the grid
-	// coarsens until moving demands alias onto live cells) and heavy
-	// write invalidation (lifetimes extend), then decays back toward
-	// the configured baselines when traffic is easy. 0 (the default)
+	// granularity and the epoch bound — so the hit-rate survives
+	// demand drift (the grid coarsens until moving demands alias onto
+	// live cells) and heavy write invalidation (lifetimes extend),
+	// then decays back toward the configured baselines when traffic
+	// is easy. The TTL moves within [CacheTTL/4, 40*CacheTTL] and the
+	// quantum within [CacheQuantum, CacheQuantumMax]. 0 (the default)
 	// keeps every knob fixed at its configured value.
 	CacheAdaptEvery int
-	// CacheTTLMin/CacheTTLMax bound the adaptive TTL (defaults:
-	// CacheTTL/4 and 40*CacheTTL).
-	CacheTTLMin time.Duration
-	CacheTTLMax time.Duration
-	// CacheQuantumMin/CacheQuantumMax bound the adaptive
-	// quantization granularity (defaults: CacheQuantum and
-	// min(1, 16*CacheQuantum)).
-	CacheQuantumMin float64
+	// CacheQuantumMax is the coarsest quantization granularity the
+	// adaptive controller may reach (default min(1, 16*CacheQuantum)).
 	CacheQuantumMax float64
 
-	// IndexDisabled turns off the flat dominance index built at
-	// snapshot publication and restores the linear full-record scan
-	// behind the same QueryIndex interface — the comparison baseline
-	// for benchmarks and the escape hatch if an index defect ever
-	// needs ruling out in production.
+	// IndexDisabled is referee-only: snapshots publish without the
+	// flat dominance index and Snapshot.Search scans every record —
+	// the reference the replay corpus, cmd/pidcan-replay and the
+	// index-equivalence tests pin the indexed path against. No
+	// server flag sets it.
 	IndexDisabled bool
 }
 
@@ -441,21 +436,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheAdaptEvery < 0 {
 		c.CacheAdaptEvery = 0
-	}
-	if c.CacheTTLMin <= 0 {
-		c.CacheTTLMin = c.CacheTTL / 4
-	}
-	if c.CacheTTLMax <= 0 {
-		c.CacheTTLMax = 40 * c.CacheTTL
-	}
-	if c.CacheTTLMax < c.CacheTTL {
-		c.CacheTTLMax = c.CacheTTL
-	}
-	if c.CacheTTLMin > c.CacheTTL {
-		c.CacheTTLMin = c.CacheTTL
-	}
-	if c.CacheQuantumMin <= 0 || c.CacheQuantumMin > c.CacheQuantum {
-		c.CacheQuantumMin = c.CacheQuantum
 	}
 	if c.CacheQuantumMax <= 0 || c.CacheQuantumMax < c.CacheQuantum {
 		c.CacheQuantumMax = 16 * c.CacheQuantum

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -759,6 +760,71 @@ func TestRecordTTLExpiresStaleNodes(t *testing.T) {
 	}
 }
 
+// TestSnapshotSearchHandBuiltMatchesPublished pins the two arms of
+// Snapshot.Search to each other: a hand-built snapshot (no index —
+// the linear referee) over an engine-published snapshot's records
+// must rank the same candidates, bit for bit, as the published
+// (indexed) one, for bounded k, a score tie, and k = 0 (every match)
+// — with an expired best fit both must skip.
+func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.NodesPerShard = 6
+	cfg.RecordTTL = 55 * sim.Second
+	cfg.StepQuantum = 10 * sim.Second
+	cfg.FlushInterval = time.Hour // only the writes below advance the clock
+	e := newTestEngine(t, cfg)
+	nodes := e.Nodes()
+	// One write per node, 10s apart: the clock ends at 60s, so only
+	// the first record (expires at 55s) is expired — and it would be
+	// the best fit.
+	for i, a := range []vector.Vec{
+		vector.Of(5, 5), // expired
+		vector.Of(9, 9),
+		vector.Of(6, 7), // ties with the next on surplus
+		vector.Of(7, 6),
+		vector.Of(3, 9), // does not dominate
+		vector.Of(8, 8),
+	} {
+		if err := e.Update(nodes[i], a, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pub.flat == nil {
+		t.Fatal("engine published a snapshot without its index")
+	}
+	hand := &Snapshot{Shard: pub.Shard, Taken: pub.Taken, Records: pub.Records}
+	demand := vector.Of(4, 4)
+	for _, tc := range []struct{ k, want int }{{1, 1}, {3, 3}, {0, 4}} {
+		cands, _ := pub.Search(nil, demand, cfg.CMax, tc.k)
+		got := RankCandidates(cands, tc.k)
+		cands, visited := hand.Search(nil, demand, cfg.CMax, tc.k)
+		want := RankCandidates(cands, tc.k)
+		if visited != len(pub.Records) {
+			t.Fatalf("k=%d: hand-built snapshot visited %d of %d records", tc.k, visited, len(pub.Records))
+		}
+		if len(got) != tc.want || len(want) != tc.want {
+			t.Fatalf("k=%d: published ranked %d, hand-built %d, want %d\n%+v\n%+v",
+				tc.k, len(got), len(want), tc.want, got, want)
+		}
+		for i := range got {
+			a, b := got[i], want[i]
+			if a.Node != b.Node || math.Float64bits(a.Surplus) != math.Float64bits(b.Surplus) || !a.Avail.Equal(b.Avail) {
+				t.Fatalf("k=%d cand %d: published %+v != hand-built %+v", tc.k, i, a, b)
+			}
+			if a.Node == nodes[0] {
+				t.Fatalf("k=%d: expired record %v ranked", tc.k, nodes[0])
+			}
+		}
+		if got[0].Node != nodes[2] {
+			t.Fatalf("k=%d: best fit %v, want %v (the lower id of the surplus tie)", tc.k, got[0].Node, nodes[2])
+		}
+	}
+}
+
 func TestRecordTTLZeroNeverExpires(t *testing.T) {
 	cfg := testConfig(1) // RecordTTL 0: the default, no expiry
 	cfg.StepQuantum = 30 * sim.Second
@@ -874,6 +940,57 @@ func TestSubmitCancelUnblocksAbandonedLeg(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("submit still blocked after cancel")
+	}
+}
+
+// TestCacheQuantizeUpperBoundDominates pins the rounding fix in
+// quantize: the cell's upper-bound demand — what a cached candidate
+// set is evaluated against — must dominate every demand keyed to the
+// cell. cell/inv can round one ulp below an on-grid demand (cmax 16,
+// quantum 0.1125 — two adaptive regrids from 0.05 — demand 1.8 gave
+// 1.7999999999999998), which cached a record sitting in that gap for
+// a demand it does not dominate.
+func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
+	for _, tc := range []struct{ cmax, quantum, demand float64 }{
+		{16, 0.1125, 1.8},
+		{16, 0.1125, 3.6},
+		{16, 0.1125, 7.2},
+		{16, 0.1125, 14.4},
+		{4096, 0.1125, 460.8},
+		{4096, 0.1125, 3686.4},
+		{16, 0.05, 13.600000000000001},
+		{25.6, 0.05, 21.760000000000005},
+		{240, 0.05, 204.00000000000003},
+		{4096, 0.05, 3891.2000000000003},
+		{16, 0.1125, 0},
+		{16, 0.1125, 1.75},
+		{80, 0.05, 40},
+	} {
+		cfg := testConfig(1)
+		cfg.CMax = vector.Of(tc.cmax)
+		cfg.CacheQuantum = tc.quantum
+		cfg, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		qc := newQueryCache(cfg)
+		demand := vector.Of(tc.demand)
+		key, ub := qc.quantize(demand, 3)
+		if !ub.Dominates(demand) {
+			t.Errorf("cmax %v quantum %v: upper bound %v does not dominate demand %v",
+				tc.cmax, tc.quantum, ub[0], tc.demand)
+		}
+		// The bound belongs to the cell, not to the demand that
+		// filled it: a neighbor sharing the key shares the bound.
+		for _, d := range []float64{math.Nextafter(tc.demand, 0), math.Nextafter(tc.demand, math.Inf(1))} {
+			if k2, ub2 := qc.quantize(vector.Of(d), 3); k2 == key && ub2[0] != ub[0] {
+				t.Errorf("cmax %v quantum %v: demands %v and %v share key %q but not the bound (%v vs %v)",
+					tc.cmax, tc.quantum, tc.demand, d, key, ub[0], ub2[0])
+			} else if !ub2.Dominates(vector.Of(d)) {
+				t.Errorf("cmax %v quantum %v: upper bound %v does not dominate demand %v",
+					tc.cmax, tc.quantum, ub2[0], d)
+			}
+		}
 	}
 }
 

@@ -135,9 +135,9 @@ type shard struct {
 	dirty map[overlay.NodeID]bool
 
 	// flat is the dominance index of the latest published snapshot
-	// (nil with Config.IndexDisabled) — the predecessor incremental
-	// rebuilds derive from. Owned by the shard goroutine; readers see
-	// it only through the published Snapshot.
+	// (nil in the Config.IndexDisabled referee) — the predecessor
+	// incremental rebuilds derive from. Owned by the shard goroutine;
+	// readers see it only through the published Snapshot.
 	flat *index.Flat
 
 	// nextLocal tracks the next local id the backend will assign —
@@ -779,22 +779,15 @@ func (s *shard) publishDelta() {
 	clear(s.dirty)
 }
 
-// installSnap publishes recs under the shard's current index (the
-// flat dominance index, or the linear-scan fallback with
-// Config.IndexDisabled).
+// installSnap publishes recs under the shard's current index.
 func (s *shard) installSnap(now sim.Time, recs []proto.Record) {
-	snap := &Snapshot{
+	s.snap.Store(&Snapshot{
 		Shard:   s.idx,
 		Version: s.version.Add(1),
 		Taken:   now,
 		Records: recs,
-	}
-	if s.flat != nil {
-		snap.idx = &flatIndex{shard: s.idx, scale: s.cfg.CMax, flat: s.flat}
-	} else {
-		snap.idx = &linearIndex{snap: snap, scale: s.cfg.CMax}
-	}
-	s.snap.Store(snap)
+		flat:    s.flat,
+	})
 }
 
 // snapshot returns the current published snapshot (never nil after

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"pidcan/internal/proto"
+	"pidcan/internal/serve/index"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
@@ -24,24 +25,40 @@ type Snapshot struct {
 	// Records, their Avail vectors, and everything reachable from
 	// them are shared and must not be mutated.
 	Records []proto.Record
-	// idx ranks this snapshot's records for best-fit queries: the
-	// flat dominance index built at publication, or the linear-scan
-	// fallback (Config.IndexDisabled). Immutable and shared, like
-	// everything else here. nil only in hand-rolled test snapshots,
-	// which fall back to the linear scan.
-	idx QueryIndex
+	// flat is the dominance index over Records, built at publication
+	// against the engine's CMax. Immutable and shared, like
+	// everything else here. nil in the linear-scan referee
+	// (Config.IndexDisabled) and in hand-built test snapshots.
+	flat *index.Flat
 }
 
-// Search appends to dst the candidates needed to rank the k best-fit
-// records of this snapshot dominating demand at the snapshot's
-// simulation time, delegating to the published QueryIndex (it may
-// append a few extra near-tie candidates beyond k; callers rank the
-// merged set). The second result counts records visited.
+// Search appends to dst the candidates needed to rank the k
+// smallest-surplus unexpired records of this snapshot dominating
+// demand at the snapshot's simulation time — at least the true top k
+// (the index may add a few near score ties; callers rank the merged
+// set with RankCandidates, which is what guarantees the final
+// order). k <= 0 returns every match. scale must be the engine's
+// CMax, the scale the index was built against. The second result
+// counts records visited, the engine's sub-linearity gauge.
+//
+// Without an index every record is scanned: the referee the indexed
+// path is pinned against, producing byte-identical candidates (same
+// global ids, same surplus arithmetic).
 func (s *Snapshot) Search(dst []Candidate, demand, scale vector.Vec, k int) ([]Candidate, int) {
-	if s.idx == nil {
+	if s.flat == nil {
 		return s.collect(dst, demand, scale, s.Taken), len(s.Records)
 	}
-	return s.idx.Search(dst, demand, s.Taken, k)
+	var buf [8]int32
+	entries, visited := s.flat.Search(buf[:0], demand, s.Taken, k)
+	for _, e := range entries {
+		avail := s.flat.Row(e)
+		dst = append(dst, Candidate{
+			Node:    Global(s.Shard, s.flat.NodeAt(e)),
+			Avail:   avail,
+			Surplus: avail.Surplus(demand, scale),
+		})
+	}
+	return dst, visited
 }
 
 // Candidate is one qualified node of a query response.

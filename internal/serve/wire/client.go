@@ -270,65 +270,61 @@ func (c *Client) readErr(err error) error {
 // the new epoch from the rejection itself.
 func (c *Client) LastEpoch() uint64 { return c.resp.Epoch }
 
-// errOf converts an errored response into an *Error (allocating —
-// error path only).
-func errOf(r *Response) error {
-	if !r.Errored {
-		return nil
+// roundTrip completes one synchronous exchange for the request just
+// enqueued: flush, read its response, and surface a server rejection
+// as an *Error (allocating — error path only).
+func (c *Client) roundTrip() (*Response, error) {
+	if err := c.Flush(); err != nil {
+		return nil, err
 	}
-	e := r.Err
-	return &e
+	r, err := c.ReadResponse()
+	if err != nil {
+		return nil, err
+	}
+	if r.Errored {
+		e := r.Err
+		return nil, &e
+	}
+	return r, nil
 }
 
 // Query runs one synchronous query, decoding into res (reused by
 // the caller across calls).
 func (c *Client) Query(q *Query, res *QueryResult) error {
 	c.EnqueueQuery(q)
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	r, err := c.ReadResponse()
+	r, err := c.roundTrip()
 	if err != nil {
-		return err
-	}
-	if err := errOf(r); err != nil {
 		return err
 	}
 	*res, r.Query = r.Query, *res // hand the decoded buffers to the caller
 	return nil
 }
 
-// redirectTarget reports the primary address named by a CodeReadOnly
-// rejection, the one redirect the sync write wrappers auto-follow.
-func redirectTarget(err error) (string, bool) {
-	var we *Error
-	if errors.As(err, &we) && we.Code == CodeReadOnly && we.Primary != "" {
-		return we.Primary, true
-	}
-	return "", false
-}
-
-// followOnce retries op once against the primary a CodeReadOnly
-// rejection names (a follower telling us who to write to). Bounded:
+// write runs one synchronous write — enq appends its frame — and, on
+// a CodeReadOnly rejection naming a primary (a follower telling us
+// who to write to), retries it once against that primary. Bounded:
 // one hop. The original connection is kept until the primary
 // actually answers — a dead or unreachable primary restores it and
 // surfaces the original rejection, so the client stays usable for
 // reads against the follower.
-func (c *Client) followOnce(err error, op func() error) error {
-	addr, ok := redirectTarget(err)
-	if !ok {
-		return err
+func (c *Client) write(enq func()) (*Response, error) {
+	enq()
+	r, err := c.roundTrip()
+	var ro *Error
+	if !errors.As(err, &ro) || ro.Code != CodeReadOnly || ro.Primary == "" {
+		return r, err
 	}
-	nc, derr := net.Dial("tcp", addr)
+	nc, derr := net.Dial("tcp", ro.Primary)
 	if derr != nil {
-		return err
+		return nil, err
 	}
 	// Sync-wrapper context: the old connection is response-drained
 	// (one request, one response), so it can be parked and restored.
 	oldC, oldBr := c.c, c.br
 	c.c, c.br = nc, newReader(nc, 64<<10)
 	c.out, c.pendingOut = c.out[:0], 0
-	rerr := op()
+	enq()
+	r, rerr := c.roundTrip()
 	var we *Error
 	if rerr != nil && !errors.As(rerr, &we) {
 		// Transport failure before the primary answered: abandon the
@@ -338,75 +334,33 @@ func (c *Client) followOnce(err error, op func() error) error {
 		c.c, c.br = oldC, oldBr
 		c.out, c.pendingOut = c.out[:0], 0
 		c.rcvd.Store(c.sent.Load())
-		return err
+		return nil, err
 	}
 	oldC.Close()
-	return rerr
+	return r, rerr
 }
 
 // Update publishes a node's availability synchronously. A follower's
 // read-only rejection naming its primary is auto-followed once.
 func (c *Client) Update(node uint64, avail []float64, announce bool) error {
-	op := func() error {
-		c.EnqueueUpdate(node, avail, announce)
-		if err := c.Flush(); err != nil {
-			return err
-		}
-		r, err := c.ReadResponse()
-		if err != nil {
-			return err
-		}
-		return errOf(r)
-	}
-	if err := op(); err != nil {
-		return c.followOnce(err, op)
-	}
-	return nil
+	_, err := c.write(func() { c.EnqueueUpdate(node, avail, announce) })
+	return err
 }
 
 // Join adds a node (shard < 0: server round-robin) and returns its
 // global id, auto-following a read-only redirect once.
 func (c *Client) Join(shard int, avail []float64) (uint64, error) {
-	var node uint64
-	op := func() error {
-		c.EnqueueJoin(shard, avail)
-		if err := c.Flush(); err != nil {
-			return err
-		}
-		r, err := c.ReadResponse()
-		if err != nil {
-			return err
-		}
-		if err := errOf(r); err != nil {
-			return err
-		}
-		node = r.Node
-		return nil
-	}
-	err := op()
+	r, err := c.write(func() { c.EnqueueJoin(shard, avail) })
 	if err != nil {
-		err = c.followOnce(err, op)
+		return 0, err
 	}
-	return node, err
+	return r.Node, nil
 }
 
 // Leave removes a node, auto-following a read-only redirect once.
 func (c *Client) Leave(node uint64) error {
-	op := func() error {
-		c.EnqueueLeave(node)
-		if err := c.Flush(); err != nil {
-			return err
-		}
-		r, err := c.ReadResponse()
-		if err != nil {
-			return err
-		}
-		return errOf(r)
-	}
-	if err := op(); err != nil {
-		return c.followOnce(err, op)
-	}
-	return nil
+	_, err := c.write(func() { c.EnqueueLeave(node) })
+	return err
 }
 
 // EnqueueFedQuery appends a federation query stamped with the
@@ -434,90 +388,13 @@ func (c *Client) EnqueueMapExchange(ver uint64, blob []byte) uint32 {
 	return id
 }
 
-// FedQuery runs one synchronous federation query, decoding into res.
-// Returns the member's replication epoch (res.MapStale reports a
-// newer federation map held server-side).
-func (c *Client) FedQuery(mapVer uint64, q *Query, res *QueryResult) (uint64, error) {
-	c.EnqueueFedQuery(mapVer, q)
-	if err := c.Flush(); err != nil {
-		return 0, err
-	}
-	r, err := c.ReadResponse()
-	if err != nil {
-		return 0, err
-	}
-	if err := errOf(r); err != nil {
-		return r.Epoch, err
-	}
-	*res, r.Query = r.Query, *res
-	return r.Epoch, nil
-}
-
-// TakeNode atomically removes a node for cross-process migration,
-// returning its last availability and whether the removal applied
-// without durable logging (degraded). Auto-follows a read-only
-// redirect once, like the other write wrappers.
-func (c *Client) TakeNode(node uint64) (avail []float64, degraded bool, err error) {
-	op := func() error {
-		c.EnqueueFedTake(node)
-		if err := c.Flush(); err != nil {
-			return err
-		}
-		r, err := c.ReadResponse()
-		if err != nil {
-			return err
-		}
-		if err := errOf(r); err != nil {
-			return err
-		}
-		avail = append(avail[:0], r.TakeAvail...)
-		degraded = r.TakeDegraded
-		return nil
-	}
-	err = op()
-	if err != nil {
-		err = c.followOnce(err, op)
-	}
-	return avail, degraded, err
-}
-
-// MapExchange offers the server a federation map at version ver
-// (blob may be nil to only pull) and returns the newest version and
-// blob the server holds, plus its availability summary when it sent
-// one. The returned blob and summary alias internal buffers — valid
-// until the next ReadResponse.
-func (c *Client) MapExchange(ver uint64, blob []byte) (uint64, []byte, *Summary, error) {
-	c.EnqueueMapExchange(ver, blob)
-	if err := c.Flush(); err != nil {
-		return 0, nil, nil, err
-	}
-	r, err := c.ReadResponse()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if err := errOf(r); err != nil {
-		return 0, nil, nil, err
-	}
-	var sum *Summary
-	if r.SumOK {
-		sum = &r.Summary
-	}
-	return r.MapVer, r.MapBlob, sum, nil
-}
-
 // Stats fetches the engine's Stats, decoded from the debug op's
 // JSON payload into v (pass a *serve.Stats or any compatible
 // struct), or returns the raw JSON when v is nil.
 func (c *Client) Stats(v any) ([]byte, error) {
 	c.EnqueueStats()
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	r, err := c.ReadResponse()
+	r, err := c.roundTrip()
 	if err != nil {
-		return nil, err
-	}
-	if err := errOf(r); err != nil {
 		return nil, err
 	}
 	if v != nil {

@@ -126,7 +126,17 @@ func (s *Server) Serve(ln net.Listener) error {
 					}
 					return
 				}
+				// Add under mu, never once closed is set: Close sets
+				// it before taking mu and waits after, so no Add can
+				// race its Wait.
+				s.mu.Lock()
+				if s.closed.Load() {
+					s.mu.Unlock()
+					c.Close()
+					return
+				}
 				s.wg.Add(1)
+				s.mu.Unlock()
 				go s.handleConn(c)
 			}
 		}()
@@ -301,8 +311,17 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 			"engine not ready (follower still bootstrapping)")
 	}
 	switch h.Op {
-	case OpQuery:
-		if err := DecodeQuery(payload, &st.q); err != nil {
+	case OpQuery, OpFedQuery:
+		// One body for both: a fed query is a query prefixed with the
+		// router's map version and answered with a stale-map bit.
+		var mapVer uint64
+		var err error
+		if h.Op == OpFedQuery {
+			mapVer, err = DecodeFedQuery(payload, &st.q)
+		} else {
+			err = DecodeQuery(payload, &st.q)
+		}
+		if err != nil {
 			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
 		}
 		scope := ""
@@ -318,6 +337,9 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		})
 		if err != nil {
 			return s.appendErr(out, h, epoch, eng, err)
+		}
+		if h.Op == OpFedQuery {
+			return AppendFedQueryResponse(out, h.ReqID, epoch, &resp, s.fedVer.Load() > mapVer)
 		}
 		return AppendQueryResponse(out, h.ReqID, epoch, &resp)
 
@@ -371,27 +393,6 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 			return s.appendErr(out, h, epoch, eng, err)
 		}
 		return AppendStatsResponse(out, h.ReqID, epoch, data)
-
-	case OpFedQuery:
-		mapVer, err := DecodeFedQuery(payload, &st.q)
-		if err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
-		}
-		scope := ""
-		if st.q.ScopeOne {
-			scope = serve.ScopeOne
-		}
-		resp, err := eng.Query(serve.QueryRequest{
-			Demand:     vector.Vec(st.q.Demand),
-			K:          st.q.K,
-			Consistent: st.q.Consistent,
-			NoCache:    st.q.NoCache,
-			Scope:      scope,
-		})
-		if err != nil {
-			return s.appendErr(out, h, epoch, eng, err)
-		}
-		return AppendFedQueryResponse(out, h.ReqID, epoch, &resp, s.fedVer.Load() > mapVer)
 
 	case OpFedTake:
 		node, err := DecodeFedTake(payload)

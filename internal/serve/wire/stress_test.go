@@ -74,7 +74,10 @@ func TestWireConcurrentConnections(t *testing.T) {
 		}(g)
 	}
 
-	// Synchronous writers churning node availability.
+	// Synchronous writers churning node availability — of the seeded
+	// population only, listed before any churner can join a
+	// short-lived node into it.
+	nodes := eng.Nodes()
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -85,7 +88,6 @@ func TestWireConcurrentConnections(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			nodes := eng.Nodes()
 			avail := make([]float64, dim)
 			for i := 0; i < perConn; i++ {
 				for k := range avail {
