@@ -64,7 +64,7 @@ func main() {
 		nodes    = flag.Int("nodes", 64, "initial nodes per shard")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		warmup   = flag.Duration("warmup", 30*time.Minute, "simulated warmup per shard (state updates + index diffusion settle)")
-		flush    = flag.Duration("flush", 100*time.Millisecond, "idle snapshot-refresh cadence")
+		flush    = flag.Duration("flush", 100*time.Millisecond, "idle-tick cadence: each tick steps the shard's simulation up to elapsed wall time and republishes its snapshot")
 		cacheTTL = flag.Duration("cache-ttl", 25*time.Millisecond, "query-cache freshness bound")
 		noCache  = flag.Bool("no-cache", false, "disable the query cache")
 		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 freezes TTL/quantum/epoch-bound at their configured values)")

@@ -291,6 +291,17 @@ type WireStats struct {
 // has started yet, so the already-built backends hold no resources
 // beyond memory and are left to the garbage collector.
 func New(cfg Config, factory BackendFactory) (*Engine, error) {
+	e, err := build(cfg, factory)
+	if err != nil {
+		return nil, err
+	}
+	e.start()
+	return e, nil
+}
+
+// build is New short of starting any goroutine: shards built, warmed
+// up, recovered, snapshotted. Tests install the clock seam in between.
+func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -330,16 +341,20 @@ func New(cfg Config, factory BackendFactory) (*Engine, error) {
 			return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
 		}
 	}
+	return e, nil
+}
+
+// start launches the shard goroutines and the background loops.
+func (e *Engine) start() {
 	for _, s := range e.shards {
 		s.start()
 	}
 	// Followers defer the write-driving background loops (the
 	// rebalancer migrates, the checkpointer rotates segments the
 	// primary's stream did not) until promotion starts them.
-	if !cfg.Follower {
+	if !e.cfg.Follower {
 		e.startLoops()
 	}
-	return e, nil
 }
 
 // startLoops launches the configured background loops that are

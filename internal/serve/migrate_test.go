@@ -2,10 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
 
+	"pidcan/internal/overlay"
 	"pidcan/internal/vector"
 )
 
@@ -286,5 +288,55 @@ func TestJoinOnValidation(t *testing.T) {
 	}
 	if id.Shard() != 1 {
 		t.Fatalf("JoinOn(1) placed the node on shard %d", id.Shard())
+	}
+}
+
+// TestTakeChecksLivenessWithoutListingNodes: the migration take tests
+// liveness in the shard's own alive set — on a real cluster
+// Backend.Nodes() allocates and sorts the whole shard population, per
+// migrated node, on the shard goroutine. Results are what the listing
+// scan produced: a resident node leaves carrying its availability, a
+// non-resident one is refused by name.
+func TestTakeChecksLivenessWithoutListingNodes(t *testing.T) {
+	e, clk := newClockedEngine(t, testConfig(1))
+	f, s := clk.fakes[0], e.shards[0]
+	if err := e.Update(Global(0, 2), vector.Of(7, 3), false); err != nil {
+		t.Fatal(err)
+	}
+	gone, err := e.Join(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Leave(gone); err != nil {
+		t.Fatal(err)
+	}
+	clk.settle(0)
+	f.nodesCalls = 0
+	take := func(node overlay.NodeID) opResult {
+		t.Helper()
+		res, err := s.submit(op{kind: opTake, node: node, reply: make(chan opResult, 1)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := take(2); res.err != nil || !res.avail.Equal(vector.Of(7, 3)) {
+		t.Fatalf("take of resident node 2: avail %v, err %v; want (7, 3)", res.avail, res.err)
+	}
+	for _, node := range []overlay.NodeID{2, gone.Local(), 99} { // just taken, left, never joined
+		res := take(node)
+		if want := fmt.Sprintf("serve: node %d not on shard 0", node); res.err == nil || res.err.Error() != want {
+			t.Fatalf("take of non-resident node %d: err %v, want %q", node, res.err, want)
+		}
+		if res.avail != nil {
+			t.Fatalf("failed take of node %d handed back availability %v", node, res.avail)
+		}
+	}
+	clk.settle(0)
+	if f.nodesCalls != 0 {
+		t.Fatalf("4 takes listed the shard population %d times, want 0", f.nodesCalls)
+	}
+	if snap, _ := e.Snapshot(0); len(snap.Records) != 3 {
+		t.Fatalf("%d records after taking 1 of 4 nodes, want 3", len(snap.Records))
 	}
 }

@@ -348,7 +348,6 @@ func (e *Engine) reconcileTakes(tallies []replayTally, notes *recoveryNotes) err
 			if err := s.logBatch(batch, results); err != nil {
 				return fmt.Errorf("shard %d: logging rollback of %v: %w", i, phys, err)
 			}
-			s.be.Step(s.cfg.StepQuantum)
 			s.publish()
 		}
 	}
@@ -572,11 +571,11 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 }
 
 // replay drives ops through applyBatch in MaxBatch-sized batches —
-// the live write path minus the queue — verifying every join
-// re-assigns the id the log recorded. Any op failing where the live
-// engine succeeded means the log and this engine's deterministic
-// backend have diverged, and recovery aborts rather than serve a
-// state it cannot vouch for.
+// the live write path minus the queue; like it, it advances no
+// simulated time — verifying every join re-assigns the id the log
+// recorded. Any op failing where the live engine succeeded means the
+// log and this engine's deterministic backend have diverged, and
+// recovery aborts rather than serve a state it cannot vouch for.
 func (s *shard) replay(ops []op, expect []overlay.NodeID) error {
 	for len(ops) > 0 {
 		n := len(ops)
@@ -593,7 +592,6 @@ func (s *shard) replay(ops []op, expect []overlay.NodeID) error {
 					results[i].node, exp)
 			}
 		}
-		s.be.Step(s.cfg.StepQuantum)
 		ops, expect = ops[n:], expect[n:]
 	}
 	return nil

@@ -454,8 +454,10 @@ func (c *Client) stream(pc *pconn, eng *serve.Engine, epoch uint64) error {
 			if err != nil {
 				return err
 			}
-			if err := c.applyRecords(eng, epoch, f); err != nil {
-				return err
+			for _, g := range gather(pc, f) {
+				if err := c.applyRecords(eng, epoch, g); err != nil {
+					return err
+				}
 			}
 		case msgCheckpoint:
 			f, err := decodeCkptFrame(x)
@@ -486,6 +488,47 @@ func (c *Client) stream(pc *pconn, eng *serve.Engine, epoch uint64) error {
 			return fmt.Errorf("unexpected message %d mid-stream", t)
 		}
 	}
+}
+
+// maxGather bounds the records one gather merges: the engine's default
+// MaxBatch, so a shard still drains a merged frame as one batch.
+const maxGather = 256
+
+// gather merges into first the update frames that have already arrived
+// behind it, one merged frame per shard, and returns the frames to
+// apply in order. A follower applies one frame at a time and every
+// apply costs its shard a log sync and an O(population) snapshot
+// publication, so a follower that has fallen behind pays them once per
+// shard for its whole backlog instead of once per primary batch, and
+// catches up the faster the further behind it is. Only updates merge:
+// they touch nothing outside their shard, so applying one shard's run
+// ahead of another shard's earlier frame changes no outcome, while
+// joins, leaves and takes move the engine-wide forwarding table and
+// stay where the stream put them — any such frame, a rotation, another
+// message or a frame still in flight ends the gather.
+func gather(pc *pconn, first recordsFrame) []recordsFrame {
+	frames := []recordsFrame{first}
+	if pc.r.Buffered() == 0 || !updatesOnly(first.Recs) {
+		return frames
+	}
+	at := map[int]int{first.Shard: 0} // shard -> its frame in frames
+	for n := len(first.Recs); n < maxGather; {
+		f, size, ok := pc.peekUpdates()
+		if !ok || f.Epoch != first.Epoch {
+			break
+		}
+		if i, seen := at[f.Shard]; !seen {
+			at[f.Shard] = len(frames)
+			frames = append(frames, f)
+		} else if g := &frames[i]; f.Seg == g.Seg && f.Pos == g.Pos+uint64(len(g.Recs)) {
+			g.Recs = append(g.Recs, f.Recs...)
+		} else {
+			break // a rotation or a gap: applyRecords' business, in stream order
+		}
+		pc.r.Discard(size)
+		n += len(f.Recs)
+	}
+	return frames
 }
 
 // applyRecords verifies frame continuity, mirrors rotations, and

@@ -179,6 +179,38 @@ func (p *pconn) readFrame(max int) ([]byte, error) {
 	return payload, nil
 }
 
+// peekUpdates decodes the next frame without consuming it, provided it
+// has arrived in full and is a records frame carrying updates only; size
+// is what Discard must skip to consume it. Anything else — a partial
+// frame, another message, a damaged one — is left for readFrame.
+func (p *pconn) peekUpdates() (f recordsFrame, size int, ok bool) {
+	hdr, err := p.r.Peek(min(8, p.r.Buffered()))
+	if err != nil || len(hdr) < 8 {
+		return f, 0, false
+	}
+	size = 8 + int(binary.LittleEndian.Uint32(hdr))
+	if size < 8 || size > p.r.Buffered() {
+		return f, 0, false
+	}
+	raw, _ := p.r.Peek(size)
+	payload := raw[8:] // decoded records hold copies, never the buffer
+	if len(payload) == 0 || payload[0] != msgRecords ||
+		crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(raw[4:]) {
+		return f, 0, false
+	}
+	f, err = decodeRecordsFrame(&r{buf: payload[1:]})
+	return f, size, err == nil && updatesOnly(f.Recs)
+}
+
+func updatesOnly(recs []wal.Record) bool {
+	for i := range recs {
+		if recs[i].Kind != wal.KindUpdate {
+			return false
+		}
+	}
+	return true
+}
+
 func (p *pconn) setReadDeadline(d time.Duration) {
 	if d <= 0 {
 		p.c.SetReadDeadline(time.Time{})

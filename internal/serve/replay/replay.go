@@ -12,8 +12,9 @@
 // shards, nodes per shard, seed, CMax — equal configs rebuild
 // identical backends, the same property recovery relies on), (b)
 // queries in the trace bypass the cache (wall-clock TTLs are not
-// replayable) and the consistent path (the protocol's hop state
-// depends on wall-timed idle ticks), and (c) RecordTTL is unset so
+// replayable) and the consistent path (a shard's overlay clock follows
+// wall time, see serve's clock contract, so the protocol's hop state
+// depends on when the idle ticks fell), and (c) RecordTTL is unset so
 // snapshot results depend only on the record set. Scenario-generated
 // traces satisfy all three by construction; live-captured traces of
 // concurrent traffic keep per-shard write order exact (mutations are

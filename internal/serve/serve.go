@@ -14,9 +14,25 @@
 //     and never touch a cluster or a mutex.
 //
 //   - Availability updates, announcements, joins and leaves flow
-//     through per-shard write queues and are applied in batches; each
-//     batch steps the shard's simulation so the protocol's own
-//     state-update and index-diffusion machinery keeps running.
+//     through per-shard write queues and are applied in batches; a
+//     write is acknowledged after apply + op-log + snapshot
+//     publication and advances no simulated time.
+//
+//   - Clock contract. A shard's simulated clock follows wall time
+//     1:1: one simulated microsecond per wall microsecond since the
+//     shard goroutine started, on top of Warmup. It is advanced in one
+//     place only, the idle tick of shard.loop (every FlushInterval),
+//     by target - Backend.Now() when positive, in slices of at most
+//     StepQuantum; a slice that finds ops queued ends the tick's
+//     catch-up and the next tick steps what is still owed. Nothing
+//     else calls Backend.Step — not the write ack path, not recovery
+//     replay, not follower apply — so the protocol's state-update and
+//     index-diffusion machinery (the paper's periods are real-time
+//     periods) costs the same whatever the traffic, and consistent
+//     queries and announces see an overlay at most one FlushInterval
+//     behind real time. A protocol query that runs the backend ahead
+//     of the target makes the next ticks step nothing. Snapshot.Taken,
+//     Record.Stored/Expires and ShardStats.SimNow read Backend.Now().
 //
 //   - Recent query results are cached keyed by quantized demand
 //     vector with freshness-bound invalidation, so repeated
@@ -173,7 +189,7 @@ type Backend interface {
 	Leave(id overlay.NodeID) error
 	// Query runs the protocol's probabilistic best-fit range query.
 	Query(from overlay.NodeID, demand vector.Vec, k int) ([]proto.Record, int, error)
-	// Step advances the shard-local simulation clock.
+	// Step advances the shard-local simulation clock by d > 0.
 	Step(d sim.Time)
 	// Now returns the shard-local simulation clock.
 	Now() sim.Time
@@ -218,20 +234,23 @@ type Config struct {
 	// MaxBatch bounds how many queued ops one batch applies
 	// (default 256).
 	MaxBatch int
-	// FlushInterval is the idle cadence at which a shard advances
-	// its simulation and republishes its snapshot even without
-	// writes (default 100ms of wall time).
+	// FlushInterval is the cadence of the idle tick, the one place a
+	// shard's simulated clock moves: each tick steps the simulation up
+	// to elapsed wall time and republishes the snapshot under the new
+	// clock, writes or not (default 100ms of wall time).
 	FlushInterval time.Duration
-	// StepQuantum is the simulated time a shard advances per applied
-	// batch or idle flush (default 1s of simulated time).
+	// StepQuantum bounds one catch-up slice of an idle tick: a tick
+	// owing more simulated time steps it in slices this long, looking
+	// at the write queue in between (default 1s of simulated time).
 	StepQuantum sim.Time
 	// RecordTTL, when positive, is the paper's state-record TTL
 	// applied to the serving path: a node whose last explicit
 	// availability write (Update/Join) is older than RecordTTL of
-	// shard-simulated time is filtered from snapshot-path query
-	// results until it writes again. 0 (the default) never expires
-	// records: an alive node's availability is read live from the
-	// cluster at every snapshot, so it is fresh by construction.
+	// shard-simulated time (wall time, to within a FlushInterval) is
+	// filtered from snapshot-path query results until it writes again.
+	// 0 (the default) never expires records: an alive node's
+	// availability is read live from the cluster at every snapshot, so
+	// it is fresh by construction.
 	RecordTTL sim.Time
 	// Warmup is simulated time each shard runs before serving, so
 	// state updates and index diffusion settle (default 0).

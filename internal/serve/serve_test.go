@@ -28,6 +28,17 @@ type fakeBackend struct {
 
 	announced int
 	queries   int
+
+	// Clock-contract instrumentation: steps logs every Step's d (the
+	// Warmup step included), onStep runs inside each Step on the shard
+	// goroutine, queryRuns is how far a Query runs the clock ahead
+	// (as Cluster.Query does while it drives the protocol), and
+	// nodesCalls counts Nodes() listings (the fake's own Query lists
+	// too; Size does not).
+	steps      []sim.Time
+	onStep     func()
+	queryRuns  sim.Time
+	nodesCalls int
 }
 
 func newFake(nodes, dims int) *fakeBackend {
@@ -45,6 +56,7 @@ func newFake(nodes, dims int) *fakeBackend {
 }
 
 func (f *fakeBackend) Nodes() []overlay.NodeID {
+	f.nodesCalls++
 	var out []overlay.NodeID
 	for id := overlay.NodeID(0); id < f.next; id++ {
 		if f.live[id] {
@@ -94,6 +106,7 @@ func (f *fakeBackend) Query(from overlay.NodeID, demand vector.Vec, k int) ([]pr
 		<-f.gate
 	}
 	f.queries++
+	f.now += f.queryRuns
 	var recs []proto.Record
 	for _, id := range f.Nodes() {
 		if f.avail[id].Dominates(demand) {
@@ -106,9 +119,15 @@ func (f *fakeBackend) Query(from overlay.NodeID, demand vector.Vec, k int) ([]pr
 	return recs, len(recs), nil
 }
 
-func (f *fakeBackend) Step(d sim.Time) { f.now += d }
-func (f *fakeBackend) Now() sim.Time   { return f.now }
-func (f *fakeBackend) Size() int       { return len(f.Nodes()) }
+func (f *fakeBackend) Step(d sim.Time) {
+	f.steps = append(f.steps, d)
+	f.now += d
+	if f.onStep != nil {
+		f.onStep()
+	}
+}
+func (f *fakeBackend) Now() sim.Time { return f.now }
+func (f *fakeBackend) Size() int     { return len(f.live) }
 
 // SeedNextID implements IDSeeder (checkpoint restore in O(alive)).
 func (f *fakeBackend) SeedNextID(next overlay.NodeID) error {
@@ -140,6 +159,58 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// handClock is the test side of the shards' clock seam: wall time, as
+// the shards see it, is whatever the test has advanced it to, and an
+// idle tick happens exactly when the test delivers one.
+type handClock struct {
+	e       *Engine
+	ticks   []chan time.Time
+	fakes   []*fakeBackend
+	elapsed time.Duration
+}
+
+// newClockedEngine builds an engine of fake backends whose shards tick
+// only by hand (cfg.FlushInterval is never consulted).
+func newClockedEngine(t *testing.T, cfg Config) (*Engine, *handClock) {
+	t.Helper()
+	c := &handClock{}
+	e, err := build(cfg, func(i int, rc Config) (Backend, error) {
+		f := newFake(rc.NodesPerShard, rc.CMax.Dim())
+		c.fakes = append(c.fakes, f)
+		return f, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.e = e
+	for _, s := range e.shards {
+		ch := make(chan time.Time)
+		s.ticks = ch
+		c.ticks = append(c.ticks, ch)
+	}
+	e.start()
+	t.Cleanup(func() { e.Close() })
+	return e, c
+}
+
+// advance moves wall time forward by d and delivers one tick to every
+// shard; it returns once each shard has finished handling its tick.
+func (c *handClock) advance(d time.Duration) {
+	c.elapsed += d
+	for i, s := range c.e.shards {
+		c.ticks[i] <- s.started.Add(c.elapsed)
+		c.settle(i)
+	}
+}
+
+// settle returns once shard i's goroutine is past whatever it was
+// doing when settle was called: the loop serves a control request only
+// between events, and everything it wrote before replying is visible
+// to the caller.
+func (c *handClock) settle(i int) {
+	c.e.shards[i].controlReq(ctlSync, 0) // in-memory: ErrNotDurable, still a round trip
 }
 
 func TestGlobalIDRoundTrip(t *testing.T) {
@@ -723,22 +794,21 @@ func TestStatsCounters(t *testing.T) {
 func TestRecordTTLExpiresStaleNodes(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.RecordTTL = 15 * sim.Second
-	cfg.StepQuantum = 10 * sim.Second
-	// No idle ticks during the test: only write batches (one op
-	// each, +10s apiece) advance the shard clock, so node ages are
-	// deterministic.
-	cfg.FlushInterval = time.Hour
-	e := newTestEngine(t, cfg)
+	// The shard clock moves only when the test advances it, so node
+	// ages are deterministic.
+	e, clk := newClockedEngine(t, cfg)
 	nodes := e.Nodes()
-	// t=0: nodes[0] written (fresh), clock steps to 10s.
+	// t=0: nodes[0] written (fresh); the clock moves to 10s.
 	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
-	// t=10s: nodes[1] written, clock steps to 20s. nodes[0] is now
+	clk.advance(10 * time.Second)
+	// t=10s: nodes[1] written; the clock moves to 20s. nodes[0] is now
 	// 20s old (> TTL), nodes[1] 10s old (fresh).
 	if err := e.Update(nodes[1], vector.Of(6, 6), false); err != nil {
 		t.Fatal(err)
 	}
+	clk.advance(10 * time.Second)
 	resp, err := e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
@@ -750,12 +820,13 @@ func TestRecordTTLExpiresStaleNodes(t *testing.T) {
 	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
+	clk.advance(10 * time.Second)
 	resp, err = e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[0] {
-		// nodes[1] is now 20s old and expired; nodes[0] just wrote.
+		// nodes[1] is now 20s old and expired; nodes[0] wrote 10s ago.
 		t.Fatalf("want only re-freshed node %v, got %+v", nodes[0], resp.Candidates)
 	}
 }
@@ -770,9 +841,7 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 6
 	cfg.RecordTTL = 55 * sim.Second
-	cfg.StepQuantum = 10 * sim.Second
-	cfg.FlushInterval = time.Hour // only the writes below advance the clock
-	e := newTestEngine(t, cfg)
+	e, clk := newClockedEngine(t, cfg) // only advance below moves the clock
 	nodes := e.Nodes()
 	// One write per node, 10s apart: the clock ends at 60s, so only
 	// the first record (expires at 55s) is expired — and it would be
@@ -788,6 +857,7 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 		if err := e.Update(nodes[i], a, false); err != nil {
 			t.Fatal(err)
 		}
+		clk.advance(10 * time.Second)
 	}
 	pub, err := e.Snapshot(0)
 	if err != nil {
@@ -827,15 +897,20 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 
 func TestRecordTTLZeroNeverExpires(t *testing.T) {
 	cfg := testConfig(1) // RecordTTL 0: the default, no expiry
-	cfg.StepQuantum = 30 * sim.Second
-	e := newTestEngine(t, cfg)
+	e, clk := newClockedEngine(t, cfg)
 	if err := e.Update(e.Nodes()[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ { // push the clock far past any plausible TTL
-		if err := e.Update(e.Nodes()[1], vector.Of(1, 1), false); err != nil {
-			t.Fatal(err)
-		}
+	clk.advance(24 * time.Hour) // far past any plausible TTL
+	if err := e.Update(e.Nodes()[1], vector.Of(1, 1), false); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Taken != 24*sim.Hour {
+		t.Fatalf("snapshot taken at %v, want 24h (the tick did not move the clock)", snap.Taken)
 	}
 	resp, err := e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
 	if err != nil {

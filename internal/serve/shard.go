@@ -122,8 +122,14 @@ type shard struct {
 	stop chan struct{}
 	done chan struct{}
 
+	// Clock seam (clock contract, serve.go): when the loop started, and
+	// the idle ticks (nil: a FlushInterval ticker; tests set their own).
+	started time.Time
+	ticks   <-chan time.Time
+
 	// fresh records the shard-local time of each node's last
-	// explicit availability write; it backs RecordTTL expiry.
+	// explicit availability write; it backs RecordTTL expiry. Its keys
+	// are exactly the alive ids (opTake's liveness check).
 	// Owned by the shard goroutine (initialized before start).
 	fresh map[overlay.NodeID]sim.Time
 
@@ -236,7 +242,10 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 
 // start launches the shard goroutine. The Backend is handed over
 // here: the constructor goroutine must not touch it afterwards.
-func (s *shard) start() { go s.loop() }
+func (s *shard) start() {
+	s.started = time.Now()
+	go s.loop()
+}
 
 // halt asks the loop to exit and waits for it. It is idempotent, so
 // a shard already halted individually (e.g. mid-scatter in tests)
@@ -248,19 +257,25 @@ func (s *shard) halt() {
 	<-s.done
 }
 
-// loop is the shard goroutine: batch writes, log them, advance the
-// shard-local simulation, republish the snapshot. The idle ticker
-// keeps the simulation clock (and therefore record freshness and the
-// protocol's periodic machinery) moving under read-only traffic.
-// Reads never enter here: queries on the snapshot path touch neither
-// the ops queue nor the log.
+// loop is the shard goroutine: batch writes, log them, republish the
+// snapshot, acknowledge. The idle tick is the only place simulated
+// time moves (the clock contract in serve.go): it steps the overlay up
+// to the tick's wall time and republishes under the new clock, so
+// record freshness and the protocol's periodic machinery run at real
+// time whatever the traffic. Reads never enter here: queries on the
+// snapshot path touch neither the ops queue nor the log.
 func (s *shard) loop() {
 	defer close(s.done)
 	if s.log != nil {
 		defer s.log.Close() // final flush + fsync on halt
 	}
-	idle := time.NewTicker(s.cfg.FlushInterval)
-	defer idle.Stop()
+	ticks := s.ticks
+	if ticks == nil {
+		idle := time.NewTicker(s.cfg.FlushInterval)
+		defer idle.Stop()
+		ticks = idle.C
+	}
+	base := s.be.Now()
 	for {
 		select {
 		case <-s.stop:
@@ -276,7 +291,6 @@ func (s *shard) loop() {
 				if muts > 0 && s.epoch != nil {
 					s.epoch.Add(1)
 				}
-				s.be.Step(s.cfg.StepQuantum)
 				// The buffers persist across batches: park the
 				// replies, then drop op/result references (reply
 				// channels, vectors, hooks) so they do not outlive
@@ -311,9 +325,21 @@ func (s *shard) loop() {
 			req.reply <- s.checkpointNow()
 		case req := <-s.ctl:
 			req.reply <- s.control(req)
-		case <-idle.C:
-			s.be.Step(s.cfg.StepQuantum)
+		case now := <-ticks:
+			s.catchUp(base + sim.Time(now.Sub(s.started)/time.Microsecond))
 			s.publishDelta()
+		}
+	}
+}
+
+// catchUp steps the overlay up to target in slices of at most
+// StepQuantum, returning early after a slice that finds ops queued (the
+// next tick steps the rest). A backend at or past target is left alone.
+func (s *shard) catchUp(target sim.Time) {
+	for d := target - s.be.Now(); d > 0; d = target - s.be.Now() {
+		s.be.Step(min(d, s.cfg.StepQuantum))
+		if len(s.ops) > 0 {
+			return
 		}
 	}
 }
@@ -393,14 +419,7 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 		case opTake:
 			// Migration source half: capture the availability, then
 			// remove the node — one op, so no write can interleave.
-			alive := false
-			for _, id := range s.be.Nodes() {
-				if id == o.node {
-					alive = true
-					break
-				}
-			}
-			if !alive {
+			if _, alive := s.fresh[o.node]; !alive {
 				res.err = fmt.Errorf("serve: node %d not on shard %d", o.node, s.idx)
 				break
 			}
