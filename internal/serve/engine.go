@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
@@ -767,9 +768,11 @@ func (e *Engine) Leave(node GlobalID) error {
 // reflected in a snapshot.
 func (e *Engine) Nodes() []GlobalID {
 	var out []GlobalID
+	var ids []overlay.NodeID
 	for _, s := range e.shards {
-		for _, r := range s.snapshot().Records {
-			out = append(out, Global(s.idx, r.Node))
+		ids = s.snapshot().nodes(ids[:0])
+		for _, id := range ids {
+			out = append(out, Global(s.idx, id))
 		}
 	}
 	if t := e.fwd; t.entries.Load() > 0 {
@@ -789,13 +792,21 @@ func (e *Engine) Nodes() []GlobalID {
 	return dedup
 }
 
-// Snapshot returns shard i's current published snapshot, or
-// ErrNoShard for an index the engine was not built with.
+// Snapshot returns shard i's current published snapshot with its
+// Records view filled in (the caller pays for materialising it, once
+// per index version), or ErrNoShard for an index the engine was not
+// built with.
 func (e *Engine) Snapshot(i int) (*Snapshot, error) {
 	if i < 0 || i >= len(e.shards) {
 		return nil, fmt.Errorf("%w: shard %d", ErrNoShard, i)
 	}
-	return e.shards[i].snapshot(), nil
+	snap := e.shards[i].snapshot()
+	if snap.flat == nil {
+		return snap, nil
+	}
+	view := *snap
+	view.Records = snap.flat.Records()
+	return &view, nil
 }
 
 // Stats assembles a point-in-time view of all counters.
@@ -855,7 +866,7 @@ func (e *Engine) Stats() Stats {
 		snap := s.snapshot()
 		st.Shards = append(st.Shards, ShardStats{
 			Shard:           s.idx,
-			Nodes:           len(snap.Records),
+			Nodes:           snap.Len(),
 			SnapshotVersion: snap.Version,
 			SimNow:          snap.Taken,
 			QueueDepth:      len(s.ops),
@@ -863,7 +874,7 @@ func (e *Engine) Stats() Stats {
 			Batches:         s.batches.Load(),
 			LogBytes:        s.logBytes.Load(),
 		})
-		st.TotalNodes += len(snap.Records)
+		st.TotalNodes += snap.Len()
 		st.LogBytes += s.logBytes.Load()
 		st.LogRecords += s.logRecords.Load()
 		st.LogErrors += s.logErrors.Load()

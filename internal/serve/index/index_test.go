@@ -12,8 +12,6 @@ import (
 	"pidcan/internal/vector"
 )
 
-const never = sim.Time(1<<63 - 1)
-
 // randPopulation builds n records ascending by node id with
 // availabilities drawn under cmax; a fraction get finite expiries
 // around now so Search sees both live and stale entries.
@@ -150,77 +148,6 @@ func TestSearchMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestUpdateMatchesBuild: applying randomized churn batches through
-// Update must yield exactly the index a from-scratch Build produces.
-func TestUpdateMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	cmax := vector.Of(8, 12, 5)
-	now := sim.Time(500)
-	recs := randPopulation(rng, 60, cmax, now)
-	f := Build(recs, cmax)
-	next := overlay.NodeID(1000)
-
-	for batch := 0; batch < 50; batch++ {
-		dirty := map[overlay.NodeID]bool{}
-		cur := append([]proto.Record(nil), recs...)
-		for op := 0; op < 1+rng.Intn(10); op++ {
-			switch {
-			case rng.Intn(3) == 0 && len(cur) > 0: // leave
-				i := rng.Intn(len(cur))
-				dirty[cur[i].Node] = false
-				cur = append(cur[:i], cur[i+1:]...)
-			case rng.Intn(3) == 0: // join
-				a := vector.New(cmax.Dim())
-				for d := range a {
-					a[d] = cmax[d] * rng.Float64()
-				}
-				r := proto.Record{Node: next, Avail: a, Expires: now + sim.Time(rng.Intn(200))}
-				next++
-				cur = append(cur, r)
-				dirty[r.Node] = true
-			default: // re-advertise
-				if len(cur) == 0 {
-					continue
-				}
-				i := rng.Intn(len(cur))
-				a := vector.New(cmax.Dim())
-				for d := range a {
-					a[d] = cmax[d] * rng.Float64()
-				}
-				cur[i].Avail = a
-				cur[i].Expires = never
-				dirty[cur[i].Node] = true
-			}
-		}
-		sort.Slice(cur, func(i, j int) bool { return cur[i].Node < cur[j].Node })
-		f = f.Update(cur, dirty)
-		recs = cur
-
-		want := Build(recs, cmax)
-		if len(f.nodes) != len(want.nodes) {
-			t.Fatalf("batch %d: %d entries after Update, want %d", batch, len(f.nodes), len(want.nodes))
-		}
-		for i := range want.nodes {
-			if f.nodes[i] != want.nodes[i] || f.score[i] != want.score[i] ||
-				f.expires[i] != want.expires[i] {
-				t.Fatalf("batch %d entry %d: Update (%d,%v,%d) != Build (%d,%v,%d)",
-					batch, i, f.nodes[i], f.score[i], f.expires[i],
-					want.nodes[i], want.score[i], want.expires[i])
-			}
-		}
-		for i := range want.vals {
-			if f.vals[i] != want.vals[i] {
-				t.Fatalf("batch %d: vals[%d] = %v, want %v", batch, i, f.vals[i], want.vals[i])
-			}
-		}
-		for i := range want.sufMax {
-			if f.sufMax[i] != want.sufMax[i] {
-				t.Fatalf("batch %d: sufMax[%d] = %v, want %v", batch, i, f.sufMax[i], want.sufMax[i])
-			}
-		}
-	}
-}
-
 // TestSearchSubLinear: on a large uniform population with a demanding
 // query, the scan must visit far fewer entries than a linear pass.
 func TestSearchSubLinear(t *testing.T) {
@@ -275,7 +202,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if len(got) != 1 || z.NodeAt(got[0]) != 1 {
 		t.Fatalf("zero-scale search returned %v, want [node 1]", got)
 	}
-	if math.IsNaN(z.score[0]) {
+	if math.IsNaN(z.first[0]) {
 		t.Fatal("zero-scale score is NaN")
 	}
 }

@@ -545,7 +545,7 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 	sample := func() (maxI, minI, gap int, imb float64) {
 		pops := make([]int, len(e.shards))
 		for i, s := range e.shards {
-			pops[i] = len(s.snapshot().Records)
+			pops[i] = s.snapshot().Len()
 			if pops[i] > pops[maxI] {
 				maxI = i
 			}
@@ -575,10 +575,10 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 	// the ratio above the threshold, or the pass would ping-pong the
 	// same node until the move cap burned out.
 	for res.Moved < e.cfg.RebalanceMaxMoves && imb > e.cfg.RebalanceThreshold && gap > 1 {
-		recs := e.shards[maxI].snapshot().Records
+		ids := e.shards[maxI].snapshot().nodes(nil)
 		moved := false
-		for i := len(recs) - 1; i >= 0; i-- {
-			if err := e.Migrate(Global(maxI, recs[i].Node), minI); err != nil {
+		for i := len(ids) - 1; i >= 0; i-- {
+			if err := e.Migrate(Global(maxI, ids[i]), minI); err != nil {
 				// The node may have left or moved concurrently; try
 				// the next one.
 				if firstErr == nil {

@@ -8,10 +8,17 @@
 // shard-local simulation clock. Concurrency lives strictly above the
 // clusters:
 //
-//   - Each shard publishes an immutable copy-on-write Snapshot of its
-//     record index through an atomic pointer, so best-fit
-//     multi-dimensional range queries run lock-free on the read path
-//     and never touch a cluster or a mutex.
+//   - Each shard publishes an immutable Snapshot through an atomic
+//     pointer, so best-fit multi-dimensional range queries run
+//     lock-free on the read path and never touch a cluster or a mutex.
+//     What a snapshot stores is one version of the shard's
+//     copy-on-write block index (internal/serve/index) and nothing
+//     else: a publication re-reads the batch's dirty nodes from the
+//     backend and rewrites only the index blocks they leave or enter,
+//     so its cost follows the batch, not the population. Every engine
+//     reader (search, Nodes, Stats, AvailSummary, Rebalance) reads the
+//     index; a record array exists only as the view Engine.Snapshot
+//     materialises for its caller, on the caller's goroutine.
 //
 //   - Availability updates, announcements, joins and leaves flow
 //     through per-shard write queues and are applied in batches; a
@@ -359,9 +366,10 @@ type Config struct {
 	// adaptive controller may reach (default min(1, 16*CacheQuantum)).
 	CacheQuantumMax float64
 
-	// IndexDisabled is referee-only: snapshots publish without the
-	// flat dominance index and Snapshot.Search scans every record —
-	// the reference the replay corpus, cmd/pidcan-replay and the
+	// IndexDisabled is referee-only: every publication re-reads the
+	// whole population into a stored record array, without the
+	// dominance index, and Snapshot.Search scans every record — the
+	// reference the replay corpus, cmd/pidcan-replay and the
 	// index-equivalence tests pin the indexed path against. No
 	// server flag sets it.
 	IndexDisabled bool

@@ -63,7 +63,8 @@ type availSummary struct {
 }
 
 // AvailSummary computes the engine's availability summary over every
-// shard's published snapshot. The write epoch is read BEFORE the
+// shard's published snapshot — read off each index's directory, not
+// its records. The write epoch is read BEFORE the
 // scan: records applied mid-scan can only push the maxima higher, so
 // the result is always a valid upper bound for the returned seq.
 // Expired records are included — expiry only shrinks the true
@@ -80,14 +81,8 @@ func (e *Engine) AvailSummary() (vector.Vec, int, uint64, bool) {
 	pop := 0
 	for _, sh := range e.shards {
 		snap := sh.snapshot()
-		pop += len(snap.Records)
-		for i := range snap.Records {
-			for d, v := range snap.Records[i].Avail {
-				if d < len(max) && v > max[d] {
-					max[d] = v
-				}
-			}
-		}
+		pop += snap.Len()
+		snap.raiseMax(max)
 	}
 	s := &availSummary{max: max, pop: pop, seq: seq}
 	e.availSum.Store(s)

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -135,8 +136,7 @@ type shard struct {
 
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
-	// removed), so publishDelta can merge the previous snapshot's
-	// records instead of rebuilding all of them. Owned by the shard
+	// removed) — all publishDelta hands the index. Owned by the shard
 	// goroutine; cleared at every publication.
 	dirty map[overlay.NodeID]bool
 
@@ -203,9 +203,9 @@ type shard struct {
 	segNum     atomic.Uint64 // current segment number (replication lag reads)
 	segRecs    atomic.Uint64 // records in the current segment
 
-	// Index maintenance counters (Stats): full builds, incremental
-	// (delta-merged) rebuilds, and publications that reused the
-	// previous records + index wholesale because nothing changed.
+	// Index maintenance counters (Stats): full builds, copy-on-write
+	// updates, and publications that reused the previous index
+	// wholesale because nothing changed.
 	idxBuilds atomic.Uint64
 	idxDeltas atomic.Uint64
 	idxReuses atomic.Uint64
@@ -731,9 +731,10 @@ func (s *shard) record(id overlay.NodeID, now sim.Time) proto.Record {
 }
 
 // publish builds and atomically installs a fresh immutable snapshot
-// of the shard's full record index — the from-scratch path used at
-// startup, after recovery replay, and whenever a batch dirtied too
-// large a fraction of the population for a delta merge to win.
+// from the backend's whole population — the from-scratch path used at
+// startup and after recovery replay, and every publication of the
+// Config.IndexDisabled referee, whose snapshots store their records
+// because they have no index to read them from.
 func (s *shard) publish() {
 	now := s.be.Now()
 	nodes := s.be.Nodes()
@@ -741,64 +742,45 @@ func (s *shard) publish() {
 	for _, id := range nodes {
 		recs = append(recs, s.record(id, now))
 	}
+	clear(s.dirty)
 	if !s.cfg.IndexDisabled {
-		s.flat = index.Build(recs, s.cfg.CMax)
+		s.flat, recs = index.Build(recs, s.cfg.CMax), nil
 		s.idxBuilds.Add(1)
 	}
 	s.installSnap(now, recs)
-	clear(s.dirty)
 }
 
-// publishDelta publishes the post-batch snapshot incrementally,
-// amortizing against the batched write drain: with nothing dirty
-// (idle ticks, query-only batches) the previous records and index
-// are republished wholesale under a fresh clock; with a small dirty
-// set the previous records are merged with the re-read dirty nodes
-// (both orders ascending by node id) and the dominance index rebuilt
-// by sorted-order merge instead of a full re-sort. A batch that
-// dirtied a large fraction of the population falls back to publish.
+// publishDelta publishes the post-batch snapshot at a cost that
+// follows the batch, not the population: the dirty nodes are re-read
+// from the backend and the index rewrites only the blocks they leave
+// or enter (index.Update); with nothing dirty (idle ticks, query-only
+// batches) the previous index is republished as it is under a fresh
+// clock.
 func (s *shard) publishDelta() {
-	prev := s.snap.Load()
-	if prev == nil || len(s.dirty)*4 > len(prev.Records)+16 {
+	if s.cfg.IndexDisabled {
 		s.publish()
 		return
 	}
 	now := s.be.Now()
 	if len(s.dirty) == 0 {
 		s.idxReuses.Add(1)
-		s.installSnap(now, prev.Records)
-		return
-	}
-	add := make([]proto.Record, 0, len(s.dirty))
-	for id, alive := range s.dirty {
-		if alive {
-			add = append(add, s.record(id, now))
+	} else {
+		recs := make([]proto.Record, 0, len(s.dirty))
+		for id, alive := range s.dirty {
+			if alive {
+				recs = append(recs, s.record(id, now))
+			}
 		}
-	}
-	sort.Slice(add, func(i, j int) bool { return add[i].Node < add[j].Node })
-	old := prev.Records
-	recs := make([]proto.Record, 0, len(old)+len(add))
-	j := 0
-	for i := range old {
-		if _, touched := s.dirty[old[i].Node]; touched {
-			continue // superseded by its dirty re-read (or removed)
-		}
-		for j < len(add) && add[j].Node < old[i].Node {
-			recs = append(recs, add[j])
-			j++
-		}
-		recs = append(recs, old[i])
-	}
-	recs = append(recs, add[j:]...)
-	if !s.cfg.IndexDisabled {
+		slices.SortFunc(recs, func(a, b proto.Record) int { return cmp.Compare(a.Node, b.Node) })
 		s.flat = s.flat.Update(recs, s.dirty)
 		s.idxDeltas.Add(1)
+		clear(s.dirty)
 	}
-	s.installSnap(now, recs)
-	clear(s.dirty)
+	s.installSnap(now, nil)
 }
 
-// installSnap publishes recs under the shard's current index.
+// installSnap publishes the shard's current index (recs: the referee's
+// stored records, nil otherwise).
 func (s *shard) installSnap(now sim.Time, recs []proto.Record) {
 	s.snap.Store(&Snapshot{
 		Shard:   s.idx,

@@ -3,17 +3,18 @@ package serve
 import (
 	"slices"
 
+	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/serve/index"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
-// Snapshot is an immutable copy-on-write view of one shard's record
-// index: every alive node's advertised availability with freshness
-// bounds, taken at a point of the shard's simulation clock. Shards
-// publish snapshots through an atomic pointer; readers never lock,
-// never mutate, and never observe a partially built snapshot.
+// Snapshot is an immutable view of one shard's records — every alive
+// node's advertised availability with freshness bounds — taken at a
+// point of the shard's simulation clock. Shards publish snapshots
+// through an atomic pointer; readers never lock, never mutate, and
+// never observe a partially built snapshot.
 type Snapshot struct {
 	// Shard is the owning shard's index.
 	Shard int
@@ -22,14 +23,53 @@ type Snapshot struct {
 	// Taken is the shard-local simulation time of the snapshot.
 	Taken sim.Time
 	// Records holds one record per alive node, ascending by node id.
-	// Records, their Avail vectors, and everything reachable from
-	// them are shared and must not be mutated.
+	// It is a view derived from the index, not what a shard stores:
+	// a published snapshot leaves it nil, and Engine.Snapshot fills it
+	// in on the caller's goroutine, materialising it once per index
+	// version (every snapshot published over an unchanged index shares
+	// the array). Only the linear-scan referee (Config.IndexDisabled)
+	// and hand-built test snapshots store records. Records, their
+	// Avail vectors, and everything reachable from them are shared and
+	// must not be mutated.
 	Records []proto.Record
-	// flat is the dominance index over Records, built at publication
-	// against the engine's CMax. Immutable and shared, like
-	// everything else here. nil in the linear-scan referee
-	// (Config.IndexDisabled) and in hand-built test snapshots.
+	// flat is the shard's copy-on-write dominance index, built against
+	// the engine's CMax: the one stored representation of the records.
+	// Immutable and shared, like everything else here. nil in the
+	// linear-scan referee and in hand-built test snapshots.
 	flat *index.Flat
+}
+
+// Len returns the number of records (alive nodes) in the snapshot.
+func (s *Snapshot) Len() int {
+	if s.flat == nil {
+		return len(s.Records)
+	}
+	return s.flat.Len()
+}
+
+// nodes appends the snapshot's node ids to dst, ascending.
+func (s *Snapshot) nodes(dst []overlay.NodeID) []overlay.NodeID {
+	if s.flat != nil {
+		return s.flat.Nodes(dst)
+	}
+	for i := range s.Records {
+		dst = append(dst, s.Records[i].Node)
+	}
+	return dst
+}
+
+// raiseMax raises m to the per-dimension maxima of the snapshot's
+// availabilities (expired records included).
+func (s *Snapshot) raiseMax(m vector.Vec) {
+	if s.flat != nil {
+		s.flat.RaiseMax(m)
+		return
+	}
+	for i := range s.Records {
+		for d, v := range s.Records[i].Avail {
+			m[d] = max(m[d], v)
+		}
+	}
 }
 
 // Search appends to dst the candidates needed to rank the k

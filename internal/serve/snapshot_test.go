@@ -1,0 +1,125 @@
+package serve
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"pidcan/internal/sim"
+	"pidcan/internal/vector"
+)
+
+// TestSnapshotRecordsIsADerivedView pins what Engine.Snapshot hands
+// out now that a shard stores no record array: Records is ascending by
+// node with the published availability and freshness bounds, it is
+// materialised once per index version — a second call, and a call
+// after an idle-tick republication that changed nothing, return the
+// same backing array — and a write publishes a version that is
+// materialised afresh.
+func TestSnapshotRecordsIsADerivedView(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.NodesPerShard = 300 // three blocks
+	cfg.RecordTTL = 30 * sim.Second
+	e, clk := newClockedEngine(t, cfg)
+	rng := rand.New(rand.NewSource(1))
+	want := map[GlobalID]vector.Vec{}
+	stored := map[GlobalID]sim.Time{}
+	start := clk.fakes[0].now
+	for _, id := range e.Nodes() {
+		want[id], stored[id] = vector.Of(0, 0), start
+		if rng.Intn(3) == 0 {
+			continue // never written: zero availability, stored at start-up
+		}
+		a := vector.Of(10*rng.Float64(), 10*rng.Float64())
+		if err := e.Update(id, a, false); err != nil {
+			t.Fatal(err)
+		}
+		want[id], stored[id] = a, clk.fakes[0].now
+		if rng.Intn(10) == 0 {
+			clk.advance(time.Second)
+		}
+	}
+	if s := e.shards[0].snapshot(); s.Records != nil || s.flat == nil {
+		t.Fatalf("published snapshot stores %d records (index %v); want the index alone", len(s.Records), s.flat != nil)
+	}
+
+	first, _ := e.Snapshot(0)
+	if len(first.Records) != cfg.NodesPerShard || first.Len() != cfg.NodesPerShard {
+		t.Fatalf("%d records, Len %d, want %d", len(first.Records), first.Len(), cfg.NodesPerShard)
+	}
+	for i, r := range first.Records {
+		id := Global(0, r.Node)
+		if i > 0 && r.Node <= first.Records[i-1].Node {
+			t.Fatalf("records %d and %d out of node order", i-1, i)
+		}
+		a, at := want[id], stored[id]
+		if !r.Avail.Equal(a) || r.Stored != at || r.Expires != at+cfg.RecordTTL {
+			t.Fatalf("record %+v, want avail %v stored %v expires %v", r, a, at, at+cfg.RecordTTL)
+		}
+	}
+
+	again, _ := e.Snapshot(0)
+	if &again.Records[0] != &first.Records[0] {
+		t.Fatal("second Snapshot call of the same version materialised the records again")
+	}
+	clk.advance(100 * time.Millisecond) // idle tick: republished, nothing dirty
+	idle, _ := e.Snapshot(0)
+	if idle.Version == first.Version || idle.Taken == first.Taken {
+		t.Fatalf("idle tick did not republish (version %d, taken %v)", idle.Version, idle.Taken)
+	}
+	if &idle.Records[0] != &first.Records[0] {
+		t.Fatal("idle-tick republication with nothing dirty materialised the records again")
+	}
+
+	node := Global(0, first.Records[7].Node)
+	if err := e.Update(node, vector.Of(1, 2), false); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := e.Snapshot(0)
+	if &after.Records[0] == &first.Records[0] {
+		t.Fatal("a write was published over the old materialised records")
+	}
+	if !after.Records[7].Avail.Equal(vector.Of(1, 2)) || !first.Records[7].Avail.Equal(want[node]) {
+		t.Fatalf("after the write: new view holds %v, the old one %v (was %v)", after.Records[7].Avail, first.Records[7].Avail, want[node])
+	}
+}
+
+// TestPublicationAllocationIsNotPerRecord: one Engine.Update — ack
+// path and publication — must allocate about the same whatever the
+// shard's population: ten times the nodes, at most twice the bytes.
+func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
+	perUpdate := func(n int) float64 {
+		cfg := testConfig(1)
+		cfg.NodesPerShard = n
+		cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+		e, _ := newClockedEngine(t, cfg)
+		rng := rand.New(rand.NewSource(3))
+		nodes := e.Nodes()
+		update := func() {
+			a := vector.New(cfg.CMax.Dim())
+			for d := range a {
+				a[d] = cfg.CMax[d] * rng.Float64()
+			}
+			if err := e.Update(nodes[rng.Intn(n)], a, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 2000 { // spread the all-zero start-up scores, split the full blocks
+			update()
+		}
+		const runs = 300
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			update()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := perUpdate(2500), perUpdate(25000)
+	t.Logf("one Engine.Update allocates %.0f B at 2500 nodes, %.0f B at 25000", small, large)
+	if large > 2*small {
+		t.Fatalf("one Engine.Update allocates %.0f B at 25000 nodes, more than twice the %.0f B at 2500", large, small)
+	}
+}

@@ -264,12 +264,6 @@ func (c *Client) readErr(err error) error {
 	return err
 }
 
-// LastEpoch returns the replication epoch stamped on the most
-// recently read response (0 before the first response). Rejections
-// carry it too, so a caller fenced by a promoted primary can learn
-// the new epoch from the rejection itself.
-func (c *Client) LastEpoch() uint64 { return c.resp.Epoch }
-
 // roundTrip completes one synchronous exchange for the request just
 // enqueued: flush, read its response, and surface a server rejection
 // as an *Error (allocating — error path only).
