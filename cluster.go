@@ -291,10 +291,10 @@ func (c *Cluster) Join() (NodeID, error) {
 // SeedNextID advances the cluster's id sequence to next without
 // materializing the nodes in between, extending the latency model by
 // exactly the slots the skipped live joins would have added (so the
-// model's RNG stream stays aligned with a live history). It is the
-// serving engine's optional recovery extension (serve.IDSeeder):
-// checkpoint restore uses it to skip dead ids, making a warm restart
-// O(alive nodes) instead of O(lifetime joins).
+// model's RNG stream stays aligned with a live history). The serving
+// engine's checkpoint restore uses it (serve.Backend) to skip dead
+// ids, making a warm restart O(alive nodes) instead of O(lifetime
+// joins).
 func (c *Cluster) SeedNextID(next NodeID) error {
 	if next < c.next {
 		return fmt.Errorf("pidcan: seed id %d below next id %d", next, c.next)

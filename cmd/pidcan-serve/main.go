@@ -23,9 +23,8 @@
 //
 // Wire protocol: -wire-addr adds the compact binary serving edge
 // (internal/serve/wire) next to the JSON API — persistent TCP
-// connections, pipelined in-order responses, epoch-fenced writes —
-// and -wire-udp a single-packet UDP fast path for queries. JSON
-// stays up as the debug surface; drive the binary edge with
+// connections, pipelined in-order responses, epoch-fenced writes.
+// JSON stays up as the debug surface; drive the binary edge with
 // cmd/pidcan-loadgen -proto wire.
 //
 // Replication: a durable primary with -repl-addr streams its op-log
@@ -80,7 +79,6 @@ func main() {
 		primary  = flag.String("primary", "", "primary's replication address host:port (follower role)")
 		replAddr = flag.String("repl-addr", "", "replication listen address for followers (needs -data-dir; on a follower it activates at promotion)")
 		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (persistent TCP, pipelined; empty disables)")
-		wireUDP  = flag.String("wire-udp", "", "single-packet UDP query listen address of the wire protocol (empty disables)")
 	)
 	flag.Parse()
 
@@ -110,37 +108,19 @@ func main() {
 	// (exactly the follower re-bootstrap contract). JSON/HTTP stays up
 	// as the debug surface next to it.
 	var ws *pidcan.WireServer
-	if *wireAddr != "" || *wireUDP != "" {
+	if *wireAddr != "" {
 		ws = pidcan.NewWireServer(h.engine, pidcan.WireServerConfig{})
 		h.wire = ws
-		if *wireAddr != "" {
-			ln, err := net.Listen("tcp", *wireAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wire protocol on %s", *wireAddr)
-			go func() {
-				if err := ws.Serve(ln); err != nil {
-					log.Printf("wire server: %v", err)
-				}
-			}()
+		ln, err := net.Listen("tcp", *wireAddr)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *wireUDP != "" {
-			ua, err := net.ResolveUDPAddr("udp", *wireUDP)
-			if err != nil {
-				log.Fatal(err)
+		log.Printf("wire protocol on %s", *wireAddr)
+		go func() {
+			if err := ws.Serve(ln); err != nil {
+				log.Printf("wire server: %v", err)
 			}
-			uc, err := net.ListenUDP("udp", ua)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wire udp fast path on %s", *wireUDP)
-			go func() {
-				if err := ws.ServeUDP(uc); err != nil {
-					log.Printf("wire udp server: %v", err)
-				}
-			}()
-		}
+		}()
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: &h}

@@ -75,7 +75,7 @@ func TestFwdAliasExpiry(t *testing.T) {
 	const moves = 5
 	ext, phys := migrateChain(t, e, moves)
 	cur := phys[len(phys)-1]
-	grown := e.fwd.count()
+	grown := e.fwd.Count()
 	// next holds the external id plus one entry per former physical
 	// id (the external id's first home counts once).
 	if grown != moves {
@@ -83,7 +83,7 @@ func TestFwdAliasExpiry(t *testing.T) {
 	}
 
 	offset.Store(int64(e.fwd.grace) + int64(time.Second))
-	if got := e.fwd.count(); got != 1 {
+	if got := e.fwd.Count(); got != 1 {
 		t.Fatalf("forwarded ids after grace expiry: %d, want 1 (external id only)", got)
 	}
 	// The external id still routes...
@@ -116,7 +116,7 @@ func TestFwdAliasExpiry(t *testing.T) {
 	if err := e.Leave(ext); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.fwd.count(); got != 0 {
+	if got := e.fwd.Count(); got != 0 {
 		t.Fatalf("forwarded ids after leave: %d, want 0", got)
 	}
 }
@@ -125,16 +125,12 @@ func TestFwdAliasExpiry(t *testing.T) {
 // repoint that the restored checkpoint already contains must not
 // duplicate aliases.
 func TestFwdRepointIdempotent(t *testing.T) {
-	cfg, err := testConfig(1).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := newFwdTable(cfg)
+	ft := NewForwardTable(time.Minute, GlobalID.Shard, nil)
 	x := Global(0, 1)
 	p1, p2 := Global(1, 7), Global(2, 9)
-	ft.repoint(x, x, p1)
-	ft.repoint(x, p1, p2)
-	ft.repoint(x, p1, p2) // replayed duplicate
+	ft.Repoint(x, x, p1)
+	ft.Repoint(x, p1, p2)
+	ft.Repoint(x, p1, p2) // replayed duplicate
 	ft.mu.RLock()
 	aliases := len(ft.aliases[x])
 	ft.mu.RUnlock()

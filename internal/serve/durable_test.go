@@ -561,54 +561,3 @@ func TestDrainBatchesBeyondSixteen(t *testing.T) {
 		t.Fatalf("%d writes drained in %d batches, want <= 2 (one drain picks up the whole backlog)", writes, got)
 	}
 }
-
-// noSeedBackend hides the fake's SeedNextID, forcing checkpoint
-// restore down the generic O(lifetime-joins) path.
-type noSeedBackend struct{ Backend }
-
-// TestDurableCheckpointRestoreGenericBackend: backends without the
-// IDSeeder extension recover from a checkpoint by synthesizing the
-// full id history (every id joined, dead ones left) and must land on
-// the same state.
-func TestDurableCheckpointRestoreGenericBackend(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig(2)
-	cfg.DataDir = dir
-	factory := func(i int, rc Config) (Backend, error) {
-		return noSeedBackend{newFake(rc.NodesPerShard, rc.CMax.Dim())}, nil
-	}
-	e, err := New(cfg, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	nodes := e.Nodes()
-	for i, id := range nodes {
-		if err := e.Update(id, vector.Of(float64(i+1), 3), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	joined, err := e.Join(vector.Of(8, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Leave(nodes[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-checkpoint tail on top of the generic restore.
-	if err := e.Update(joined, vector.Of(9, 9), true); err != nil {
-		t.Fatal(err)
-	}
-	pre := fingerprint(t, e, 2)
-	e.close(false)
-
-	re, err := New(cfg, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { re.Close() })
-	assertSameState(t, pre, fingerprint(t, re, 2), "generic-backend restore")
-}

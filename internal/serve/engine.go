@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +21,7 @@ type Engine struct {
 	shards []*shard
 	places []Placement // shards behind the Placement interface, same order
 	cache  *queryCache
-	fwd    *fwdTable // migrated-node id forwarding
+	fwd    *ForwardTable // migrated-node id forwarding; owns the placement operations
 
 	nextShard atomic.Uint64 // round-robin join target
 	nextQuery atomic.Uint64 // round-robin ScopeOne consistent-query target
@@ -255,12 +253,10 @@ type Stats struct {
 	// Wire serving edge (internal/serve/wire), populated when a wire
 	// server is attached via SetWireStats. WireConns is the live
 	// persistent-connection count; WireRequests counts frames served
-	// (TCP + UDP), WireUDPRequests the single-packet subset, and
-	// WireRejected the frames the stateless filter or CRC refused.
-	WireConns       int    `json:"wire_conns,omitempty"`
-	WireRequests    uint64 `json:"wire_requests,omitempty"`
-	WireRejected    uint64 `json:"wire_rejected,omitempty"`
-	WireUDPRequests uint64 `json:"wire_udp_requests,omitempty"`
+	// and WireRejected the frames the stateless filter or CRC refused.
+	WireConns    int    `json:"wire_conns,omitempty"`
+	WireRequests uint64 `json:"wire_requests,omitempty"`
+	WireRejected uint64 `json:"wire_rejected,omitempty"`
 
 	// Trace capture (internal/serve/capture), fed by a recorder
 	// attached via SetCapture: records captured, records dropped by
@@ -274,10 +270,9 @@ type Stats struct {
 
 // WireStats is the gauge set a wire front-end feeds into Stats.
 type WireStats struct {
-	Conns       int
-	Requests    uint64
-	Rejected    uint64
-	UDPRequests uint64
+	Conns    int
+	Requests uint64
+	Rejected uint64
 }
 
 // New builds an engine: the factory is invoked once per shard, each
@@ -310,9 +305,9 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	e := &Engine{
 		cfg:   cfg,
 		cache: newQueryCache(cfg),
-		fwd:   newFwdTable(cfg),
 		stop:  make(chan struct{}),
 	}
+	e.fwd = NewForwardTable(2*(cfg.CacheTTL+cfg.FlushInterval+cfg.ScatterTimeout), GlobalID.Shard, e.stop)
 	e.replEpoch.Store(1) // cold start; recovery overrides from disk
 	e.follower.Store(cfg.Follower)
 	for i := 0; i < cfg.Shards; i++ {
@@ -504,7 +499,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	useCache := !e.cfg.CacheDisabled && !req.NoCache
 	if !useCache {
 		cands := e.searchShards(req.Demand, req.K)
-		return QueryResponse{Candidates: e.externalize(bestFit(cands, req.K))}, nil
+		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}
 	key, cellDemand := e.cache.quantize(req.Demand, req.K)
 	// The fill epoch is read before the snapshot scan: a write racing
@@ -519,7 +514,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 		resp = QueryResponse{Candidates: append([]Candidate(nil), cached.Candidates...)}
 	}
 	resp.Cached = hit
-	resp.Candidates = e.externalize(rescore(resp.Candidates, req.Demand, e.cfg.CMax, req.K))
+	resp.Candidates = e.fwd.Externalize(rescore(resp.Candidates, req.Demand, e.cfg.CMax, req.K))
 	return resp, nil
 }
 
@@ -541,25 +536,6 @@ func (e *Engine) searchShards(demand vector.Vec, k int) []Candidate {
 	return cands
 }
 
-// externalize rewrites candidate ids to their nodes' stable
-// external ids (in place; every candidate slice here is private), so
-// query responses and Nodes agree on identity for migrated nodes.
-// Cached entries keep physical-at-snapshot-time ids and are mapped
-// per hit, so the ids stay current however the node moves between
-// hits; any id handed out remains routable either way.
-func (e *Engine) externalize(cands []Candidate) []Candidate {
-	t := e.fwd
-	if t.entries.Load() == 0 { // no migrated node: nothing to map
-		return cands
-	}
-	t.mu.RLock()
-	for i := range cands {
-		cands[i].Node = t.externalLocked(cands[i].Node)
-	}
-	t.mu.RUnlock()
-	return cands
-}
-
 // rescore recomputes every candidate's surplus against demand and
 // re-ranks. Candidates entering here were qualified against a demand
 // their avail dominates (the quantization cell's upper bound, which
@@ -574,37 +550,26 @@ func rescore(cands []Candidate, demand, scale vector.Vec, k int) []Candidate {
 
 // consistentQuery routes the query through the PID-CAN protocol
 // itself. Under ScopeOne it consults a single placement's index
-// chosen round-robin, like any one querying node of the paper would.
-// Under ScopeAll (the default) it scatters one protocol query to
-// every placement concurrently through ScatterQuery — the
-// decentralized merge-partial-views shape of ART/DEPAS lifted above
-// the shards. A shard halting mid-scatter fails only its own leg
-// (ErrClosed). Config.ScatterTimeout is the whole-gather deadline;
-// see ScatterQuery for the partial-merge semantics.
+// chosen round-robin (ForwardTable.QueryOne). Under ScopeAll (the
+// default) it scatters one protocol query to every placement
+// concurrently through ScatterQuery — the decentralized
+// merge-partial-views shape of ART/DEPAS lifted above the shards. A
+// shard halting mid-scatter fails only its own leg (ErrClosed).
+// Config.ScatterTimeout is the whole-gather deadline; see
+// ScatterQuery for the partial-merge semantics.
 func (e *Engine) consistentQuery(req QueryRequest) (QueryResponse, error) {
 	e.consistent.Add(1)
+	var resp QueryResponse
+	var err error
 	if req.Scope == ScopeOne {
-		p := e.places[(e.nextQuery.Add(1)-1)%uint64(len(e.places))]
-		leg, err := p.QueryLeg(req, nil)
-		if err != nil {
-			e.errors.Add(1)
-			return QueryResponse{}, err
-		}
-		return QueryResponse{
-			Candidates:    e.externalize(bestFit(leg.Cands, req.K)),
-			Hops:          leg.Hops,
-			HopsMax:       leg.HopsMax,
-			ShardsQueried: leg.Queried,
-		}, nil
+		resp, err = e.fwd.QueryOne(e.places, e.nextQuery.Add(1)-1, req)
+	} else if resp, err = ScatterQuery(e.places, req, e.cfg.ScatterTimeout); err == nil {
+		resp.Candidates = e.fwd.Externalize(resp.Candidates)
 	}
-
-	resp, err := ScatterQuery(e.places, req, e.cfg.ScatterTimeout)
 	if err != nil {
 		e.errors.Add(1)
-		return QueryResponse{}, err
 	}
-	resp.Candidates = e.externalize(resp.Candidates)
-	return resp, nil
+	return resp, err
 }
 
 // legCandidates converts one shard leg's protocol records into
@@ -618,50 +583,6 @@ func legCandidates(dst []Candidate, shard int, recs []proto.Record, demand, scal
 		})
 	}
 	return dst
-}
-
-// migrateRetries bounds how often a write chases a node across
-// migrations before giving up. Each retry follows the freshest
-// forwarding state, so exhausting it takes as many back-to-back
-// migrations of the same node interleaved exactly with the write.
-const migrateRetries = 8
-
-// applyResolved is the migration-chase protocol shared by Update and
-// Leave: resolve the id through the forwarding table, apply the
-// operation against the resolved placement, and on a backend
-// rejection wait out a racing migration and retry against the node's
-// new home. It returns the physical id the successful apply used.
-func (e *Engine) applyResolved(node GlobalID, do func(p Placement, phys GlobalID) error) (GlobalID, error) {
-	for attempt := 0; ; attempt++ {
-		phys := e.fwd.resolve(node)
-		si := phys.Shard()
-		if si >= len(e.places) {
-			e.errors.Add(1)
-			return 0, fmt.Errorf("%w: shard %d (node %v)", ErrNoShard, si, node)
-		}
-		err := do(e.places[si], phys)
-		if err == nil {
-			return phys, nil
-		}
-		if !errors.Is(err, ErrClosed) {
-			// The backend rejected the op — possibly because the node
-			// migrated out from under us between resolve and apply.
-			if attempt < migrateRetries && e.fwd.waitSettled(node, phys, e.stop) {
-				continue
-			}
-			if e.closed.Load() {
-				// Shutdown aborted the migration chase; the honest
-				// outcome is ErrClosed, not the transient backend
-				// state mid-teardown.
-				return 0, ErrClosed
-			}
-			// Backend errors name the shard-local id; callers know
-			// the global one.
-			err = fmt.Errorf("serve: node %v: %w", node, err)
-		}
-		e.errors.Add(1)
-		return 0, err
-	}
 }
 
 // Update publishes a node's availability vector through its shard's
@@ -682,9 +603,10 @@ func (e *Engine) Update(node GlobalID, avail vector.Vec, announce bool) error {
 		e.errors.Add(1)
 		return err
 	}
-	if _, err := e.applyResolved(node, func(p Placement, phys GlobalID) error {
+	if err := e.fwd.Apply(e.places, node, func(p Placement, phys GlobalID) error {
 		return p.Update(phys, avail, announce)
 	}); err != nil {
+		e.errors.Add(1)
 		return err
 	}
 	e.updates.Add(1)
@@ -750,9 +672,8 @@ func (e *Engine) Leave(node GlobalID) error {
 		e.errors.Add(1)
 		return err
 	}
-	if _, err := e.applyResolved(node, func(p Placement, phys GlobalID) error {
-		return p.Leave(phys)
-	}); err != nil {
+	if err := e.fwd.Apply(e.places, node, Placement.Leave); err != nil {
+		e.errors.Add(1)
 		return err
 	}
 	e.leaves.Add(1)
@@ -762,9 +683,8 @@ func (e *Engine) Leave(node GlobalID) error {
 // Nodes returns the global ids of every node visible in the current
 // snapshots, ascending. Migrated nodes report their stable external
 // id (the id Join returned), not the physical id of their current
-// shard; a node caught mid-move by the per-shard snapshot reads is
-// deduplicated (it maps to the same external id from either home),
-// though it may transiently be absent, like any write not yet
+// shard (ForwardTable.Nodes); a node caught mid-move by the per-shard
+// snapshot reads may transiently be absent, like any write not yet
 // reflected in a snapshot.
 func (e *Engine) Nodes() []GlobalID {
 	var out []GlobalID
@@ -775,21 +695,7 @@ func (e *Engine) Nodes() []GlobalID {
 			out = append(out, Global(s.idx, id))
 		}
 	}
-	if t := e.fwd; t.entries.Load() > 0 {
-		t.mu.RLock()
-		for i := range out {
-			out[i] = t.externalLocked(out[i])
-		}
-		t.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, id := range out {
-		if i == 0 || id != out[i-1] {
-			dedup = append(dedup, id)
-		}
-	}
-	return dedup
+	return e.fwd.Nodes(out)
 }
 
 // Snapshot returns shard i's current published snapshot with its
@@ -821,7 +727,7 @@ func (e *Engine) Stats() Stats {
 		Leaves:        e.leaves.Load(),
 		Migrations:    e.migrations.Load(),
 		Rebalances:    e.rebalances.Load(),
-		ForwardedIDs:  e.fwd.count(),
+		ForwardedIDs:  e.fwd.Count(),
 		LastImbalance: math.Float64frombits(e.lastImbalance.Load()),
 		Errors:        e.errors.Load(),
 
@@ -845,7 +751,6 @@ func (e *Engine) Stats() Stats {
 		st.WireConns = ws.Conns
 		st.WireRequests = ws.Requests
 		st.WireRejected = ws.Rejected
-		st.WireUDPRequests = ws.UDPRequests
 	}
 	if p := e.capture.Load(); p != nil {
 		cs := (*p).CaptureStats()

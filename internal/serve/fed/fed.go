@@ -2,9 +2,21 @@
 // one Service: a federation map partitions the placement keyspace
 // across members (each a primary engine with its own WAL and
 // follower set), a RemotePrimary adapts a member's wire endpoint to
-// the serve.Placement interface, and a Router scatter-gathers
-// queries across members exactly as an Engine scatters across its
-// in-process shards.
+// the serve.Placement interface, and a Router serves the federation.
+//
+// What the router shares with an Engine is everything about which
+// placement holds a node: its writes, takes, migrations, ScopeOne
+// queries and node listings are the serve.ForwardTable placement
+// operations, run over members where the engine runs them over
+// shards. What it owns is the transport (RemotePrimary: one shared
+// pipelined connection per member, address rotation after fail-over,
+// epoch fencing, retries, wire-error translation onto the serve
+// sentinels), the federation map, demand-region pruning — and the
+// scatter: fedScatter starts every leg on the members' connections
+// and gathers them on the calling goroutine, where the engine's
+// serve.ScatterQuery parks a goroutine per leg on a shard queue. The
+// two agree on semantics and share no logic, because each is the
+// cheap way to wait on its own transport.
 //
 // The federation map is a versioned document: any member or router
 // holding a newer version pushes it opportunistically (OpFedMap
@@ -137,6 +149,13 @@ func ID(member int, local serve.GlobalID) serve.GlobalID {
 func SplitID(id serve.GlobalID) (member int, local serve.GlobalID) {
 	tag := uint64(id) & fedTagMask >> fedTagShift
 	return int(tag) - 1, serve.GlobalID(uint64(id) &^ fedTagMask)
+}
+
+// memberOf is the router's forwarding-table owner function: the index
+// of the member a federation id is tagged with (-1: untagged).
+func memberOf(id serve.GlobalID) int {
+	member, _ := SplitID(id)
+	return member
 }
 
 // splitmix64 spreads a join sequence number over the keyspace so

@@ -252,70 +252,6 @@ func TestFederationMatchesReferenceEngine(t *testing.T) {
 	}
 }
 
-// TestCrossProcessMigrationKeepsIDsRoutable is the satellite
-// guarantee: a node migrated between primary processes stays routable
-// by every id it was ever known by.
-func TestCrossProcessMigrationKeepsIDsRoutable(t *testing.T) {
-	a := startMember(t, testCfg(1))
-	b := startMember(t, testCfg(2))
-	router := newRouter(t, fed.Config{
-		Members: [][]string{{a.addr}, {b.addr}},
-		CMax:    vector.Of(10, 10),
-	})
-
-	id, err := router.JoinOn(0, vector.Of(5, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Migrate(id, 1); err != nil {
-		t.Fatalf("migrate to member 1: %v", err)
-	}
-	// The node physically moved...
-	if got := len(b.eng.Nodes()); got != 5 {
-		t.Fatalf("destination holds %d nodes, want 5", got)
-	}
-	if got := len(a.eng.Nodes()); got != 4 {
-		t.Fatalf("source still holds %d nodes, want 4", got)
-	}
-	// ...but its original id keeps working for writes, listings and
-	// query results.
-	if err := router.Update(id, vector.Of(7, 7), false); err != nil {
-		t.Fatalf("update by pre-migration id: %v", err)
-	}
-	if !slices.Contains(router.Nodes(), id) {
-		t.Fatalf("Nodes() lost the migrated node's stable id %v", id)
-	}
-	resp, err := router.Query(serve.QueryRequest{Demand: vector.Of(6.5, 6.5), K: 4, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range resp.Candidates {
-		if c.Node == id {
-			found = true
-			if !slices.Equal(c.Avail, vector.Of(7, 7)) {
-				t.Fatalf("migrated node advertises %v, want the post-move update", c.Avail)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("migrated node missing from query candidates: %+v", resp.Candidates)
-	}
-	// Migrate it back: the alias chain grows but the id still routes.
-	if err := router.Migrate(id, 0); err != nil {
-		t.Fatalf("migrate back to member 0: %v", err)
-	}
-	if err := router.Update(id, vector.Of(8, 8), false); err != nil {
-		t.Fatalf("update after round-trip migration: %v", err)
-	}
-	if err := router.Leave(id); err != nil {
-		t.Fatalf("leave by original id: %v", err)
-	}
-	if err := router.Update(id, vector.Of(1, 1), false); err == nil {
-		t.Fatal("update of a departed node succeeded")
-	}
-}
-
 // TestMigrationDestinationCrashRollsBack kills the destination
 // primary between a migration's take and its re-join: the router must
 // roll the node back to its source, keeping every old id routable.

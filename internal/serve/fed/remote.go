@@ -15,8 +15,8 @@ import (
 
 // RemotePrimary adapts one federation member — a whole primary
 // process reached over the wire protocol — to the serve.Placement
-// interface, so the scatter/migrate machinery written for in-process
-// shards drives remote processes unchanged.
+// interface, so the chase/take/migrate code written over placements
+// (serve.ForwardTable) drives remote processes as it drives shards.
 //
 // The transport is one shared pipelined connection (muxConn):
 // concurrent scatter legs and router requests enqueue onto it and a
@@ -53,9 +53,7 @@ type RemotePrimary struct {
 	depthN   atomic.Uint64
 
 	// fwd is the owning router's forwarding table: Leave drops the
-	// node's entries, CompleteMigration repoints them (nil in
-	// standalone tests — the forwarding consequences then fall to
-	// the caller).
+	// node's entries, CompleteMigration repoints them.
 	fwd *serve.ForwardTable
 
 	// Router hooks (any may be nil): mapVer stamps fed queries with
@@ -74,9 +72,9 @@ type RemotePrimary struct {
 
 var _ serve.Placement = (*RemotePrimary)(nil)
 
-// NewRemotePrimary builds a standalone member placement (no router
-// hooks): addrs is the member's wire address list, primary first;
-// fwd may be nil when the caller owns forwarding state itself.
+// NewRemotePrimary builds a member placement without router hooks:
+// addrs is the member's wire address list, primary first; fwd is the
+// forwarding table of the placement set it belongs to.
 func NewRemotePrimary(member int, addrs []string, fwd *serve.ForwardTable) *RemotePrimary {
 	return &RemotePrimary{
 		member: member,
@@ -84,9 +82,6 @@ func NewRemotePrimary(member int, addrs []string, fwd *serve.ForwardTable) *Remo
 		fwd:    fwd,
 	}
 }
-
-// Ref is the member's index in the federation map.
-func (r *RemotePrimary) Ref() int { return r.member }
 
 // Addr returns the member address currently in use.
 func (r *RemotePrimary) Addr() string {
@@ -406,11 +401,14 @@ func (r *RemotePrimary) legDecoder(leg *serve.PlacementLeg) func(resp *wire.Resp
 	}
 }
 
-// QueryLeg runs one query against the member as a scatter leg,
+// QueryLeg runs one query against the member and waits for the answer,
 // translating candidate ids into the federation namespace. The
 // member's epoch and map-staleness bit feed the router's fail-over
-// and map-propagation hooks.
-func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, cancel <-chan struct{}) (serve.PlacementLeg, error) {
+// and map-propagation hooks. The cancel channel is not consulted: the
+// exchange is bounded by the transport's own retries, and the
+// router's scatter never comes through here while a leg is healthy —
+// it gathers QueryLegAsync legs under its own deadline.
+func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, _ <-chan struct{}) (serve.PlacementLeg, error) {
 	wq := legWireQuery(req)
 	var leg serve.PlacementLeg
 	err := r.do(
@@ -493,20 +491,19 @@ func (r *RemotePrimary) Leave(node serve.GlobalID) error {
 		func(c *wire.Client) uint32 { return c.EnqueueLeave(uint64(local)) },
 		func(resp *wire.Response) error { return nil },
 	)
-	if err == nil && r.fwd != nil {
+	if err == nil {
 		r.fwd.Forget(node) // removed ids only matter to routing
 	}
 	return err
 }
 
-// Take removes a node from the member for re-homing elsewhere. The
-// member logs the removal as a plain leave (the out contract — its
-// local crash recovery must not resurrect the node), so out is
-// implied for a remote placement. A degraded take (applied, not
-// durable on the member) surfaces as serve.ErrWAL with the
-// availability still valid, matching the in-process contract.
-func (r *RemotePrimary) Take(node serve.GlobalID, out bool) (vector.Vec, error) {
-	_ = out // always an out-take from the member's point of view
+// Take removes a node from the member for re-homing elsewhere. Seen
+// from the member every such take is an out-take — the re-join lands
+// in another process — so it always logs a plain leave and the
+// parameter changes nothing. A degraded take (applied, not durable on
+// the member) surfaces as serve.ErrWAL with the availability still
+// valid, matching the in-process contract.
+func (r *RemotePrimary) Take(node serve.GlobalID, _ bool) (vector.Vec, error) {
 	defer r.beginWrite()()
 	_, local := SplitID(node)
 	var avail vector.Vec
@@ -560,15 +557,17 @@ func (r *RemotePrimary) MapExchange(ver uint64, blob []byte) (uint64, []byte, *w
 // placement, a remote join that fails durability (CodeWAL) is a
 // failure, not a degraded success — the acknowledgment crossed a
 // process boundary, so the caller must be able to roll back rather
-// than leave the node's only copy un-logged in a foreign WAL.
+// than leave the node's only copy un-logged in a foreign WAL. The
+// error it returns therefore never wraps serve.ErrWAL.
 func (r *RemotePrimary) CompleteMigration(avail vector.Vec, ext, old serve.GlobalID) (serve.GlobalID, error) {
 	id, err := r.Join(avail)
+	if errors.Is(err, serve.ErrWAL) {
+		return 0, fmt.Errorf("fed: member %d: migration join not durable: %v", r.member, err)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if r.fwd != nil {
-		r.fwd.Repoint(ext, old, id)
-	}
+	r.fwd.Repoint(ext, old, id)
 	return id, nil
 }
 

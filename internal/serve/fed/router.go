@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,24 +93,21 @@ type MemberStats struct {
 	SummaryAgeMS int64 `json:"summary_age_ms"`
 }
 
-// fedRetries bounds migration-chase retries on rejected writes,
-// matching the engine's in-process migrateRetries.
-const fedRetries = 8
-
 // Router federates primary processes behind the serve.Service
-// surface: queries scatter-gather across the members with the
-// semantics of the ScatterQuery loop an Engine runs across its
-// shards (fedScatter, over the members' pipelined connections), writes
-// chase nodes through a forwarding table exactly as in-process
-// migrations do, and the versioned federation map propagates
-// promotions (a member answering with a higher replication epoch)
-// to every member without a coordinator.
+// surface: queries scatter-gather across the members (fedScatter,
+// over the members' pipelined connections), writes, takes and
+// migrations run the placement operations of its serve.ForwardTable
+// over the members — the code an Engine runs over its shards — and the
+// versioned federation map propagates promotions (a member answering
+// with a higher replication epoch) to every member without a
+// coordinator.
 type Router struct {
 	mu sync.Mutex // guards m (the federation map)
 	m  Map
 
 	mapVer  atomic.Uint64 // mirror of m.Version for lock-free stamping
 	members []*RemotePrimary
+	places  []serve.Placement // members behind the Placement interface, same order
 	fwd     *serve.ForwardTable
 	cmax    vector.Vec
 
@@ -198,7 +194,7 @@ func New(cfg Config) (*Router, error) {
 	r.sums = make([]atomic.Pointer[memberSummary], len(m.Members))
 	r.wstart = make([]atomic.Uint64, len(m.Members))
 	r.wdone = make([]atomic.Uint64, len(m.Members))
-	r.fwd = serve.NewForwardTable(grace)
+	r.fwd = serve.NewForwardTable(grace, memberOf, r.stop)
 	r.mapVer.Store(m.Version)
 	for i := range m.Members {
 		rp := NewRemotePrimary(i, m.Members[i].Addrs, r.fwd)
@@ -209,6 +205,7 @@ func New(cfg Config) (*Router, error) {
 		rp.writeBegin = r.noteWriteStart
 		rp.writeEnd = r.noteWriteEnd
 		r.members = append(r.members, rp)
+		r.places = append(r.places, rp)
 	}
 	if r.cmax == nil {
 		if err := r.discoverCMax(); err != nil {
@@ -503,9 +500,8 @@ func (r *Router) checkDemand(demand vector.Vec) error {
 
 // Query answers one best-fit query across the federation: consistent
 // ScopeOne round-robins a single member's protocol, everything else
-// scatter-gathers every member through the same loop an Engine runs
-// across its shards — partial merges when a member is down, one
-// whole-gather deadline.
+// scatter-gathers every member (fedScatter) — partial merges when a
+// member is down, one whole-gather deadline.
 func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	if r.closed.Load() {
 		return serve.QueryResponse{}, serve.ErrClosed
@@ -526,18 +522,11 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	}
 	r.queries.Add(1)
 	if req.Consistent && req.Scope == serve.ScopeOne {
-		rp := r.members[(r.rrQuery.Add(1)-1)%uint64(len(r.members))]
-		leg, err := rp.QueryLeg(req, nil)
+		resp, err := r.fwd.QueryOne(r.places, r.rrQuery.Add(1)-1, req)
 		if err != nil {
 			r.errors.Add(1)
-			return serve.QueryResponse{}, err
 		}
-		return serve.QueryResponse{
-			Candidates:    r.fwd.Externalize(serve.RankCandidates(leg.Cands, req.K)),
-			Hops:          leg.Hops,
-			HopsMax:       leg.HopsMax,
-			ShardsQueried: leg.Queried,
-		}, nil
+		return resp, err
 	}
 	// Demand-region pruning: skip legs whose summary proves the
 	// member cannot satisfy the demand. Consistent queries never
@@ -564,31 +553,55 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	return resp, nil
 }
 
+// legCall is one scatter leg in flight: done delivers the pipelined
+// response's outcome (nil: the leg could not be enqueued), collect
+// turns it into the leg — see RemotePrimary.QueryLegAsync.
+type legCall struct {
+	done    chan error
+	collect func(error) (serve.PlacementLeg, error)
+}
+
 // fedScatter runs one scatter-gather across targets entirely on the
 // calling goroutine: every leg is enqueued up front through the
 // members' shared pipelined connections (QueryLegAsync) — one flush
 // train often carries all of them — and then gathered against one
-// whole-gather deadline. Compared to serve.ScatterQuery this spends
-// zero goroutines per query, which is most of a busy router's
-// per-query cost. Error and timeout semantics match ScatterQuery:
-// partial gathers merge, the query fails only when no leg succeeds,
-// and legs still outstanding at the deadline are abandoned (their
-// completion sends land in the calls' buffered channels).
+// whole-gather deadline, the merged candidates ranked best-fit first
+// and cut to req.K.
+//
+// It shares its semantics with serve.ScatterQuery — partial gathers
+// merge, the query fails only when no leg succeeds, legs outstanding
+// at the deadline are abandoned — and none of its logic, on purpose:
+// ScatterQuery spends a goroutine per leg because a shard leg blocks
+// on a write queue; a member leg is an enqueue and a channel receive,
+// so the router spends zero goroutines per query, which is most of a
+// busy router's per-query cost.
 func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (serve.QueryResponse, error) {
-	type legCall struct {
-		done    chan error
-		collect func(error) (serve.PlacementLeg, error)
+	cands, resp, err := gatherLegs(startLegs(targets, req), r.scatterTimeout)
+	if err != nil {
+		return serve.QueryResponse{}, err
 	}
+	resp.Candidates = serve.RankCandidates(cands, req.K)
+	return resp, nil
+}
+
+// startLegs enqueues one leg per target.
+func startLegs(targets []*RemotePrimary, req serve.QueryRequest) []legCall {
 	pend := make([]legCall, 0, len(targets))
 	for _, rp := range targets {
 		done, collect := rp.QueryLegAsync(req)
 		pend = append(pend, legCall{done: done, collect: collect})
 	}
+	return pend
+}
+
+// gatherLegs collects the legs against one whole-gather deadline and
+// returns the union of their candidates, unranked and uncut, with the
+// hop accounting in resp. Legs still outstanding at the deadline are
+// abandoned (their completion sends land in the calls' buffered
+// channels); the error is non-nil only when no leg succeeded.
+func gatherLegs(pend []legCall, timeout time.Duration) (cands []serve.Candidate, resp serve.QueryResponse, firstErr error) {
 	var (
 		deadline *time.Timer // created only if a leg makes us block
-		cands    []serve.Candidate
-		resp     serve.QueryResponse
-		firstErr error
 		timedOut = false
 	)
 	for _, lc := range pend {
@@ -608,7 +621,7 @@ func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (s
 					continue
 				}
 				if deadline == nil {
-					deadline = time.NewTimer(r.scatterTimeout)
+					deadline = time.NewTimer(timeout)
 					defer deadline.Stop()
 				}
 				select {
@@ -618,7 +631,7 @@ func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (s
 					timedOut = true
 					if firstErr == nil {
 						firstErr = fmt.Errorf("%w: after %v (%d of %d legs gathered)",
-							serve.ErrScatterTimeout, r.scatterTimeout, resp.ShardsQueried, len(targets))
+							serve.ErrScatterTimeout, timeout, resp.ShardsQueried, len(pend))
 					}
 					continue
 				}
@@ -639,52 +652,25 @@ func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (s
 		cands = append(cands, leg.Cands...)
 	}
 	if resp.ShardsQueried == 0 {
-		return serve.QueryResponse{}, firstErr
+		return nil, serve.QueryResponse{}, firstErr
 	}
-	resp.Candidates = serve.RankCandidates(cands, req.K)
-	return resp, nil
-}
-
-// resolveApply resolves node through the forwarding table, applies
-// do against the owning member, and chases concurrent cross-process
-// migrations: a rejected write whose id moved mid-flight retries
-// against the node's new home, up to fedRetries times.
-func (r *Router) resolveApply(node serve.GlobalID, do func(p serve.Placement, phys serve.GlobalID) error) error {
-	if r.closed.Load() {
-		return serve.ErrClosed
-	}
-	for attempt := 0; ; attempt++ {
-		phys := r.fwd.Resolve(node)
-		mi, _ := SplitID(phys)
-		if mi < 0 || mi >= len(r.members) {
-			r.errors.Add(1)
-			return fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
-		}
-		err := do(r.members[mi], phys)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, serve.ErrClosed) {
-			return err
-		}
-		if attempt < fedRetries && r.fwd.WaitSettled(node, phys, r.stop) {
-			continue
-		}
-		r.errors.Add(1)
-		return fmt.Errorf("fed: node %v: %w", node, err)
-	}
+	return cands, resp, nil
 }
 
 // Update republishes a node's availability, by any id it was ever
-// known by.
+// known by, chasing it across a racing migration.
 func (r *Router) Update(node serve.GlobalID, avail vector.Vec, announce bool) error {
-	err := r.resolveApply(node, func(p serve.Placement, phys serve.GlobalID) error {
-		return p.Update(phys, avail, announce)
-	})
-	if err == nil {
-		r.updates.Add(1)
+	if r.closed.Load() {
+		return serve.ErrClosed
 	}
-	return err
+	if err := r.fwd.Apply(r.places, node, func(p serve.Placement, phys serve.GlobalID) error {
+		return p.Update(phys, avail, announce)
+	}); err != nil {
+		r.errors.Add(1)
+		return err
+	}
+	r.updates.Add(1)
+	return nil
 }
 
 // Join places a node on the member owning a hash of the join
@@ -717,13 +703,15 @@ func (r *Router) JoinOn(member int, avail vector.Vec) (serve.GlobalID, error) {
 
 // Leave removes a node permanently, by any id it was ever known by.
 func (r *Router) Leave(node serve.GlobalID) error {
-	err := r.resolveApply(node, func(p serve.Placement, phys serve.GlobalID) error {
-		return p.Leave(phys)
-	})
-	if err == nil {
-		r.leaves.Add(1)
+	if r.closed.Load() {
+		return serve.ErrClosed
 	}
-	return err
+	if err := r.fwd.Apply(r.places, node, serve.Placement.Leave); err != nil {
+		r.errors.Add(1)
+		return err
+	}
+	r.leaves.Add(1)
+	return nil
 }
 
 // Take removes a node for re-homing outside the federation. An error
@@ -733,92 +721,40 @@ func (r *Router) Take(node serve.GlobalID) (vector.Vec, error) {
 	if r.closed.Load() {
 		return nil, serve.ErrClosed
 	}
-	phys, _, release, err := r.fwd.Begin(node, r.stop)
+	avail, err := r.fwd.Take(r.places, node, true)
 	if err != nil {
 		r.errors.Add(1)
-		return nil, err
 	}
-	defer release()
-	mi, _ := SplitID(phys)
-	if mi < 0 || mi >= len(r.members) {
-		r.errors.Add(1)
-		return nil, fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
+	if err == nil || errors.Is(err, serve.ErrWAL) {
+		r.leaves.Add(1)
 	}
-	avail, err := r.members[mi].Take(phys, true)
-	if err != nil && !errors.Is(err, serve.ErrWAL) {
-		r.errors.Add(1)
-		return nil, fmt.Errorf("fed: take %v: %w", node, err)
-	}
-	r.fwd.Forget(phys)
-	r.leaves.Add(1)
 	return avail, err
 }
 
-// Migrate moves a node to another member: take from its current
-// home, re-join at the destination, repoint every id it was ever
-// known by — the engine's in-process migration over the wire. A
-// destination failure rolls the node back home; only when the
-// source also refuses it is the node reported lost.
+// Migrate moves a node to another member — the engine's in-process
+// migration over the wire (serve.ForwardTable.Migrate has the
+// contract). The take is an out-take: the member logs it as a plain
+// leave, because the re-join lands in another process's log.
 func (r *Router) Migrate(node serve.GlobalID, to int) error {
 	if r.closed.Load() {
 		return serve.ErrClosed
 	}
-	if to < 0 || to >= len(r.members) {
-		r.errors.Add(1)
-		return fmt.Errorf("%w: member %d (migration destination)", serve.ErrNoShard, to)
-	}
-	phys, x, release, err := r.fwd.Begin(node, r.stop)
-	if err != nil {
-		r.errors.Add(1)
-		return err
-	}
-	defer release()
-	mi, _ := SplitID(phys)
-	if mi < 0 || mi >= len(r.members) {
-		r.errors.Add(1)
-		return fmt.Errorf("%w: member %d (node %v)", serve.ErrNoShard, mi, node)
-	}
-	if mi == to {
-		return nil
-	}
-	src, dst := r.members[mi], r.members[to]
-	avail, err := src.Take(phys, true)
-	var walDegraded error
-	if errors.Is(err, serve.ErrWAL) {
-		// Applied, availability in hand — only the member's log
-		// record is missing. Completing the move is the honest
-		// outcome; the degraded durability is reported below.
-		walDegraded, err = err, nil
+	moved, err := r.fwd.Migrate(r.places, node, to, true, r.afterTake)
+	if moved {
+		r.migrations.Add(1)
 	}
 	if err != nil {
 		r.errors.Add(1)
-		return fmt.Errorf("fed: migrate %v: %w", node, err)
 	}
-	if r.afterTake != nil {
-		r.afterTake()
-	}
-	if _, err := dst.CompleteMigration(avail, x, phys); err != nil {
-		// Roll the node back home under a fresh id (its old one is
-		// gone — the take applied).
-		if _, berr := src.CompleteMigration(avail, x, phys); berr != nil && !errors.Is(berr, serve.ErrWAL) {
-			r.fwd.Forget(phys)
-			r.errors.Add(1)
-			return fmt.Errorf("fed: migrate %v lost (destination: %v; rollback: %w)", node, err, berr)
-		}
-		r.errors.Add(1)
-		return fmt.Errorf("fed: migrate %v to member %d: %w", node, to, err)
-	}
-	r.migrations.Add(1)
-	if walDegraded != nil {
-		return fmt.Errorf("fed: migrate %v to member %d completed: %w", node, to, walDegraded)
-	}
-	return nil
+	return err
 }
 
 // Nodes lists every alive node across the federation by its stable
 // external id: a zero-demand uncached scatter (zero demand is
-// dominated by every availability, so every member returns its full
-// population).
+// dominated by every availability, so every member returns its whole
+// population) whose union is neither ranked nor cut. Each member's
+// own answer is still capped at 65 535 nodes — K is a u16 on the wire
+// — so a member holding more is listed in part.
 func (r *Router) Nodes() []serve.GlobalID {
 	if r.closed.Load() {
 		return nil
@@ -828,24 +764,24 @@ func (r *Router) Nodes() []serve.GlobalID {
 		K:       0xFFFF,
 		NoCache: true,
 	}
-	resp, err := r.fedScatter(r.members, req)
+	ids, err := r.mergeNodes(startLegs(r.members, req))
 	if err != nil {
 		r.errors.Add(1)
-		return nil
 	}
-	ids := make([]serve.GlobalID, 0, len(resp.Candidates))
-	for _, c := range resp.Candidates {
-		ids = append(ids, c.Node)
+	return ids
+}
+
+// mergeNodes gathers a listing's legs into the federation's node set.
+func (r *Router) mergeNodes(pend []legCall) ([]serve.GlobalID, error) {
+	cands, _, err := gatherLegs(pend, r.scatterTimeout)
+	if err != nil {
+		return nil, err
 	}
-	r.fwd.ExternalizeIDs(ids)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dedup := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			dedup = append(dedup, id)
-		}
+	ids := make([]serve.GlobalID, len(cands))
+	for i := range cands {
+		ids[i] = cands[i].Node
 	}
-	return dedup
+	return r.fwd.Nodes(ids), nil
 }
 
 // Epoch is the router's fencing epoch: the federation map version.

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -11,11 +9,15 @@ import (
 	"pidcan/internal/serve/wal"
 )
 
-// fwdTable keeps cross-shard node migration invisible to callers: a
-// node's first (external) id stays routable for its whole life, and
-// the physical ids it held along the way stay routable for a bounded
-// grace window. Backends never reuse local node ids, so stale ids
-// cannot collide with fresh joins.
+// ForwardTable keeps node migration between placements invisible to
+// callers: a node's first (external) id stays routable for its whole
+// life, and the physical ids it held along the way stay routable for a
+// bounded grace window. Backends never reuse local node ids, so stale
+// ids cannot collide with fresh joins. An Engine keeps one for nodes
+// moved between its shards, a federation router one for nodes moved
+// between primary processes; the placement operations that read and
+// write it (Apply, Take, Migrate, QueryOne, Nodes — placement.go) are
+// its methods, written once for both.
 //
 // Compaction (vs. the PR-3 table, which kept every id forever and
 // rewrote all of them on each move): repoint is O(1) — it links only
@@ -30,7 +32,7 @@ import (
 // reclaimed, bounding the table by live migrated nodes (two entries
 // each: external id -> current, current -> external) instead of by
 // lifetime migrations.
-type fwdTable struct {
+type ForwardTable struct {
 	mu sync.RWMutex
 	// next maps an id one step toward the node's current physical id
 	// (the external id always in one hop; former physical ids may
@@ -61,6 +63,13 @@ type fwdTable struct {
 	// entirely while no node has ever migrated, keeping snapshot
 	// queries on an untouched engine free of shared-lock traffic.
 	entries atomic.Int64
+
+	// owner maps a physical id to the index of the placement holding
+	// it in the owner's placement set (GlobalID.Shard for an engine,
+	// the member tag for a federation router); stop, once closed,
+	// aborts every wait on a migration in flight.
+	owner func(GlobalID) int
+	stop  <-chan struct{}
 }
 
 type fwdAlias struct {
@@ -68,26 +77,26 @@ type fwdAlias struct {
 	expires time.Time
 }
 
-func newFwdTable(cfg Config) *fwdTable {
-	// A former physical id can be observed via a cached query entry
-	// (<= CacheTTL old), a stale snapshot (republished every
-	// FlushInterval), or a scatter leg (<= ScatterTimeout). Twice
-	// their sum comfortably outlives every holder.
-	return newFwdTableGrace(2 * (cfg.CacheTTL + cfg.FlushInterval + cfg.ScatterTimeout))
-}
-
-func newFwdTableGrace(grace time.Duration) *fwdTable {
-	return &fwdTable{
+// NewForwardTable builds an empty table. grace bounds how long a
+// vacated id stays routable after its last repoint: a former physical
+// id can be observed via a cached query entry, a stale snapshot or a
+// scatter leg, so pick twice the longest time any of them can hold
+// one (an Engine uses 2 x (CacheTTL + FlushInterval + ScatterTimeout)).
+// owner and stop are described on the type.
+func NewForwardTable(grace time.Duration, owner func(GlobalID) int, stop <-chan struct{}) *ForwardTable {
+	return &ForwardTable{
 		next:      map[GlobalID]GlobalID{},
 		ext:       map[GlobalID]GlobalID{},
 		aliases:   map[GlobalID][]fwdAlias{},
 		inflight:  map[GlobalID]chan struct{}{},
 		grace:     grace,
 		lastSweep: time.Now(),
+		owner:     owner,
+		stop:      stop,
 	}
 }
 
-func (t *fwdTable) now() time.Time {
+func (t *ForwardTable) now() time.Time {
 	if t.nowFn != nil {
 		return t.nowFn()
 	}
@@ -96,7 +105,7 @@ func (t *fwdTable) now() time.Time {
 
 // chaseLocked follows the forwarding chain from id to the node's
 // current physical id, returning the hop count.
-func (t *fwdTable) chaseLocked(id GlobalID) (GlobalID, int) {
+func (t *ForwardTable) chaseLocked(id GlobalID) (GlobalID, int) {
 	hops := 0
 	for {
 		n, ok := t.next[id]
@@ -111,7 +120,7 @@ func (t *fwdTable) chaseLocked(id GlobalID) (GlobalID, int) {
 // compressLocked is chaseLocked plus path compression: every id on
 // the chain is relinked directly to the terminal, so the next lookup
 // is one hop. Requires the write lock.
-func (t *fwdTable) compressLocked(id GlobalID) GlobalID {
+func (t *ForwardTable) compressLocked(id GlobalID) GlobalID {
 	cur, hops := t.chaseLocked(id)
 	for hops > 1 {
 		n := t.next[id]
@@ -122,7 +131,7 @@ func (t *fwdTable) compressLocked(id GlobalID) GlobalID {
 	return cur
 }
 
-func (t *fwdTable) externalLocked(phys GlobalID) GlobalID {
+func (t *ForwardTable) externalLocked(phys GlobalID) GlobalID {
 	if x, ok := t.ext[phys]; ok {
 		return x
 	}
@@ -132,7 +141,7 @@ func (t *fwdTable) externalLocked(phys GlobalID) GlobalID {
 // resolve maps any id a node was ever known by to its current
 // physical id (identity for never-migrated nodes and for reclaimed
 // aliases). Multi-hop chains are path-compressed on the way out.
-func (t *fwdTable) resolve(id GlobalID) GlobalID {
+func (t *ForwardTable) resolve(id GlobalID) GlobalID {
 	if t.entries.Load() == 0 {
 		return id
 	}
@@ -147,10 +156,10 @@ func (t *fwdTable) resolve(id GlobalID) GlobalID {
 	return cur
 }
 
-// count returns the number of routable forwarded ids, sweeping out
-// expired aliases first (Stats is the engine's natural maintenance
+// Count returns the number of routable forwarded ids, sweeping out
+// expired aliases first (Stats is the owner's natural maintenance
 // tick alongside repoint itself).
-func (t *fwdTable) count() int {
+func (t *ForwardTable) Count() int {
 	if t.entries.Load() == 0 {
 		return 0
 	}
@@ -166,8 +175,8 @@ func (t *fwdTable) count() int {
 // is NOT release's job: it happens on the destination shard's
 // goroutine (via op.onApplied) before the snapshot carrying the new
 // physical id publishes, so no reader can see an unmapped id.
-// closing aborts the wait.
-func (t *fwdTable) begin(id GlobalID, closing <-chan struct{}) (phys, x GlobalID, release func(), err error) {
+// Closing the table's stop channel aborts the wait (ErrClosed).
+func (t *ForwardTable) begin(id GlobalID) (phys, x GlobalID, release func(), err error) {
 	for {
 		t.mu.Lock()
 		phys = t.compressLocked(id)
@@ -188,18 +197,20 @@ func (t *fwdTable) begin(id GlobalID, closing <-chan struct{}) (phys, x GlobalID
 		t.mu.Unlock()
 		select {
 		case <-ch:
-		case <-closing:
+		case <-t.stop:
 			return 0, 0, nil, ErrClosed
 		}
 	}
 }
 
-// repoint records a completed move of external id x from physical
-// id old to physical id now. Called from the destination shard's
-// goroutine between applying the join and publishing the snapshot,
-// under the mover's inflight claim — and again, idempotently, when
-// recovery replays the join from the op-log.
-func (t *fwdTable) repoint(x, old, now GlobalID) {
+// Repoint records a completed move of external id x from physical
+// id old to physical id now. A placement calls it from its
+// CompleteMigration, under the mover's inflight claim and before any
+// reader can observe the new id (an in-process shard: on the
+// destination shard's goroutine, between applying the join and
+// publishing the snapshot) — and recovery calls it again,
+// idempotently, when it replays the join from the op-log.
+func (t *ForwardTable) Repoint(x, old, now GlobalID) {
 	at := t.now()
 	t.mu.Lock()
 	t.repointLocked(x, old, now, at)
@@ -211,7 +222,7 @@ func (t *fwdTable) repoint(x, old, now GlobalID) {
 // their one-step links and compress lazily on lookup. The vacated id
 // becomes a reclaimable alias, and the node's already-expired
 // aliases are pruned on the way through.
-func (t *fwdTable) repointLocked(x, old, now GlobalID, at time.Time) {
+func (t *ForwardTable) repointLocked(x, old, now GlobalID, at time.Time) {
 	if old != x {
 		known := false
 		for _, a := range t.aliases[x] {
@@ -239,7 +250,7 @@ func (t *fwdTable) repointLocked(x, old, now GlobalID, at time.Time) {
 // pruneLocked reclaims x's expired aliases (always a prefix of the
 // list, since expiries are monotone in creation order — so a pruned
 // alias can never be the target of a surviving older link).
-func (t *fwdTable) pruneLocked(x GlobalID, at time.Time) {
+func (t *ForwardTable) pruneLocked(x GlobalID, at time.Time) {
 	as := t.aliases[x]
 	i := 0
 	for i < len(as) && !as[i].expires.After(at) {
@@ -259,7 +270,7 @@ func (t *fwdTable) pruneLocked(x GlobalID, at time.Time) {
 
 // maybeSweep prunes every node's expired aliases, at most once per
 // grace interval.
-func (t *fwdTable) maybeSweep(at time.Time) {
+func (t *ForwardTable) maybeSweep(at time.Time) {
 	t.mu.RLock()
 	due := len(t.aliases) > 0 && at.Sub(t.lastSweep) >= t.grace
 	t.mu.RUnlock()
@@ -280,8 +291,9 @@ func (t *fwdTable) maybeSweep(at time.Time) {
 // waitSettled is the writer-side retry gate: after a backend
 // rejected an op for physical id phys (resolved from id), it reports
 // whether retrying is worthwhile — a migration in flight was waited
-// out, or the id already resolves elsewhere. closing aborts the wait.
-func (t *fwdTable) waitSettled(id, phys GlobalID, closing <-chan struct{}) bool {
+// out, or the id already resolves elsewhere. The stop channel aborts
+// the wait.
+func (t *ForwardTable) waitSettled(id, phys GlobalID) bool {
 	t.mu.RLock()
 	cur, _ := t.chaseLocked(id)
 	ch, busy := t.inflight[t.externalLocked(cur)]
@@ -290,20 +302,20 @@ func (t *fwdTable) waitSettled(id, phys GlobalID, closing <-chan struct{}) bool 
 		select {
 		case <-ch:
 			return true
-		case <-closing:
+		case <-t.stop:
 			return false
 		}
 	}
 	return cur != phys
 }
 
-// forget drops all forwarding state of the node currently at
-// physical id phys (called after it leaves for good), returning
-// every id that belonged to the node — recovery records them so a
-// replayed migration take of a node that later left is not mistaken
-// for an orphaned mid-flight move. Idempotent: recovery replays it
-// for every logged leave.
-func (t *fwdTable) forget(phys GlobalID) []GlobalID {
+// Forget drops all forwarding state of the node currently at
+// physical id phys (a placement calls it once the node has left for
+// good), returning every id that belonged to the node — recovery
+// records them so a replayed migration take of a node that later left
+// is not mistaken for an orphaned mid-flight move. Idempotent:
+// recovery replays it for every logged leave.
+func (t *ForwardTable) Forget(phys GlobalID) []GlobalID {
 	if t.entries.Load() == 0 {
 		return nil // nothing ever migrated: no state to clean
 	}
@@ -330,7 +342,7 @@ func (t *fwdTable) forget(phys GlobalID) []GlobalID {
 
 // hasRoute reports whether the table forwards phys anywhere — i.e. a
 // migration join away from phys is known.
-func (t *fwdTable) hasRoute(phys GlobalID) bool {
+func (t *ForwardTable) hasRoute(phys GlobalID) bool {
 	t.mu.RLock()
 	_, ok := t.next[phys]
 	t.mu.RUnlock()
@@ -339,7 +351,7 @@ func (t *fwdTable) hasRoute(phys GlobalID) bool {
 
 // externalOf maps a physical id to its external id (identity when
 // unknown).
-func (t *fwdTable) externalOf(phys GlobalID) GlobalID {
+func (t *ForwardTable) externalOf(phys GlobalID) GlobalID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.externalLocked(phys)
@@ -348,7 +360,7 @@ func (t *fwdTable) externalOf(phys GlobalID) GlobalID {
 // export flattens the table for a checkpoint. Chains are exported
 // as-is (recovery restores and keeps compressing lazily); alias
 // expiry clocks restart on recovery, which only ever errs longer.
-func (t *fwdTable) export() wal.ForwardState {
+func (t *ForwardTable) export() wal.ForwardState {
 	t.maybeSweep(t.now())
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -375,7 +387,7 @@ func (t *fwdTable) export() wal.ForwardState {
 
 // restore installs a checkpointed table, stamping every alias a
 // fresh grace window.
-func (t *fwdTable) restore(fs wal.ForwardState) {
+func (t *ForwardTable) restore(fs wal.ForwardState) {
 	at := t.now()
 	t.mu.Lock()
 	for k, v := range fs.Next {
@@ -395,16 +407,11 @@ func (t *fwdTable) restore(fs wal.ForwardState) {
 	t.mu.Unlock()
 }
 
-// Migrate moves a node to shard `to`: it atomically Leaves the
-// node's source shard (capturing its availability) and re-Joins it
-// on the destination through both write queues. The node's external
-// identity survives the move — the id Join returned keeps routing to
-// it for the node's whole life, and any former physical id stays
-// routable for the forwarding grace window. The availability is
-// re-announced on the destination shard's index. Migrating a node to
-// its own shard is a no-op. Concurrent migrations of the same node
-// serialize; concurrent Update/Leave calls wait out the move and
-// retry against the new shard.
+// Migrate moves a node to shard `to` through both shards' write
+// queues (ForwardTable.Migrate has the contract: stable external
+// identity, roll-back, the applied-but-degraded ErrWAL outcome). The
+// availability is re-announced on the destination shard's index.
+// Migrating a node to its own shard is a no-op.
 func (e *Engine) Migrate(node GlobalID, to int) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -413,91 +420,26 @@ func (e *Engine) Migrate(node GlobalID, to int) error {
 		e.errors.Add(1)
 		return err
 	}
-	if to < 0 || to >= len(e.shards) {
-		e.errors.Add(1)
-		return fmt.Errorf("%w: shard %d (migration destination)", ErrNoShard, to)
-	}
-	phys, x, release, err := e.fwd.begin(node, e.stop)
-	if err != nil {
-		return err
-	}
-	defer release()
 	// The checkpoint barrier: a checkpoint pass must not rotate the
 	// shard logs between this migration's take and join, or a crash
 	// could leave the take durable in a pruned segment with the join
 	// nowhere — an acknowledged node silently lost. Holding the read
 	// side for the take+join span means every migration is either
 	// entirely inside one checkpoint's coverage or entirely after it
-	// (where a lost join is detected and rolled back at recovery).
+	// (where a lost join is detected and rolled back at recovery). It
+	// is taken before the forwarding claim, by every migration;
+	// checkpoints never touch claims, so migMu -> claim is the one
+	// order the two are ever held in.
 	e.migMu.RLock()
 	defer e.migMu.RUnlock()
-
-	from := phys.Shard()
-	if from >= len(e.shards) {
-		e.errors.Add(1)
-		return fmt.Errorf("%w: shard %d (node %v)", ErrNoShard, from, node)
-	}
-	if from == to {
-		return nil
-	}
-	src, dst := e.places[from], e.places[to]
-	avail, err := src.Take(phys, false)
-	var walDegraded error
-	if errors.Is(err, ErrWAL) {
-		// The take APPLIED — the node is off its source shard, its
-		// availability in hand — only its log record is missing.
-		// Aborting here would strand the node; completing the move
-		// and reporting the degraded durability is the honest
-		// outcome (a crash before the next checkpoint may resurrect
-		// the node on its source shard).
-		walDegraded, err = err, nil
+	moved, err := e.fwd.Migrate(e.places, node, to, false, nil)
+	if moved {
+		e.migrations.Add(1)
 	}
 	if err != nil {
-		if e.closed.Load() {
-			// Teardown raced the take (the node may have been lost by
-			// an aborted rollback); report the shutdown, not the
-			// transient backend state.
-			return ErrClosed
-		}
 		e.errors.Add(1)
-		return fmt.Errorf("serve: migrate %v: %w", node, err)
 	}
-	// The forwarding repoint rides the join inside
-	// CompleteMigration: the destination shard goroutine installs
-	// it after applying the join and before publishing the
-	// snapshot, so no concurrent reader ever sees the new physical
-	// id unmapped. The same metadata is logged with the join
-	// (op.mig), so a recovery replaying this op re-installs the
-	// identical repoint.
-	_, err = dst.CompleteMigration(avail, x, phys)
-	if errors.Is(err, ErrWAL) {
-		// The join APPLIED (the node lives on the destination, the
-		// repoint installed); a rollback would duplicate it. Complete
-		// the move and report the degraded durability.
-		walDegraded, err = err, nil
-	}
-	if err != nil {
-		// The node is off its source shard but never landed; try to
-		// send it home so it is not lost. A rollback join assigns a
-		// fresh local id, so the forwarding table still repoints.
-		if _, berr := src.CompleteMigration(avail, x, phys); berr != nil && !errors.Is(berr, ErrWAL) {
-			// The node is gone for good (both shards refused it).
-			// Drop its forwarding state so its ids fail fast instead
-			// of routing to the vacated shard forever.
-			e.fwd.forget(phys)
-		}
-		if e.closed.Load() {
-			return ErrClosed
-		}
-		e.errors.Add(1)
-		return fmt.Errorf("serve: migrate %v to shard %d: %w", node, to, err)
-	}
-	e.migrations.Add(1)
-	if walDegraded != nil {
-		e.errors.Add(1)
-		return fmt.Errorf("serve: migrate %v to shard %d completed: %w", node, to, walDegraded)
-	}
-	return nil
+	return err
 }
 
 // RebalanceResult describes one rebalance pass.
@@ -615,83 +557,4 @@ func (e *Engine) rebalanceLoop(interval time.Duration) {
 			e.Rebalance() // errors surface through Stats.Errors
 		}
 	}
-}
-
-// ForwardTable exports the migrated-node id forwarding table for
-// placement owners outside the package: the federation router keeps
-// one to make nodes migrated between primary processes routable by
-// every id they were ever known by, exactly as an Engine does for
-// nodes migrated between its shards. The grace period bounds how
-// long a vacated id stays routable after its last repoint; pick it
-// the way newFwdTable does — twice the longest time any reader can
-// hold a stale id.
-type ForwardTable struct{ t *fwdTable }
-
-// NewForwardTable builds an empty table with the given alias grace.
-func NewForwardTable(grace time.Duration) *ForwardTable {
-	return &ForwardTable{t: newFwdTableGrace(grace)}
-}
-
-// Resolve follows the forwarding chain from any id the node was ever
-// known by to its current physical id (the id itself when it never
-// migrated), with lazy path compression.
-func (f *ForwardTable) Resolve(id GlobalID) GlobalID { return f.t.resolve(id) }
-
-// Begin claims the node for migration, waiting out a move already in
-// flight; it returns the node's current physical id, its stable
-// external id, and a release ending the claim. closing aborts the
-// wait (ErrClosed).
-func (f *ForwardTable) Begin(id GlobalID, closing <-chan struct{}) (phys, ext GlobalID, release func(), err error) {
-	return f.t.begin(id, closing)
-}
-
-// Repoint links a completed move: ext and the vacated old id now
-// route to the node's new physical id.
-func (f *ForwardTable) Repoint(ext, old, now GlobalID) { f.t.repoint(ext, old, now) }
-
-// Forget drops all forwarding state of the node currently at phys,
-// returning every id that belonged to it.
-func (f *ForwardTable) Forget(phys GlobalID) []GlobalID { return f.t.forget(phys) }
-
-// WaitSettled blocks while the node's move is in flight and reports
-// whether retrying resolution could see a different physical id.
-func (f *ForwardTable) WaitSettled(id, phys GlobalID, closing <-chan struct{}) bool {
-	return f.t.waitSettled(id, phys, closing)
-}
-
-// Count returns the number of routable forwarded ids.
-func (f *ForwardTable) Count() int { return f.t.count() }
-
-// External maps a physical id back to the node's stable external id
-// (the id itself when it never migrated).
-func (f *ForwardTable) External(phys GlobalID) GlobalID { return f.t.externalOf(phys) }
-
-// Externalize maps every candidate's physical id back to its stable
-// external id in place, skipping all lock traffic while nothing has
-// ever migrated.
-func (f *ForwardTable) Externalize(cands []Candidate) []Candidate {
-	t := f.t
-	if t.entries.Load() == 0 {
-		return cands
-	}
-	t.mu.RLock()
-	for i := range cands {
-		cands[i].Node = t.externalLocked(cands[i].Node)
-	}
-	t.mu.RUnlock()
-	return cands
-}
-
-// ExternalizeIDs is Externalize for bare ids.
-func (f *ForwardTable) ExternalizeIDs(ids []GlobalID) []GlobalID {
-	t := f.t
-	if t.entries.Load() == 0 {
-		return ids
-	}
-	t.mu.RLock()
-	for i := range ids {
-		ids[i] = t.externalLocked(ids[i])
-	}
-	t.mu.RUnlock()
-	return ids
 }

@@ -21,96 +21,13 @@ func shardPopulations(t *testing.T, e *Engine) []int {
 	return pops
 }
 
-func TestMigratePreservesExternalIdentity(t *testing.T) {
-	e := newTestEngine(t, testConfig(2))
-	ext := Global(0, 1)
-	if err := e.Update(ext, vector.Of(7, 7), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Migrate(ext, 1); err != nil {
-		t.Fatal(err)
-	}
-	if pops := shardPopulations(t, e); pops[0] != 3 || pops[1] != 5 {
-		t.Fatalf("populations after migrate = %v, want [3 5]", pops)
-	}
-	st := e.Stats()
-	if st.Migrations != 1 || st.ForwardedIDs == 0 {
-		t.Fatalf("stats after migrate: migrations %d, forwarded %d", st.Migrations, st.ForwardedIDs)
-	}
-
-	// Nodes reports the stable external id, not the physical one.
-	found := false
-	for _, id := range e.Nodes() {
-		if id == ext {
-			found = true
-		}
-		if id.Shard() == 1 && id.Local() >= 4 {
-			t.Fatalf("Nodes leaked a physical id: %v", id)
-		}
-	}
-	if !found {
-		t.Fatalf("external id %v missing from Nodes: %v", ext, e.Nodes())
-	}
-
-	// The node physically lives on shard 1 now, but queries report
-	// it under the same stable external id Nodes uses, with its
-	// availability intact.
-	phys := e.fwd.resolve(ext)
-	if phys.Shard() != 1 {
-		t.Fatalf("migrated node resolves to %v, want shard 1", phys)
-	}
-	resp, err := e.Query(QueryRequest{Demand: vector.Of(6.5, 6.5), K: 5, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != ext {
-		t.Fatalf("migrated node should answer under its external id %v: %+v", ext, resp.Candidates)
-	}
-	if resp.Candidates[0].Avail[0] != 7 {
-		t.Fatalf("availability lost in transit: %+v", resp.Candidates[0])
-	}
-
-	// Writes through the pre-migration id land on the new shard; so
-	// does a second hop, and a stale physical id stays routable too.
-	if err := e.Update(ext, vector.Of(9, 9), false); err != nil {
-		t.Fatalf("update via external id after migrate: %v", err)
-	}
-	if err := e.Migrate(ext, 0); err != nil {
-		t.Fatalf("second migrate: %v", err)
-	}
-	if err := e.Update(phys, vector.Of(8, 8), false); err != nil {
-		t.Fatalf("update via stale physical id after second migrate: %v", err)
-	}
-
-	// Leave through the original id cleans the forwarding table.
-	if err := e.Leave(ext); err != nil {
-		t.Fatalf("leave via external id: %v", err)
-	}
-	if st := e.Stats(); st.ForwardedIDs != 0 {
-		t.Fatalf("forwarding state survives leave: %+v", st)
-	}
-	if pops := shardPopulations(t, e); pops[0] != 3 || pops[1] != 4 {
-		t.Fatalf("populations after leave = %v, want [3 4]", pops)
-	}
-}
-
+// TestMigrateValidation covers what only a shard can refuse; the
+// placement-level outcomes (unknown placements, the no-op, roll-back)
+// are rows of fed.TestPlacementContract.
 func TestMigrateValidation(t *testing.T) {
 	e := newTestEngine(t, testConfig(2))
-	if err := e.Migrate(Global(0, 0), 9); !errors.Is(err, ErrNoShard) {
-		t.Fatalf("migrate to unknown shard: got %v, want ErrNoShard", err)
-	}
-	if err := e.Migrate(Global(9, 0), 1); !errors.Is(err, ErrNoShard) {
-		t.Fatalf("migrate from unknown shard: got %v, want ErrNoShard", err)
-	}
 	if err := e.Migrate(Global(0, 99), 1); err == nil {
 		t.Fatal("migrating a nonexistent node succeeded")
-	}
-	// Same-shard migration is a no-op, not a churn event.
-	if err := e.Migrate(Global(0, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Migrations != 0 || st.ForwardedIDs != 0 {
-		t.Fatalf("no-op migrate left state: %+v", st)
 	}
 	// A shard never drains below one node: the CAN overlay cannot
 	// lose its last owner.
@@ -121,6 +38,9 @@ func TestMigrateValidation(t *testing.T) {
 	}
 	if err := e.Migrate(Global(0, 3), 1); !errors.Is(err, ErrLastNode) {
 		t.Fatalf("migrating the last node: got %v, want ErrLastNode", err)
+	}
+	if pops := shardPopulations(t, e); pops[0] != 1 || pops[1] != 7 {
+		t.Fatalf("populations = %v, want [1 7]", pops)
 	}
 }
 

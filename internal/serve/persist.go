@@ -81,14 +81,14 @@ func (e *Engine) checkpoint() (CheckpointResult, error) {
 	// lose the node with its take record already pruned.
 	e.migMu.Lock()
 	for _, s := range e.shards {
-		st, err := s.checkpoint()
+		cr, err := s.controlReq(ctlCheckpoint, 0)
 		if err != nil {
 			e.migMu.Unlock()
 			e.errors.Add(1)
 			return CheckpointResult{}, err
 		}
-		res.Nodes += len(st.Nodes)
-		ck.ShardStates = append(ck.ShardStates, st)
+		res.Nodes += len(cr.state.Nodes)
+		ck.ShardStates = append(ck.ShardStates, cr.state)
 	}
 	e.migMu.Unlock()
 	// The forwarding table and counters are captured after every
@@ -334,7 +334,7 @@ func (e *Engine) reconcileTakes(tallies []replayTally, notes *recoveryNotes) err
 				mig:   &migMeta{ext: x, old: phys},
 				onApplied: func(res opResult) {
 					if res.err == nil {
-						e.fwd.repoint(x, phys, Global(s.idx, res.node))
+						e.fwd.Repoint(x, phys, Global(s.idx, res.node))
 					}
 				},
 			}
@@ -459,11 +459,9 @@ func (e *Engine) recoverShard(s *shard, st *wal.ShardState, notes *recoveryNotes
 }
 
 // restoreCheckpoint re-applies a shard's checkpointed logical state
-// through applyBatch. With a Backend implementing IDSeeder (real
-// clusters and the test fakes do), the id sequence is advanced over
-// dead ids directly and only alive nodes are joined — O(alive
-// nodes); generic backends get the full synthesized history (every
-// id joined, dead ones left) — O(lifetime joins).
+// through applyBatch in O(alive nodes): the backend's id sequence is
+// advanced over dead ids directly (Backend.SeedNextID) and only alive
+// nodes are joined.
 func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
 	if st.Shard != s.idx {
 		return fmt.Errorf("shard state %d out of order", st.Shard)
@@ -475,45 +473,28 @@ func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
 	next := overlay.NodeID(st.NextID)
 	alive := make(map[overlay.NodeID]bool, len(st.Nodes))
 	for _, n := range st.Nodes {
-		alive[overlay.NodeID(n.Node)] = true
-	}
-	var ops []op
-	var expect []overlay.NodeID
-	if seeder, ok := s.be.(IDSeeder); ok {
-		for _, n := range st.Nodes {
-			id := overlay.NodeID(n.Node)
-			if id < initial {
-				continue
-			}
-			if err := seeder.SeedNextID(id); err != nil {
-				return err
-			}
-			if err := s.replay([]op{{kind: opJoin}}, []overlay.NodeID{id}); err != nil {
-				return err
-			}
+		id := overlay.NodeID(n.Node)
+		alive[id] = true
+		if id < initial {
+			continue
 		}
-		if err := seeder.SeedNextID(next); err != nil {
+		if err := s.be.SeedNextID(id); err != nil {
 			return err
 		}
-		s.nextLocal = next
-		// Dead initial-population nodes were materialized by the
-		// factory and must still leave; dead later ids never existed.
-		for id := overlay.NodeID(0); id < initial; id++ {
-			if !alive[id] {
-				ops = append(ops, op{kind: opLeave, node: id})
-				expect = append(expect, -1)
-			}
+		if err := s.replay([]op{{kind: opJoin}}, []overlay.NodeID{id}); err != nil {
+			return err
 		}
-	} else {
-		for id := initial; id < next; id++ {
-			ops = append(ops, op{kind: opJoin})
-			expect = append(expect, id)
-		}
-		for id := overlay.NodeID(0); id < next; id++ {
-			if !alive[id] {
-				ops = append(ops, op{kind: opLeave, node: id})
-				expect = append(expect, -1)
-			}
+	}
+	if err := s.be.SeedNextID(next); err != nil {
+		return err
+	}
+	s.nextLocal = next
+	var ops []op
+	// Dead initial-population nodes were materialized by the factory
+	// and must still leave; dead later ids never existed.
+	for id := overlay.NodeID(0); id < initial; id++ {
+		if !alive[id] {
+			ops = append(ops, op{kind: opLeave, node: id})
 		}
 	}
 	for _, n := range st.Nodes {
@@ -523,7 +504,10 @@ func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
 			avail:    vector.Vec(n.Avail),
 			announce: true,
 		})
-		expect = append(expect, -1)
+	}
+	expect := make([]overlay.NodeID, len(ops))
+	for i := range expect {
+		expect[i] = -1
 	}
 	return s.replay(ops, expect)
 }
@@ -549,7 +533,7 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 			idx := s.idx
 			o.onApplied = func(res opResult) {
 				if res.err == nil {
-					e.fwd.repoint(ext, old, Global(idx, res.node))
+					e.fwd.Repoint(ext, old, Global(idx, res.node))
 				}
 			}
 		}
@@ -561,7 +545,7 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 			node: overlay.NodeID(r.Node),
 			onApplied: func(res opResult) {
 				if res.err == nil {
-					notes.noteForgotten(e.fwd.forget(phys))
+					notes.noteForgotten(e.fwd.Forget(phys))
 				}
 			},
 		}, -1

@@ -39,7 +39,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"time"
@@ -132,11 +131,9 @@ const (
 	maxCkptFrame = 256 << 20 // any stream frame (records/checkpoint/heartbeat)
 )
 
-var crcTable = crc32.MakeTable(crc32.IEEE)
-
-// pconn is one framed protocol connection: u32 payload length, u32
-// IEEE CRC, payload — the op-log's own frame discipline lifted onto
-// the wire.
+// pconn is one framed protocol connection, framed exactly as the
+// op-log is (wal.PutFrameHeader / wal.ParseFrame) under its own size
+// caps.
 type pconn struct {
 	c net.Conn
 	r *bufio.Reader
@@ -148,9 +145,8 @@ func newPconn(c net.Conn) *pconn {
 }
 
 func (p *pconn) writeFrame(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+	var hdr [wal.FrameHeader]byte
+	wal.PutFrameHeader(hdr[:], payload)
 	if _, err := p.w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -161,19 +157,21 @@ func (p *pconn) writeFrame(payload []byte) error {
 func (p *pconn) flush() error { return p.w.Flush() }
 
 func (p *pconn) readFrame(max int) ([]byte, error) {
-	var hdr [8]byte
+	var hdr [wal.FrameHeader]byte
 	if _, err := io.ReadFull(p.r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[0:]))
-	if n > max {
+	n, ok := wal.FrameLen(hdr[:], max)
+	if !ok {
 		return nil, fmt.Errorf("repl: frame of %d bytes exceeds cap %d", n, max)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(p.r, payload); err != nil {
+	frame := make([]byte, wal.FrameHeader+n)
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(p.r, frame[wal.FrameHeader:]); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+	payload, _, ok := wal.ParseFrame(frame, max)
+	if !ok {
 		return nil, fmt.Errorf("repl: frame checksum mismatch")
 	}
 	return payload, nil
@@ -184,21 +182,13 @@ func (p *pconn) readFrame(max int) ([]byte, error) {
 // is what Discard must skip to consume it. Anything else — a partial
 // frame, another message, a damaged one — is left for readFrame.
 func (p *pconn) peekUpdates() (f recordsFrame, size int, ok bool) {
-	hdr, err := p.r.Peek(min(8, p.r.Buffered()))
-	if err != nil || len(hdr) < 8 {
+	raw, _ := p.r.Peek(p.r.Buffered())
+	// Decoded records hold copies, never the buffer.
+	payload, size, ok := wal.ParseFrame(raw, maxCkptFrame)
+	if !ok || len(payload) == 0 || payload[0] != msgRecords {
 		return f, 0, false
 	}
-	size = 8 + int(binary.LittleEndian.Uint32(hdr))
-	if size < 8 || size > p.r.Buffered() {
-		return f, 0, false
-	}
-	raw, _ := p.r.Peek(size)
-	payload := raw[8:] // decoded records hold copies, never the buffer
-	if len(payload) == 0 || payload[0] != msgRecords ||
-		crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(raw[4:]) {
-		return f, 0, false
-	}
-	f, err = decodeRecordsFrame(&r{buf: payload[1:]})
+	f, err := decodeRecordsFrame(&r{buf: payload[1:]})
 	return f, size, err == nil && updatesOnly(f.Recs)
 }
 

@@ -87,9 +87,6 @@ func (e *Engine) ReplSyncPosition(shard int) (ReplPos, error) {
 		return ReplPos{}, fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
 	res, err := e.shards[shard].controlReq(ctlSync, 0)
-	if err == nil {
-		err = res.err
-	}
 	if err != nil {
 		return ReplPos{}, err
 	}
@@ -203,10 +200,7 @@ func (e *Engine) ReplRotate(shard int, seg uint64) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
-	res, err := e.shards[shard].controlReq(ctlRotate, seg)
-	if err == nil {
-		err = res.err
-	}
+	_, err := e.shards[shard].controlReq(ctlRotate, seg)
 	return err
 }
 

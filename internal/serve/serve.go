@@ -202,16 +202,10 @@ type Backend interface {
 	Now() sim.Time
 	// Size returns the alive population.
 	Size() int
-}
-
-// IDSeeder is an optional Backend extension used by checkpoint
-// recovery: advance the backend's local id sequence (and whatever
-// per-node bookkeeping a live join sequence would have grown, e.g.
-// the latency model) to next without materializing the dead nodes in
-// between. Backends implementing it make checkpoint restore
-// O(alive nodes); others get the generic path, which re-joins and
-// re-leaves every id ever assigned — O(lifetime joins).
-type IDSeeder interface {
+	// SeedNextID advances the local id sequence (and whatever per-node
+	// bookkeeping a live join sequence would have grown, e.g. the
+	// latency model) to next without materializing the dead nodes in
+	// between — what keeps checkpoint restore O(alive nodes).
 	SeedNextID(next overlay.NodeID) error
 }
 

@@ -129,7 +129,7 @@ func (f *fakeBackend) Step(d sim.Time) {
 func (f *fakeBackend) Now() sim.Time { return f.now }
 func (f *fakeBackend) Size() int     { return len(f.live) }
 
-// SeedNextID implements IDSeeder (checkpoint restore in O(alive)).
+// SeedNextID advances the id sequence (checkpoint restore in O(alive)).
 func (f *fakeBackend) SeedNextID(next overlay.NodeID) error {
 	if next < f.next {
 		return fmt.Errorf("fake: seed id %d below next %d", next, f.next)

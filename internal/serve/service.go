@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 
 	"pidcan/internal/vector"
 )
@@ -114,28 +113,12 @@ func (e *Engine) Take(node GlobalID) (vector.Vec, error) {
 		e.errors.Add(1)
 		return nil, err
 	}
-	// Claim the id against concurrent migrations, exactly like
-	// Migrate: the take must hit the node's settled home.
-	phys, _, release, err := e.fwd.begin(node, e.stop)
+	avail, err := e.fwd.Take(e.places, node, true)
 	if err != nil {
 		e.errors.Add(1)
-		return nil, err
 	}
-	defer release()
-	si := phys.Shard()
-	if si >= len(e.places) {
-		e.errors.Add(1)
-		return nil, fmt.Errorf("%w: shard %d (node %v)", ErrNoShard, si, node)
+	if err == nil || errors.Is(err, ErrWAL) {
+		e.leaves.Add(1)
 	}
-	avail, err := e.places[si].Take(phys, true)
-	if err != nil && !errors.Is(err, ErrWAL) {
-		if e.closed.Load() {
-			return nil, ErrClosed
-		}
-		e.errors.Add(1)
-		return nil, fmt.Errorf("serve: take %v: %w", node, err)
-	}
-	e.fwd.forget(phys)
-	e.leaves.Add(1)
 	return avail, err
 }

@@ -70,19 +70,8 @@ type opResult struct {
 	err   error
 }
 
-// ckptReq asks the shard goroutine to rotate its log onto a fresh
-// segment and capture its logical state at that exact boundary.
-type ckptReq struct {
-	reply chan ckptRes // capacity 1
-}
-
-type ckptRes struct {
-	state wal.ShardState
-	err   error
-}
-
-// ctlKind enumerates the replication control requests a shard
-// goroutine serves besides checkpoints.
+// ctlKind enumerates the control requests a shard goroutine serves
+// between batches: the only way anything but a write reaches the log.
 type ctlKind int
 
 const (
@@ -94,6 +83,9 @@ const (
 	// is already there or past), compacting the closed segment — how
 	// a follower mirrors its primary's rotation points.
 	ctlRotate
+	// ctlCheckpoint rotates the log onto a fresh segment and captures
+	// the shard's logical state at that exact boundary (ctlRes.state).
+	ctlCheckpoint
 )
 
 // ctlReq is one control request; reply (capacity 1) receives the
@@ -105,9 +97,10 @@ type ctlReq struct {
 }
 
 type ctlRes struct {
-	seg uint64
-	pos uint64
-	err error
+	seg   uint64
+	pos   uint64
+	state wal.ShardState // ctlCheckpoint
+	err   error
 }
 
 // shard owns one Backend. All Backend access happens on the shard's
@@ -118,7 +111,6 @@ type shard struct {
 	cfg  Config
 	be   Backend
 	ops  chan op
-	ckpt chan ckptReq
 	ctl  chan ctlReq
 	stop chan struct{}
 	done chan struct{}
@@ -217,7 +209,6 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		cfg:      cfg,
 		be:       be,
 		ops:      make(chan op, cfg.QueueDepth),
-		ckpt:     make(chan ckptReq),
 		ctl:      make(chan ctlReq),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -321,8 +312,6 @@ func (s *shard) loop() {
 				s.pend[i] = pendingReply{}
 			}
 			s.pend = s.pend[:0]
-		case req := <-s.ckpt:
-			req.reply <- s.checkpointNow()
 		case req := <-s.ctl:
 			req.reply <- s.control(req)
 		case now := <-ticks:
@@ -616,8 +605,8 @@ func (s *shard) rotate(seg uint64, compact bool) error {
 	return nil
 }
 
-// control serves the replication control requests on the shard
-// goroutine — the only goroutine allowed near the log.
+// control serves the control requests on the shard goroutine — the
+// only goroutine allowed near the log.
 func (s *shard) control(req ctlReq) ctlRes {
 	if s.log == nil {
 		return ctlRes{err: ErrNotDurable}
@@ -637,12 +626,14 @@ func (s *shard) control(req ctlReq) ctlRes {
 			}
 		}
 		return ctlRes{seg: s.log.Seg(), pos: s.segRecs.Load()}
+	case ctlCheckpoint:
+		return s.checkpointNow()
 	}
 	return ctlRes{err: fmt.Errorf("serve: unknown control request %d", req.kind)}
 }
 
 // controlReq submits one control request to the shard goroutine and
-// waits; ErrClosed once the goroutine has exited.
+// waits for its result; ErrClosed once the goroutine has exited.
 func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 	req := ctlReq{kind: kind, seg: seg, reply: make(chan ctlRes, 1)}
 	select {
@@ -652,11 +643,12 @@ func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 	}
 	select {
 	case res := <-req.reply:
-		return res, nil
+		return res, res.err
 	case <-s.done:
+		// The loop may have served the request right before exiting.
 		select {
 		case res := <-req.reply:
-			return res, nil
+			return res, res.err
 		default:
 			return ctlRes{}, ErrClosed
 		}
@@ -668,12 +660,9 @@ func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 // that boundary — the old segments plus the captured state are two
 // encodings of the same history, so recovery may substitute one for
 // the other.
-func (s *shard) checkpointNow() ckptRes {
-	if s.log == nil {
-		return ckptRes{err: ErrNotDurable}
-	}
+func (s *shard) checkpointNow() ctlRes {
 	if err := s.rotate(s.log.Seg()+1, false); err != nil {
-		return ckptRes{err: err}
+		return ctlRes{err: err}
 	}
 	s.logBytes.Store(0)
 	st := wal.ShardState{
@@ -687,29 +676,7 @@ func (s *shard) checkpointNow() ckptRes {
 			Avail: s.be.Availability(id),
 		})
 	}
-	return ckptRes{state: st}
-}
-
-// checkpoint asks the shard goroutine for a state capture and waits
-// for it; it fails with ErrClosed once the goroutine has exited.
-func (s *shard) checkpoint() (wal.ShardState, error) {
-	req := ckptReq{reply: make(chan ckptRes, 1)}
-	select {
-	case s.ckpt <- req:
-	case <-s.done:
-		return wal.ShardState{}, ErrClosed
-	}
-	select {
-	case res := <-req.reply:
-		return res.state, res.err
-	case <-s.done:
-		select {
-		case res := <-req.reply:
-			return res.state, res.err
-		default:
-			return wal.ShardState{}, ErrClosed
-		}
-	}
+	return ctlRes{state: st}
 }
 
 // record builds one node's published record.

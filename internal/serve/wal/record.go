@@ -55,7 +55,9 @@ const (
 // Frame: u32 payload length, u32 IEEE CRC of the payload, payload.
 // Payload: u8 kind, u8 flags, u32 node, [u16 dim, dim x f64 avail],
 // [u64 ext, u64 old]. All little-endian.
-const frameHeader = 8
+
+// FrameHeader is the size of a frame's length+CRC header.
+const FrameHeader = 8
 
 // maxPayload bounds a sane record; anything larger fails the frame
 // check and truncates the log there instead of allocating wildly.
@@ -63,34 +65,53 @@ const maxPayload = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// AppendFrame appends one CRC frame carrying payload to dst — the
-// u32-length/u32-CRC framing shared by log segments, the replication
-// wire and capture trace files. Payloads larger than the frame limit
-// would read back as torn tails; callers keep them under 1 MiB.
-func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
+// PutFrameHeader writes payload's frame header — its length and CRC —
+// into hdr[:FrameHeader]. Every frame in the repo is built by it: log
+// segments, the replication wire and capture trace files.
+func PutFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
+}
+
+// AppendFrame appends one CRC frame carrying payload to dst. Payloads
+// NextFrame is to read back stay under its 1 MiB limit, or they read
+// as torn tails.
+func AppendFrame(dst, payload []byte) []byte {
+	var hdr [FrameHeader]byte
+	PutFrameHeader(hdr[:], payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
 
-// NextFrame parses the CRC frame at the head of data, returning its
-// payload (aliasing data) and the framed byte count. ok false is the
-// torn-tail signal: a short, oversized or CRC-failing head.
-func NextFrame(data []byte) (payload []byte, n int, ok bool) {
-	if len(data) < frameHeader {
+// FrameLen reads the payload length off a frame header; ok is false
+// when hdr is short or the length exceeds the caller's cap max.
+func FrameLen(hdr []byte, max int) (plen int, ok bool) {
+	if len(hdr) < FrameHeader {
+		return 0, false
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	return int(n), uint64(n) <= uint64(max)
+}
+
+// ParseFrame parses the CRC frame at the head of data, returning its
+// payload (aliasing data) and the framed byte count. ok false means a
+// short, oversized (payload above max) or CRC-failing head.
+func ParseFrame(data []byte, max int) (payload []byte, n int, ok bool) {
+	plen, ok := FrameLen(data, max)
+	if !ok || len(data)-FrameHeader < plen {
 		return nil, 0, false
 	}
-	plen := int(binary.LittleEndian.Uint32(data[0:]))
-	if plen > maxPayload || len(data) < frameHeader+plen {
-		return nil, 0, false
-	}
-	p := data[frameHeader : frameHeader+plen]
+	p := data[FrameHeader : FrameHeader+plen]
 	if crc32.Checksum(p, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, 0, false
 	}
-	return p, frameHeader + plen, true
+	return p, FrameHeader + plen, true
+}
+
+// NextFrame is ParseFrame under the log's record cap: ok false is the
+// torn-tail signal.
+func NextFrame(data []byte) (payload []byte, n int, ok bool) {
+	return ParseFrame(data, maxPayload)
 }
 
 // encodeRecord frames and writes r, returning the bytes written.
@@ -102,8 +123,8 @@ func encodeRecord(w io.Writer, r *Record) (int, error) {
 	if r.Repoint {
 		n += 16
 	}
-	buf := make([]byte, frameHeader+n)
-	p := buf[frameHeader:]
+	buf := make([]byte, FrameHeader+n)
+	p := buf[FrameHeader:]
 	p[0] = byte(r.Kind)
 	var flags byte
 	if r.Announce {
@@ -130,8 +151,7 @@ func encodeRecord(w io.Writer, r *Record) (int, error) {
 		binary.LittleEndian.PutUint64(p[off:], r.Ext)
 		binary.LittleEndian.PutUint64(p[off+8:], r.Old)
 	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(p, crcTable))
+	PutFrameHeader(buf, p)
 	if _, err := w.Write(buf); err != nil {
 		return 0, err
 	}

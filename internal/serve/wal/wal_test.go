@@ -149,7 +149,7 @@ func TestCorruptRecordTruncates(t *testing.T) {
 	}
 	path := SegmentPath(dir, 1)
 	data, _ := os.ReadFile(path)
-	data[int64(segHeaderLen)+mid+frameHeader+2] ^= 0xff // flip a payload byte of record 2
+	data[int64(segHeaderLen)+mid+FrameHeader+2] ^= 0xff // flip a payload byte of record 2
 	os.WriteFile(path, data, 0o644)
 	got, dropped, err := ReadSegment(path)
 	if err != nil {

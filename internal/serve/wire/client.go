@@ -398,76 +398,3 @@ func (c *Client) Stats(v any) ([]byte, error) {
 	}
 	return r.Stats, nil
 }
-
-// UDPClient is the single-packet counterpart of Client: one query
-// per datagram against a Server.ServeUDP socket. Safe for one
-// goroutine.
-type UDPClient struct {
-	c       *net.UDPConn
-	out     []byte
-	nextID  uint32
-	buf     []byte
-	res     QueryResult
-	Timeout time.Duration // per-exchange deadline (default 1s)
-}
-
-// DialUDP connects a UDP query client.
-func DialUDP(addr string) (*UDPClient, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := net.DialUDP("udp", nil, ua)
-	if err != nil {
-		return nil, err
-	}
-	return &UDPClient{c: c, buf: make([]byte, maxUDPFrame), Timeout: time.Second}, nil
-}
-
-// Close closes the socket.
-func (u *UDPClient) Close() error { return u.c.Close() }
-
-// Query sends one query datagram and decodes the response into res.
-// No retransmit: a lost packet surfaces as an i/o timeout, and the
-// caller decides (queries are idempotent — resending is always
-// safe).
-func (u *UDPClient) Query(q *Query, res *QueryResult) error {
-	u.nextID++
-	u.out = AppendQuery(u.out[:0], u.nextID, 0, q)
-	if _, err := u.c.Write(u.out); err != nil {
-		return err
-	}
-	u.c.SetReadDeadline(time.Now().Add(u.Timeout))
-	for {
-		n, err := u.c.Read(u.buf)
-		if err != nil {
-			return err
-		}
-		if n < HeaderSize {
-			continue
-		}
-		h, err := ParseHeader(u.buf[:HeaderSize])
-		if err != nil || h.Flags&FlagResponse == 0 || int(h.PLen) != n-HeaderSize {
-			continue
-		}
-		if h.ReqID != u.nextID {
-			continue // stale response from an earlier timed-out exchange
-		}
-		payload := u.buf[HeaderSize:n]
-		if !VerifyFrame(u.buf[:HeaderSize], payload) {
-			return errBadCRC
-		}
-		if h.Flags&FlagError != 0 {
-			e := &Error{}
-			if err := DecodeError(payload, e); err != nil {
-				return err
-			}
-			return e
-		}
-		if err := DecodeQueryResponse(payload, &u.res); err != nil {
-			return err
-		}
-		*res, u.res = u.res, *res
-		return nil
-	}
-}

@@ -50,11 +50,10 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Server serves the wire protocol over persistent TCP connections
-// (Serve) and optionally single-packet UDP queries (ServeUDP). The
-// service — an *serve.Engine or a federation router — is resolved
-// through a getter on every request so a follower re-bootstrap can
-// swap engines under a live listener (nil = not ready, requests fail
-// with CodeNotReady).
+// (Serve). The service — an *serve.Engine or a federation router — is
+// resolved through a getter on every request so a follower
+// re-bootstrap can swap engines under a live listener (nil = not
+// ready, requests fail with CodeNotReady).
 type Server struct {
 	cfg    ServerConfig
 	engine func() serve.Service
@@ -62,7 +61,6 @@ type Server struct {
 	conns    atomic.Int64
 	requests atomic.Uint64
 	rejected atomic.Uint64
-	udpReqs  atomic.Uint64
 
 	// The newest federation map seen on this edge (OpFedMap). The
 	// server stores it content-agnostically — version-compare and
@@ -76,7 +74,6 @@ type Server struct {
 	closed atomic.Bool
 	mu     sync.Mutex
 	lns    []net.Listener
-	ucs    []*net.UDPConn
 	live   map[net.Conn]struct{}
 	wg     sync.WaitGroup
 }
@@ -95,10 +92,9 @@ func NewServer(engine func() serve.Service, cfg ServerConfig) *Server {
 // engine's wire_* stats fields).
 func (s *Server) Stats() serve.WireStats {
 	return serve.WireStats{
-		Conns:       int(s.conns.Load()),
-		Requests:    s.requests.Load(),
-		Rejected:    s.rejected.Load(),
-		UDPRequests: s.udpReqs.Load(),
+		Conns:    int(s.conns.Load()),
+		Requests: s.requests.Load(),
+		Rejected: s.rejected.Load(),
 	}
 }
 
@@ -160,9 +156,6 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	for _, ln := range s.lns {
 		ln.Close()
-	}
-	for _, uc := range s.ucs {
-		uc.Close()
 	}
 	for c := range s.live {
 		c.Close()

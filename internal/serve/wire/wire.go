@@ -1,9 +1,8 @@
 // Package wire is the binary serving edge of the engine: a compact
 // framed request/response protocol served over persistent TCP
-// connections (and optionally single-packet UDP for queries), built
-// to close the gap between the engine's in-process throughput
-// (~1.3M cached queries/sec) and what a JSON/HTTP front-end can
-// push through a socket (~12k/sec).
+// connections, built to close the gap between the engine's in-process
+// throughput (~1.3M cached queries/sec) and what a JSON/HTTP
+// front-end can push through a socket (~12k/sec).
 //
 // The frame discipline is the op-log's (internal/serve/wal) lifted
 // onto the request path: fixed-width little-endian header carrying a
@@ -176,9 +175,9 @@ type Header struct {
 // FilterHeader is the stateless packet filter: it validates a raw
 // header's magic, version, op code, flag bits and payload bound
 // without touching anything beyond the 24 header bytes and without
-// allocating. It is the first thing both the TCP read loop and the
-// UDP fast path run; a frame failing it is dropped (TCP: the
-// connection closes — after garbage the stream cannot be reframed).
+// allocating. It is the first thing the read loop runs on a frame; one
+// failing it closes the connection — after garbage the stream cannot
+// be reframed.
 func FilterHeader(hdr []byte) error {
 	if len(hdr) < HeaderSize {
 		return errShortHeader

@@ -592,72 +592,3 @@ func TestWireCorruptEveryByte(t *testing.T) {
 		t.Fatalf("pristine frame after corruption sweep: %v", err)
 	}
 }
-
-// TestWireUDP: the single-packet fast path answers queries, refuses
-// writes with a typed error, and drops garbage without a reply.
-func TestWireUDP(t *testing.T) {
-	eng := newTestEngine(t, serve.Config{Shards: 1, NodesPerShard: 8, Seed: 17})
-	srv, _ := startWire(t, eng)
-	uc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeUDP(uc)
-	addr := uc.LocalAddr().String()
-
-	cl, err := wire.DialUDP(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	dim := eng.Config().CMax.Dim()
-	var res wire.QueryResult
-	if err := cl.Query(&wire.Query{Demand: make([]float64, dim), K: 2}, &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Candidates) == 0 {
-		t.Fatal("udp query returned no candidates")
-	}
-
-	// Writes are refused on the unreliable path.
-	raw, err := net.Dial("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	frame := wire.AppendUpdate(nil, 5, 0, 0, make([]float64, dim), false)
-	if _, err := raw.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	n, err := raw.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := wire.ParseHeader(buf[:wire.HeaderSize])
-	if err != nil || h.Flags&wire.FlagError == 0 {
-		t.Fatalf("udp update reply: header %+v err %v, want error frame", h, err)
-	}
-	var we wire.Error
-	if err := wire.DecodeError(buf[wire.HeaderSize:n], &we); err != nil {
-		t.Fatal(err)
-	}
-	if we.Code != wire.CodeBadRequest {
-		t.Fatalf("udp update code %d, want CodeBadRequest", we.Code)
-	}
-
-	// Garbage datagrams are dropped silently (no amplification).
-	before := srv.Stats().Rejected
-	if _, err := raw.Write([]byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	raw.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	if n, err := raw.Read(buf); err == nil {
-		t.Fatalf("garbage datagram drew a %d-byte reply", n)
-	}
-	if srv.Stats().Rejected == before {
-		t.Fatal("udp garbage not counted as rejected")
-	}
-}

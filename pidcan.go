@@ -264,10 +264,10 @@ func NewReplClient(cfg ReplClientConfig) (*ReplClient, error) {
 // --- binary wire protocol (internal/serve/wire) -------------------------------
 
 // WireServer serves an Engine over the compact binary wire protocol:
-// persistent TCP connections with pipelined in-order responses, plus
-// an optional single-packet UDP fast path for queries. Run it next to
-// the HTTP front-end on its own listener (pidcan-serve -wire-addr);
-// attach its Stats to the engine with Engine.SetWireStats.
+// persistent TCP connections with pipelined in-order responses. Run it
+// next to the HTTP front-end on its own listener (pidcan-serve
+// -wire-addr); attach its Stats to the engine with
+// Engine.SetWireStats.
 type WireServer = wire.Server
 
 // WireServerConfig tunes a WireServer.
@@ -277,10 +277,6 @@ type WireServerConfig = wire.ServerConfig
 // protocol (one connection; see the package docs for the sanctioned
 // sender/reader goroutine split).
 type WireClient = wire.Client
-
-// WireUDPClient is the single-packet query client for the UDP fast
-// path.
-type WireUDPClient = wire.UDPClient
 
 // WireQuery is a wire query request.
 type WireQuery = wire.Query
@@ -318,17 +314,8 @@ func NewServiceWireServer(svc func() Service, cfg WireServerConfig) *WireServer 
 // listener.
 func DialWire(addr string) (*WireClient, error) { return wire.Dial(addr) }
 
-// DialWireUDP connects a UDP query client to a pidcan-serve
-// -wire-udp listener.
-func DialWireUDP(addr string) (*WireUDPClient, error) { return wire.DialUDP(addr) }
-
-// A Cluster is the shard backend of the serving engine, including
-// the id-seeding recovery extension (checkpoint restore in O(alive
-// nodes)).
-var (
-	_ serve.Backend  = (*Cluster)(nil)
-	_ serve.IDSeeder = (*Cluster)(nil)
-)
+// A Cluster is the shard backend of the serving engine.
+var _ serve.Backend = (*Cluster)(nil)
 
 // NewEngine builds a serving engine whose shards are independent
 // PID-CAN Clusters (shard i runs on seed Seed⊕mix(i), so shards stay
