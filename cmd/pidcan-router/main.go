@@ -1,10 +1,10 @@
 // Command pidcan-router fronts a federation of pidcan-serve primary
 // processes with one serving surface: queries scatter-gather across
 // every member (each a primary engine with its own WAL and follower
-// set) exactly as one engine scatters across its shards, joins are
-// placed by hashing into the federation map's keyspace slices, and
-// writes chase nodes migrated between members through a forwarding
-// table — every id a node was ever known by stays routable.
+// set) exactly as one engine scatters across its shards, joins go
+// round-robin over the members, and writes chase nodes migrated
+// between members through a forwarding table — every id a node was
+// ever known by stays routable.
 //
 //	pidcan-router -addr :8090 -members "hostA:9001,hostB:9001|hostB2:9001"
 //
@@ -12,15 +12,17 @@
 // pipe-separated, primary first, promotable followers after. When a
 // member's primary dies the router rotates onto the fallback
 // addresses, and once a promoted follower answers with a higher
-// replication epoch the router bumps the federation map version and
-// pushes the map to every member — other routers converge on their
-// next stale-flagged query.
+// replication epoch the router records it and stamps it into that
+// member's writes. The epoch rides on every response a member sends,
+// so nothing is stored on the members and routers do not talk to each
+// other: any number of them may front the same members, each
+// converging from what it observes.
 //
 // Endpoints: the standard JSON API (POST /query /update /join
-// /leave /take, GET /nodes /stats /healthz) plus GET /map (the
-// current federation map) and POST /migrate {"node":N,"member":M}
-// (cross-process node migration). -wire-addr adds the binary wire
-// edge over the same router.
+// /leave /take, GET /nodes /stats /healthz) plus GET /map (each
+// member's index, addresses and last observed epoch) and POST
+// /migrate {"node":N,"member":M} (cross-process node migration).
+// -wire-addr adds the binary wire edge over the same router.
 package main
 
 import (

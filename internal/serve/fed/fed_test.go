@@ -95,66 +95,6 @@ func TestFedIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEvenSplitOwner(t *testing.T) {
-	m := fed.EvenSplit([][]string{{"a:1"}, {"b:1", "b2:1"}, {"c:1"}})
-	if m.Version != 1 || len(m.Members) != 3 {
-		t.Fatalf("EvenSplit: version %d, %d members", m.Version, len(m.Members))
-	}
-	if got := m.Members[1].Addrs; !slices.Equal(got, []string{"b:1", "b2:1"}) {
-		t.Fatalf("member 1 addrs %v", got)
-	}
-	// The slices partition the keyspace: every key has exactly one
-	// owner, boundaries included, and the last member wraps to 2^64.
-	if o := m.Owner(0); o != 0 {
-		t.Fatalf("Owner(0) = %d", o)
-	}
-	if o := m.Owner(^uint64(0)); o != 2 {
-		t.Fatalf("Owner(max) = %d", o)
-	}
-	for i, mem := range m.Members {
-		if o := m.Owner(mem.Lo); o != i {
-			t.Fatalf("Owner(member %d's Lo) = %d", i, o)
-		}
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	counts := make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		o := m.Owner(rng.Uint64())
-		if o < 0 || o > 2 {
-			t.Fatalf("Owner out of range: %d", o)
-		}
-		counts[o]++
-	}
-	for i, c := range counts {
-		if c < 500 {
-			t.Fatalf("member %d owns only %d of 3000 random keys: %v", i, c, counts)
-		}
-	}
-}
-
-func TestMapEncodeDecodeMerge(t *testing.T) {
-	m := fed.EvenSplit([][]string{{"a:1"}, {"b:1"}})
-	got, err := fed.DecodeMap(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != m.Version || len(got.Members) != len(m.Members) {
-		t.Fatalf("round trip: %+v", got)
-	}
-	newer := fed.EvenSplit([][]string{{"a:1"}, {"b2:1"}})
-	newer.Version = 5
-	if !m.Merge(newer) {
-		t.Fatal("merge of a newer map reported no change")
-	}
-	if m.Version != 5 || m.Members[1].Addrs[0] != "b2:1" {
-		t.Fatalf("merge did not adopt the newer map: %+v", m)
-	}
-	older := fed.EvenSplit([][]string{{"x:1"}, {"y:1"}})
-	if m.Merge(older) {
-		t.Fatal("merge of an older map reported a change")
-	}
-}
-
 // TestFederationMatchesReferenceEngine is the acceptance property: a
 // 2-primary federation reached through the router answers scatter
 // queries identically to one reference engine holding the same nodes,
@@ -301,7 +241,11 @@ func TestMigrationDestinationCrashRollsBack(t *testing.T) {
 // TestFederationFailoverZeroLoss kills one member's primary, promotes
 // its follower, and requires the router to converge onto the promoted
 // process with every acked write still served — the federation run of
-// the repl package's zero-loss promotion contract.
+// the repl package's zero-loss promotion contract. A second router
+// over the same two members, which exchanges nothing with the first
+// and sees no traffic from the kill until its first write, must
+// converge just the same: the epoch on the member's own responses is
+// all the fail-over evidence a router needs.
 func TestFederationFailoverZeroLoss(t *testing.T) {
 	a := startMember(t, testCfg(1))
 
@@ -370,10 +314,11 @@ func TestFederationFailoverZeroLoss(t *testing.T) {
 	t.Cleanup(func() { fSrv.Close() })
 	waitFor(t, 5*time.Second, "follower bootstrap", func() bool { return cl.Engine() != nil })
 
-	router := newRouter(t, fed.Config{
-		Members: [][]string{{a.addr}, {bLn.Addr().String(), fLn.Addr().String()}},
-		CMax:    vector.Of(10, 10),
-	})
+	members := [][]string{{a.addr}, {bLn.Addr().String(), fLn.Addr().String()}}
+	router := newRouter(t, fed.Config{Members: members, CMax: vector.Of(10, 10)})
+	// No summary loop on the second router: every frame it sends is
+	// one the test asks for.
+	routerB := newRouter(t, fed.Config{Members: members, CMax: vector.Of(10, 10), SummaryRefresh: -1})
 
 	// Drive acked writes through the router onto both members.
 	var acked []serve.GlobalID
@@ -391,6 +336,14 @@ func TestFederationFailoverZeroLoss(t *testing.T) {
 	}
 	before := router.Nodes()
 	slices.Sort(before)
+	// Router B's last traffic before the kill: it lists the same
+	// nodes and has seen both members at their first epoch.
+	if got := routerB.Nodes(); !slices.Equal(got, before) {
+		t.Fatalf("second router lists %v, first %v", got, before)
+	}
+	if got := routerB.Map()[1].Epoch; got != 1 {
+		t.Fatalf("second router records epoch %d for member 1 before the fail-over, want 1", got)
+	}
 
 	// A sentinel write at the stream's tail: once the follower serves
 	// it, every earlier acked write replicated too (single total
@@ -448,8 +401,23 @@ func TestFederationFailoverZeroLoss(t *testing.T) {
 		}
 	}
 	// The router's federation map converged onto the new epoch.
-	m := router.Map()
-	if got := m.Members[1].Epoch; got != 2 {
+	if got := router.Map()[1].Epoch; got != 2 {
 		t.Fatalf("federation map records epoch %d for the failed-over member, want 2", got)
+	}
+
+	// Router B still holds a connection to the dead primary and epoch
+	// 1. Its first write walks the same path inside one call's three
+	// attempts, on nothing but what member 1 answers.
+	if got := routerB.Map()[1].Epoch; got != 1 {
+		t.Fatalf("second router records epoch %d before its first post-fail-over frame, want 1", got)
+	}
+	if err := routerB.Update(sentinel, vector.Of(9.7, 9.7), false); err != nil {
+		t.Fatalf("second router's first write after fail-over: %v", err)
+	}
+	if got := routerB.Map()[1].Epoch; got != 2 {
+		t.Fatalf("second router records epoch %d for the failed-over member, want 2", got)
+	}
+	if got := routerB.Nodes(); !slices.Equal(got, after) {
+		t.Fatalf("routers disagree on the node set after fail-over:\n first  %v\n second %v", after, got)
 	}
 }

@@ -56,16 +56,12 @@ type RemotePrimary struct {
 	// node's entries, CompleteMigration repoints them.
 	fwd *serve.ForwardTable
 
-	// Router hooks (any may be nil): mapVer stamps fed queries with
-	// the current map version, writeEpoch fences writes with the
-	// member's recorded epoch, onEpoch/onStale feed fail-over and
-	// map-staleness evidence back to the router, and
-	// writeBegin/writeEnd bracket every write routed to this member
-	// (the router's summary dirty-tracking).
-	mapVer     func() uint64
+	// Router hooks (any may be nil): writeEpoch fences writes with the
+	// member's recorded epoch, onEpoch feeds fail-over evidence back
+	// to the router, and writeBegin/writeEnd bracket every write
+	// routed to this member (the router's summary dirty-tracking).
 	writeEpoch func(member int) uint64
 	onEpoch    func(member int, epoch uint64)
-	onStale    func(member int)
 	writeBegin func(member int)
 	writeEnd   func(member int)
 }
@@ -247,8 +243,8 @@ func (r *RemotePrimary) begin(mc *muxConn, enq func(c *wire.Client) uint32, on f
 
 // observe reports a completed call's epoch to the router. Every
 // response — rejections included — carries the member's replication
-// epoch; a jump is the first evidence of a promotion and feeds the
-// federation map. (Safe to read after the done receive: the reader
+// epoch; a jump is the evidence of a promotion, and the only one the
+// router gets or needs. (Safe to read after the done receive: the reader
 // goroutine's write happens-before it.)
 func (r *RemotePrimary) observe(pc *pendingCall) {
 	if r.onEpoch != nil && pc.epoch > 0 {
@@ -343,13 +339,6 @@ func (r *RemotePrimary) translate(we *wire.Error) error {
 	return fmt.Errorf("%w (member %d: %s)", sentinel, r.member, we.Msg)
 }
 
-func (r *RemotePrimary) curMapVer() uint64 {
-	if r.mapVer != nil {
-		return r.mapVer()
-	}
-	return 0
-}
-
 // legWireQuery translates a serve query into its wire form.
 func legWireQuery(req serve.QueryRequest) wire.Query {
 	wq := wire.Query{
@@ -365,16 +354,13 @@ func legWireQuery(req serve.QueryRequest) wire.Query {
 	return wq
 }
 
-// legDecoder returns the response callback that decodes a fed-query
+// legDecoder returns the response callback that decodes a query
 // answer into leg, translating candidate ids into the federation
 // namespace. It runs on the connection's reader goroutine, so
 // everything kept is copied out of the client's reused buffers.
 func (r *RemotePrimary) legDecoder(leg *serve.PlacementLeg) func(resp *wire.Response) error {
 	return func(resp *wire.Response) error {
 		res := &resp.Query
-		if res.MapStale && r.onStale != nil {
-			r.onStale(r.member)
-		}
 		leg.Hops, leg.HopsMax, leg.Queried = res.Hops, res.HopsMax, res.ShardsQueried
 		if leg.Queried == 0 {
 			leg.Queried = 1 // snapshot path: answered without protocol legs
@@ -402,17 +388,16 @@ func (r *RemotePrimary) legDecoder(leg *serve.PlacementLeg) func(resp *wire.Resp
 }
 
 // QueryLeg runs one query against the member and waits for the answer,
-// translating candidate ids into the federation namespace. The
-// member's epoch and map-staleness bit feed the router's fail-over
-// and map-propagation hooks. The cancel channel is not consulted: the
-// exchange is bounded by the transport's own retries, and the
-// router's scatter never comes through here while a leg is healthy —
-// it gathers QueryLegAsync legs under its own deadline.
+// translating candidate ids into the federation namespace. The cancel
+// channel is not consulted: the exchange is bounded by the transport's
+// own retries, and the router's scatter never comes through here while
+// a leg is healthy — it gathers QueryLegAsync legs under its own
+// deadline.
 func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, _ <-chan struct{}) (serve.PlacementLeg, error) {
 	wq := legWireQuery(req)
 	var leg serve.PlacementLeg
 	err := r.do(
-		func(c *wire.Client) uint32 { return c.EnqueueFedQuery(r.curMapVer(), &wq) },
+		func(c *wire.Client) uint32 { return c.EnqueueQuery(&wq) },
 		r.legDecoder(&leg))
 	if err != nil {
 		return serve.PlacementLeg{}, err
@@ -432,7 +417,7 @@ func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, _ <-chan struct{}) (ser
 // synchronous QueryLeg instead. When done is non-nil, receive from it
 // and pass the received error to collect — on any in-flight failure
 // collect also falls back to the synchronous path, whose do() owns
-// rotation, retries, and error translation (fed queries are
+// rotation, retries, and error translation (queries are
 // idempotent, so re-asking is safe). A caller that abandons the wait
 // (timeout) must simply not call collect; the reader's buffered send
 // completes regardless.
@@ -445,7 +430,7 @@ func (r *RemotePrimary) QueryLegAsync(req serve.QueryRequest) (done chan error, 
 	wq := legWireQuery(req)
 	leg := new(serve.PlacementLeg)
 	pc, err := r.begin(mc,
-		func(c *wire.Client) uint32 { return c.EnqueueFedQuery(r.curMapVer(), &wq) },
+		func(c *wire.Client) uint32 { return c.EnqueueQuery(&wq) },
 		r.legDecoder(leg))
 	if err != nil {
 		return nil, sync
@@ -527,19 +512,13 @@ func (r *RemotePrimary) Take(node serve.GlobalID, _ bool) (vector.Vec, error) {
 	return avail, nil
 }
 
-// MapExchange offers the member a federation map at version ver
-// (blob may be nil to only pull) and returns the newest version and
-// blob the member holds — plus the member's availability summary,
-// when it sent one — copied out of the connection's buffers.
-func (r *RemotePrimary) MapExchange(ver uint64, blob []byte) (uint64, []byte, *wire.Summary, error) {
-	var gotVer uint64
-	var got []byte
+// Summary fetches the member's availability summary (nil: the member
+// has none to give), copied out of the connection's buffers.
+func (r *RemotePrimary) Summary() (*wire.Summary, error) {
 	var sum *wire.Summary
 	err := r.do(
-		func(c *wire.Client) uint32 { return c.EnqueueMapExchange(ver, blob) },
+		func(c *wire.Client) uint32 { return c.EnqueueFedSummary() },
 		func(resp *wire.Response) error {
-			gotVer = resp.MapVer
-			got = append([]byte(nil), resp.MapBlob...)
 			if resp.SumOK {
 				sum = &wire.Summary{
 					Seq: resp.Summary.Seq,
@@ -549,7 +528,7 @@ func (r *RemotePrimary) MapExchange(ver uint64, blob []byte) (uint64, []byte, *w
 			}
 			return nil
 		})
-	return gotVer, got, sum, err
+	return sum, err
 }
 
 // CompleteMigration re-joins a taken node on this member and

@@ -17,12 +17,8 @@ import (
 type Config struct {
 	// Members lists each federation member's wire addresses, primary
 	// first; later entries are promotable followers the router
-	// rotates to after fail-over. Ignored when Map is set.
+	// rotates to after fail-over.
 	Members [][]string
-
-	// Map, when non-nil, is the starting federation map (addresses
-	// and keyspace slices) instead of an EvenSplit over Members.
-	Map *Map
 
 	// CMax is the engines' capacity vector. When nil, the router
 	// discovers it from the first member that answers a stats call.
@@ -42,7 +38,7 @@ type Config struct {
 	// fan-out for that member.
 	SummaryTTL time.Duration
 
-	// SummaryRefresh is the period of the background summary/map
+	// SummaryRefresh is the period of the background summary
 	// exchange with every member (default 250ms; < 0 disables the
 	// loop — tests drive RefreshSummaries directly).
 	SummaryRefresh time.Duration
@@ -60,7 +56,7 @@ type Config struct {
 // Stats is the router's /stats (and wire OpStats) document.
 type Stats struct {
 	CMax         vector.Vec    `json:"cmax"`
-	Map          Map           `json:"map"`
+	Map          []Member      `json:"map"`
 	Members      []MemberStats `json:"members"`
 	Queries      uint64        `json:"queries"`
 	Updates      uint64        `json:"updates"`
@@ -97,15 +93,15 @@ type MemberStats struct {
 // surface: queries scatter-gather across the members (fedScatter,
 // over the members' pipelined connections), writes, takes and
 // migrations run the placement operations of its serve.ForwardTable
-// over the members — the code an Engine runs over its shards — and the
-// versioned federation map propagates promotions (a member answering
-// with a higher replication epoch) to every member without a
-// coordinator.
+// over the members — the code an Engine runs over its shards — and a
+// member's promotion is learned from the replication epoch on that
+// member's own responses, by this router alone: there is nothing to
+// tell the members or another router.
 type Router struct {
-	mu sync.Mutex // guards m (the federation map)
-	m  Map
+	mu sync.Mutex // guards the Epoch fields of m
+	m  []Member   // the federation map: configured addresses, observed epochs
 
-	mapVer  atomic.Uint64 // mirror of m.Version for lock-free stamping
+	epoch   atomic.Uint64 // Epoch(): 1 + the times a member's recorded epoch rose
 	members []*RemotePrimary
 	places  []serve.Placement // members behind the Placement interface, same order
 	fwd     *serve.ForwardTable
@@ -127,11 +123,9 @@ type Router struct {
 
 	stop       chan struct{}
 	closed     atomic.Bool
-	pushing    atomic.Bool
-	pulling    atomic.Bool
 	refreshing atomic.Bool
 
-	joinSeq atomic.Uint64
+	rrJoin  atomic.Uint64
 	rrQuery atomic.Uint64
 
 	queries    atomic.Uint64
@@ -160,20 +154,15 @@ type memberSummary struct {
 
 var _ serve.Service = (*Router)(nil)
 
-// New connects a router to its federation members, discovers the
-// capacity vector if not configured, and offers the initial map to
-// every member (best-effort; members holding a newer map answer
-// with it and the router adopts it).
+// New connects a router to its federation members and discovers the
+// capacity vector if not configured.
 func New(cfg Config) (*Router, error) {
-	m := EvenSplit(cfg.Members)
-	if cfg.Map != nil {
-		m = *cfg.Map
-	}
-	if len(m.Members) == 0 {
+	n := len(cfg.Members)
+	if n == 0 {
 		return nil, fmt.Errorf("fed: no members configured")
 	}
 	r := &Router{
-		m:              m,
+		m:              make([]Member, n),
 		cmax:           cfg.CMax,
 		scatterTimeout: cfg.ScatterTimeout,
 		afterTake:      cfg.AfterTake,
@@ -191,17 +180,16 @@ func New(cfg Config) (*Router, error) {
 		r.summaryTTL = time.Second
 	}
 	r.noPrune = cfg.DisablePruning
-	r.sums = make([]atomic.Pointer[memberSummary], len(m.Members))
-	r.wstart = make([]atomic.Uint64, len(m.Members))
-	r.wdone = make([]atomic.Uint64, len(m.Members))
+	r.sums = make([]atomic.Pointer[memberSummary], n)
+	r.wstart = make([]atomic.Uint64, n)
+	r.wdone = make([]atomic.Uint64, n)
 	r.fwd = serve.NewForwardTable(grace, memberOf, r.stop)
-	r.mapVer.Store(m.Version)
-	for i := range m.Members {
-		rp := NewRemotePrimary(i, m.Members[i].Addrs, r.fwd)
-		rp.mapVer = r.mapVer.Load
+	r.epoch.Store(1)
+	for i, addrs := range cfg.Members {
+		rp := NewRemotePrimary(i, addrs, r.fwd)
+		r.m[i] = Member{Index: i, Addrs: append([]string(nil), addrs...)}
 		rp.writeEpoch = r.epochOf
 		rp.onEpoch = r.observeEpoch
-		rp.onStale = r.observeStale
 		rp.writeBegin = r.noteWriteStart
 		rp.writeEnd = r.noteWriteEnd
 		r.members = append(r.members, rp)
@@ -213,7 +201,6 @@ func New(cfg Config) (*Router, error) {
 			return nil, err
 		}
 	}
-	r.pushMap()
 	refresh := cfg.SummaryRefresh
 	if refresh == 0 {
 		refresh = 250 * time.Millisecond
@@ -278,13 +265,12 @@ func (r *Router) Close() error {
 // CMax returns the federation's capacity vector.
 func (r *Router) CMax() vector.Vec { return r.cmax }
 
-// Map returns a copy of the current federation map.
-func (r *Router) Map() Map {
+// Map returns a copy of the federation map: every member's index,
+// configured addresses and last observed replication epoch.
+func (r *Router) Map() []Member {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.m
-	m.Members = append([]Member(nil), r.m.Members...)
-	return m
+	return append([]Member(nil), r.m...)
 }
 
 // epochOf returns the member's recorded replication epoch (stamped
@@ -292,87 +278,25 @@ func (r *Router) Map() Map {
 func (r *Router) epochOf(member int) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if member < len(r.m.Members) {
-		return r.m.Members[member].Epoch
-	}
-	return 0
+	return r.m[member].Epoch
 }
 
 // observeEpoch records a member answering with a replication epoch
-// above the map's: evidence of a promotion. The map version bumps
-// and the new map pushes to every member, so other routers pick the
-// change up on their next stale-flagged query.
+// above the recorded one: first contact, or evidence of a promotion.
+// The next write to the member is stamped with it, and the router's
+// own epoch moves so clients of its wire edge can tell something
+// changed.
 func (r *Router) observeEpoch(member int, epoch uint64) {
 	r.mu.Lock()
-	if member >= len(r.m.Members) || epoch <= r.m.Members[member].Epoch {
-		r.mu.Unlock()
-		return
+	defer r.mu.Unlock()
+	if epoch > r.m[member].Epoch {
+		r.m[member].Epoch = epoch
+		r.epoch.Add(1)
 	}
-	r.m.Members[member].Epoch = epoch
-	r.m.Version++
-	r.mapVer.Store(r.m.Version)
-	r.mu.Unlock()
-	r.pushMap()
 }
 
-// observeStale reacts to a member flagging our map version as
-// behind: pull its map and adopt it if genuinely newer.
-func (r *Router) observeStale(member int) {
-	if r.closed.Load() || !r.pulling.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer r.pulling.Store(false)
-		ver, blob, _, err := r.members[member].MapExchange(0, nil)
-		if err != nil || ver <= r.mapVer.Load() {
-			return
-		}
-		if m, err := DecodeMap(blob); err == nil {
-			r.adoptMap(m)
-		}
-	}()
-}
-
-// adoptMap merges a map learned from a member. Member identity is
-// positional: a map with a different member count is ignored (the
-// router's address lists are configuration, not gossip).
-func (r *Router) adoptMap(m Map) {
-	r.mu.Lock()
-	if len(m.Members) != len(r.m.Members) || !r.m.Merge(m) {
-		r.mu.Unlock()
-		return
-	}
-	r.mapVer.Store(r.m.Version)
-	r.mu.Unlock()
-	r.pushMap()
-}
-
-// pushMap offers the current map to every member asynchronously
-// (coalesced: one push in flight at a time, re-armed by the next
-// version bump). Members holding a newer map answer with it.
-func (r *Router) pushMap() {
-	if r.closed.Load() || !r.pushing.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer r.pushing.Store(false)
-		r.mu.Lock()
-		ver, blob := r.m.Version, r.m.Encode()
-		r.mu.Unlock()
-		for _, rp := range r.members {
-			gotVer, gotBlob, _, err := rp.MapExchange(ver, blob)
-			if err != nil || gotVer <= ver {
-				continue
-			}
-			if m, derr := DecodeMap(gotBlob); derr == nil {
-				r.adoptMap(m)
-			}
-		}
-	}()
-}
-
-// summaryLoop periodically exchanges the map and availability
-// summaries with every member until the router closes.
+// summaryLoop periodically fetches every member's availability
+// summary until the router closes.
 func (r *Router) summaryLoop(every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -386,39 +310,27 @@ func (r *Router) summaryLoop(every time.Duration) {
 	}
 }
 
-// RefreshSummaries runs one synchronous map/summary exchange with
-// every member: the current map is offered (members holding a newer
-// one answer with it and the router adopts it), and each member's
-// availability summary is adopted when no router-routed write to
-// that member was in flight around the exchange — a write racing the
-// summary could land after the member computed it, and a summary
-// that might under-state the member must never prune it. Adopted
-// summaries stay valid until SummaryTTL ages them out or a later
-// write to the member dirties them. Concurrent calls coalesce.
+// RefreshSummaries runs one synchronous summary exchange with every
+// member: a member's availability summary is adopted when no
+// router-routed write to that member was in flight around the
+// exchange — a write racing the summary could land after the member
+// computed it, and a summary that might under-state the member must
+// never prune it. Adopted summaries stay valid until SummaryTTL ages
+// them out or a later write to the member dirties them. Concurrent
+// calls coalesce.
 func (r *Router) RefreshSummaries() {
 	if r.closed.Load() || !r.refreshing.CompareAndSwap(false, true) {
 		return
 	}
 	defer r.refreshing.Store(false)
-	r.mu.Lock()
-	ver, blob := r.m.Version, r.m.Encode()
-	r.mu.Unlock()
 	for i, rp := range r.members {
 		if r.closed.Load() {
 			return
 		}
 		w0 := r.wstart[i].Load()
 		clean := w0 == r.wdone[i].Load()
-		gotVer, gotBlob, sum, err := rp.MapExchange(ver, blob)
-		if err != nil {
-			continue
-		}
-		if gotVer > ver {
-			if m, derr := DecodeMap(gotBlob); derr == nil {
-				r.adoptMap(m)
-			}
-		}
-		if sum == nil || !clean {
+		sum, err := rp.Summary()
+		if err != nil || sum == nil || !clean {
 			continue
 		}
 		if old := r.sums[i].Load(); old != nil && sum.Seq < old.seq {
@@ -673,14 +585,10 @@ func (r *Router) Update(node serve.GlobalID, avail vector.Vec, announce bool) er
 	return nil
 }
 
-// Join places a node on the member owning a hash of the join
-// sequence number, so EvenSplit slices receive joins in proportion
-// to their keyspace width.
+// Join places a node on the least-recently-joined member (round-robin
+// starting at member 0), as Engine.Join does over shards.
 func (r *Router) Join(avail vector.Vec) (serve.GlobalID, error) {
-	r.mu.Lock()
-	owner := r.m.Owner(splitmix64(r.joinSeq.Add(1)))
-	r.mu.Unlock()
-	return r.JoinOn(owner, avail)
+	return r.JoinOn(int((r.rrJoin.Add(1)-1)%uint64(len(r.members))), avail)
 }
 
 // JoinOn places a node on one member by index.
@@ -784,11 +692,13 @@ func (r *Router) mergeNodes(pend []legCall) ([]serve.GlobalID, error) {
 	return r.fwd.Nodes(ids), nil
 }
 
-// Epoch is the router's fencing epoch: the federation map version.
-func (r *Router) Epoch() uint64 { return r.mapVer.Load() }
+// Epoch is the router's own epoch: a local counter, 1 at start, that
+// moves each time a member's recorded epoch rises (first contact, then
+// every fail-over). It stamps the responses of the router's wire edge;
+// two routers' counters are unrelated.
+func (r *Router) Epoch() uint64 { return r.epoch.Load() }
 
-// Fence is a no-op: the router holds no writable state to fence —
-// map movement happens through the versioned exchange instead.
+// Fence is a no-op: the router holds no writable state to fence.
 func (r *Router) Fence(epoch uint64) {}
 
 // PrimaryAddr returns "": the router accepts writes itself.
@@ -818,7 +728,7 @@ func (r *Router) StatsPayload() any {
 		ms := MemberStats{
 			Index:      i,
 			Addr:       rp.Addr(),
-			Epoch:      st.Map.Members[i].Epoch,
+			Epoch:      st.Map[i].Epoch,
 			SummaryPop: -1,
 		}
 		if sum := r.sums[i].Load(); sum != nil {

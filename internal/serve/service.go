@@ -27,8 +27,9 @@ type Service interface {
 	Take(node GlobalID) (vector.Vec, error)
 	Nodes() []GlobalID
 	// Epoch and Fence carry the write-fencing discipline: Epoch is
-	// the current promotion epoch (a router reports its federation
-	// map version), Fence reacts to evidence of a newer one.
+	// the current promotion epoch (a router reports a counter of its
+	// own that moves whenever a member answers with a higher epoch
+	// than it had recorded), Fence reacts to evidence of a newer one.
 	Epoch() uint64
 	Fence(epoch uint64)
 	// PrimaryAddr is the address redirected writes should retry

@@ -294,11 +294,13 @@ func (s *shard) loop() {
 					results[i] = opResult{}
 				}
 				// Coalesce publications under backlog: ops already
-				// queued join this round, so one snapshot/index
-				// rebuild — an O(records) affair — amortizes over
-				// every batch of a write burst instead of running
-				// per batch. MaxBatch pending acks bound the added
-				// latency (and the dirty-set growth).
+				// queued join this round, so one index update — the
+				// blocks the dirty nodes leave or enter plus a
+				// directory rebuild, O(blocks) however few nodes
+				// moved — amortizes over every batch of a write
+				// burst instead of running per batch. MaxBatch
+				// pending acks bound the added latency (and the
+				// dirty-set growth).
 				if len(s.pend) >= s.cfg.MaxBatch || len(s.ops) == 0 {
 					break
 				}

@@ -102,8 +102,8 @@ func checkpointSeqs(dir string) ([]uint64, error) {
 }
 
 // Image encodes the checkpoint as its framed file bytes (magic +
-// CRC + gob payload) — what Save writes and replication ships, from
-// one encoding.
+// CRC + gob payload) — what SaveRaw writes and replication ships,
+// from one encoding.
 func (c *Checkpoint) Image() ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(c); err != nil {
@@ -118,19 +118,8 @@ func (c *Checkpoint) Image() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Save writes the checkpoint durably: the framed image written to a
-// temp file, fsynced, and renamed into place so a crash never leaves
-// a half-written checkpoint under the final name.
-func (c *Checkpoint) Save(dir string) (string, error) {
-	img, err := c.Image()
-	if err != nil {
-		return "", err
-	}
-	return SaveRaw(dir, c.Seq, img)
-}
-
 // Decode verifies and decodes a checkpoint image (the framed file
-// bytes, as Save writes them and replication ships them).
+// bytes, as SaveRaw writes them and replication ships them).
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+4 || string(data[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("wal: not a checkpoint image")
@@ -147,10 +136,12 @@ func Decode(data []byte) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// SaveRaw writes an already-framed checkpoint image durably under
-// dir as checkpoint seq — the follower side of checkpoint shipping,
-// mirroring the primary's file byte for byte (temp file, fsync,
-// rename, dir sync — the same crash discipline as Save).
+// SaveRaw writes a framed checkpoint image (Checkpoint.Image) durably
+// under dir as checkpoint seq: written to a temp file, fsynced, renamed
+// into place and the directory synced, so a crash never leaves a
+// half-written checkpoint under the final name. The primary saves its
+// own image with it and a follower the image it was shipped, so the
+// two files match byte for byte.
 func SaveRaw(dir string, seq uint64, data []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err

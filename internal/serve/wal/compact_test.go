@@ -27,7 +27,7 @@ func TestSegmentHeaderRoundTrip(t *testing.T) {
 	if meta.Epoch != 7 || meta.Compacted {
 		t.Fatalf("meta %+v, want epoch 7, uncompacted", meta)
 	}
-	got, dropped, err := ReadSegment(path)
+	_, got, _, dropped, err := ReadSegmentInfo(path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("read: %v (dropped %d)", err, dropped)
 	}
@@ -194,35 +194,6 @@ func TestCompactSegmentRewritesFile(t *testing.T) {
 	// Second pass is a no-op (already marked).
 	if saved, err := CompactSegment(path); err != nil || saved != 0 {
 		t.Fatalf("re-compaction: saved %d, %v; want 0, nil", saved, err)
-	}
-}
-
-func TestReadSegmentFrom(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Create(dir, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := sampleRecords()
-	if err := l.Append(recs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := SegmentPath(dir, 1)
-	for from := 0; from <= len(recs)+1; from++ {
-		got, err := ReadSegmentFrom(path, from)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := recs[min(from, len(recs)):]
-		if len(want) == 0 {
-			want = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("from %d: got %+v, want %+v", from, got, want)
-		}
 	}
 }
 

@@ -192,8 +192,8 @@ func DecodeRecords(data []byte) ([]Record, error) {
 
 // RecordIter walks the valid framed-record prefix of an in-memory
 // segment image or record blob — the one torn-tail-tolerant reader
-// behind ReadSegmentInfo, ReadSegmentFrom, DecodeRecords and the
-// capture trace reader, so CRC verification and truncation handling
+// behind ReadSegmentInfo, DecodeRecords and the capture trace
+// reader, so CRC verification and truncation handling
 // exist exactly once.
 type RecordIter struct {
 	data []byte

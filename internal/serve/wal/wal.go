@@ -327,42 +327,6 @@ func ReadSegmentInfo(path string) (meta SegmentMeta, recs []Record, validSize, d
 	return meta, recs, it.Offset(), it.Dropped(), nil
 }
 
-// ReadSegment decodes every valid record of a segment file,
-// returning the intact prefix and how many trailing bytes were
-// dropped (see ReadSegmentInfo).
-func ReadSegment(path string) (recs []Record, dropped int64, err error) {
-	_, recs, _, dropped, err = ReadSegmentInfo(path)
-	return recs, dropped, err
-}
-
-// ReadSegmentFrom decodes a segment's valid records starting at
-// record ordinal from — the replication server's streaming read over
-// a live segment: the shard goroutine keeps appending past the flush
-// point while a catching-up follower reads the durable prefix. The
-// skipped prefix is iterated, not materialized, so a long-lived
-// segment streamed in many rounds does not re-decode old records
-// into fresh allocations every round.
-func ReadSegmentFrom(path string, from int) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	it := IterRecords(data, decodeSegMeta(data).header)
-	for i := 0; i < from; i++ {
-		if !it.Next() {
-			return nil, nil
-		}
-	}
-	var recs []Record
-	for it.Next() {
-		recs = append(recs, it.Record())
-	}
-	return recs, nil
-}
-
 // RemoveSegmentsBelow deletes segments of dir numbered < seg —
 // everything a new checkpoint has made redundant.
 func RemoveSegmentsBelow(dir string, seg uint64) error {

@@ -56,7 +56,7 @@ func TestLogAppendReadSegment(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, dropped, err := ReadSegment(SegmentPath(dir, 1))
+	_, got, _, dropped, err := ReadSegmentInfo(SegmentPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTornTail(t *testing.T) {
 		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, dropped, err := ReadSegment(path)
+		_, got, _, dropped, err := ReadSegmentInfo(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestCorruptRecordTruncates(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	data[int64(segHeaderLen)+mid+FrameHeader+2] ^= 0xff // flip a payload byte of record 2
 	os.WriteFile(path, data, 0o644)
-	got, dropped, err := ReadSegment(path)
+	_, got, _, dropped, err := ReadSegmentInfo(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,18 @@ func TestRotateAndSegments(t *testing.T) {
 	}
 }
 
+// saveCheckpoint writes c under dir the way the engine does.
+func saveCheckpoint(t *testing.T, dir string, c *Checkpoint) {
+	t.Helper()
+	img, err := c.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveRaw(dir, c.Seq, img); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := &Checkpoint{
@@ -209,9 +221,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		NextShard: 5, NextQuery: 2,
 		Counters: map[string]uint64{"joins": 6, "leaves": 1},
 	}
-	if _, err := c.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveCheckpoint(t, dir, c)
 	got, err := LoadLatest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -225,12 +235,8 @@ func TestLoadLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	c1 := &Checkpoint{Seq: 1, Shards: 1, NodesPerShard: 2, Dims: 2}
 	c2 := &Checkpoint{Seq: 2, Shards: 1, NodesPerShard: 2, Dims: 2}
-	if _, err := c1.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	saveCheckpoint(t, dir, c1)
+	saveCheckpoint(t, dir, c2)
 	// Corrupt the newest; LoadLatest must fall back to seq 1.
 	path := CheckpointPath(dir, 2)
 	data, _ := os.ReadFile(path)

@@ -78,12 +78,7 @@ type Response struct {
 	// the take applied without reaching the log (ErrWAL).
 	TakeAvail    []float64
 	TakeDegraded bool
-	// MapVer and MapBlob are an OpFedMap response: the newest
-	// federation map the server holds. MapBlob aliases an internal
-	// buffer; valid until the next ReadResponse.
-	MapVer  uint64
-	MapBlob []byte
-	// SumOK reports that an OpFedMap response carried the member's
+	// SumOK reports that an OpFedSummary response carried the member's
 	// availability summary; Summary holds it (Summary.Max reuses an
 	// internal buffer; valid until the next ReadResponse).
 	SumOK   bool
@@ -232,12 +227,12 @@ func (c *Client) ReadResponse() (*Response, error) {
 	r := &c.resp
 	r.Op, r.ReqID, r.Epoch = h.Op, h.ReqID, h.Epoch
 	r.Errored = h.Flags&FlagError != 0
-	r.Stats, r.MapBlob = nil, nil
+	r.Stats = nil
 	if r.Errored {
 		return r, DecodeError(c.payload, &r.Err)
 	}
 	switch h.Op {
-	case OpQuery, OpFedQuery:
+	case OpQuery:
 		return r, DecodeQueryResponse(c.payload, &r.Query)
 	case OpJoin:
 		r.Node, err = DecodeJoinResponse(c.payload)
@@ -247,8 +242,8 @@ func (c *Client) ReadResponse() (*Response, error) {
 	case OpFedTake:
 		r.TakeAvail, r.TakeDegraded, err = DecodeFedTakeResponse(c.payload, r.TakeAvail)
 		return r, err
-	case OpFedMap:
-		r.MapVer, r.MapBlob, r.SumOK, err = DecodeFedMap(c.payload, &r.Summary)
+	case OpFedSummary:
+		r.SumOK, err = DecodeFedSummaryResponse(c.payload, &r.Summary)
 		return r, err
 	}
 	return r, nil
@@ -357,15 +352,6 @@ func (c *Client) Leave(node uint64) error {
 	return err
 }
 
-// EnqueueFedQuery appends a federation query stamped with the
-// router's map version; the response's MapStale bit tells the router
-// its map is behind this member's.
-func (c *Client) EnqueueFedQuery(mapVer uint64, q *Query) uint32 {
-	id := c.reqID()
-	c.out = AppendFedQuery(c.out, id, 0, mapVer, q)
-	return id
-}
-
 // EnqueueFedTake appends a fed-take request (stamped with
 // WriteEpoch).
 func (c *Client) EnqueueFedTake(node uint64) uint32 {
@@ -374,11 +360,10 @@ func (c *Client) EnqueueFedTake(node uint64) uint32 {
 	return id
 }
 
-// EnqueueMapExchange appends a map-exchange request (blob may be nil
-// to only pull).
-func (c *Client) EnqueueMapExchange(ver uint64, blob []byte) uint32 {
+// EnqueueFedSummary appends a summary-exchange request.
+func (c *Client) EnqueueFedSummary() uint32 {
 	id := c.reqID()
-	c.out = AppendFedMapRequest(c.out, id, 0, ver, blob)
+	c.out = AppendFedSummaryRequest(c.out, id, 0)
 	return id
 }
 

@@ -23,23 +23,6 @@ type Query struct {
 // AppendQuery appends a query-request frame.
 func AppendQuery(dst []byte, reqID uint32, epoch uint64, q *Query) []byte {
 	dst, off := beginFrame(dst, OpQuery, 0, reqID, epoch)
-	dst = appendQueryPayload(dst, q)
-	sealFrame(dst, off)
-	return dst
-}
-
-// AppendFedQuery appends a fed-query-request frame: OpQuery's
-// payload prefixed with the sender's federation-map version, so the
-// answering primary can flag a router routing on a stale map.
-func AppendFedQuery(dst []byte, reqID uint32, epoch, mapVer uint64, q *Query) []byte {
-	dst, off := beginFrame(dst, OpFedQuery, 0, reqID, epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, mapVer)
-	dst = appendQueryPayload(dst, q)
-	sealFrame(dst, off)
-	return dst
-}
-
-func appendQueryPayload(dst []byte, q *Query) []byte {
 	var f byte
 	if q.Consistent {
 		f |= qfConsistent
@@ -53,6 +36,7 @@ func appendQueryPayload(dst []byte, q *Query) []byte {
 	dst = append(dst, f)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(q.K))
 	dst = appendVec(dst, q.Demand)
+	sealFrame(dst, off)
 	return dst
 }
 
@@ -60,28 +44,13 @@ func appendQueryPayload(dst []byte, q *Query) []byte {
 // q.Demand's backing array.
 func DecodeQuery(payload []byte, q *Query) error {
 	d := dec{buf: payload}
-	return decodeQueryPayload(&d, q)
-}
-
-// DecodeFedQuery decodes a fed-query-request payload into q,
-// returning the sender's federation-map version.
-func DecodeFedQuery(payload []byte, q *Query) (uint64, error) {
-	d := dec{buf: payload}
-	mapVer := d.u64()
-	if d.err != nil {
-		return 0, d.err
-	}
-	return mapVer, decodeQueryPayload(&d, q)
-}
-
-func decodeQueryPayload(d *dec, q *Query) error {
 	f := d.u8()
 	q.Consistent = f&qfConsistent != 0
 	q.NoCache = f&qfNoCache != 0
 	q.ScopeOne = f&qfScopeOne != 0
 	q.K = int(d.u16())
 	var err error
-	q.Demand, err = decodeVec(d, q.Demand)
+	q.Demand, err = decodeVec(&d, q.Demand)
 	if err != nil {
 		return err
 	}
@@ -106,10 +75,7 @@ type QueryResult struct {
 	ShardsQueried int
 	Hops          int
 	HopsMax       int
-	// MapStale (fed queries only): the answering primary holds a
-	// newer federation map than the request was stamped with.
-	MapStale   bool
-	Candidates []Candidate
+	Candidates    []Candidate
 
 	avail []float64 // shared backing for the candidates' Avail
 }
@@ -118,22 +84,8 @@ type QueryResult struct {
 // engine's response. Allocation-free: candidates are written
 // straight from the engine's slice.
 func AppendQueryResponse(dst []byte, reqID uint32, epoch uint64, resp *serve.QueryResponse) []byte {
-	return appendQueryResponse(dst, OpQuery, 0, reqID, epoch, resp)
-}
-
-// AppendFedQueryResponse is AppendQueryResponse under OpFedQuery,
-// optionally flagging that the sender's federation map is stale.
-func AppendFedQueryResponse(dst []byte, reqID uint32, epoch uint64, resp *serve.QueryResponse, stale bool) []byte {
-	var extra byte
-	if stale {
-		extra = rfMapStale
-	}
-	return appendQueryResponse(dst, OpFedQuery, extra, reqID, epoch, resp)
-}
-
-func appendQueryResponse(dst []byte, op, extra byte, reqID uint32, epoch uint64, resp *serve.QueryResponse) []byte {
-	dst, off := beginFrame(dst, op, FlagResponse, reqID, epoch)
-	f := extra
+	dst, off := beginFrame(dst, OpQuery, FlagResponse, reqID, epoch)
+	var f byte
 	if resp.Cached {
 		f |= rfCached
 	}
@@ -165,7 +117,6 @@ func DecodeQueryResponse(payload []byte, r *QueryResult) error {
 	d := dec{buf: payload}
 	f := d.u8()
 	r.Cached = f&rfCached != 0
-	r.MapStale = f&rfMapStale != 0
 	r.ShardsQueried = int(d.u16())
 	r.Hops = int(d.u32())
 	r.HopsMax = int(d.u32())
@@ -392,7 +343,7 @@ func DecodeFedTakeResponse(payload []byte, prev []float64) ([]float64, bool, err
 }
 
 // Summary is a member's compact per-dimension availability summary,
-// piggybacked on OpFedMap responses: the maximum availability the
+// the answer to an OpFedSummary request: the maximum availability the
 // member holds in each dimension (computed over every record, expiry
 // ignored — a safe upper bound that only over-states what the member
 // can offer), the record count behind it, and the member's write
@@ -405,35 +356,24 @@ type Summary struct {
 	Max []float64
 }
 
-// sfSummary flags a map-exchange payload carrying a Summary tail.
-const sfSummary byte = 1 << 0
-
-// AppendFedMapRequest appends a map-exchange request: u64 version +
-// u32 blob length + an opaque encoded federation map, and a flag
-// byte reserved for a summary tail (requests carry none — routers
-// hold no population). Version 0 with an empty blob is a pure pull —
-// the server returns the newest map it has seen without storing
-// anything.
-func AppendFedMapRequest(dst []byte, reqID uint32, epoch, ver uint64, blob []byte) []byte {
-	return appendFedMap(dst, 0, reqID, epoch, ver, blob, nil)
+// AppendFedSummaryRequest appends a summary-exchange request (empty
+// payload — routers hold no population to report).
+func AppendFedSummaryRequest(dst []byte, reqID uint32, epoch uint64) []byte {
+	dst, off := beginFrame(dst, OpFedSummary, 0, reqID, epoch)
+	sealFrame(dst, off)
+	return dst
 }
 
-// AppendFedMapResponse appends a map-exchange response: the newest
-// version + blob the server holds (0 and empty when it has none),
-// plus the answering member's availability summary when it has one.
-func AppendFedMapResponse(dst []byte, reqID uint32, epoch, ver uint64, blob []byte, sum *Summary) []byte {
-	return appendFedMap(dst, FlagResponse, reqID, epoch, ver, blob, sum)
-}
-
-func appendFedMap(dst []byte, flags byte, reqID uint32, epoch, ver uint64, blob []byte, sum *Summary) []byte {
-	dst, off := beginFrame(dst, OpFedMap, flags, reqID, epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, ver)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
-	dst = append(dst, blob...)
+// AppendFedSummaryResponse appends a summary-exchange response: one
+// presence byte, then the answering member's availability summary
+// when it has one (sum == nil: no engine mounted, or a service that
+// holds no population).
+func AppendFedSummaryResponse(dst []byte, reqID uint32, epoch uint64, sum *Summary) []byte {
+	dst, off := beginFrame(dst, OpFedSummary, FlagResponse, reqID, epoch)
 	if sum == nil {
 		dst = append(dst, 0)
 	} else {
-		dst = append(dst, sfSummary)
+		dst = append(dst, 1)
 		dst = binary.LittleEndian.AppendUint64(dst, sum.Seq)
 		dst = binary.LittleEndian.AppendUint32(dst, sum.Pop)
 		dst = appendVec(dst, sum.Max)
@@ -442,44 +382,28 @@ func appendFedMap(dst []byte, flags byte, reqID uint32, epoch, ver uint64, blob 
 	return dst
 }
 
-// DecodeFedMap decodes a map-exchange payload (request or response).
-// The returned blob aliases the payload. When the payload carries a
-// summary tail and sum is non-nil, sum receives it (reusing sum.Max's
-// backing array) and the bool reports its presence; a nil sum skips
-// the tail.
-func DecodeFedMap(payload []byte, sum *Summary) (uint64, []byte, bool, error) {
+// DecodeFedSummaryResponse decodes a summary-exchange response into
+// sum (reusing sum.Max's backing array) and reports whether the
+// member sent a summary.
+func DecodeFedSummaryResponse(payload []byte, sum *Summary) (bool, error) {
 	d := dec{buf: payload}
-	ver := d.u64()
-	blen := int(d.u32())
-	if d.err != nil || len(d.buf) < blen {
-		return 0, nil, false, errTruncated
-	}
-	blob := d.buf[:blen]
-	d.buf = d.buf[blen:]
-	f := d.u8()
-	if d.err != nil {
-		return 0, nil, false, errTruncated
-	}
-	if f&sfSummary == 0 {
-		if len(d.buf) != 0 {
-			return 0, nil, false, errTruncated
+	if d.u8() == 0 {
+		if d.err != nil || len(d.buf) != 0 {
+			return false, errTruncated
 		}
-		return ver, blob, false, nil
-	}
-	if sum == nil {
-		sum = &Summary{}
+		return false, nil
 	}
 	sum.Seq = d.u64()
 	sum.Pop = d.u32()
 	var err error
 	sum.Max, err = decodeVec(&d, sum.Max)
 	if err != nil {
-		return 0, nil, false, err
+		return false, err
 	}
 	if d.err != nil || len(d.buf) != 0 {
-		return 0, nil, false, errTruncated
+		return false, errTruncated
 	}
-	return ver, blob, true, nil
+	return true, nil
 }
 
 // appendVec encodes a float vector as u16 dim + dim float64 bits.

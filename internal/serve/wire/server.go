@@ -62,15 +62,6 @@ type Server struct {
 	requests atomic.Uint64
 	rejected atomic.Uint64
 
-	// The newest federation map seen on this edge (OpFedMap). The
-	// server stores it content-agnostically — version-compare and
-	// echo — so a still-bootstrapping process can already take map
-	// pushes and stale-version detection needs one atomic load on
-	// the fed-query path.
-	fedVer  atomic.Uint64
-	fedMu   sync.Mutex
-	fedBlob []byte
-
 	closed atomic.Bool
 	mu     sync.Mutex
 	lns    []net.Listener
@@ -273,16 +264,13 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 	if eng != nil {
 		epoch = eng.Epoch()
 	}
-	if h.Op == OpFedMap {
-		// Map exchange is engine-independent (a follower still
-		// bootstrapping its mirror can already take map pushes):
-		// store the sender's map if newer, echo the newest held —
-		// with this member's availability summary piggybacked, so
-		// the exchange that already propagates the map doubles as
-		// the routers' demand-region-pruning feed.
-		ver, blob, _, err := DecodeFedMap(payload, nil)
-		if err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+	if h.Op == OpFedSummary {
+		// Answered with or without an engine: a follower still
+		// bootstrapping its mirror, like a service that holds no
+		// population, has no summary, and a router that gets none
+		// simply does not prune this member's legs.
+		if len(payload) != 0 {
+			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", errTruncated.Error())
 		}
 		var sum *Summary
 		if az, ok := eng.(serve.AvailSummarizer); ok {
@@ -290,31 +278,15 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 				sum = &Summary{Seq: seq, Pop: uint32(pop), Max: max}
 			}
 		}
-		s.fedMu.Lock()
-		if ver > s.fedVer.Load() {
-			s.fedBlob = append(s.fedBlob[:0], blob...)
-			s.fedVer.Store(ver)
-		}
-		out = AppendFedMapResponse(out, h.ReqID, epoch, s.fedVer.Load(), s.fedBlob, sum)
-		s.fedMu.Unlock()
-		return out
+		return AppendFedSummaryResponse(out, h.ReqID, epoch, sum)
 	}
 	if eng == nil {
 		return AppendError(out, h.Op, h.ReqID, 0, CodeNotReady, s.cfg.RetryAfter, "",
 			"engine not ready (follower still bootstrapping)")
 	}
 	switch h.Op {
-	case OpQuery, OpFedQuery:
-		// One body for both: a fed query is a query prefixed with the
-		// router's map version and answered with a stale-map bit.
-		var mapVer uint64
-		var err error
-		if h.Op == OpFedQuery {
-			mapVer, err = DecodeFedQuery(payload, &st.q)
-		} else {
-			err = DecodeQuery(payload, &st.q)
-		}
-		if err != nil {
+	case OpQuery:
+		if err := DecodeQuery(payload, &st.q); err != nil {
 			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
 		}
 		scope := ""
@@ -330,9 +302,6 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		})
 		if err != nil {
 			return s.appendErr(out, h, epoch, eng, err)
-		}
-		if h.Op == OpFedQuery {
-			return AppendFedQueryResponse(out, h.ReqID, epoch, &resp, s.fedVer.Load() > mapVer)
 		}
 		return AppendQueryResponse(out, h.ReqID, epoch, &resp)
 

@@ -17,7 +17,8 @@
 //	offset size field
 //	0      1    magic (0xC9)
 //	1      1    version (1)
-//	2      1    op (query=1 update=2 join=3 leave=4 stats=5)
+//	2      1    op (query=1 update=2 join=3 leave=4 stats=5
+//	            fed-take=7 fed-summary=8; 6 is retired)
 //	3      1    flags (1=response, 2=error)
 //	4      4    request id (echoed verbatim in the response)
 //	8      8    epoch (requests: expected epoch, 0 = don't care;
@@ -78,16 +79,16 @@ const (
 	OpJoin   byte = 3
 	OpLeave  byte = 4
 	OpStats  byte = 5
-	// Federation ops (PR 7). OpFedQuery is OpQuery prefixed with the
-	// sender's federation-map version, so the answering primary can
-	// flag a stale router. OpFedTake removes a node and returns its
-	// availability for re-homing in another process. OpFedMap
-	// exchanges federation maps: the server keeps the newest version
-	// it has seen and returns it.
-	OpFedQuery byte = 6
-	OpFedTake  byte = 7
-	OpFedMap   byte = 8
-	opMax      byte = 8
+	// Federation ops. OpFedTake removes a node and returns its
+	// availability for re-homing in another process. OpFedSummary asks
+	// a member for its availability summary, the routers' pruning
+	// feed. Op 6 (fed-query, a query prefixed with a federation-map
+	// version) is retired: a scatter leg is a plain OpQuery, and the
+	// filter refuses 6 so the number is never reused by accident.
+	opRetired    byte = 6
+	OpFedTake    byte = 7
+	OpFedSummary byte = 8
+	opMax        byte = 8
 )
 
 // Header flags.
@@ -146,10 +147,6 @@ const (
 // Query response flags.
 const (
 	rfCached byte = 1 << 0
-	// rfMapStale (OpFedQuery responses only): the answering primary
-	// holds a newer federation map than the version stamped on the
-	// request — the router should pull the map and re-plan.
-	rfMapStale byte = 1 << 1
 )
 
 // Fed-take response flags.
@@ -188,7 +185,7 @@ func FilterHeader(hdr []byte) error {
 	if hdr[1] != Version {
 		return errBadVersion
 	}
-	if op := hdr[2]; op == 0 || op > opMax {
+	if op := hdr[2]; op == 0 || op > opMax || op == opRetired {
 		return errBadOp
 	}
 	if hdr[3]&^flagsMask != 0 {

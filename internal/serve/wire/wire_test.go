@@ -81,6 +81,7 @@ func TestFilterHeader(t *testing.T) {
 		{"bad version", mutate(1, 99)},
 		{"op zero", mutate(2, 0)},
 		{"op out of range", mutate(2, 9)},
+		{"retired op 6 (fed-query)", mutate(2, 6)},
 		{"bad flag bits", mutate(3, 0x80)},
 		{"oversize payload", mutate(19, 0xFF)}, // plen high byte -> > MaxPayload
 	}
@@ -111,6 +112,19 @@ func TestCodecRoundTrips(t *testing.T) {
 			t.Fatal("frame CRC mismatch")
 		}
 		return h
+	}
+	// cutAnywhere requires decode to refuse every proper prefix of a
+	// valid payload, and the payload with a byte of trailing junk.
+	cutAnywhere := func(t *testing.T, payload []byte, decode func([]byte) error) {
+		t.Helper()
+		for n := 0; n < len(payload); n++ {
+			if decode(payload[:n]) == nil {
+				t.Fatalf("payload truncated to %d of %d bytes decoded", n, len(payload))
+			}
+		}
+		if decode(append(bytes.Clone(payload), 0)) == nil {
+			t.Fatal("payload with a trailing byte decoded")
+		}
 	}
 
 	t.Run("query", func(t *testing.T) {
@@ -194,6 +208,71 @@ func TestCodecRoundTrips(t *testing.T) {
 		node, err := wire.DecodeLeave(frame[wire.HeaderSize:])
 		if err != nil || node != 99 {
 			t.Fatalf("leave round trip: %d %v", node, err)
+		}
+	})
+
+	t.Run("fed take", func(t *testing.T) {
+		frame := wire.AppendFedTake(nil, 13, 2, 1<<40|9)
+		checkFrame(t, frame, wire.OpFedTake, 13, 2)
+		node, err := wire.DecodeFedTake(frame[wire.HeaderSize:])
+		if err != nil || node != 1<<40|9 {
+			t.Fatalf("fed-take round trip: %d %v", node, err)
+		}
+		cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+			_, err := wire.DecodeFedTake(p)
+			return err
+		})
+	})
+
+	t.Run("fed take response", func(t *testing.T) {
+		for _, tc := range []struct {
+			avail    []float64
+			degraded bool
+		}{
+			{[]float64{3.5, 0, 7}, false},
+			{[]float64{1, 2}, true},
+			{nil, false}, // a node that never published an availability
+		} {
+			frame := wire.AppendFedTakeResponse(nil, 14, 3, tc.avail, tc.degraded)
+			h := checkFrame(t, frame, wire.OpFedTake, 14, 3)
+			if h.Flags != wire.FlagResponse {
+				t.Fatalf("fed-take response flags %x", h.Flags)
+			}
+			avail, degraded, err := wire.DecodeFedTakeResponse(frame[wire.HeaderSize:], nil)
+			if err != nil || degraded != tc.degraded || !vecEq(avail, tc.avail) || (tc.avail == nil) != (avail == nil) {
+				t.Fatalf("fed-take response round trip: %v %v %v, want %v %v", avail, degraded, err, tc.avail, tc.degraded)
+			}
+			cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+				_, _, err := wire.DecodeFedTakeResponse(p, nil)
+				return err
+			})
+		}
+	})
+
+	t.Run("fed summary", func(t *testing.T) {
+		req := wire.AppendFedSummaryRequest(nil, 15, 0)
+		if h := checkFrame(t, req, wire.OpFedSummary, 15, 0); h.PLen != 0 || h.Flags != 0 {
+			t.Fatalf("summary request header %+v, want an empty request payload", h)
+		}
+		for _, sum := range []*wire.Summary{
+			nil, // a member with no engine mounted
+			{Seq: 1<<40 | 7, Pop: 12345, Max: []float64{25.6, 80, 0}},
+			{Seq: 3, Pop: 0, Max: nil}, // zero-length Max
+		} {
+			frame := wire.AppendFedSummaryResponse(nil, 16, 5, sum)
+			checkFrame(t, frame, wire.OpFedSummary, 16, 5)
+			got := wire.Summary{Max: []float64{9, 9, 9, 9}} // decode reuses and must truncate
+			ok, err := wire.DecodeFedSummaryResponse(frame[wire.HeaderSize:], &got)
+			if err != nil || ok != (sum != nil) {
+				t.Fatalf("summary response round trip: ok=%v err=%v, sent %+v", ok, err, sum)
+			}
+			if sum != nil && (got.Seq != sum.Seq || got.Pop != sum.Pop || !vecEq(got.Max, sum.Max)) {
+				t.Fatalf("summary response round trip: %+v, want %+v", got, *sum)
+			}
+			cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+				_, err := wire.DecodeFedSummaryResponse(p, new(wire.Summary))
+				return err
+			})
 		}
 	})
 
@@ -357,6 +436,62 @@ func TestWireE2E(t *testing.T) {
 	}
 	if st.WireConns < 1 || st.WireRequests == 0 {
 		t.Fatalf("stats wire gauges: conns=%d requests=%d", st.WireConns, st.WireRequests)
+	}
+}
+
+// TestWireFedSummary: op 8 is the availability-summary exchange and
+// nothing else. A member answers with an upper bound over its records,
+// and a listener with no engine mounted (a follower still
+// bootstrapping) answers "no summary" rather than an error, so a
+// router keeps its address and simply does not prune its legs.
+func TestWireFedSummary(t *testing.T) {
+	exchange := func(t *testing.T, svc func() serve.Service) *wire.Response {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := wire.NewServer(svc, wire.ServerConfig{})
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		c := dialWire(t, ln.Addr().String())
+		id := c.EnqueueFedSummary()
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.ReadResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Errored || r.Op != wire.OpFedSummary || r.ReqID != id {
+			t.Fatalf("summary exchange answered %+v", r)
+		}
+		return r
+	}
+
+	eng := newTestEngine(t, serve.Config{Shards: 2, NodesPerShard: 4, Seed: 5})
+	r := exchange(t, func() serve.Service { return eng })
+	if !r.SumOK || int(r.Summary.Pop) != len(eng.Nodes()) || len(r.Summary.Max) != eng.Config().CMax.Dim() {
+		t.Fatalf("member summary ok=%v %+v, want %d records over %d dims",
+			r.SumOK, r.Summary, len(eng.Nodes()), eng.Config().CMax.Dim())
+	}
+	if r.Epoch != eng.Epoch() {
+		t.Fatalf("summary response carries epoch %d, engine is at %d", r.Epoch, eng.Epoch())
+	}
+	all, err := eng.Query(serve.QueryRequest{Demand: make([]float64, len(r.Summary.Max)), K: 64, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cand := range all.Candidates {
+		for k, v := range cand.Avail {
+			if v > r.Summary.Max[k] {
+				t.Fatalf("node %v holds %v in dim %d, above the summary's maximum %v", cand.Node, v, k, r.Summary.Max[k])
+			}
+		}
+	}
+
+	if r := exchange(t, func() serve.Service { return nil }); r.SumOK {
+		t.Fatalf("a listener without an engine sent a summary: %+v", r.Summary)
 	}
 }
 

@@ -357,14 +357,6 @@ type Service = serve.Service
 // as NewEngineHandler (minus the engine-only admin routes).
 func NewServiceHandler(s Service) http.Handler { return serve.NewServiceHandler(s) }
 
-// FedMap partitions the 64-bit placement keyspace across federation
-// members (primary processes); see fed.Map.
-type FedMap = fed.Map
-
-// FedMember is one entry of a FedMap: a member's address list
-// (primary first, promotable followers after) and keyspace slice.
-type FedMember = fed.Member
-
 // FedRouter scatter-gathers the Service API across federation
 // members over the wire protocol, exactly as an Engine scatters
 // across in-process shards.
@@ -376,10 +368,5 @@ type FedRouterConfig = fed.Config
 // FedRouterStats is the counter set behind FedRouter.StatsPayload.
 type FedRouterStats = fed.Stats
 
-// NewFedRouter connects a router to its federation members and
-// exchanges the initial map.
+// NewFedRouter connects a router to its federation members.
 func NewFedRouter(cfg FedRouterConfig) (*FedRouter, error) { return fed.New(cfg) }
-
-// FedEvenSplit builds a version-1 federation map dividing the
-// keyspace evenly across the given members' address lists.
-func FedEvenSplit(addrs [][]string) FedMap { return fed.EvenSplit(addrs) }
