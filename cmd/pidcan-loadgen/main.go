@@ -887,7 +887,9 @@ type serverProbe struct {
 	CacheQuantum    float64 `json:"cache_quantum"`
 	IndexSearches   uint64  `json:"index_searches"`
 	IndexScanned    uint64  `json:"index_scanned_records"`
+	IndexCandidates uint64  `json:"index_candidates"`
 	ScannedPerQuery float64 `json:"index_scanned_per_search"`
+	CandsPerQuery   float64 `json:"index_candidates_per_search"`
 	IndexBuilds     uint64  `json:"index_builds"`
 	IndexDeltas     uint64  `json:"index_delta_builds"`
 	IndexReuses     uint64  `json:"index_reuses"`
@@ -928,6 +930,7 @@ func (p *serverProbe) diff(before *serverProbe) *serverProbe {
 	d.CacheAdaptions -= before.CacheAdaptions
 	d.IndexSearches -= before.IndexSearches
 	d.IndexScanned -= before.IndexScanned
+	d.IndexCandidates -= before.IndexCandidates
 	d.IndexBuilds -= before.IndexBuilds
 	d.IndexDeltas -= before.IndexDeltas
 	d.IndexReuses -= before.IndexReuses
@@ -943,6 +946,7 @@ func (p *serverProbe) diff(before *serverProbe) *serverProbe {
 	}
 	if d.IndexSearches > 0 {
 		d.ScannedPerQuery = float64(d.IndexScanned) / float64(d.IndexSearches)
+		d.CandsPerQuery = float64(d.IndexCandidates) / float64(d.IndexSearches)
 	}
 	return &d
 }
@@ -1033,10 +1037,10 @@ func report(sum summary, jsonOut string) {
 		fmt.Printf("server:  router: %.2f legs/query (%d sent, %d pruned over %d queries); pipeline depth %.1f\n",
 			p.FedLegsPerQuery, p.FedLegsSent, p.FedLegsPruned, p.Queries, p.FedPipelineDepth)
 	} else if p != nil {
-		fmt.Printf("server:  %d nodes; cache %.1f%% hits (%d stale, %d adaptions; ttl %.0fms, quantum %.4f); index %.1f records/search over %d searches (%d builds, %d deltas, %d reuses)\n",
+		fmt.Printf("server:  %d nodes; cache %.1f%% hits (%d stale, %d adaptions; ttl %.0fms, quantum %.4f); index %.1f records/search, %.1f candidates/search over %d searches (%d builds, %d deltas, %d reuses)\n",
 			p.TotalNodes, 100*p.CacheHitRate, p.CacheStale, p.CacheAdaptions,
 			p.CacheTTLMS, p.CacheQuantum,
-			p.ScannedPerQuery, p.IndexSearches,
+			p.ScannedPerQuery, p.CandsPerQuery, p.IndexSearches,
 			p.IndexBuilds, p.IndexDeltas, p.IndexReuses)
 	}
 

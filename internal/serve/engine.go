@@ -9,6 +9,7 @@ import (
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
+	"pidcan/internal/serve/index"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
@@ -39,6 +40,7 @@ type Engine struct {
 	queries       atomic.Uint64
 	idxSearches   atomic.Uint64 // snapshot-path index searches (uncached + cache fills)
 	idxScanned    atomic.Uint64 // records those searches visited
+	idxCands      atomic.Uint64 // candidates they merged before ranking
 	consistent    atomic.Uint64
 	updates       atomic.Uint64
 	joins         atomic.Uint64
@@ -182,13 +184,16 @@ type Stats struct {
 	// IndexSearches counts snapshot-path index searches (uncached
 	// queries + cache fills); IndexScannedRecords the records those
 	// searches visited — scanned/searches vs total_nodes is the
-	// sub-linearity gauge of the read path. IndexBuilds counts full
+	// sub-linearity gauge of the read path — and IndexCandidates the
+	// candidates they merged before ranking: candidates/searches vs k
+	// is how much of what a search collects it uses. IndexBuilds counts full
 	// per-shard index builds, IndexDeltaBuilds incremental
 	// (merge-with-dirty-nodes) rebuilds, and IndexReuses
 	// publications that reused the previous records + index
 	// wholesale because the batch changed nothing.
 	IndexSearches       uint64 `json:"index_searches"`
 	IndexScannedRecords uint64 `json:"index_scanned_records"`
+	IndexCandidates     uint64 `json:"index_candidates"`
 	IndexBuilds         uint64 `json:"index_builds"`
 	IndexDeltaBuilds    uint64 `json:"index_delta_builds"`
 	IndexReuses         uint64 `json:"index_reuses"`
@@ -518,21 +523,59 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	return resp, nil
 }
 
-// searchShards merges every shard snapshot's Search for
-// the k best-fit candidates dominating demand — the one read-path
+// searchShards collects the candidates needed to rank the k best fits
+// dominating demand over every shard's snapshot — the one read-path
 // ranking entry the uncached and cache-fill queries both go through.
-// The returned candidates still need bestFit: per-shard searches
-// return their own top k (plus near ties), not a global order.
+// The shards' indexes are scanned as one: a cursor each, always
+// stepping the one whose next score is lowest, against one shared
+// bound on the k smallest match scores — so the scan visits what one
+// index over the whole population would, not k matches' worth per
+// shard. The returned candidates still need bestFit: they arrive block
+// by block, not in order, and a match found before the bound shrank
+// past it stays in.
 func (e *Engine) searchShards(demand vector.Vec, k int) []Candidate {
-	var cands []Candidate
+	// The usual shard counts and k keep all of this on the stack; the
+	// candidates are the one allocation, k plus a margin for ties and
+	// for matches the shrinking bound overtook.
+	var (
+		snapBuf  [8]*Snapshot
+		curBuf   [8]index.Cursor
+		scoreBuf [8]float64
+		entryBuf [8]int32
+		cands    []Candidate
+	)
+	if k > 0 {
+		cands = make([]Candidate, 0, min(k, 64)+4)
+	}
+	snaps, cursors := snapBuf[:0], curBuf[:0]
 	visited := 0
 	for _, s := range e.shards {
-		var n int
-		cands, n = s.snapshot().Search(cands, demand, e.cfg.CMax, k)
+		snap := s.snapshot()
+		if snap.flat == nil { // the linear-scan referee
+			cands = snap.collect(cands, demand, e.cfg.CMax, snap.Taken)
+			visited += len(snap.Records)
+			continue
+		}
+		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand, snap.Taken))
+	}
+	bound := index.NewBound(k, scoreBuf[:])
+	for {
+		low := -1
+		for i := range cursors {
+			if !cursors[i].Done() && (low < 0 || cursors[i].Next() < cursors[low].Next()) {
+				low = i
+			}
+		}
+		if low < 0 {
+			break
+		}
+		entries, n := cursors[low].Step(entryBuf[:0], &bound)
+		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
 		visited += n
 	}
 	e.idxSearches.Add(1)
 	e.idxScanned.Add(uint64(visited))
+	e.idxCands.Add(uint64(len(cands)))
 	return cands
 }
 
@@ -767,6 +810,7 @@ func (e *Engine) Stats() Stats {
 	st.CacheEpochBound = cs.epochBound
 	st.IndexSearches = e.idxSearches.Load()
 	st.IndexScannedRecords = e.idxScanned.Load()
+	st.IndexCandidates = e.idxCands.Load()
 	for _, s := range e.shards {
 		snap := s.snapshot()
 		st.Shards = append(st.Shards, ShardStats{

@@ -13,40 +13,63 @@
 //
 // Layout. A Flat holds the records sorted by (score, node), cut into
 // blocks of at most blockCap entries. A block is a small
-// structure-of-arrays: node ids, scores (binary searched), stored and
-// expiry times, a row-major packed availability matrix (scanned for
-// the dominance test) and the block's own per-dimension suffix-max
-// over that matrix. Over the blocks sits a per-version directory: the
-// block pointers, each block's first score (binary searched to find
-// where a scan starts) and, per block, the per-dimension maximum over
-// all *later* blocks. A second sequence of chunks, ordered by node id,
-// maps every node to its current score, so an entry can be found from
-// its node id in O(log n).
+// structure-of-arrays: node ids, scores (binary searched), one-word
+// dominance signatures (what a scan reads), stored and expiry times, a
+// row-major packed availability matrix (read only for the few entries
+// whose signature passes) and the block's own per-dimension maximum.
+// Over the blocks sits a per-version directory: the block pointers,
+// each block's first score (binary searched to find where a scan
+// starts) and, per block, the per-dimension maximum over that block
+// and every later one. A second sequence of chunks, ordered by node
+// id, maps every node to its current score, so an entry can be found
+// from its node id in O(log n).
 //
-// A query for the k best records dominating demand then:
+// A signature packs one byte lane per dimension, for the first
+// sigDims dimensions: the availability as a fraction of cmax,
+// quantized *up* to sigMax steps. A demand's signature is quantized
+// *down*. Multiplication by a positive constant, ceil, floor and
+// clamping are all monotone, so avail[d] >= demand[d] implies the
+// record's lane is >= the demand's: one SWAR compare of the two words
+// is a necessary condition for dominance that never rejects a match.
+// Lanes of unscored dimensions (cmax[d] == 0) and of dimensions past
+// sigDims are 0 in a demand's signature and always pass; values above
+// cmax clamp to sigMax on both sides. The exact test on the
+// availability row still decides every entry that is reported.
 //
-//  1. binary-searches the directory, then one block, for the first
-//     entry with score >= D — a necessary condition for dominance,
-//     and exact in floating point because score and D are accumulated
-//     with the same per-dimension multiplications in the same order;
-//  2. scans ascending, block after block, keeping unexpired entries
-//     whose availability row dominates the demand — the first k such
-//     entries are the k smallest-surplus matches, so the scan stops
-//     as soon as the score passes the k-th match's score (plus a tie
-//     slack that keeps near-equal-score entries in play: the caller
-//     re-ranks by the exactly-computed surplus, so rounding between
-//     score subtraction and the reference Σ(a-w)/c summation can
-//     never change the reported candidate set);
-//  3. every pruneEvery non-matching entries, stops if in some
-//     dimension neither the rest of the block (its local suffix-max)
-//     nor any later block (the directory) reaches the demand.
+// A query for the k best records dominating demand is a Cursor over
+// each index it spans (one for Search, one per shard for the serving
+// engine) and one Bound shared between them:
 //
-// The scan visits exactly the entries a scan of one whole-population
-// sorted array with one whole-population suffix-max would: the order
-// is the same total order, and max(local suffix-max from i, maximum
-// over later blocks) is the suffix-max from i. Blocks are only where
-// the entries are stored, so the visited count does not depend on how
-// a history of updates happened to cut them.
+//  1. Seek binary-searches the directory, then one block, for the
+//     first entry with score >= D — a necessary condition for
+//     dominance, and exact in floating point because score and D are
+//     accumulated with the same per-dimension multiplications in the
+//     same order;
+//  2. Step scans one block ascending: it binary-searches the block's
+//     scores for where the Bound's cutoff falls, compares the
+//     signatures up to there, and runs the expiry and exact dominance
+//     tests on the entries that pass. Every match is reported and its
+//     score offered to the Bound, which keeps the k smallest match
+//     scores seen by any cursor; the cutoff is the largest of them
+//     plus a tie slack (near-equal-score entries stay in play: the
+//     caller re-ranks by the exactly-computed surplus, so rounding
+//     between score subtraction and the reference Σ(a-w)/c summation
+//     can never change the reported candidate set) and only ever
+//     shrinks. Stepping whichever cursor has the lowest next score
+//     makes several indexes one score-ordered scan;
+//  3. a cursor retires when its next score is past the cutoff, when
+//     it runs out of blocks, or when — checked once per block, from
+//     the directory — some dimension of the demand is reached neither
+//     by the block it is about to enter nor by any later one.
+//
+// What is visited. The entries a scan compares are those of one
+// whole-population array sorted by score, from the first score >= D
+// to the cutoff, whatever number of indexes the population is spread
+// over — plus at most the block each cursor was in when the cutoff
+// last shrank, and at most one block more per cursor at a hopeless
+// tail, because the tail is cut at block boundaries. The visited
+// count therefore depends on where a history of updates happened to
+// cut the blocks by at most a block per cursor.
 //
 // What an update costs. Every version is immutable; Update derives
 // the next one by copy-on-write. A batch that dirtied b nodes finds
@@ -73,11 +96,14 @@ import (
 	"pidcan/internal/vector"
 )
 
-// pruneEvery is how many consecutive non-matching entries the scan
-// visits between suffix-max prune checks. Small enough to cut a
-// hopeless tail quickly, large enough that the d-wide check never
-// rivals the per-entry dominance test itself.
-const pruneEvery = 32
+// A signature has one byte lane for each of the first sigDims
+// dimensions, holding 0..sigMax; lanes is the spare high bit of every
+// lane, which is what lets one subtraction compare all of them.
+const (
+	sigDims = 8
+	sigMax  = 127
+	lanes   = 0x8080808080808080
+)
 
 // tieSlack bounds how far apart two scores can be while their
 // exactly-computed surpluses could still order the other way. The
@@ -88,7 +114,7 @@ const pruneEvery = 32
 const tieSlack = 1e-9
 
 // blockCap is the most entries a block holds: at five dimensions a
-// full block is ~13 KB, so the two blocks a one-node update rewrites
+// full block is ~10 KB, so the two blocks a one-node update rewrites
 // cost a few microseconds, while a 25 000-node shard's directory stays
 // near 200 rows. minFill is the fill under which a rewritten block is
 // carried into its successor.
@@ -105,10 +131,11 @@ const never = sim.Time(1<<63 - 1)
 type block struct {
 	nodes   []overlay.NodeID
 	score   []float64
+	sig     []uint64 // entry i's dominance signature (see Flat.signature)
 	stored  []sim.Time
 	expires []sim.Time
 	vals    []float64 // row-major: entry i's availability at vals[i*dims : (i+1)*dims]
-	sufMax  []float64 // row-major: sufMax[i*dims+d] = max of vals[j*dims+d] for j >= i
+	max     []float64 // max[d] = largest vals[i*dims+d] in the block
 	expiry  bool      // any entry with a finite expiry (skip the check otherwise)
 }
 
@@ -139,7 +166,8 @@ type span struct {
 }
 
 // op is one change to a sequence: the entry at key leaves (at < 0), or
-// entry at of the staging block, whose key it is, joins.
+// entry at of the staging block, whose key it is, joins. Build sorts
+// the same triple, at being the record's position in its input.
 type op struct {
 	key
 	at int32
@@ -152,7 +180,7 @@ type op struct {
 type Flat struct {
 	blocks []*block  // ascending (score, node)
 	first  []float64 // first[b] = blocks[b].score[0]
-	after  []float64 // row-major: after[b*dims+d] = max of dimension d over blocks b+1..
+	reach  []float64 // row-major: reach[b*dims+d] = max of dimension d over blocks b..
 	byNode []*block  // node → score, ascending by node
 	n      int
 
@@ -172,15 +200,22 @@ func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 			f.inv[d] = 1 / c
 		}
 	}
+	// What is sorted is a (score, node, position in recs) triple per
+	// record, not the records; each sequence is then written in one run.
 	n := len(recs)
-	stage := f.load(recs)
-	f.byNode = f.emit(nil, []span{{stage, 0, int32(n)}}, n, true)
-	all := make([]span, n)
-	for i := range all {
-		all[i] = span{stage, int32(i), int32(i + 1)}
+	order := make([]op, n)
+	ids := f.newBlock(n, true)
+	for i := range recs {
+		order[i] = op{key{f.scoreOf(recs[i].Avail), recs[i].Node}, int32(i)}
+		ids.nodes[i], ids.score[i] = order[i].node, order[i].score
 	}
-	slices.SortFunc(all, func(a, b span) int { return stage.key(int(a.lo)).cmp(stage.key(int(b.lo)), false) })
-	f.blocks = f.emit(nil, all, n, false)
+	f.byNode = f.emit(nil, []span{{ids, 0, int32(n)}}, n, true)
+	slices.SortFunc(order, func(a, b op) int { return a.cmp(b.key, false) })
+	stage := f.newBlock(n, false)
+	for at, o := range order {
+		f.put(stage, at, &recs[o.at], o.score)
+	}
+	f.blocks = f.emit(nil, []span{{stage, 0, int32(n)}}, n, false)
 	f.finish()
 	return f
 }
@@ -219,11 +254,15 @@ func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat 
 func (f *Flat) load(recs []proto.Record) *block {
 	b := f.newBlock(len(recs), false)
 	for i := range recs {
-		r := &recs[i]
-		b.nodes[i], b.score[i], b.stored[i], b.expires[i] = r.Node, f.scoreOf(r.Avail), r.Stored, r.Expires
-		copy(b.vals[i*f.dims:(i+1)*f.dims], r.Avail)
+		f.put(b, i, &recs[i], f.scoreOf(recs[i].Avail))
 	}
 	return b
+}
+
+// put writes r, whose score is score, as entry i of b.
+func (f *Flat) put(b *block, i int, r *proto.Record, score float64) {
+	b.nodes[i], b.score[i], b.sig[i], b.stored[i], b.expires[i] = r.Node, score, f.signature(r.Avail, true), r.Stored, r.Expires
+	copy(b.vals[i*f.dims:(i+1)*f.dims], r.Avail)
 }
 
 // apply derives the next version of a block sequence from ops, sorted
@@ -283,6 +322,7 @@ func (f *Flat) emit(out []*block, run []span, n int, byNode bool) []*block {
 			copy(b.nodes[at:], s.b.nodes[lo:hi])
 			copy(b.score[at:], s.b.score[lo:hi])
 			if !byNode {
+				copy(b.sig[at:], s.b.sig[lo:hi])
 				copy(b.stored[at:], s.b.stored[lo:hi])
 				copy(b.expires[at:], s.b.expires[lo:hi])
 				copy(b.vals[at*f.dims:], s.b.vals[lo*f.dims:hi*f.dims])
@@ -299,8 +339,8 @@ func (f *Flat) emit(out []*block, run []span, n int, byNode bool) []*block {
 	return out
 }
 
-// newBlock allocates an n-entry block: three allocations, whatever the
-// number of columns.
+// newBlock allocates an n-entry block: one allocation per element
+// type, whatever the number of columns.
 func (f *Flat) newBlock(n int, byNode bool) *block {
 	b := &block{nodes: make([]overlay.NodeID, n)}
 	if byNode {
@@ -308,19 +348,21 @@ func (f *Flat) newBlock(n int, byNode bool) *block {
 		return b
 	}
 	w := n * f.dims
-	floats := make([]float64, n+2*w)
-	b.score, b.vals, b.sufMax = floats[:n:n], floats[n:n+w:n+w], floats[n+w:]
+	floats := make([]float64, n+w+f.dims)
+	b.score, b.vals, b.max = floats[:n:n], floats[n:n+w:n+w], floats[n+w:]
+	b.sig = make([]uint64, n)
 	times := make([]sim.Time, 2*n)
 	b.stored, b.expires = times[:n:n], times[n:]
 	return b
 }
 
-// summarize derives a filled block's suffix-max and expiry flag.
+// summarize derives a filled block's per-dimension maximum and expiry
+// flag.
 func (f *Flat) summarize(b *block) {
-	copy(b.sufMax, b.vals)
-	for i := len(b.vals) - f.dims - 1; i >= 0; i-- {
-		if m := b.sufMax[i+f.dims]; m > b.sufMax[i] {
-			b.sufMax[i] = m
+	copy(b.max, b.vals)
+	for i := 1; i < len(b.nodes); i++ {
+		for d, v := range b.vals[i*f.dims : (i+1)*f.dims] {
+			b.max[d] = max(b.max[d], v)
 		}
 	}
 	b.expiry = slices.ContainsFunc(b.expires, func(e sim.Time) bool { return e != never })
@@ -329,19 +371,18 @@ func (f *Flat) summarize(b *block) {
 // finish derives the directory over f.blocks.
 func (f *Flat) finish() {
 	nb, dims := len(f.blocks), f.dims
-	dir := make([]float64, nb*(1+dims)+dims)
-	f.first, f.after = dir[:nb:nb], dir[nb:nb+nb*dims:nb+nb*dims]
-	later := dir[nb+nb*dims:]
-	for d := range later {
-		later[d] = math.Inf(-1)
-	}
+	dir := make([]float64, nb*(1+dims))
+	f.first, f.reach = dir[:nb:nb], dir[nb:]
 	for bi := nb - 1; bi >= 0; bi-- {
 		b := f.blocks[bi]
 		f.n += len(b.nodes)
 		f.first[bi] = b.score[0]
-		copy(f.after[bi*dims:], later)
-		for d := range later {
-			later[d] = max(later[d], b.sufMax[d])
+		reach := f.reach[bi*dims : (bi+1)*dims]
+		copy(reach, b.max)
+		if bi+1 < nb {
+			for d, later := range f.reach[(bi+1)*dims : (bi+2)*dims] {
+				reach[d] = max(reach[d], later)
+			}
 		}
 	}
 }
@@ -389,7 +430,7 @@ func (f *Flat) RaiseMax(m vector.Vec) {
 		return
 	}
 	for d := range m {
-		m[d] = max(m[d], f.blocks[0].sufMax[d], f.after[d])
+		m[d] = max(m[d], f.reach[d])
 	}
 }
 
@@ -434,6 +475,224 @@ func (f *Flat) row(b *block, i int) vector.Vec {
 	return vector.Vec(b.vals[a : a+f.dims : a+f.dims])
 }
 
+// signature packs v, a fraction of cmax per dimension quantized to
+// sigMax steps, one byte lane per dimension: up for an availability,
+// down for a demand, so that a record dominating a demand has every
+// lane >= the demand's (see the package comment). Unscored dimensions
+// quantize to 0; values outside [0, cmax] clamp.
+func (f *Flat) signature(v vector.Vec, up bool) uint64 {
+	var sig uint64
+	for d, inv := range f.inv[:min(f.dims, sigDims)] {
+		q := v[d] * (inv * sigMax)
+		if up {
+			q = math.Ceil(q)
+		}
+		lane := uint64(sigMax)
+		if !(q > 0) { // also a NaN, from an infinite value in an unscored dimension
+			lane = 0
+		} else if q < sigMax {
+			lane = uint64(q)
+		}
+		sig |= lane << (8 * d)
+	}
+	return sig
+}
+
+// Bound is the cutoff the cursors of one query share: it keeps the k
+// smallest match scores any of them has reported, and once there are k
+// no cursor needs to look past the largest (plus tieSlack). The cutoff
+// only ever shrinks. k <= 0 means no cutoff: every match is wanted.
+type Bound struct {
+	k, n int
+	heap []float64 // heap[:n] holds the kept scores, a max-heap
+	cut  float64
+}
+
+// NewBound returns the bound of a k-best query. The kept scores live
+// in scratch (all of it: its contents are overwritten) while they fit.
+func NewBound(k int, scratch []float64) Bound {
+	return Bound{k: k, heap: scratch, cut: math.Inf(1)}
+}
+
+// offer records a match's score and reports whether the cutoff shrank.
+func (b *Bound) offer(score float64) bool {
+	h := b.heap
+	switch {
+	case b.k <= 0:
+		return false
+	case b.n < b.k:
+		if b.n == len(h) {
+			// A fresh array, not an append: the scratch the caller lent
+			// stays on its stack. Grown as matches arrive, never to an
+			// unvetted k.
+			grown := make([]float64, 2*len(h)+8)
+			copy(grown, h)
+			b.heap, h = grown, grown
+		}
+		i := b.n
+		for h[i] = score; i > 0 && h[(i-1)/2] < h[i]; i = (i - 1) / 2 {
+			h[(i-1)/2], h[i] = h[i], h[(i-1)/2]
+		}
+		if b.n++; b.n < b.k {
+			return false
+		}
+	case score < h[0]:
+		h[0] = score
+		for i := 0; ; {
+			big := i
+			if l := 2*i + 1; l < b.n && h[l] > h[big] {
+				big = l
+			}
+			if r := 2*i + 2; r < b.n && h[r] > h[big] {
+				big = r
+			}
+			if big == i {
+				break
+			}
+			h[i], h[big] = h[big], h[i]
+			i = big
+		}
+	default:
+		return false
+	}
+	b.cut = h[0] + tieSlack
+	return true
+}
+
+// Cursor is a resumable ascending scan of one version for one demand.
+// Seek makes one; Step advances it a block at a time until Done.
+type Cursor struct {
+	f      *Flat
+	demand vector.Vec
+	now    sim.Time
+	sig    uint64  // the demand's signature
+	bi, lo int     // the next entry to visit: entry lo of blocks[bi]; bi == len(blocks) once retired
+	next   float64 // its score
+}
+
+// Seek returns a cursor at the first entry of f whose score allows it
+// to dominate demand, for a scan that treats entries expired at now as
+// absent.
+func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
+	c := Cursor{f: f, demand: demand, now: now, bi: len(f.blocks)}
+	if len(f.blocks) == 0 {
+		return c
+	}
+	c.sig = f.signature(demand, false)
+	D := f.scoreOf(demand)
+	// The first entry with score >= D is in the block before the first
+	// one that starts at or past D, or is that block's first entry.
+	bi := max(sort.SearchFloat64s(f.first, D)-1, 0)
+	lo := sort.SearchFloat64s(f.blocks[bi].score, D)
+	if lo == len(f.blocks[bi].score) {
+		bi, lo = bi+1, 0
+	}
+	c.enter(bi, lo)
+	return c
+}
+
+// enter moves the cursor to entry lo of block bi, or retires it: when
+// there is no such block, or when some dimension of the demand is
+// reached neither by that block nor by any later one.
+func (c *Cursor) enter(bi, lo int) {
+	f := c.f
+	if c.bi = len(f.blocks); bi >= len(f.blocks) {
+		return
+	}
+	reach := f.reach[bi*f.dims : (bi+1)*f.dims]
+	for d, w := range c.demand {
+		if reach[d] < w {
+			return
+		}
+	}
+	// A block is entered from the directory alone; its own columns are
+	// first read when it is scanned.
+	if c.bi, c.lo, c.next = bi, lo, f.first[bi]; lo > 0 {
+		c.next = f.blocks[bi].score[lo]
+	}
+}
+
+// Done reports whether the cursor has retired: nothing it has not
+// visited can be among the matches its query wants.
+func (c *Cursor) Done() bool { return c.bi == len(c.f.blocks) }
+
+// Next returns the score of the next entry the cursor would visit, a
+// lower bound on every score it has yet to report. Meaningful only
+// while the cursor is not Done.
+func (c *Cursor) Next() float64 { return c.next }
+
+// Step scans the rest of the cursor's current block, as far as
+// bound's cutoff: it appends to dst every unexpired entry dominating
+// the demand (opaque positions: resolve them with NodeAt/Row on the
+// cursor's version), offers each one's score to bound, and moves to
+// the next block or retires. The second result is how many entries it
+// visited. Stepping a cursor that is Done does nothing.
+func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
+	if c.Done() {
+		return dst, 0
+	}
+	f, bi, lo := c.f, c.bi, c.lo
+	if c.next > bound.cut {
+		c.bi = len(f.blocks)
+		return dst, 0
+	}
+	b := f.blocks[bi]
+	// past is where the cutoff falls in the block: found by binary
+	// search, here and whenever a match moves it, not by comparing a
+	// score per entry — and not at all while the next block starts
+	// under the cutoff.
+	past := len(b.score)
+	if bi+1 == len(f.blocks) || f.first[bi+1] > bound.cut {
+		past = lo + within(b.score[lo:], bound.cut)
+	}
+scan:
+	for i := lo; ; i++ {
+		if i += passing(b.sig[i:past], c.sig); i == past {
+			break
+		}
+		if b.expiry && c.now >= b.expires[i] {
+			continue
+		}
+		row := b.vals[i*f.dims : (i+1)*f.dims]
+		for d, w := range c.demand {
+			if row[d] < w {
+				continue scan
+			}
+		}
+		dst = append(dst, int32(bi<<blockShift|i))
+		if bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
+			past = i + 1 + within(b.score[i+1:past], bound.cut)
+		}
+	}
+	if past < len(b.score) {
+		c.bi = len(f.blocks)
+	} else {
+		c.enter(bi+1, 0)
+	}
+	return dst, past - lo
+}
+
+// passing returns the position of the first of sigs that passes the
+// demand signature want — every lane >= want's — or len(sigs). This
+// loop is the scan: one word read and one compare per rejected entry.
+// Kept out of line because inlined into Step it loses its registers to
+// the code around it (measured: 15-25% of a search).
+//
+//go:noinline
+func passing(sigs []uint64, want uint64) int {
+	for i, sig := range sigs {
+		if ((sig|lanes)-want)&lanes == lanes {
+			return i
+		}
+	}
+	return len(sigs)
+}
+
+// within returns how many of the ascending scores are <= cut.
+func within(scores []float64, cut float64) int {
+	return sort.Search(len(scores), func(i int) bool { return scores[i] > cut })
+}
+
 // Search appends to dst the entries (opaque positions: resolve them
 // with NodeAt/Row on this version) of every record needed to rank the
 // k smallest-surplus unexpired records dominating demand: the first k
@@ -441,56 +700,17 @@ func (f *Flat) row(b *block, i int) vector.Vec {
 // the k-th score (so a caller re-ranking by exact surplus can never
 // be missing a true top-k member). k <= 0 returns every match. The
 // second result is how many entries the scan visited — the
-// sub-linearity measurement the engine aggregates.
+// sub-linearity measurement the engine aggregates. It is the
+// one-cursor scan; the serving engine steps one cursor per shard
+// against one Bound.
 func (f *Flat) Search(dst []int32, demand vector.Vec, now sim.Time, k int) ([]int32, int) {
-	if len(f.blocks) == 0 {
-		return dst, 0
-	}
-	D := f.scoreOf(demand)
-	// The first entry with score >= D is in the block before the first
-	// one that starts at or past D, or is that block's first entry.
-	bi := max(sort.SearchFloat64s(f.first, D)-1, 0)
-	lo := sort.SearchFloat64s(f.blocks[bi].score, D)
-	dims := f.dims
-	found, visited := 0, 0
-	cutoff := math.Inf(1)
-	misses := 0
-	for ; bi < len(f.blocks); bi, lo = bi+1, 0 {
-		b := f.blocks[bi]
-		for i := lo; i < len(b.score); i++ {
-			if b.score[i] > cutoff {
-				return dst, visited
-			}
-			visited++
-			if b.expiry && now >= b.expires[i] {
-				continue
-			}
-			row := b.vals[i*dims : (i+1)*dims]
-			dom := true
-			for d, w := range demand {
-				if row[d] < w {
-					dom = false
-					break
-				}
-			}
-			if dom {
-				dst = append(dst, int32(bi<<blockShift|i))
-				found++
-				if k > 0 && found == k {
-					cutoff = b.score[i] + tieSlack
-				}
-				continue
-			}
-			if misses++; misses >= pruneEvery {
-				misses = 0
-				local, later := b.sufMax[i*dims:(i+1)*dims], f.after[bi*dims:(bi+1)*dims]
-				for d, w := range demand {
-					if local[d] < w && later[d] < w {
-						return dst, visited
-					}
-				}
-			}
-		}
+	var scratch [8]float64
+	bound := NewBound(k, scratch[:])
+	visited := 0
+	for c := f.Seek(demand, now); !c.Done(); {
+		var n int
+		dst, n = c.Step(dst, &bound)
+		visited += n
 	}
 	return dst, visited
 }

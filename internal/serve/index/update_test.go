@@ -132,7 +132,10 @@ func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 		demand, k := h.demand(), h.rng.Intn(8)
 		ge, gv := got.Search(nil, demand, h.now, k)
 		we, wv := want.Search(nil, demand, h.now, k)
-		if gv != wv {
+		// The two cut their blocks at different entries, and a scan stops
+		// at a hopeless tail only between blocks: the counts may differ by
+		// what one block holds, the answers not at all.
+		if d := gv - wv; d > blockCap || d < -blockCap {
 			t.Fatalf("q %d: Update chain visited %d entries, Build %d", q, gv, wv)
 		}
 		if g, w := resolve(got, ge), resolve(want, we); !slices.Equal(g, w) {
@@ -181,8 +184,8 @@ func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 // shrink through merges down to nothing and come back, with score
 // ties and finite expiries, the index an Update chain arrives at must
 // answer every Search exactly like a Build from scratch of the same
-// records — same resolved entries, same visited count — and both like
-// the brute-force top-k.
+// records — same resolved entries, visited counts within a block of
+// each other — and both like the brute-force top-k.
 func TestUpdateMatchesBuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		h := &history{rng: rand.New(rand.NewSource(seed)), cmax: vector.Of(8, 8, 5), now: 500}

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
@@ -128,6 +131,130 @@ func TestIndexedQueryMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestMergedScanMatchesLinear pins the merged scan — one cursor per
+// shard under one shared cutoff — against the linear referee where a
+// shared cutoff could go wrong: four shards of several blocks each,
+// availabilities on a coarse grid so that records of different shards
+// tie exactly at the k-th position, records expiring by RecordTTL, and
+// k of 1, 3 and more than there are matches. Responses must be
+// byte-identical; the merged scan may visit no more than the four
+// per-shard searches it replaced would together; and it must hand
+// ranking about the k candidates asked for, not k per shard.
+func TestMergedScanMatchesLinear(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 320
+	cfg.CMax = vector.Of(8, 12, 5)
+	cfg.RecordTTL = 50 * sim.Second
+	linCfg := cfg
+	linCfg.IndexDisabled = true
+	idx, idxClock := newClockedEngine(t, cfg)
+	lin, linClock := newClockedEngine(t, linCfg)
+
+	rng := rand.New(rand.NewSource(21))
+	// A third of all vectors lie on a grid of 16 steps per dimension:
+	// distinct grid vectors have one of 49 scores, so grid records tie
+	// in score (to rounding) all the time, in and across shards, and
+	// the ranking between them is the exact surplus's and the node
+	// id's to decide. The rest keep the tie groups small.
+	draw := func(scale float64) vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		grid := rng.Intn(3) == 0
+		for d := range v {
+			if v[d] = cfg.CMax[d] * scale * rng.Float64(); grid {
+				v[d] = cfg.CMax[d] * scale * float64(rng.Intn(17)) / 16
+			}
+		}
+		return v
+	}
+	nodes := idx.Nodes()
+	if !slices.Equal(nodes, lin.Nodes()) {
+		t.Fatal("the two engines number their nodes differently")
+	}
+
+	same := func(a, b []Candidate) bool {
+		return slices.EqualFunc(a, b, func(a, b Candidate) bool {
+			return a.Node == b.Node && math.Float64bits(a.Surplus) == math.Float64bits(b.Surplus) && a.Avail.Equal(b.Avail)
+		})
+	}
+	var candidates, asked, tiedAcrossShards, expired int
+	for round := range 6 {
+		// Re-advertise everything in round 0 and a third of the nodes
+		// afterwards, 20 s apart: what was last written more than 50 s
+		// ago has expired.
+		for _, n := range nodes {
+			if round > 0 && rng.Intn(3) > 0 {
+				continue
+			}
+			a := draw(1)
+			if err := errors.Join(idx.Update(n, a, false), lin.Update(n, a, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		idxClock.advance(20 * time.Second)
+		linClock.advance(20 * time.Second)
+
+		for range 60 {
+			demand := draw(0.75)
+			all, err := lin.Query(QueryRequest{Demand: demand, K: len(nodes), NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches := all.Candidates
+			for _, k := range []int{1, 3, len(nodes)} {
+				req := QueryRequest{Demand: demand, K: k, NoCache: true}
+				before := idx.Stats()
+				got, err := idx.Query(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := idx.Stats()
+				want, err := lin.Query(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(got.Candidates, want.Candidates) {
+					t.Fatalf("round %d demand %v k %d: merged scan answered\n%+v\nlinear referee\n%+v", round, demand, k, got.Candidates, want.Candidates)
+				}
+				perShard := 0
+				for i := range cfg.Shards {
+					snap, err := idx.Snapshot(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, n := snap.Search(nil, demand, cfg.CMax, k)
+					perShard += n
+				}
+				if merged := int(after.IndexScannedRecords - before.IndexScannedRecords); merged > perShard {
+					t.Fatalf("round %d demand %v k %d: merged scan visited %d entries, the four per-shard searches %d", round, demand, k, merged, perShard)
+				}
+				if k < len(matches) {
+					candidates += int(after.IndexCandidates - before.IndexCandidates)
+					asked += k
+					if a, b := matches[k-1], matches[k]; a.Surplus == b.Surplus && a.Node.Shard() != b.Node.Shard() {
+						tiedAcrossShards++
+					}
+				}
+			}
+		}
+		snap, err := idx.Snapshot(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range snap.Records {
+			if r.Expired(snap.Taken) {
+				expired++
+			}
+		}
+	}
+	t.Logf("%d candidates merged for %d asked; %d queries tied across shards at the k-th position; %d expired records seen on shard 0", candidates, asked, tiedAcrossShards, expired)
+	if tiedAcrossShards == 0 || expired == 0 {
+		t.Fatalf("the run exercised %d cross-shard ties at the k-th position and %d expired records, want both", tiedAcrossShards, expired)
+	}
+	if candidates > 2*asked {
+		t.Fatalf("merged scans handed ranking %d candidates for %d asked, more than twice over", candidates, asked)
+	}
+}
+
 // driftConfig is the demand-drift scenario: a fine quantization grid
 // against a slowly wandering demand distribution, so nearly every
 // lookup lands in a virgin cell and the fixed-knob cache can't
@@ -245,4 +372,58 @@ func TestCacheRotationKeepsHotHalf(t *testing.T) {
 	if st.CacheEntries > cfg.CacheSize {
 		t.Fatalf("cache grew past its bound: %d > %d", st.CacheEntries, cfg.CacheSize)
 	}
+}
+
+// seededEngine builds an engine of fake backends whose nodes already
+// advertise avail() when the first snapshot is published, so a large
+// population costs one index build per shard, not a write per node.
+func seededEngine(tb testing.TB, cfg Config, avail func() vector.Vec) *Engine {
+	tb.Helper()
+	e, err := New(cfg, func(i int, rc Config) (Backend, error) {
+		f := newFake(rc.NodesPerShard, rc.CMax.Dim())
+		for id := range f.next {
+			f.avail[id] = avail()
+		}
+		return f, nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	return e
+}
+
+// BenchmarkEngineSearch is the uncached read path at the repo
+// benchmark's read_uncached_100k shape: 4 shards x 25 000 records,
+// availabilities in [0.2, 1]·cmax, demands in [0, 0.6]·cmax, k = 3.
+func BenchmarkEngineSearch(b *testing.B) {
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 25000
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	rng := rand.New(rand.NewSource(5))
+	draw := func(lo, hi float64) vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		for d := range v {
+			v[d] = cfg.CMax[d] * (lo + (hi-lo)*rng.Float64())
+		}
+		return v
+	}
+	e := seededEngine(b, cfg, func() vector.Vec { return draw(0.2, 1) })
+	demands := make([]vector.Vec, 1024)
+	for i := range demands {
+		demands[i] = draw(0, 0.6)
+	}
+	before := e.Stats()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := e.Query(QueryRequest{Demand: demands[i%len(demands)], K: 3, NoCache: true}); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+	st := e.Stats()
+	searches := float64(st.IndexSearches - before.IndexSearches)
+	b.ReportMetric(float64(st.IndexScannedRecords-before.IndexScannedRecords)/searches, "scanned/op")
+	b.ReportMetric(float64(st.IndexCandidates-before.IndexCandidates)/searches, "candidates/op")
 }

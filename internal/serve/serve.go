@@ -362,7 +362,7 @@ type Config struct {
 
 	// IndexDisabled is referee-only: every publication re-reads the
 	// whole population into a stored record array, without the
-	// dominance index, and Snapshot.Search scans every record — the
+	// dominance index, and every query scans every record — the
 	// reference the replay corpus, cmd/pidcan-replay and the
 	// index-equivalence tests pin the indexed path against. No
 	// server flag sets it.

@@ -84,12 +84,22 @@ func (s *Snapshot) raiseMax(m vector.Vec) {
 // Without an index every record is scanned: the referee the indexed
 // path is pinned against, producing byte-identical candidates (same
 // global ids, same surplus arithmetic).
+//
+// This is the one-snapshot search. An engine query does not call it
+// per shard: Engine.searchShards merges the shards' scans under one
+// cutoff.
 func (s *Snapshot) Search(dst []Candidate, demand, scale vector.Vec, k int) ([]Candidate, int) {
 	if s.flat == nil {
 		return s.collect(dst, demand, scale, s.Taken), len(s.Records)
 	}
 	var buf [8]int32
 	entries, visited := s.flat.Search(buf[:0], demand, s.Taken, k)
+	return s.resolve(dst, entries, demand, scale), visited
+}
+
+// resolve appends the candidates behind entries, positions an index
+// scan of this snapshot reported for demand.
+func (s *Snapshot) resolve(dst []Candidate, entries []int32, demand, scale vector.Vec) []Candidate {
 	for _, e := range entries {
 		avail := s.flat.Row(e)
 		dst = append(dst, Candidate{
@@ -98,7 +108,7 @@ func (s *Snapshot) Search(dst []Candidate, demand, scale vector.Vec, k int) ([]C
 			Surplus: avail.Surplus(demand, scale),
 		})
 	}
-	return dst, visited
+	return dst
 }
 
 // Candidate is one qualified node of a query response.
