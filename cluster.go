@@ -44,7 +44,7 @@ type Cluster struct {
 	nw    *overlay.Network
 	p     *core.PIDCAN
 	rec   *metrics.Recorder
-	live  map[NodeID]bool
+	live  map[NodeID]bool // alive nodes only: a departed id is deleted
 	avail map[NodeID]Vec
 	next  NodeID
 }
@@ -127,10 +127,8 @@ func (c *Cluster) Alive(id NodeID) bool { return c.live[id] }
 // AliveNodes implements proto.Env.
 func (c *Cluster) AliveNodes() []NodeID {
 	out := make([]NodeID, 0, len(c.live))
-	for id, up := range c.live {
-		if up {
-			out = append(out, id)
-		}
+	for id := range c.live {
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -311,7 +309,7 @@ func (c *Cluster) Leave(id NodeID) error {
 	if !c.live[id] {
 		return fmt.Errorf("pidcan: node %d not in cluster", id)
 	}
-	c.live[id] = false
+	delete(c.live, id)
 	delete(c.avail, id)
 	if _, err := c.nw.Leave(id); err != nil {
 		return err

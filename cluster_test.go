@@ -1,8 +1,10 @@
 package pidcan
 
 import (
+	"runtime"
 	"testing"
 
+	"pidcan/internal/metrics"
 	"pidcan/internal/vector"
 )
 
@@ -162,6 +164,92 @@ func TestClusterJoinLeave(t *testing.T) {
 	if _, _, err := c.RangeQueryAll(id, vector.Of(1, 1, 1)); err == nil {
 		t.Error("RangeQueryAll from dead node accepted")
 	}
+}
+
+// TestClusterLeaveForgetsTheNode: a departed node costs nothing for the
+// rest of the process — Leave used to park it in the live set as false.
+func TestClusterLeaveForgetsTheNode(t *testing.T) {
+	c := newTestCluster(t, 50, 5)
+	var last NodeID
+	for i := 0; i < 2000; i++ {
+		id, err := c.Join()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Leave(id); err != nil {
+			t.Fatal(err)
+		}
+		last = id
+	}
+	if len(c.live) != c.Size() || c.Size() != 50 || len(c.Nodes()) != 50 {
+		t.Fatalf("live set holds %d ids, Size %d, Nodes %d: want 50 each", len(c.live), c.Size(), len(c.Nodes()))
+	}
+	if err := c.SetAvailability(last, vector.Of(1, 1, 1)); err == nil {
+		t.Error("SetAvailability on a departed node accepted")
+	}
+	delivered, dropped := false, false
+	c.Send(c.Nodes()[0], last, metrics.MsgStateUpdate, 64, func() { delivered = true }, func() { dropped = true })
+	c.Step(Minute)
+	if delivered || !dropped {
+		t.Errorf("Send to a departed node: delivered=%v dropped=%v, want dropped only", delivered, dropped)
+	}
+	sent := c.Metrics().MessageTotal()
+	c.Send(last, c.Nodes()[0], metrics.MsgStateUpdate, 64, func() { delivered = true }, nil)
+	if c.Metrics().MessageTotal() != sent {
+		t.Error("Send from a departed node went out")
+	}
+}
+
+// heapAfterGC is the live heap: two cycles, so that what the first one
+// only queued for release is gone too.
+func heapAfterGC() runtime.MemStats {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m
+}
+
+// clusterFootprint builds an n-node cluster in the benchmark's shape
+// (default five-dimension CMax) and returns what it holds live and
+// what it allocated on the way, per node.
+func clusterFootprint(tb testing.TB, n int) (bytesPerNode, allocsPerNode float64) {
+	tb.Helper()
+	before := heapAfterGC()
+	c, err := NewCluster(ClusterConfig{Nodes: n, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	after := heapAfterGC()
+	runtime.KeepAlive(c)
+	return float64(after.HeapAlloc-before.HeapAlloc) / float64(n),
+		float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestClusterBytesPerNode is the memory budget of the simulated
+// overlay: at 100k nodes it, not the serving tiers, is most of the
+// process. 1 216 B per node before periodic timers were one heap entry
+// and zones shared bounds, 776 after.
+func TestClusterBytesPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what is allocated")
+	}
+	got, _ := clusterFootprint(t, 20000)
+	t.Logf("%.0f B per node", got)
+	if got > 900 {
+		t.Errorf("a 20 000-node cluster holds %.0f B per node, budget 900", got)
+	}
+}
+
+// BenchmarkNewCluster25k builds one shard's worth of overlay, the unit
+// the serving engine pays per shard, follower and recovered copy.
+func BenchmarkNewCluster25k(b *testing.B) {
+	var bytes, allocs float64
+	for i := 0; i < b.N; i++ {
+		bytes, allocs = clusterFootprint(b, 25000)
+	}
+	b.ReportMetric(bytes, "B/node")
+	b.ReportMetric(allocs, "allocs/node")
 }
 
 func TestClusterDeterminism(t *testing.T) {

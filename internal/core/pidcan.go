@@ -29,7 +29,7 @@ type PIDCAN struct {
 
 // nodeState is the protocol state one peer maintains.
 type nodeState struct {
-	cache  *proto.Cache                // duty cache γ (records this zone keeps)
+	cache  proto.Cache                 // duty cache γ (records this zone keeps)
 	pilist map[overlay.NodeID]sim.Time // PIList: index origin → expiry
 
 	stateTimer *sim.Timer
@@ -73,7 +73,7 @@ func (p *PIDCAN) NodeJoined(id overlay.NodeID) {
 		return
 	}
 	st := &nodeState{
-		cache:  proto.NewCache(),
+		cache:  *proto.NewCache(),
 		pilist: make(map[overlay.NodeID]sim.Time),
 	}
 	p.nodes[id] = st

@@ -7,11 +7,16 @@
 // through explicitly seeded PCG streams (see rng.go). A run is a
 // single-goroutine event loop, so equal seeds reproduce a simulation
 // bit-for-bit; parallelism belongs one level up, across runs.
+//
+// A timer, periodic ones included, is the heap entry it occupies: a
+// periodic timer is re-pushed after each firing under a sequence
+// number drawn then, as if its callback had ended by calling At.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Time is a simulation timestamp in microseconds since the start of
@@ -41,19 +46,23 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", t.Seconds())
 }
 
-// Timer is a handle to a scheduled event. Stop cancels it; a stopped
-// timer's callback never runs. Timers are single-use unless created
-// by Every, which reschedules itself until stopped.
+// Timer is a handle to a scheduled event, and the event itself. Stop
+// cancels it; a stopped timer's callback never runs. Timers are
+// single-use unless created by Every.
 type Timer struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	stopped bool
-	index   int // heap index, -1 once popped
+	at       Time
+	seq      uint64
+	fn       func()
+	interval Time // > 0: periodic, re-pushed after each firing
+	stopped  bool
+	index    int // heap index, -1 once popped
 }
 
 // Stop cancels the timer. It is safe to call multiple times and
-// after the timer fired.
+// after the timer fired. A stopped one-shot timer leaves the queue
+// unseen. A periodic timer stopped between firings keeps the firing
+// it has queued: that one advances the clock to its time, counts in
+// Processed, runs nothing, and is its last.
 func (tm *Timer) Stop() { tm.stopped = true }
 
 // Stopped reports whether Stop was called.
@@ -135,49 +144,53 @@ func (e *Engine) After(d Time, fn func()) *Timer {
 
 // Every schedules fn to run first at start and then every interval
 // until the returned timer is stopped. fn observes the engine clock
-// at each firing.
+// at each firing. The timer stays one queue entry: when fn returns
+// it is pushed again at now + interval under a newly drawn sequence
+// number, so what fn scheduled for that instant runs first.
 func (e *Engine) Every(start, interval Time, fn func()) *Timer {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
-	// The periodic handle returned to the caller: stopping it stops
-	// the whole chain. Each firing schedules the next one with the
-	// same handle semantics by sharing the stopped flag through ctl.
-	ctl := &Timer{at: start, stopped: false}
-	var schedule func(at Time)
-	schedule = func(at Time) {
-		inner := e.At(at, func() {
-			if ctl.stopped {
-				return
-			}
-			fn()
-			if !ctl.stopped {
-				schedule(e.now + interval)
-			}
-		})
-		ctl.at = inner.at
-		ctl.seq = inner.seq
-	}
-	schedule(start)
-	return ctl
+	tm := e.At(start, fn)
+	tm.interval = interval
+	return tm
 }
 
-// Step executes the earliest pending event. It returns false when
-// the queue is empty. Stopped timers are discarded without counting
-// as processed.
-func (e *Engine) Step() bool {
+// fire executes the earliest pending event if it is due by until and
+// reports whether it did. Stopped one-shot timers at the head of the
+// queue are discarded on the way, whatever their time; a stopped
+// periodic timer's queued firing is an event (see Timer.Stop).
+func (e *Engine) fire(until Time) bool {
 	for len(e.events) > 0 {
-		tm := heap.Pop(&e.events).(*Timer)
-		if tm.stopped {
+		tm := e.events[0]
+		dead := tm.stopped && tm.interval == 0
+		if !dead && tm.at > until {
+			break
+		}
+		heap.Pop(&e.events)
+		if dead {
 			continue
 		}
 		e.now = tm.at
 		e.processed++
-		tm.fn()
+		if !tm.stopped {
+			tm.fn()
+		}
+		if tm.interval > 0 && !tm.stopped {
+			tm.at = e.now + tm.interval
+			tm.seq = e.seq
+			e.seq++
+			heap.Push(&e.events, tm)
+		}
 		return true
 	}
 	return false
 }
+
+// Step executes the earliest pending event. It returns false when
+// the queue is empty. Stopped one-shot timers are discarded without
+// counting as processed.
+func (e *Engine) Step() bool { return e.fire(math.MaxInt64) }
 
 // Halt makes Run return before processing the next event. Intended
 // for callbacks that detect a terminal condition.
@@ -192,19 +205,7 @@ func (e *Engine) Run(until Time) uint64 {
 	}
 	start := e.processed
 	e.halted = false
-	for len(e.events) > 0 && !e.halted {
-		next := e.events[0]
-		if next.stopped {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.events)
-		e.now = next.at
-		e.processed++
-		next.fn()
+	for !e.halted && e.fire(until) {
 	}
 	if !e.halted {
 		e.now = until

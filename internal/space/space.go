@@ -62,7 +62,8 @@ func (p Point) String() string {
 
 // Zone is a half-open hyper-rectangle [Lo[k], Hi[k]) per dimension.
 // Every CAN node owns exactly one zone; the zones of all alive nodes
-// tile the unit cube exactly.
+// tile the unit cube exactly. A zone is immutable once built: Lo and
+// Hi are never written after construction, so zones may share them.
 type Zone struct {
 	Lo, Hi Point
 }
@@ -79,9 +80,6 @@ func UnitZone(d int) Zone {
 
 // Dim returns the dimensionality of the zone.
 func (z Zone) Dim() int { return len(z.Lo) }
-
-// Clone returns a deep copy of z.
-func (z Zone) Clone() Zone { return Zone{Lo: z.Lo.Clone(), Hi: z.Hi.Clone()} }
 
 // Contains reports whether point p lies inside z (half-open test).
 func (z Zone) Contains(p Point) bool {
@@ -152,11 +150,12 @@ func (z Zone) OverlapsRange(lo, hi Point) bool {
 
 // Split cuts z in half along dimension dim, returning the lower and
 // upper halves. The cut is at the midpoint, so repeated splits keep
-// coordinates exact dyadic rationals.
+// coordinates exact dyadic rationals. Only the two bounds that move
+// are new; lower shares z.Lo and upper shares z.Hi.
 func (z Zone) Split(dim int) (lower, upper Zone) {
 	mid := (z.Lo[dim] + z.Hi[dim]) / 2
-	lower = z.Clone()
-	upper = z.Clone()
+	lower = Zone{Lo: z.Lo, Hi: z.Hi.Clone()}
+	upper = Zone{Lo: z.Lo.Clone(), Hi: z.Hi}
 	lower.Hi[dim] = mid
 	upper.Lo[dim] = mid
 	return lower, upper

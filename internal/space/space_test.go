@@ -53,6 +53,29 @@ func TestZoneSplit(t *testing.T) {
 	if lo.Overlaps(hi) {
 		t.Error("halves overlap")
 	}
+	// The halves share the bound they do not move and own the one
+	// they do; z itself is untouched.
+	if &lo.Lo[0] != &z.Lo[0] || &hi.Hi[0] != &z.Hi[0] {
+		t.Error("halves copied a bound they do not change")
+	}
+	if &lo.Hi[0] == &z.Hi[0] || &hi.Lo[0] == &z.Lo[0] || &lo.Hi[0] == &hi.Lo[0] {
+		t.Error("a moved bound aliases another zone's")
+	}
+	if !z.Equal(UnitZone(2)) {
+		t.Errorf("Split wrote to its receiver: %v", z)
+	}
+}
+
+func TestZoneSplitAllocatesTwoBounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	z := UnitZone(5)
+	var lo, hi Zone
+	if n := testing.AllocsPerRun(200, func() { lo, hi = z.Split(3) }); n != 2 {
+		t.Errorf("Zone.Split allocates %v objects, want 2", n)
+	}
+	_, _ = lo, hi
 }
 
 func TestZoneOverlaps(t *testing.T) {

@@ -42,9 +42,9 @@ type treeNode struct {
 	zone        Zone
 	parent      *treeNode
 	left, right *treeNode // nil for leaves
-	splitDim    int       // valid for internal nodes
 	splitAt     float64   // valid for internal nodes
-	depth       int
+	splitDim    int32     // valid for internal nodes
+	depth       int32
 	owner       OwnerID // valid for leaves
 }
 
@@ -139,7 +139,7 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 		return NoOwner, fmt.Errorf("space: split point %v outside unit cube", p)
 	}
 	leaf := t.leafAt(p)
-	dim := leaf.depth % t.dim
+	dim := int(leaf.depth) % t.dim
 	lowerZ, upperZ := leaf.zone.Split(dim)
 	mid := upperZ.Lo[dim]
 
@@ -152,7 +152,7 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	}
 	prev = leaf.owner
 	leaf.left, leaf.right = left, right
-	leaf.splitDim, leaf.splitAt = dim, mid
+	leaf.splitDim, leaf.splitAt = int32(dim), mid
 	leaf.owner = NoOwner
 	t.leaves[left.owner] = left
 	t.leaves[right.owner] = right
@@ -223,7 +223,7 @@ func (t *Tree) Remove(owner OwnerID) (Reassignment, error) {
 // subtree has at least one such node.
 func deepestBuddyPair(n *treeNode) *treeNode {
 	best := n
-	bestDepth := -1
+	bestDepth := int32(-1)
 	var walk func(m *treeNode)
 	walk = func(m *treeNode) {
 		if m.isLeaf() {
@@ -342,7 +342,7 @@ func (t *Tree) AdjacentLeafAcross(z Zone, dim int, positive bool, at Point) (Own
 func (t *Tree) leafBiasedLeft(p Point, biasDim int) *treeNode {
 	n := t.root
 	for !n.isLeaf() {
-		if n.splitDim == biasDim && p[biasDim] == n.splitAt {
+		if int(n.splitDim) == biasDim && p[biasDim] == n.splitAt {
 			n = n.left
 			continue
 		}
@@ -400,7 +400,7 @@ func (t *Tree) Validate() error {
 		if n.left.depth != n.depth+1 || n.right.depth != n.depth+1 {
 			return fmt.Errorf("depth mismatch at %v", n.zone)
 		}
-		lo, hi := n.zone.Split(n.splitDim)
+		lo, hi := n.zone.Split(int(n.splitDim))
 		_ = hi
 		if n.left.zone.Hi[n.splitDim] != n.splitAt || n.right.zone.Lo[n.splitDim] != n.splitAt {
 			return fmt.Errorf("split plane mismatch at %v", n.zone)
@@ -438,8 +438,8 @@ func (t *Tree) MaxDepth() int {
 	var walk func(n *treeNode)
 	walk = func(n *treeNode) {
 		if n.isLeaf() {
-			if n.depth > max {
-				max = n.depth
+			if int(n.depth) > max {
+				max = int(n.depth)
 			}
 			return
 		}

@@ -1,6 +1,7 @@
 package space
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -303,6 +304,67 @@ func TestTreeChurnInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Zones share the bounds a split does not move, which is sound only
+// if no zone is ever written after it is built: every zone the tree
+// hands out over a long join/leave history — leaves, and through the
+// zones held from before a split, internal nodes — must still read,
+// bit for bit, as it did when it was handed out.
+func TestZonesAreNeverWrittenAfterConstruction(t *testing.T) {
+	const d = 3
+	r := rand.New(rand.NewSource(41))
+	tr := NewTree(d, 0)
+	type held struct{ zone, copy Zone }
+	var handed []held
+	hold := func(ids ...OwnerID) {
+		for _, id := range ids {
+			if z, ok := tr.ZoneOf(id); ok {
+				handed = append(handed, held{z, Zone{Lo: z.Lo.Clone(), Hi: z.Hi.Clone()}})
+			}
+		}
+	}
+	sameBits := func(a, b Point) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	hold(0)
+	next := OwnerID(1)
+	alive := []OwnerID{0}
+	for op := 1; op <= 5000; op++ {
+		if len(alive) < 2 || r.Float64() < 0.55 {
+			prev, err := tr.Split(randPoint(r, d), next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hold(prev, next)
+			alive = append(alive, next)
+			next++
+		} else {
+			i := r.Intn(len(alive))
+			re, err := tr.Remove(alive[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			alive = append(alive[:i], alive[i+1:]...)
+			hold(re.Absorber, re.Mover)
+		}
+		if op%100 != 0 {
+			continue
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		for i, h := range handed {
+			if !sameBits(h.zone.Lo, h.copy.Lo) || !sameBits(h.zone.Hi, h.copy.Hi) {
+				t.Fatalf("op %d: zone %d handed out as %v now reads %v", op, i, h.copy, h.zone)
+			}
+		}
 	}
 }
 
