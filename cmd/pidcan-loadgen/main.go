@@ -52,7 +52,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
-	neturl "net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -680,68 +679,30 @@ func postRaw(client *http.Client, url string, body []byte) error {
 	return nil
 }
 
-// post sends one JSON request. A 503 naming a primary — a read-only
-// replication follower redirecting writes — is followed once against
-// that address; anything else surfaces as-is.
+// post sends one JSON request.
 func post(client *http.Client, url string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	primary, err := postOnce(client, url, body, resp)
-	if err != nil && primary != "" {
-		if u := retarget(url, primary); u != "" {
-			if _, err2 := postOnce(client, u, body, resp); err2 == nil {
-				return nil
-			}
-		}
-	}
-	return err
-}
-
-func postOnce(client *http.Client, url string, body []byte, resp any) (primary string, err error) {
 	r, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		var e struct {
-			Error   string `json:"error"`
-			Primary string `json:"primary"`
+			Error string `json:"error"`
 		}
 		json.NewDecoder(r.Body).Decode(&e)
-		if r.StatusCode == http.StatusServiceUnavailable {
-			primary = e.Primary
-		}
-		return primary, fmt.Errorf("%s: %s (%s)", url, r.Status, e.Error)
+		return fmt.Errorf("%s: %s (%s)", url, r.Status, e.Error)
 	}
 	if resp != nil {
-		return "", json.NewDecoder(r.Body).Decode(resp)
+		return json.NewDecoder(r.Body).Decode(resp)
 	}
 	// Drain so the connection goes back to the keep-alive pool.
 	io.Copy(io.Discard, r.Body)
-	return "", nil
-}
-
-// retarget swaps url's host (and scheme, when the primary names one)
-// for the primary a 503 carried. Best-effort: followers usually
-// advertise a bare host:port.
-func retarget(rawURL, primary string) string {
-	u, err := neturl.Parse(rawURL)
-	if err != nil {
-		return ""
-	}
-	if strings.Contains(primary, "://") {
-		p, err := neturl.Parse(primary)
-		if err != nil || p.Host == "" {
-			return ""
-		}
-		u.Scheme, u.Host = p.Scheme, p.Host
-	} else {
-		u.Host = primary
-	}
-	return u.String()
+	return nil
 }
 
 func fetchStats(client *http.Client, base string) (cmax []float64, shards int, err error) {

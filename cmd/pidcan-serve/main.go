@@ -27,14 +27,15 @@
 // JSON stays up as the debug surface; drive the binary edge with
 // cmd/pidcan-loadgen -proto wire.
 //
-// Replication: a durable primary with -repl-addr streams its op-log
-// to followers; a second process started with -role follower
-// -primary host:replport mirrors it and serves read-only traffic
-// (writes 503 to the primary's address). When the primary dies,
-// POST /promote on the follower seals a new epoch and opens it for
-// writes; -repl-addr on the follower then starts serving the stream
-// to the next generation of followers. The shard/seed shape must
-// match the primary's.
+// Replication: a durable primary streams its op-log to followers on
+// its -wire-addr listener — one port for queries, writes and the
+// stream. A second process started with -role follower -primary
+// host:wireport mirrors it and serves read-only traffic (writes 503,
+// and wire writes answer CodeReadOnly, naming that address). When the
+// primary dies, POST /promote on the follower seals a new epoch and
+// opens it for writes, and the follower's own -wire-addr listener
+// starts serving the stream to the next generation of followers. The
+// shard/seed shape must match the primary's.
 package main
 
 import (
@@ -76,9 +77,8 @@ func main() {
 		ckptEvry = flag.Duration("checkpoint-every", 0, "background checkpoint cadence (0: only on shutdown and POST /checkpoint)")
 		fsync    = flag.Int("fsync-every", 1, "fsync the op-log once per N applied write batches (negative: never fsync)")
 		role     = flag.String("role", "primary", "serving role: primary, or follower (read replica of -primary)")
-		primary  = flag.String("primary", "", "primary's replication address host:port (follower role)")
-		replAddr = flag.String("repl-addr", "", "replication listen address for followers (needs -data-dir; on a follower it activates at promotion)")
-		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (persistent TCP, pipelined; empty disables)")
+		primary  = flag.String("primary", "", "primary's wire-protocol address host:port (follower role)")
+		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (persistent TCP, pipelined; with -data-dir it also streams the op-log to followers, on a follower from promotion on; empty disables)")
 	)
 	flag.Parse()
 
@@ -142,9 +142,9 @@ func main() {
 	var shutdown func()
 	switch *role {
 	case "follower":
-		shutdown = runFollower(cfg, &h, *primary, *replAddr)
+		shutdown = runFollower(cfg, &h, *primary, ws)
 	case "primary":
-		shutdown = runPrimary(cfg, &h, *populate, *seed, *replAddr, *rebal, *rebalThr, *rebalMax)
+		shutdown = runPrimary(cfg, &h, *populate, *seed, ws, *rebal, *rebalThr, *rebalMax)
 	default:
 		log.Fatalf("unknown -role %q (want primary or follower)", *role)
 	}
@@ -202,29 +202,11 @@ func (d *dynHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// startReplServer exposes eng's op-log stream on replAddr.
-func startReplServer(eng *pidcan.Engine, replAddr string) *pidcan.ReplServer {
-	rs, err := pidcan.NewReplServer(eng, pidcan.ReplServerConfig{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", replAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("replicating on %s", replAddr)
-	go func() {
-		if err := rs.Serve(ln); err != nil {
-			log.Printf("replication server: %v", err)
-		}
-	}()
-	return rs
-}
-
-// runPrimary builds the engine the PR-4 way and, with -repl-addr,
-// starts streaming its op-log to followers.
+// runPrimary builds the engine and, when it is durable and ws serves
+// the wire protocol, streams its op-log to the followers that
+// subscribe there.
 func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint64,
-	replAddr string, rebal time.Duration, rebalThr float64, rebalMax int) (shutdown func()) {
+	ws *pidcan.WireServer, rebal time.Duration, rebalThr float64, rebalMax int) (shutdown func()) {
 	log.Printf("building engine: %d shard(s) x %d nodes, seed %d", cfg.Shards, cfg.NodesPerShard, cfg.Seed)
 	start := time.Now()
 	eng, err := pidcan.NewEngine(cfg)
@@ -256,10 +238,7 @@ func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint
 			log.Fatal(err)
 		}
 	}
-	var rs *pidcan.ReplServer
-	if replAddr != "" {
-		rs = startReplServer(eng, replAddr)
-	}
+	rs := replicate(eng, ws)
 	h.set(eng)
 	return func() {
 		if rs != nil {
@@ -273,9 +252,9 @@ func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint
 
 // runFollower mirrors a primary: the replication client owns the
 // engine lifecycle (bootstrap can rebuild it), POST /promote drains
-// and seals, and -repl-addr starts this node's own stream once
-// promoted.
-func runFollower(cfg pidcan.EngineConfig, h *dynHandler, primary, replAddr string) (shutdown func()) {
+// and seals, and once promoted this node streams its own op-log on
+// ws.
+func runFollower(cfg pidcan.EngineConfig, h *dynHandler, primary string, ws *pidcan.WireServer) (shutdown func()) {
 	if primary == "" || cfg.DataDir == "" {
 		log.Fatal("follower role needs -primary and -data-dir")
 	}
@@ -294,8 +273,8 @@ func runFollower(cfg pidcan.EngineConfig, h *dynHandler, primary, replAddr strin
 			if err != nil {
 				return 0, err
 			}
-			if replAddr != "" && promoted.CompareAndSwap(false, true) {
-				startReplServer(cl.Engine(), replAddr)
+			if promoted.CompareAndSwap(false, true) {
+				replicate(cl.Engine(), ws)
 			}
 			return epoch, nil
 		})
@@ -324,6 +303,21 @@ func runFollower(cfg pidcan.EngineConfig, h *dynHandler, primary, replAddr strin
 			}
 		}
 	}
+}
+
+// replicate streams a durable engine's op-log to the followers that
+// subscribe on ws (nil: not durable, or no wire listener).
+func replicate(eng *pidcan.Engine, ws *pidcan.WireServer) *pidcan.ReplServer {
+	if ws == nil || eng.Config().DataDir == "" {
+		return nil
+	}
+	rs, err := pidcan.NewReplServer(eng, pidcan.ReplServerConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ws.SetReplSource(rs)
+	log.Print("replicating to followers on the wire listener")
+	return rs
 }
 
 // populateAvailability gives every node a deterministic pseudo-random

@@ -254,9 +254,10 @@ func main() {
 	fmt.Printf("restarted engine still answers through the migrated id: %s\n", describe(resp.Candidates))
 
 	// Replication and fail-over. The restarted engine becomes a
-	// primary streaming its op-log over TCP; a follower bootstraps by
-	// checkpoint shipping, mirrors every write, and serves reads
-	// (writes 503 to the primary). Killing the primary and promoting
+	// primary serving the wire protocol, its op-log stream included,
+	// on one listener; a follower bootstraps by checkpoint shipping,
+	// mirrors every write, and serves reads (writes are refused,
+	// naming the primary's address). Killing the primary and promoting
 	// the follower keeps every acknowledged write available — the
 	// two-process version is cmd/pidcan-serve -role follower.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

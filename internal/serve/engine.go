@@ -79,6 +79,7 @@ type Engine struct {
 	replFollowers atomic.Int64
 	replConnected atomic.Bool
 	replLag       atomic.Int64
+	replLagMS     atomic.Int64
 	promoterMu    sync.Mutex
 	promoter      func() (uint64, error)
 	// wireStats, when set, feeds the wire serving edge's gauges into
@@ -244,15 +245,19 @@ type Stats struct {
 	// deposed primary that learned of a newer epoch); Epoch is the
 	// current replication epoch. On a primary, ReplFollowers counts
 	// attached follower sessions. On a follower, ReplConnected
-	// reports a live stream to the primary (PrimaryAddr), and
+	// reports a live stream to the primary (PrimaryAddr),
 	// ReplLagRecords how many records the primary's current segments
 	// hold beyond what this follower has applied (from the last
-	// heartbeat; approximate).
+	// heartbeat; approximate), and ReplLagMS how old that heartbeat
+	// was when the stream reached it: the primary's clock at send
+	// against this follower's, so across hosts it carries their skew
+	// (negative readings report as 0).
 	Role           string `json:"role,omitempty"`
 	Epoch          uint64 `json:"epoch,omitempty"`
 	ReplFollowers  int    `json:"repl_followers,omitempty"`
 	ReplConnected  bool   `json:"repl_connected,omitempty"`
 	ReplLagRecords int64  `json:"repl_lag_records,omitempty"`
+	ReplLagMS      int64  `json:"repl_lag_ms,omitempty"`
 	PrimaryAddr    string `json:"primary_addr,omitempty"`
 
 	// Wire serving edge (internal/serve/wire), populated when a wire
@@ -787,6 +792,7 @@ func (e *Engine) Stats() Stats {
 		ReplFollowers:  int(e.replFollowers.Load()),
 		ReplConnected:  e.replConnected.Load(),
 		ReplLagRecords: e.replLag.Load(),
+		ReplLagMS:      e.replLagMS.Load(),
 		PrimaryAddr:    e.cfg.PrimaryAddr,
 	}
 	if f := e.wireStats.Load(); f != nil {

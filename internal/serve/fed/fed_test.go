@@ -257,17 +257,14 @@ func TestFederationFailoverZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { bEng.Close() })
+	// One listener serves B's wire protocol and its op-log stream.
 	replSrv, err := repl.NewServer(bEng, repl.ServerConfig{Heartbeat: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go replSrv.Serve(replLn)
 	t.Cleanup(func() { replSrv.Close() })
 	bSrv := wire.NewServer(func() serve.Service { return bEng }, wire.ServerConfig{})
+	bSrv.SetReplSource(replSrv)
 	bLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -277,14 +274,14 @@ func TestFederationFailoverZeroLoss(t *testing.T) {
 
 	fDir := t.TempDir()
 	cl, err := repl.NewClient(repl.ClientConfig{
-		Primary: replLn.Addr().String(),
+		Primary: bLn.Addr().String(),
 		DataDir: fDir,
 		Shards:  bCfg.Shards,
 		Mount: func() (*serve.Engine, error) {
 			fCfg := bCfg
 			fCfg.DataDir = fDir
 			fCfg.Follower = true
-			fCfg.PrimaryAddr = replLn.Addr().String()
+			fCfg.PrimaryAddr = bLn.Addr().String()
 			return pidcan.NewEngine(fCfg)
 		},
 		RetryMin:         20 * time.Millisecond,

@@ -31,7 +31,8 @@ import (
 // the round-robin pick; /rebalance triggers one adaptive rebalance
 // pass on demand; /checkpoint snapshots a durable (DataDir) engine's
 // state and truncates its op-logs. On a replication follower, writes
-// return 503 with the primary's address in the error message (reads
+// return 503 naming the primary's wire address, the one the follower
+// streams from, in the body's "primary" (reads
 // — /query, /nodes, /stats — serve normally) and POST /promote turns
 // the follower into the primary under a fresh epoch. Request bodies
 // are capped at 1

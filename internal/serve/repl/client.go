@@ -13,29 +13,25 @@ import (
 
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/wal"
+	"pidcan/internal/serve/wire"
 )
 
 // ClientConfig parameterizes a follower's replication client.
 type ClientConfig struct {
-	// Primary is the primary's replication address (host:port).
+	// Primary is the primary's wire-protocol address (host:port).
 	Primary string
 	// DataDir is the follower's mirror directory — the same
 	// directory its engine runs on.
 	DataDir string
-	// Shards is the engine's shard count (needed for the handshake
+	// Shards is the engine's shard count (needed for the subscribe
 	// before an engine exists).
 	Shards int
 	// Mount builds (or rebuilds) the follower engine from DataDir —
 	// a serve.Config with Follower set and the same shape as the
 	// primary. Called on first connect after any bootstrap, and
 	// again whenever the client must resynchronize its in-memory
-	// state from the mirror.
+	// state from the mirror (the engine it replaces is closed first).
 	Mount func() (*serve.Engine, error)
-	// Unmount tears an engine down before a re-bootstrap wipes the
-	// mirror (default: Engine.Close).
-	Unmount func(*serve.Engine)
-	// DialTimeout bounds each connection attempt (default 5s).
-	DialTimeout time.Duration
 	// RetryMin/RetryMax bound the reconnect backoff (default
 	// 100ms/3s).
 	RetryMin, RetryMax time.Duration
@@ -50,15 +46,13 @@ type ClientConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// dialTimeout bounds each connection attempt and the subscribe's
+// answer.
+const dialTimeout = 5 * time.Second
+
 func (c ClientConfig) withDefaults() (ClientConfig, error) {
 	if c.Primary == "" || c.DataDir == "" || c.Shards <= 0 || c.Mount == nil {
 		return c, fmt.Errorf("repl: client needs Primary, DataDir, Shards and Mount")
-	}
-	if c.Unmount == nil {
-		c.Unmount = func(e *serve.Engine) { e.Close() }
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.RetryMin <= 0 {
 		c.RetryMin = 100 * time.Millisecond
@@ -132,11 +126,6 @@ func (c *Client) Engine() *serve.Engine { return c.eng.Load() }
 // Blocking; run it on its own goroutine.
 func (c *Client) Run() {
 	defer close(c.done)
-	defer func() {
-		if e := c.eng.Load(); e != nil {
-			e.ReplReport(false, 0)
-		}
-	}()
 	backoff := c.cfg.RetryMin
 	for !c.stopped.Load() {
 		if c.promoting.Load() {
@@ -233,7 +222,7 @@ func (c *Client) hasLocalState() bool {
 // and recover. Used after apply errors and bootstrap.
 func (c *Client) remount() error {
 	if e := c.eng.Swap(nil); e != nil {
-		c.cfg.Unmount(e)
+		e.Close()
 	}
 	e, err := c.cfg.Mount()
 	if err != nil {
@@ -269,9 +258,9 @@ func (c *Client) wipeMirror() error {
 	return nil
 }
 
-// runOnce is one connection lifetime: mount if possible, handshake,
+// runOnce is one connection lifetime: mount if possible, subscribe,
 // bootstrap if told to, then stream until error/stop/promote.
-// streamed reports whether the live stream was reached (handshake
+// streamed reports whether the live stream was reached (subscription
 // accepted) — the signal that resets the reconnect backoff.
 func (c *Client) runOnce() (streamed bool, err error) {
 	// A mirror with state serves (stale) reads even while the
@@ -282,7 +271,7 @@ func (c *Client) runOnce() (streamed bool, err error) {
 		}
 	}
 
-	conn, err := net.DialTimeout("tcp", c.cfg.Primary, c.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.cfg.Primary, dialTimeout)
 	if err != nil {
 		return false, err
 	}
@@ -290,101 +279,89 @@ func (c *Client) runOnce() (streamed bool, err error) {
 	defer func() {
 		c.closeConn()
 		if e := c.eng.Load(); e != nil {
-			e.ReplReport(false, c.lag(nil))
+			e.ReplReport(false, 0, 0)
 		}
 	}()
-	pc := newPconn(conn)
+	wc := wire.NewClient(conn)
 
-	h := hello{Shards: c.cfg.Shards, Bootstrap: true}
+	sub := wire.ReplSubscribe{Shards: c.cfg.Shards}
+	var epoch uint64
 	if eng := c.eng.Load(); eng != nil {
-		h.Bootstrap = false
-		h.Epoch = eng.Epoch()
-		h.Pos = make([]serve.ReplPos, c.cfg.Shards)
-		for i := range h.Pos {
+		epoch = eng.Epoch()
+		for i := 0; i < c.cfg.Shards; i++ {
 			p, err := eng.ReplSyncPosition(i)
 			if err != nil {
 				return false, fmt.Errorf("local position: %w", err)
 			}
-			h.Pos[i] = p
+			sub.Pos = append(sub.Pos, p)
 		}
-		c.pos = append(c.pos[:0], h.Pos...)
+		c.pos = append(c.pos[:0], sub.Pos...)
 	}
-	pc.setWriteDeadline(c.cfg.DialTimeout)
-	if err := pc.writeFrame(encodeHello(h)); err != nil {
+	conn.SetDeadline(time.Now().Add(dialTimeout))
+	if _, err := conn.Write(wire.AppendReplSubscribe(nil, 1, epoch, &sub)); err != nil {
 		return false, err
 	}
-	if err := pc.flush(); err != nil {
-		return false, err
-	}
-	pc.setReadDeadline(c.cfg.DialTimeout)
-	payload, err := pc.readFrame(maxCtrlFrame)
+	r, err := wc.ReadResponse()
 	if err != nil {
 		return false, err
 	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		return false, err
+	if r.Errored {
+		e := r.Err
+		return false, fmt.Errorf("primary refused the subscription: %w", &e)
 	}
-	switch w.Status {
-	case StResume:
-		// Stream continues at our positions.
-	case StBootstrap:
-		if err := c.bootstrap(pc, w); err != nil {
+	if r.Op != wire.OpReplSubscribe {
+		return false, fmt.Errorf("answer to the subscription is op %d", r.Op)
+	}
+	w, primaryEpoch := r.Welcome, r.Epoch
+	if !w.Resume {
+		if err := c.bootstrap(conn, wc); err != nil {
 			return false, err
 		}
-	case StFenced:
-		return false, fmt.Errorf("primary at %s is deposed (its epoch %d is behind ours %d)",
-			c.cfg.Primary, w.Epoch, h.Epoch)
-	case StNotPrimary:
-		return false, fmt.Errorf("%s is not serving as a primary", c.cfg.Primary)
-	default:
-		return false, fmt.Errorf("primary refused replication (status %d; shards %d vs %d)",
-			w.Status, c.cfg.Shards, w.Shards)
 	}
 
 	eng := c.eng.Load()
 	if eng == nil {
-		return false, fmt.Errorf("no engine after handshake")
+		return false, fmt.Errorf("no engine after the subscription")
 	}
-	if got := eng.Epoch(); got != w.Epoch {
-		return false, errResync{fmt.Errorf("mirror epoch %d, primary %d", got, w.Epoch)}
+	if got := eng.Epoch(); got != primaryEpoch {
+		return false, errResync{fmt.Errorf("mirror epoch %d, primary %d", got, primaryEpoch)}
 	}
-	eng.ReplReport(true, 0)
-	c.cfg.Logf("repl: streaming from %s (epoch %d, %s)", c.cfg.Primary, w.Epoch,
-		map[byte]string{StResume: "resumed", StBootstrap: "bootstrapped"}[w.Status])
-	return true, c.stream(pc, eng, w.Epoch)
+	eng.ReplReport(true, 0, 0)
+	c.cfg.Logf("repl: streaming from %s (epoch %d; %d shards x %d nodes, seed %d, %d dims; %s)",
+		c.cfg.Primary, primaryEpoch, w.Shards, w.NodesPerShard, w.Seed, w.Dims,
+		map[bool]string{true: "resumed", false: "bootstrapped"}[w.Resume])
+	return true, c.stream(conn, wc, eng, primaryEpoch)
 }
 
 // bootstrap wipes the mirror, installs the shipped checkpoint image
-// and mounts the engine from it. The first frame after a bootstrap
-// welcome must be the checkpoint.
-func (c *Client) bootstrap(pc *pconn, w welcome) error {
-	pc.setReadDeadline(c.cfg.HeartbeatTimeout * 4) // checkpoint capture can take a moment
-	payload, err := pc.readFrame(maxCkptFrame)
+// and mounts the engine from it. The first frames after a bootstrap
+// welcome must be the checkpoint's.
+func (c *Client) bootstrap(conn net.Conn, wc *wire.Client) error {
+	conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout * 4)) // checkpoint capture can take a moment
+	r, err := wc.ReadResponse()
 	if err != nil {
 		return err
 	}
-	x := &r{buf: payload}
-	if t := x.u8(); t != msgCheckpoint {
-		return fmt.Errorf("expected checkpoint image after bootstrap welcome, got message %d", t)
+	if r.Errored || r.Op != wire.OpReplCheckpoint {
+		return fmt.Errorf("expected checkpoint image after bootstrap welcome, got op %d", r.Op)
 	}
-	f, err := decodeCkptFrame(x)
+	data, err := readImage(wc, r)
 	if err != nil {
 		return err
 	}
-	ck, err := wal.Decode(f.Data)
+	ck, err := wal.Decode(data)
 	if err != nil {
 		return fmt.Errorf("shipped checkpoint: %w", err)
 	}
 	// Detach before closing, so Engine() readers see "not ready"
 	// rather than a closed engine during the swap.
 	if e := c.eng.Swap(nil); e != nil {
-		c.cfg.Unmount(e)
+		e.Close()
 	}
 	if err := c.wipeMirror(); err != nil {
 		return err
 	}
-	if _, err := wal.SaveRaw(c.cfg.DataDir, ck.Seq, f.Data); err != nil {
+	if _, err := wal.SaveRaw(c.cfg.DataDir, ck.Seq, data); err != nil {
 		return err
 	}
 	if err := c.remount(); err != nil {
@@ -394,12 +371,31 @@ func (c *Client) bootstrap(pc *pconn, w welcome) error {
 	for _, st := range ck.ShardStates {
 		c.pos = append(c.pos, serve.ReplPos{Seg: st.FirstSeg})
 	}
-	c.cfg.Logf("repl: bootstrapped from checkpoint %d (%d bytes, epoch %d)", ck.Seq, len(f.Data), ck.Epoch)
+	c.cfg.Logf("repl: bootstrapped from checkpoint %d (%d bytes, epoch %d)", ck.Seq, len(data), ck.Epoch)
 	return nil
 }
 
-// lag sums how far the primary's positions (from the last heartbeat)
-// run ahead of ours; nil reuses nothing and reports 0.
+// readImage assembles a checkpoint image from its chunks, the first
+// already read; the rest follow it back to back.
+func readImage(wc *wire.Client, first *wire.Response) ([]byte, error) {
+	ck, epoch := first.Checkpoint, first.Epoch
+	img := append([]byte(nil), ck.Data...)
+	for uint64(len(img)) < ck.Size {
+		r, err := wc.ReadResponse()
+		if err != nil {
+			return nil, err
+		}
+		if c := r.Checkpoint; r.Errored || r.Op != wire.OpReplCheckpoint || r.Epoch != epoch ||
+			c.Seq != ck.Seq || c.Size != ck.Size || uint64(len(img)+len(c.Data)) > ck.Size {
+			return nil, fmt.Errorf("checkpoint %d broken off after %d of %d bytes by op %d", ck.Seq, len(img), ck.Size, r.Op)
+		}
+		img = append(img, r.Checkpoint.Data...)
+	}
+	return img, nil
+}
+
+// lag sums how far the primary's positions (from a heartbeat) run
+// ahead of ours.
 func (c *Client) lag(primary []serve.ReplPos) int64 {
 	var lag int64
 	for i := range primary {
@@ -421,72 +417,77 @@ func (c *Client) lag(primary []serve.ReplPos) int64 {
 
 // stream applies frames until the connection dies, the client stops,
 // or a promotion drains it.
-func (c *Client) stream(pc *pconn, eng *serve.Engine, epoch uint64) error {
+func (c *Client) stream(conn net.Conn, wc *wire.Client, eng *serve.Engine, epoch uint64) error {
 	drainDeadline := time.Time{}
+	var r *wire.Response // a frame gather read but did not merge
 	for {
 		if c.stopped.Load() {
 			return nil
 		}
-		if c.promoting.Load() {
-			// Drain: give in-flight frames a short idle window, then
-			// stop for good.
-			if drainDeadline.IsZero() {
-				drainDeadline = time.Now().Add(c.cfg.DrainTimeout)
-			}
-			if time.Now().After(drainDeadline) {
-				return nil
-			}
-			pc.setReadDeadline(200 * time.Millisecond)
-		} else {
-			pc.setReadDeadline(c.cfg.HeartbeatTimeout)
-		}
-		payload, err := pc.readFrame(maxCkptFrame)
-		if err != nil {
+		if r == nil {
 			if c.promoting.Load() {
-				return nil // drained: nothing readable within the window
+				// Drain: give in-flight frames a short idle window,
+				// then stop for good.
+				if drainDeadline.IsZero() {
+					drainDeadline = time.Now().Add(c.cfg.DrainTimeout)
+				}
+				if time.Now().After(drainDeadline) {
+					return nil
+				}
+				conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+			} else {
+				conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
 			}
-			return err
-		}
-		x := &r{buf: payload}
-		switch t := x.u8(); t {
-		case msgRecords:
-			f, err := decodeRecordsFrame(x)
-			if err != nil {
+			var err error
+			if r, err = wc.ReadResponse(); err != nil {
+				if c.promoting.Load() {
+					return nil // drained: nothing readable within the window
+				}
 				return err
 			}
-			for _, g := range gather(pc, f) {
-				if err := c.applyRecords(eng, epoch, g); err != nil {
+		}
+		if r.Errored {
+			e := r.Err
+			return fmt.Errorf("primary ended the stream: %w", &e)
+		}
+		if r.Epoch != epoch {
+			// The fencing belt: a deposed primary's frames never apply.
+			return errResync{fmt.Errorf("op %d frame of epoch %d on an epoch-%d stream", r.Op, r.Epoch, epoch)}
+		}
+		switch r.Op {
+		case wire.OpReplRecords:
+			frames, next, err := gather(wc, r)
+			for _, f := range frames {
+				if err := c.applyRecords(eng, epoch, f); err != nil {
 					return err
 				}
 			}
-		case msgCheckpoint:
-			f, err := decodeCkptFrame(x)
 			if err != nil {
 				return err
 			}
-			if f.Epoch != epoch {
-				return errResync{fmt.Errorf("checkpoint epoch %d on an epoch-%d stream", f.Epoch, epoch)}
+			r = next
+			continue
+		case wire.OpReplCheckpoint:
+			data, err := readImage(wc, r)
+			if err != nil {
+				return err
 			}
-			if err := eng.ReplInstallCheckpoint(f.Epoch, f.Data); err != nil {
+			ck, err := eng.ReplInstallCheckpoint(epoch, data)
+			if err != nil {
 				return errResync{err}
 			}
-			for i, fs := range f.FirstSegs {
-				if i < len(c.pos) && c.pos[i].Seg < fs {
-					c.pos[i] = serve.ReplPos{Seg: fs}
+			for i, st := range ck.ShardStates {
+				if i < len(c.pos) && c.pos[i].Seg < st.FirstSeg {
+					c.pos[i] = serve.ReplPos{Seg: st.FirstSeg}
 				}
 			}
-		case msgHeartbeat:
-			hb, err := decodeHeartbeat(x)
-			if err != nil {
-				return err
-			}
-			if hb.Epoch != epoch {
-				return errResync{fmt.Errorf("heartbeat epoch %d on an epoch-%d stream", hb.Epoch, epoch)}
-			}
-			eng.ReplReport(true, c.lag(hb.Pos))
+		case wire.OpReplHeartbeat:
+			lagMS := time.Since(time.Unix(0, r.Heartbeat.Sent)).Milliseconds()
+			eng.ReplReport(true, c.lag(r.Heartbeat.Pos), max(lagMS, 0))
 		default:
-			return fmt.Errorf("unexpected message %d mid-stream", t)
+			return fmt.Errorf("unexpected op %d mid-stream", r.Op)
 		}
+		r = nil
 	}
 }
 
@@ -494,29 +495,37 @@ func (c *Client) stream(pc *pconn, eng *serve.Engine, epoch uint64) error {
 // MaxBatch, so a shard still drains a merged frame as one batch.
 const maxGather = 256
 
-// gather merges into first the update frames that have already arrived
-// behind it, one merged frame per shard, and returns the frames to
-// apply in order. A follower applies one frame at a time and every
-// apply costs its shard a log sync and a snapshot publication (cheap
-// per dirty node, but with a directory rebuild whatever the batch
-// size), so a follower that has fallen behind pays them once per
+// gather merges into first the update frames that have already started
+// arriving behind it, one merged frame per shard, and returns the
+// frames to apply in order. A follower applies one frame at a time and
+// every apply costs its shard a log sync and a snapshot publication
+// (cheap per dirty node, but with a directory rebuild whatever the
+// batch size), so a follower that has fallen behind pays them once per
 // shard for its whole backlog instead of once per primary batch, and
 // catches up the faster the further behind it is. Only updates merge:
 // they touch nothing outside their shard, so applying one shard's run
 // ahead of another shard's earlier frame changes no outcome, while
 // joins, leaves and takes move the engine-wide forwarding table and
-// stay where the stream put them — any such frame, a rotation, another
-// message or a frame still in flight ends the gather.
-func gather(pc *pconn, first recordsFrame) []recordsFrame {
-	frames := []recordsFrame{first}
-	if pc.r.Buffered() == 0 || !updatesOnly(first.Recs) {
-		return frames
+// stay where the stream put them. Gather never waits for a frame that
+// has not started arriving; it returns the first frame it read and
+// cannot merge — joins and the rest, a rotation or a gap, another op
+// or epoch — as next, for the stream loop to handle in stream order,
+// and a read error after the frames gathered before it.
+func gather(wc *wire.Client, first *wire.Response) (frames []wire.ReplRecords, next *wire.Response, err error) {
+	frames = []wire.ReplRecords{first.Records}
+	if !updatesOnly(first.Records.Recs) {
+		return frames, nil, nil
 	}
-	at := map[int]int{first.Shard: 0} // shard -> its frame in frames
-	for n := len(first.Recs); n < maxGather; {
-		f, size, ok := pc.peekUpdates()
-		if !ok || f.Epoch != first.Epoch {
-			break
+	epoch := first.Epoch
+	at := map[int]int{first.Records.Shard: 0} // shard -> its frame in frames
+	for n := len(first.Records.Recs); n < maxGather && wc.Buffered() > 0; {
+		r, err := wc.ReadResponse()
+		if err != nil {
+			return frames, nil, err
+		}
+		f := r.Records
+		if r.Errored || r.Op != wire.OpReplRecords || r.Epoch != epoch || !updatesOnly(f.Recs) {
+			return frames, r, nil
 		}
 		if i, seen := at[f.Shard]; !seen {
 			at[f.Shard] = len(frames)
@@ -524,21 +533,25 @@ func gather(pc *pconn, first recordsFrame) []recordsFrame {
 		} else if g := &frames[i]; f.Seg == g.Seg && f.Pos == g.Pos+uint64(len(g.Recs)) {
 			g.Recs = append(g.Recs, f.Recs...)
 		} else {
-			break // a rotation or a gap: applyRecords' business, in stream order
+			return frames, r, nil
 		}
-		pc.r.Discard(size)
 		n += len(f.Recs)
 	}
-	return frames
+	return frames, nil, nil
+}
+
+func updatesOnly(recs []wal.Record) bool {
+	for i := range recs {
+		if recs[i].Kind != wal.KindUpdate {
+			return false
+		}
+	}
+	return true
 }
 
 // applyRecords verifies frame continuity, mirrors rotations, and
 // applies one record batch through the engine.
-func (c *Client) applyRecords(eng *serve.Engine, epoch uint64, f recordsFrame) error {
-	if f.Epoch != epoch {
-		// The fencing belt: a deposed primary's frames never apply.
-		return errResync{fmt.Errorf("record frame epoch %d on an epoch-%d stream", f.Epoch, epoch)}
-	}
+func (c *Client) applyRecords(eng *serve.Engine, epoch uint64, f wire.ReplRecords) error {
 	if f.Shard < 0 || f.Shard >= len(c.pos) {
 		return fmt.Errorf("record frame for shard %d of %d", f.Shard, len(c.pos))
 	}
@@ -556,7 +569,7 @@ func (c *Client) applyRecords(eng *serve.Engine, epoch uint64, f recordsFrame) e
 		return errResync{fmt.Errorf("shard %d stream at seg %d pos %d, mirror at seg %d pos %d",
 			f.Shard, f.Seg, f.Pos, cur.Seg, cur.Pos)}
 	}
-	if err := eng.ReplApply(f.Shard, f.Epoch, f.Recs); err != nil {
+	if err := eng.ReplApply(f.Shard, epoch, f.Recs); err != nil {
 		return errResync{err}
 	}
 	c.pos[f.Shard] = serve.ReplPos{Seg: f.Seg, Pos: f.Pos + uint64(len(f.Recs))}

@@ -15,6 +15,7 @@ import (
 	"pidcan/internal/proto"
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/wal"
+	"pidcan/internal/serve/wire"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
@@ -155,22 +156,34 @@ func newPrimary(t *testing.T, cfg serve.Config, dir string) (*serve.Engine, *Ser
 // its own mirror directory.
 func newFollowerClient(t *testing.T, cfg serve.Config, dir, primary string) *Client {
 	t.Helper()
+	return newFollowerClientWith(t, cfg, dir, primary, fakeFactory, nil)
+}
+
+// newFollowerClientWith is newFollowerClient over the given backends,
+// with tune (when set) adjusting the client's configuration.
+func newFollowerClientWith(t *testing.T, cfg serve.Config, dir, primary string,
+	factory serve.BackendFactory, tune func(*ClientConfig)) *Client {
+	t.Helper()
 	fcfg := cfg
 	fcfg.DataDir = dir
 	fcfg.Follower = true
 	fcfg.PrimaryAddr = primary
-	cl, err := NewClient(ClientConfig{
+	ccfg := ClientConfig{
 		Primary: primary,
 		DataDir: dir,
 		Shards:  cfg.Shards,
 		Mount: func() (*serve.Engine, error) {
-			return serve.New(fcfg, fakeFactory)
+			return serve.New(fcfg, factory)
 		},
 		RetryMin:     20 * time.Millisecond,
 		RetryMax:     100 * time.Millisecond,
 		DrainTimeout: 300 * time.Millisecond,
 		Logf:         t.Logf,
-	})
+	}
+	if tune != nil {
+		tune(&ccfg)
+	}
+	cl, err := NewClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,8 +568,8 @@ func TestReplPromotionServesEveryAckedWrite(t *testing.T) {
 }
 
 // TestReplStalePrimaryFenced: after a promotion, the deposed primary
-// is fenced the moment anything from the new timeline handshakes it
-// — it seals read-only — and a follower refuses to stream from it.
+// is fenced the moment anything from the new timeline subscribes to
+// it — it seals read-only — and a follower refuses to stream from it.
 func TestReplStalePrimaryFenced(t *testing.T) {
 	cfg := testConfig(2)
 	pdir, fdir := t.TempDir(), t.TempDir()
@@ -576,31 +589,23 @@ func TestReplStalePrimaryFenced(t *testing.T) {
 		t.Fatalf("new epoch %d, want 2", got)
 	}
 
-	// A client of the new timeline handshakes the stale primary: it
-	// must be refused with StFenced — and the stale primary seals.
+	// A client of the new timeline subscribes to the stale primary: it
+	// must be refused with CodeFenced — and the stale primary seals.
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	pc := newPconn(conn)
-	if err := pc.writeFrame(encodeHello(hello{Epoch: np.Epoch(), Shards: 2, Bootstrap: true})); err != nil {
+	if _, err := conn.Write(wire.AppendReplSubscribe(nil, 1, np.Epoch(), &wire.ReplSubscribe{Shards: 2})); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.flush(); err != nil {
-		t.Fatal(err)
-	}
-	pc.setReadDeadline(2 * time.Second)
-	payload, err := pc.readFrame(maxCtrlFrame)
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	r, err := wire.NewClient(conn).ReadResponse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Status != StFenced {
-		t.Fatalf("stale primary answered status %d, want StFenced", w.Status)
+	if !r.Errored || r.Err.Code != wire.CodeFenced {
+		t.Fatalf("stale primary answered %+v, want CodeFenced", r.Err)
 	}
 	if got := p.Role(); got != "fenced" {
 		t.Fatalf("stale primary role %q after fencing handshake, want fenced", got)

@@ -1,3 +1,40 @@
+// Package repl replicates a serving engine's op-log to streaming
+// followers — read replicas that can be promoted when the primary
+// dies.
+//
+// Topology and roles:
+//
+//	writers ──► primary (serve.Engine, DataDir) ──► op-log
+//	                │  one wire listener: queries, writes, and the
+//	                │  per-shard record stream to subscribers
+//	                ▼
+//	readers ──► follower (serve.Engine, Follower) ──► mirrored DataDir
+//
+// Replication is a stream on the wire protocol (internal/serve/wire),
+// served on the primary's one port. A follower subscribes with its
+// epoch and log positions (wire.OpReplSubscribe); the primary then
+// pushes every logged record batch, every checkpoint image (in
+// chunks, at its exact rotation boundary) and a periodic heartbeat,
+// each a CRC-checked wire frame. The follower applies records through
+// the engine's own batch path (the same machinery crash recovery
+// uses, join ids verified against the log) and rebuilds a
+// byte-identical mirror of the primary's DataDir, so a follower
+// crash/restart is just a warm restart plus a resumed stream from
+// wherever its mirror ends.
+//
+// The subscription negotiates position: a follower whose mirror still
+// matches the primary's current segments resumes mid-segment (the
+// primary reads the already-durable gap from disk and splices it with
+// the live feed); anything else — fresh follower, stale epoch,
+// positions the primary has rotated away — bootstraps by checkpoint
+// shipping and tails the log from the rotation point.
+//
+// Fail-over is explicit: Client.Promote (POST /promote over HTTP)
+// drains the stream, seals epoch+1 durably, and opens the follower
+// for writes. Every frame header carries the epoch, so a deposed
+// primary is fenced wherever it reappears: a follower rejects its
+// stale frames, and a primary that a newer-epoch follower subscribes
+// to seals itself read-only through the wire protocol's write fence.
 package repl
 
 import (
@@ -5,11 +42,11 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/wal"
+	"pidcan/internal/serve/wire"
 )
 
 // ServerConfig tunes the primary's replication server. Zero fields
@@ -19,49 +56,39 @@ type ServerConfig struct {
 	// followers (default 500ms). The follower treats several missed
 	// heartbeats as a dead primary and reconnects.
 	Heartbeat time.Duration
-	// SessionBuffer bounds each follower session's event queue; a
-	// follower too slow to drain it is disconnected (it reconnects
-	// and catches up from disk). Default 4096 events.
-	SessionBuffer int
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
-	// ChunkRecords caps records per stream frame (default 512).
-	ChunkRecords int
 }
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.SessionBuffer <= 0 {
-		c.SessionBuffer = 4096
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.ChunkRecords <= 0 {
-		c.ChunkRecords = 512
-	}
-	return c
-}
+const (
+	// sessionBuffer bounds each follower session's event queue; a
+	// follower too slow to drain it is disconnected (it reconnects and
+	// catches up from disk).
+	sessionBuffer = 4096
+	// writeTimeout bounds each write to a follower.
+	writeTimeout = 10 * time.Second
+	// keepOut is the most output buffer a session keeps between
+	// writes: a checkpoint image's worth is dropped once sent.
+	keepOut = 64 << 10
+)
 
 // Server streams a primary engine's op-log to follower sessions. It
 // implements serve.ReplSink: the engine hands it every logged record
 // batch and checkpoint, and the server fans them out to per-session
 // bounded queues (the hub's single lock gives every session the same
 // total order, preserving the take-before-join causality of
-// cross-shard migrations).
+// cross-shard migrations). It implements wire.ReplSource too: serve
+// it on a listener with Serve, or on an existing wire server with
+// that server's SetReplSource.
 type Server struct {
-	e   *serve.Engine
-	cfg ServerConfig
+	e         *serve.Engine
+	heartbeat time.Duration
+	ws        *wire.Server // what Serve serves
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
-	ln       net.Listener
+	closed   bool
 
-	closed atomic.Bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup // one per session
 }
 
 // NewServer builds a replication server for a durable primary engine
@@ -71,53 +98,41 @@ func NewServer(e *serve.Engine, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("repl: replication needs a durable engine (DataDir)")
 	}
 	s := &Server{
-		e:        e,
-		cfg:      cfg.withDefaults(),
-		sessions: map[*session]struct{}{},
-		stop:     make(chan struct{}),
+		e:         e,
+		heartbeat: cfg.Heartbeat,
+		sessions:  map[*session]struct{}{},
+		stop:      make(chan struct{}),
 	}
+	if s.heartbeat <= 0 {
+		s.heartbeat = 500 * time.Millisecond
+	}
+	s.ws = wire.NewServer(func() serve.Service { return e }, wire.ServerConfig{})
+	s.ws.SetReplSource(s)
 	e.SetReplSink(s)
 	return s, nil
 }
 
-// Serve accepts follower connections on ln until Close. Blocking.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.closed.Load() {
-				return nil
-			}
-			return err
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
+// Serve serves the whole wire protocol on ln until Close — queries
+// and writes against the engine, and replication to the followers
+// that subscribe. Blocking.
+func (s *Server) Serve(ln net.Listener) error { return s.ws.Serve(ln) }
 
-// Close detaches the sink, stops accepting, and tears down every
-// session.
+// Close detaches the sink, tears down every session, and closes the
+// listeners Serve was given.
 func (s *Server) Close() error {
-	if !s.closed.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	s.e.SetReplSink(nil)
-	close(s.stop)
-	s.mu.Lock()
-	ln := s.ln
+	s.closed = true
 	for ss := range s.sessions {
 		ss.kill()
 	}
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	s.e.SetReplSink(nil)
+	close(s.stop)
+	s.ws.Close()
 	s.wg.Wait()
 	return nil
 }
@@ -176,112 +191,103 @@ func (s *Server) deliverLocked(ev event) {
 	}
 }
 
-func (s *Server) add(ss *session) {
+// add registers a session, unless the server is closed.
+func (s *Server) add(ss *session) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	s.sessions[ss] = struct{}{}
-	s.mu.Unlock()
+	s.wg.Add(1)
+	s.e.ReplFollowerDelta(1)
+	return true
 }
 
 func (s *Server) remove(ss *session) {
 	s.mu.Lock()
 	delete(s.sessions, ss)
 	s.mu.Unlock()
+	s.e.ReplFollowerDelta(-1)
+	s.wg.Done()
 }
 
 // --- one follower session ----------------------------------------------------
 
 type session struct {
-	pc   *pconn
+	s    *Server
 	ch   chan event
 	dead chan struct{}
 	once sync.Once
+	// sync is, per shard, where a resuming follower's disk splice
+	// ends: the log was synced there after the session registered, so
+	// the queue holds everything past it. nil for a bootstrap.
+	sync []serve.ReplPos
 	// next is, per shard, the position the follower holds: every
 	// outgoing frame is trimmed against it, which is what splices
 	// the disk catch-up and the live feed without gaps or overlaps.
 	next []serve.ReplPos
+
+	c     net.Conn
+	reqID uint32
+	out   []byte // frames not yet written
 }
 
 func (ss *session) kill() { ss.once.Do(func() { close(ss.dead) }) }
 
-// handle runs one follower connection: handshake, catch-up, live
-// stream.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
+// Subscribe implements wire.ReplSource: it refuses a subscription
+// this engine cannot serve, registers the session, and decides
+// between resume and bootstrap. The session registers before the
+// positions are probed, so every batch logged from then on is in its
+// queue and whatever the disk read misses is already buffered.
+func (s *Server) Subscribe(epoch uint64, sub *wire.ReplSubscribe) (wire.ReplWelcome, func(net.Conn, uint32, []byte), error) {
 	e := s.e
-	pc := newPconn(conn)
-	pc.setReadDeadline(10 * time.Second)
-	payload, err := pc.readFrame(maxCtrlFrame)
-	if err != nil {
-		return
-	}
-	h, err := decodeHello(payload)
-	if err != nil {
-		return
-	}
-	pc.setReadDeadline(0)
-
 	cfg := e.Config()
-	w := welcome{
-		Epoch: e.Epoch(), Shards: e.Shards(), CkptSeq: e.Stats().CheckpointSeq,
-		Seed: cfg.Seed, NodesPerShard: cfg.NodesPerShard, Dims: cfg.CMax.Dim(),
+	w := wire.ReplWelcome{Shards: e.Shards(), Seed: cfg.Seed, NodesPerShard: cfg.NodesPerShard, Dims: cfg.CMax.Dim()}
+	switch e.Role() {
+	case "follower":
+		return w, nil, serve.ErrReadOnly
+	case "fenced":
+		return w, nil, serve.ErrFenced
 	}
-	refuse := func(status byte) {
-		w.Status = status
-		pc.setWriteDeadline(s.cfg.WriteTimeout)
-		pc.writeFrame(encodeWelcome(w))
-		pc.flush()
+	if sub.Shards != e.Shards() || (len(sub.Pos) != 0 && len(sub.Pos) != sub.Shards) {
+		return w, nil, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(
+			"repl: follower has %d shards and %d positions, primary %d shards", sub.Shards, len(sub.Pos), e.Shards())}
 	}
-	if h.Epoch > e.Epoch() {
-		// The follower lived into a newer epoch than ours: we are the
-		// deposed primary. Seal and say so.
-		e.Fence(h.Epoch)
-		refuse(StFenced)
-		return
+	ss := &session{s: s, ch: make(chan event, sessionBuffer), dead: make(chan struct{})}
+	if !s.add(ss) {
+		return w, nil, serve.ErrClosed
 	}
-	if e.Role() != "primary" {
-		refuse(StNotPrimary)
-		return
-	}
-	if h.Shards != e.Shards() || (!h.Bootstrap && len(h.Pos) != e.Shards()) {
-		refuse(StIncompatible)
-		return
-	}
-
-	// Register before probing positions: from here every logged
-	// batch lands in this session's queue, so whatever the disk
-	// read below misses is already buffered.
-	ss := &session{pc: pc, ch: make(chan event, s.cfg.SessionBuffer), dead: make(chan struct{})}
-	s.add(ss)
-	defer s.remove(ss)
-	e.ReplFollowerDelta(1)
-	defer e.ReplFollowerDelta(-1)
-
 	// Resume is possible only when the follower's mirror ends inside
 	// every shard's CURRENT segment under the current epoch; closed
 	// segments may have been compacted or pruned, so anything older
 	// re-bootstraps (checkpoint shipping makes that cheap).
-	resume := !h.Bootstrap && h.Epoch == e.Epoch()
-	syncPos := make([]serve.ReplPos, e.Shards())
-	if resume {
-		for i := range syncPos {
-			sp, err := e.ReplSyncPosition(i)
-			if err != nil {
-				return
-			}
-			syncPos[i] = sp
-			if h.Pos[i].Seg != sp.Seg || h.Pos[i].Pos > sp.Pos {
-				resume = false
-			}
+	w.Resume = len(sub.Pos) != 0 && epoch == e.Epoch()
+	sync := make([]serve.ReplPos, e.Shards())
+	for i := 0; w.Resume && i < len(sync); i++ {
+		sp, err := e.ReplSyncPosition(i)
+		if err != nil {
+			s.remove(ss)
+			return w, nil, err
 		}
+		sync[i] = sp
+		w.Resume = sub.Pos[i].Seg == sp.Seg && sub.Pos[i].Pos <= sp.Pos
 	}
+	if w.Resume {
+		ss.sync, ss.next = sync, append([]serve.ReplPos(nil), sub.Pos...)
+	}
+	return w, ss.run, nil
+}
 
-	if resume {
-		w.Status = StResume
-		pc.setWriteDeadline(s.cfg.WriteTimeout)
-		if err := pc.writeFrame(encodeWelcome(w)); err != nil {
-			return
-		}
-		ss.next = append([]serve.ReplPos(nil), h.Pos...)
+// run streams to one subscribed follower, behind the welcome in out:
+// the disk splice or the bootstrap image, then the live feed and
+// heartbeats, until the follower goes away or falls too far behind,
+// or the server closes.
+func (ss *session) run(c net.Conn, reqID uint32, out []byte) {
+	s, e := ss.s, ss.s.e
+	defer s.remove(ss)
+	ss.c, ss.reqID, ss.out = c, reqID, out
+	if ss.sync != nil {
 		// Splice the durable gap from disk: everything between the
 		// follower's position and the sync point is flushed and
 		// readable; everything after the sync point is in the queue.
@@ -289,90 +295,48 @@ func (s *Server) handle(conn net.Conn) {
 		// and this read, its record ordinals no longer match the
 		// live sequence — the compacted flag in the header (the
 		// rewrite is atomic, so we see one version or the other)
-		// aborts the splice and the follower re-handshakes.
-		for i := range syncPos {
-			from, to := h.Pos[i].Pos, syncPos[i].Pos
+		// aborts the splice and the follower subscribes again.
+		for i, sp := range ss.sync {
+			from, to := ss.next[i].Pos, sp.Pos
 			if from >= to {
 				continue
 			}
-			meta, recs, _, _, err := wal.ReadSegmentInfo(e.ReplLogPath(i, syncPos[i].Seg))
+			meta, recs, _, _, err := wal.ReadSegmentInfo(e.ReplLogPath(i, sp.Seg))
 			if err != nil || meta.Compacted || uint64(len(recs)) < to {
-				return // the segment moved under us; follower retries
-			}
-			if err := ss.sendRecords(s.cfg, i, syncPos[i].Seg, from, e.Epoch(), recs[from:to]); err != nil {
 				return
 			}
-			ss.next[i] = syncPos[i]
+			ss.out = wire.AppendReplRecords(ss.out, reqID, e.Epoch(), &wire.ReplRecords{
+				Shard: i, Seg: sp.Seg, Pos: from, Recs: recs[from:to],
+			})
+			ss.next[i] = sp
 		}
-		if err := pc.flush(); err != nil {
+		if ss.flush() != nil {
 			return
 		}
-	} else {
-		w.Status = StBootstrap
-		pc.setWriteDeadline(s.cfg.WriteTimeout)
-		if err := pc.writeFrame(encodeWelcome(w)); err != nil {
-			return
-		}
-		if err := pc.flush(); err != nil {
-			return
-		}
-		// Force a checkpoint: its image lands in OUR queue (we are
-		// registered), in order behind every record frame of the
-		// segments it covers — exactly the boundary the follower
-		// needs. Records arriving before it are held back and
-		// re-filtered once the boundary is known.
-		ck, err := e.Checkpoint()
-		if err != nil {
-			return
-		}
-		var held []event
-	waitCkpt:
-		for {
-			select {
-			case ev := <-ss.ch:
-				switch {
-				case ev.kind == evCkpt && ev.seq >= ck.Seq:
-					if err := ss.sendCkpt(s.cfg, ev); err != nil {
-						return
-					}
-					break waitCkpt
-				case ev.kind == evRecords:
-					held = append(held, ev)
-				}
-			case <-ss.dead:
-				return
-			case <-s.stop:
-				return
-			}
-		}
-		for _, ev := range held {
-			if err := ss.send(s.cfg, ev); err != nil {
-				return
-			}
-		}
+	} else if !ss.bootstrap() {
+		return
 	}
 
-	// Watchdog: the follower sends nothing after its hello, so any
+	// Watchdog: the follower sends nothing after its subscribe, so any
 	// read completion means EOF or error — the signal to tear down.
 	go func() {
-		io.Copy(io.Discard, conn)
+		io.Copy(io.Discard, c)
 		ss.kill()
 	}()
 
-	hb := time.NewTicker(s.cfg.Heartbeat)
+	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
 	for {
 		select {
 		case ev := <-ss.ch:
-			if err := ss.send(s.cfg, ev); err != nil {
+			if ss.send(ev) != nil {
 				return
 			}
 		case <-hb.C:
-			pc.setWriteDeadline(s.cfg.WriteTimeout)
-			if err := pc.writeFrame(encodeHeartbeat(heartbeat{Epoch: e.Epoch(), Pos: e.ReplPositions()})); err != nil {
-				return
-			}
-			if err := pc.flush(); err != nil {
+			ss.out = wire.AppendReplHeartbeat(ss.out, reqID, e.Epoch(), &wire.ReplHeartbeat{
+				Sent: time.Now().UnixNano(), Pos: e.ReplPositions(),
+			})
+			if ss.flush() != nil {
 				return
 			}
 		case <-ss.dead:
@@ -383,10 +347,49 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// bootstrap sends the welcome, then forces a checkpoint: its image
+// lands in this session's queue in order behind every record frame of
+// the segments it covers — exactly the boundary the follower needs.
+// Records arriving before it are held back and re-filtered once the
+// boundary is known.
+func (ss *session) bootstrap() bool {
+	if ss.flush() != nil {
+		return false
+	}
+	ck, err := ss.s.e.Checkpoint()
+	if err != nil {
+		return false
+	}
+	var held []event
+	for {
+		select {
+		case ev := <-ss.ch:
+			switch {
+			case ev.kind == evCkpt && ev.seq >= ck.Seq:
+				if ss.sendCkpt(ev) != nil {
+					return false
+				}
+				for _, ev := range held {
+					if ss.send(ev) != nil {
+						return false
+					}
+				}
+				return true
+			case ev.kind == evRecords:
+				held = append(held, ev)
+			}
+		case <-ss.dead:
+			return false
+		case <-ss.s.stop:
+			return false
+		}
+	}
+}
+
 // send writes one queued event, trimmed against what the follower
 // already holds; a gap means the splice logic broke and the session
-// dies (the follower re-handshakes from its durable position).
-func (ss *session) send(cfg ServerConfig, ev event) error {
+// dies (the follower subscribes again from its durable position).
+func (ss *session) send(ev event) error {
 	switch ev.kind {
 	case evRecords:
 		cur := ss.next[ev.shard]
@@ -406,50 +409,21 @@ func (ss *session) send(cfg ServerConfig, ev event) error {
 		if ev.pos > cur.Pos {
 			return fmt.Errorf("repl: shard %d gap: have %d, frame starts at %d", ev.shard, cur.Pos, ev.pos)
 		}
-		recs := ev.recs[cur.Pos-ev.pos:]
-		if err := ss.sendRecords(cfg, ev.shard, ev.seg, cur.Pos, ev.epoch, recs); err != nil {
-			return err
-		}
-		ss.next[ev.shard] = serve.ReplPos{Seg: ev.seg, Pos: end}
-		return ss.pc.flush()
-	case evCkpt:
-		return ss.sendCkpt(cfg, ev)
-	}
-	return nil
-}
-
-// sendRecords writes records in bounded chunks (buffered; callers
-// flush).
-func (ss *session) sendRecords(cfg ServerConfig, shard int, seg, pos, epoch uint64, recs []wal.Record) error {
-	for len(recs) > 0 {
-		n := len(recs)
-		if n > cfg.ChunkRecords {
-			n = cfg.ChunkRecords
-		}
-		payload, err := encodeRecordsFrame(recordsFrame{
-			Shard: shard, Seg: seg, Pos: pos, Epoch: epoch, Recs: recs[:n],
+		ss.out = wire.AppendReplRecords(ss.out, ss.reqID, ev.epoch, &wire.ReplRecords{
+			Shard: ev.shard, Seg: ev.seg, Pos: cur.Pos, Recs: ev.recs[cur.Pos-ev.pos:],
 		})
-		if err != nil {
-			return err
-		}
-		ss.pc.setWriteDeadline(cfg.WriteTimeout)
-		if err := ss.pc.writeFrame(payload); err != nil {
-			return err
-		}
-		recs, pos = recs[n:], pos+uint64(n)
+		ss.next[ev.shard] = serve.ReplPos{Seg: ev.seg, Pos: end}
+		return ss.flush()
+	case evCkpt:
+		return ss.sendCkpt(ev)
 	}
 	return nil
 }
 
 // sendCkpt ships a checkpoint image and advances the trim cursor to
 // its rotation boundary.
-func (ss *session) sendCkpt(cfg ServerConfig, ev event) error {
-	ss.pc.setWriteDeadline(cfg.WriteTimeout)
-	if err := ss.pc.writeFrame(encodeCkptFrame(ckptFrame{
-		Seq: ev.seq, Epoch: ev.epoch, FirstSegs: ev.firstSegs, Data: ev.data,
-	})); err != nil {
-		return err
-	}
+func (ss *session) sendCkpt(ev event) error {
+	ss.out = wire.AppendReplCheckpoint(ss.out, ss.reqID, ev.epoch, ev.seq, ev.data)
 	if ss.next == nil {
 		ss.next = make([]serve.ReplPos, len(ev.firstSegs))
 	}
@@ -458,5 +432,16 @@ func (ss *session) sendCkpt(cfg ServerConfig, ev event) error {
 			ss.next[i] = serve.ReplPos{Seg: fs}
 		}
 	}
-	return ss.pc.flush()
+	return ss.flush()
+}
+
+// flush writes every frame appended since the last write.
+func (ss *session) flush() error {
+	ss.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := ss.c.Write(ss.out)
+	ss.out = ss.out[:0]
+	if cap(ss.out) > keepOut {
+		ss.out = nil
+	}
+	return err
 }

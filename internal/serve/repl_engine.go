@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the engine side of op-log replication — the surface
-// internal/serve/repl builds its wire protocol, primary server and
-// follower client on. The division of labor: repl owns transport,
-// framing, sessions and reconnects; the engine owns every touch of
+// internal/serve/repl builds its primary server and follower client
+// on. The division of labor: the wire protocol carries the stream;
+// repl owns sessions and reconnects; the engine owns every touch of
 // shard state and the mirrored DataDir, all funneled through the
 // shard goroutines so replication obeys the same single-writer
 // discipline as serving.
@@ -230,30 +230,30 @@ func (e *Engine) checkCkptCompat(ck *wal.Checkpoint) error {
 // follower's live state is untouched: it already applied everything
 // the checkpoint covers; the install only bounds ITS OWN next
 // recovery.
-func (e *Engine) ReplInstallCheckpoint(epoch uint64, data []byte) error {
+func (e *Engine) ReplInstallCheckpoint(epoch uint64, data []byte) (*wal.Checkpoint, error) {
 	if e.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if !e.follower.Load() {
-		return ErrNotFollower
+		return nil, ErrNotFollower
 	}
 	if ours := e.replEpoch.Load(); epoch != ours {
-		return fmt.Errorf("%w (checkpoint epoch %d, ours %d)", ErrFenced, epoch, ours)
+		return nil, fmt.Errorf("%w (checkpoint epoch %d, ours %d)", ErrFenced, epoch, ours)
 	}
 	ck, err := wal.Decode(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := e.checkCkptCompat(ck); err != nil {
-		return err
+		return nil, err
 	}
 	for i, st := range ck.ShardStates {
 		if err := e.ReplRotate(i, st.FirstSeg); err != nil {
-			return fmt.Errorf("shard %d: rotate to %d: %w", i, st.FirstSeg, err)
+			return nil, fmt.Errorf("shard %d: rotate to %d: %w", i, st.FirstSeg, err)
 		}
 	}
 	if _, err := wal.SaveRaw(e.cfg.DataDir, ck.Seq, data); err != nil {
-		return err
+		return nil, err
 	}
 	wal.RemoveCheckpointsBelow(e.cfg.DataDir, ck.Seq)
 	for i, st := range ck.ShardStates {
@@ -262,15 +262,17 @@ func (e *Engine) ReplInstallCheckpoint(epoch uint64, data []byte) error {
 	}
 	e.ckptSeq.Store(ck.Seq)
 	e.checkpoints.Add(1)
-	return nil
+	return ck, nil
 }
 
 // ReplReport records the follower's stream health for Stats: whether
-// the stream is live and how many records the primary holds beyond
-// this follower (from the last heartbeat).
-func (e *Engine) ReplReport(connected bool, lagRecords int64) {
+// the stream is live, how many records the primary holds beyond this
+// follower, and how old the last heartbeat was when the follower read
+// it (both from that heartbeat).
+func (e *Engine) ReplReport(connected bool, lagRecords, lagMS int64) {
 	e.replConnected.Store(connected)
 	e.replLag.Store(lagRecords)
+	e.replLagMS.Store(lagMS)
 }
 
 // ReplFollowerDelta adjusts the attached-follower gauge (repl server
@@ -339,8 +341,7 @@ func (e *Engine) PromoteLocal() (uint64, error) {
 		return 0, fmt.Errorf("serve: promotion seal: %w", err)
 	}
 	e.follower.Store(false)
-	e.replConnected.Store(false)
-	e.replLag.Store(0)
+	e.ReplReport(false, 0, 0)
 	e.startLoops()
 	return epoch, nil
 }

@@ -65,10 +65,10 @@ const maxPayload = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// PutFrameHeader writes payload's frame header — its length and CRC —
-// into hdr[:FrameHeader]. Every frame in the repo is built by it: log
-// segments, the replication wire and capture trace files.
-func PutFrameHeader(hdr, payload []byte) {
+// putFrameHeader writes payload's frame header — its length and CRC —
+// into hdr[:FrameHeader]. Every frame of log segments and capture
+// trace files is built by it.
+func putFrameHeader(hdr, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
 }
@@ -78,40 +78,29 @@ func PutFrameHeader(hdr, payload []byte) {
 // as torn tails.
 func AppendFrame(dst, payload []byte) []byte {
 	var hdr [FrameHeader]byte
-	PutFrameHeader(hdr[:], payload)
+	putFrameHeader(hdr[:], payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
 }
 
-// FrameLen reads the payload length off a frame header; ok is false
-// when hdr is short or the length exceeds the caller's cap max.
-func FrameLen(hdr []byte, max int) (plen int, ok bool) {
-	if len(hdr) < FrameHeader {
-		return 0, false
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	return int(n), uint64(n) <= uint64(max)
-}
-
-// ParseFrame parses the CRC frame at the head of data, returning its
+// NextFrame parses the CRC frame at the head of data, returning its
 // payload (aliasing data) and the framed byte count. ok false means a
-// short, oversized (payload above max) or CRC-failing head.
-func ParseFrame(data []byte, max int) (payload []byte, n int, ok bool) {
-	plen, ok := FrameLen(data, max)
-	if !ok || len(data)-FrameHeader < plen {
+// short, oversized (payload above the record cap) or CRC-failing head:
+// the torn-tail signal.
+func NextFrame(data []byte) (payload []byte, n int, ok bool) {
+	if len(data) < FrameHeader {
 		return nil, 0, false
 	}
+	n32 := binary.LittleEndian.Uint32(data)
+	if n32 > maxPayload || len(data)-FrameHeader < int(n32) {
+		return nil, 0, false
+	}
+	plen := int(n32)
 	p := data[FrameHeader : FrameHeader+plen]
 	if crc32.Checksum(p, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
 		return nil, 0, false
 	}
 	return p, FrameHeader + plen, true
-}
-
-// NextFrame is ParseFrame under the log's record cap: ok false is the
-// torn-tail signal.
-func NextFrame(data []byte) (payload []byte, n int, ok bool) {
-	return ParseFrame(data, maxPayload)
 }
 
 // encodeRecord frames and writes r, returning the bytes written.
@@ -151,7 +140,7 @@ func encodeRecord(w io.Writer, r *Record) (int, error) {
 		binary.LittleEndian.PutUint64(p[off:], r.Ext)
 		binary.LittleEndian.PutUint64(p[off+8:], r.Old)
 	}
-	PutFrameHeader(buf, p)
+	putFrameHeader(buf, p)
 	if _, err := w.Write(buf); err != nil {
 		return 0, err
 	}
@@ -258,6 +247,9 @@ func decodeRecordPayload(p []byte) (rec Record, ok bool) {
 	}
 	rec.Kind = Kind(p[0])
 	flags := p[1]
+	if flags&^(flagAnnounce|flagAvail|flagRepoint) != 0 {
+		return rec, false // no encoder sets them: a decoded record re-encodes to its exact bytes
+	}
 	rec.Node = binary.LittleEndian.Uint32(p[2:])
 	off := 6
 	rec.Announce = flags&flagAnnounce != 0

@@ -83,6 +83,14 @@ type Response struct {
 	// internal buffer; valid until the next ReadResponse).
 	SumOK   bool
 	Summary Summary
+	// Welcome answers an OpReplSubscribe; Records, Checkpoint and
+	// Heartbeat are the frames a primary pushes after it.
+	// Records.Recs is allocated afresh per frame, so a batch may be
+	// kept; Checkpoint.Data is valid until the next ReadResponse.
+	Welcome    ReplWelcome
+	Records    ReplRecords
+	Checkpoint ReplCheckpoint
+	Heartbeat  ReplHeartbeat
 }
 
 // Dial connects a wire client.
@@ -245,9 +253,22 @@ func (c *Client) ReadResponse() (*Response, error) {
 	case OpFedSummary:
 		r.SumOK, err = DecodeFedSummaryResponse(c.payload, &r.Summary)
 		return r, err
+	case OpReplSubscribe:
+		return r, DecodeReplWelcome(c.payload, &r.Welcome)
+	case OpReplRecords:
+		return r, DecodeReplRecords(c.payload, &r.Records)
+	case OpReplCheckpoint:
+		return r, DecodeReplCheckpoint(c.payload, &r.Checkpoint)
+	case OpReplHeartbeat:
+		return r, DecodeReplHeartbeat(c.payload, &r.Heartbeat)
 	}
 	return r, nil
 }
+
+// Buffered reports how many bytes of the next responses have arrived
+// but are not yet read: a frame has started arriving exactly when it
+// is nonzero.
+func (c *Client) Buffered() int { return c.br.buffered() }
 
 // readErr translates transport errors after Close into ErrClosed so
 // a reader blocked in ReadResponse when the drain deadline cuts the

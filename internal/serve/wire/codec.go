@@ -45,6 +45,9 @@ func AppendQuery(dst []byte, reqID uint32, epoch uint64, q *Query) []byte {
 func DecodeQuery(payload []byte, q *Query) error {
 	d := dec{buf: payload}
 	f := d.u8()
+	if f&^(qfConsistent|qfNoCache|qfScopeOne) != 0 {
+		return errBadFlags
+	}
 	q.Consistent = f&qfConsistent != 0
 	q.NoCache = f&qfNoCache != 0
 	q.ScopeOne = f&qfScopeOne != 0
@@ -126,8 +129,9 @@ func DecodeQueryResponse(payload []byte, r *QueryResult) error {
 		return d.err
 	}
 	// Bound before allocating: the frame cap bounds the payload, and
-	// the claimed geometry must fit in what remains.
-	if len(d.buf) != count*(16+8*dim) {
+	// the claimed geometry must fit in what remains. An encoder writes
+	// no dimension without a candidate, and no unknown flag.
+	if len(d.buf) != count*(16+8*dim) || (count == 0 && dim != 0) || f&^rfCached != 0 {
 		return errTruncated
 	}
 	r.Candidates = r.Candidates[:0]
@@ -182,7 +186,11 @@ func AppendUpdate(dst []byte, reqID uint32, epoch uint64, node uint64, avail []f
 func DecodeUpdate(payload []byte, u *Update) error {
 	d := dec{buf: payload}
 	u.Node = d.u64()
-	u.Announce = d.u8() == 1
+	a := d.u8()
+	if a > 1 {
+		return errBadFlags
+	}
+	u.Announce = a == 1
 	var err error
 	u.Avail, err = decodeVec(&d, u.Avail)
 	if err != nil {
@@ -333,7 +341,7 @@ func DecodeFedTakeResponse(payload []byte, prev []float64) ([]float64, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	if d.err != nil || len(d.buf) != 0 {
+	if d.err != nil || len(d.buf) != 0 || f&^tfDegraded != 0 {
 		return nil, false, errTruncated
 	}
 	if len(avail) == 0 {
@@ -387,11 +395,15 @@ func AppendFedSummaryResponse(dst []byte, reqID uint32, epoch uint64, sum *Summa
 // member sent a summary.
 func DecodeFedSummaryResponse(payload []byte, sum *Summary) (bool, error) {
 	d := dec{buf: payload}
-	if d.u8() == 0 {
+	switch d.u8() {
+	case 0:
 		if d.err != nil || len(d.buf) != 0 {
 			return false, errTruncated
 		}
 		return false, nil
+	case 1:
+	default:
+		return false, errTruncated
 	}
 	sum.Seq = d.u64()
 	sum.Pop = d.u32()

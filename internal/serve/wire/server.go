@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,40 +13,22 @@ import (
 	"pidcan/internal/vector"
 )
 
-// ServerConfig tunes a wire Server. Zero fields take the documented
-// defaults.
-type ServerConfig struct {
-	// Acceptors is the number of concurrent accept goroutines on the
-	// TCP listener — the connection-per-core edge (default
-	// GOMAXPROCS). Each accepted connection is then owned by one
-	// handler goroutine for its lifetime.
-	Acceptors int
-	// ReadBuffer sizes each connection's read buffer; deep pipelines
-	// drain whole request bursts from it per syscall (default 64 KiB).
-	ReadBuffer int
-	// IdleTimeout closes a connection with no complete request for
-	// this long (default 5m; <= 0 disables).
-	IdleTimeout time.Duration
-	// RetryAfter is the retry hint stamped into CodeReadOnly and
-	// CodeFenced rejections (default 1s).
-	RetryAfter time.Duration
-}
+// ServerConfig has no fields left. The type stays only because the
+// benchmark module (bench/) and pidcan.WireServerConfig still name
+// it; it goes when the benchmark stops naming it.
+type ServerConfig struct{}
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Acceptors <= 0 {
-		c.Acceptors = runtime.GOMAXPROCS(0)
-	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 64 << 10
-	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	return c
-}
+const (
+	// readBuffer sizes each connection's read buffer; deep pipelines
+	// drain whole request bursts from it per syscall.
+	readBuffer = 64 << 10
+	// idleTimeout closes a connection with no complete request for
+	// this long.
+	idleTimeout = 5 * time.Minute
+	// retryAfter is the retry hint stamped into CodeReadOnly,
+	// CodeFenced and CodeNotReady rejections.
+	retryAfter = time.Second
+)
 
 // Server serves the wire protocol over persistent TCP connections
 // (Serve). The service — an *serve.Engine or a federation router — is
@@ -55,8 +36,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // re-bootstrap can swap engines under a live listener (nil = not
 // ready, requests fail with CodeNotReady).
 type Server struct {
-	cfg    ServerConfig
 	engine func() serve.Service
+	repl   ReplSource
 
 	conns    atomic.Int64
 	requests atomic.Uint64
@@ -71,12 +52,20 @@ type Server struct {
 
 // NewServer builds a wire server over the service getter. Attach it
 // to an engine's Stats with serve.Engine.SetWireStats(s.Stats).
-func NewServer(engine func() serve.Service, cfg ServerConfig) *Server {
+func NewServer(engine func() serve.Service, _ ServerConfig) *Server {
 	return &Server{
-		cfg:    cfg.withDefaults(),
 		engine: engine,
 		live:   map[net.Conn]struct{}{},
 	}
+}
+
+// SetReplSource attaches the replication server that OpReplSubscribe
+// connections are handed to (nil detaches it; subscribes are then
+// refused).
+func (s *Server) SetReplSource(src ReplSource) {
+	s.mu.Lock()
+	s.repl = src
+	s.mu.Unlock()
 }
 
 // Stats returns the server's gauge set (the feed behind the
@@ -89,9 +78,9 @@ func (s *Server) Stats() serve.WireStats {
 	}
 }
 
-// Serve accepts connections on ln until Close, running
-// cfg.Acceptors concurrent accept loops. It blocks; run it on its
-// own goroutine next to the HTTP listener.
+// Serve accepts connections on ln until Close; each accepted
+// connection is owned by one handler goroutine. It blocks; run it on
+// its own goroutine next to the HTTP listener.
 func (s *Server) Serve(ln net.Listener) error {
 	if s.closed.Load() {
 		return errServerClosed
@@ -99,41 +88,25 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.lns = append(s.lns, ln)
 	s.mu.Unlock()
-	var wg sync.WaitGroup
-	errc := make(chan error, s.cfg.Acceptors)
-	for i := 0; i < s.cfg.Acceptors; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					if !s.closed.Load() {
-						errc <- err
-					}
-					return
-				}
-				// Add under mu, never once closed is set: Close sets
-				// it before taking mu and waits after, so no Add can
-				// race its Wait.
-				s.mu.Lock()
-				if s.closed.Load() {
-					s.mu.Unlock()
-					c.Close()
-					return
-				}
-				s.wg.Add(1)
-				s.mu.Unlock()
-				go s.handleConn(c)
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			if s.closed.Load() {
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
-		return nil
+			return err
+		}
+		// Add under mu, never once closed is set: Close sets it before
+		// taking mu and waits after, so no Add can race its Wait.
+		s.mu.Lock()
+		if s.closed.Load() {
+			s.mu.Unlock()
+			c.Close()
+			return nil
+		}
+		s.wg.Add(1)
+		s.mu.Unlock()
+		go s.handleConn(c)
 	}
 }
 
@@ -182,6 +155,8 @@ type connState struct {
 	u       Update
 	j       Join
 	demand  vector.Vec // aliases q.Demand/u.Avail per request
+	// stream, once set, owns the connection: an accepted subscribe.
+	stream func(net.Conn, uint32, []byte)
 }
 
 // flushThreshold caps how much response data buffers before an
@@ -205,7 +180,7 @@ func (s *Server) handleConn(c net.Conn) {
 	s.conns.Add(1)
 	defer s.conns.Add(-1)
 
-	br := newReader(c, s.cfg.ReadBuffer)
+	br := newReader(c, readBuffer)
 	st := &connState{
 		payload: make([]byte, 0, 4096),
 		out:     make([]byte, 0, 64<<10),
@@ -220,8 +195,8 @@ func (s *Server) handleConn(c net.Conn) {
 			}
 			st.out = st.out[:0]
 		}
-		if s.cfg.IdleTimeout > 0 && br.buffered() == 0 {
-			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		if br.buffered() == 0 {
+			c.SetReadDeadline(time.Now().Add(idleTimeout))
 		}
 		if _, err := br.readFull(hdr[:]); err != nil {
 			return // EOF, timeout or peer reset: the connection is done
@@ -247,6 +222,14 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		s.requests.Add(1)
 		st.out = s.handle(st.out, h, st.payload, st)
+		if st.stream != nil {
+			// The hand-over of an accepted subscribe: the replication
+			// server owns the connection, and writes the welcome, until
+			// it closes.
+			c.SetReadDeadline(time.Time{})
+			st.stream(c, h.ReqID, st.out)
+			return
+		}
 		if len(st.out) >= flushThreshold {
 			if _, err := c.Write(st.out); err != nil {
 				return
@@ -281,7 +264,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		return AppendFedSummaryResponse(out, h.ReqID, epoch, sum)
 	}
 	if eng == nil {
-		return AppendError(out, h.Op, h.ReqID, 0, CodeNotReady, s.cfg.RetryAfter, "",
+		return AppendError(out, h.Op, h.ReqID, 0, CodeNotReady, retryAfter, "",
 			"engine not ready (follower still bootstrapping)")
 	}
 	switch h.Op {
@@ -370,13 +353,48 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 			return s.appendErr(out, h, epoch, eng, err)
 		}
 		return AppendFedTakeResponse(out, h.ReqID, epoch, avail, degraded)
+
+	case OpReplSubscribe:
+		return s.subscribe(out, h, payload, eng, epoch, st)
 	}
-	// Unreachable: the filter bounds h.Op.
-	return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", "unknown op")
+	// The filter bounds h.Op: what is left are the ops only a primary
+	// pushes.
+	return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", "not a request op")
 }
 
-// fence applies replication-epoch fencing to a write frame, the
-// repl stream's discipline mirrored onto the serving edge: a frame
+// subscribe answers an OpReplSubscribe request. Accepted, it appends
+// the welcome and leaves in st the stream to hand the connection to;
+// refused, it appends an error frame and the connection serves on.
+func (s *Server) subscribe(out []byte, h Header, payload []byte, eng serve.Service, epoch uint64, st *connState) []byte {
+	var sub ReplSubscribe
+	if err := DecodeReplSubscribe(payload, &sub); err != nil {
+		return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+	}
+	// A follower from a newer epoch seals a deposed primary as a write
+	// frame does; an older one is no refusal: it bootstraps.
+	if h.Epoch > epoch {
+		out, _ = s.fence(out, h, eng, epoch)
+		return out
+	}
+	s.mu.Lock()
+	src := s.repl
+	s.mu.Unlock()
+	if src == nil {
+		return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", "replication is not served on this listener")
+	}
+	w, stream, err := src.Subscribe(h.Epoch, &sub)
+	var we *Error
+	switch {
+	case errors.As(err, &we):
+		return AppendError(out, h.Op, h.ReqID, epoch, we.Code, 0, "", we.Msg)
+	case err != nil:
+		return s.appendErr(out, h, epoch, eng, err)
+	}
+	st.stream = stream
+	return AppendReplWelcome(out, h.ReqID, epoch, &w)
+}
+
+// fence applies replication-epoch fencing to a write frame: a frame
 // stamped with a NEWER epoch proves a promotion happened elsewhere
 // and seals this deposed primary on contact; a frame stamped with an
 // OLDER epoch is a stale client whose write must not apply to the
@@ -388,7 +406,7 @@ func (s *Server) fence(out []byte, h Header, eng serve.Service, epoch uint64) ([
 	if h.Epoch > epoch {
 		eng.Fence(h.Epoch)
 	}
-	return AppendError(out, h.Op, h.ReqID, epoch, CodeFenced, s.cfg.RetryAfter, "",
+	return AppendError(out, h.Op, h.ReqID, epoch, CodeFenced, retryAfter, "",
 		fmt.Sprintf("epoch mismatch: frame %d, engine %d", h.Epoch, epoch)), false
 }
 
@@ -402,12 +420,12 @@ func (s *Server) appendErr(out []byte, h Header, epoch uint64, eng serve.Service
 	primary := ""
 	switch {
 	case errors.Is(err, serve.ErrClosed):
-		code, retry = CodeClosed, s.cfg.RetryAfter
+		code, retry = CodeClosed, retryAfter
 	case errors.Is(err, serve.ErrReadOnly):
-		code, retry = CodeReadOnly, s.cfg.RetryAfter
+		code, retry = CodeReadOnly, retryAfter
 		primary = eng.PrimaryAddr()
 	case errors.Is(err, serve.ErrFenced):
-		code, retry = CodeFenced, s.cfg.RetryAfter
+		code, retry = CodeFenced, retryAfter
 	case errors.Is(err, serve.ErrWAL):
 		code = CodeWAL
 	case errors.Is(err, serve.ErrBadDemand), errors.Is(err, serve.ErrBadScope), errors.Is(err, serve.ErrNotDurable):

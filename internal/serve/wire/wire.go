@@ -18,7 +18,9 @@
 //	0      1    magic (0xC9)
 //	1      1    version (1)
 //	2      1    op (query=1 update=2 join=3 leave=4 stats=5
-//	            fed-take=7 fed-summary=8; 6 is retired)
+//	            fed-take=7 fed-summary=8 repl-subscribe=9
+//	            repl-records=10 repl-checkpoint=11
+//	            repl-heartbeat=12; 6 is retired)
 //	3      1    flags (1=response, 2=error)
 //	4      4    request id (echoed verbatim in the response)
 //	8      8    epoch (requests: expected epoch, 0 = don't care;
@@ -26,22 +28,29 @@
 //	16     4    payload length
 //	20     4    CRC32-IEEE over bytes [0,20) + payload
 //
-// Concurrency model: the server runs one accept goroutine per core
-// and one handler goroutine per connection. A handler decodes and
-// serves requests strictly in order, appending responses to a
-// per-connection buffer that is written in one syscall as soon as
-// the read side would block — so pipelined clients amortize both the
-// syscall and the flush across whole bursts, which is what carries
-// a single core past the 200k queries/sec mark. Responses therefore
-// come back in request order; the client's FIFO pipeline relies on
-// it.
+// Concurrency model: the server runs one handler goroutine per
+// connection. A handler decodes and serves requests strictly in
+// order, appending responses to a per-connection buffer that is
+// written in one syscall as soon as the read side would block — so
+// pipelined clients amortize both the syscall and the flush across
+// whole bursts, which is what carries a single core past the 200k
+// queries/sec mark. Responses therefore come back in request order;
+// the client's FIFO pipeline relies on it.
 //
-// Writes are epoch-fenced like replication: a request stamped with a
-// newer epoch than the engine's seals a deposed primary on contact
-// (Engine.Fence), a stale-epoch write is refused with CodeFenced,
-// and a read-only follower refuses writes with CodeReadOnly naming
-// its primary and a retry-after hint — the wire mirror of the HTTP
-// 503 + Retry-After surface.
+// Writes are epoch-fenced: a request stamped with a newer epoch than
+// the engine's seals a deposed primary on contact (Engine.Fence), a
+// stale-epoch write is refused with CodeFenced, and a read-only
+// follower refuses writes with CodeReadOnly naming its primary and a
+// retry-after hint — the wire mirror of the HTTP 503 + Retry-After
+// surface.
+//
+// Replication is a stream on the same protocol and port. A follower
+// sends one OpReplSubscribe carrying its epoch; a newer one seals
+// this engine through the same fence as a write. The response is the
+// welcome, after which the server hands the connection to the
+// replication server attached with SetReplSource, and the connection
+// carries only the frames it pushes — under the same header filter
+// and CRC as every other frame.
 //
 // The hot query path allocates nothing in encode or decode (asserted
 // by test): requests decode into caller-owned reusable structs,
@@ -88,7 +97,18 @@ const (
 	opRetired    byte = 6
 	OpFedTake    byte = 7
 	OpFedSummary byte = 8
-	opMax        byte = 8
+	// Replication ops. OpReplSubscribe is a follower's request to
+	// stream a primary's op-log; its response is the welcome. From then
+	// on the connection carries only frames the server pushes, each
+	// response-flagged under the subscribe's request id with the
+	// primary's epoch in its header: record batches (OpReplRecords),
+	// checkpoint images in chunks (OpReplCheckpoint) and heartbeats
+	// (OpReplHeartbeat).
+	OpReplSubscribe  byte = 9
+	OpReplRecords    byte = 10
+	OpReplCheckpoint byte = 11
+	OpReplHeartbeat  byte = 12
+	opMax            byte = 12
 )
 
 // Header flags.
@@ -104,8 +124,8 @@ const (
 
 // MaxPayload bounds any frame's payload; a header claiming more is
 // rejected by the stateless filter before allocation. Generous for
-// stats JSON and large candidate sets, tiny next to the repl
-// checkpoint cap.
+// stats JSON and large candidate sets; checkpoint images travel in
+// chunks under it.
 const MaxPayload = 1 << 20
 
 // Error codes carried by FlagError responses. They mirror the HTTP
@@ -317,7 +337,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // dec is a little-endian payload reader; failed reads poison it (the
-// wal/repl decoding discipline).
+// wal decoding discipline).
 type dec struct {
 	buf []byte
 	err error

@@ -2,14 +2,17 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"pidcan"
 	"pidcan/internal/serve"
+	"pidcan/internal/serve/wal"
 	"pidcan/internal/serve/wire"
 )
 
@@ -80,7 +83,7 @@ func TestFilterHeader(t *testing.T) {
 		{"bad magic", mutate(0, 0x00)},
 		{"bad version", mutate(1, 99)},
 		{"op zero", mutate(2, 0)},
-		{"op out of range", mutate(2, 9)},
+		{"op out of range", mutate(2, 13)},
 		{"retired op 6 (fed-query)", mutate(2, 6)},
 		{"bad flag bits", mutate(3, 0x80)},
 		{"oversize payload", mutate(19, 0xFF)}, // plen high byte -> > MaxPayload
@@ -274,6 +277,127 @@ func TestCodecRoundTrips(t *testing.T) {
 				return err
 			})
 		}
+	})
+
+	t.Run("repl subscribe", func(t *testing.T) {
+		for _, sub := range []wire.ReplSubscribe{
+			{Shards: 3}, // a follower with no state: bootstrap
+			{Shards: 2, Pos: []serve.ReplPos{{Seg: 4, Pos: 17}, {Seg: 1, Pos: 0}}},
+		} {
+			frame := wire.AppendReplSubscribe(nil, 21, 6, &sub)
+			checkFrame(t, frame, wire.OpReplSubscribe, 21, 6)
+			got := wire.ReplSubscribe{Pos: make([]serve.ReplPos, 5)} // decode reuses and must truncate
+			if err := wire.DecodeReplSubscribe(frame[wire.HeaderSize:], &got); err != nil ||
+				got.Shards != sub.Shards || len(got.Pos) != len(sub.Pos) {
+				t.Fatalf("subscribe round trip: %+v %v, want %+v", got, err, sub)
+			}
+			for i := range sub.Pos {
+				if got.Pos[i] != sub.Pos[i] {
+					t.Fatalf("subscribe position %d: %+v, want %+v", i, got.Pos[i], sub.Pos[i])
+				}
+			}
+			cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+				return wire.DecodeReplSubscribe(p, new(wire.ReplSubscribe))
+			})
+		}
+	})
+
+	t.Run("repl welcome", func(t *testing.T) {
+		w := wire.ReplWelcome{Resume: true, Shards: 4, Seed: 1<<40 | 3, NodesPerShard: 2500, Dims: 5}
+		frame := wire.AppendReplWelcome(nil, 22, 7, &w)
+		if h := checkFrame(t, frame, wire.OpReplSubscribe, 22, 7); h.Flags != wire.FlagResponse {
+			t.Fatalf("welcome flags %x", h.Flags)
+		}
+		var got wire.ReplWelcome
+		if err := wire.DecodeReplWelcome(frame[wire.HeaderSize:], &got); err != nil || got != w {
+			t.Fatalf("welcome round trip: %+v %v, want %+v", got, err, w)
+		}
+		cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+			return wire.DecodeReplWelcome(p, new(wire.ReplWelcome))
+		})
+	})
+
+	t.Run("repl records", func(t *testing.T) {
+		r := wire.ReplRecords{Shard: 2, Seg: 3, Pos: 40, Recs: []wal.Record{
+			{Kind: wal.KindUpdate, Node: 7, Announce: true, Avail: []float64{1, 2.5}},
+			{Kind: wal.KindJoin, Node: 9, Repoint: true, Ext: 1<<32 | 4, Old: 5},
+			{Kind: wal.KindLeave, Node: 7},
+		}}
+		frame := wire.AppendReplRecords(nil, 23, 8, &r)
+		checkFrame(t, frame, wire.OpReplRecords, 23, 8)
+		var got wire.ReplRecords
+		if err := wire.DecodeReplRecords(frame[wire.HeaderSize:], &got); err != nil || !reflect.DeepEqual(got, r) {
+			t.Fatalf("records round trip: %+v %v, want %+v", got, err, r)
+		}
+		cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+			return wire.DecodeReplRecords(p, new(wire.ReplRecords))
+		})
+		// A long batch travels as several frames, each positioned at its
+		// own first record.
+		long := wire.ReplRecords{Shard: 1, Seg: 2, Pos: 10}
+		for i := 0; i < 700; i++ {
+			long.Recs = append(long.Recs, wal.Record{Kind: wal.KindUpdate, Node: uint32(i), Avail: []float64{float64(i)}})
+		}
+		var parts []wire.ReplRecords
+		for data := wire.AppendReplRecords(nil, 24, 8, &long); len(data) > 0; {
+			h := checkFrame(t, data[:wire.HeaderSize+int(binary.LittleEndian.Uint32(data[16:]))], wire.OpReplRecords, 24, 8)
+			var part wire.ReplRecords
+			if err := wire.DecodeReplRecords(data[wire.HeaderSize:wire.HeaderSize+h.PLen], &part); err != nil {
+				t.Fatal(err)
+			}
+			parts, data = append(parts, part), data[wire.HeaderSize+h.PLen:]
+		}
+		if len(parts) != 2 || parts[1].Pos != long.Pos+uint64(len(parts[0].Recs)) ||
+			!reflect.DeepEqual(append(parts[0].Recs, parts[1].Recs...), long.Recs) {
+			t.Fatalf("700 records split into %d frames: %+v", len(parts), parts)
+		}
+	})
+
+	t.Run("repl checkpoint", func(t *testing.T) {
+		image := make([]byte, wire.MaxPayload+wire.MaxPayload/2)
+		for i := range image {
+			image[i] = byte(i * 7)
+		}
+		var got []byte
+		frames := 0
+		for data := wire.AppendReplCheckpoint(nil, 25, 9, 12, image); len(data) > 0; frames++ {
+			h := checkFrame(t, data[:wire.HeaderSize+int(binary.LittleEndian.Uint32(data[16:]))], wire.OpReplCheckpoint, 25, 9)
+			payload := data[wire.HeaderSize : wire.HeaderSize+h.PLen]
+			var c wire.ReplCheckpoint
+			if err := wire.DecodeReplCheckpoint(payload, &c); err != nil || c.Seq != 12 || c.Size != uint64(len(image)) {
+				t.Fatalf("chunk %d: %+v %v", frames, c, err)
+			}
+			got, data = append(got, c.Data...), data[wire.HeaderSize+h.PLen:]
+		}
+		if frames != 2 || !bytes.Equal(got, image) {
+			t.Fatalf("a %d-byte image came back as %d bytes in %d chunks", len(image), len(got), frames)
+		}
+		small := wire.AppendReplCheckpoint(nil, 26, 9, 13, []byte("image"))
+		// Any shorter chunk is valid (it carries less of the image), so
+		// only cuts into the sequence and size fields must fail.
+		for n := 0; n < 16; n++ {
+			if wire.DecodeReplCheckpoint(small[wire.HeaderSize:wire.HeaderSize+n], new(wire.ReplCheckpoint)) == nil {
+				t.Fatalf("chunk cut to %d bytes decoded", n)
+			}
+		}
+		// A chunk may not carry more than the image it belongs to.
+		if err := wire.DecodeReplCheckpoint(append(bytes.Clone(small[wire.HeaderSize:]), 0), new(wire.ReplCheckpoint)); err == nil {
+			t.Fatal("a chunk longer than its image decoded")
+		}
+	})
+
+	t.Run("repl heartbeat", func(t *testing.T) {
+		hb := wire.ReplHeartbeat{Sent: 1_700_000_000_123_456_789, Pos: []serve.ReplPos{{Seg: 2, Pos: 9}}}
+		frame := wire.AppendReplHeartbeat(nil, 27, 10, &hb)
+		checkFrame(t, frame, wire.OpReplHeartbeat, 27, 10)
+		var got wire.ReplHeartbeat
+		if err := wire.DecodeReplHeartbeat(frame[wire.HeaderSize:], &got); err != nil || got.Sent != hb.Sent ||
+			len(got.Pos) != 1 || got.Pos[0] != hb.Pos[0] {
+			t.Fatalf("heartbeat round trip: %+v %v, want %+v", got, err, hb)
+		}
+		cutAnywhere(t, frame[wire.HeaderSize:], func(p []byte) error {
+			return wire.DecodeReplHeartbeat(p, new(wire.ReplHeartbeat))
+		})
 	})
 
 	t.Run("error", func(t *testing.T) {

@@ -228,10 +228,12 @@ var (
 // --- op-log replication (internal/serve/repl) --------------------------------
 
 // ReplServer streams a durable primary Engine's op-log to follower
-// sessions: handshake negotiates shard shape and per-shard (segment,
-// record) positions, stale followers bootstrap by checkpoint
-// shipping, live ones tail every logged batch. Run it next to the
-// HTTP front-end on its own listener (pidcan-serve -repl-addr).
+// sessions over the wire protocol: a follower's subscribe carries its
+// shard shape and per-shard (segment, record) positions, stale
+// followers bootstrap by checkpoint shipping, live ones tail every
+// logged batch. Attach it to the engine's wire listener with
+// WireServer.SetReplSource (pidcan-serve -wire-addr), or let Serve
+// open a wire listener of its own.
 type ReplServer = repl.Server
 
 // ReplServerConfig tunes a ReplServer.
@@ -255,8 +257,9 @@ func NewReplServer(e *Engine, cfg ReplServerConfig) (*ReplServer, error) {
 	return repl.NewServer(e, cfg)
 }
 
-// NewReplClient builds a follower's replication client; run it with
-// Run and wire Engine.SetPromoter to Promote for HTTP fail-over.
+// NewReplClient builds a follower's replication client over the
+// primary's wire address; run it with Run and wire
+// Engine.SetPromoter to Promote for HTTP fail-over.
 func NewReplClient(cfg ReplClientConfig) (*ReplClient, error) {
 	return repl.NewClient(cfg)
 }

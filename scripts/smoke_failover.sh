@@ -1,19 +1,21 @@
 #!/bin/sh
 # Fail-over smoke test for op-log replication: start a primary and a
-# streaming follower as two processes, drive acknowledged writes,
-# let the follower drain, kill the primary hard (SIGKILL), promote
-# the follower over HTTP, and verify the promoted node serves every
-# write the primary acknowledged — plus accepts new writes under the
-# sealed epoch.
+# follower streaming from the primary's one wire port as two
+# processes, drive acknowledged writes, check that the address the
+# follower redirects writes to is that wire port and serves a wire
+# load, let the follower drain, kill the primary hard (SIGKILL),
+# promote the follower over HTTP, and verify the promoted node serves
+# every write the primary acknowledged — plus accepts new writes under
+# the sealed epoch.
 #
-#   scripts/smoke_failover.sh [http-port] [repl-port] [follower-port]
+#   scripts/smoke_failover.sh [http-port] [wire-port] [follower-port]
 #
 # Exits non-zero (with a diff) on any acked-write loss.
 set -eu
 
 cd "$(dirname "$0")/.."
 pport="${1:-18571}"
-rport="${2:-18572}"
+pwire="${2:-18572}"
 fport="${3:-18573}"
 pbase="http://127.0.0.1:$pport"
 fbase="http://127.0.0.1:$fport"
@@ -28,8 +30,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "building pidcan-serve..."
+echo "building pidcan-serve and pidcan-loadgen..."
 go build -o "$work/pidcan-serve" ./cmd/pidcan-serve
+go build -o "$work/pidcan-loadgen" ./cmd/pidcan-loadgen
 
 wait_healthy() {
 	base="$1"
@@ -48,9 +51,9 @@ wait_healthy() {
 
 post() { curl -sf -X POST -d "$3" "$1$2"; }
 
-echo "starting primary (repl on :$rport)..."
+echo "starting primary (wire protocol and replication on :$pwire)..."
 "$work/pidcan-serve" -addr "127.0.0.1:$pport" -shards 2 -nodes 8 -seed 3 \
-	-warmup 1m -data-dir "$work/primary" -repl-addr "127.0.0.1:$rport" \
+	-warmup 1m -data-dir "$work/primary" -wire-addr "127.0.0.1:$pwire" \
 	>"$work/primary.log" 2>&1 &
 ppid=$!
 wait_healthy "$pbase" "$work/primary.log"
@@ -58,7 +61,7 @@ wait_healthy "$pbase" "$work/primary.log"
 echo "starting follower..."
 "$work/pidcan-serve" -addr "127.0.0.1:$fport" -shards 2 -nodes 8 -seed 3 \
 	-warmup 1m -data-dir "$work/follower" -role follower \
-	-primary "127.0.0.1:$rport" >"$work/follower.log" 2>&1 &
+	-primary "127.0.0.1:$pwire" >"$work/follower.log" 2>&1 &
 fpid=$!
 wait_healthy "$fbase" "$work/follower.log"
 
@@ -74,6 +77,30 @@ post "$pbase" /checkpoint '' >/dev/null
 # These live only in the post-checkpoint log tail + the stream.
 post "$pbase" /join '{"avail":[111,11,111,11,1]}' >/dev/null
 post "$pbase" /update "{\"node\":$node,\"avail\":[210,42,420,63,1.5],\"announce\":true}" >/dev/null
+
+# Writes on the follower are refused with 503 naming the primary's
+# wire address — where a wire client's redirect lands, so it must
+# serve a mixed wire load without an error.
+body=$(curl -s -X POST -d "{\"node\":$node,\"avail\":[1,1,1,1,1]}" "$fbase/update")
+redirect=$(printf '%s' "$body" | sed 's/.*"primary":"\([^"]*\)".*/\1/')
+if [ "$redirect" != "127.0.0.1:$pwire" ]; then
+	echo "FAIL: follower redirects writes to '$redirect', want the primary's wire address 127.0.0.1:$pwire ($body)" >&2
+	exit 1
+fi
+echo "driving a wire load against the redirect address $redirect..."
+"$work/pidcan-loadgen" -url "$pbase" -proto wire -wire "$redirect" -rate 2000 -duration 1s \
+	-workers 4 -mix "query=80,update=15,join=4,leave=1" -seed 5 -json "$work/redirect.json" \
+	>"$work/redirect.out" 2>&1 || {
+	echo "FAIL: loadgen against the redirect address failed" >&2
+	cat "$work/redirect.out" >&2
+	exit 1
+}
+errors=$(tr -d ' \t\n' <"$work/redirect.json" | sed 's/.*"errors":\([0-9]*\),"shed".*/\1/')
+if [ "$errors" != "0" ]; then
+	echo "FAIL: wire load against the redirect address saw $errors errors" >&2
+	cat "$work/redirect.out" >&2
+	exit 1
+fi
 
 echo "waiting for the follower to drain the stream..."
 i=0

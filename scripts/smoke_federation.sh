@@ -15,7 +15,9 @@
 # availability) must prune scatter legs (nonzero fed_legs_pruned) while sustaining
 # a query qps floor (default 1500) through the pipelined transport.
 #
-# Uses thirteen consecutive ports starting at first-port (default 18591).
+# Every member serves queries, writes and its op-log stream on one
+# wire port. Uses twelve consecutive ports starting at first-port
+# (default 18591).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,15 +27,14 @@ ahttp=$base
 awire=$((base + 1))
 bhttp=$((base + 2))
 bwire=$((base + 3))
-brepl=$((base + 4))
-fhttp=$((base + 5))
-fwire=$((base + 6))
-rhttp=$((base + 7))
-chttp=$((base + 8))
-cwire=$((base + 9))
-dhttp=$((base + 10))
-dwire=$((base + 11))
-r2http=$((base + 12))
+fhttp=$((base + 4))
+fwire=$((base + 5))
+rhttp=$((base + 6))
+chttp=$((base + 7))
+cwire=$((base + 8))
+dhttp=$((base + 9))
+dwire=$((base + 10))
+r2http=$((base + 11))
 rbase="http://127.0.0.1:$rhttp"
 r2base="http://127.0.0.1:$r2http"
 
@@ -65,13 +66,12 @@ wait_healthy() {
 
 post() { curl -sf -X POST -d "$2" "$rbase$1"; }
 
-echo "starting primary A (in-memory) and primary B (durable, repl on :$brepl)..."
+echo "starting primary A (in-memory) and primary B (durable, replicating on :$bwire)..."
 "$work/pidcan-serve" -addr "127.0.0.1:$ahttp" -wire-addr "127.0.0.1:$awire" \
 	-shards 2 -nodes 8 -seed 3 -warmup 1m >"$work/a.log" 2>&1 &
 pids="$pids $!"
 "$work/pidcan-serve" -addr "127.0.0.1:$bhttp" -wire-addr "127.0.0.1:$bwire" \
-	-shards 2 -nodes 8 -seed 4 -warmup 1m -data-dir "$work/b" \
-	-repl-addr "127.0.0.1:$brepl" >"$work/b.log" 2>&1 &
+	-shards 2 -nodes 8 -seed 4 -warmup 1m -data-dir "$work/b" >"$work/b.log" 2>&1 &
 bpid=$!
 pids="$pids $bpid"
 wait_healthy "$ahttp" "$work/a.log"
@@ -80,7 +80,7 @@ wait_healthy "$bhttp" "$work/b.log"
 echo "starting follower B2..."
 "$work/pidcan-serve" -addr "127.0.0.1:$fhttp" -wire-addr "127.0.0.1:$fwire" \
 	-shards 2 -nodes 8 -seed 4 -warmup 1m -data-dir "$work/b2" \
-	-role follower -primary "127.0.0.1:$brepl" >"$work/b2.log" 2>&1 &
+	-role follower -primary "127.0.0.1:$bwire" >"$work/b2.log" 2>&1 &
 pids="$pids $!"
 wait_healthy "$fhttp" "$work/b2.log"
 
