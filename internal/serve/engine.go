@@ -191,17 +191,24 @@ type Stats struct {
 	// per-shard index builds, IndexDeltaBuilds incremental
 	// (merge-with-dirty-nodes) rebuilds, and IndexReuses
 	// publications that reused the previous records + index
-	// wholesale because the batch changed nothing.
-	IndexSearches       uint64 `json:"index_searches"`
-	IndexScannedRecords uint64 `json:"index_scanned_records"`
-	IndexCandidates     uint64 `json:"index_candidates"`
-	IndexBuilds         uint64 `json:"index_builds"`
-	IndexDeltaBuilds    uint64 `json:"index_delta_builds"`
-	IndexReuses         uint64 `json:"index_reuses"`
-	Consistent          uint64 `json:"consistent_queries"`
-	Updates             uint64 `json:"updates"`
-	Joins               uint64 `json:"joins"`
-	Leaves              uint64 `json:"leaves"`
+	// wholesale because the batch changed nothing. Over those
+	// rebuilds, IndexPatchedBlocks counts the blocks written as
+	// patches of their predecessor (dead bits plus a small tail) and
+	// IndexRewrittenBlocks the predecessor blocks rewritten in full:
+	// patched/(patched+rewritten) is the share of write traffic on the
+	// cheap path.
+	IndexSearches        uint64 `json:"index_searches"`
+	IndexScannedRecords  uint64 `json:"index_scanned_records"`
+	IndexCandidates      uint64 `json:"index_candidates"`
+	IndexBuilds          uint64 `json:"index_builds"`
+	IndexDeltaBuilds     uint64 `json:"index_delta_builds"`
+	IndexReuses          uint64 `json:"index_reuses"`
+	IndexPatchedBlocks   uint64 `json:"index_patched_blocks"`
+	IndexRewrittenBlocks uint64 `json:"index_rewritten_blocks"`
+	Consistent           uint64 `json:"consistent_queries"`
+	Updates              uint64 `json:"updates"`
+	Joins                uint64 `json:"joins"`
+	Leaves               uint64 `json:"leaves"`
 	// Migrations counts completed cross-shard node migrations;
 	// Rebalances counts rebalance passes run (background or manual).
 	Migrations uint64 `json:"migrations"`
@@ -836,6 +843,8 @@ func (e *Engine) Stats() Stats {
 		st.IndexBuilds += s.idxBuilds.Load()
 		st.IndexDeltaBuilds += s.idxDeltas.Load()
 		st.IndexReuses += s.idxReuses.Load()
+		st.IndexPatchedBlocks += s.idxPatched.Load()
+		st.IndexRewrittenBlocks += s.idxRewritten.Load()
 	}
 	return st
 }

@@ -12,17 +12,48 @@
 // computed per query.
 //
 // Layout. A Flat holds the records sorted by (score, node), cut into
-// blocks of at most blockCap entries. A block is a small
-// structure-of-arrays: node ids, scores (binary searched), one-word
-// dominance signatures (what a scan reads), stored and expiry times, a
-// row-major packed availability matrix (read only for the few entries
-// whose signature passes) and the block's own per-dimension maximum.
-// Over the blocks sits a per-version directory: the block pointers,
-// each block's first score (binary searched to find where a scan
-// starts) and, per block, the per-dimension maximum over that block
-// and every later one. A second sequence of chunks, ordered by node
-// id, maps every node to its current score, so an entry can be found
-// from its node id in O(log n).
+// blocks. A block is a small structure-of-arrays, its sorted prefix of
+// at most blockCap entries: node ids, scores (binary searched),
+// one-word dominance signatures (what a scan reads), stored and expiry
+// times and a row-major packed availability matrix (read only for the
+// few entries whose signature passes). A block written by Update's
+// patch path shares its predecessor's prefix and adds two things: a
+// bitmap of prefix entries that have left (dead), and a sorted tail —
+// its own small set of columns, copied on every write, never appended
+// into shared capacity — of entries that have entered since the prefix
+// was written. Build and a rewrite produce blocks with neither. Each
+// block carries the per-dimension maximum over its live entries, tail
+// included. Over the blocks sits a per-version directory: the block
+// pointers, each block's first score (binary searched to find where a
+// scan starts) and, per block, the per-dimension maximum over that
+// block and every later one. A second sequence of chunks, ordered by
+// node id, maps every node to its current score, so an entry can be
+// found from its node id in O(log n). A reported position is the block
+// index shifted by posShift, or'ed with the entry's place in the
+// prefix, or with blockCap plus its place in the tail.
+//
+// Invariants, held by every version and asserted by the tests:
+//
+//   - A version is immutable and forkable: nothing derived from it ever
+//     writes memory it can read. A patch copies the header (the dead
+//     bitmap is part of it) and the tail it changes, and shares the
+//     rest.
+//   - first[b] <= every score in block b, tail and dead entries
+//     included, <= first[b+1]; an entering entry goes to the tail of
+//     the last block whose first prefix key is at or below its own (of
+//     block 0 when there is none). A cursor's Next is therefore a lower
+//     bound on everything it can still report.
+//   - A block's maximum, and so the directory's reach, is exact over
+//     its live entries: a patch raises it for an entering row and
+//     recomputes it when a leaving row held it in some dimension.
+//   - A dead entry is never reported and never offered to a Bound.
+//   - Len, Nodes, Records and the positions NodeAt/Row resolve see
+//     exactly the live entries.
+//   - A block's dead plus tail entries number at most patchCap, and
+//     every block but the last holds at least minFill live ones. (A
+//     rewrite leaves every block but the last with carryFill or more,
+//     and patchCap patches cannot take that under minFill: only the
+//     last block meets that rewrite trigger, when it empties.)
 //
 // A signature packs one byte lane per dimension, for the first
 // sigDims dimensions: the availability as a fraction of cmax,
@@ -46,11 +77,13 @@
 //     accumulated with the same per-dimension multiplications in the
 //     same order;
 //  2. Step scans one block ascending: it binary-searches the block's
-//     scores for where the Bound's cutoff falls, compares the
-//     signatures up to there, and runs the expiry and exact dominance
-//     tests on the entries that pass. Every match is reported and its
-//     score offered to the Bound, which keeps the k smallest match
-//     scores seen by any cursor; the cutoff is the largest of them
+//     prefix scores for where the Bound's cutoff falls, compares the
+//     signatures up to there, and runs the dead, expiry and exact
+//     dominance tests on the entries that pass; then it compares every
+//     signature of the block's tail, holding the few that pass to the
+//     cutoff. Every match is reported and its score offered to the
+//     Bound, which keeps the k smallest match scores seen by any
+//     cursor; the cutoff is the largest of them
 //     plus a tie slack (near-equal-score entries stay in play: the
 //     caller re-ranks by the exactly-computed surplus, so rounding
 //     between score subtraction and the reference Σ(a-w)/c summation
@@ -67,18 +100,31 @@
 // to the cutoff, whatever number of indexes the population is spread
 // over — plus at most the block each cursor was in when the cutoff
 // last shrank, and at most one block more per cursor at a hopeless
-// tail, because the tail is cut at block boundaries. The visited
-// count therefore depends on where a history of updates happened to
-// cut the blocks by at most a block per cursor.
+// tail, because the tail is cut at block boundaries — plus the dead
+// entries and the tails of the blocks it scans (all of each tail, the
+// entries under D in Seek's block included). The visited count of an
+// Update chain therefore exceeds that of a Build of the same records by
+// at most a block and a tail (blockCap+2·patchCap entries) per cursor
+// plus those dead entries, and a version without writes visits exactly
+// what Build's layout gives.
 //
 // What an update costs. Every version is immutable; Update derives
 // the next one by copy-on-write. A batch that dirtied b nodes finds
-// their old entries through the by-node chunks, rewrites the blocks
-// and chunks that lose or gain an entry — splitting one that
-// overflows blockCap evenly, carrying one that falls under minFill
-// into its successor — shares every other block with its predecessor
-// and rebuilds the two directories: O(b·blockCap + n/blockCap), no
-// pass over the population and nothing allocated per record. A
+// their old entries through the by-node chunks and the blocks they
+// leave or enter by binary search on the directory. A touched block is
+// patched — a new header sharing the prefix, carrying its own dead
+// bitmap and new tail columns holding the entering entries — unless
+// the patch would push its dead plus tail entries past patchCap or
+// drop its live entries under minFill; then it is rewritten, dead
+// entries dropped and tail merged in order, splitting evenly when over
+// blockCap and carrying into its successor while under carryFill. A
+// touched chunk whose nodes only changed score shares its node column;
+// any other is rewritten the same way. Every other block and chunk is
+// shared, and so are the directories unless a block's first score or
+// its row of reach moved. A one-node update therefore copies two block
+// headers (a tail a few hundred bytes more), one chunk's scores and
+// the two pointer arrays: O(b·patchCap + n/blockCap) words, amortizing
+// a rewrite over patchCap touches, nothing allocated per record. A
 // publication that changed nothing reuses the previous version
 // outright.
 package index
@@ -113,33 +159,112 @@ const (
 // orders of magnitude beyond any reachable discrepancy.
 const tieSlack = 1e-9
 
-// blockCap is the most entries a block holds: at five dimensions a
-// full block is ~10 KB, so the two blocks a one-node update rewrites
-// cost a few microseconds, while a 25 000-node shard's directory stays
-// near 200 rows. minFill is the fill under which a rewritten block is
-// carried into its successor.
+// blockCap is the most entries a block's prefix holds: at five
+// dimensions a full block is ~10 KB, while a 25 000-node shard's
+// directory stays near 200 rows. minFill is the fewest live entries a
+// block other than the last holds. A rewrite carries into its
+// successor until it has written carryFill entries: under churn that
+// keeps blocks about three quarters full rather than half, and a scan
+// crosses that many fewer blocks (and tails). patchCap is the most
+// dead plus tail entries a patched block carries before it is
+// rewritten: it bounds the tail a patch copies and what a scan visits
+// in vain. posShift places a block's index in a reported position
+// above its prefix and its tail entries (blockCap + j).
 const (
 	blockShift = 7
 	blockCap   = 1 << blockShift
 	minFill    = blockCap / 4
+	carryFill  = blockCap / 2
+	patchCap   = blockCap / 8
+	posShift   = blockShift + 1
 )
 
 const never = sim.Time(1<<63 - 1)
 
-// block is one immutable run of at most blockCap entries in sequence
-// order. A by-node chunk fills only nodes and score.
-type block struct {
-	nodes   []overlay.NodeID
-	score   []float64
+// cols is an immutable run of entries in sequence order, one column
+// per field: a block's sorted prefix, its tail, or a by-node chunk
+// (which fills only nodes and score). The columns a scan reads for
+// every entry come first.
+type cols struct {
 	sig     []uint64 // entry i's dominance signature (see Flat.signature)
-	stored  []sim.Time
-	expires []sim.Time
-	vals    []float64 // row-major: entry i's availability at vals[i*dims : (i+1)*dims]
-	max     []float64 // max[d] = largest vals[i*dims+d] in the block
+	score   []float64
 	expiry  bool      // any entry with a finite expiry (skip the check otherwise)
+	vals    []float64 // row-major: entry i's availability at vals[i*dims : (i+1)*dims]
+	expires []sim.Time
+	nodes   []overlay.NodeID
+	stored  []sim.Time
 }
 
-func (b *block) key(i int) key { return key{b.score[i], b.nodes[i]} }
+func (c *cols) key(i int) key { return key{c.score[i], c.nodes[i]} }
+
+// block is a prefix of at most blockCap entries, minus its dead, plus
+// its tail. The header holds the tail's columns and the dead bitmap
+// itself: a patch writes a new header anyway, and a scan reads both
+// without a load beyond the header. The two counts sit beside the
+// prefix's signature and score columns, so a scan of a block that
+// has neither dead nor tail entries reads one line of its header.
+type block struct {
+	ndead, ntail int32                 // dead prefix entries; tail entries (len(tail.nodes))
+	cols                               // the sorted prefix
+	max          []float64             // max[d] = largest availability in dimension d over the live entries, tail included
+	dead         [blockCap / 64]uint64 // bit i set: prefix entry i has left
+	tail         cols                  // entries that entered since the prefix was written, ascending; empty while none has
+}
+
+// isDead reports whether prefix entry i has left. Only a patched block
+// has dead entries; the guard also keeps the bitmap out of reach of the
+// oversized runs a rewrite merges before splitting them.
+func (b *block) isDead(i int) bool { return b.ndead > 0 && b.dead[i>>6]&(1<<(i&63)) != 0 }
+
+// live returns how many entries the block holds that have not left.
+func (b *block) live() int { return len(b.nodes) - int(b.ndead) + int(b.ntail) }
+
+// lowest is the block's first score: of its prefix, or of its tail
+// when an entry below every key entered the first block.
+func (b *block) lowest() float64 {
+	if b.ntail > 0 {
+		return min(b.score[0], b.tail.score[0])
+	}
+	return b.score[0]
+}
+
+// fits reports whether b can stand in the sequence as it is: a prefix
+// to route by, no more than patchCap dead and tail entries, and at
+// least minFill live ones unless it is the last.
+func (b *block) fits(last bool) bool {
+	n := b.live()
+	return len(b.nodes) > 0 && len(b.nodes) <= blockCap && b.ndead+b.ntail <= patchCap &&
+		(n >= minFill || last && n > 0)
+}
+
+// spans appends to run, in sequence order, spans covering b's live
+// entries — its prefix minus the dead, merged with its tail — and
+// returns run and n plus how many entries they hold.
+func (b *block) spans(run []span, n int) ([]span, int) {
+	add := func(c *cols, lo, hi int) {
+		if lo < hi {
+			run, n = append(run, span{c, int32(lo), int32(hi)}), n+hi-lo
+		}
+	}
+	p, t := &b.cols, &b.tail
+	lo, j := 0, 0 // the prefix run not yet added starts at lo; the tail's at j
+	for i := range b.nodes {
+		hi := j // the tail entries sorting before prefix entry i
+		for hi < len(t.nodes) && t.key(hi).cmp(b.key(i), false) < 0 {
+			hi++
+		}
+		if dead := b.isDead(i); dead || hi > j {
+			add(p, lo, i)
+			add(t, j, hi)
+			if lo, j = i, hi; dead {
+				lo++
+			}
+		}
+	}
+	add(p, lo, len(b.nodes))
+	add(t, j, len(t.nodes))
+	return run, n
+}
 
 // key orders a sequence: (score, node) for the blocks, node alone for
 // the by-node chunks, where the score is what the node maps to.
@@ -158,16 +283,15 @@ func (k key) cmp(o key, byNode bool) int {
 	return cmp.Compare(k.node, o.node)
 }
 
-// span names entries [lo, hi) of an existing block, to be copied into
-// one being written.
+// span names entries [lo, hi) of existing columns, to be copied into a
+// block being written.
 type span struct {
-	b      *block
+	c      *cols
 	lo, hi int32
 }
 
 // op is one change to a sequence: the entry at key leaves (at < 0), or
-// entry at of the staging block, whose key it is, joins. Build sorts
-// the same triple, at being the record's position in its input.
+// the record recs[at] of the input, whose key it is, joins.
 type op struct {
 	key
 	at int32
@@ -179,10 +303,14 @@ type op struct {
 // versions share its blocks.
 type Flat struct {
 	blocks []*block  // ascending (score, node)
-	first  []float64 // first[b] = blocks[b].score[0]
+	first  []float64 // first[b] = blocks[b].lowest()
 	reach  []float64 // row-major: reach[b*dims+d] = max of dimension d over blocks b..
 	byNode []*block  // node → score, ascending by node
 	n      int
+
+	// The blocks the Update that derived this version patched, and the
+	// predecessor blocks it rewrote (0 for a Build).
+	patched, rewritten int
 
 	inv  []float64 // 1/cmax[d] for cmax[d] > 0, else 0 (dimension unscored)
 	dims int
@@ -209,14 +337,14 @@ func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 		order[i] = op{key{f.scoreOf(recs[i].Avail), recs[i].Node}, int32(i)}
 		ids.nodes[i], ids.score[i] = order[i].node, order[i].score
 	}
-	f.byNode = f.emit(nil, []span{{ids, 0, int32(n)}}, n, true)
+	f.byNode = f.emit(nil, []span{{&ids.cols, 0, int32(n)}}, n, true)
 	slices.SortFunc(order, func(a, b op) int { return a.cmp(b.key, false) })
 	stage := f.newBlock(n, false)
 	for at, o := range order {
-		f.put(stage, at, &recs[o.at], o.score)
+		f.put(&stage.cols, at, &recs[o.at], o.score)
 	}
-	f.blocks = f.emit(nil, []span{{stage, 0, int32(n)}}, n, false)
-	f.finish()
+	f.blocks = f.emit(nil, []span{{&stage.cols, 0, int32(n)}}, n, false)
+	f.n, f.first, f.reach = n, f.firsts(), f.reaches()
 	return f
 }
 
@@ -225,88 +353,295 @@ func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 // disappeared since f was built; recs holds at least every surviving
 // dirty node, ascending by node id — a dirty node absent from recs has
 // left, records of other nodes are ignored. Only the blocks and chunks
-// a dirty node leaves or enters are rewritten; see the package comment
-// for the cost.
+// a dirty node leaves or enters are written, most of them as patches;
+// see the package comment for the cost.
 func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat {
-	nf := &Flat{inv: f.inv, dims: f.dims}
-	fresh := make([]proto.Record, 0, len(dirty))
-	ops := make([]op, 0, 2*len(dirty))
+	nf := &Flat{inv: f.inv, dims: f.dims, n: f.n}
+	var buf [8]op
+	ops := buf[:0]
 	for id := range dirty {
 		if score, ok := f.scoreOfNode(id); ok {
-			ops = append(ops, op{key{score, id}, -1})
+			ops, nf.n = append(ops, op{key{score, id}, -1}), nf.n-1
 		}
 		if i, ok := slices.BinarySearchFunc(recs, id, func(r proto.Record, id overlay.NodeID) int { return cmp.Compare(r.Node, id) }); ok {
-			ops = append(ops, op{key{nf.scoreOf(recs[i].Avail), id}, int32(len(fresh))})
-			fresh = append(fresh, recs[i])
+			ops, nf.n = append(ops, op{key{nf.scoreOf(recs[i].Avail), id}, int32(i)}), nf.n+1
 		}
 	}
-	stage := nf.load(fresh)
 	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key, true) })
-	nf.byNode = nf.apply(f.byNode, ops, stage, true)
+	nf.byNode, _, _ = nf.derive(f, f.byNode, ops, recs, true)
 	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key, false) })
-	nf.blocks = nf.apply(f.blocks, ops, stage, false)
-	nf.finish()
+	blocks, firstMoved, reachMoved := nf.derive(f, f.blocks, ops, recs, false)
+	nf.blocks, nf.first, nf.reach = blocks, f.first, f.reach
+	if firstMoved {
+		nf.first = nf.firsts()
+	}
+	if reachMoved {
+		nf.reach = nf.reaches()
+	}
 	return nf
 }
 
-// load writes recs, scored, into one staging block of any size, in
-// order: the source spans copy fresh entries from.
-func (f *Flat) load(recs []proto.Record) *block {
-	b := f.newBlock(len(recs), false)
-	for i := range recs {
-		f.put(b, i, &recs[i], f.scoreOf(recs[i].Avail))
+// Churn reports how the Update that derived f wrote its blocks: how
+// many it patched and how many of its predecessor's it rewrote (both 0
+// for a Build).
+func (f *Flat) Churn() (patched, rewritten int) { return f.patched, f.rewritten }
+
+// put writes r, whose score is score, as entry i of c.
+func (f *Flat) put(c *cols, i int, r *proto.Record, score float64) {
+	c.nodes[i], c.score[i], c.sig[i], c.stored[i], c.expires[i] = r.Node, score, f.signature(r.Avail, true), r.Stored, r.Expires
+	copy(c.vals[i*f.dims:(i+1)*f.dims], r.Avail)
+}
+
+// move copies entry i of src as entry at of dst.
+func (f *Flat) move(dst *cols, at int, src *cols, i int) {
+	dst.nodes[at], dst.score[at], dst.sig[at], dst.stored[at], dst.expires[at] = src.nodes[i], src.score[i], src.sig[i], src.stored[i], src.expires[i]
+	copy(dst.vals[at*f.dims:(at+1)*f.dims], src.vals[i*f.dims:(i+1)*f.dims])
+}
+
+// derive writes the next version of a block sequence (byNode: of the
+// by-node chunks) from ops, sorted in that sequence's order (a leaving
+// key is present; a joining one is not, unless it also leaves). It
+// finds each touched block by binary search and shares every other
+// one. A touched block is patched; when the patch does not fit, it is
+// rewritten instead, and while what has been rewritten is under
+// carryFill the next block is taken in too, so only the last block may
+// hold fewer than minFill. firstMoved and reachMoved report whether
+// the first-score and reach directories are stale.
+func (f *Flat) derive(prev *Flat, seq []*block, ops []op, recs []proto.Record, byNode bool) (out []*block, firstMoved, reachMoved bool) {
+	if len(ops) == 0 {
+		return seq, false, false
 	}
-	return b
-}
-
-// put writes r, whose score is score, as entry i of b.
-func (f *Flat) put(b *block, i int, r *proto.Record, score float64) {
-	b.nodes[i], b.score[i], b.sig[i], b.stored[i], b.expires[i] = r.Node, score, f.signature(r.Avail, true), r.Stored, r.Expires
-	copy(b.vals[i*f.dims:(i+1)*f.dims], r.Avail)
-}
-
-// apply derives the next version of a block sequence from ops, sorted
-// in sequence order (a leaving key is present; a joining one is not,
-// unless it also leaves). A block no op falls into is shared; a
-// touched one is rewritten, and while what has been rewritten is under
-// minFill the next block is taken in too, so only the last block may
-// stay small.
-func (f *Flat) apply(blocks []*block, ops []op, stage *block, byNode bool) []*block {
-	out := make([]*block, 0, len(blocks)+2)
-	run, n := make([]span, 0, 8), 0 // spans being rewritten (stack-sized for a one-node batch), their entries
-	for bi, b := range blocks {
-		if n == 0 && len(ops) == 0 {
-			out = append(out, blocks[bi:]...)
+	if len(seq) == 0 {
+		seq = []*block{{}} // an empty block for the joins to land in
+	}
+	out = make([]*block, 0, len(seq)+2)
+	run, n := make([]span, 0, 8), 0 // spans being rewritten (stack-sized for a small batch), their entries
+	bi := 0
+	for len(ops) > 0 || n > 0 {
+		if n == 0 {
+			to := prev.route(seq, ops[0].key, byNode)
+			out, bi = append(out, seq[bi:to]...), to
+		} else if bi == len(seq) {
 			break
 		}
-		mine := len(ops) // the ops sorting before the next block's first key
-		if bi+1 < len(blocks) {
-			next := blocks[bi+1].key(0)
-			mine = sort.Search(len(ops), func(i int) bool { return ops[i].cmp(next, byNode) >= 0 })
-		}
-		if n == 0 && mine == 0 {
-			out = append(out, b)
-			continue
-		}
-		lo := 0 // b's entries from lo on are kept and not yet in run
-		for _, o := range ops[:mine] {
-			at := lo + sort.Search(len(b.nodes)-lo, func(i int) bool { return b.key(lo+i).cmp(o.key, byNode) >= 0 })
-			run, n = append(run, span{b, int32(lo), int32(at)}), n+at-lo
-			if lo = at; o.at < 0 {
-				lo++
-			} else {
-				run, n = append(run, span{stage, o.at, o.at + 1}), n+1
+		b, mine, moved := seq[bi], len(ops), false // mine: the ops sorting before the next block's first key
+		if bi+1 < len(seq) {
+			next := seq[bi+1].key(0)
+			for mine = 0; mine < len(ops) && ops[mine].cmp(next, byNode) < 0; mine++ {
 			}
 		}
-		run, n = append(run, span{b, int32(lo), int32(len(b.nodes))}), n+len(b.nodes)-lo
-		if ops = ops[mine:]; n >= minFill {
-			out, run, n = f.emit(out, run, n, byNode), run[:0], 0
+		if mine > 0 {
+			if byNode {
+				b = f.rechunk(b, ops[:mine])
+			} else {
+				b, moved = f.patch(b, ops[:mine], recs)
+			}
+			ops = ops[mine:]
+		}
+		if n == 0 && b.fits(bi+1 == len(seq)) {
+			out = append(out, b)
+			if !byNode {
+				f.patched++
+				firstMoved = firstMoved || b.lowest() != prev.first[bi]
+				reachMoved = reachMoved || moved && prev.reachMoves(b, bi)
+			}
+		} else {
+			if run, n = b.spans(run, n); !byNode && len(seq[bi].nodes) > 0 {
+				f.rewritten++
+			}
+			if n >= carryFill {
+				out, run, n = f.emit(out, run, n, byNode), run[:0], 0
+			}
+			firstMoved, reachMoved = true, true
+		}
+		bi++
+	}
+	if n > 0 {
+		out = f.emit(out, run, n, byNode)
+	}
+	return append(out, seq[bi:]...), firstMoved, reachMoved
+}
+
+// reachMoves reports whether b, standing in for block bi of f, changes
+// that block's row of the reach directory, the later rows as they are.
+// Each row is its block's maximum folded into the next row, so when no
+// patched block changes its own row, no row changes.
+func (f *Flat) reachMoves(b *block, bi int) bool {
+	row := f.reach[bi*f.dims : (bi+1)*f.dims]
+	for d, m := range b.max {
+		if bi+1 < len(f.blocks) {
+			m = max(m, f.reach[(bi+1)*f.dims+d])
+		}
+		if m != row[d] {
+			return true
 		}
 	}
-	for _, o := range ops { // only left when blocks is empty
-		run, n = append(run, span{stage, o.at, o.at + 1}), n+1
+	return false
+}
+
+// route returns the block of seq a key belongs to: the last one whose
+// first prefix key is at or below it, or block 0. It binary-searches
+// the first-score directory, reading a block only on a tie; past block
+// 0, a block's first score is its prefix's.
+func (f *Flat) route(seq []*block, k key, byNode bool) int {
+	return sort.Search(len(seq)-1, func(i int) bool {
+		if !byNode && f.first[i+1] != k.score {
+			return f.first[i+1] > k.score
+		}
+		return seq[i+1].key(0).cmp(k, byNode) > 0
+	})
+}
+
+// patch returns b with ops — all of which fall into it — applied as a
+// patch: a new header, a leaving prefix entry's dead bit set in its
+// copy of the bitmap, a leaving tail entry dropped and the entering
+// entries, written from recs, merged into new tail columns. The
+// maximum is raised for an entering row and recomputed when a leaving
+// row held it; moved reports that it changed. b is not modified.
+func (f *Flat) patch(b *block, ops []op, recs []proto.Record) (nb *block, moved bool) {
+	nb = new(block)
+	*nb = *b
+	t, nt := &b.tail, int(b.ntail)
+	size, rescan := nt, false
+	for _, o := range ops {
+		if o.at >= 0 {
+			size++
+			continue
+		}
+		i := sort.Search(len(b.nodes), func(i int) bool { return b.key(i).cmp(o.key, false) >= 0 })
+		if i == len(b.nodes) || b.key(i) != o.key || b.isDead(i) {
+			size-- // the entry leaves the tail
+			continue
+		}
+		nb.dead[i>>6] |= 1 << (i & 63)
+		nb.ndead++
+		rescan = rescan || holdsMax(b.max, f.row(&b.cols, i))
 	}
-	return f.emit(out, run, n, byNode)
+	if len(ops) > int(nb.ndead-b.ndead) { // some op enters or leaves the tail
+		tail := &nb.tail
+		f.alloc(tail, size, false, 0)
+		nb.ntail = int32(size)
+		at, j := 0, 0
+		for _, o := range ops {
+			for ; j < nt && t.key(j).cmp(o.key, false) < 0; j, at = j+1, at+1 {
+				f.move(tail, at, t, j)
+			}
+			if o.at >= 0 {
+				f.put(tail, at, &recs[o.at], o.score)
+				at++
+			} else if j < nt && t.key(j) == o.key {
+				rescan = rescan || holdsMax(b.max, f.row(t, j))
+				j++
+			}
+		}
+		for ; j < nt; j, at = j+1, at+1 {
+			f.move(tail, at, t, j)
+		}
+		tail.expiry = slices.ContainsFunc(tail.expires, func(e sim.Time) bool { return e != never })
+	}
+	if len(b.nodes) == 0 { // derive's empty block: rewritten, which sums it up
+		return nb, true
+	}
+	if rescan {
+		if m := f.liveMax(nb); !slices.Equal(m, b.max) {
+			nb.max = m
+			return nb, true
+		}
+		return nb, false
+	}
+	for _, o := range ops {
+		if o.at < 0 {
+			continue
+		}
+		for d, v := range recs[o.at].Avail {
+			if v > nb.max[d] {
+				if !moved {
+					nb.max, moved = slices.Clone(b.max), true
+				}
+				nb.max[d] = v
+			}
+		}
+	}
+	return nb, moved
+}
+
+// holdsMax reports whether row reaches max in some dimension.
+func holdsMax(max []float64, row vector.Vec) bool {
+	for d, v := range row {
+		if v >= max[d] {
+			return true
+		}
+	}
+	return false
+}
+
+// liveMax computes the per-dimension maximum over b's live entries.
+func (f *Flat) liveMax(b *block) []float64 {
+	m, seen := make([]float64, f.dims), false
+	fold := func(row []float64) {
+		if !seen {
+			copy(m, row)
+			seen = true
+			return
+		}
+		for d, v := range row {
+			m[d] = max(m[d], v)
+		}
+	}
+	for i := range b.nodes {
+		if !b.isDead(i) {
+			fold(f.row(&b.cols, i))
+		}
+	}
+	for j := range b.tail.nodes {
+		fold(f.row(&b.tail, j))
+	}
+	return m
+}
+
+// rechunk returns chunk c with ops — all of which fall into it —
+// applied: when they only move nodes c holds to new scores, a chunk
+// sharing c's node column; otherwise a merged copy, which derive
+// accepts as it is or rewrites when its size does not fit.
+func (f *Flat) rechunk(c *block, ops []op) *block {
+	moves := len(ops)%2 == 0
+	for i := 0; moves && i < len(ops); i += 2 {
+		moves = ops[i].node == ops[i+1].node
+	}
+	if moves {
+		nc := &block{cols: cols{nodes: c.nodes, score: slices.Clone(c.score)}}
+		for _, o := range ops {
+			if o.at >= 0 {
+				i, _ := slices.BinarySearch(c.nodes, o.node)
+				nc.score[i] = o.score
+			}
+		}
+		return nc
+	}
+	size := len(c.nodes)
+	for _, o := range ops {
+		if o.at < 0 {
+			size--
+		} else {
+			size++
+		}
+	}
+	nc := f.newBlock(size, true)
+	at, lo := 0, 0 // c's entries from lo on are kept and not yet copied
+	for _, o := range ops {
+		i := lo + sort.Search(len(c.nodes)-lo, func(i int) bool { return c.nodes[lo+i] >= o.node })
+		copy(nc.nodes[at:], c.nodes[lo:i])
+		at += copy(nc.score[at:], c.score[lo:i])
+		if lo = i; o.at < 0 {
+			lo++
+		} else {
+			nc.nodes[at], nc.score[at] = o.node, o.score
+			at++
+		}
+	}
+	copy(nc.nodes[at:], c.nodes[lo:])
+	copy(nc.score[at:], c.score[lo:])
+	return nc
 }
 
 // emit appends the n entries of run to out as evenly filled blocks of
@@ -319,13 +654,13 @@ func (f *Flat) emit(out []*block, run []span, n int, byNode bool) []*block {
 			s := &run[0]
 			take := min(int(s.hi-s.lo), size-at)
 			lo, hi := int(s.lo), int(s.lo)+take
-			copy(b.nodes[at:], s.b.nodes[lo:hi])
-			copy(b.score[at:], s.b.score[lo:hi])
+			copy(b.nodes[at:], s.c.nodes[lo:hi])
+			copy(b.score[at:], s.c.score[lo:hi])
 			if !byNode {
-				copy(b.sig[at:], s.b.sig[lo:hi])
-				copy(b.stored[at:], s.b.stored[lo:hi])
-				copy(b.expires[at:], s.b.expires[lo:hi])
-				copy(b.vals[at*f.dims:], s.b.vals[lo*f.dims:hi*f.dims])
+				copy(b.sig[at:], s.c.sig[lo:hi])
+				copy(b.stored[at:], s.c.stored[lo:hi])
+				copy(b.expires[at:], s.c.expires[lo:hi])
+				copy(b.vals[at*f.dims:], s.c.vals[lo*f.dims:hi*f.dims])
 			}
 			if at, s.lo = at+take, s.lo+int32(take); s.lo == s.hi {
 				run = run[1:]
@@ -339,21 +674,30 @@ func (f *Flat) emit(out []*block, run []span, n int, byNode bool) []*block {
 	return out
 }
 
-// newBlock allocates an n-entry block: one allocation per element
-// type, whatever the number of columns.
+// newBlock allocates an n-entry block.
 func (f *Flat) newBlock(n int, byNode bool) *block {
-	b := &block{nodes: make([]overlay.NodeID, n)}
+	b := new(block)
+	b.max = f.alloc(&b.cols, n, byNode, f.dims)
+	return b
+}
+
+// alloc gives c n entries — one allocation per element type, whatever
+// the number of columns — and returns extra floats from the same
+// allocation (a block's maximum). A by-node chunk gets nodes and score
+// only.
+func (f *Flat) alloc(c *cols, n int, byNode bool, extra int) []float64 {
+	c.nodes = make([]overlay.NodeID, n)
 	if byNode {
-		b.score = make([]float64, n)
-		return b
+		c.score = make([]float64, n)
+		return nil
 	}
 	w := n * f.dims
-	floats := make([]float64, n+w+f.dims)
-	b.score, b.vals, b.max = floats[:n:n], floats[n:n+w:n+w], floats[n+w:]
-	b.sig = make([]uint64, n)
+	floats := make([]float64, n+w+extra)
+	c.score, c.vals = floats[:n:n], floats[n:n+w:n+w]
+	c.sig = make([]uint64, n)
 	times := make([]sim.Time, 2*n)
-	b.stored, b.expires = times[:n:n], times[n:]
-	return b
+	c.stored, c.expires = times[:n:n], times[n:]
+	return floats[n+w:]
 }
 
 // summarize derives a filled block's per-dimension maximum and expiry
@@ -368,23 +712,29 @@ func (f *Flat) summarize(b *block) {
 	b.expiry = slices.ContainsFunc(b.expires, func(e sim.Time) bool { return e != never })
 }
 
-// finish derives the directory over f.blocks.
-func (f *Flat) finish() {
+// firsts derives the first-score directory over f.blocks.
+func (f *Flat) firsts() []float64 {
+	first := make([]float64, len(f.blocks))
+	for bi, b := range f.blocks {
+		first[bi] = b.lowest()
+	}
+	return first
+}
+
+// reaches derives the reach directory over f.blocks.
+func (f *Flat) reaches() []float64 {
 	nb, dims := len(f.blocks), f.dims
-	dir := make([]float64, nb*(1+dims))
-	f.first, f.reach = dir[:nb:nb], dir[nb:]
+	all := make([]float64, nb*dims)
 	for bi := nb - 1; bi >= 0; bi-- {
-		b := f.blocks[bi]
-		f.n += len(b.nodes)
-		f.first[bi] = b.score[0]
-		reach := f.reach[bi*dims : (bi+1)*dims]
-		copy(reach, b.max)
+		reach := all[bi*dims : (bi+1)*dims]
+		copy(reach, f.blocks[bi].max)
 		if bi+1 < nb {
-			for d, later := range f.reach[(bi+1)*dims : (bi+2)*dims] {
+			for d, later := range all[(bi+1)*dims : (bi+2)*dims] {
 				reach[d] = max(reach[d], later)
 			}
 		}
 	}
+	return all
 }
 
 // scoreOf computes Σ_d avail[d]*inv[d] over the scored dimensions —
@@ -444,35 +794,51 @@ func (f *Flat) Records() []proto.Record {
 		order := make([]uint64, 0, f.n)
 		for bi, b := range f.blocks {
 			for i, id := range b.nodes {
-				order = append(order, uint64(id)<<32|uint64(bi<<blockShift|i))
+				if !b.isDead(i) {
+					order = append(order, uint64(id)<<32|uint64(bi<<posShift|i))
+				}
+			}
+			for j, id := range b.tail.nodes {
+				order = append(order, uint64(id)<<32|uint64(bi<<posShift|blockCap|j))
 			}
 		}
 		slices.Sort(order)
 		f.recs = make([]proto.Record, len(order))
 		for at, o := range order {
-			b, i := f.blocks[uint32(o)>>blockShift], int(o&(blockCap-1))
-			f.recs[at] = proto.Record{Node: b.nodes[i], Avail: f.row(b, i), Stored: b.stored[i], Expires: b.expires[i]}
+			c, i := f.entry(int32(uint32(o)))
+			f.recs[at] = proto.Record{Node: c.nodes[i], Avail: f.row(c, i), Stored: c.stored[i], Expires: c.expires[i]}
 		}
 	})
 	return f.recs
 }
 
+// entry resolves a reported position to its columns — a block's
+// prefix or its tail — and its place there.
+func (f *Flat) entry(e int32) (*cols, int) {
+	b, i := f.blocks[e>>posShift], int(e&(2*blockCap-1))
+	if i >= blockCap {
+		return &b.tail, i - blockCap
+	}
+	return &b.cols, i
+}
+
 // NodeAt returns the node id of the entry a Search returned.
 func (f *Flat) NodeAt(entry int32) overlay.NodeID {
-	return f.blocks[entry>>blockShift].nodes[entry&(blockCap-1)]
+	c, i := f.entry(entry)
+	return c.nodes[i]
 }
 
 // Row returns the availability vector of the entry a Search returned —
 // a read-only view into the index's packed matrix, value-identical to
 // the indexed record's Avail.
 func (f *Flat) Row(entry int32) vector.Vec {
-	return f.row(f.blocks[entry>>blockShift], int(entry&(blockCap-1)))
+	return f.row(f.entry(entry))
 }
 
 // row is capped so an append cannot spill into the neighboring row.
-func (f *Flat) row(b *block, i int) vector.Vec {
+func (f *Flat) row(c *cols, i int) vector.Vec {
 	a := i * f.dims
-	return vector.Vec(b.vals[a : a+f.dims : a+f.dims])
+	return vector.Vec(c.vals[a : a+f.dims : a+f.dims])
 }
 
 // signature packs v, a fraction of cmax per dimension quantized to
@@ -560,21 +926,22 @@ func (b *Bound) offer(score float64) bool {
 }
 
 // Cursor is a resumable ascending scan of one version for one demand.
-// Seek makes one; Step advances it a block at a time until Done.
+// Seek makes one; Step advances it a block at a time until Done. It
+// fits in 64 bytes, which the engine copies once per shard and query.
 type Cursor struct {
 	f      *Flat
 	demand vector.Vec
 	now    sim.Time
 	sig    uint64  // the demand's signature
-	bi, lo int     // the next entry to visit: entry lo of blocks[bi]; bi == len(blocks) once retired
-	next   float64 // its score
+	bi, lo int32   // the next entry to visit: prefix entry lo of blocks[bi] (then its tail); bi == len(blocks) once retired
+	next   float64 // a lower bound on its score and on every score the cursor can still report
 }
 
 // Seek returns a cursor at the first entry of f whose score allows it
 // to dominate demand, for a scan that treats entries expired at now as
 // absent.
 func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
-	c := Cursor{f: f, demand: demand, now: now, bi: len(f.blocks)}
+	c := Cursor{f: f, demand: demand, now: now, bi: int32(len(f.blocks))}
 	if len(f.blocks) == 0 {
 		return c
 	}
@@ -582,12 +949,24 @@ func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
 	D := f.scoreOf(demand)
 	// The first entry with score >= D is in the block before the first
 	// one that starts at or past D, or is that block's first entry.
-	bi := max(sort.SearchFloat64s(f.first, D)-1, 0)
-	lo := sort.SearchFloat64s(f.blocks[bi].score, D)
-	if lo == len(f.blocks[bi].score) {
+	bi := max(below(f.first, D)-1, 0)
+	b := f.blocks[bi]
+	lo := below(b.score, D)
+	if lo == len(b.score) && (b.ntail == 0 || b.tail.score[b.ntail-1] < D) {
 		bi, lo = bi+1, 0
 	}
-	c.enter(bi, lo)
+	if c.enter(bi, lo); lo > 0 && !c.Done() {
+		// Entered part-way: the lower of the prefix entry and the first
+		// tail entry at or past D.
+		if c.next = math.Inf(1); lo < len(b.score) {
+			c.next = b.score[lo]
+		}
+		if b.ntail > 0 {
+			if j := below(b.tail.score, D); j < int(b.ntail) {
+				c.next = min(c.next, b.tail.score[j])
+			}
+		}
+	}
 	return c
 }
 
@@ -596,7 +975,7 @@ func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
 // reached neither by that block nor by any later one.
 func (c *Cursor) enter(bi, lo int) {
 	f := c.f
-	if c.bi = len(f.blocks); bi >= len(f.blocks) {
+	if c.bi = int32(len(f.blocks)); bi >= len(f.blocks) {
 		return
 	}
 	reach := f.reach[bi*f.dims : (bi+1)*f.dims]
@@ -607,14 +986,12 @@ func (c *Cursor) enter(bi, lo int) {
 	}
 	// A block is entered from the directory alone; its own columns are
 	// first read when it is scanned.
-	if c.bi, c.lo, c.next = bi, lo, f.first[bi]; lo > 0 {
-		c.next = f.blocks[bi].score[lo]
-	}
+	c.bi, c.lo, c.next = int32(bi), int32(lo), f.first[bi]
 }
 
 // Done reports whether the cursor has retired: nothing it has not
 // visited can be among the matches its query wants.
-func (c *Cursor) Done() bool { return c.bi == len(c.f.blocks) }
+func (c *Cursor) Done() bool { return int(c.bi) == len(c.f.blocks) }
 
 // Next returns the score of the next entry the cursor would visit, a
 // lower bound on every score it has yet to report. Meaningful only
@@ -622,75 +999,140 @@ func (c *Cursor) Done() bool { return c.bi == len(c.f.blocks) }
 func (c *Cursor) Next() float64 { return c.next }
 
 // Step scans the rest of the cursor's current block, as far as
-// bound's cutoff: it appends to dst every unexpired entry dominating
-// the demand (opaque positions: resolve them with NodeAt/Row on the
-// cursor's version), offers each one's score to bound, and moves to
-// the next block or retires. The second result is how many entries it
-// visited. Stepping a cursor that is Done does nothing.
+// bound's cutoff: it appends to dst every live, unexpired entry
+// dominating the demand (opaque positions: resolve them with
+// NodeAt/Row on the cursor's version), offers each one's score to
+// bound, and moves to the next block or retires. The second result is
+// how many entries it visited, dead ones included. Stepping a cursor
+// that is Done does nothing.
 func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 	if c.Done() {
 		return dst, 0
 	}
-	f, bi, lo := c.f, c.bi, c.lo
-	if c.next > bound.cut {
-		c.bi = len(f.blocks)
+	f, bi, lo, next := c.f, int(c.bi), int(c.lo), c.next
+	if next > bound.cut {
+		c.bi = int32(len(f.blocks))
 		return dst, 0
 	}
 	b := f.blocks[bi]
-	// past is where the cutoff falls in the block: found by binary
+	// past is where the cutoff falls in the prefix: found by binary
 	// search, here and whenever a match moves it, not by comparing a
 	// score per entry — and not at all while the next block starts
-	// under the cutoff.
+	// under the cutoff. A dead bit is read only for an entry whose
+	// signature passes.
+	cuts := bi+1 == len(f.blocks) || f.first[bi+1] > bound.cut
 	past := len(b.score)
-	if bi+1 == len(f.blocks) || f.first[bi+1] > bound.cut {
+	if cuts {
 		past = lo + within(b.score[lo:], bound.cut)
 	}
-scan:
 	for i := lo; ; i++ {
 		if i += passing(b.sig[i:past], c.sig); i == past {
 			break
 		}
-		if b.expiry && c.now >= b.expires[i] {
+		if b.isDead(i) || !c.match(&b.cols, i) {
 			continue
 		}
-		row := b.vals[i*f.dims : (i+1)*f.dims]
-		for d, w := range c.demand {
-			if row[d] < w {
-				continue scan
-			}
-		}
-		dst = append(dst, int32(bi<<blockShift|i))
+		dst = append(dst, int32(bi<<posShift|i))
 		if bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
 			past = i + 1 + within(b.score[i+1:past], bound.cut)
 		}
 	}
-	if past < len(b.score) {
-		c.bi = len(f.blocks)
+	// The next block starts at or above every score of this one, so
+	// the cutoff falling inside it makes the rest of the scan hopeless.
+	visited, hopeless := past-lo, past < len(b.score)
+	if t := &b.tail; b.ntail > 0 {
+		// A tail is at most patchCap entries: every signature is
+		// compared, and only an entry that passes has its score held to
+		// the cutoff (one under D, in Seek's block, fails the exact test).
+		for j, sig := range t.sig {
+			if !passes(sig, c.sig) || t.score[j] > bound.cut || !c.match(t, j) {
+				continue
+			}
+			dst = append(dst, int32(bi<<posShift|blockCap|j))
+			bound.offer(t.score[j])
+		}
+		visited += len(t.sig)
+		hopeless = hopeless || cuts && t.score[len(t.score)-1] > bound.cut
+	}
+	if hopeless {
+		c.bi = int32(len(f.blocks))
 	} else {
 		c.enter(bi+1, 0)
 	}
-	return dst, past - lo
+	return dst, visited
 }
+
+// match runs the expiry and exact dominance tests on entry i of p, a
+// block's prefix or its tail, whose signature passed.
+func (c *Cursor) match(p *cols, i int) bool {
+	if p.expiry && c.now >= p.expires[i] {
+		return false
+	}
+	row := p.vals[i*c.f.dims : (i+1)*c.f.dims]
+	for d, w := range c.demand {
+		if row[d] < w {
+			return false
+		}
+	}
+	return true
+}
+
+// passes reports whether an entry's signature passes the demand
+// signature want: every lane >= want's.
+func passes(sig, want uint64) bool { return ((sig|lanes)-want)&lanes == lanes }
 
 // passing returns the position of the first of sigs that passes the
 // demand signature want — every lane >= want's — or len(sigs). This
-// loop is the scan: one word read and one compare per rejected entry.
-// Kept out of line because inlined into Step it loses its registers to
-// the code around it (measured: 15-25% of a search).
+// loop is the scan: one word read and one compare per rejected entry,
+// four entries to a branch (a one-entry loop ran up to 15% slower or
+// faster with where the linker happened to place it). Kept out of line
+// because inlined into Step it loses its registers to the code around
+// it (measured: 15-25% of a search).
 //
 //go:noinline
 func passing(sigs []uint64, want uint64) int {
-	for i, sig := range sigs {
-		if ((sig|lanes)-want)&lanes == lanes {
+	i := 0
+	for ; i+4 <= len(sigs); i += 4 {
+		s := sigs[i : i+4 : i+4]
+		a, b := ((s[0]|lanes)-want)&lanes, ((s[1]|lanes)-want)&lanes
+		c, d := ((s[2]|lanes)-want)&lanes, ((s[3]|lanes)-want)&lanes
+		if a == lanes || b == lanes || c == lanes || d == lanes {
+			break
+		}
+	}
+	for ; i < len(sigs); i++ {
+		if passes(sigs[i], want) {
 			return i
 		}
 	}
 	return len(sigs)
 }
 
-// within returns how many of the ascending scores are <= cut.
+// within returns how many of the ascending scores are <= cut, and below
+// how many are < x. They are the read path's binary searches, written
+// out rather than through sort.Search's closure.
 func within(scores []float64, cut float64) int {
-	return sort.Search(len(scores), func(i int) bool { return scores[i] > cut })
+	lo, hi := 0, len(scores)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); scores[m] > cut {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+func below(scores []float64, x float64) int {
+	lo, hi := 0, len(scores)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); scores[m] >= x {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // Search appends to dst the entries (opaque positions: resolve them

@@ -100,7 +100,7 @@ func TestSignatureDoesTheRejecting(t *testing.T) {
 		var scratch [8]float64
 		bound := NewBound(3, scratch[:])
 		for c := f.Seek(demand, 0); !c.Done(); {
-			b, lo := f.blocks[c.bi], c.lo
+			b, lo := f.blocks[c.bi], int(c.lo)
 			got, n := c.Step(nil, &bound)
 			for _, sig := range b.sig[lo : lo+n] {
 				passes += 1 - passing([]uint64{sig}, c.sig)

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -123,29 +125,58 @@ func resolve(f *Flat, entries []int32) []hit {
 	return out
 }
 
+// searchDead is Search, also counting the dead entries of the blocks
+// its cursor scans.
+func searchDead(f *Flat, demand vector.Vec, now sim.Time, k int) (entries []int32, visited, dead int) {
+	var scratch [8]float64
+	bound := NewBound(k, scratch[:])
+	for c := f.Seek(demand, now); !c.Done(); {
+		dead += int(f.blocks[c.bi].ndead)
+		var n int
+		entries, n = c.Step(entries, &bound)
+		visited += n
+	}
+	return entries, visited, dead
+}
+
 // checkSame asserts that got (an Update chain) answers like want (a
-// Build of the same records) and like the brute-force ranking, and
-// that everything else read off it is what the records say.
+// Build of the same records) and like the brute-force ranking, that
+// everything else read off it is what the records say, and that its
+// blocks hold the package's invariants.
 func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 	t.Helper()
+	current := map[overlay.NodeID]string{}
+	for _, r := range h.recs {
+		current[r.Node] = fmt.Sprint(r.Avail)
+	}
 	for q := range queries {
 		demand, k := h.demand(), h.rng.Intn(8)
-		ge, gv := got.Search(nil, demand, h.now, k)
+		ge, gv, dead := searchDead(got, demand, h.now, k)
+		if se, sv := got.Search(nil, demand, h.now, k); sv != gv || !slices.Equal(se, ge) {
+			t.Fatalf("q %d: Search and a stepped cursor disagree", q)
+		}
 		we, wv := want.Search(nil, demand, h.now, k)
 		// The two cut their blocks at different entries, and a scan stops
 		// at a hopeless tail only between blocks: the counts may differ by
-		// what one block holds, the answers not at all.
-		if d := gv - wv; d > blockCap || d < -blockCap {
-			t.Fatalf("q %d: Update chain visited %d entries, Build %d", q, gv, wv)
+		// what one block holds, plus, for the chain, one more tail and the
+		// dead entries it scans past.
+		if gv > wv+blockCap+2*patchCap+dead || wv > gv+blockCap+patchCap {
+			t.Fatalf("q %d: Update chain visited %d entries (%d dead in its blocks), Build %d", q, gv, dead, wv)
 		}
-		if g, w := resolve(got, ge), resolve(want, we); !slices.Equal(g, w) {
-			t.Fatalf("q %d: Update chain returned %v, Build %v", q, g, w)
+		for _, g := range resolve(got, ge) {
+			if current[g.node] != g.row {
+				t.Fatalf("q %d: reported node %d with row %s, its record holds %q", q, g.node, g.row, current[g.node])
+			}
 		}
 		brute := bruteTopK(h.recs, demand, h.cmax, h.now, k)
 		if ranked := rankReturned(got, ge, demand, h.cmax, k); !slices.Equal(ranked, brute) {
 			t.Fatalf("q %d (k=%d): ranked %v, brute force %v", q, k, ranked, brute)
 		}
+		if ranked := rankReturned(want, we, demand, h.cmax, k); !slices.Equal(ranked, brute) {
+			t.Fatalf("q %d (k=%d): Build ranked %v, brute force %v", q, k, ranked, brute)
+		}
 	}
+	checkBlocks(t, got)
 	if got.Len() != len(h.recs) {
 		t.Fatalf("Len = %d, want %d", got.Len(), len(h.recs))
 	}
@@ -170,11 +201,67 @@ func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 	if !m.Equal(wantMax) {
 		t.Fatalf("RaiseMax = %v, want %v", m, wantMax)
 	}
-	for _, seq := range [][]*block{got.blocks, got.byNode} {
-		for i, b := range seq {
-			if n := len(b.nodes); n > blockCap || n == 0 || (n < minFill && i+1 < len(seq)) {
-				t.Fatalf("block %d of %d holds %d entries", i, len(seq), n)
+}
+
+// checkBlocks asserts the package comment's invariants on f's blocks
+// and chunks: sizes, the dead-plus-tail bound, the first-score
+// directory bracketing every score, exact maxima and reach.
+func checkBlocks(t *testing.T, f *Flat) {
+	t.Helper()
+	for i, c := range f.byNode {
+		if n := len(c.nodes); n > blockCap || n == 0 || (n < minFill && i+1 < len(f.byNode)) {
+			t.Fatalf("chunk %d of %d holds %d entries", i, len(f.byNode), n)
+		}
+	}
+	if len(f.first) != len(f.blocks) || len(f.reach) != len(f.blocks)*f.dims {
+		t.Fatalf("directory of %d first scores, %d reach values over %d blocks", len(f.first), len(f.reach), len(f.blocks))
+	}
+	reach := make([]float64, f.dims)
+	for i := len(f.blocks) - 1; i >= 0; i-- {
+		b := f.blocks[i]
+		live, patches := b.live(), int(b.ndead)+len(b.tail.nodes)
+		if int(b.ntail) != len(b.tail.nodes) {
+			t.Fatalf("block %d: ntail %d, tail of %d", i, b.ntail, len(b.tail.nodes))
+		}
+		if len(b.nodes) == 0 || len(b.nodes) > blockCap || live == 0 || (live < minFill && i+1 < len(f.blocks)) {
+			t.Fatalf("block %d of %d: prefix of %d, %d live entries", i, len(f.blocks), len(b.nodes), live)
+		}
+		if patches > patchCap {
+			t.Fatalf("block %d: %d dead plus %d tail entries, over %d", i, b.ndead, len(b.tail.nodes), patchCap)
+		}
+		dead := 0
+		for _, w := range b.dead {
+			dead += bits.OnesCount64(w)
+		}
+		if dead != int(b.ndead) {
+			t.Fatalf("block %d: %d dead bits, ndead %d", i, dead, b.ndead)
+		}
+		scores := slices.Clone(b.score)
+		if len(b.tail.nodes) > 0 {
+			if !sort.SliceIsSorted(b.tail.nodes, func(x, y int) bool { return b.tail.key(x).cmp(b.tail.key(y), false) < 0 }) {
+				t.Fatalf("block %d: tail out of order", i)
 			}
+			if i > 0 && b.tail.key(0).cmp(b.key(0), false) < 0 {
+				t.Fatalf("block %d: tail entry %v below the prefix's first key %v", i, b.tail.key(0), b.key(0))
+			}
+			scores = append(scores, b.tail.score...)
+		}
+		for _, s := range scores {
+			if s < f.first[i] || i+1 < len(f.blocks) && s > f.first[i+1] {
+				t.Fatalf("block %d: score %v outside [first %v, next first]", i, s, f.first[i])
+			}
+		}
+		want := f.liveMax(b)
+		if !slices.Equal(b.max, want) {
+			t.Fatalf("block %d: max %v, its live entries reach %v", i, b.max, want)
+		}
+		for d := range reach {
+			if reach[d] = want[d]; i+1 < len(f.blocks) {
+				reach[d] = max(want[d], f.reach[(i+1)*f.dims+d])
+			}
+		}
+		if !slices.Equal(f.reach[i*f.dims:(i+1)*f.dims], reach) {
+			t.Fatalf("block %d: reach %v, want %v", i, f.reach[i*f.dims:(i+1)*f.dims], reach)
 		}
 	}
 }
@@ -183,17 +270,22 @@ func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 // seeded random histories whose populations grow through block splits,
 // shrink through merges down to nothing and come back, with score
 // ties and finite expiries, the index an Update chain arrives at must
-// answer every Search exactly like a Build from scratch of the same
-// records — same resolved entries, visited counts within a block of
-// each other — and both like the brute-force top-k.
+// answer every Search like a Build from scratch of the same records —
+// the same ranked answer, visited counts within a block plus the dead
+// entries scanned of each other — and both like the brute-force top-k.
+// Long one-node chains walk every block through many patches and both
+// rewrite triggers.
 func TestUpdateMatchesBuild(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		h := &history{rng: rand.New(rand.NewSource(seed)), cmax: vector.Of(8, 8, 5), now: 500}
 		f := Build(nil, h.cmax)
+		patched, rewritten := 0, 0
 		step := func(b int, grow float64) {
 			t.Helper()
 			add, dirty := h.batch(b, grow)
 			f = f.Update(add, dirty)
+			p, r := f.Churn()
+			patched, rewritten = patched+p, rewritten+r
 			checkSame(t, h, f, Build(h.recs, h.cmax), 6)
 		}
 		// empty -> 1 -> empty, one node at a time.
@@ -210,6 +302,18 @@ func TestUpdateMatchesBuild(t *testing.T) {
 		}
 		for range 20 {
 			step(len(h.recs)/2, 0.33) // half the population dirty
+		}
+		// One-node chains: re-advertisements, joins and leaves in balance,
+		// then leaning to leaves (blocks falling under minFill) and to
+		// joins (tails filling past patchCap, blocks splitting).
+		patched, rewritten = 0, 0
+		for _, grow := range []float64{0.33, 0.1, 0.6} {
+			for range 15 * len(f.blocks) {
+				step(1, grow)
+			}
+		}
+		if blocks := len(f.blocks); patched < 10*blocks || rewritten == 0 {
+			t.Fatalf("seed %d: one-node chains patched %d and rewrote %d blocks over %d blocks", seed, patched, rewritten, blocks)
 		}
 		for len(h.recs) > 0 { // shrink across merges, to nothing
 			step(sizes[h.rng.Intn(3)], 0.05)
@@ -265,6 +369,287 @@ func TestVersionsPersist(t *testing.T) {
 	}
 	oh := &history{rng: h.rng, cmax: h.cmax, now: oldNow, recs: oldRecs}
 	checkSame(t, oh, old, Build(oldRecs, h.cmax), 20)
+
+	// Two one-node joins off one patched version, both entering the
+	// tail of the same block: each fork copies that tail, so neither sees
+	// the other's entry and the version they share answers as before.
+	ph := &history{rng: rand.New(rand.NewSource(30)), cmax: h.cmax, now: oldNow, recs: slices.Clone(oldRecs)}
+	avail := oldRecs[len(oldRecs)/2].Avail
+	patched := old.Update(ph.join(1<<20, avail))
+	if p, r := patched.Churn(); p != 1 || r != 0 {
+		t.Fatalf("a one-node join patched %d blocks and rewrote %d; want one patch", p, r)
+	}
+	at := patched.route(patched.blocks, key{patched.scoreOf(avail), 1 << 20}, false)
+	if len(patched.blocks[at].tail.nodes) == 0 {
+		t.Fatalf("the joined entry is not in block %d's tail", at)
+	}
+	shared := resolve(patched, entriesOf(patched.Search(nil, avail, oldNow, 0)))
+	for fork, id := range []overlay.NodeID{1<<20 + 1, 1<<20 + 2} {
+		fh := &history{rng: rand.New(rand.NewSource(int64(40 + fork))), cmax: h.cmax, now: oldNow, recs: slices.Clone(ph.recs)}
+		f := patched.Update(fh.join(id, avail))
+		if got, was := f.blocks[at].tail.nodes, patched.blocks[at].tail.nodes; &got[0] == &was[0] || len(got) != len(was)+1 {
+			t.Fatalf("fork %d: block %d's tail was not copied with the entry added", fork, at)
+		}
+		checkSame(t, fh, f, Build(fh.recs, fh.cmax), 20)
+		for _, other := range []overlay.NodeID{1<<20 + 1, 1<<20 + 2} {
+			_, seen := slices.BinarySearch(f.Nodes(nil), other)
+			if seen != (other == id) {
+				t.Fatalf("fork %d joined %d; node %d visible: %v", fork, id, other, seen)
+			}
+		}
+	}
+	if again := resolve(patched, entriesOf(patched.Search(nil, avail, oldNow, 0))); !slices.Equal(again, shared) {
+		t.Fatal("the patched version two forks derived from answers differently after them")
+	}
+	checkSame(t, ph, patched, Build(ph.recs, h.cmax), 20)
+}
+
+// join adds a record for id with avail and returns Update's arguments.
+func (h *history) join(id overlay.NodeID, avail vector.Vec) ([]proto.Record, map[overlay.NodeID]bool) {
+	r := proto.Record{Node: id, Avail: avail.Clone(), Stored: h.now, Expires: never}
+	i, _ := h.find(id)
+	h.recs = slices.Insert(h.recs, i, r)
+	return []proto.Record{r}, map[overlay.NodeID]bool{id: true}
+}
+
+// entriesOf drops Search's visited count.
+func entriesOf(entries []int32, _ int) []int32 { return entries }
+
+// An update fuzz input spells a history on the search case's byte
+// grid: byte 0 the number of dimensions (1-4), byte 1 k (0-11), one
+// byte per dimension of cmax and one of a demand, byte p, then 4p
+// records of dims+1 bytes each (availability, then expiry kind) for
+// nodes 0, 2, 4, …. Every later byte starts a step:
+//
+//	opcode%8 in 0-3  node byte, record  re-advertise the node at node%len
+//	opcode%8 in 4-5  record             join a fresh (odd) node id
+//	opcode%8 == 6    node byte          leave the node at node%len
+//	opcode%8 == 7    count byte         1+count%16 of the above, one Update
+//
+// A step short of bytes ends the history; at most fuzzSteps are taken.
+const fuzzSteps = 64
+
+type updateCase struct {
+	data []byte
+	cmax vector.Vec
+	recs []proto.Record // ascending by node
+	next overlay.NodeID
+}
+
+func (u *updateCase) take(n int) ([]byte, bool) {
+	if len(u.data) < n {
+		return nil, false
+	}
+	b := u.data[:n]
+	u.data = u.data[n:]
+	return b, true
+}
+
+// record reads a record for id: an availability byte per dimension and
+// an expiry kind.
+func (u *updateCase) record(id overlay.NodeID) (proto.Record, bool) {
+	b, ok := u.take(u.cmax.Dim() + 1)
+	if !ok {
+		return proto.Record{}, false
+	}
+	r := proto.Record{Node: id, Avail: vector.New(u.cmax.Dim()), Stored: fuzzNow, Expires: never}
+	for d := range r.Avail {
+		r.Avail[d] = fuzzValue(u.cmax[d], b[d])
+	}
+	switch e := sim.Time(b[len(b)-1]); e % 4 {
+	case 0:
+		r.Expires = fuzzNow - e/4
+	case 1:
+		r.Expires = fuzzNow + 1 + e/4
+	}
+	return r, true
+}
+
+// op reads one single-node step into dirty, reporting the record it
+// wrote, if any.
+func (u *updateCase) op(dirty map[overlay.NodeID]bool) (written *proto.Record, ok bool) {
+	code, ok := u.take(1)
+	if !ok {
+		return nil, false
+	}
+	switch kind := code[0] % 8; {
+	case kind < 4 || kind == 6:
+		b, ok := u.take(1)
+		if !ok {
+			return nil, false
+		}
+		if len(u.recs) == 0 {
+			return nil, true
+		}
+		i := int(b[0]) % len(u.recs)
+		id := u.recs[i].Node
+		if kind == 6 {
+			u.recs, dirty[id] = slices.Delete(u.recs, i, i+1), false
+			return nil, true
+		}
+		if u.recs[i], ok = u.record(id); !ok {
+			return nil, false
+		}
+		dirty[id] = true
+		return &u.recs[i], true
+	case kind < 6:
+		r, ok := u.record(u.next)
+		if !ok {
+			return nil, false
+		}
+		i, _ := slices.BinarySearchFunc(u.recs, r.Node, func(r proto.Record, id overlay.NodeID) int { return cmp.Compare(r.Node, id) })
+		u.recs, dirty[r.Node] = slices.Insert(u.recs, i, r), true
+		u.next += 2
+		return &u.recs[i], true
+	}
+	return nil, false // a batch inside a batch ends the history
+}
+
+// FuzzUpdateMatchesLinear holds an Update chain to the brute-force
+// ranking and to a Build of the same records after every step of
+// whatever history the bytes spell: one-node re-advertisements, joins
+// and leaves, each its own Update, and now and then a batch. The seed
+// corpus drives blocks through both rewrite triggers — tails filling
+// past patchCap, a block drained under minFill — and an index emptied
+// and refilled.
+func FuzzUpdateMatchesLinear(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	header := func(p int) []byte {
+		out := []byte{2, 3, 8, 8, 5, 40, 64, 30, byte(p)}
+		for i := range 4 * p { // scores rising with the node id: blocks are id ranges
+			v := byte(i * 128 / (4 * p))
+			out = append(out, v, byte(rng.Intn(129)), v, byte(rng.Intn(256)))
+		}
+		return out
+	}
+	randomRecord := func() []byte {
+		return []byte{byte(rng.Intn(140)), byte(rng.Intn(140)), byte(rng.Intn(140)), byte(rng.Intn(256))}
+	}
+	single := func() []byte {
+		switch code := byte(rng.Intn(7)); {
+		case code < 4:
+			return append([]byte{code, byte(rng.Intn(256))}, randomRecord()...)
+		case code < 6:
+			return append([]byte{code}, randomRecord()...)
+		default:
+			return []byte{code, byte(rng.Intn(256))}
+		}
+	}
+	mixed := header(40)
+	for range fuzzSteps {
+		if rng.Intn(8) == 0 {
+			mixed = append(mixed, 7, 5)
+			for range 6 {
+				mixed = append(mixed, single()...)
+			}
+			continue
+		}
+		mixed = append(mixed, single()...)
+	}
+	f.Add(mixed)
+	fill := header(40) // joins into one block: its tail past patchCap, then splits
+	for range fuzzSteps {
+		fill = append(fill, 4, 64, 20, 64, 2)
+	}
+	f.Add(fill)
+	drain := header(40) // the lowest block loses its entries, one leave at a time
+	for range fuzzSteps {
+		drain = append(drain, 6, 0)
+	}
+	f.Add(drain)
+	refill := header(0) // empty, one node, empty, then a batch
+	refill = append(refill, 5, 10, 10, 10, 2, 6, 0, 6, 0, 7, 15)
+	for range 16 {
+		refill = append(refill, 4)
+		refill = append(refill, randomRecord()...)
+	}
+	f.Add(refill)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		dims, k := 1+int(data[0])%4, int(data[1])%12
+		u := &updateCase{data: data[2:], cmax: vector.New(dims), next: 1}
+		head, ok := u.take(2*dims + 1)
+		if !ok {
+			return
+		}
+		demand := vector.New(dims)
+		for d := range dims {
+			u.cmax[d] = float64(head[d] % 33)
+			demand[d] = fuzzValue(u.cmax[d], head[dims+d])
+		}
+		for i := range 4 * int(head[2*dims]) {
+			r, ok := u.record(overlay.NodeID(2 * i))
+			if !ok {
+				break
+			}
+			u.recs = append(u.recs, r)
+		}
+		flat := Build(u.recs, u.cmax)
+		for range fuzzSteps {
+			dirty := map[overlay.NodeID]bool{}
+			demands := []vector.Vec{demand}
+			if len(u.data) > 0 && u.data[0]%8 == 7 {
+				count, ok := u.take(2)
+				if !ok {
+					return
+				}
+				for range 1 + int(count[1])%16 {
+					r, ok := u.op(dirty)
+					if !ok {
+						return
+					}
+					if r != nil {
+						demands = append(demands, r.Avail)
+					}
+				}
+			} else if r, ok := u.op(dirty); !ok {
+				return
+			} else if r != nil {
+				demands = append(demands, r.Avail)
+			}
+			var add []proto.Record
+			for _, r := range u.recs {
+				if dirty[r.Node] {
+					add = append(add, r)
+				}
+			}
+			flat = flat.Update(add, dirty)
+			checkUpdateCase(t, u, flat, demands, k)
+		}
+	})
+}
+
+// checkUpdateCase asserts that flat answers every demand like the
+// brute-force ranking over u's records, reads off what a Build of them
+// would, and holds the block invariants.
+func checkUpdateCase(t *testing.T, u *updateCase, flat *Flat, demands []vector.Vec, k int) {
+	t.Helper()
+	for _, demand := range demands {
+		got, _ := flat.Search(nil, demand, fuzzNow, k)
+		want := bruteTopK(u.recs, demand, u.cmax, fuzzNow, k)
+		if ranked := rankReturned(flat, got, demand, u.cmax, k); !slices.Equal(ranked, want) {
+			t.Fatalf("cmax %v demand %v k %d: ranked %v, brute force %v", u.cmax, demand, k, ranked, want)
+		}
+	}
+	built := Build(u.recs, u.cmax)
+	if flat.Len() != built.Len() || !slices.Equal(flat.Nodes(nil), built.Nodes(nil)) {
+		t.Fatalf("Len %d, Nodes %v; a Build holds %d, %v", flat.Len(), flat.Nodes(nil), built.Len(), built.Nodes(nil))
+	}
+	got, want := vector.New(u.cmax.Dim()), vector.New(u.cmax.Dim())
+	flat.RaiseMax(got)
+	built.RaiseMax(want)
+	if !got.Equal(want) {
+		t.Fatalf("RaiseMax %v, a Build's %v", got, want)
+	}
+	if !slices.EqualFunc(flat.Records(), built.Records(), func(a, b proto.Record) bool {
+		return a.Node == b.Node && a.Avail.Equal(b.Avail) && a.Stored == b.Stored && a.Expires == b.Expires
+	}) {
+		t.Fatalf("Records differ from a Build's")
+	}
+	checkBlocks(t, flat)
 }
 
 // population is n records with dense ids and uniform availabilities.
@@ -307,8 +692,15 @@ func updater(n, b int) (f *Flat, update func()) {
 
 // TestUpdateAllocationIsNotPerRecord: what a one-node Update allocates
 // must not follow the population — ten times the records, at most
-// twice the bytes (the directories are the part that grows).
+// twice the bytes (the pointer arrays and the directories are the part
+// that grows) — and stays within the patch path's budget: a patched
+// header, dead bitmap and tail per touched block, one chunk's scores,
+// the two pointer arrays, and a share of the rewrites.
 func TestUpdateAllocationIsNotPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const smallCap, largeCap = 6 << 10, 12 << 10
 	perUpdate := func(n int) float64 {
 		_, update := updater(n, 1)
 		for range 200 { // past the splits of the freshly built, full blocks
@@ -327,6 +719,9 @@ func TestUpdateAllocationIsNotPerRecord(t *testing.T) {
 	t.Logf("one-node Update allocates %.0f B at n=2500, %.0f B at n=25000", small, large)
 	if large > 2*small {
 		t.Fatalf("one-node Update allocates %.0f B at n=25000, more than twice the %.0f B at n=2500", large, small)
+	}
+	if small > smallCap || large > largeCap {
+		t.Fatalf("one-node Update allocates %.0f B at n=2500 (cap %d), %.0f B at n=25000 (cap %d)", small, smallCap, large, largeCap)
 	}
 }
 

@@ -178,6 +178,10 @@ type shard struct {
 	batchBuf []op
 	resBuf   []opResult
 	recBuf   []wal.Record
+	// pubBuf holds the dirty nodes' records publishDelta hands the
+	// index, which copies them: reused, and cleared after each use so
+	// it keeps no availability vector alive.
+	pubBuf []proto.Record
 	// pend holds replies whose batches were applied and logged but
 	// whose snapshot publication is still being coalesced with a
 	// queued backlog — no caller is acked before the snapshot
@@ -197,10 +201,13 @@ type shard struct {
 
 	// Index maintenance counters (Stats): full builds, copy-on-write
 	// updates, and publications that reused the previous index
-	// wholesale because nothing changed.
-	idxBuilds atomic.Uint64
-	idxDeltas atomic.Uint64
-	idxReuses atomic.Uint64
+	// wholesale because nothing changed; and over the updates, the
+	// blocks patched and the blocks rewritten (index.Flat.Churn).
+	idxBuilds    atomic.Uint64
+	idxDeltas    atomic.Uint64
+	idxReuses    atomic.Uint64
+	idxPatched   atomic.Uint64
+	idxRewritten atomic.Uint64
 }
 
 func newShard(idx int, cfg Config, be Backend) *shard {
@@ -217,6 +224,7 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		batchBuf: make([]op, 0, cfg.MaxBatch),
 		resBuf:   make([]opResult, cfg.MaxBatch),
 		recBuf:   make([]wal.Record, 0, cfg.MaxBatch),
+		pubBuf:   make([]proto.Record, 0, cfg.MaxBatch),
 	}
 	if cfg.Warmup > 0 {
 		be.Step(cfg.Warmup)
@@ -721,10 +729,10 @@ func (s *shard) publish() {
 
 // publishDelta publishes the post-batch snapshot at a cost that
 // follows the batch, not the population: the dirty nodes are re-read
-// from the backend and the index rewrites only the blocks they leave
-// or enter (index.Update); with nothing dirty (idle ticks, query-only
-// batches) the previous index is republished as it is under a fresh
-// clock.
+// from the backend and the index patches or rewrites only the blocks
+// they leave or enter (index.Update); with nothing dirty (idle ticks,
+// query-only batches) the previous index is republished as it is under
+// a fresh clock.
 func (s *shard) publishDelta() {
 	if s.cfg.IndexDisabled {
 		s.publish()
@@ -734,7 +742,7 @@ func (s *shard) publishDelta() {
 	if len(s.dirty) == 0 {
 		s.idxReuses.Add(1)
 	} else {
-		recs := make([]proto.Record, 0, len(s.dirty))
+		recs := s.pubBuf[:0]
 		for id, alive := range s.dirty {
 			if alive {
 				recs = append(recs, s.record(id, now))
@@ -742,6 +750,11 @@ func (s *shard) publishDelta() {
 		}
 		slices.SortFunc(recs, func(a, b proto.Record) int { return cmp.Compare(a.Node, b.Node) })
 		s.flat = s.flat.Update(recs, s.dirty)
+		clear(recs)
+		s.pubBuf = recs[:0]
+		patched, rewritten := s.flat.Churn()
+		s.idxPatched.Add(uint64(patched))
+		s.idxRewritten.Add(uint64(rewritten))
 		s.idxDeltas.Add(1)
 		clear(s.dirty)
 	}

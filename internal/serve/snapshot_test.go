@@ -87,8 +87,15 @@ func TestSnapshotRecordsIsADerivedView(t *testing.T) {
 
 // TestPublicationAllocationIsNotPerRecord: one Engine.Update — ack
 // path and publication — must allocate about the same whatever the
-// shard's population: ten times the nodes, at most twice the bytes.
+// shard's population: ten times the nodes, at most twice the bytes;
+// and at 2 500 nodes no more than the publication's budget, which
+// holds when most touched blocks take the patch path (the running
+// engine's counters say they do).
 func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const smallCap = 7 << 10
 	perUpdate := func(n int) float64 {
 		cfg := testConfig(1)
 		cfg.NodesPerShard = n
@@ -115,11 +122,19 @@ func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 			update()
 		}
 		runtime.ReadMemStats(&after)
+		st := e.Stats()
+		t.Logf("%d nodes: %d blocks patched, %d rewritten", n, st.IndexPatchedBlocks, st.IndexRewrittenBlocks)
+		if st.IndexPatchedBlocks < 4*st.IndexRewrittenBlocks {
+			t.Fatalf("%d nodes: %d blocks patched, %d rewritten: the patch path is not the common one", n, st.IndexPatchedBlocks, st.IndexRewrittenBlocks)
+		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
 	small, large := perUpdate(2500), perUpdate(25000)
 	t.Logf("one Engine.Update allocates %.0f B at 2500 nodes, %.0f B at 25000", small, large)
 	if large > 2*small {
 		t.Fatalf("one Engine.Update allocates %.0f B at 25000 nodes, more than twice the %.0f B at 2500", large, small)
+	}
+	if small > smallCap {
+		t.Fatalf("one Engine.Update allocates %.0f B at 2500 nodes, over the %d B budget", small, smallCap)
 	}
 }
