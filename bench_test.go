@@ -453,7 +453,6 @@ func BenchmarkServeAdaptiveCache(b *testing.B) {
 				NodesPerShard: 256,
 				Seed:          11,
 				CacheQuantum:  0.002,
-				CacheTTL:      5 * time.Second,
 				CacheSize:     4096,
 			}
 			if mode == "adaptive" {

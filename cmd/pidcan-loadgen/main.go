@@ -835,16 +835,16 @@ type summary struct {
 
 // serverProbe mirrors the cache/index counters of the server's
 // /stats endpoint. Counter fields are deltas over the run; the knob
-// fields (TTL, quantum, population) are the post-run values, which is
-// what makes the adaptive controller's drift visible.
+// fields (quantum, population) are the post-run values, which is what
+// makes the adaptive controller's drift visible.
 type serverProbe struct {
 	TotalNodes      int     `json:"total_nodes"`
 	CacheHits       uint64  `json:"cache_hits"`
 	CacheMisses     uint64  `json:"cache_misses"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 	CacheStale      uint64  `json:"cache_stale"`
+	CacheStaleShare float64 `json:"cache_stale_share"`
 	CacheAdaptions  uint64  `json:"cache_adaptions"`
-	CacheTTLMS      float64 `json:"cache_ttl_ms"`
 	CacheQuantum    float64 `json:"cache_quantum"`
 	IndexSearches   uint64  `json:"index_searches"`
 	IndexScanned    uint64  `json:"index_scanned_records"`
@@ -904,6 +904,7 @@ func (p *serverProbe) diff(before *serverProbe) *serverProbe {
 	}
 	if lookups := d.CacheHits + d.CacheMisses; lookups > 0 {
 		d.CacheHitRate = float64(d.CacheHits) / float64(lookups)
+		d.CacheStaleShare = float64(d.CacheStale) / float64(lookups)
 	}
 	if d.IndexSearches > 0 {
 		d.ScannedPerQuery = float64(d.IndexScanned) / float64(d.IndexSearches)
@@ -998,9 +999,8 @@ func report(sum summary, jsonOut string) {
 		fmt.Printf("server:  router: %.2f legs/query (%d sent, %d pruned over %d queries); pipeline depth %.1f\n",
 			p.FedLegsPerQuery, p.FedLegsSent, p.FedLegsPruned, p.Queries, p.FedPipelineDepth)
 	} else if p != nil {
-		fmt.Printf("server:  %d nodes; cache %.1f%% hits (%d stale, %d adaptions; ttl %.0fms, quantum %.4f); index %.1f records/search, %.1f candidates/search over %d searches (%d builds, %d deltas, %d reuses)\n",
-			p.TotalNodes, 100*p.CacheHitRate, p.CacheStale, p.CacheAdaptions,
-			p.CacheTTLMS, p.CacheQuantum,
+		fmt.Printf("server:  %d nodes; cache %.1f%% hits, %.1f%% invalidated (%d adaptions; quantum %.4f); index %.1f records/search, %.1f candidates/search over %d searches (%d builds, %d deltas, %d reuses)\n",
+			p.TotalNodes, 100*p.CacheHitRate, 100*p.CacheStaleShare, p.CacheAdaptions, p.CacheQuantum,
 			p.ScannedPerQuery, p.CandsPerQuery, p.IndexSearches,
 			p.IndexBuilds, p.IndexDeltas, p.IndexReuses)
 	}

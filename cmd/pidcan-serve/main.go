@@ -65,9 +65,8 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		warmup   = flag.Duration("warmup", 30*time.Minute, "simulated warmup per shard (state updates + index diffusion settle)")
 		flush    = flag.Duration("flush", 100*time.Millisecond, "idle-tick cadence: each tick steps the shard's simulation up to elapsed wall time and republishes its snapshot")
-		cacheTTL = flag.Duration("cache-ttl", 25*time.Millisecond, "query-cache freshness bound")
 		noCache  = flag.Bool("no-cache", false, "disable the query cache")
-		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 freezes TTL/quantum/epoch-bound at their configured values)")
+		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 keeps the quantization grid fixed)")
 		populate = flag.Bool("populate", true, "publish a random initial availability per node")
 		scatter  = flag.Duration("scatter-timeout", 5*time.Second, "whole-gather deadline of scatter-gather consistent queries")
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
@@ -88,7 +87,6 @@ func main() {
 		Seed:               *seed,
 		Warmup:             pidcan.Time(warmup.Microseconds()),
 		FlushInterval:      *flush,
-		CacheTTL:           *cacheTTL,
 		CacheDisabled:      *noCache,
 		CacheAdaptEvery:    *adaptEvr,
 		ScatterTimeout:     *scatter,

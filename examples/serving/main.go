@@ -128,8 +128,8 @@ func main() {
 	}
 	fmt.Printf("consistent scope=one: %d shard answered, %d hops\n", one.ShardsQueried, one.Hops)
 
-	// Repeated equivalent demands inside one freshness window are
-	// served from the query cache.
+	// Repeated equivalent demands are served from the query cache
+	// until a write that could change their answer.
 	for i := 0; i < 3; i++ {
 		resp, err := eng.Query(pidcan.QueryRequest{Demand: vector.Of(4, 16, 100), K: 3})
 		if err != nil {

@@ -5,22 +5,22 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
-// queryCache memoizes recent query responses keyed by the quantized
-// demand vector and k. An entry stays valid for one freshness window
-// (TTL) and, when epoch invalidation is on (Config.CacheEpochBound),
-// only while the engine's write epoch has not advanced more than the
-// bound past the entry's fill — every applied batch that mutated a
-// shard bumps the epoch, so a burst of joins/updates/leaves stops
-// the cache from serving pre-write results even inside the TTL
-// window. Under heavy read traffic this still collapses bursts of
-// equivalent demands into one snapshot scan per window; residual
-// staleness mirrors what the paper's index already tolerates between
-// state-update cycles.
+// queryCache memoizes query answers keyed by the quantized demand
+// vector and k, and serves an answer only while it is the current
+// snapshots' answer. An entry remembers, per shard, a snapshot Version
+// its answer holds at; a lookup walks each shard's change history (the
+// sets publishDelta links, see Snapshot) from there to the current
+// snapshot. The entry survives a change that is not one of its
+// candidates and, if the changed node now dominates the cell, ranks it
+// below the k-th candidate. A walk that reaches a cut history or would
+// pass cacheWalkMax changes, and an entry whose earliest candidate has
+// expired (RecordTTL), is a miss. A write is acknowledged only once its
+// snapshot is live, so a caller's next cached query sees its own write.
 //
 // Entries live in two generations: puts fill the new generation, and
 // when it reaches half the configured capacity it rotates into the
@@ -29,45 +29,30 @@ import (
 // and an old-generation hit promotes its entry back into the new
 // generation.
 //
-// With Config.CacheAdaptEvery set, the knobs stop being fixed: every
-// adaptEvery lookups the controller compares the window's hit-rate
-// and staleness-invalidation rate and adjusts TTL, quantization
-// granularity and the epoch bound within fixed floors/ceilings
-// around the configured values — staleness-driven misses extend
-// entry lifetime, compulsory misses (demand drift marching across
-// grid cells) coarsen the grid so moving demands keep aliasing onto
-// live cells, and sustained high hit-rates decay the knobs back
-// toward the configured (freshest, most precise) baselines.
+// With Config.CacheAdaptEvery set, the quantization grid stops being
+// fixed: every adaptEvery lookups the controller reads the window's
+// hit-rate. A window of compulsory misses (demand drift marching across
+// grid cells, not invalidations) coarsens the grid so moving demands
+// alias onto live cells; a comfortable window refines it back toward
+// the configured quantum.
 type queryCache struct {
 	max  int // total entry bound; each generation holds up to max/2
 	cmax vector.Vec
-
-	// Live knobs. Fixed at their Config values unless the adaptive
-	// controller (adaptEvery > 0) is steering them.
-	ttl        atomic.Int64  // nanoseconds
-	epochBound atomic.Uint64 // 0: TTL-only expiry
-	grid       atomic.Pointer[cacheGrid]
+	grid atomic.Pointer[cacheGrid] // CacheQuantum's unless the controller steers it
 
 	// Adaptive-controller configuration (constants after build).
-	adaptEvery       uint64
-	ttlMin, ttlMax   int64
-	qMin, qMax       float64
-	boundMin, bndMax uint64
+	adaptEvery uint64
+	qMin, qMax float64
 
 	mu     sync.RWMutex
-	newGen map[string]cacheEntry
-	oldGen map[string]cacheEntry
-
-	// recheckHook, when set (tests only), runs between the read-locked
-	// lookup of a stale entry and the write-locked recheck — the
-	// window a concurrent put can refresh the key in.
-	recheckHook func()
+	newGen map[string]*cacheEntry
+	oldGen map[string]*cacheEntry
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	rotations atomic.Uint64 // generation rotations (cache_resets)
-	stale     atomic.Uint64 // entries invalidated at lookup (TTL or epoch)
-	adaptions atomic.Uint64 // controller knob adjustments
+	stale     atomic.Uint64 // entries a lookup found invalidated
+	adaptions atomic.Uint64 // controller re-grids
 
 	// Per-window accounting for the adaptive controller.
 	winLookups atomic.Uint64
@@ -93,47 +78,120 @@ func newGrid(quantum float64, cmax vector.Vec) *cacheGrid {
 	return &cacheGrid{quantum: quantum, inv: inv}
 }
 
-// Adaptive-controller thresholds: grow knobs when a window's
-// hit-rate falls below adaptHitLow, decay them back toward the
-// configured baselines above adaptHitHigh; a window whose misses are
-// more than adaptStaleShare invalidations is lifetime-bound (extend
-// TTL/epoch headroom), otherwise compulsory (coarsen the grid).
+// Adaptive-controller thresholds: a window below adaptHitLow whose
+// misses are mostly compulsory (at most adaptStaleShare of its lookups
+// invalidated) coarsens the grid; one above adaptHitHigh with almost
+// no invalidation refines it.
 const (
 	adaptHitLow     = 0.70
-	adaptHitHigh    = 0.90
+	adaptHitHigh    = 0.97
 	adaptStaleShare = 0.25
 )
 
+// cacheWalkMax bounds the changes one lookup examines over all shards:
+// at tens of nanoseconds a change, a longer walk would cost more than
+// the refill it saves (about five hits). changeRetain bounds the
+// changed nodes a shard's history keeps, which no lookup could walk
+// past anyway.
+const (
+	cacheWalkMax = 128
+	changeRetain = cacheWalkMax
+)
+
 func newQueryCache(cfg Config) *queryCache {
-	bound := uint64(0)
-	if cfg.CacheEpochBound > 0 {
-		bound = uint64(cfg.CacheEpochBound)
-	}
 	qc := &queryCache{
-		max:      cfg.CacheSize,
-		cmax:     cfg.CMax,
-		ttlMin:   int64(cfg.CacheTTL / 4),
-		ttlMax:   int64(40 * cfg.CacheTTL),
-		qMin:     cfg.CacheQuantum,
-		qMax:     cfg.CacheQuantumMax,
-		boundMin: bound,
-		newGen:   make(map[string]cacheEntry),
-		oldGen:   make(map[string]cacheEntry),
+		max:    cfg.CacheSize,
+		cmax:   cfg.CMax,
+		qMin:   cfg.CacheQuantum,
+		qMax:   cfg.CacheQuantumMax,
+		newGen: make(map[string]*cacheEntry),
+		oldGen: make(map[string]*cacheEntry),
+
+		adaptEvery: uint64(cfg.CacheAdaptEvery), // withDefaults clamps it to >= 0
 	}
-	if cfg.CacheAdaptEvery > 0 {
-		qc.adaptEvery = uint64(cfg.CacheAdaptEvery)
-		qc.bndMax = bound * 16
-	}
-	qc.ttl.Store(int64(cfg.CacheTTL))
-	qc.epochBound.Store(bound)
 	qc.grid.Store(newGrid(cfg.CacheQuantum, cfg.CMax))
 	return qc
 }
 
+// cacheEntry is one cached answer: the cell's top k, ranked on the
+// cell's upper-bound demand, with their availabilities in one array of
+// the entry's own, so a long-lived entry pins no superseded index block.
 type cacheEntry struct {
-	resp  QueryResponse
-	at    time.Time
-	epoch uint64 // engine write epoch at fill
+	cands   []Candidate
+	kth     float64         // the k-th candidate's surplus, when there are k
+	expires sim.Time        // earliest candidate expiry
+	seen    []atomic.Uint64 // per shard, a Version the answer holds at
+}
+
+// newCacheEntry returns an entry for searchShards to record a fill in.
+func newCacheEntry(shards int) *cacheEntry {
+	return &cacheEntry{expires: math.MaxInt64, seen: make([]atomic.Uint64, shards)}
+}
+
+// keep stores the ranked answer, cands, which the entry takes over.
+func (ce *cacheEntry) keep(cands []Candidate, k int) {
+	dims := 0
+	if len(cands) > 0 {
+		dims = len(cands[0].Avail)
+	}
+	vals := make([]float64, 0, len(cands)*dims)
+	for i := range cands {
+		vals = append(vals, cands[i].Avail...)
+		cands[i].Avail = vals[len(vals)-dims : len(vals) : len(vals)]
+	}
+	if ce.cands = cands; len(cands) == k {
+		ce.kth = cands[k-1].Surplus
+	}
+}
+
+// holds reports whether the entry still answers cell on the shards'
+// current snapshots. A walk that examined a change advances the
+// entry's version of that shard, so the next lookup starts there.
+func (ce *cacheEntry) holds(cell vector.Vec, k int, shards []*shard, scale vector.Vec) bool {
+	walked := 0
+	for i, s := range shards {
+		snap := s.snapshot()
+		seen := ce.seen[i].Load()
+		if snap.Version <= seen {
+			continue
+		}
+		if ce.expires <= snap.Taken {
+			return false
+		}
+		c := snap.changes
+		if c.version <= seen {
+			continue // republished unchanged: no store, so a hot entry's line stays shared
+		}
+		for c.version > seen {
+			if walked += len(c.nodes); walked > cacheWalkMax {
+				return false
+			}
+			for _, ch := range c.nodes {
+				if !ce.survives(Global(s.idx, ch.node), ch.avail, cell, k, scale) {
+					return false
+				}
+			}
+			if c = c.older.Load(); c == nil {
+				return false // the history was cut
+			}
+		}
+		ce.seen[i].Store(snap.Version)
+	}
+	return true
+}
+
+// survives reports whether the answer outlives one change: the node is
+// not a candidate and, if its new availability dominates the cell,
+// ranks below the k-th candidate. A surplus tie does not rank below:
+// the node ids would decide it.
+func (ce *cacheEntry) survives(node GlobalID, avail, cell vector.Vec, k int, scale vector.Vec) bool {
+	for i := range ce.cands {
+		if ce.cands[i].Node == node {
+			return false
+		}
+	}
+	return avail == nil || !avail.Dominates(cell) ||
+		len(ce.cands) == k && avail.Surplus(cell, scale) > ce.kth
 }
 
 // quantize maps demand onto the cache grid: it returns the cache key
@@ -173,71 +231,25 @@ func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec) {
 	return string(buf), ub
 }
 
-// fresh reports whether an entry may still be served: inside its TTL
-// window and, with epoch invalidation on, filled no more than
-// epochBound write batches before the reader's epoch. An entry
-// filled at or after the reader's own epoch view is fresh by
-// definition — a reader that loaded its epoch before being preempted
-// must not treat a newer fill as stale (the unsigned subtraction
-// would wrap and evict brand-new entries).
-func (qc *queryCache) fresh(e cacheEntry, now time.Time, epoch uint64) bool {
-	if now.Sub(e.at) > time.Duration(qc.ttl.Load()) {
-		return false
-	}
-	bound := qc.epochBound.Load()
-	return bound == 0 || e.epoch >= epoch || epoch-e.epoch <= bound
-}
-
-// lookup finds the key in either generation (new first). Read lock
-// only.
-func (qc *queryCache) lookup(key string) (cacheEntry, bool, bool) {
+// get returns a private copy of the key's cached candidates if its
+// entry still answers cell on the shards' current snapshots. A hit in
+// the old generation is promoted back into the new one so rotation
+// cannot drop a still-hot key; an invalidated entry is a miss, counted
+// stale, which the caller's put replaces.
+func (qc *queryCache) get(key string, cell vector.Vec, k int, shards []*shard) ([]Candidate, bool) {
 	qc.mu.RLock()
-	e, ok := qc.newGen[key]
+	ent, ok := qc.newGen[key]
 	old := false
 	if !ok {
-		e, ok = qc.oldGen[key]
+		ent, ok = qc.oldGen[key]
 		old = ok
 	}
 	qc.mu.RUnlock()
-	return e, ok, old
-}
-
-// get returns the cached response for the key if it is still fresh
-// at the given time and write epoch. The response's Candidates slice
-// is a private copy — callers may re-rank or otherwise mutate it
-// without corrupting the cache. A stale entry is deleted on lookup
-// (and counted as an invalidation); a fresh hit in the old
-// generation is promoted back into the new one so rotation cannot
-// drop a still-hot key.
-func (qc *queryCache) get(key string, now time.Time, epoch uint64) (QueryResponse, bool) {
-	e, ok, old := qc.lookup(key)
-	if ok && !qc.fresh(e, now, epoch) {
-		if qc.recheckHook != nil {
-			qc.recheckHook()
-		}
-		qc.mu.Lock()
-		// Re-check under the write lock: a concurrent put may have
-		// refreshed the key since the read above — then the live,
-		// fresh entry is the hit, not a forced rescan.
-		if cur, live := qc.newGen[key]; live && qc.fresh(cur, now, epoch) {
-			e = cur
-		} else if cur, live := qc.oldGen[key]; live && qc.fresh(cur, now, epoch) {
-			e = cur
-		} else {
-			if _, live := qc.newGen[key]; live {
-				delete(qc.newGen, key)
-			}
-			if _, live := qc.oldGen[key]; live {
-				delete(qc.oldGen, key)
-			}
-			qc.stale.Add(1)
-			qc.winStale.Add(1)
-			ok = false
-		}
-		qc.mu.Unlock()
-	} else if ok && old {
-		// Fresh old-generation hit: promote, so the next rotation
-		// keeps it.
+	if ok && !ent.holds(cell, k, shards, qc.cmax) {
+		ok = false
+		qc.stale.Add(1)
+		qc.winStale.Add(1)
+	} else if old {
 		qc.mu.Lock()
 		if cur, live := qc.oldGen[key]; live {
 			qc.newGen[key] = cur
@@ -255,32 +267,24 @@ func (qc *queryCache) get(key string, now time.Time, epoch uint64) (QueryRespons
 	}
 	if !ok {
 		qc.misses.Add(1)
-		return QueryResponse{}, false
+		return nil, false
 	}
 	qc.hits.Add(1)
-	resp := e.resp
-	resp.Candidates = append([]Candidate(nil), e.resp.Candidates...)
-	return resp, true
+	return append([]Candidate(nil), ent.cands...), true
 }
 
-// put stores a response filled at the given write epoch. When the new
-// generation reaches half the configured capacity it rotates into
-// the old generation (dropping the previous old one), so a full
-// cache degrades gradually — the recently filled half survives —
-// instead of losing every hot entry at once.
-func (qc *queryCache) put(key string, resp QueryResponse, now time.Time, epoch uint64) {
+// put stores a filled entry. When the new generation reaches half the
+// configured capacity it rotates into the old generation (dropping the
+// previous old one), so a full cache degrades gradually — the recently
+// filled half survives — instead of losing every hot entry at once.
+func (qc *queryCache) put(key string, ent *cacheEntry) {
 	qc.mu.Lock()
 	if len(qc.newGen) >= qc.halfMax() {
 		qc.oldGen = qc.newGen
-		qc.newGen = make(map[string]cacheEntry, qc.halfMax()/4+1)
+		qc.newGen = make(map[string]*cacheEntry, qc.halfMax()/4+1)
 		qc.rotations.Add(1)
 	}
-	// A slow reader must not clobber a fill made from a newer epoch
-	// view — its entry would read as instantly stale to everyone
-	// else and force rescans of a key that was just refreshed.
-	if cur, ok := qc.newGen[key]; !ok || cur.epoch <= epoch {
-		qc.newGen[key] = cacheEntry{resp: resp, at: now, epoch: epoch}
-	}
+	qc.newGen[key] = ent
 	qc.mu.Unlock()
 }
 
@@ -293,66 +297,18 @@ func (qc *queryCache) halfMax() int {
 }
 
 // adapt is the controller step, run once per adaptEvery lookups by
-// whichever reader crossed the window boundary. All knob updates are
-// atomic; a re-grid additionally clears both generations (the old
-// keys are unreachable under the new grid).
+// whichever reader crossed the window boundary.
 func (qc *queryCache) adapt() {
-	hits := qc.winHits.Swap(0)
-	stale := qc.winStale.Swap(0)
-	total := qc.adaptEvery
-	hitRate := float64(hits) / float64(total)
-	staleShare := float64(stale) / float64(total)
+	hitRate := float64(qc.winHits.Swap(0)) / float64(qc.adaptEvery)
+	staleShare := float64(qc.winStale.Swap(0)) / float64(qc.adaptEvery)
 	switch {
-	case hitRate < adaptHitLow:
-		if staleShare > adaptStaleShare {
-			// Lifetime-bound misses: entries die before reuse.
-			qc.bumpTTL(2)
-			if b := qc.epochBound.Load(); b > 0 && b*2 <= qc.bndMax {
-				qc.epochBound.Store(b * 2)
-				qc.adaptions.Add(1)
-			}
-			return
-		}
+	case hitRate < adaptHitLow && staleShare <= adaptStaleShare:
 		// Compulsory misses: the demand distribution moved off the
-		// grid. Coarsen so drifting demands alias onto live cells,
-		// and give the bigger cells time to be revisited.
+		// grid. Coarsen so drifting demands alias onto live cells.
 		qc.regrid(math.Min(qc.grid.Load().quantum*1.5, qc.qMax))
-		qc.bumpTTL(1.25)
 	case hitRate > adaptHitHigh && staleShare < 0.05:
-		// Comfortable: decay toward the configured baseline for
-		// freshness (TTL, epoch bound) and precision (grid).
-		qc.decayTTL()
-		if b := qc.epochBound.Load(); b > qc.boundMin {
-			qc.epochBound.Store(maxU64(b/2, qc.boundMin))
-			qc.adaptions.Add(1)
-		}
-		if hitRate > 0.97 {
-			qc.regrid(math.Max(qc.grid.Load().quantum/1.25, qc.qMin))
-		}
-	}
-}
-
-func (qc *queryCache) bumpTTL(factor float64) {
-	cur := qc.ttl.Load()
-	next := int64(float64(cur) * factor)
-	if next > qc.ttlMax {
-		next = qc.ttlMax
-	}
-	if next != cur {
-		qc.ttl.Store(next)
-		qc.adaptions.Add(1)
-	}
-}
-
-func (qc *queryCache) decayTTL() {
-	cur := qc.ttl.Load()
-	next := cur * 3 / 4
-	if next < qc.ttlMin {
-		next = qc.ttlMin
-	}
-	if next != cur {
-		qc.ttl.Store(next)
-		qc.adaptions.Add(1)
+		// Comfortable: refine toward the configured precision.
+		qc.regrid(math.Max(qc.grid.Load().quantum/1.25, qc.qMin))
 	}
 }
 
@@ -364,27 +320,18 @@ func (qc *queryCache) regrid(quantum float64) {
 	}
 	qc.mu.Lock()
 	qc.grid.Store(newGrid(quantum, qc.cmax))
-	qc.newGen = make(map[string]cacheEntry)
-	qc.oldGen = make(map[string]cacheEntry)
+	qc.newGen = make(map[string]*cacheEntry)
+	qc.oldGen = make(map[string]*cacheEntry)
 	qc.mu.Unlock()
 	qc.adaptions.Add(1)
 }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// cacheStats is the point-in-time counter/knob view Stats reports.
+// cacheStats is the point-in-time counter view Stats reports.
 type cacheStats struct {
 	hits, misses, rotations uint64
 	stale, adaptions        uint64
 	entries                 int
-	ttl                     time.Duration
 	quantum                 float64
-	epochBound              uint64
 }
 
 func (qc *queryCache) stats() cacheStats {
@@ -392,14 +339,12 @@ func (qc *queryCache) stats() cacheStats {
 	n := len(qc.newGen) + len(qc.oldGen)
 	qc.mu.RUnlock()
 	return cacheStats{
-		hits:       qc.hits.Load(),
-		misses:     qc.misses.Load(),
-		rotations:  qc.rotations.Load(),
-		stale:      qc.stale.Load(),
-		adaptions:  qc.adaptions.Load(),
-		entries:    n,
-		ttl:        time.Duration(qc.ttl.Load()),
-		quantum:    qc.grid.Load().quantum,
-		epochBound: qc.epochBound.Load(),
+		hits:      qc.hits.Load(),
+		misses:    qc.misses.Load(),
+		rotations: qc.rotations.Load(),
+		stale:     qc.stale.Load(),
+		adaptions: qc.adaptions.Load(),
+		entries:   n,
+		quantum:   qc.grid.Load().quantum,
 	}
 }

@@ -145,69 +145,46 @@ func TestFwdRepointIdempotent(t *testing.T) {
 	}
 }
 
-// TestCacheEpochInvalidation pins the write-invalidation satellite:
-// inside a long TTL window, writes advancing the engine's epoch past
-// the bound must force a rescan — which then observes the writes.
+// TestCacheEpochInvalidation pins exact invalidation on the default
+// cache settings: an update that enters a cached answer is seen by the
+// very next query, a write the answer cannot see keeps it a hit, and a
+// cached candidate that leaves is gone from the next answer.
 func TestCacheEpochInvalidation(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.CacheTTL = time.Hour // TTL out of the picture
-	cfg.CacheEpochBound = 1
-	e := newTestEngine(t, cfg)
+	e := newTestEngine(t, testConfig(1))
 	nodes := e.Nodes()
 	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
-
 	q := QueryRequest{Demand: vector.Of(4, 4), K: 8}
-	if resp, err := e.Query(q); err != nil || resp.Cached {
-		t.Fatalf("first query: cached=%v err=%v, want a miss", resp.Cached, err)
+	if resp := mustQuery(t, e, q); resp.Cached {
+		t.Fatal("first query: a hit, want a miss")
 	}
-	if resp, err := e.Query(q); err != nil || !resp.Cached {
-		t.Fatalf("second query: cached=%v err=%v, want a hit", resp.Cached, err)
-	}
-	if len(mustQuery(t, e, q).Candidates) != 1 {
-		t.Fatal("precondition: exactly one qualifying node expected")
+	if resp := mustQuery(t, e, q); !resp.Cached || len(resp.Candidates) != 1 {
+		t.Fatalf("second query: cached=%v with %d candidates, want a hit with 1", resp.Cached, len(resp.Candidates))
 	}
 
-	// Two sequential updates -> two mutating batches -> the epoch
-	// advances 2 past the entry's fill, beyond the bound of 1.
+	// Read-your-writes: one update entering the answer.
 	if err := e.Update(nodes[1], vector.Of(6, 6), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Update(nodes[2], vector.Of(7, 7), false); err != nil {
-		t.Fatal(err)
+	if resp := mustQuery(t, e, q); resp.Cached || len(resp.Candidates) != 2 {
+		t.Fatalf("after an entering update: cached=%v with %d candidates, want a refill with 2", resp.Cached, len(resp.Candidates))
 	}
-	resp, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Cached {
-		t.Fatal("entry survived the epoch bound: writes did not invalidate")
-	}
-	if len(resp.Candidates) != 3 {
-		t.Fatalf("rescan found %d candidates, want 3 (the writes must be visible)", len(resp.Candidates))
-	}
-}
 
-// TestCacheEpochDisabled: a negative bound restores pure TTL expiry.
-func TestCacheEpochDisabled(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.CacheTTL = time.Hour
-	cfg.CacheEpochBound = -1
-	e := newTestEngine(t, cfg)
-	nodes := e.Nodes()
-	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
+	// A node that does not dominate the cell cannot enter the answer.
+	if err := e.Update(nodes[2], vector.Of(1, 1), false); err != nil {
 		t.Fatal(err)
 	}
-	q := QueryRequest{Demand: vector.Of(4, 4), K: 8}
-	mustQuery(t, e, q)
-	for i := 1; i < 4; i++ {
-		if err := e.Update(nodes[i%len(nodes)], vector.Of(6, 6), false); err != nil {
-			t.Fatal(err)
-		}
+	if resp := mustQuery(t, e, q); !resp.Cached || len(resp.Candidates) != 2 {
+		t.Fatalf("after an update outside the cell: cached=%v with %d candidates, want a hit with 2", resp.Cached, len(resp.Candidates))
 	}
-	if resp := mustQuery(t, e, q); !resp.Cached {
-		t.Fatal("TTL-only mode: writes must not invalidate inside the TTL window")
+
+	// A cached candidate leaving.
+	if err := e.Leave(nodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if resp := mustQuery(t, e, q); resp.Cached || len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[1] {
+		t.Fatalf("after a candidate left: cached=%v %+v, want a refill with only %v", resp.Cached, resp.Candidates, nodes[1])
 	}
 }
 

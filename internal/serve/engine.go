@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
@@ -28,8 +27,7 @@ type Engine struct {
 	nextQuery atomic.Uint64 // round-robin ScopeOne consistent-query target
 
 	// epoch is the engine-wide write epoch: each shard bumps it once
-	// per applied batch that mutated state. The query cache uses it
-	// to expire entries filled before recent writes.
+	// per applied batch that mutated state.
 	epoch atomic.Uint64
 
 	// availSum caches the availability summary AvailSummary computes
@@ -172,16 +170,14 @@ type Stats struct {
 	// historical name survives for stats continuity).
 	CacheResets  uint64 `json:"cache_resets"`
 	CacheEntries int    `json:"cache_entries"`
-	// CacheStale counts entries invalidated at lookup (TTL or epoch
-	// expiry) and CacheAdaptions the knob adjustments the adaptive
-	// controller has made (0 with fixed knobs). CacheTTLMS,
-	// CacheQuantum and CacheEpochBound are the live knob values —
-	// the configured constants unless the controller is steering.
-	CacheStale      uint64  `json:"cache_stale"`
-	CacheAdaptions  uint64  `json:"cache_adaptions"`
-	CacheTTLMS      float64 `json:"cache_ttl_ms"`
-	CacheQuantum    float64 `json:"cache_quantum"`
-	CacheEpochBound uint64  `json:"cache_epoch_bound"`
+	// CacheStale counts the misses that found an entry a change had
+	// invalidated (its other misses are compulsory: no entry) and
+	// CacheAdaptions the re-grids of the adaptive controller (0 with a
+	// fixed grid). CacheQuantum is the live quantization granularity —
+	// CacheQuantum's configured value unless the controller steers it.
+	CacheStale     uint64  `json:"cache_stale"`
+	CacheAdaptions uint64  `json:"cache_adaptions"`
+	CacheQuantum   float64 `json:"cache_quantum"`
 	// IndexSearches counts snapshot-path index searches (uncached
 	// queries + cache fills); IndexScannedRecords the records those
 	// searches visited — scanned/searches vs total_nodes is the
@@ -225,8 +221,7 @@ type Stats struct {
 	// op-log behind the write path); the fields below are zero
 	// without one.
 	Durable bool `json:"durable,omitempty"`
-	// WriteEpoch counts applied batches that mutated shard state —
-	// the clock behind write-triggered cache invalidation.
+	// WriteEpoch counts applied batches that mutated shard state.
 	WriteEpoch uint64 `json:"write_epoch,omitempty"`
 	// LogBytes/LogRecords aggregate the shards' op-logs: bytes since
 	// the last checkpoint, records over the engine's lifetime.
@@ -324,7 +319,7 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 		cache: newQueryCache(cfg),
 		stop:  make(chan struct{}),
 	}
-	e.fwd = NewForwardTable(2*(cfg.CacheTTL+cfg.FlushInterval+cfg.ScatterTimeout), GlobalID.Shard, e.stop)
+	e.fwd = NewForwardTable(2*(cfg.FlushInterval+cfg.ScatterTimeout), GlobalID.Shard, e.stop)
 	e.replEpoch.Store(1) // cold start; recovery overrides from disk
 	e.follower.Store(cfg.Follower)
 	for i := 0; i < cfg.Shards; i++ {
@@ -513,26 +508,22 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	// skipped). The surpluses handed back, however, are always
 	// recomputed against the caller's true demand — the cache holds
 	// only the cell-evaluated candidate set.
-	useCache := !e.cfg.CacheDisabled && !req.NoCache
-	if !useCache {
-		cands := e.searchShards(req.Demand, req.K)
+	if e.cfg.CacheDisabled || req.NoCache {
+		cands := e.searchShards(req.Demand, req.K, nil)
 		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}
-	key, cellDemand := e.cache.quantize(req.Demand, req.K)
-	// The fill epoch is read before the snapshot scan: a write racing
-	// the scan may or may not be visible in it, and the earlier epoch
-	// ages the entry conservatively either way.
-	epoch := e.epoch.Load()
-	resp, hit := e.cache.get(key, time.Now(), epoch) // Candidates already a private copy
+	key, cell := e.cache.quantize(req.Demand, req.K)
+	cands, hit := e.cache.get(key, cell, req.K, e.shards) // a private copy
 	if !hit {
-		cands := e.searchShards(cellDemand, req.K)
-		cached := QueryResponse{Candidates: bestFit(cands, req.K)}
-		e.cache.put(key, cached, time.Now(), epoch)
-		resp = QueryResponse{Candidates: append([]Candidate(nil), cached.Candidates...)}
+		ent := newCacheEntry(len(e.shards))
+		ent.keep(bestFit(e.searchShards(cell, req.K, ent), req.K), req.K)
+		e.cache.put(key, ent)
+		cands = append([]Candidate(nil), ent.cands...)
 	}
-	resp.Cached = hit
-	resp.Candidates = e.fwd.Externalize(rescore(resp.Candidates, req.Demand, e.cfg.CMax, req.K))
-	return resp, nil
+	return QueryResponse{
+		Candidates: e.fwd.Externalize(rescore(cands, req.Demand, e.cfg.CMax, req.K)),
+		Cached:     hit,
+	}, nil
 }
 
 // searchShards collects the candidates needed to rank the k best fits
@@ -544,8 +535,10 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 // index over the whole population would, not k matches' worth per
 // shard. The returned candidates still need bestFit: they arrive block
 // by block, not in order, and a match found before the bound shrank
-// past it stays in.
-func (e *Engine) searchShards(demand vector.Vec, k int) []Candidate {
+// past it stays in. A cache fill passes its entry, fill, which gets
+// the Version of each snapshot scanned and the earliest expiry among
+// the matches.
+func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Candidate {
 	// The usual shard counts and k keep all of this on the stack; the
 	// candidates are the one allocation, k plus a margin for ties and
 	// for matches the shrinking bound overtook.
@@ -561,9 +554,12 @@ func (e *Engine) searchShards(demand vector.Vec, k int) []Candidate {
 	}
 	snaps, cursors := snapBuf[:0], curBuf[:0]
 	visited := 0
-	for _, s := range e.shards {
+	for i, s := range e.shards {
 		snap := s.snapshot()
-		if snap.flat == nil { // the linear-scan referee
+		if fill != nil {
+			fill.seen[i].Store(snap.Version)
+		}
+		if snap.flat == nil { // the linear-scan referee (whose every publication cuts the history)
 			cands = snap.collect(cands, demand, e.cfg.CMax, snap.Taken)
 			visited += len(snap.Records)
 			continue
@@ -583,6 +579,11 @@ func (e *Engine) searchShards(demand vector.Vec, k int) []Candidate {
 		}
 		entries, n := cursors[low].Step(entryBuf[:0], &bound)
 		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
+		if fill != nil {
+			for _, en := range entries {
+				fill.expires = min(fill.expires, snaps[low].flat.Expires(en))
+			}
+		}
 		visited += n
 	}
 	e.idxSearches.Add(1)
@@ -818,9 +819,7 @@ func (e *Engine) Stats() Stats {
 	st.CacheHits, st.CacheMisses = cs.hits, cs.misses
 	st.CacheResets, st.CacheEntries = cs.rotations, cs.entries
 	st.CacheStale, st.CacheAdaptions = cs.stale, cs.adaptions
-	st.CacheTTLMS = float64(cs.ttl) / float64(time.Millisecond)
 	st.CacheQuantum = cs.quantum
-	st.CacheEpochBound = cs.epochBound
 	st.IndexSearches = e.idxSearches.Load()
 	st.IndexScannedRecords = e.idxScanned.Load()
 	st.IndexCandidates = e.idxCands.Load()

@@ -120,7 +120,6 @@ func contractCfg(shards int, seed uint64) serve.Config {
 		Seed:          seed,
 		CMax:          vector.Of(10, 10),
 		FlushInterval: 5 * time.Millisecond,
-		CacheTTL:      10 * time.Millisecond,
 	}
 }
 

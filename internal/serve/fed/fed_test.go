@@ -22,7 +22,6 @@ func testCfg(seed uint64) serve.Config {
 		Seed:          seed,
 		CMax:          vector.Of(10, 10),
 		FlushInterval: 5 * time.Millisecond,
-		CacheTTL:      10 * time.Millisecond,
 	}
 }
 

@@ -835,6 +835,12 @@ func (f *Flat) Row(entry int32) vector.Vec {
 	return f.row(f.entry(entry))
 }
 
+// Expires returns the expiry time of the entry a Search returned.
+func (f *Flat) Expires(entry int32) sim.Time {
+	c, i := f.entry(entry)
+	return c.expires[i]
+}
+
 // row is capped so an append cannot spill into the neighboring row.
 func (f *Flat) row(c *cols, i int) vector.Vec {
 	a := i * f.dims

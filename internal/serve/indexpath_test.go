@@ -262,7 +262,6 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 func driftConfig() Config {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 32
-	cfg.CacheTTL = 5 * time.Second // wall-clock expiry off the table
 	cfg.CacheQuantum = 0.002
 	cfg.CacheSize = 4096
 	return cfg
@@ -342,7 +341,6 @@ func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
 func TestCacheRotationKeepsHotHalf(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.CacheSize = 8 // halfMax = 4
-	cfg.CacheTTL = 5 * time.Second
 	cfg.CacheQuantum = 0.01
 	e := newTestEngine(t, cfg)
 

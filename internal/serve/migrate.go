@@ -25,13 +25,14 @@ import (
 // physical ids form chains that lookups path-compress on the fly,
 // union-find style. Former physical ids are never handed out as
 // identities (query responses and Nodes externalize to the stable
-// external id); the only holders are snapshots, cache entries and
-// in-flight scatter legs, all of which age out within
-// CacheTTL/FlushInterval/ScatterTimeout. Aliases therefore expire
-// after a grace period comfortably above all three and are
-// reclaimed, bounding the table by live migrated nodes (two entries
-// each: external id -> current, current -> external) instead of by
-// lifetime migrations.
+// external id); the only holders are snapshots and in-flight scatter
+// legs, which age out within FlushInterval and ScatterTimeout. (A
+// cache entry cannot serve a vacated id: the move's take is a change
+// on the source shard, which invalidates every entry naming the
+// node.) Aliases therefore expire after a grace period comfortably
+// above both and are reclaimed, bounding the table by live migrated
+// nodes (two entries each: external id -> current, current ->
+// external) instead of by lifetime migrations.
 type ForwardTable struct {
 	mu sync.RWMutex
 	// next maps an id one step toward the node's current physical id
@@ -79,9 +80,9 @@ type fwdAlias struct {
 
 // NewForwardTable builds an empty table. grace bounds how long a
 // vacated id stays routable after its last repoint: a former physical
-// id can be observed via a cached query entry, a stale snapshot or a
-// scatter leg, so pick twice the longest time any of them can hold
-// one (an Engine uses 2 x (CacheTTL + FlushInterval + ScatterTimeout)).
+// id can be observed via a stale snapshot or a scatter leg, so pick
+// twice the longest time either can hold one (an Engine uses
+// 2 x (FlushInterval + ScatterTimeout)).
 // owner and stop are described on the type.
 func NewForwardTable(grace time.Duration, owner func(GlobalID) int, stop <-chan struct{}) *ForwardTable {
 	return &ForwardTable{

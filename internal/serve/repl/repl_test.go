@@ -125,7 +125,6 @@ func testConfig(shards int) serve.Config {
 		NodesPerShard: 4,
 		CMax:          vector.Of(10, 10),
 		FlushInterval: 5 * time.Millisecond,
-		CacheTTL:      10 * time.Millisecond,
 	}
 }
 

@@ -11,8 +11,10 @@
 // (a) the target engine is built from the trace header's shape (same
 // shards, nodes per shard, seed, CMax — equal configs rebuild
 // identical backends, the same property recovery relies on), (b)
-// queries in the trace bypass the cache (wall-clock TTLs are not
-// replayable) and the consistent path (a shard's overlay clock follows
+// queries in the trace bypass the cache (a cached answer is exact on
+// its snapshots but ranked on the demand's quantization cell, whose
+// grid the adaptive controller moves with the lookup history) and the
+// consistent path (a shard's overlay clock follows
 // wall time, see serve's clock contract, so the protocol's hop state
 // depends on when the idle ticks fell), and (c) RecordTTL is unset so
 // snapshot results depend only on the record set. Scenario-generated
@@ -270,9 +272,10 @@ func (r *runner) query(ev *capture.Event, t0 time.Time) time.Duration {
 		}
 		if r.ref != nil {
 			// Cacheable responses are evaluated against their
-			// quantization cell's upper-bound demand (and may be served
-			// from an older snapshot) by design, so they cannot be held
-			// against a cacheless reference directly. Queries are
+			// quantization cell's upper-bound demand by design (exact on
+			// the current snapshots, but a candidate near a cell edge
+			// may be skipped), so they cannot be held against a
+			// cacheless reference directly. Queries are
 			// side-effect-free: probe both engines on the exact NoCache
 			// read path instead and assert equivalence there.
 			cmpReq, cmpDig := req, dig

@@ -42,11 +42,13 @@
 //     Record.Stored/Expires and ShardStats.SimNow read Backend.Now().
 //
 //   - Recent query results are cached keyed by quantized demand
-//     vector with freshness-bound invalidation, so repeated
-//     equivalent demands under heavy traffic cost one snapshot scan
-//     per freshness window instead of one per request. Cached
-//     candidate sets are re-scored against each caller's true demand
-//     before they return.
+//     vector and invalidated exactly: each snapshot carries its
+//     shard's recent changes, and an entry is served only while no
+//     change published since its fill can alter it, so repeated
+//     equivalent demands cost one snapshot scan per write that
+//     matters to them instead of one per request. Cached candidate
+//     sets are re-scored against each caller's true demand before
+//     they return.
 //
 //   - Consistent queries route through the paper's three-phase
 //     protocol: by default one protocol query is scattered to every
@@ -325,9 +327,7 @@ type Config struct {
 	// rebalancing never starves serving (default 8).
 	RebalanceMaxMoves int
 
-	// CacheTTL is the freshness bound of cached query results
-	// (default 25ms). CacheDisabled turns the cache off.
-	CacheTTL      time.Duration
+	// CacheDisabled turns the query cache off.
 	CacheDisabled bool
 	// CacheQuantum is the demand-quantization granularity as a
 	// fraction of cmax per dimension (default 0.05, i.e. demands are
@@ -335,26 +335,14 @@ type Config struct {
 	CacheQuantum float64
 	// CacheSize bounds the number of cached entries (default 4096).
 	CacheSize int
-	// CacheEpochBound ties cache freshness to writes: every applied
-	// batch that mutated a shard bumps the engine's write epoch, and
-	// a cached entry is treated as stale once the epoch has advanced
-	// more than this many batches past the entry's fill — so after a
-	// burst of writes the cache stops serving pre-write results even
-	// inside the TTL window. Default 32 batches; 1 invalidates on any
-	// write; negative restores pure TTL expiry.
-	CacheEpochBound int
 
-	// CacheAdaptEvery, when positive, turns the fixed cache knobs
-	// into an adaptive controller: every CacheAdaptEvery cache
-	// lookups the controller inspects the window's hit-rate and
-	// staleness-invalidation rate and steers TTL, quantization
-	// granularity and the epoch bound — so the hit-rate survives
-	// demand drift (the grid coarsens until moving demands alias onto
-	// live cells) and heavy write invalidation (lifetimes extend),
-	// then decays back toward the configured baselines when traffic
-	// is easy. The TTL moves within [CacheTTL/4, 40*CacheTTL] and the
-	// quantum within [CacheQuantum, CacheQuantumMax]. 0 (the default)
-	// keeps every knob fixed at its configured value.
+	// CacheAdaptEvery, when positive, lets an adaptive controller
+	// steer the quantization grid: every CacheAdaptEvery cache lookups
+	// it inspects the window's hit-rate, coarsens the grid when misses
+	// are compulsory (demand drift: moving demands then alias onto
+	// live cells) and refines it back when traffic is easy, within
+	// [CacheQuantum, CacheQuantumMax]. 0 (the default) keeps the grid
+	// fixed.
 	CacheAdaptEvery int
 	// CacheQuantumMax is the coarsest quantization granularity the
 	// adaptive controller may reach (default min(1, 16*CacheQuantum)).
@@ -443,17 +431,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RebalanceMaxMoves <= 0 {
 		c.RebalanceMaxMoves = 8
 	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = 25 * time.Millisecond
-	}
 	if c.CacheQuantum <= 0 || c.CacheQuantum > 1 {
 		c.CacheQuantum = 0.05
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 4096
-	}
-	if c.CacheEpochBound == 0 {
-		c.CacheEpochBound = 32
 	}
 	if c.CacheAdaptEvery < 0 {
 		c.CacheAdaptEvery = 0

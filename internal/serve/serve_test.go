@@ -145,7 +145,6 @@ func testConfig(shards int) Config {
 		NodesPerShard: 4,
 		CMax:          vector.Of(10, 10),
 		FlushInterval: 5 * time.Millisecond,
-		CacheTTL:      50 * time.Millisecond,
 	}
 }
 
@@ -315,9 +314,7 @@ func TestQueryMergesAcrossShards(t *testing.T) {
 }
 
 func TestQueryCacheHitAndExpiry(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.CacheTTL = 40 * time.Millisecond
-	e := newTestEngine(t, cfg)
+	e := newTestEngine(t, testConfig(1))
 	if err := e.Update(e.Nodes()[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +342,6 @@ func TestQueryCacheHitAndExpiry(t *testing.T) {
 	}
 	if !third.Cached {
 		t.Fatal("quantization-equivalent demand missed the cache")
-	}
-	time.Sleep(cfg.CacheTTL + 20*time.Millisecond)
-	fourth, err := e.Query(QueryRequest{Demand: demand, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fourth.Cached {
-		t.Fatal("stale cache entry served after TTL")
 	}
 	if st := e.Stats(); st.CacheHits < 2 {
 		t.Fatalf("stats report %d cache hits, want >= 2", st.CacheHits)
@@ -464,32 +453,6 @@ func TestCacheEntryNotAliased(t *testing.T) {
 	}
 	if len(third.Candidates) != 1 || third.Candidates[0].Node != want {
 		t.Fatalf("cache corrupted by hit-path mutation: %+v", third.Candidates)
-	}
-}
-
-// TestCacheExpiredEntryDeletedOnLookup exercises the queryCache
-// directly: looking up an entry past its TTL removes it, so the
-// entry count reported by Stats stops counting dead entries.
-func TestCacheExpiredEntryDeletedOnLookup(t *testing.T) {
-	cfg, err := testConfig(1).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qc := newQueryCache(cfg)
-	t0 := time.Now()
-	qc.put("k1", QueryResponse{Candidates: []Candidate{{Node: 1}}}, t0, 0)
-	qc.put("k2", QueryResponse{}, t0, 0)
-	if n := qc.stats().entries; n != 2 {
-		t.Fatalf("entries = %d after two puts, want 2", n)
-	}
-	if _, ok := qc.get("k1", t0.Add(cfg.CacheTTL/2), 0); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	if _, ok := qc.get("k1", t0.Add(cfg.CacheTTL+time.Second), 0); ok {
-		t.Fatal("expired entry served")
-	}
-	if n := qc.stats().entries; n != 1 {
-		t.Fatalf("entries = %d after expired lookup, want 1 (dead entry retained)", n)
 	}
 }
 
@@ -1024,8 +987,59 @@ func TestSubmitCancelUnblocksAbandonedLeg(t *testing.T) {
 // cell. cell/inv can round one ulp below an on-grid demand (cmax 16,
 // quantum 0.1125 — two adaptive regrids from 0.05 — demand 1.8 gave
 // 1.7999999999999998), which cached a record sitting in that gap for
-// a demand it does not dominate.
+// a demand it does not dominate. Beyond the table, it sweeps every
+// quantum the controller reaches from the default (×1.5 up to
+// CacheQuantumMax, then ÷1.25 back down) over demands on exact cell
+// boundaries, one ulp either side of them, 0 and cmax, with a
+// zero-capacity dimension among the paper's five: the bound must
+// dominate each, and must be a function of the key alone.
 func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
+	defaults, err := Config{CMax: vector.Of(25.6, 80, 0, 10, 240, 4096)}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var quanta []float64
+	for q := defaults.CacheQuantum; ; q = math.Min(q*1.5, defaults.CacheQuantumMax) {
+		for down := q; ; down = math.Max(down/1.25, defaults.CacheQuantum) {
+			quanta = append(quanta, down)
+			if down == defaults.CacheQuantum {
+				break
+			}
+		}
+		if q == defaults.CacheQuantumMax {
+			break
+		}
+	}
+	qc := newQueryCache(defaults)
+	cmax := defaults.CMax
+	for _, quantum := range quanta {
+		qc.grid.Store(newGrid(quantum, cmax))
+		bounds := map[string]vector.Vec{}
+		try := func(d int, v float64) {
+			demand := vector.New(cmax.Dim())
+			demand[d] = v
+			key, ub := qc.quantize(demand, 3)
+			if !ub.Dominates(demand) {
+				t.Fatalf("quantum %v: upper bound %v does not dominate demand %v", quantum, ub, demand)
+			}
+			if prev, ok := bounds[key]; ok && !prev.Equal(ub) {
+				t.Fatalf("quantum %v: key %q has two bounds, %v and %v", quantum, key, prev, ub)
+			}
+			bounds[key] = ub
+		}
+		for d, c := range cmax {
+			edges := []float64{0, c, 1.5}
+			for cell := 1.0; c > 0 && cell*quantum*c <= c; cell++ {
+				edges = append(edges, cell*quantum*c, cell/(1/(quantum*c)))
+			}
+			for _, v := range edges {
+				for _, w := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+					try(d, w)
+				}
+			}
+		}
+	}
+
 	for _, tc := range []struct{ cmax, quantum, demand float64 }{
 		{16, 0.1125, 1.8},
 		{16, 0.1125, 3.6},
@@ -1069,38 +1083,6 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentRefreshIsHit pins the recheck fix: a stale
-// first read raced by a put that refreshes the key must return the
-// refreshed entry as a hit, not force a rescan.
-func TestCacheConcurrentRefreshIsHit(t *testing.T) {
-	cfg, err := testConfig(1).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qc := newQueryCache(cfg)
-	t0 := time.Now()
-	now := t0.Add(2 * cfg.CacheTTL) // t0 entry stale, refresh fresh
-	qc.put("k", QueryResponse{Candidates: []Candidate{{Node: 1}}}, t0, 0)
-	qc.recheckHook = func() {
-		qc.put("k", QueryResponse{Candidates: []Candidate{{Node: 2}}}, now, 0)
-	}
-	resp, ok := qc.get("k", now, 0)
-	if !ok {
-		t.Fatal("concurrently refreshed entry reported as miss")
-	}
-	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != 2 {
-		t.Fatalf("got %+v, want the refreshed entry", resp.Candidates)
-	}
-	cs := qc.stats()
-	hits, misses, entries := cs.hits, cs.misses, cs.entries
-	if hits != 1 || misses != 0 {
-		t.Fatalf("hits %d misses %d, want 1/0", hits, misses)
-	}
-	if entries != 1 {
-		t.Fatalf("refreshed entry deleted: %d entries", entries)
-	}
-}
-
 // TestSnapshotOutOfRange pins the Snapshot index fix: unknown shard
 // indexes return ErrNoShard instead of panicking.
 func TestSnapshotOutOfRange(t *testing.T) {
@@ -1138,7 +1120,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Shards != 1 || cfg.NodesPerShard != 64 || cfg.CMax == nil ||
-		cfg.QueueDepth <= 0 || cfg.CacheTTL <= 0 || cfg.RecordTTL != 0 ||
+		cfg.QueueDepth <= 0 || cfg.CacheSize <= 0 || cfg.RecordTTL != 0 ||
 		cfg.RebalanceInterval != 0 || cfg.RebalanceThreshold != 1.25 ||
 		cfg.RebalanceMaxMoves != 8 {
 		t.Fatalf("defaults not resolved: %+v", cfg)

@@ -138,6 +138,12 @@ type shard struct {
 	// readers see it only through the published Snapshot.
 	flat *index.Flat
 
+	// history lists the change sets the next published snapshot
+	// carries, oldest first, and historyN the nodes they name. Owned by
+	// the shard goroutine.
+	history  []*changeSet
+	historyN int
+
 	// nextLocal tracks the next local id the backend will assign —
 	// what a checkpoint records so recovery can re-create the same id
 	// sequence. Owned by the shard goroutine.
@@ -150,9 +156,8 @@ type shard struct {
 	unsynced int
 
 	// epoch, when non-nil, is the engine-wide write epoch, bumped
-	// once per applied batch that contained at least one mutation;
-	// the query cache uses it to invalidate entries filled before
-	// recent writes.
+	// once per applied batch that contained at least one mutation
+	// (AvailSummary's cache key, Stats' write_epoch).
 	epoch *atomic.Uint64
 
 	// Replication state (engine-owned, shared across shards):
@@ -711,7 +716,8 @@ func (s *shard) record(id overlay.NodeID, now sim.Time) proto.Record {
 // from the backend's whole population — the from-scratch path used at
 // startup and after recovery replay, and every publication of the
 // Config.IndexDisabled referee, whose snapshots store their records
-// because they have no index to read them from.
+// because they have no index to read them from. It starts a new change
+// history: what changed before it is not told apart.
 func (s *shard) publish() {
 	now := s.be.Now()
 	nodes := s.be.Nodes()
@@ -724,15 +730,19 @@ func (s *shard) publish() {
 		s.flat, recs = index.Build(recs, s.cfg.CMax), nil
 		s.idxBuilds.Add(1)
 	}
+	clear(s.history)
+	s.history = append(s.history[:0], &changeSet{version: s.version.Load() + 1})
+	s.historyN = 0
 	s.installSnap(now, recs)
 }
 
 // publishDelta publishes the post-batch snapshot at a cost that
 // follows the batch, not the population: the dirty nodes are re-read
 // from the backend and the index patches or rewrites only the blocks
-// they leave or enter (index.Update); with nothing dirty (idle ticks,
-// query-only batches) the previous index is republished as it is under
-// a fresh clock.
+// they leave or enter (index.Update), and one change set naming them
+// joins the history; with nothing dirty (idle ticks, query-only
+// batches) the previous index and history are republished as they are
+// under a fresh clock.
 func (s *shard) publishDelta() {
 	if s.cfg.IndexDisabled {
 		s.publish()
@@ -743,10 +753,16 @@ func (s *shard) publishDelta() {
 		s.idxReuses.Add(1)
 	} else {
 		recs := s.pubBuf[:0]
+		set := &changeSet{version: s.version.Load() + 1, nodes: make([]nodeChange, 0, len(s.dirty))}
 		for id, alive := range s.dirty {
+			ch := nodeChange{node: id}
 			if alive {
+				// The record's Avail is the backend's copy, which the
+				// index copies in turn: the set shares no index column.
 				recs = append(recs, s.record(id, now))
+				ch.avail = recs[len(recs)-1].Avail
 			}
+			set.nodes = append(set.nodes, ch)
 		}
 		slices.SortFunc(recs, func(a, b proto.Record) int { return cmp.Compare(a.Node, b.Node) })
 		s.flat = s.flat.Update(recs, s.dirty)
@@ -757,12 +773,29 @@ func (s *shard) publishDelta() {
 		s.idxRewritten.Add(uint64(rewritten))
 		s.idxDeltas.Add(1)
 		clear(s.dirty)
+		set.older.Store(s.history[len(s.history)-1])
+		s.history = append(s.history, set)
+		s.historyN += len(set.nodes)
+		s.cutHistory()
 	}
 	s.installSnap(now, nil)
 }
 
-// installSnap publishes the shard's current index (recs: the referee's
-// stored records, nil otherwise).
+// cutHistory unlinks the oldest change sets while the history names
+// more than changeRetain nodes (the newest set stays whatever its
+// size): a lookup that would walk further fails its cacheWalkMax
+// anyway.
+func (s *shard) cutHistory() {
+	for s.historyN > changeRetain && len(s.history) > 1 {
+		s.historyN -= len(s.history[0].nodes)
+		s.history[0] = nil
+		s.history = s.history[1:]
+		s.history[0].older.Store(nil)
+	}
+}
+
+// installSnap publishes the shard's current index and history (recs:
+// the referee's stored records, nil otherwise).
 func (s *shard) installSnap(now sim.Time, recs []proto.Record) {
 	s.snap.Store(&Snapshot{
 		Shard:   s.idx,
@@ -770,6 +803,7 @@ func (s *shard) installSnap(now sim.Time, recs []proto.Record) {
 		Taken:   now,
 		Records: recs,
 		flat:    s.flat,
+		changes: s.history[len(s.history)-1],
 	})
 }
 

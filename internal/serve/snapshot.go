@@ -2,6 +2,7 @@ package serve
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
@@ -37,6 +38,26 @@ type Snapshot struct {
 	// Immutable and shared, like everything else here. nil in the
 	// linear-scan referee and in hand-built test snapshots.
 	flat *index.Flat
+	// changes is the newest change set of the shard's recent history,
+	// never nil in a published snapshot; the query cache walks it.
+	changes *changeSet
+}
+
+// changeSet is what one publication changed: every node it re-read or
+// removed, with a copy of its new availability (nil: gone). Sets link
+// newest to oldest. publish starts a history with an empty set whose
+// older link is nil, and the shard cuts an old history by storing nil
+// into a link, so a walk that reaches nil has lost changes: it cannot
+// tell what happened before.
+type changeSet struct {
+	version uint64 // the Version that first published these changes
+	nodes   []nodeChange
+	older   atomic.Pointer[changeSet]
+}
+
+type nodeChange struct {
+	node  overlay.NodeID
+	avail vector.Vec // nil: the node left
 }
 
 // Len returns the number of records (alive nodes) in the snapshot.

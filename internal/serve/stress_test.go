@@ -30,7 +30,6 @@ func TestStressConcurrentMixedTraffic(t *testing.T) {
 		NodesPerShard: 12,
 		Seed:          42,
 		FlushInterval: 2 * time.Millisecond,
-		CacheTTL:      5 * time.Millisecond,
 		// The background rebalancer migrates nodes between shards
 		// while clients hammer them — Update/Leave must chase moved
 		// nodes through the forwarding table without ever failing.

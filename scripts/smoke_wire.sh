@@ -63,7 +63,7 @@ fail=0
 # that is where pidcan-loadgen's end-of-run server probe reads them,
 # so every counter must be present, and a query-only load must have
 # driven searches through the snapshot index.
-for key in index_searches index_candidates index_builds cache_stale cache_adaptions cache_ttl_ms cache_quantum; do
+for key in index_searches index_candidates index_builds cache_stale cache_adaptions cache_quantum; do
 	case "$stats" in
 	*"\"$key\":"*) ;;
 	*)
