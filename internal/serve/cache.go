@@ -36,7 +36,7 @@ import (
 // alias onto live cells; a comfortable window refines it back toward
 // the configured quantum.
 type queryCache struct {
-	max  int // total entry bound; each generation holds up to max/2
+	half int // entries each generation holds: CacheSize/2, at least 1
 	cmax vector.Vec
 	grid atomic.Pointer[cacheGrid] // CacheQuantum's unless the controller steers it
 
@@ -100,7 +100,7 @@ const (
 
 func newQueryCache(cfg Config) *queryCache {
 	qc := &queryCache{
-		max:    cfg.CacheSize,
+		half:   max(cfg.CacheSize/2, 1),
 		cmax:   cfg.CMax,
 		qMin:   cfg.CacheQuantum,
 		qMax:   cfg.CacheQuantumMax,
@@ -199,8 +199,11 @@ func (ce *cacheEntry) survives(node GlobalID, avail, cell vector.Vec, k int, sca
 // shared through the cache are computed against that upper bound, so
 // every demand landing in the cell receives candidates that dominate
 // it — conservative (a candidate may be skipped near a cell edge),
-// never the reverse.
-func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec) {
+// never the reverse. The key names a cell of the grid quantize also
+// returns, and only of that one: the same indices bound another demand
+// on another grid, so get and put refuse a key once a re-grid has
+// replaced it.
+func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec, *cacheGrid) {
 	g := qc.grid.Load()
 	buf := make([]byte, 0, 8+8*len(demand))
 	ub := make(vector.Vec, len(demand))
@@ -228,21 +231,24 @@ func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec) {
 		buf = append(buf, '|')
 	}
 	buf = strconv.AppendInt(buf, int64(k), 36)
-	return string(buf), ub
+	return string(buf), ub, g
 }
 
 // get returns a private copy of the key's cached candidates if its
-// entry still answers cell on the shards' current snapshots. A hit in
-// the old generation is promoted back into the new one so rotation
-// cannot drop a still-hot key; an invalidated entry is a miss, counted
-// stale, which the caller's put replaces.
-func (qc *queryCache) get(key string, cell vector.Vec, k int, shards []*shard) ([]Candidate, bool) {
+// entry still answers cell, of grid g, on the shards' current
+// snapshots. A hit in the old generation is promoted back into the new
+// one so rotation cannot drop a still-hot key; an invalidated entry is
+// a miss, counted stale, which the caller's put replaces.
+func (qc *queryCache) get(key string, g *cacheGrid, cell vector.Vec, k int, shards []*shard) ([]Candidate, bool) {
 	qc.mu.RLock()
 	ent, ok := qc.newGen[key]
 	old := false
 	if !ok {
 		ent, ok = qc.oldGen[key]
 		old = ok
+	}
+	if qc.grid.Load() != g { // re-gridded since the caller's quantize
+		ok, old = false, false
 	}
 	qc.mu.RUnlock()
 	if ok && !ent.holds(cell, k, shards, qc.cmax) {
@@ -276,24 +282,20 @@ func (qc *queryCache) get(key string, cell vector.Vec, k int, shards []*shard) (
 // put stores a filled entry. When the new generation reaches half the
 // configured capacity it rotates into the old generation (dropping the
 // previous old one), so a full cache degrades gradually — the recently
-// filled half survives — instead of losing every hot entry at once.
-func (qc *queryCache) put(key string, ent *cacheEntry) {
+// filled half survives — instead of losing every hot entry at once. A
+// fill quantized on grid g is dropped once a re-grid has replaced g.
+func (qc *queryCache) put(key string, g *cacheGrid, ent *cacheEntry) {
 	qc.mu.Lock()
-	if len(qc.newGen) >= qc.halfMax() {
+	defer qc.mu.Unlock()
+	if qc.grid.Load() != g {
+		return
+	}
+	if len(qc.newGen) >= qc.half {
 		qc.oldGen = qc.newGen
-		qc.newGen = make(map[string]*cacheEntry, qc.halfMax()/4+1)
+		qc.newGen = make(map[string]*cacheEntry, qc.half/4+1)
 		qc.rotations.Add(1)
 	}
 	qc.newGen[key] = ent
-	qc.mu.Unlock()
-}
-
-func (qc *queryCache) halfMax() int {
-	h := qc.max / 2
-	if h < 1 {
-		h = 1
-	}
-	return h
 }
 
 // adapt is the controller step, run once per adaptEvery lookups by
@@ -312,8 +314,9 @@ func (qc *queryCache) adapt() {
 	}
 }
 
-// regrid swaps the quantization grid and clears both generations:
-// keys minted under the old grid can never be looked up again.
+// regrid swaps the quantization grid and clears both generations under
+// the lock get and put check the grid under: the maps only ever hold
+// entries of the current grid.
 func (qc *queryCache) regrid(quantum float64) {
 	if quantum == qc.grid.Load().quantum {
 		return
@@ -326,25 +329,9 @@ func (qc *queryCache) regrid(quantum float64) {
 	qc.adaptions.Add(1)
 }
 
-// cacheStats is the point-in-time counter view Stats reports.
-type cacheStats struct {
-	hits, misses, rotations uint64
-	stale, adaptions        uint64
-	entries                 int
-	quantum                 float64
-}
-
-func (qc *queryCache) stats() cacheStats {
+// entries returns how many entries the two generations hold.
+func (qc *queryCache) entries() int {
 	qc.mu.RLock()
-	n := len(qc.newGen) + len(qc.oldGen)
-	qc.mu.RUnlock()
-	return cacheStats{
-		hits:      qc.hits.Load(),
-		misses:    qc.misses.Load(),
-		rotations: qc.rotations.Load(),
-		stale:     qc.stale.Load(),
-		adaptions: qc.adaptions.Load(),
-		entries:   n,
-		quantum:   qc.grid.Load().quantum,
-	}
+	defer qc.mu.RUnlock()
+	return len(qc.newGen) + len(qc.oldGen)
 }

@@ -512,12 +512,12 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 		cands := e.searchShards(req.Demand, req.K, nil)
 		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}
-	key, cell := e.cache.quantize(req.Demand, req.K)
-	cands, hit := e.cache.get(key, cell, req.K, e.shards) // a private copy
+	key, cell, grid := e.cache.quantize(req.Demand, req.K)
+	cands, hit := e.cache.get(key, grid, cell, req.K, e.shards) // a private copy
 	if !hit {
 		ent := newCacheEntry(len(e.shards))
 		ent.keep(bestFit(e.searchShards(cell, req.K, ent), req.K), req.K)
-		e.cache.put(key, ent)
+		e.cache.put(key, grid, ent)
 		cands = append([]Candidate(nil), ent.cands...)
 	}
 	return QueryResponse{
@@ -537,7 +537,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 // by block, not in order, and a match found before the bound shrank
 // past it stays in. A cache fill passes its entry, fill, which gets
 // the Version of each snapshot scanned and the earliest expiry among
-// the matches.
+// the k candidates bestFit keeps.
 func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Candidate {
 	// The usual shard counts and k keep all of this on the stack; the
 	// candidates are the one allocation, k plus a margin for ties and
@@ -548,11 +548,12 @@ func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Cand
 		scoreBuf [8]float64
 		entryBuf [8]int32
 		cands    []Candidate
+		expBuf   [8]nodeExpiry
 	)
 	if k > 0 {
 		cands = make([]Candidate, 0, min(k, 64)+4)
 	}
-	snaps, cursors := snapBuf[:0], curBuf[:0]
+	snaps, cursors, expiring := snapBuf[:0], curBuf[:0], expBuf[:0]
 	visited := 0
 	for i, s := range e.shards {
 		snap := s.snapshot()
@@ -581,15 +582,34 @@ func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Cand
 		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
 		if fill != nil {
 			for _, en := range entries {
-				fill.expires = min(fill.expires, snaps[low].flat.Expires(en))
+				if at := snaps[low].flat.Expires(en); at < fill.expires {
+					expiring = append(expiring, nodeExpiry{Global(snaps[low].Shard, snaps[low].flat.NodeAt(en)), at})
+				}
 			}
 		}
 		visited += n
+	}
+	if len(expiring) > 0 {
+		// Only a kept candidate's expiry can change the answer. Ranking
+		// here leaves cands in the order the caller's bestFit keeps.
+		for _, c := range bestFit(cands, k) {
+			for _, x := range expiring {
+				if x.node == c.Node {
+					fill.expires = min(fill.expires, x.at)
+				}
+			}
+		}
 	}
 	e.idxSearches.Add(1)
 	e.idxScanned.Add(uint64(visited))
 	e.idxCands.Add(uint64(len(cands)))
 	return cands
+}
+
+// nodeExpiry is a match's expiry, kept while a fill ranks its matches.
+type nodeExpiry struct {
+	node GlobalID
+	at   sim.Time
 }
 
 // rescore recomputes every candidate's surplus against demand and
@@ -815,11 +835,11 @@ func (e *Engine) Stats() Stats {
 		st.CaptureDropped = cs.Dropped
 		st.CaptureBytes = cs.Bytes
 	}
-	cs := e.cache.stats()
-	st.CacheHits, st.CacheMisses = cs.hits, cs.misses
-	st.CacheResets, st.CacheEntries = cs.rotations, cs.entries
-	st.CacheStale, st.CacheAdaptions = cs.stale, cs.adaptions
-	st.CacheQuantum = cs.quantum
+	qc := e.cache
+	st.CacheHits, st.CacheMisses = qc.hits.Load(), qc.misses.Load()
+	st.CacheResets, st.CacheEntries = qc.rotations.Load(), qc.entries()
+	st.CacheStale, st.CacheAdaptions = qc.stale.Load(), qc.adaptions.Load()
+	st.CacheQuantum = qc.grid.Load().quantum
 	st.IndexSearches = e.idxSearches.Load()
 	st.IndexScannedRecords = e.idxScanned.Load()
 	st.IndexCandidates = e.idxCands.Load()

@@ -340,7 +340,7 @@ func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
 // whole cache — a hot key stays served across the rotation.
 func TestCacheRotationKeepsHotHalf(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.CacheSize = 8 // halfMax = 4
+	cfg.CacheSize = 8 // each generation holds 4
 	cfg.CacheQuantum = 0.01
 	e := newTestEngine(t, cfg)
 

@@ -1018,7 +1018,7 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 		try := func(d int, v float64) {
 			demand := vector.New(cmax.Dim())
 			demand[d] = v
-			key, ub := qc.quantize(demand, 3)
+			key, ub, _ := qc.quantize(demand, 3)
 			if !ub.Dominates(demand) {
 				t.Fatalf("quantum %v: upper bound %v does not dominate demand %v", quantum, ub, demand)
 			}
@@ -1064,7 +1064,7 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 		}
 		qc := newQueryCache(cfg)
 		demand := vector.Of(tc.demand)
-		key, ub := qc.quantize(demand, 3)
+		key, ub, _ := qc.quantize(demand, 3)
 		if !ub.Dominates(demand) {
 			t.Errorf("cmax %v quantum %v: upper bound %v does not dominate demand %v",
 				tc.cmax, tc.quantum, ub[0], tc.demand)
@@ -1072,7 +1072,7 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 		// The bound belongs to the cell, not to the demand that
 		// filled it: a neighbor sharing the key shares the bound.
 		for _, d := range []float64{math.Nextafter(tc.demand, 0), math.Nextafter(tc.demand, math.Inf(1))} {
-			if k2, ub2 := qc.quantize(vector.Of(d), 3); k2 == key && ub2[0] != ub[0] {
+			if k2, ub2, _ := qc.quantize(vector.Of(d), 3); k2 == key && ub2[0] != ub[0] {
 				t.Errorf("cmax %v quantum %v: demands %v and %v share key %q but not the bound (%v vs %v)",
 					tc.cmax, tc.quantum, tc.demand, d, key, ub[0], ub2[0])
 			} else if !ub2.Dominates(vector.Of(d)) {
