@@ -6,11 +6,13 @@
 //	pidcan-replay -record -url http://localhost:8080 -duration 10s -out trace.bin
 //
 // -scenario compiles a named scenario from the CI corpus and replays
-// it against a fresh engine with a linear-scan reference refereeing
-// every response, asserting the scenario's invariant set (exit 1 on
-// any violation). -trace replays a recorded trace file the same way
+// it against a fresh engine, with a cache-off reference engine
+// mirroring every write and the referee — the paper's answer computed
+// over the target's own records — checking every snapshot-path
+// response, asserting the scenario's invariant set (exit 1 on any
+// violation). -trace replays a recorded trace file the same way
 // (invariants: zero acked-write loss and digest equivalence against
-// the reference; -strict additionally compares against the digests
+// the reference and the referee; -strict additionally compares against the digests
 // captured live, which is only sound for sequentially recorded
 // traces). -record drives a live pidcan-serve's /capture endpoints:
 // start a capture, wait, stop, download the trace — run the load
@@ -108,7 +110,6 @@ func runTrace(path, pace string, strict, jsonOut bool) {
 	}
 	log.Printf("trace %s: %d events, %d shards × %d nodes, seed %d", path, len(events), hdr.Shards, hdr.NodesPerShard, hdr.Seed)
 	refCfg := replay.EngineConfig(hdr)
-	refCfg.IndexDisabled = true
 	refCfg.CacheDisabled = true
 	ref, err := pidcan.NewEngine(refCfg)
 	if err != nil {

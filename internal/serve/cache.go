@@ -1,26 +1,34 @@
 package serve
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"pidcan/internal/serve/index"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
-// queryCache memoizes query answers keyed by the quantized demand
-// vector and k, and serves an answer only while it is the current
-// snapshots' answer. An entry remembers, per shard, a snapshot Version
-// its answer holds at; a lookup walks each shard's change history (the
-// sets publishDelta links, see Snapshot) from there to the current
-// snapshot. The entry survives a change that is not one of its
-// candidates and, if the changed node now dominates the cell, ranks it
-// below the k-th candidate. A walk that reaches a cut history or would
-// pass cacheWalkMax changes, and an entry whose earliest candidate has
-// expired (RecordTTL), is a miss. A write is acknowledged only once its
-// snapshot is live, so a caller's next cached query sees its own write.
+// queryCache memoizes answers per (cell of a quantization grid over
+// the demand space, k), exactly: best-fit order is score order (see
+// package index), so every demand d of a cell [lo, ub] is answered from
+// the records dominating lo (as d does) that score at most Cutoff of
+// the k-th record dominating ub (which dominates d too). An entry holds
+// that set (cacheEntry), and a lookup filters and ranks it at d.
+//
+// An entry remembers, per shard, a snapshot Version its set is exact
+// at; a lookup walks each shard's change history (the sets publishDelta
+// links, see Snapshot) from there and folds each change into a copy of
+// the entry, which replaces it (holds). A walk that reaches a cut
+// history or would pass cacheWalkMax changes, a copy left too small to
+// answer from, and an entry with an expired member (RecordTTL) are
+// misses. A write is acknowledged only once its snapshot is live, so a
+// caller's next cached query sees its own write.
 //
 // Entries live in two generations: puts fill the new generation, and
 // when it reaches half the configured capacity it rotates into the
@@ -34,11 +42,12 @@ import (
 // hit-rate. A window of compulsory misses (demand drift marching across
 // grid cells, not invalidations) coarsens the grid so moving demands
 // alias onto live cells; a comfortable window refines it back toward
-// the configured quantum.
+// the configured quantum. Coarser cells hold larger sets.
 type queryCache struct {
-	half int // entries each generation holds: CacheSize/2, at least 1
-	cmax vector.Vec
-	grid atomic.Pointer[cacheGrid] // CacheQuantum's unless the controller steers it
+	half  int // entries each generation holds: CacheSize/2, at least 1
+	cmax  vector.Vec
+	scale index.Scale               // what the indexes score by
+	grid  atomic.Pointer[cacheGrid] // CacheQuantum's unless the controller steers it
 
 	// Adaptive-controller configuration (constants after build).
 	adaptEvery uint64
@@ -92,16 +101,20 @@ const (
 // at tens of nanoseconds a change, a longer walk would cost more than
 // the refill it saves (about five hits). changeRetain bounds the
 // changed nodes a shard's history keeps, which no lookup could walk
-// past anyway.
+// past anyway. cacheSetMax bounds the members of a cell with fewer
+// than k records dominating its upper corner, whose entry holds every
+// record dominating its lower one.
 const (
 	cacheWalkMax = 128
 	changeRetain = cacheWalkMax
+	cacheSetMax  = 64
 )
 
 func newQueryCache(cfg Config) *queryCache {
 	qc := &queryCache{
 		half:   max(cfg.CacheSize/2, 1),
 		cmax:   cfg.CMax,
+		scale:  index.NewScale(cfg.CMax),
 		qMin:   cfg.CacheQuantum,
 		qMax:   cfg.CacheQuantumMax,
 		newGen: make(map[string]*cacheEntry),
@@ -113,133 +126,255 @@ func newQueryCache(cfg Config) *queryCache {
 	return qc
 }
 
-// cacheEntry is one cached answer: the cell's top k, ranked on the
-// cell's upper-bound demand, with their availabilities in one array of
-// the entry's own, so a long-lived entry pins no superseded index block.
+// cacheEntry is the set a cell [lo, ub]'s answers are drawn from: the
+// records, unexpired at their snapshots, that dominate lo and score at
+// most Cutoff(kth), kth being the k-th smallest score among those
+// dominating ub at the fill — or, with fewer than k of those, every
+// record dominating lo (kth = +Inf, a full set). Members are kept in
+// ascending score, so a lookup reads only as far as its answer's
+// cutoff. The rows are the entry's own, so it pins no superseded index
+// block; once shared, only seen is written.
 type cacheEntry struct {
-	cands   []Candidate
-	kth     float64         // the k-th candidate's surplus, when there are k
-	expires sim.Time        // earliest candidate expiry
-	seen    []atomic.Uint64 // per shard, a Version the answer holds at
+	ids     []GlobalID // the members' physical ids, ascending by score
+	vals    []float64  // row-major: member i's availability
+	idBits  [4]uint64  // idBit of every member (and of some former ones): what a walk tests first
+	kth     float64
+	expires sim.Time        // the earliest member expiry (or earlier)
+	seen    []atomic.Uint64 // per shard, a Version the set is exact at
 }
 
-// newCacheEntry returns an entry for searchShards to record a fill in.
+// newCacheEntry returns an entry for searchShards to fill.
 func newCacheEntry(shards int) *cacheEntry {
 	return &cacheEntry{expires: math.MaxInt64, seen: make([]atomic.Uint64, shards)}
 }
 
-// keep stores the ranked answer, cands, which the entry takes over.
-func (ce *cacheEntry) keep(cands []Candidate, k int) {
-	dims := 0
-	if len(cands) > 0 {
-		dims = len(cands[0].Avail)
+// keep makes the fill's matches within Cutoff(kth) the entry's
+// members, ascending by score: the scan reports a few past it, found
+// before its bound shrank. expires[i] is matches[i]'s expiry.
+func (ce *cacheEntry) keep(matches []Candidate, expires []sim.Time, kth float64, scale index.Scale) {
+	type scored struct {
+		score float64
+		i     int
 	}
-	vals := make([]float64, 0, len(cands)*dims)
-	for i := range cands {
-		vals = append(vals, cands[i].Avail...)
-		cands[i].Avail = vals[len(vals)-dims : len(vals) : len(vals)]
+	var buf [32]scored
+	order, cut := buf[:0], index.Cutoff(kth)
+	for i := range matches {
+		if s := scale.Score(matches[i].Avail); s <= cut {
+			order = append(order, scored{s, i})
+		}
 	}
-	if ce.cands = cands; len(cands) == k {
-		ce.kth = cands[k-1].Surplus
+	slices.SortFunc(order, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
+	ce.kth, ce.ids, ce.vals = kth, make([]GlobalID, 0, len(order)), nil
+	for _, o := range order {
+		if ce.vals == nil {
+			ce.vals = make([]float64, 0, len(order)*len(matches[o.i].Avail))
+		}
+		ce.ids, ce.vals = append(ce.ids, matches[o.i].Node), append(ce.vals, matches[o.i].Avail...)
+		ce.expires = min(ce.expires, expires[o.i])
+		ce.addID(matches[o.i].Node)
 	}
 }
 
-// holds reports whether the entry still answers cell on the shards'
-// current snapshots. A walk that examined a change advances the
-// entry's version of that shard, so the next lookup starts there.
-func (ce *cacheEntry) holds(cell vector.Vec, k int, shards []*shard, scale vector.Vec) bool {
-	walked := 0
-	for i, s := range shards {
-		snap := s.snapshot()
-		seen := ce.seen[i].Load()
-		if snap.Version <= seen {
-			continue
-		}
-		if ce.expires <= snap.Taken {
+// idBit hashes a node id to one of idBits' 256 bits: member's first
+// test, one AND for nearly every change a walk passes over.
+func idBit(id GlobalID) (word int, bit uint64) {
+	h := uint64(id) * 0x9e3779b97f4a7c15 >> 56
+	return int(h >> 6), 1 << (h & 63)
+}
+
+// addID sets id's bit in idBits (a member leaving keeps its bit).
+func (ce *cacheEntry) addID(id GlobalID) {
+	w, b := idBit(id)
+	ce.idBits[w] |= b
+}
+
+// member reports whether id is one of the entry's members.
+func (ce *cacheEntry) member(id GlobalID) bool {
+	w, b := idBit(id)
+	return ce.idBits[w]&b != 0 && slices.Contains(ce.ids, id)
+}
+
+// dominates is vector.Vec.Dominates for two vectors of one engine,
+// without its dimension check: small enough to inline into the walk.
+func dominates(v, w vector.Vec) bool {
+	for d, x := range w {
+		if v[d] < x {
 			return false
 		}
-		c := snap.changes
-		if c.version <= seen {
-			continue // republished unchanged: no store, so a hot entry's line stays shared
-		}
-		for c.version > seen {
-			if walked += len(c.nodes); walked > cacheWalkMax {
-				return false
-			}
-			for _, ch := range c.nodes {
-				if !ce.survives(Global(s.idx, ch.node), ch.avail, cell, k, scale) {
-					return false
-				}
-			}
-			if c = c.older.Load(); c == nil {
-				return false // the history was cut
-			}
-		}
-		ce.seen[i].Store(snap.Version)
 	}
 	return true
 }
 
-// survives reports whether the answer outlives one change: the node is
-// not a candidate and, if its new availability dominates the cell,
-// ranks below the k-th candidate. A surplus tie does not rank below:
-// the node ids would decide it.
-func (ce *cacheEntry) survives(node GlobalID, avail, cell vector.Vec, k int, scale vector.Vec) bool {
-	for i := range ce.cands {
-		if ce.cands[i].Node == node {
-			return false
+// row returns member i's availability.
+func (ce *cacheEntry) row(i, dims int) vector.Vec {
+	return vector.Vec(ce.vals[i*dims : (i+1)*dims : (i+1)*dims])
+}
+
+// enough reports whether the entry still holds every record its cell's
+// answers can draw on: k members that dominate ub and score at most
+// kth — or, for a full set, whether it is small enough to cache.
+func (ce *cacheEntry) enough(ub vector.Vec, k int, scale index.Scale) bool {
+	if math.IsInf(ce.kth, 1) {
+		return len(ce.ids) <= cacheSetMax
+	}
+	n := 0
+	for i := range ce.ids {
+		if avail := ce.row(i, len(ub)); dominates(avail, ub) && scale.Score(avail) <= ce.kth {
+			n++
 		}
 	}
-	return avail == nil || !avail.Dominates(cell) ||
-		len(ce.cands) == k && avail.Surplus(cell, scale) > ce.kth
+	return n >= k
+}
+
+// answer returns the answer at demand, a demand of the entry's cell:
+// the members dominating it, ranked, the best k. Read in score order,
+// the members stop mattering past Cutoff of the k-th one dominating
+// demand, as in an index scan. The candidates' Avail are views of the
+// entry's rows.
+func (ce *cacheEntry) answer(demand, cmax vector.Vec, k int, scale index.Scale) []Candidate {
+	out, cut := make([]Candidate, 0, k), math.Inf(1)
+	for i, id := range ce.ids {
+		avail := ce.row(i, len(demand))
+		if len(out) >= k && scale.Score(avail) > cut {
+			break
+		}
+		if dominates(avail, demand) {
+			if out = append(out, Candidate{Node: id, Avail: avail, Surplus: avail.Surplus(demand, cmax)}); len(out) == k {
+				cut = index.Cutoff(scale.Score(avail))
+			}
+		}
+	}
+	return bestFit(out, k)
+}
+
+// holds returns the entry as it answers the cell [lo, ub] on the
+// shards' current snapshots: ce itself, its versions advanced, when no
+// change since touches its set, else a copy with the changes folded in
+// for the caller to cache in ce's place. ok is false when the walk
+// cannot tell (a cut history, past cacheWalkMax), a member may have
+// expired, or the copy is not enough to answer from.
+func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale index.Scale) (at *cacheEntry, ok bool) {
+	var setBuf [cacheWalkMax]*changeSet
+	at, walked := ce, 0
+	for i, s := range shards {
+		snap := s.snapshot()
+		seen := at.seen[i].Load()
+		if snap.Version <= seen {
+			continue
+		}
+		if at.expires <= snap.Taken {
+			return nil, false
+		}
+		if snap.changes.version <= seen {
+			continue // republished unchanged: no store, so a hot entry's line stays shared
+		}
+		sets, touched := setBuf[:0], false
+		for c := snap.changes; c.version > seen; {
+			if walked += len(c.nodes); walked > cacheWalkMax {
+				return nil, false
+			}
+			for _, ch := range c.nodes {
+				touched = touched || at.member(Global(s.idx, ch.node)) || at.enters(ch, lo, snap.Taken, scale)
+			}
+			if sets, c = append(sets, c), c.older.Load(); c == nil {
+				return nil, false // the history was cut
+			}
+		}
+		for j := len(sets) - 1; touched && j >= 0; j-- { // oldest first: a node's last change is what stands
+			for _, ch := range sets[j].nodes {
+				id := Global(s.idx, ch.node)
+				if enters := at.enters(ch, lo, snap.Taken, scale); enters || at.member(id) {
+					at = ce.fold(at, id, ch, enters, len(lo), scale)
+				}
+			}
+		}
+		at.seen[i].Store(snap.Version)
+	}
+	return at, at == ce || at.enough(ub, k, scale)
+}
+
+// enters reports whether the record a change publishes belongs in the
+// set on a snapshot taken at now: unexpired, dominating lo, scoring
+// within the cutoff.
+func (ce *cacheEntry) enters(ch nodeChange, lo vector.Vec, now sim.Time, scale index.Scale) bool {
+	return ch.avail != nil && ch.score <= index.Cutoff(ce.kth) && ch.expires > now && dominates(ch.avail, lo)
+}
+
+// fold returns at with one change folded in: a changed member leaves,
+// and a record that enters joins, in score order. The first change
+// that touches the set copies ce, which at is until then.
+func (ce *cacheEntry) fold(at *cacheEntry, id GlobalID, ch nodeChange, enters bool, dims int, scale index.Scale) *cacheEntry {
+	i := slices.Index(at.ids, id)
+	if i < 0 && !enters {
+		return at
+	}
+	if at == ce {
+		at = &cacheEntry{ids: append(make([]GlobalID, 0, len(ce.ids)+2), ce.ids...),
+			vals: append(make([]float64, 0, len(ce.vals)+2*dims), ce.vals...), idBits: ce.idBits,
+			kth: ce.kth, expires: ce.expires, seen: make([]atomic.Uint64, len(ce.seen))}
+		for s := range ce.seen {
+			at.seen[s].Store(ce.seen[s].Load())
+		}
+	}
+	if i >= 0 {
+		at.ids, at.vals = slices.Delete(at.ids, i, i+1), slices.Delete(at.vals, i*dims, (i+1)*dims)
+	}
+	if enters {
+		p := sort.Search(len(at.ids), func(j int) bool { return scale.Score(at.row(j, dims)) > ch.score })
+		at.ids, at.vals = slices.Insert(at.ids, p, id), slices.Insert(at.vals, p*dims, ch.avail...)
+		at.expires = min(at.expires, ch.expires)
+		at.addID(id)
+	}
+	return at
 }
 
 // quantize maps demand onto the cache grid: it returns the cache key
-// for (demand, k) and the cell's upper-bound demand. Responses
-// shared through the cache are computed against that upper bound, so
-// every demand landing in the cell receives candidates that dominate
-// it — conservative (a candidate may be skipped near a cell edge),
-// never the reverse. The key names a cell of the grid quantize also
-// returns, and only of that one: the same indices bound another demand
-// on another grid, so get and put refuse a key once a re-grid has
-// replaced it.
-func (qc *queryCache) quantize(demand vector.Vec, k int) (string, vector.Vec, *cacheGrid) {
-	g := qc.grid.Load()
-	buf := make([]byte, 0, 8+8*len(demand))
-	ub := make(vector.Vec, len(demand))
+// for (demand, k) and the corners lo <= demand <= ub of the cell it
+// names, each a function of the key alone. The key names a cell of the
+// grid quantize also returns, and only of that one: the same indices
+// bound another demand on another grid, so get and put refuse a key
+// once a re-grid has replaced it.
+func (qc *queryCache) quantize(demand vector.Vec, k int) (key string, lo, ub vector.Vec, g *cacheGrid) {
+	g = qc.grid.Load()
+	var stack [64]byte // the key's bytes for up to five dimensions; only the string escapes
+	buf := stack[:0]
+	n := len(demand)
+	corners := make(vector.Vec, 2*n)
+	lo, ub = corners[:n:n], corners[n:]
 	for i, d := range demand {
 		if g.inv[i] == 0 {
 			// Zero-capacity dimension: no grid; exact-match bucket.
-			ub[i] = d
+			lo[i], ub[i] = d, d
 			buf = strconv.AppendUint(buf, math.Float64bits(d), 36)
 			buf = append(buf, '|')
 			continue
 		}
+		// Cell c spans [(c-1)/inv, c/inv], its corners computed from c
+		// alone. The divisions can round past a demand whose product
+		// rounded into the cell (cmax 16, quantum 0.1125: 1.8 ->
+		// 1.7999999999999998 for c/inv); such a demand keys the
+		// neighboring cell, whose shared corner is then on its side.
 		cell := int64(math.Ceil(d * g.inv[i]))
-		ub[i] = float64(cell) / g.inv[i]
-		if ub[i] < d {
-			// The division rounded below a demand whose product
-			// rounded into the cell (cmax 16, quantum 0.1125: 1.8 ->
-			// 1.7999999999999998). Such a demand keys the next cell:
-			// the bound stays a function of the cell alone, so an
-			// entry dominates every demand that can hit it whichever
-			// of them filled it.
+		if float64(cell)/g.inv[i] < d {
 			cell++
-			ub[i] = float64(cell) / g.inv[i]
+		} else if float64(cell-1)/g.inv[i] > d {
+			cell--
 		}
+		lo[i], ub[i] = float64(max(cell-1, 0))/g.inv[i], float64(cell)/g.inv[i]
 		buf = strconv.AppendInt(buf, cell, 36)
 		buf = append(buf, '|')
 	}
 	buf = strconv.AppendInt(buf, int64(k), 36)
-	return string(buf), ub, g
+	return string(buf), lo, ub, g
 }
 
-// get returns a private copy of the key's cached candidates if its
-// entry still answers cell, of grid g, on the shards' current
-// snapshots. A hit in the old generation is promoted back into the new
-// one so rotation cannot drop a still-hot key; an invalidated entry is
-// a miss, counted stale, which the caller's put replaces.
-func (qc *queryCache) get(key string, g *cacheGrid, cell vector.Vec, k int, shards []*shard) ([]Candidate, bool) {
+// get returns the key's entry if it still answers the cell [lo, ub],
+// of grid g, on the shards' current snapshots — the copy that absorbed
+// the changes since, which takes its place, when there were any. A hit
+// in the old generation is promoted back into the new one so rotation
+// cannot drop a still-hot key; an entry the walk invalidated is a miss,
+// counted stale, which the caller's put replaces.
+func (qc *queryCache) get(key string, g *cacheGrid, lo, ub vector.Vec, k int, shards []*shard) (*cacheEntry, bool) {
 	qc.mu.RLock()
 	ent, ok := qc.newGen[key]
 	old := false
@@ -248,20 +383,20 @@ func (qc *queryCache) get(key string, g *cacheGrid, cell vector.Vec, k int, shar
 		old = ok
 	}
 	if qc.grid.Load() != g { // re-gridded since the caller's quantize
-		ok, old = false, false
+		ok = false
 	}
 	qc.mu.RUnlock()
-	if ok && !ent.holds(cell, k, shards, qc.cmax) {
-		ok = false
-		qc.stale.Add(1)
-		qc.winStale.Add(1)
-	} else if old {
-		qc.mu.Lock()
-		if cur, live := qc.oldGen[key]; live {
-			qc.newGen[key] = cur
-			delete(qc.oldGen, key)
+	if ok {
+		cur, valid := ent.holds(lo, ub, k, shards, qc.scale)
+		switch {
+		case !valid:
+			ok = false
+			qc.stale.Add(1)
+			qc.winStale.Add(1)
+		case old || cur != ent:
+			qc.put(key, g, cur)
 		}
-		qc.mu.Unlock()
+		ent = cur
 	}
 	if qc.adaptEvery > 0 {
 		if ok {
@@ -276,14 +411,16 @@ func (qc *queryCache) get(key string, g *cacheGrid, cell vector.Vec, k int, shar
 		return nil, false
 	}
 	qc.hits.Add(1)
-	return append([]Candidate(nil), ent.cands...), true
+	return ent, true
 }
 
-// put stores a filled entry. When the new generation reaches half the
-// configured capacity it rotates into the old generation (dropping the
-// previous old one), so a full cache degrades gradually — the recently
-// filled half survives — instead of losing every hot entry at once. A
-// fill quantized on grid g is dropped once a re-grid has replaced g.
+// put stores an entry in the new generation: a fill, or the entry a
+// lookup validated, promoted or replaced. When the new generation
+// reaches half the configured capacity it rotates into the old
+// generation (dropping the previous old one), so a full cache degrades
+// gradually — the recently filled half survives — instead of losing
+// every hot entry at once. An entry quantized on grid g is dropped once
+// a re-grid has replaced g.
 func (qc *queryCache) put(key string, g *cacheGrid, ent *cacheEntry) {
 	qc.mu.Lock()
 	defer qc.mu.Unlock()
@@ -296,6 +433,7 @@ func (qc *queryCache) put(key string, g *cacheGrid, ent *cacheEntry) {
 		qc.rotations.Add(1)
 	}
 	qc.newGen[key] = ent
+	delete(qc.oldGen, key)
 }
 
 // adapt is the controller step, run once per adaptEvery lookups by

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -11,8 +13,10 @@ import (
 )
 
 // TestCachedQueryAllocations pins the allocations of a cached hit — the
-// cache key, the cell's bound, the answer's private copy, what
-// externalizing it takes — and of the walk that validates it: none.
+// cache key, the cell's corners, the answer, what externalizing it
+// takes — of the walk that validates it when it absorbs nothing (none)
+// and of one that absorbs a write (the entry's copy: itself, its ids,
+// its rows and its versions).
 func TestCachedQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -42,22 +46,90 @@ func TestCachedQueryAllocations(t *testing.T) {
 		t.Fatalf("a cached hit allocates %.0f times, want <= 5", hit)
 	}
 
-	key, cell, _ := e.cache.quantize(q.Demand, q.K)
-	ent := e.cache.newGen[key]
-	last := e.shards[0].snapshot().changes
-	if len(last.nodes) != 1 {
-		t.Fatal("shard 0's last change set does not hold the one write")
-	}
-	before := last.version - 1
-	walk := testing.AllocsPerRun(200, func() {
-		ent.seen[0].Store(before)
-		if !ent.holds(cell, q.K, e.shards, cfg.CMax) {
-			t.Fatal("the entry did not survive a write outside its cell")
+	// walk resets the entry's version of shard 0 to before its last
+	// change set and validates it again.
+	key, lo, ub, _ := e.cache.quantize(q.Demand, q.K)
+	walk := func(absorbs bool) float64 {
+		ent := e.cache.newGen[key]
+		last := e.shards[0].snapshot().changes
+		if len(last.nodes) != 1 {
+			t.Fatal("shard 0's last change set does not hold the one write")
 		}
-	})
-	if walk != 0 {
-		t.Fatalf("the validation walk allocates %.0f times, want 0", walk)
+		return testing.AllocsPerRun(200, func() {
+			ent.seen[0].Store(last.version - 1)
+			if cur, ok := ent.holds(lo, ub, q.K, e.shards, e.cache.scale); !ok || (cur != ent) != absorbs {
+				t.Fatalf("the entry held %v, replaced %v; want it held, replaced %v", ok, cur != ent, absorbs)
+			}
+		})
 	}
+	if n := walk(false); n != 0 {
+		t.Fatalf("a walk that absorbs nothing allocates %.0f times, want 0", n)
+	}
+	// A node entering the set: the next lookup absorbs it.
+	if err := e.Update(nodes[2], vector.Of(4.5, 4.5), false); err != nil {
+		t.Fatal(err)
+	}
+	if resp := mustQuery(t, e, q); !resp.Cached || resp.Candidates[0].Node != nodes[2] {
+		t.Fatalf("cached=%v %+v, want a hit led by the entering %v", resp.Cached, resp.Candidates, nodes[2])
+	}
+	absorb := walk(true)
+	t.Logf("an absorbing walk allocates %.0f times, on top of the hit's", absorb)
+	if absorb > 4 {
+		t.Fatalf("an absorbing walk allocates %.0f times, want <= 4", absorb)
+	}
+}
+
+// TestCacheBytesPerEntry is the memory budget of a cache entry at the
+// repo benchmark's wire_cached_1k shape: 4 x 250 nodes in [0.2, 1]·cmax,
+// 2 048 demand profiles in [0, 0.6]·cmax, k = 3 — what one more
+// cached cell holds live, map slot and key included.
+func TestCacheBytesPerEntry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what is allocated")
+	}
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 250
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	rng := rand.New(rand.NewSource(1))
+	draw := func(lo, hi float64) vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		for d := range v {
+			v[d] = cfg.CMax[d] * (lo + (hi-lo)*rng.Float64())
+		}
+		return v
+	}
+	e := seededEngine(t, cfg, func() vector.Vec { return draw(0.2, 1) })
+	profiles := make([]vector.Vec, 2048)
+	for i := range profiles {
+		profiles[i] = draw(0, 0.6)
+	}
+	before := heapAfterGC()
+	for _, d := range profiles {
+		mustQuery(t, e, QueryRequest{Demand: d, K: 3})
+	}
+	after := heapAfterGC()
+	members := 0
+	for _, gen := range []map[string]*cacheEntry{e.cache.newGen, e.cache.oldGen} {
+		for _, ent := range gen {
+			members += len(ent.ids)
+		}
+	}
+	n := e.cache.entries()
+	per := float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
+	t.Logf("%d entries, %.0f B each, %.1f members each", n, per, float64(members)/float64(n))
+	if per > 700 {
+		t.Fatalf("a cache entry holds %.0f B, budget 700", per)
+	}
+}
+
+// heapAfterGC is the live heap: two cycles, so that what the first one
+// only queued for release is gone too.
+func heapAfterGC() runtime.MemStats {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m
 }
 
 // TestCacheKeyIsReadOnItsOwnGrid races the controller by hand: the same
@@ -79,17 +151,16 @@ func TestCacheKeyIsReadOnItsOwnGrid(t *testing.T) {
 	}
 	fine, coarse := vector.Of(4, 4), vector.Of(5.5, 5.5)
 	fresh := func(demand vector.Vec) []Candidate {
-		_, cell, _ := e.cache.quantize(demand, 2)
-		return e.fwd.Externalize(rescore(bestFit(e.searchShards(cell, 2, nil), 2), demand, cfg.CMax, 2))
+		return mustQuery(t, e, QueryRequest{Demand: demand, K: 2, NoCache: true}).Candidates
 	}
 
 	// A fill quantized on the fine grid, put after a coarsening.
-	key, cell, g := e.cache.quantize(fine, 2)
+	key, lo, ub, g := e.cache.quantize(fine, 2)
 	ent := newCacheEntry(len(e.shards))
-	ent.keep(bestFit(e.searchShards(cell, 2, ent), 2), 2)
+	e.searchShards(lo, ub, 2, ent)
 	e.cache.regrid(g.quantum * 1.5)
 	e.cache.put(key, g, ent)
-	if k2, _, _ := e.cache.quantize(coarse, 2); k2 != key {
+	if k2, _, _, _ := e.cache.quantize(coarse, 2); k2 != key {
 		t.Fatalf("%v keys %q on the coarse grid, want the fine key %q of %v", coarse, k2, key, fine)
 	}
 	if got := mustQuery(t, e, QueryRequest{Demand: coarse, K: 2}); got.Cached || !sameCandidates(got.Candidates, fresh(coarse)) {
@@ -99,22 +170,22 @@ func TestCacheKeyIsReadOnItsOwnGrid(t *testing.T) {
 
 	// A lookup quantized on the coarse grid, made after a refinement
 	// whose fill put the same key.
-	key, cell, coarseG := e.cache.quantize(coarse, 2)
+	key, lo, ub, coarseG := e.cache.quantize(coarse, 2)
 	e.cache.regrid(g.quantum)
 	if got := mustQuery(t, e, QueryRequest{Demand: fine, K: 2}); got.Cached || len(got.Candidates) != 2 {
 		t.Fatalf("%v answered %+v (cached=%v), want a fill of both nodes", fine, got.Candidates, got.Cached)
 	}
-	if k2, _, _ := e.cache.quantize(fine, 2); k2 != key {
+	if k2, _, _, _ := e.cache.quantize(fine, 2); k2 != key {
 		t.Fatalf("%v keys %q on the fine grid, want the coarse key %q of %v", fine, k2, key, coarse)
 	}
-	if cands, hit := e.cache.get(key, coarseG, cell, 2, e.shards); hit {
-		t.Fatalf("a lookup quantized on the coarse grid hit the fine grid's entry: %+v", cands)
+	if ent, hit := e.cache.get(key, coarseG, lo, ub, 2, e.shards); hit {
+		t.Fatalf("a lookup quantized on the coarse grid hit the fine grid's entry: %+v", ent.ids)
 	}
 }
 
 // TestCacheEntryExpiresWithItsCandidates: a match the merged scan
-// found before the bound overtook it, but that the ranking drops, does
-// not bound the entry's life — only the kept candidates' expiries do.
+// found before the bound overtook it, but that scores past the cutoff,
+// does not bound the entry's life — only its members' expiries do.
 func TestCacheEntryExpiresWithItsCandidates(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.RecordTTL = 45 * sim.Second
@@ -132,9 +203,9 @@ func TestCacheEntryExpiresWithItsCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := QueryRequest{Demand: vector.Of(4, 4), K: 1}
-	_, cell, _ := e.cache.quantize(q.Demand, q.K)
-	if n := len(e.searchShards(cell, q.K, nil)); n != 2 {
-		t.Fatalf("the scan returned %d matches, want both: the one the ranking drops expires first", n)
+	_, lo, ub, _ := e.cache.quantize(q.Demand, q.K)
+	if n := len(e.searchShards(lo, ub, q.K, nil)); n != 2 {
+		t.Fatalf("the scan returned %d matches, want both: the one past the cutoff expires first", n)
 	}
 	want := nodes[4]
 	if got := mustQuery(t, e, q); got.Cached || len(got.Candidates) != 1 || got.Candidates[0].Node != want {
@@ -165,15 +236,16 @@ const (
 
 // fzScript builds a FuzzCacheMatchesFill script. Nodes are picked by
 // position in Engine.Nodes (ascending global id: with nothing migrated,
-// shard 0's six nodes first), availabilities in half units and demands
-// in quarter units of the 10 x 10 capacity.
+// shard 0's six nodes first), availabilities and demands in quarter
+// units of the 10 x 10 capacity — finer than the half-unit cells, so a
+// record can dominate a demand but not its cell's upper corner.
 type fzScript []byte
 
 func (s fzScript) update(node int, a0, a1 float64) fzScript {
-	return append(s, fzUpdate, byte(node), byte(2*a0), byte(2*a1))
+	return append(s, fzUpdate, byte(node), byte(4*a0), byte(4*a1))
 }
 func (s fzScript) join(shard int, a0, a1 float64) fzScript {
-	return append(s, fzJoin, byte(shard), byte(2*a0), byte(2*a1))
+	return append(s, fzJoin, byte(shard), byte(4*a0), byte(4*a1))
 }
 func (s fzScript) leave(node int) fzScript { return append(s, fzLeave, byte(node)) }
 func (s fzScript) migrate(node, to int) fzScript {
@@ -190,10 +262,10 @@ func (s fzScript) regrid(steps int, d0, d1 float64, k int) fzScript {
 // FuzzCacheMatchesFill is the exactness property of the query cache:
 // on two hand-clocked shards under random updates, joins, leaves,
 // migrations, idle ticks and re-grids racing a fill, every cached
-// query's answer — hit or fill — equals a fresh fill of its cell on the
-// snapshots current at the lookup, rescored to the caller's demand,
-// candidate for candidate and bit for bit. Records expire (RecordTTL),
-// so candidate expiry is part of it.
+// query's answer — hit or fill — is the answer a NoCache query at the
+// caller's demand gives, and the referee's over the engine's records:
+// candidate for candidate and bit for bit, ties included. Records
+// expire (RecordTTL), so member expiry is part of it.
 func FuzzCacheMatchesFill(f *testing.F) {
 	var base fzScript
 	base = base.update(0, 5, 5).update(6, 6, 6)
@@ -231,6 +303,23 @@ func FuzzCacheMatchesFill(f *testing.F) {
 	// names the cell of (5.5, 5.5), which node 0 does not dominate; then
 	// the grid is refined back under a fill of that cell.
 	f.Add([]byte(base.regrid(1, 4, 4, 2).query(5.5, 5.5, 2).regrid(0, 5.5, 5.5, 2).query(4, 4, 2)))
+	// Records that dominate a demand but not its cell's upper corner
+	// (3.5, 3.5): node 1 is in the set of a fill at (3.5, 3.5) without
+	// answering it, and answers (3.25, 3.25) on the hit; node 2 enters
+	// the set later, absorbed, and answers (3.25, 3.5) but not
+	// (3.5, 3.25).
+	f.Add([]byte(base.update(1, 3.25, 3.5).query(3.5, 3.5, 2).query(3.25, 3.25, 2).
+		update(2, 3.5, 3.25).query(3.25, 3.5, 2).query(3.5, 3.25, 2).query(3.25, 3.25, 3)))
+	// A surplus tie the scores round apart: (0.75, 1) scores one ulp
+	// above (0.5, 1.25), the one record dominating the cell's upper
+	// corner at k = 1, yet ties it on surplus at (0.25, 0.25) and wins on
+	// id — inside the cutoff only by its tie slack: on the fill, and
+	// when it leaves the set and enters it again, absorbed.
+	f.Add([]byte(base.update(2, 0.75, 1).update(3, 0.5, 1.25).query(0.25, 0.25, 1).query(0.25, 0.25, 1).
+		update(2, 0, 0).query(0.25, 0.25, 1).update(2, 0.75, 1).query(0.25, 0.25, 1)))
+	// The k-th record dominating the upper corner leaves: the entry can
+	// no longer tell what ranks next, and misses.
+	f.Add([]byte(base.query(4, 4, 1).leave(0).query(4, 4, 1).query(4.25, 4.25, 1)))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		cfg := testConfig(2)
@@ -251,7 +340,7 @@ func FuzzCacheMatchesFill(f *testing.F) {
 			return nodes[int(b)%len(nodes)], true
 		}
 		avail := func(i int) vector.Vec {
-			return vector.Of(float64(arg(i)%21)/2, float64(arg(i+1)%21)/2)
+			return vector.Of(float64(arg(i)%41)/4, float64(arg(i+1)%41)/4)
 		}
 		for i := 0; i < len(script); {
 			switch code := script[i] % fzOps; code {
@@ -282,19 +371,22 @@ func FuzzCacheMatchesFill(f *testing.F) {
 					K:      1 + int(arg(i+3)%4),
 				}
 				got := mustQuery(t, e, req)
-				_, cell, _ := e.cache.quantize(req.Demand, req.K)
-				fill := bestFit(e.searchShards(cell, req.K, nil), req.K)
-				want := e.fwd.Externalize(rescore(fill, req.Demand, cfg.CMax, req.K))
+				uncached := req
+				uncached.NoCache = true
+				want := mustQuery(t, e, uncached).Candidates
 				if !sameCandidates(got.Candidates, want) {
-					t.Fatalf("op at byte %d: %+v (cached=%v) answered\n%+v\nwant the fresh fill\n%+v",
+					t.Fatalf("op at byte %d: %+v (cached=%v) answered\n%+v\nwant the uncached answer\n%+v",
 						i, req, got.Cached, got.Candidates, want)
+				}
+				if ref := e.Referee(req.Demand, req.K); !sameCandidates(want, ref) {
+					t.Fatalf("op at byte %d: %+v answered uncached\n%+v\nwant the referee's\n%+v", i, req, want, ref)
 				}
 				i += 4
 			case fzRegrid:
 				demand, k := vector.Of(float64(arg(i+2)%40)/4, float64(arg(i+3)%40)/4), 1+int(arg(i+4)%4)
-				key, cell, g := e.cache.quantize(demand, k)
+				key, lo, ub, g := e.cache.quantize(demand, k)
 				ent := newCacheEntry(len(e.shards))
-				ent.keep(bestFit(e.searchShards(cell, k, ent), k), k)
+				e.searchShards(lo, ub, k, ent)
 				e.cache.regrid(e.cache.qMin * math.Pow(1.5, float64(arg(i+1)%4)))
 				e.cache.put(key, g, ent)
 				i += 5
@@ -316,4 +408,55 @@ func sameCandidates(a, b []Candidate) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkCachedQueryZipf is the cached read path at the repo
+// benchmark's wire_cached_1k shape, in process: 4 x 250 nodes in
+// [0.2, 1]·cmax, 2 048 demand profiles in [0, 0.6]·cmax drawn
+// Zipf(1.1), k = 3, and one update in fifty operations — so hits walk,
+// and absorb, the changes since their entry's last lookup. It reports
+// the hit rate and the entries a fill scans.
+func BenchmarkCachedQueryZipf(b *testing.B) {
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 250
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	cfg.CacheAdaptEvery = 4096
+	rng := rand.New(rand.NewSource(1))
+	draw := func(lo, hi float64) vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		for d := range v {
+			v[d] = cfg.CMax[d] * (lo + (hi-lo)*rng.Float64())
+		}
+		return v
+	}
+	e := seededEngine(b, cfg, func() vector.Vec { return draw(0.2, 1) })
+	profiles := make([]vector.Vec, 2048)
+	for i := range profiles {
+		profiles[i] = draw(0, 0.6)
+	}
+	nodes := e.Nodes()
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(profiles)-1))
+	op := func() {
+		if rng.Intn(50) == 0 {
+			if err := e.Update(nodes[rng.Intn(len(nodes))], draw(0.2, 1), false); err != nil {
+				b.Fatal(err)
+			}
+			return
+		}
+		if _, err := e.Query(QueryRequest{Demand: profiles[zipf.Uint64()], K: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for range 100_000 { // warm: the entries' sets and histories at steady state
+		op()
+	}
+	before := e.Stats()
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+	st := e.Stats()
+	hits, misses := st.CacheHits-before.CacheHits, st.CacheMisses-before.CacheMisses
+	b.ReportMetric(float64(hits)/float64(hits+misses), "hit_rate")
+	b.ReportMetric(float64(st.IndexScannedRecords-before.IndexScannedRecords)/float64(st.IndexSearches-before.IndexSearches), "scanned/fill")
 }

@@ -119,8 +119,8 @@ const (
 // per byte — the digest runs on the serving path, inside the capture
 // overhead budget). Two responses digest equal iff they carry the
 // same candidates, in the same order, with bit-identical surpluses —
-// the equivalence the index-vs-linear-scan property tests already
-// guarantee across read-path implementations.
+// the equivalence the referee (serve.Engine.Referee) holds every read
+// path to, cached or not.
 func Digest(cands []serve.Candidate) uint64 {
 	const (
 		offset64 = 14695981039346656037

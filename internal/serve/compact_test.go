@@ -147,8 +147,9 @@ func TestFwdRepointIdempotent(t *testing.T) {
 
 // TestCacheEpochInvalidation pins exact invalidation on the default
 // cache settings: an update that enters a cached answer is seen by the
-// very next query, a write the answer cannot see keeps it a hit, and a
-// cached candidate that leaves is gone from the next answer.
+// very next query, absorbed into the entry (a hit), a write the answer
+// cannot see keeps it a hit, and a cached candidate that leaves is gone
+// from the next answer.
 func TestCacheEpochInvalidation(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	nodes := e.Nodes()
@@ -167,8 +168,8 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	if err := e.Update(nodes[1], vector.Of(6, 6), false); err != nil {
 		t.Fatal(err)
 	}
-	if resp := mustQuery(t, e, q); resp.Cached || len(resp.Candidates) != 2 {
-		t.Fatalf("after an entering update: cached=%v with %d candidates, want a refill with 2", resp.Cached, len(resp.Candidates))
+	if resp := mustQuery(t, e, q); !resp.Cached || len(resp.Candidates) != 2 {
+		t.Fatalf("after an entering update: cached=%v with %d candidates, want a hit with 2", resp.Cached, len(resp.Candidates))
 	}
 
 	// A node that does not dominate the cell cannot enter the answer.
@@ -183,8 +184,8 @@ func TestCacheEpochInvalidation(t *testing.T) {
 	if err := e.Leave(nodes[0]); err != nil {
 		t.Fatal(err)
 	}
-	if resp := mustQuery(t, e, q); resp.Cached || len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[1] {
-		t.Fatalf("after a candidate left: cached=%v %+v, want a refill with only %v", resp.Cached, resp.Candidates, nodes[1])
+	if resp := mustQuery(t, e, q); !resp.Cached || len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[1] {
+		t.Fatalf("after a candidate left: cached=%v %+v, want a hit with only %v", resp.Cached, resp.Candidates, nodes[1])
 	}
 }
 

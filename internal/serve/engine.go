@@ -501,27 +501,23 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 		return e.consistentQuery(req)
 	}
 
-	// Cacheable queries are evaluated against their quantization
-	// cell's upper-bound demand, so the cached candidate set is valid
-	// for every demand sharing the cell (dominance is preserved; near
-	// a cell edge a borderline candidate may be conservatively
-	// skipped). The surpluses handed back, however, are always
-	// recomputed against the caller's true demand — the cache holds
-	// only the cell-evaluated candidate set.
+	// A cacheable query is answered from its cell's entry (cacheEntry),
+	// hit or fill: the uncached answer, bit for bit.
 	if e.cfg.CacheDisabled || req.NoCache {
-		cands := e.searchShards(req.Demand, req.K, nil)
+		cands := e.searchShards(req.Demand, nil, req.K, nil)
 		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}
-	key, cell, grid := e.cache.quantize(req.Demand, req.K)
-	cands, hit := e.cache.get(key, grid, cell, req.K, e.shards) // a private copy
+	key, lo, ub, grid := e.cache.quantize(req.Demand, req.K)
+	ent, hit := e.cache.get(key, grid, lo, ub, req.K, e.shards)
 	if !hit {
-		ent := newCacheEntry(len(e.shards))
-		ent.keep(bestFit(e.searchShards(cell, req.K, ent), req.K), req.K)
-		e.cache.put(key, grid, ent)
-		cands = append([]Candidate(nil), ent.cands...)
+		ent = newCacheEntry(len(e.shards))
+		e.searchShards(lo, ub, req.K, ent)
+		if ent.enough(ub, req.K, e.cache.scale) {
+			e.cache.put(key, grid, ent)
+		}
 	}
 	return QueryResponse{
-		Candidates: e.fwd.Externalize(rescore(cands, req.Demand, e.cfg.CMax, req.K)),
+		Candidates: e.fwd.Externalize(ent.answer(req.Demand, e.cfg.CMax, req.K, e.cache.scale)),
 		Cached:     hit,
 	}, nil
 }
@@ -535,10 +531,11 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 // index over the whole population would, not k matches' worth per
 // shard. The returned candidates still need bestFit: they arrive block
 // by block, not in order, and a match found before the bound shrank
-// past it stays in. A cache fill passes its entry, fill, which gets
-// the Version of each snapshot scanned and the earliest expiry among
-// the k candidates bestFit keeps.
-func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Candidate {
+// past it stays in. A cache fill scans at its cell's lower corner and
+// stops on the upper one, corner (nil otherwise); its entry, fill,
+// keeps what the scan found (cacheEntry.keep) and each snapshot's
+// Version.
+func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry) []Candidate {
 	// The usual shard counts and k keep all of this on the stack; the
 	// candidates are the one allocation, k plus a margin for ties and
 	// for matches the shrinking bound overtook.
@@ -548,26 +545,24 @@ func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Cand
 		scoreBuf [8]float64
 		entryBuf [8]int32
 		cands    []Candidate
-		expBuf   [8]nodeExpiry
+		expBuf   [32]sim.Time
 	)
 	if k > 0 {
 		cands = make([]Candidate, 0, min(k, 64)+4)
 	}
-	snaps, cursors, expiring := snapBuf[:0], curBuf[:0], expBuf[:0]
+	if fill != nil {
+		cands = make([]Candidate, 0, 24) // a cell's set: ≈ 10 members and what the scan passes over
+	}
+	snaps, cursors, expires := snapBuf[:0], curBuf[:0], expBuf[:0]
 	visited := 0
 	for i, s := range e.shards {
 		snap := s.snapshot()
 		if fill != nil {
 			fill.seen[i].Store(snap.Version)
 		}
-		if snap.flat == nil { // the linear-scan referee (whose every publication cuts the history)
-			cands = snap.collect(cands, demand, e.cfg.CMax, snap.Taken)
-			visited += len(snap.Records)
-			continue
-		}
 		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand, snap.Taken))
 	}
-	bound := index.NewBound(k, scoreBuf[:])
+	bound := index.NewBound(k, corner, scoreBuf[:])
 	for {
 		low := -1
 		for i := range cursors {
@@ -582,46 +577,19 @@ func (e *Engine) searchShards(demand vector.Vec, k int, fill *cacheEntry) []Cand
 		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
 		if fill != nil {
 			for _, en := range entries {
-				if at := snaps[low].flat.Expires(en); at < fill.expires {
-					expiring = append(expiring, nodeExpiry{Global(snaps[low].Shard, snaps[low].flat.NodeAt(en)), at})
-				}
+				expires = append(expires, snaps[low].flat.Expires(en))
 			}
 		}
 		visited += n
 	}
-	if len(expiring) > 0 {
-		// Only a kept candidate's expiry can change the answer. Ranking
-		// here leaves cands in the order the caller's bestFit keeps.
-		for _, c := range bestFit(cands, k) {
-			for _, x := range expiring {
-				if x.node == c.Node {
-					fill.expires = min(fill.expires, x.at)
-				}
-			}
-		}
+	if fill != nil {
+		kth, _ := bound.Kth()
+		fill.keep(cands, expires, kth, e.cache.scale)
 	}
 	e.idxSearches.Add(1)
 	e.idxScanned.Add(uint64(visited))
 	e.idxCands.Add(uint64(len(cands)))
 	return cands
-}
-
-// nodeExpiry is a match's expiry, kept while a fill ranks its matches.
-type nodeExpiry struct {
-	node GlobalID
-	at   sim.Time
-}
-
-// rescore recomputes every candidate's surplus against demand and
-// re-ranks. Candidates entering here were qualified against a demand
-// their avail dominates (the quantization cell's upper bound, which
-// itself dominates the caller's demand), so none is disqualified —
-// only its reported slack changes.
-func rescore(cands []Candidate, demand, scale vector.Vec, k int) []Candidate {
-	for i := range cands {
-		cands[i].Surplus = cands[i].Avail.Surplus(demand, scale)
-	}
-	return bestFit(cands, k)
 }
 
 // consistentQuery routes the query through the PID-CAN protocol
@@ -766,7 +734,7 @@ func (e *Engine) Nodes() []GlobalID {
 	var out []GlobalID
 	var ids []overlay.NodeID
 	for _, s := range e.shards {
-		ids = s.snapshot().nodes(ids[:0])
+		ids = s.snapshot().flat.Nodes(ids[:0])
 		for _, id := range ids {
 			out = append(out, Global(s.idx, id))
 		}
@@ -782,13 +750,27 @@ func (e *Engine) Snapshot(i int) (*Snapshot, error) {
 	if i < 0 || i >= len(e.shards) {
 		return nil, fmt.Errorf("%w: shard %d", ErrNoShard, i)
 	}
-	snap := e.shards[i].snapshot()
-	if snap.flat == nil {
-		return snap, nil
-	}
-	view := *snap
-	view.Records = snap.flat.Records()
+	view := *e.shards[i].snapshot()
+	view.Records = view.flat.Records()
 	return &view, nil
+}
+
+// Referee answers a snapshot-path query the slow, obvious way: the
+// paper's definition (proto.BestFit) over every shard's current
+// records, read through Snapshot, with the ids Query reports (k <= 0
+// means 1, as for Query). It is what the tests and replay hold Query
+// against, never a serving path.
+func (e *Engine) Referee(demand vector.Vec, k int) []Candidate {
+	var fits []proto.Fit
+	for i := range e.shards {
+		snap, _ := e.Snapshot(i)
+		fits = proto.BestFit(fits, snap.Records, snap.Taken, uint64(Global(i, 0)), demand, e.cfg.CMax, max(k, 1))
+	}
+	cands := make([]Candidate, len(fits))
+	for i, f := range fits {
+		cands[i] = Candidate{Node: GlobalID(f.ID), Avail: f.Avail, Surplus: f.Surplus}
+	}
+	return e.fwd.Externalize(cands)
 }
 
 // Stats assembles a point-in-time view of all counters.

@@ -121,31 +121,36 @@ func TestFederationMatchesReferenceEngine(t *testing.T) {
 	randAvail := func() vector.Vec {
 		return vector.Of(10*(0.2+0.8*rng.Float64()), 10*(0.2+0.8*rng.Float64()))
 	}
+	// check asks the federation each demand uncached and then twice
+	// through the members' caches (a fill, then a hit): every answer
+	// must be the reference's.
 	check := func(step int) {
 		demand := vector.Of(5*rng.Float64(), 5*rng.Float64())
 		k := 1 + rng.IntN(8)
-		got, err := router.Query(serve.QueryRequest{Demand: demand, K: k, NoCache: true})
-		if err != nil {
-			t.Fatalf("step %d: federated query: %v", step, err)
-		}
 		want, err := ref.Query(serve.QueryRequest{Demand: demand, K: k, NoCache: true})
 		if err != nil {
 			t.Fatalf("step %d: reference query: %v", step, err)
 		}
-		if len(got.Candidates) != len(want.Candidates) {
-			t.Fatalf("step %d: %d candidates, reference %d (demand %v, k %d)",
-				step, len(got.Candidates), len(want.Candidates), demand, k)
-		}
-		// Node ids necessarily differ (different shard layouts), but
-		// the ranked (surplus, avail) sequences must match exactly:
-		// the wire round-trips f64s bit-for-bit and both sides run
-		// the same best-fit merge. Random avails make surplus ties
-		// (which rank by id) a measure-zero event.
-		for i := range got.Candidates {
-			g, w := got.Candidates[i], want.Candidates[i]
-			if g.Surplus != w.Surplus || !slices.Equal(g.Avail, w.Avail) {
-				t.Fatalf("step %d: candidate %d = (%v, %v), reference (%v, %v)",
-					step, i, g.Surplus, g.Avail, w.Surplus, w.Avail)
+		for _, noCache := range []bool{true, false, false} {
+			got, err := router.Query(serve.QueryRequest{Demand: demand, K: k, NoCache: noCache})
+			if err != nil {
+				t.Fatalf("step %d: federated query (NoCache=%v): %v", step, noCache, err)
+			}
+			if len(got.Candidates) != len(want.Candidates) {
+				t.Fatalf("step %d: %d candidates (NoCache=%v), reference %d (demand %v, k %d)",
+					step, len(got.Candidates), noCache, len(want.Candidates), demand, k)
+			}
+			// Node ids necessarily differ (different shard layouts), but
+			// the ranked (surplus, avail) sequences must match exactly:
+			// the wire round-trips f64s bit-for-bit and both sides run
+			// the same best-fit merge. Random avails make surplus ties
+			// (which rank by id) a measure-zero event.
+			for i := range got.Candidates {
+				g, w := got.Candidates[i], want.Candidates[i]
+				if g.Surplus != w.Surplus || !slices.Equal(g.Avail, w.Avail) {
+					t.Fatalf("step %d: candidate %d = (%v, %v) (NoCache=%v), reference (%v, %v)",
+						step, i, g.Surplus, g.Avail, noCache, w.Surplus, w.Avail)
+				}
 			}
 		}
 	}

@@ -8,19 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"pidcan/internal/proto"
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/fed"
 	"pidcan/internal/vector"
 )
 
-// prunePair is the property-test harness: two routers over the SAME
-// member processes — one pruning with manually-driven summaries, one
-// with pruning disabled (the ground-truth full fan-out). Any demand
-// answered differently by the two is a pruning soundness bug.
+// prunePair is the property-test harness: a router pruning with
+// manually-driven summaries over in-process members, whose records
+// the referee (proto.BestFit) answers from directly. Any demand the
+// router answers differently is a pruning soundness bug.
 type prunePair struct {
 	members []*member
 	pruner  *fed.Router
-	full    *fed.Router
 }
 
 func newPrunePair(t *testing.T, n int, ttl time.Duration) *prunePair {
@@ -37,38 +37,46 @@ func newPrunePair(t *testing.T, n int, ttl time.Duration) *prunePair {
 		SummaryTTL:     ttl,
 		SummaryRefresh: -1, // the test drives RefreshSummaries itself
 	})
-	p.full = newRouter(t, fed.Config{
-		Members:        addrs,
-		SummaryRefresh: -1,
-		DisablePruning: true,
-	})
 	return p
 }
 
-// askBoth queries both routers with an uncached request and demands
-// byte-identical responses: same candidates, same order, same
-// availabilities and surpluses. Pruning only ever removes members
-// provably unable to contribute a candidate, and the merge sort is a
-// total order, so ANY divergence is a soundness violation.
+// join adds a node straight to member m, behind the router's back: its
+// summary does not learn of it.
+func (p *prunePair) join(t *testing.T, m int, avail vector.Vec) {
+	t.Helper()
+	if _, err := p.members[m].eng.Join(avail); err != nil {
+		t.Fatalf("join member %d: %v", m, err)
+	}
+}
+
+// askBoth queries the router with an uncached request and demands the
+// referee's answer over every member's records, byte for byte: same
+// candidates under the router's ids, same order, same availabilities
+// and surpluses. Pruning only ever removes members provably unable to
+// contribute a candidate, so ANY divergence is a soundness violation.
 func (p *prunePair) askBoth(t *testing.T, demand vector.Vec, k int) serve.QueryResponse {
 	t.Helper()
-	req := serve.QueryRequest{Demand: demand, K: k, NoCache: true}
-	got, err := p.pruner.Query(req)
+	got, err := p.pruner.Query(serve.QueryRequest{Demand: demand, K: k, NoCache: true})
 	if err != nil {
 		t.Fatalf("pruning router: query %v: %v", demand, err)
 	}
-	want, err := p.full.Query(req)
-	if err != nil {
-		t.Fatalf("full-fanout router: query %v: %v", demand, err)
+	var want []proto.Fit
+	for m, mem := range p.members {
+		for i := range mem.eng.Shards() {
+			snap, err := mem.eng.Snapshot(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = proto.BestFit(want, snap.Records, snap.Taken, uint64(fed.ID(m, serve.Global(i, 0))), demand, mem.eng.Config().CMax, k)
+		}
 	}
-	if len(got.Candidates) != len(want.Candidates) {
-		t.Fatalf("demand %v: pruned scatter returned %d candidates, full fan-out %d\npruned: %+v\nfull:   %+v",
-			demand, len(got.Candidates), len(want.Candidates), got.Candidates, want.Candidates)
+	if len(got.Candidates) != len(want) {
+		t.Fatalf("demand %v: pruned scatter returned %d candidates, the referee %d\npruned:  %+v\nreferee: %+v",
+			demand, len(got.Candidates), len(want), got.Candidates, want)
 	}
-	for i := range got.Candidates {
-		g, w := got.Candidates[i], want.Candidates[i]
-		if g.Node != w.Node || g.Surplus != w.Surplus || !g.Avail.Equal(w.Avail) {
-			t.Fatalf("demand %v: candidate %d diverged\npruned: %+v\nfull:   %+v", demand, i, g, w)
+	for i, g := range got.Candidates {
+		if w := want[i]; uint64(g.Node) != w.ID || g.Surplus != w.Surplus || !g.Avail.Equal(w.Avail) {
+			t.Fatalf("demand %v: candidate %d diverged\npruned:  %+v\nreferee: %+v", demand, i, g, w)
 		}
 	}
 	return got
@@ -91,10 +99,7 @@ func TestPrunedScatterEquivalence(t *testing.T) {
 	ceil := []float64{10, 3, 6}
 	for mi, c := range ceil {
 		for j := 0; j < 12; j++ {
-			avail := vector.Of(rng.Float64()*c, rng.Float64()*c)
-			if _, err := p.full.JoinOn(mi, avail); err != nil {
-				t.Fatalf("join member %d: %v", mi, err)
-			}
+			p.join(t, mi, vector.Of(rng.Float64()*c, rng.Float64()*c))
 		}
 	}
 	p.pruner.RefreshSummaries()
@@ -125,9 +130,7 @@ func TestPruneStaleSummaryFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for mi, c := range []float64{9, 2} {
 		for j := 0; j < 6; j++ {
-			if _, err := p.full.JoinOn(mi, vector.Of(rng.Float64()*c, rng.Float64()*c)); err != nil {
-				t.Fatal(err)
-			}
+			p.join(t, mi, vector.Of(rng.Float64()*c, rng.Float64()*c))
 		}
 	}
 	p.pruner.RefreshSummaries()

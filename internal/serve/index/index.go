@@ -83,7 +83,8 @@
 //     signature of the block's tail, holding the few that pass to the
 //     cutoff. Every match is reported and its score offered to the
 //     Bound, which keeps the k smallest match scores seen by any
-//     cursor; the cutoff is the largest of them
+//     cursor (of matches dominating its corner, when it has one: see
+//     Bound); the cutoff is the largest of them
 //     plus a tie slack (near-equal-score entries stay in play: the
 //     caller re-ranks by the exactly-computed surplus, so rounding
 //     between score subtraction and the reference Σ(a-w)/c summation
@@ -312,7 +313,7 @@ type Flat struct {
 	// predecessor blocks it rewrote (0 for a Build).
 	patched, rewritten int
 
-	inv  []float64 // 1/cmax[d] for cmax[d] > 0, else 0 (dimension unscored)
+	inv  Scale
 	dims int
 
 	recsOnce sync.Once // Records' one materialisation
@@ -322,19 +323,14 @@ type Flat struct {
 // Build indexes recs (ascending by node id) against the cmax scale.
 // Everything is copied into the index's blocks; recs is not retained.
 func Build(recs []proto.Record, cmax vector.Vec) *Flat {
-	f := &Flat{inv: make([]float64, cmax.Dim()), dims: cmax.Dim()}
-	for d, c := range cmax {
-		if c > 0 {
-			f.inv[d] = 1 / c
-		}
-	}
+	f := &Flat{inv: NewScale(cmax), dims: cmax.Dim()}
 	// What is sorted is a (score, node, position in recs) triple per
 	// record, not the records; each sequence is then written in one run.
 	n := len(recs)
 	order := make([]op, n)
 	ids := f.newBlock(n, true)
 	for i := range recs {
-		order[i] = op{key{f.scoreOf(recs[i].Avail), recs[i].Node}, int32(i)}
+		order[i] = op{key{f.inv.Score(recs[i].Avail), recs[i].Node}, int32(i)}
 		ids.nodes[i], ids.score[i] = order[i].node, order[i].score
 	}
 	f.byNode = f.emit(nil, []span{{&ids.cols, 0, int32(n)}}, n, true)
@@ -364,7 +360,7 @@ func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat 
 			ops, nf.n = append(ops, op{key{score, id}, -1}), nf.n-1
 		}
 		if i, ok := slices.BinarySearchFunc(recs, id, func(r proto.Record, id overlay.NodeID) int { return cmp.Compare(r.Node, id) }); ok {
-			ops, nf.n = append(ops, op{key{nf.scoreOf(recs[i].Avail), id}, int32(i)}), nf.n+1
+			ops, nf.n = append(ops, op{key{nf.inv.Score(recs[i].Avail), id}, int32(i)}), nf.n+1
 		}
 	}
 	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key, true) })
@@ -737,18 +733,36 @@ func (f *Flat) reaches() []float64 {
 	return all
 }
 
-// scoreOf computes Σ_d avail[d]*inv[d] over the scored dimensions —
-// the same terms, accumulated in the same order, as the D a Search
-// computes from its demand, so score >= D is exact for any
-// dominating record.
-func (f *Flat) scoreOf(avail vector.Vec) float64 {
-	s := 0.0
-	for d, inv := range f.inv {
-		if inv > 0 {
-			s += avail[d] * inv
+// Scale is what an index built against cmax scores by: 1/cmax[d], 0
+// for an unscored dimension.
+type Scale []float64
+
+// Scale returns the scale f scores by.
+func (f *Flat) Scale() Scale { return f.inv }
+
+// NewScale returns the scale of an index built against cmax.
+func NewScale(cmax vector.Vec) Scale {
+	s := make(Scale, cmax.Dim())
+	for d, c := range cmax {
+		if c > 0 {
+			s[d] = 1 / c
 		}
 	}
 	return s
+}
+
+// Score computes Σ_d avail[d]*s[d] over the scored dimensions — the
+// same terms, accumulated in the same order, as the D a Search
+// computes from its demand, so score >= D is exact for any dominating
+// record. It is what a record is ordered by and what a Bound keeps.
+func (s Scale) Score(avail vector.Vec) float64 {
+	sum := 0.0
+	for d, inv := range s {
+		if inv > 0 {
+			sum += avail[d] * inv
+		}
+	}
+	return sum
 }
 
 // scoreOfNode looks id up in the by-node chunks.
@@ -874,17 +888,36 @@ func (f *Flat) signature(v vector.Vec, up bool) uint64 {
 // smallest match scores any of them has reported, and once there are k
 // no cursor needs to look past the largest (plus tieSlack). The cutoff
 // only ever shrinks. k <= 0 means no cutoff: every match is wanted.
+// With a corner it keeps only the scores of matches dominating the
+// corner too: the query cache's fill scans at a cell's lower corner and
+// stops on its upper one.
 type Bound struct {
-	k, n int
-	heap []float64 // heap[:n] holds the kept scores, a max-heap
-	cut  float64
+	k, n   int
+	heap   []float64 // heap[:n] holds the kept scores, a max-heap
+	cut    float64
+	corner vector.Vec
 }
 
-// NewBound returns the bound of a k-best query. The kept scores live
-// in scratch (all of it: its contents are overwritten) while they fit.
-func NewBound(k int, scratch []float64) Bound {
-	return Bound{k: k, heap: scratch, cut: math.Inf(1)}
+// NewBound returns the bound of a k-best query, corner nil but for a
+// cache fill. The kept scores live in scratch (all of it: its contents
+// are overwritten) while they fit.
+func NewBound(k int, corner vector.Vec, scratch []float64) Bound {
+	return Bound{k: k, heap: scratch, cut: math.Inf(1), corner: corner}
 }
+
+// Kth returns the k-th smallest score the bound keeps; ok is false while
+// it keeps fewer than k.
+func (b *Bound) Kth() (kth float64, ok bool) {
+	if b.k <= 0 || b.n < b.k {
+		return math.Inf(1), false
+	}
+	return b.heap[0], true
+}
+
+// Cutoff is the score past which no record can rank with a k-th match
+// of score kth, whatever demand the two dominate: kth plus the tie
+// slack.
+func Cutoff(kth float64) float64 { return kth + tieSlack }
 
 // offer records a match's score and reports whether the cutoff shrank.
 func (b *Bound) offer(score float64) bool {
@@ -927,7 +960,18 @@ func (b *Bound) offer(score float64) bool {
 	default:
 		return false
 	}
-	b.cut = h[0] + tieSlack
+	b.cut = Cutoff(h[0])
+	return true
+}
+
+// counts reports whether the bound keeps the score of a match whose
+// availability is row.
+func (b *Bound) counts(row []float64) bool {
+	for d, w := range b.corner {
+		if row[d] < w {
+			return false
+		}
+	}
 	return true
 }
 
@@ -952,7 +996,7 @@ func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
 		return c
 	}
 	c.sig = f.signature(demand, false)
-	D := f.scoreOf(demand)
+	D := f.inv.Score(demand)
 	// The first entry with score >= D is in the block before the first
 	// one that starts at or past D, or is that block's first entry.
 	bi := max(below(f.first, D)-1, 0)
@@ -1039,7 +1083,7 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 			continue
 		}
 		dst = append(dst, int32(bi<<posShift|i))
-		if bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
+		if bound.counts(f.row(&b.cols, i)) && bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
 			past = i + 1 + within(b.score[i+1:past], bound.cut)
 		}
 	}
@@ -1054,8 +1098,9 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 			if !passes(sig, c.sig) || t.score[j] > bound.cut || !c.match(t, j) {
 				continue
 			}
-			dst = append(dst, int32(bi<<posShift|blockCap|j))
-			bound.offer(t.score[j])
+			if dst = append(dst, int32(bi<<posShift|blockCap|j)); bound.counts(f.row(t, j)) {
+				bound.offer(t.score[j])
+			}
 		}
 		visited += len(t.sig)
 		hopeless = hopeless || cuts && t.score[len(t.score)-1] > bound.cut
@@ -1153,7 +1198,7 @@ func below(scores []float64, x float64) int {
 // against one Bound.
 func (f *Flat) Search(dst []int32, demand vector.Vec, now sim.Time, k int) ([]int32, int) {
 	var scratch [8]float64
-	bound := NewBound(k, scratch[:])
+	bound := NewBound(k, nil, scratch[:])
 	visited := 0
 	for c := f.Seek(demand, now); !c.Done(); {
 		var n int

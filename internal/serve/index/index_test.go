@@ -37,33 +37,13 @@ func randPopulation(rng *rand.Rand, n int, cmax vector.Vec, now sim.Time) []prot
 	return recs
 }
 
-// bruteTopK is the reference ranking the engine's linear path
-// produces: every unexpired dominating record, sorted by ascending
-// (exact surplus, node), truncated to k.
+// bruteTopK is the referee's answer (proto.BestFit) over the records
+// the index under test was given, as node ids.
 func bruteTopK(recs []proto.Record, demand, cmax vector.Vec, now sim.Time, k int) []overlay.NodeID {
-	type cand struct {
-		node    overlay.NodeID
-		surplus float64
-	}
-	var cands []cand
-	for _, r := range recs {
-		if r.Expired(now) || !r.Avail.Dominates(demand) {
-			continue
-		}
-		cands = append(cands, cand{r.Node, r.Avail.Surplus(demand, cmax)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].surplus != cands[j].surplus {
-			return cands[i].surplus < cands[j].surplus
-		}
-		return cands[i].node < cands[j].node
-	})
-	if k > 0 && len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]overlay.NodeID, len(cands))
-	for i, c := range cands {
-		out[i] = c.node
+	fits := proto.BestFit(nil, recs, now, 0, demand, cmax, k)
+	out := make([]overlay.NodeID, len(fits))
+	for i, f := range fits {
+		out[i] = overlay.NodeID(f.ID)
 	}
 	return out
 }
@@ -181,6 +161,60 @@ func TestSearchSubLinear(t *testing.T) {
 	}
 	if avg := float64(total) / 100; avg > float64(n)/5 {
 		t.Fatalf("avg %.0f entries visited per query on %d records — not sub-linear", avg, n)
+	}
+}
+
+// TestCornerBoundStopsOnTheCorner pins the query cache's fill scan: a
+// scan at a low demand under a Bound with a higher corner keeps only the
+// scores of matches dominating the corner, and reports every unexpired
+// record dominating the low demand up to Cutoff of the k-th of them —
+// what brute force over the records says those are.
+func TestCornerBoundStopsOnTheCorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	now := sim.Time(1000)
+	for trial := range 200 {
+		dims := 1 + rng.Intn(4)
+		cmax := vector.New(dims)
+		for d := range cmax {
+			cmax[d] = 1 + 20*rng.Float64()
+		}
+		recs := randPopulation(rng, rng.Intn(400), cmax, now)
+		f := Build(recs, cmax)
+		lo, corner := vector.New(dims), vector.New(dims)
+		for d := range lo {
+			lo[d] = cmax[d] * rng.Float64() * 0.6
+			corner[d] = lo[d] + cmax[d]*0.1*rng.Float64()
+		}
+		k := 1 + rng.Intn(5)
+		var scratch [8]float64
+		bound := NewBound(k, corner, scratch[:])
+		reported := map[overlay.NodeID]bool{}
+		for c := f.Seek(lo, now); !c.Done(); {
+			entries, _ := c.Step(nil, &bound)
+			for _, e := range entries {
+				reported[f.NodeAt(e)] = true
+			}
+		}
+		var scores []float64
+		for _, r := range recs {
+			if !r.Expired(now) && r.Avail.Dominates(corner) {
+				scores = append(scores, f.inv.Score(r.Avail))
+			}
+		}
+		sort.Float64s(scores)
+		kth, ok := bound.Kth()
+		if ok != (len(scores) >= k) || ok && kth != scores[k-1] {
+			t.Fatalf("trial %d: Kth = %v, %v; the corner's %d-th score of %d is what brute force gives", trial, kth, ok, k, len(scores))
+		}
+		for _, r := range recs {
+			match := !r.Expired(now) && r.Avail.Dominates(lo)
+			if match && f.inv.Score(r.Avail) <= Cutoff(kth) && !reported[r.Node] {
+				t.Fatalf("trial %d: node %d dominates the demand within the cutoff, not reported", trial, r.Node)
+			}
+			if reported[r.Node] && !match {
+				t.Fatalf("trial %d: node %d reported, not a match", trial, r.Node)
+			}
+		}
 	}
 }
 

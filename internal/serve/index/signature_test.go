@@ -98,7 +98,7 @@ func TestSignatureDoesTheRejecting(t *testing.T) {
 			demand[d] = benchCMax[d] * rng.Float64() * 0.6
 		}
 		var scratch [8]float64
-		bound := NewBound(3, scratch[:])
+		bound := NewBound(3, nil, scratch[:])
 		for c := f.Seek(demand, 0); !c.Done(); {
 			b, lo := f.blocks[c.bi], int(c.lo)
 			got, n := c.Step(nil, &bound)

@@ -129,7 +129,7 @@ func resolve(f *Flat, entries []int32) []hit {
 // its cursor scans.
 func searchDead(f *Flat, demand vector.Vec, now sim.Time, k int) (entries []int32, visited, dead int) {
 	var scratch [8]float64
-	bound := NewBound(k, scratch[:])
+	bound := NewBound(k, nil, scratch[:])
 	for c := f.Seek(demand, now); !c.Done(); {
 		dead += int(f.blocks[c.bi].ndead)
 		var n int
@@ -379,7 +379,7 @@ func TestVersionsPersist(t *testing.T) {
 	if p, r := patched.Churn(); p != 1 || r != 0 {
 		t.Fatalf("a one-node join patched %d blocks and rewrote %d; want one patch", p, r)
 	}
-	at := patched.route(patched.blocks, key{patched.scoreOf(avail), 1 << 20}, false)
+	at := patched.route(patched.blocks, key{patched.inv.Score(avail), 1 << 20}, false)
 	if len(patched.blocks[at].tail.nodes) == 0 {
 		t.Fatalf("the joined entry is not in block %d's tail", at)
 	}

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"errors"
-	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -13,21 +10,15 @@ import (
 )
 
 // TestIndexedQueryMatchesLinear is the engine-level half of the
-// index-vs-linear property: two engines fed the identical write
-// history — one ranking through the flat dominance index, one through
-// the linear snapshot scan — must return byte-identical NoCache query
-// responses for every demand, including through churn batches that
-// exercise the incremental index rebuild.
+// index-vs-linear property: through churn batches that exercise the
+// incremental index rebuild, every NoCache query — and every cached
+// one — must answer byte-identically to the referee, a linear pass of
+// proto.BestFit over the engine's own records.
 func TestIndexedQueryMatchesLinear(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.NodesPerShard = 25
 	cfg.CMax = vector.Of(8, 12, 5)
-
-	linCfg := cfg
-	linCfg.IndexDisabled = true
 	idx := newTestEngine(t, cfg)
-	lin := newTestEngine(t, linCfg)
-	engines := []*Engine{idx, lin}
 
 	rng := rand.New(rand.NewSource(42))
 	randAvail := func() vector.Vec {
@@ -49,69 +40,37 @@ func TestIndexedQueryMatchesLinear(t *testing.T) {
 				demand[d] = cfg.CMax[d] * rng.Float64() * 0.8
 			}
 			k := 1 + rng.Intn(6)
-			req := QueryRequest{Demand: demand, K: k, NoCache: true}
-			ri, err := idx.Query(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rl, err := lin.Query(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ri.Candidates) != len(rl.Candidates) {
-				t.Fatalf("round %d q %d: indexed %d candidates, linear %d\n%+v\n%+v",
-					round, q, len(ri.Candidates), len(rl.Candidates), ri.Candidates, rl.Candidates)
-			}
-			for i := range ri.Candidates {
-				a, b := ri.Candidates[i], rl.Candidates[i]
-				if a.Node != b.Node ||
-					math.Float64bits(a.Surplus) != math.Float64bits(b.Surplus) ||
-					!a.Avail.Equal(b.Avail) {
-					t.Fatalf("round %d q %d cand %d: indexed %+v != linear %+v",
-						round, q, i, a, b)
+			want := idx.Referee(demand, k)
+			for _, noCache := range []bool{true, false} {
+				got := mustQuery(t, idx, QueryRequest{Demand: demand, K: k, NoCache: noCache})
+				if !sameCandidates(got.Candidates, want) {
+					t.Fatalf("round %d q %d: NoCache=%v answered (cached=%v)\n%+v\nthe referee\n%+v",
+						round, q, noCache, got.Cached, got.Candidates, want)
 				}
 			}
 		}
 	}
 
-	// Seed both engines with the same availabilities, then interleave
-	// churn rounds (updates, joins, leaves — the deltas the
+	// Interleave churn rounds (updates, joins, leaves — the deltas the
 	// incremental rebuild merges) with full response comparisons.
 	for round := 0; round < 8; round++ {
-		ni, nl := idx.Nodes(), lin.Nodes()
-		if len(ni) != len(nl) {
-			t.Fatalf("round %d: populations diverged: %d vs %d", round, len(ni), len(nl))
-		}
+		ni := idx.Nodes()
 		for op := 0; op < 30; op++ {
 			switch {
 			case len(ni) > 4 && rng.Intn(6) == 0: // leave
 				p := rng.Intn(len(ni))
-				for j, e := range engines {
-					n := []GlobalID{ni[p], nl[p]}[j]
-					if err := e.Leave(n); err != nil {
-						t.Fatal(err)
-					}
+				if err := idx.Leave(ni[p]); err != nil {
+					t.Fatal(err)
 				}
 				ni = append(ni[:p], ni[p+1:]...)
-				nl = append(nl[:p], nl[p+1:]...)
 			case rng.Intn(6) == 0: // join
-				a := randAvail()
-				gi, err := idx.Join(a)
+				g, err := idx.Join(randAvail())
 				if err != nil {
 					t.Fatal(err)
 				}
-				gl, err := lin.Join(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ni, nl = append(ni, gi), append(nl, gl)
+				ni = append(ni, g)
 			default: // re-advertise
-				p := rng.Intn(len(ni))
-				a := randAvail()
-				if err := idx.Update(ni[p], a, false); err != nil {
-					t.Fatal(err)
-				}
-				if err := lin.Update(nl[p], a, false); err != nil {
+				if err := idx.Update(ni[rng.Intn(len(ni))], randAvail(), false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -126,29 +85,24 @@ func TestIndexedQueryMatchesLinear(t *testing.T) {
 	if st.IndexDeltaBuilds == 0 {
 		t.Fatalf("churn rounds never took the incremental rebuild path: %+v", st)
 	}
-	if lin.Stats().IndexSearches == 0 {
-		t.Fatal("linear engine searches not counted")
-	}
 }
 
 // TestMergedScanMatchesLinear pins the merged scan — one cursor per
-// shard under one shared cutoff — against the linear referee where a
-// shared cutoff could go wrong: four shards of several blocks each,
-// availabilities on a coarse grid so that records of different shards
-// tie exactly at the k-th position, records expiring by RecordTTL, and
-// k of 1, 3 and more than there are matches. Responses must be
-// byte-identical; the merged scan may visit no more than the four
-// per-shard searches it replaced would together; and it must hand
-// ranking about the k candidates asked for, not k per shard.
+// shard under one shared cutoff — against the referee (a linear pass
+// over the engine's own records) where a shared cutoff could go wrong:
+// four shards of several blocks each, availabilities on a coarse grid
+// so that records of different shards tie exactly at the k-th
+// position, records expiring by RecordTTL, and k of 1, 3 and more than
+// there are matches. Responses must be byte-identical; the merged scan
+// may visit no more than the four per-shard searches it replaced would
+// together; and it must hand ranking about the k candidates asked for,
+// not k per shard.
 func TestMergedScanMatchesLinear(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.NodesPerShard = 320
 	cfg.CMax = vector.Of(8, 12, 5)
 	cfg.RecordTTL = 50 * sim.Second
-	linCfg := cfg
-	linCfg.IndexDisabled = true
-	idx, idxClock := newClockedEngine(t, cfg)
-	lin, linClock := newClockedEngine(t, linCfg)
+	idx, clock := newClockedEngine(t, cfg)
 
 	rng := rand.New(rand.NewSource(21))
 	// A third of all vectors lie on a grid of 16 steps per dimension:
@@ -167,15 +121,6 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 		return v
 	}
 	nodes := idx.Nodes()
-	if !slices.Equal(nodes, lin.Nodes()) {
-		t.Fatal("the two engines number their nodes differently")
-	}
-
-	same := func(a, b []Candidate) bool {
-		return slices.EqualFunc(a, b, func(a, b Candidate) bool {
-			return a.Node == b.Node && math.Float64bits(a.Surplus) == math.Float64bits(b.Surplus) && a.Avail.Equal(b.Avail)
-		})
-	}
 	var candidates, asked, tiedAcrossShards, expired int
 	for round := range 6 {
 		// Re-advertise everything in round 0 and a third of the nodes
@@ -185,35 +130,21 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 			if round > 0 && rng.Intn(3) > 0 {
 				continue
 			}
-			a := draw(1)
-			if err := errors.Join(idx.Update(n, a, false), lin.Update(n, a, false)); err != nil {
+			if err := idx.Update(n, draw(1), false); err != nil {
 				t.Fatal(err)
 			}
 		}
-		idxClock.advance(20 * time.Second)
-		linClock.advance(20 * time.Second)
+		clock.advance(20 * time.Second)
 
 		for range 60 {
 			demand := draw(0.75)
-			all, err := lin.Query(QueryRequest{Demand: demand, K: len(nodes), NoCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			matches := all.Candidates
+			matches := idx.Referee(demand, len(nodes))
 			for _, k := range []int{1, 3, len(nodes)} {
-				req := QueryRequest{Demand: demand, K: k, NoCache: true}
 				before := idx.Stats()
-				got, err := idx.Query(req)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := mustQuery(t, idx, QueryRequest{Demand: demand, K: k, NoCache: true})
 				after := idx.Stats()
-				want, err := lin.Query(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !same(got.Candidates, want.Candidates) {
-					t.Fatalf("round %d demand %v k %d: merged scan answered\n%+v\nlinear referee\n%+v", round, demand, k, got.Candidates, want.Candidates)
+				if want := idx.Referee(demand, k); !sameCandidates(got.Candidates, want) {
+					t.Fatalf("round %d demand %v k %d: merged scan answered\n%+v\nthe referee\n%+v", round, demand, k, got.Candidates, want)
 				}
 				perShard := 0
 				for i := range cfg.Shards {

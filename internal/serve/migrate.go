@@ -518,7 +518,7 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 	// the ratio above the threshold, or the pass would ping-pong the
 	// same node until the move cap burned out.
 	for res.Moved < e.cfg.RebalanceMaxMoves && imb > e.cfg.RebalanceThreshold && gap > 1 {
-		ids := e.shards[maxI].snapshot().nodes(nil)
+		ids := e.shards[maxI].snapshot().flat.Nodes(nil)
 		moved := false
 		for i := len(ids) - 1; i >= 0; i-- {
 			if err := e.Migrate(Global(maxI, ids[i]), minI); err != nil {

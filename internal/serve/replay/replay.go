@@ -11,14 +11,13 @@
 // (a) the target engine is built from the trace header's shape (same
 // shards, nodes per shard, seed, CMax — equal configs rebuild
 // identical backends, the same property recovery relies on), (b)
-// queries in the trace bypass the cache (a cached answer is exact on
-// its snapshots but ranked on the demand's quantization cell, whose
-// grid the adaptive controller moves with the lookup history) and the
-// consistent path (a shard's overlay clock follows
-// wall time, see serve's clock contract, so the protocol's hop state
-// depends on when the idle ticks fell), and (c) RecordTTL is unset so
-// snapshot results depend only on the record set. Scenario-generated
-// traces satisfy all three by construction; live-captured traces of
+// queries in the trace avoid the consistent path (a shard's overlay
+// clock follows wall time, see serve's clock contract, so the
+// protocol's hop state depends on when the idle ticks fell) — cached
+// or not, a snapshot-path answer is the paper's answer over the
+// records — and (c) RecordTTL is unset so snapshot results depend
+// only on the record set. Scenario-generated traces satisfy all three
+// by construction; live-captured traces of
 // concurrent traffic keep per-shard write order exact (mutations are
 // captured on the shard goroutines in application order) but may
 // interleave query digests non-strictly — replay against a reference
@@ -51,17 +50,19 @@ const (
 // Options parameterizes a replay run.
 type Options struct {
 	Pace Pace
-	// Strict compares every replayed non-cached query digest against
-	// the digest captured live. Sound for sequentially captured
-	// traces (scenarios, the property tests); concurrently captured
-	// digests may legitimately differ (see the package comment).
+	// Strict compares every replayed query digest against the digest
+	// captured live. Sound for sequentially captured traces
+	// (scenarios, the property tests); concurrently captured digests
+	// may legitimately differ (see the package comment).
 	Strict bool
 	// Reference, when non-nil, is a second engine driven through the
 	// identical event sequence (including faults); every query's
 	// digest is compared between target and reference. Build it from
-	// the same header shape, conventionally with IndexDisabled and
-	// CacheDisabled so the linear-scan baseline referees the indexed
-	// read path.
+	// the same header shape, conventionally with CacheDisabled. It
+	// reads through the index like the target: what checks the read
+	// path is the referee, which replay runs on every snapshot-path
+	// query of a target that has one (serve.Engine.Referee) — on the
+	// target's own records.
 	Reference *serve.Engine
 	// OnQuery, when set, observes every replayed query.
 	OnQuery func(ev *capture.Event, resp serve.QueryResponse, err error)
@@ -107,8 +108,8 @@ type Result struct {
 	// subsequent ids would misroute).
 	JoinDivergence int `json:"join_divergence"`
 	// DigestMismatches counts replayed digests differing from the
-	// recorded ones (Strict only); RefMismatches counts target vs
-	// reference digest differences.
+	// recorded ones (Strict only); RefMismatches counts the answers
+	// differing from the reference engine's or from the referee's.
 	DigestMismatches int `json:"digest_mismatches"`
 	RefMismatches    int `json:"ref_mismatches"`
 	// FaultsSkipped counts fault events the target cannot express
@@ -176,6 +177,9 @@ type rebalancer interface {
 	Rebalance() (serve.RebalanceResult, error)
 }
 type statser interface{ Stats() serve.Stats }
+type refereed interface {
+	Referee(vector.Vec, int) []serve.Candidate
+}
 
 // Run replays events (from a trace with header hdr) against sut.
 func Run(sut serve.Service, hdr capture.Header, events []capture.Event, opts Options) (*Result, error) {
@@ -267,28 +271,19 @@ func (r *runner) query(ev *capture.Event, t0 time.Time) time.Duration {
 		r.res.QueryErrors++
 	} else {
 		dig := capture.Digest(resp.Candidates)
-		if r.opts.Strict && !ev.Cached && dig != ev.Digest {
+		if r.opts.Strict && dig != ev.Digest {
 			r.res.DigestMismatches++
 		}
+		mismatch := false
 		if r.ref != nil {
-			// Cacheable responses are evaluated against their
-			// quantization cell's upper-bound demand by design (exact on
-			// the current snapshots, but a candidate near a cell edge
-			// may be skipped), so they cannot be held against a
-			// cacheless reference directly. Queries are
-			// side-effect-free: probe both engines on the exact NoCache
-			// read path instead and assert equivalence there.
-			cmpReq, cmpDig := req, dig
-			if !req.NoCache && !req.Consistent {
-				cmpReq.NoCache = true
-				if exact, exErr := r.sut.Query(cmpReq); exErr == nil {
-					cmpDig = capture.Digest(exact.Candidates)
-				}
-			}
-			refResp, refErr := r.ref.Query(cmpReq)
-			if refErr != nil || capture.Digest(refResp.Candidates) != cmpDig {
-				r.res.RefMismatches++
-			}
+			refResp, refErr := r.ref.Query(req)
+			mismatch = refErr != nil || capture.Digest(refResp.Candidates) != dig
+		}
+		if ref, ok := r.sut.(refereed); ok && !req.Consistent {
+			mismatch = mismatch || capture.Digest(ref.Referee(req.Demand, req.K)) != dig
+		}
+		if mismatch {
+			r.res.RefMismatches++
 		}
 	}
 	if r.opts.OnQuery != nil {
@@ -325,7 +320,7 @@ func (r *runner) mutate(ev *capture.Event) {
 	}
 	switch rec.Kind {
 	case wal.KindUpdate:
-		ext := r.external(serve.Global(shard, overlay.NodeID(rec.Node)))
+		ext := serve.Global(shard, overlay.NodeID(rec.Node)) // any id a node was known by addresses it
 		if h, ok := r.home[ext]; ok {
 			expectHalted = r.halted[h]
 		}
@@ -345,15 +340,8 @@ func (r *runner) mutate(ev *capture.Event) {
 				r.res.WriteErrors++
 				return
 			}
-			if apply(func(s serve.Service) error {
-				_ = s // the migrator interface drives the sut directly
-				return m.Migrate(old, shard)
-			}) {
+			if apply(func(serve.Service) error { return m.Migrate(old, shard) }) {
 				r.home[ext] = shard
-			}
-			if r.ref != nil {
-				// apply() above only mirrored through the Service
-				// surface; migration needs the engine call.
 			}
 			return
 		}
@@ -371,7 +359,7 @@ func (r *runner) mutate(ev *capture.Event) {
 			r.home[got] = shard
 		}
 	case wal.KindLeave:
-		ext := r.external(serve.Global(shard, overlay.NodeID(rec.Node)))
+		ext := serve.Global(shard, overlay.NodeID(rec.Node)) // any id a node was known by addresses it
 		if h, ok := r.home[ext]; ok {
 			expectHalted = r.halted[h]
 		}
@@ -386,13 +374,6 @@ func (r *runner) mutate(ev *capture.Event) {
 		// matching repoint-join's Migrate. Nothing to do here.
 	}
 }
-
-// external maps a recorded physical id to the node's external id:
-// migrated nodes are recorded in the WAL stream under their current
-// physical home, but the Service surface addresses them by any id
-// they were ever known by, so passing the physical id through is
-// correct — this helper exists to make that explicit.
-func (r *runner) external(phys serve.GlobalID) serve.GlobalID { return phys }
 
 func (r *runner) fault(ev *capture.Event, logf func(string, ...any)) {
 	inject := func(target any) bool {

@@ -19,8 +19,9 @@ import (
 
 // Run replays a compiled scenario against a fresh engine (built from
 // the scenario header, so it starts bit-identical to the recording
-// engine) with a linear-scan, cache-off reference engine refereeing
-// every response, and returns the measured result plus the invariant
+// engine) with a cache-off reference engine mirroring every write and
+// the referee (serve.Engine.Referee) checking every snapshot-path
+// response, and returns the measured result plus the invariant
 // violations (empty = scenario passed).
 //
 // A Replicated scenario runs the target as a durable primary with a
@@ -34,7 +35,6 @@ func Run(sc *Scenario, dir string, logf func(string, ...any)) (*replay.Result, [
 		logf = func(string, ...any) {}
 	}
 	refCfg := replay.EngineConfig(sc.Header)
-	refCfg.IndexDisabled = true
 	refCfg.CacheDisabled = true
 	ref, err := newEngine(refCfg)
 	if err != nil {

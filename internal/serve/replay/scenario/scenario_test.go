@@ -11,8 +11,11 @@ import (
 
 // TestCorpusReplays runs every scenario of the corpus end to end:
 // compile at a fixed seed, replay against a fresh engine with a
-// linear-scan reference attached, assert the invariant set holds.
+// cache-off reference attached and the referee checking every
+// snapshot-path answer, cached ones included, assert the invariant set
+// holds.
 func TestCorpusReplays(t *testing.T) {
+	hits := 0
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -33,9 +36,19 @@ func TestCorpusReplays(t *testing.T) {
 			if res.Queries == 0 || res.Mutations == 0 {
 				t.Fatalf("degenerate scenario: %+v", res)
 			}
-			t.Logf("%s: %d events (%d queries, %d mutations, %d faults), p99 %s, imbalance %.2f",
-				name, res.Events, res.Queries, res.Mutations, res.Faults, res.P99, res.Imbalance)
+			cached := 0
+			for i := range sc.Events {
+				if sc.Events[i].Cached {
+					cached++
+				}
+			}
+			hits += cached
+			t.Logf("%s: %d events (%d queries, %d cache hits when recorded, %d mutations, %d faults), p99 %s, imbalance %.2f",
+				name, res.Events, res.Queries, cached, res.Mutations, res.Faults, res.P99, res.Imbalance)
 		})
+	}
+	if hits == 0 {
+		t.Fatal("no scenario query was a cache hit: the corpus never replays the cached path")
 	}
 }
 

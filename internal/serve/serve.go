@@ -41,14 +41,14 @@
 //     of the target makes the next ticks step nothing. Snapshot.Taken,
 //     Record.Stored/Expires and ShardStats.SimNow read Backend.Now().
 //
-//   - Recent query results are cached keyed by quantized demand
-//     vector and invalidated exactly: each snapshot carries its
-//     shard's recent changes, and an entry is served only while no
-//     change published since its fill can alter it, so repeated
-//     equivalent demands cost one snapshot scan per write that
-//     matters to them instead of one per request. Cached candidate
-//     sets are re-scored against each caller's true demand before
-//     they return.
+//   - Recent queries are cached per cell of a quantization grid over
+//     the demand space. An entry holds every record any demand of its
+//     cell can rank, so a hit filters and ranks it at the caller's
+//     demand and returns exactly the uncached answer. Each snapshot
+//     carries its shard's recent changes; a lookup walks them and
+//     folds each change into a copy of the entry, so repeated demands
+//     cost one snapshot scan per change the entry cannot absorb
+//     instead of one per request.
 //
 //   - Consistent queries route through the paper's three-phase
 //     protocol: by default one protocol query is scattered to every
@@ -347,14 +347,6 @@ type Config struct {
 	// CacheQuantumMax is the coarsest quantization granularity the
 	// adaptive controller may reach (default min(1, 16*CacheQuantum)).
 	CacheQuantumMax float64
-
-	// IndexDisabled is referee-only: every publication re-reads the
-	// whole population into a stored record array, without the
-	// dominance index, and every query scans every record — the
-	// reference the replay corpus, cmd/pidcan-replay and the
-	// index-equivalence tests pin the indexed path against. No
-	// server flag sets it.
-	IndexDisabled bool
 }
 
 // withDefaults returns cfg with zero fields resolved.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -348,39 +349,40 @@ func TestQueryCacheHitAndExpiry(t *testing.T) {
 	}
 }
 
+// TestCachedResponsesNeverViolateDominance: demands sharing a cache
+// cell get each its own answer from the cell's entry. A node inside the
+// (1.5, 2.0] cell (1.85 < 1.9) is never handed to the 1.9 query, and is
+// handed to the 1.8 query on the hit of the entry the 1.9 query filled,
+// like the node above the cell.
 func TestCachedResponsesNeverViolateDominance(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	nodes := e.Nodes()
-	// One node strictly inside a cache cell (cell size 0.5 here),
-	// one safely above the cell's upper bound.
 	if err := e.Update(nodes[0], vector.Of(1.85, 1.85), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Update(nodes[1], vector.Of(3, 3), false); err != nil {
 		t.Fatal(err)
 	}
-	// Two demands sharing the (1.5, 2.0] cell; the second is served
-	// from the cache. Whatever comes back must dominate the demand
-	// actually requested — the in-cell node (1.85 < 1.9) must never
-	// be handed to the 1.9 query via the 1.8 query's cache entry.
-	for _, demand := range []vector.Vec{vector.Of(1.8, 1.8), vector.Of(1.9, 1.9)} {
-		resp, err := e.Query(QueryRequest{Demand: demand, K: 5})
-		if err != nil {
-			t.Fatal(err)
+	for i, tc := range []struct {
+		demand vector.Vec
+		want   []GlobalID
+	}{
+		{vector.Of(1.9, 1.9), []GlobalID{nodes[1]}},
+		{vector.Of(1.8, 1.8), []GlobalID{nodes[0], nodes[1]}},
+		{vector.Of(1.9, 1.9), []GlobalID{nodes[1]}},
+	} {
+		resp := mustQuery(t, e, QueryRequest{Demand: tc.demand, K: 5})
+		if resp.Cached != (i > 0) {
+			t.Fatalf("query %d (%v): cached=%v, want %v", i, tc.demand, resp.Cached, i > 0)
 		}
-		for _, c := range resp.Candidates {
-			if !c.Avail.Dominates(demand) {
-				t.Fatalf("candidate %v (avail %v) does not dominate demand %v (cached=%v)",
-					c.Node, c.Avail, demand, resp.Cached)
+		got := make([]GlobalID, len(resp.Candidates))
+		for j, c := range resp.Candidates {
+			if got[j] = c.Node; !c.Avail.Dominates(tc.demand) {
+				t.Fatalf("candidate %v (avail %v) does not dominate demand %v", c.Node, c.Avail, tc.demand)
 			}
 		}
-		// The clearly-sufficient node is always found.
-		found := false
-		for _, c := range resp.Candidates {
-			found = found || c.Node == nodes[1]
-		}
-		if !found {
-			t.Fatalf("node above the cell bound missing for demand %v: %+v", demand, resp.Candidates)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("query %d (%v) answered %v, want %v", i, tc.demand, got, tc.want)
 		}
 	}
 }
@@ -794,12 +796,12 @@ func TestRecordTTLExpiresStaleNodes(t *testing.T) {
 	}
 }
 
-// TestSnapshotSearchHandBuiltMatchesPublished pins the two arms of
-// Snapshot.Search to each other: a hand-built snapshot (no index —
-// the linear referee) over an engine-published snapshot's records
-// must rank the same candidates, bit for bit, as the published
-// (indexed) one, for bounded k, a score tie, and k = 0 (every match)
-// — with an expired best fit both must skip.
+// TestSnapshotSearchHandBuiltMatchesPublished pins Snapshot.Search to
+// the referee: a hand-built answer (proto.BestFit over the published
+// snapshot's own records) must rank the same candidates, bit for bit,
+// as the published snapshot's index search, for bounded k, a score
+// tie, and k = 0 (every match) — with an expired best fit both must
+// skip.
 func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 6
@@ -826,18 +828,13 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.flat == nil {
-		t.Fatal("engine published a snapshot without its index")
-	}
-	hand := &Snapshot{Shard: pub.Shard, Taken: pub.Taken, Records: pub.Records}
 	demand := vector.Of(4, 4)
 	for _, tc := range []struct{ k, want int }{{1, 1}, {3, 3}, {0, 4}} {
 		cands, _ := pub.Search(nil, demand, cfg.CMax, tc.k)
 		got := RankCandidates(cands, tc.k)
-		cands, visited := hand.Search(nil, demand, cfg.CMax, tc.k)
-		want := RankCandidates(cands, tc.k)
-		if visited != len(pub.Records) {
-			t.Fatalf("k=%d: hand-built snapshot visited %d of %d records", tc.k, visited, len(pub.Records))
+		var want []Candidate
+		for _, f := range proto.BestFit(nil, pub.Records, pub.Taken, uint64(Global(pub.Shard, 0)), demand, cfg.CMax, tc.k) {
+			want = append(want, Candidate{Node: GlobalID(f.ID), Avail: f.Avail, Surplus: f.Surplus})
 		}
 		if len(got) != tc.want || len(want) != tc.want {
 			t.Fatalf("k=%d: published ranked %d, hand-built %d, want %d\n%+v\n%+v",
@@ -982,17 +979,18 @@ func TestSubmitCancelUnblocksAbandonedLeg(t *testing.T) {
 }
 
 // TestCacheQuantizeUpperBoundDominates pins the rounding fix in
-// quantize: the cell's upper-bound demand — what a cached candidate
-// set is evaluated against — must dominate every demand keyed to the
-// cell. cell/inv can round one ulp below an on-grid demand (cmax 16,
-// quantum 0.1125 — two adaptive regrids from 0.05 — demand 1.8 gave
-// 1.7999999999999998), which cached a record sitting in that gap for
-// a demand it does not dominate. Beyond the table, it sweeps every
+// quantize: the cell's corners — what a cached set is drawn against —
+// must bracket every demand keyed to the cell, lo <= demand <= ub.
+// cell/inv can round one ulp below an on-grid demand (cmax 16, quantum
+// 0.1125 — two adaptive regrids from 0.05 — demand 1.8 gave
+// 1.7999999999999998), which cached a record sitting in that gap for a
+// demand it does not dominate. Beyond the table, it sweeps every
 // quantum the controller reaches from the default (×1.5 up to
 // CacheQuantumMax, then ÷1.25 back down) over demands on exact cell
 // boundaries, one ulp either side of them, 0 and cmax, with a
-// zero-capacity dimension among the paper's five: the bound must
-// dominate each, and must be a function of the key alone.
+// zero-capacity dimension among the paper's five: the corners must
+// bracket each, must be functions of the key alone, and on the
+// zero-capacity dimension must both be the demand.
 func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 	defaults, err := Config{CMax: vector.Of(25.6, 80, 0, 10, 240, 4096)}.withDefaults()
 	if err != nil {
@@ -1014,18 +1012,23 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 	cmax := defaults.CMax
 	for _, quantum := range quanta {
 		qc.grid.Store(newGrid(quantum, cmax))
-		bounds := map[string]vector.Vec{}
+		bounds := map[string][2]vector.Vec{}
 		try := func(d int, v float64) {
 			demand := vector.New(cmax.Dim())
 			demand[d] = v
-			key, ub, _ := qc.quantize(demand, 3)
-			if !ub.Dominates(demand) {
-				t.Fatalf("quantum %v: upper bound %v does not dominate demand %v", quantum, ub, demand)
+			key, lo, ub, _ := qc.quantize(demand, 3)
+			if !ub.Dominates(demand) || !demand.Dominates(lo) {
+				t.Fatalf("quantum %v: corners %v, %v do not bracket demand %v", quantum, lo, ub, demand)
 			}
-			if prev, ok := bounds[key]; ok && !prev.Equal(ub) {
-				t.Fatalf("quantum %v: key %q has two bounds, %v and %v", quantum, key, prev, ub)
+			for z, c := range cmax {
+				if c == 0 && (lo[z] != demand[z] || ub[z] != demand[z]) {
+					t.Fatalf("quantum %v: zero-capacity dimension %d has corners %v, %v, want the demand's %v", quantum, z, lo[z], ub[z], demand[z])
+				}
 			}
-			bounds[key] = ub
+			if prev, ok := bounds[key]; ok && (!prev[0].Equal(lo) || !prev[1].Equal(ub)) {
+				t.Fatalf("quantum %v: key %q has two cells, %v and %v", quantum, key, prev, [2]vector.Vec{lo, ub})
+			}
+			bounds[key] = [2]vector.Vec{lo, ub}
 		}
 		for d, c := range cmax {
 			edges := []float64{0, c, 1.5}
@@ -1064,20 +1067,20 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 		}
 		qc := newQueryCache(cfg)
 		demand := vector.Of(tc.demand)
-		key, ub, _ := qc.quantize(demand, 3)
-		if !ub.Dominates(demand) {
-			t.Errorf("cmax %v quantum %v: upper bound %v does not dominate demand %v",
-				tc.cmax, tc.quantum, ub[0], tc.demand)
+		key, lo, ub, _ := qc.quantize(demand, 3)
+		if !ub.Dominates(demand) || !demand.Dominates(lo) {
+			t.Errorf("cmax %v quantum %v: corners %v, %v do not bracket demand %v",
+				tc.cmax, tc.quantum, lo[0], ub[0], tc.demand)
 		}
-		// The bound belongs to the cell, not to the demand that
-		// filled it: a neighbor sharing the key shares the bound.
+		// The corners belong to the cell, not to the demand that
+		// filled it: a neighbor sharing the key shares them.
 		for _, d := range []float64{math.Nextafter(tc.demand, 0), math.Nextafter(tc.demand, math.Inf(1))} {
-			if k2, ub2, _ := qc.quantize(vector.Of(d), 3); k2 == key && ub2[0] != ub[0] {
-				t.Errorf("cmax %v quantum %v: demands %v and %v share key %q but not the bound (%v vs %v)",
-					tc.cmax, tc.quantum, tc.demand, d, key, ub[0], ub2[0])
-			} else if !ub2.Dominates(vector.Of(d)) {
-				t.Errorf("cmax %v quantum %v: upper bound %v does not dominate demand %v",
-					tc.cmax, tc.quantum, ub2[0], d)
+			if k2, lo2, ub2, _ := qc.quantize(vector.Of(d), 3); k2 == key && (lo2[0] != lo[0] || ub2[0] != ub[0]) {
+				t.Errorf("cmax %v quantum %v: demands %v and %v share key %q but not the corners (%v, %v vs %v, %v)",
+					tc.cmax, tc.quantum, tc.demand, d, key, lo[0], ub[0], lo2[0], ub2[0])
+			} else if !ub2.Dominates(vector.Of(d)) || !vector.Of(d).Dominates(lo2) {
+				t.Errorf("cmax %v quantum %v: corners %v, %v do not bracket demand %v",
+					tc.cmax, tc.quantum, lo2[0], ub2[0], d)
 			}
 		}
 	}

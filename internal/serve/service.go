@@ -80,9 +80,9 @@ func (e *Engine) AvailSummary() (vector.Vec, int, uint64, bool) {
 	max := make(vector.Vec, e.cfg.CMax.Dim())
 	pop := 0
 	for _, sh := range e.shards {
-		snap := sh.snapshot()
-		pop += snap.Len()
-		snap.raiseMax(max)
+		flat := sh.snapshot().flat
+		pop += flat.Len()
+		flat.RaiseMax(max)
 	}
 	s := &availSummary{max: max, pop: pop, seq: seq}
 	e.availSum.Store(s)

@@ -132,9 +132,8 @@ type shard struct {
 	// goroutine; cleared at every publication.
 	dirty map[overlay.NodeID]bool
 
-	// flat is the dominance index of the latest published snapshot
-	// (nil in the Config.IndexDisabled referee) — the predecessor
-	// incremental rebuilds derive from. Owned by the shard goroutine;
+	// flat is the dominance index of the latest published snapshot —
+	// the predecessor incremental rebuilds derive from. Owned by the shard goroutine;
 	// readers see it only through the published Snapshot.
 	flat *index.Flat
 
@@ -714,10 +713,8 @@ func (s *shard) record(id overlay.NodeID, now sim.Time) proto.Record {
 
 // publish builds and atomically installs a fresh immutable snapshot
 // from the backend's whole population — the from-scratch path used at
-// startup and after recovery replay, and every publication of the
-// Config.IndexDisabled referee, whose snapshots store their records
-// because they have no index to read them from. It starts a new change
-// history: what changed before it is not told apart.
+// startup and after recovery replay. It starts a new change history:
+// what changed before it is not told apart.
 func (s *shard) publish() {
 	now := s.be.Now()
 	nodes := s.be.Nodes()
@@ -726,14 +723,12 @@ func (s *shard) publish() {
 		recs = append(recs, s.record(id, now))
 	}
 	clear(s.dirty)
-	if !s.cfg.IndexDisabled {
-		s.flat, recs = index.Build(recs, s.cfg.CMax), nil
-		s.idxBuilds.Add(1)
-	}
+	s.flat = index.Build(recs, s.cfg.CMax)
+	s.idxBuilds.Add(1)
 	clear(s.history)
 	s.history = append(s.history[:0], &changeSet{version: s.version.Load() + 1})
 	s.historyN = 0
-	s.installSnap(now, recs)
+	s.installSnap(now)
 }
 
 // publishDelta publishes the post-batch snapshot at a cost that
@@ -744,23 +739,23 @@ func (s *shard) publish() {
 // batches) the previous index and history are republished as they are
 // under a fresh clock.
 func (s *shard) publishDelta() {
-	if s.cfg.IndexDisabled {
-		s.publish()
-		return
-	}
 	now := s.be.Now()
 	if len(s.dirty) == 0 {
 		s.idxReuses.Add(1)
 	} else {
 		recs := s.pubBuf[:0]
-		set := &changeSet{version: s.version.Load() + 1, nodes: make([]nodeChange, 0, len(s.dirty))}
+		set := &changeSet{version: s.version.Load() + 1}
+		if set.nodes = set.one[:0]; len(s.dirty) > len(set.one) {
+			set.nodes = make([]nodeChange, 0, len(s.dirty))
+		}
 		for id, alive := range s.dirty {
 			ch := nodeChange{node: id}
 			if alive {
 				// The record's Avail is the backend's copy, which the
 				// index copies in turn: the set shares no index column.
 				recs = append(recs, s.record(id, now))
-				ch.avail = recs[len(recs)-1].Avail
+				ch.avail, ch.expires = recs[len(recs)-1].Avail, recs[len(recs)-1].Expires
+				ch.score = s.flat.Scale().Score(ch.avail)
 			}
 			set.nodes = append(set.nodes, ch)
 		}
@@ -778,7 +773,7 @@ func (s *shard) publishDelta() {
 		s.historyN += len(set.nodes)
 		s.cutHistory()
 	}
-	s.installSnap(now, nil)
+	s.installSnap(now)
 }
 
 // cutHistory unlinks the oldest change sets while the history names
@@ -794,14 +789,12 @@ func (s *shard) cutHistory() {
 	}
 }
 
-// installSnap publishes the shard's current index and history (recs:
-// the referee's stored records, nil otherwise).
-func (s *shard) installSnap(now sim.Time, recs []proto.Record) {
+// installSnap publishes the shard's current index and history.
+func (s *shard) installSnap(now sim.Time) {
 	s.snap.Store(&Snapshot{
 		Shard:   s.idx,
 		Version: s.version.Add(1),
 		Taken:   now,
-		Records: recs,
 		flat:    s.flat,
 		changes: s.history[len(s.history)-1],
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"slices"
 	"sync/atomic"
 
@@ -28,15 +29,15 @@ type Snapshot struct {
 	// a published snapshot leaves it nil, and Engine.Snapshot fills it
 	// in on the caller's goroutine, materialising it once per index
 	// version (every snapshot published over an unchanged index shares
-	// the array). Only the linear-scan referee (Config.IndexDisabled)
-	// and hand-built test snapshots store records. Records, their
-	// Avail vectors, and everything reachable from them are shared and
-	// must not be mutated.
+	// the array). It is what the referee (proto.BestFit, see
+	// Engine.Referee) reads. Records, their Avail vectors, and
+	// everything reachable from them are shared and must not be
+	// mutated.
 	Records []proto.Record
 	// flat is the shard's copy-on-write dominance index, built against
-	// the engine's CMax: the one stored representation of the records.
-	// Immutable and shared, like everything else here. nil in the
-	// linear-scan referee and in hand-built test snapshots.
+	// the engine's CMax: the one stored representation of the records,
+	// and what every read of a snapshot goes through. Immutable and
+	// shared, like everything else here.
 	flat *index.Flat
 	// changes is the newest change set of the shard's recent history,
 	// never nil in a published snapshot; the query cache walks it.
@@ -53,45 +54,18 @@ type changeSet struct {
 	version uint64 // the Version that first published these changes
 	nodes   []nodeChange
 	older   atomic.Pointer[changeSet]
+	one     [1]nodeChange // nodes' array for a one-node set: a walk reads it with the set
 }
 
 type nodeChange struct {
-	node  overlay.NodeID
-	avail vector.Vec // nil: the node left
+	node    overlay.NodeID
+	avail   vector.Vec // nil: the node left
+	expires sim.Time   // the new record's expiry
+	score   float64    // the new record's index score, which every walk over it compares first
 }
 
 // Len returns the number of records (alive nodes) in the snapshot.
-func (s *Snapshot) Len() int {
-	if s.flat == nil {
-		return len(s.Records)
-	}
-	return s.flat.Len()
-}
-
-// nodes appends the snapshot's node ids to dst, ascending.
-func (s *Snapshot) nodes(dst []overlay.NodeID) []overlay.NodeID {
-	if s.flat != nil {
-		return s.flat.Nodes(dst)
-	}
-	for i := range s.Records {
-		dst = append(dst, s.Records[i].Node)
-	}
-	return dst
-}
-
-// raiseMax raises m to the per-dimension maxima of the snapshot's
-// availabilities (expired records included).
-func (s *Snapshot) raiseMax(m vector.Vec) {
-	if s.flat != nil {
-		s.flat.RaiseMax(m)
-		return
-	}
-	for i := range s.Records {
-		for d, v := range s.Records[i].Avail {
-			m[d] = max(m[d], v)
-		}
-	}
-}
+func (s *Snapshot) Len() int { return s.flat.Len() }
 
 // Search appends to dst the candidates needed to rank the k
 // smallest-surplus unexpired records of this snapshot dominating
@@ -102,17 +76,10 @@ func (s *Snapshot) raiseMax(m vector.Vec) {
 // CMax, the scale the index was built against. The second result
 // counts records visited, the engine's sub-linearity gauge.
 //
-// Without an index every record is scanned: the referee the indexed
-// path is pinned against, producing byte-identical candidates (same
-// global ids, same surplus arithmetic).
-//
 // This is the one-snapshot search. An engine query does not call it
 // per shard: Engine.searchShards merges the shards' scans under one
 // cutoff.
 func (s *Snapshot) Search(dst []Candidate, demand, scale vector.Vec, k int) ([]Candidate, int) {
-	if s.flat == nil {
-		return s.collect(dst, demand, scale, s.Taken), len(s.Records)
-	}
 	var buf [8]int32
 	entries, visited := s.flat.Search(buf[:0], demand, s.Taken, k)
 	return s.resolve(dst, entries, demand, scale), visited
@@ -141,26 +108,9 @@ type Candidate struct {
 	// Avail is the advertised availability behind the match.
 	Avail vector.Vec `json:"avail"`
 	// Surplus is the normalized slack of Avail over the demand the
-	// caller actually sent (cached candidate sets are re-scored
-	// against it before the response returns); the best fit is the
-	// smallest surplus.
+	// caller sent, cached answer or not; the best fit is the smallest
+	// surplus.
 	Surplus float64 `json:"surplus"`
-}
-
-// collect appends to dst a candidate for every unexpired record that
-// dominates demand, computing the best-fit surplus against scale.
-func (s *Snapshot) collect(dst []Candidate, demand, scale vector.Vec, now sim.Time) []Candidate {
-	for _, r := range s.Records {
-		if r.Expired(now) || !r.Avail.Dominates(demand) {
-			continue
-		}
-		dst = append(dst, Candidate{
-			Node:    Global(s.Shard, r.Node),
-			Avail:   r.Avail,
-			Surplus: r.Avail.Surplus(demand, scale),
-		})
-	}
-	return dst
 }
 
 // bestFit sorts candidates by ascending surplus (ties broken by
@@ -171,19 +121,10 @@ func (s *Snapshot) collect(dst []Candidate, demand, scale vector.Vec, now sim.Ti
 // reflection-based swapping that dominated query-path profiles.)
 func bestFit(cands []Candidate, k int) []Candidate {
 	slices.SortFunc(cands, func(a, b Candidate) int {
-		if a.Surplus != b.Surplus {
-			if a.Surplus < b.Surplus {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(a.Surplus, b.Surplus); c != 0 {
+			return c
 		}
-		if a.Node != b.Node {
-			if a.Node < b.Node {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.Node, b.Node)
 	})
 	if k > 0 && len(cands) > k {
 		cands = cands[:k]

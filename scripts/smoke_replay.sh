@@ -2,16 +2,17 @@
 # Record/replay smoke test, both halves of the subsystem:
 #
 #  1. Scenario corpus: compile the flash-crowd and correlated-death
-#     scenarios, replay each against a fresh engine with a linear-scan
-#     reference refereeing every response, and assert their invariant
-#     sets (pidcan-replay exits non-zero on any violation). The
-#     flash-crowd trace also round-trips through a trace file.
+#     scenarios (their queries go through the cache), replay each
+#     against a fresh engine with a cache-off reference engine and the
+#     referee checking every response, and assert their invariant sets
+#     (pidcan-replay exits non-zero on any violation). The flash-crowd
+#     trace also round-trips through a trace file.
 #  2. Live capture: start pidcan-serve, begin a capture over HTTP,
 #     drive mixed load with pidcan-loadgen (seeded; the summary line
 #     must echo the seed), stop the capture, check the capture_*
 #     gauges in /stats, download the trace, and replay it into a
 #     fresh engine asserting zero acked-write loss and digest
-#     equivalence against the reference.
+#     equivalence against the reference engine and the referee.
 #
 #   scripts/smoke_replay.sh [http-port]
 #
