@@ -2,7 +2,6 @@ package pidcan
 
 import (
 	"fmt"
-	"sort"
 
 	"pidcan/internal/core"
 	"pidcan/internal/metrics"
@@ -44,8 +43,7 @@ type Cluster struct {
 	nw    *overlay.Network
 	p     *core.PIDCAN
 	rec   *metrics.Recorder
-	live  map[NodeID]bool // alive nodes only: a departed id is deleted
-	avail map[NodeID]Vec
+	avail []Vec // by NodeID: nil unless alive, so a departed id costs 24 B
 	next  NodeID
 }
 
@@ -82,8 +80,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		eng:   sim.New(),
 		rng:   sim.NewRNG(cfg.Seed, sim.StreamProtocol),
 		rec:   metrics.NewRecorder(),
-		live:  make(map[NodeID]bool),
-		avail: make(map[NodeID]Vec),
+		avail: make([]Vec, cfg.Nodes),
 	}
 	c.net = netmodel.New(cfg.Net, cfg.Nodes, sim.NewRNG(cfg.Seed, sim.StreamNetwork))
 	c.nw = overlay.New(dims, 0, sim.NewRNG(cfg.Seed, sim.StreamOverlay))
@@ -94,7 +91,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 		}
-		c.live[id] = true
 		c.avail[id] = vector.New(cfg.CMax.Dim())
 	}
 	c.next = NodeID(cfg.Nodes)
@@ -122,45 +118,41 @@ func (c *Cluster) Overlay() *overlay.Network { return c.nw }
 func (c *Cluster) CMax() Vec { return c.cfg.CMax }
 
 // Alive implements proto.Env.
-func (c *Cluster) Alive(id NodeID) bool { return c.live[id] }
+func (c *Cluster) Alive(id NodeID) bool {
+	return id >= 0 && int(id) < len(c.avail) && c.avail[id] != nil
+}
 
 // AliveNodes implements proto.Env.
 func (c *Cluster) AliveNodes() []NodeID {
-	out := make([]NodeID, 0, len(c.live))
-	for id := range c.live {
-		out = append(out, id)
+	out := make([]NodeID, 0, c.Size())
+	for id, a := range c.avail {
+		if a != nil {
+			out = append(out, NodeID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Availability implements proto.Env.
 func (c *Cluster) Availability(id NodeID) Vec {
-	if a, ok := c.avail[id]; ok {
-		return a.Clone()
+	if c.Alive(id) {
+		return c.avail[id].Clone()
 	}
 	return vector.New(c.cfg.CMax.Dim())
 }
 
 // Send implements proto.Env using the LAN/WAN latency model.
 func (c *Cluster) Send(from, to NodeID, kind MsgKind, size int, deliver func(), onDrop func()) {
-	if !c.live[from] {
+	if !c.Alive(from) {
 		return
 	}
 	c.rec.Message(kind)
-	lat := c.net.Latency(int(from), int(to), size)
-	c.eng.After(lat, func() {
-		if c.live[to] {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
+	c.deliverAfter(c.net.Latency(int(from), int(to), size), to, deliver, onDrop)
 }
 
 // SendPath implements proto.Env.
 func (c *Cluster) SendPath(from NodeID, path []NodeID, kind MsgKind, size int, deliver func(), onDrop func()) {
-	if !c.live[from] || len(path) == 0 {
+	if !c.Alive(from) || len(path) == 0 {
 		return
 	}
 	c.rec.Messages(kind, int64(len(path)))
@@ -170,9 +162,14 @@ func (c *Cluster) SendPath(from NodeID, path []NodeID, kind MsgKind, size int, d
 		lat += c.net.Latency(int(prev), int(hop), size)
 		prev = hop
 	}
-	final := path[len(path)-1]
+	c.deliverAfter(lat, prev, deliver, onDrop)
+}
+
+// deliverAfter runs deliver after lat if node to is alive then, and
+// onDrop, if any, if it is not.
+func (c *Cluster) deliverAfter(lat sim.Time, to NodeID, deliver, onDrop func()) {
 	c.eng.After(lat, func() {
-		if c.live[final] {
+		if c.Alive(to) {
 			deliver()
 		} else if onDrop != nil {
 			onDrop()
@@ -192,20 +189,20 @@ func (c *Cluster) Now() Time { return c.eng.Now() }
 // effect at the node's next state-update cycle; use Announce to push
 // immediately.
 func (c *Cluster) SetAvailability(id NodeID, avail Vec) error {
-	if !c.live[id] {
+	if !c.Alive(id) {
 		return fmt.Errorf("pidcan: node %d not in cluster", id)
 	}
 	if avail.Dim() != c.cfg.CMax.Dim() {
 		return fmt.Errorf("pidcan: availability dim %d, want %d", avail.Dim(), c.cfg.CMax.Dim())
 	}
-	c.avail[id] = avail.Clone()
+	copy(c.avail[id], avail)
 	return nil
 }
 
 // Announce pushes a node's current availability into the index right
 // away (an out-of-cycle state update).
 func (c *Cluster) Announce(id NodeID) error {
-	if !c.live[id] {
+	if !c.Alive(id) {
 		return fmt.Errorf("pidcan: node %d not in cluster", id)
 	}
 	c.p.StateUpdateNow(id)
@@ -224,47 +221,32 @@ func (c *Cluster) Step(d Time) {
 // resolves (or the internal deadline passes) and returns the
 // qualified records plus the number of messages spent.
 func (c *Cluster) Query(from NodeID, demand Vec, k int) ([]Record, int, error) {
-	if !c.live[from] {
-		return nil, 0, fmt.Errorf("pidcan: node %d not in cluster", from)
-	}
-	var out proto.QueryResult
-	resolved := false
-	c.p.Query(from, demand, k, func(r proto.QueryResult) {
-		out = r
-		resolved = true
-	})
-	deadline := c.eng.Now() + 10*sim.Minute
-	for !resolved && c.eng.Now() < deadline {
-		if !c.eng.Step() {
-			break
-		}
-	}
-	if !resolved {
-		return nil, 0, fmt.Errorf("pidcan: query from %d did not resolve", from)
-	}
-	return out.Candidates, out.Hops, nil
+	return c.await("query", from, func(done func(proto.QueryResult)) { c.p.Query(from, demand, k, done) })
 }
 
 // RangeQueryAll performs the exhaustive INSCAN-RQ query: every
 // record in the range [demand, cmax] is returned, at flooding cost.
 func (c *Cluster) RangeQueryAll(from NodeID, demand Vec) ([]Record, int, error) {
-	if !c.live[from] {
+	return c.await("range query", from, func(done func(proto.QueryResult)) { c.p.RangeQueryAll(from, demand, done) })
+}
+
+// await starts a query from node from and drives the simulation until
+// it resolves or an internal deadline passes.
+func (c *Cluster) await(what string, from NodeID, start func(done func(proto.QueryResult))) ([]Record, int, error) {
+	if !c.Alive(from) {
 		return nil, 0, fmt.Errorf("pidcan: node %d not in cluster", from)
 	}
 	var out proto.QueryResult
 	resolved := false
-	c.p.RangeQueryAll(from, demand, func(r proto.QueryResult) {
+	start(func(r proto.QueryResult) {
 		out = r
 		resolved = true
 	})
 	deadline := c.eng.Now() + 10*sim.Minute
-	for !resolved && c.eng.Now() < deadline {
-		if !c.eng.Step() {
-			break
-		}
+	for !resolved && c.eng.Now() < deadline && c.eng.Step() {
 	}
 	if !resolved {
-		return nil, 0, fmt.Errorf("pidcan: range query from %d did not resolve", from)
+		return nil, 0, fmt.Errorf("pidcan: %s from %d did not resolve", what, from)
 	}
 	return out.Candidates, out.Hops, nil
 }
@@ -280,7 +262,9 @@ func (c *Cluster) Join() (NodeID, error) {
 	if idx != int(id) {
 		panic("pidcan: netmodel index diverged")
 	}
-	c.live[id] = true
+	for int(id) >= len(c.avail) {
+		c.avail = append(c.avail, nil)
+	}
 	c.avail[id] = vector.New(c.cfg.CMax.Dim())
 	c.p.NodeJoined(id)
 	return id, nil
@@ -306,14 +290,13 @@ func (c *Cluster) SeedNextID(next NodeID) error {
 
 // Leave removes a node; its cached records and indexes die with it.
 func (c *Cluster) Leave(id NodeID) error {
-	if !c.live[id] {
+	if !c.Alive(id) {
 		return fmt.Errorf("pidcan: node %d not in cluster", id)
 	}
-	delete(c.live, id)
-	delete(c.avail, id)
 	if _, err := c.nw.Leave(id); err != nil {
-		return err
+		return err // refused (the last node): the node stays
 	}
+	c.avail[id] = nil
 	c.p.NodeLeft(id)
 	return nil
 }

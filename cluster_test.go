@@ -1,10 +1,14 @@
 package pidcan
 
 import (
+	"errors"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"pidcan/internal/metrics"
+	"pidcan/internal/space"
 	"pidcan/internal/vector"
 )
 
@@ -181,8 +185,14 @@ func TestClusterLeaveForgetsTheNode(t *testing.T) {
 		}
 		last = id
 	}
-	if len(c.live) != c.Size() || c.Size() != 50 || len(c.Nodes()) != 50 {
-		t.Fatalf("live set holds %d ids, Size %d, Nodes %d: want 50 each", len(c.live), c.Size(), len(c.Nodes()))
+	live := 0
+	for _, a := range c.avail {
+		if a != nil {
+			live++
+		}
+	}
+	if live != c.Size() || c.Size() != 50 || len(c.Nodes()) != 50 {
+		t.Fatalf("%d ids hold an availability, Size %d, Nodes %d: want 50 each", live, c.Size(), len(c.Nodes()))
 	}
 	if err := c.SetAvailability(last, vector.Of(1, 1, 1)); err == nil {
 		t.Error("SetAvailability on a departed node accepted")
@@ -197,6 +207,61 @@ func TestClusterLeaveForgetsTheNode(t *testing.T) {
 	c.Send(last, c.Nodes()[0], metrics.MsgStateUpdate, 64, func() { delivered = true }, nil)
 	if c.Metrics().MessageTotal() != sent {
 		t.Error("Send from a departed node went out")
+	}
+}
+
+// TestClusterRefusedLeaveKeepsTheNode: the overlay refuses to lose its
+// last owner, and a refused Leave must leave the node fully in the
+// cluster — not listed by Size but forgotten by Nodes and the writes.
+func TestClusterRefusedLeaveKeepsTheNode(t *testing.T) {
+	c := newTestCluster(t, 2, 3)
+	if err := c.Leave(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(1); !errors.Is(err, space.ErrLastOwner) {
+		t.Fatalf("leaving the last node: err = %v, want ErrLastOwner", err)
+	}
+	if c.Size() != 1 || !reflect.DeepEqual(c.Nodes(), []NodeID{1}) {
+		t.Fatalf("after a refused leave: Size %d, Nodes %v; want 1, [1]", c.Size(), c.Nodes())
+	}
+	if err := c.SetAvailability(1, vector.Of(4, 4, 4)); err != nil {
+		t.Errorf("SetAvailability after a refused leave: %v", err)
+	}
+	if err := c.Announce(1); err != nil {
+		t.Errorf("Announce after a refused leave: %v", err)
+	}
+	if got := c.Availability(1); !reflect.DeepEqual(got, vector.Of(4, 4, 4)) {
+		t.Errorf("Availability = %v, want (4, 4, 4)", got)
+	}
+}
+
+// TestEngineRefusedLeaveKeepsTheNode is the same refusal through the
+// serving engine: the shard's last node stays listed and writable.
+func TestEngineRefusedLeaveKeepsTheNode(t *testing.T) {
+	eng, err := NewEngine(EngineConfig{Shards: 1, NodesPerShard: 2, Seed: 3, CMax: vector.Of(8, 8, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	nodes := eng.Nodes()
+	if len(nodes) != 2 {
+		t.Fatalf("Nodes = %v, want 2", nodes)
+	}
+	if err := eng.Leave(nodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Leave(nodes[1]); err == nil {
+		t.Fatal("the shard's last node left")
+	}
+	if got := eng.Nodes(); !reflect.DeepEqual(got, nodes[1:]) {
+		t.Fatalf("Nodes after a refused leave = %v, want %v", got, nodes[1:])
+	}
+	if err := eng.Update(nodes[1], vector.Of(5, 5, 5), true); err != nil {
+		t.Fatalf("Update after a refused leave: %v", err)
+	}
+	resp, err := eng.Query(QueryRequest{Demand: vector.Of(4, 4, 4), K: 1, NoCache: true})
+	if err != nil || len(resp.Candidates) != 1 {
+		t.Fatalf("query after a refused leave: %+v, %v", resp, err)
 	}
 }
 
@@ -229,15 +294,81 @@ func clusterFootprint(tb testing.TB, n int) (bytesPerNode, allocsPerNode float64
 // TestClusterBytesPerNode is the memory budget of the simulated
 // overlay: at 100k nodes it, not the serving tiers, is most of the
 // process. 1 216 B per node before periodic timers were one heap entry
-// and zones shared bounds, 776 after.
+// and zones shared bounds, 776 as pointer trees and maps, ≈ 480 as
+// arrays (see the space package comment).
 func TestClusterBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what is allocated")
 	}
 	got, _ := clusterFootprint(t, 20000)
 	t.Logf("%.0f B per node", got)
-	if got > 900 {
-		t.Errorf("a 20 000-node cluster holds %.0f B per node, budget 900", got)
+	if got > 600 {
+		t.Errorf("a 20 000-node cluster holds %.0f B per node, budget 600", got)
+	}
+}
+
+// TestClusterAllocationsPerNode budgets what building a cluster
+// allocates per node: the split's bound object, the availability
+// vector, two periodic timers and the join point (≈ 13 before the
+// overlay was arrays).
+func TestClusterAllocationsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what is allocated")
+	}
+	_, got := clusterFootprint(t, 20000)
+	t.Logf("%.2f allocations per node", got)
+	if got > 6 {
+		t.Errorf("building a 20 000-node cluster allocates %.2f objects per node, budget 6", got)
+	}
+}
+
+// TestClusterChurnSoak runs a 20 000-node cluster through ten times its
+// population in joins and leaves, then checks the overlay and bounds
+// what the churned cluster holds against a fresh one of the same
+// size: a departed id costs 68 B for good (4 B of leaf index, 24 of
+// availability slot, 32 of protocol slot, 8 of latency model), and its
+// two stopped periodic timers stay queued until their next firing,
+// within one cycle — this soak runs at one instant, so all of them
+// still are.
+func TestClusterChurnSoak(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes what is allocated")
+	}
+	const n, rounds, perDeparture = 20000, 10, 200
+	fresh, _ := clusterFootprint(t, n)
+	before := heapAfterGC()
+	c, err := NewCluster(ClusterConfig{Nodes: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alive := c.Nodes()
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < rounds*n; i++ {
+		id, err := c.Join()
+		if err != nil {
+			t.Fatal(err)
+		}
+		alive = append(alive, id)
+		j := r.Intn(len(alive))
+		if err := c.Leave(alive[j]); err != nil {
+			t.Fatal(err)
+		}
+		alive[j] = alive[len(alive)-1]
+		alive = alive[:len(alive)-1]
+	}
+	if err := c.nw.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Size() != n || len(c.Nodes()) != n {
+		t.Fatalf("Size %d, Nodes %d after churn, want %d", c.Size(), len(c.Nodes()), n)
+	}
+	after := heapAfterGC()
+	runtime.KeepAlive(c)
+	got := float64(after.HeapAlloc-before.HeapAlloc) / n
+	t.Logf("%.0f B per live node after churn, %.0f fresh", got, fresh)
+	if budget := fresh + rounds*perDeparture; got > budget {
+		t.Errorf("churned cluster holds %.0f B per live node, budget %.0f (fresh %.0f + %d departures per node × %d B)",
+			got, budget, fresh, rounds, perDeparture)
 	}
 }
 

@@ -13,12 +13,16 @@ import (
 
 // PIDCAN is the Proactive Index-Diffusion CAN protocol. One instance
 // serves a whole simulation run; per-node state (duty cache γ,
-// positive-index list) is held in nodeState records keyed by node id.
+// positive-index list) is held in nodeState values indexed by node
+// id. A departed id keeps its zeroed 32-B slot.
 type PIDCAN struct {
 	env proto.Env
 	cfg Config
 
-	nodes map[overlay.NodeID]*nodeState
+	nodes []nodeState // by NodeID
+	// onState and onDiffuse are the periodic handlers every node's
+	// timers share; the engine's Arg names the node.
+	onState, onDiffuse func()
 
 	// cmaxSource, when set, supplies a per-node estimate of the
 	// system-wide maximum capacity vector for the SoS bound of
@@ -27,7 +31,8 @@ type PIDCAN struct {
 	cmaxSource func(overlay.NodeID) vector.Vec
 }
 
-// nodeState is the protocol state one peer maintains.
+// nodeState is the protocol state one peer maintains. Its maps are
+// made on first use; a slot without timers is not a joined node.
 type nodeState struct {
 	cache  proto.Cache                 // duty cache γ (records this zone keeps)
 	pilist map[overlay.NodeID]sim.Time // PIList: index origin → expiry
@@ -36,16 +41,23 @@ type nodeState struct {
 	diffTimer  *sim.Timer
 }
 
+// index records an index message from origin, valid until exp.
+func (st *nodeState) index(origin overlay.NodeID, exp sim.Time) {
+	if st.pilist == nil {
+		st.pilist = make(map[overlay.NodeID]sim.Time)
+	}
+	st.pilist[origin] = exp
+}
+
 // New builds a PID-CAN instance over env. The config must validate.
 func New(env proto.Env, cfg Config) (*PIDCAN, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &PIDCAN{
-		env:   env,
-		cfg:   cfg,
-		nodes: make(map[overlay.NodeID]*nodeState),
-	}, nil
+	p := &PIDCAN{env: env, cfg: cfg}
+	p.onState = func() { p.stateUpdate(overlay.NodeID(env.Engine().Arg())) }
+	p.onDiffuse = func() { p.diffuse(overlay.NodeID(env.Engine().Arg())) }
+	return p, nil
 }
 
 // Name implements proto.Discovery.
@@ -69,41 +81,46 @@ func (p *PIDCAN) Start() {
 
 // NodeJoined implements proto.Discovery.
 func (p *PIDCAN) NodeJoined(id overlay.NodeID) {
-	if _, ok := p.nodes[id]; ok {
+	if p.state(id) != nil {
 		return
 	}
-	st := &nodeState{
-		cache:  *proto.NewCache(),
-		pilist: make(map[overlay.NodeID]sim.Time),
+	for int(id) >= len(p.nodes) {
+		p.nodes = append(p.nodes, nodeState{})
 	}
-	p.nodes[id] = st
+	st := &p.nodes[id]
 	eng := p.env.Engine()
 	rng := p.env.ProtoRNG()
 	startS := eng.Now() + sim.Time(rng.Uniform(0, float64(p.cfg.StateCycle)))
-	st.stateTimer = eng.Every(startS, p.cfg.StateCycle, func() { p.stateUpdate(id) })
+	st.stateTimer = eng.EveryArg(startS, p.cfg.StateCycle, int32(id), p.onState)
 	startD := eng.Now() + sim.Time(rng.Uniform(0, float64(p.cfg.DiffusionCycle)))
-	st.diffTimer = eng.Every(startD, p.cfg.DiffusionCycle, func() { p.diffuse(id) })
+	st.diffTimer = eng.EveryArg(startD, p.cfg.DiffusionCycle, int32(id), p.onDiffuse)
 }
 
 // NodeLeft implements proto.Discovery: the departed node's cached
 // records and PIList die with it; indexes pointing *to* it elsewhere
 // decay by TTL (modelled staleness).
 func (p *PIDCAN) NodeLeft(id overlay.NodeID) {
-	st, ok := p.nodes[id]
-	if !ok {
+	st := p.state(id)
+	if st == nil {
 		return
 	}
 	st.stateTimer.Stop()
 	st.diffTimer.Stop()
-	delete(p.nodes, id)
+	*st = nodeState{}
 }
 
-// state returns the protocol state of an alive node, or nil.
-func (p *PIDCAN) state(id overlay.NodeID) *nodeState { return p.nodes[id] }
+// state returns the protocol state of an alive node, or nil. The
+// pointer is good until the next NodeJoined.
+func (p *PIDCAN) state(id overlay.NodeID) *nodeState {
+	if id < 0 || int(id) >= len(p.nodes) || p.nodes[id].stateTimer == nil {
+		return nil
+	}
+	return &p.nodes[id]
+}
 
 // CacheLen reports the duty-cache size of a node (tests/inspection).
 func (p *PIDCAN) CacheLen(id overlay.NodeID) int {
-	if st := p.nodes[id]; st != nil {
+	if st := p.state(id); st != nil {
 		return st.cache.Len()
 	}
 	return 0
@@ -111,7 +128,7 @@ func (p *PIDCAN) CacheLen(id overlay.NodeID) int {
 
 // PIListLen reports the unexpired PIList size of a node.
 func (p *PIDCAN) PIListLen(id overlay.NodeID) int {
-	st := p.nodes[id]
+	st := p.state(id)
 	if st == nil {
 		return 0
 	}
@@ -253,7 +270,7 @@ func (p *PIDCAN) onIndex(at overlay.NodeID, m indexMsg) {
 	}
 	now := p.env.Engine().Now()
 	if m.origin != at {
-		st.pilist[m.origin] = now + p.cfg.IndexTTL
+		st.index(m.origin, now+p.cfg.IndexTTL)
 	}
 	if p.cfg.Mode != Hopping {
 		return
@@ -418,7 +435,7 @@ func (q *query) onDuty(duty overlay.NodeID) {
 		if st := p.state(duty); st != nil {
 			q.collect(st.cache.QualifiedSample(q.search, now, q.delta, p.env.ProtoRNG()))
 			if q.delta <= 0 {
-				q.complete(duty)
+				q.finish()
 				return
 			}
 		}
@@ -525,7 +542,7 @@ func (q *query) onJump(idx overlay.NodeID) {
 			proto.SizeNotify+proto.SizeRecord*len(phi), func() {}, nil)
 	}
 	if q.delta <= 0 {
-		q.complete(idx)
+		q.finish()
 		return
 	}
 	q.nextJump(idx)
@@ -558,10 +575,6 @@ func (q *query) shortfall() {
 	}
 	q.finish()
 }
-
-// complete resolves a satisfied query from the node that found the
-// last records.
-func (q *query) complete(overlay.NodeID) { q.finish() }
 
 // finish invokes done exactly once.
 func (q *query) finish() {

@@ -417,7 +417,7 @@ func TestPIListExpiry(t *testing.T) {
 	// Manually insert an index entry and verify sampling honours TTL.
 	id := env.Net.Nodes()[3]
 	st := p.state(id)
-	st.pilist[7] = env.Eng.Now() + 50*sim.Second
+	st.index(7, env.Eng.Now()+50*sim.Second)
 	if got := p.PIListLen(id); got != 1 {
 		t.Fatalf("PIListLen = %d", got)
 	}
@@ -432,7 +432,7 @@ func TestPIListExpiry(t *testing.T) {
 		t.Errorf("PIListLen after expiry = %d", got)
 	}
 	// skip filter
-	st.pilist[9] = env.Eng.Now() + sim.Hour
+	st.index(9, env.Eng.Now()+sim.Hour)
 	if got := p.pilistSample(st, env.Eng.Now(), 5, map[overlay.NodeID]bool{9: true}); len(got) != 0 {
 		t.Errorf("skip filter failed: %v", got)
 	}

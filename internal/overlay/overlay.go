@@ -276,6 +276,22 @@ func intervalDistSq(z space.Zone, t space.Point) float64 {
 	return s
 }
 
+// widestGap returns the dimension along which target lies farthest
+// outside z (the first on ties; -1 when z contains it) and whether it
+// lies on the positive side. A gap can be zero when t[k] == z.Hi[k]
+// (half-open boundary); that is still a dimension to cross.
+func widestGap(z space.Zone, t space.Point) (dim int, positive bool) {
+	dim, widest := -1, -1.0
+	for k := range t {
+		if t[k] >= z.Hi[k] && t[k]-z.Hi[k] > widest {
+			dim, widest, positive = k, t[k]-z.Hi[k], true
+		} else if t[k] < z.Lo[k] && z.Lo[k]-t[k] > widest {
+			dim, widest, positive = k, z.Lo[k]-t[k], false
+		}
+	}
+	return dim, positive
+}
+
 // clampInto returns t clamped into z (using the closed lower and the
 // open upper bound; the upper clamp stays strictly inside).
 func clampInto(t space.Point, z space.Zone) space.Point {
@@ -333,22 +349,7 @@ func (nw *Network) route(origin NodeID, target space.Point, useLinks bool) (Path
 			// Adjacent step toward the target along the dimension
 			// with the largest gap, at the target's latitude.
 			p := clampInto(target, z)
-			bestDim, bestGap := -1, 0.0
-			positive := false
-			for k := range target {
-				var gap float64
-				var pos bool
-				if target[k] >= z.Hi[k] {
-					gap, pos = target[k]-z.Hi[k], true
-				} else if target[k] < z.Lo[k] {
-					gap, pos = z.Lo[k]-target[k], false
-				}
-				// The gap can be zero when t[k] == z.Hi[k] (half-open
-				// boundary); still a valid crossing dimension.
-				if (target[k] >= z.Hi[k] || target[k] < z.Lo[k]) && (bestDim == -1 || gap > bestGap) {
-					bestDim, bestGap, positive = k, gap, pos
-				}
-			}
+			bestDim, positive := widestGap(z, target)
 			if bestDim == -1 {
 				return path, fmt.Errorf("overlay: routing stuck at node %d zone %v target %v", cur, z, target)
 			}
@@ -371,23 +372,7 @@ func (nw *Network) bestLinkJump(cur NodeID, z space.Zone, target space.Point) (N
 	curDist := intervalDistSq(z, target)
 	// Choose the dimension with the largest gap and jump as far as
 	// possible along it without overshooting the target coordinate.
-	bestDim, bestGap := -1, -1.0
-	positive := false
-	for k := range target {
-		var gap float64
-		var pos bool
-		switch {
-		case target[k] >= z.Hi[k]:
-			gap, pos = target[k]-z.Hi[k], true
-		case target[k] < z.Lo[k]:
-			gap, pos = z.Lo[k]-target[k], false
-		default:
-			continue
-		}
-		if gap > bestGap {
-			bestDim, bestGap, positive = k, gap, pos
-		}
-	}
+	bestDim, positive := widestGap(z, target)
 	if bestDim == -1 {
 		return NoNode, space.Zone{}
 	}

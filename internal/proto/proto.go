@@ -108,16 +108,22 @@ type Discovery interface {
 
 // Cache is a duty-node record store (the paper's cache γ) with TTL
 // expiry. Iteration is in ascending node order so simulations remain
-// deterministic (Go map order is randomized).
+// deterministic (Go map order is randomized). The zero Cache is empty
+// and holds no map until its first Put.
 type Cache struct {
 	m map[overlay.NodeID]Record
 }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{m: make(map[overlay.NodeID]Record)} }
+func NewCache() *Cache { return &Cache{} }
 
 // Put stores or refreshes the record for rec.Node.
-func (c *Cache) Put(rec Record) { c.m[rec.Node] = rec }
+func (c *Cache) Put(rec Record) {
+	if c.m == nil {
+		c.m = make(map[overlay.NodeID]Record)
+	}
+	c.m[rec.Node] = rec
+}
 
 // Delete removes the record for the node, if any.
 func (c *Cache) Delete(id overlay.NodeID) { delete(c.m, id) }

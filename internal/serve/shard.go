@@ -427,8 +427,7 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 				break
 			}
 			// The last node of a shard stays put: the CAN overlay
-			// cannot lose its last owner (and a failed overlay leave
-			// would strand the node half-dead).
+			// cannot lose its last owner.
 			if s.be.Size() <= 1 {
 				res.err = fmt.Errorf("%w: shard %d", ErrLastNode, s.idx)
 				break

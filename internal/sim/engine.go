@@ -55,7 +55,8 @@ type Timer struct {
 	fn       func()
 	interval Time // > 0: periodic, re-pushed after each firing
 	stopped  bool
-	index    int // heap index, -1 once popped
+	arg      int32 // Engine.Arg while fn runs
+	index    int   // heap index, -1 once popped
 }
 
 // Stop cancels the timer. It is safe to call multiple times and
@@ -108,6 +109,7 @@ type Engine struct {
 	events    eventHeap
 	processed uint64
 	halted    bool
+	arg       int32
 }
 
 // New returns an engine at time 0 with an empty event queue.
@@ -118,6 +120,10 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of scheduled (possibly stopped) events.
 func (e *Engine) Pending() int { return len(e.events) }
+
+// Arg returns the arg of the timer whose callback is running (see
+// EveryArg); 0 for timers made without one.
+func (e *Engine) Arg() int32 { return e.arg }
 
 // Processed returns the number of callbacks executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -156,6 +162,14 @@ func (e *Engine) Every(start, interval Time, fn func()) *Timer {
 	return tm
 }
 
+// EveryArg is Every for a callback shared by many timers, which tells
+// them apart by Arg: while fn runs for this timer, Arg returns arg.
+func (e *Engine) EveryArg(start, interval Time, arg int32, fn func()) *Timer {
+	tm := e.Every(start, interval, fn)
+	tm.arg = arg
+	return tm
+}
+
 // fire executes the earliest pending event if it is due by until and
 // reports whether it did. Stopped one-shot timers at the head of the
 // queue are discarded on the way, whatever their time; a stopped
@@ -174,6 +188,7 @@ func (e *Engine) fire(until Time) bool {
 		e.now = tm.at
 		e.processed++
 		if !tm.stopped {
+			e.arg = tm.arg
 			tm.fn()
 		}
 		if tm.interval > 0 && !tm.stopped {

@@ -7,6 +7,15 @@
 // The space is bounded, not toroidal: the paper's axes are resource
 // magnitudes and index diffusion runs "until reaching the edge of the
 // CAN space" (§III.A), so there is no wraparound.
+//
+// Layout: the tree is arrays, not pointers. Its nodes are
+// pointer-free values in one slice, linked by int32 slot numbers; a
+// node's two children are adjacent slots, allocated by a split and
+// released by a merge as one pair, and released pairs are reused.
+// Zones are a parallel slice by slot, and the leaf index is a slice
+// by owner id. Zones share the bounds a split does not move, and a
+// split allocates the two it does move as one object, so a zone's
+// bounds are never written once the zone exists.
 package space
 
 import (
@@ -153,12 +162,16 @@ func (z Zone) OverlapsRange(lo, hi Point) bool {
 // coordinates exact dyadic rationals. Only the two bounds that move
 // are new; lower shares z.Lo and upper shares z.Hi.
 func (z Zone) Split(dim int) (lower, upper Zone) {
+	return z.splitInto(dim, z.Hi.Clone(), z.Lo.Clone())
+}
+
+// splitInto is Split with the two bounds that move supplied: hi and
+// lo are fresh copies of z.Hi and z.Lo, and become lower.Hi and
+// upper.Lo.
+func (z Zone) splitInto(dim int, hi, lo Point) (lower, upper Zone) {
 	mid := (z.Lo[dim] + z.Hi[dim]) / 2
-	lower = Zone{Lo: z.Lo, Hi: z.Hi.Clone()}
-	upper = Zone{Lo: z.Lo.Clone(), Hi: z.Hi}
-	lower.Hi[dim] = mid
-	upper.Lo[dim] = mid
-	return lower, upper
+	hi[dim], lo[dim] = mid, mid
+	return Zone{Lo: z.Lo, Hi: hi}, Zone{Lo: lo, Hi: z.Hi}
 }
 
 // Adjacency describes how two zones abut.

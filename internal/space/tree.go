@@ -32,90 +32,111 @@ const NoOwner OwnerID = -1
 //
 // Tree is not safe for concurrent mutation; the simulation engine is
 // single-threaded per run.
+//
+// Memory (see the package comment for the layout): 24 B of node and
+// 48 B of zone header per slot, two slots per owner at the
+// population's high-water mark, one bound object of 2·dim float64s
+// per internal node, and 4 B of leaf index per owner id ever used,
+// alive or not.
 type Tree struct {
-	dim    int
-	root   *treeNode
-	leaves map[OwnerID]*treeNode
+	dim   int
+	nodes []treeNode
+	zones []Zone  // by slot; internal nodes keep theirs for pruning
+	leaf  []int32 // by OwnerID: 1 + the slot of its leaf, 0 for none
+	free  int32   // the last released pair's first slot, or -1
+	n     int     // owners
 }
 
+// treeNode is one slot; the root is slot 0.
 type treeNode struct {
-	zone        Zone
-	parent      *treeNode
-	left, right *treeNode // nil for leaves
-	splitAt     float64   // valid for internal nodes
-	splitDim    int32     // valid for internal nodes
-	depth       int32
-	owner       OwnerID // valid for leaves
+	splitAt float64 // internal nodes: the cut
+	parent  int32   // -1 at the root; in a released pair, the next one
+	child   int32   // internal nodes: the left child (right: child+1); -1 on leaves
+	owner   OwnerID // leaves; NoOwner on internal nodes
+	dim     int32   // the split dimension: depth mod the tree's dimension
 }
-
-func (n *treeNode) isLeaf() bool { return n.left == nil }
 
 // NewTree creates a partition tree over [0,1)^dim whose single zone
 // is owned by first.
 func NewTree(dim int, first OwnerID) *Tree {
-	if dim < 1 {
-		panic("space: tree dimension must be >= 1")
+	if dim < 1 || first < 0 {
+		panic("space: tree dimension must be >= 1 and its first owner >= 0")
 	}
-	root := &treeNode{zone: UnitZone(dim), owner: first}
-	return &Tree{
-		dim:    dim,
-		root:   root,
-		leaves: map[OwnerID]*treeNode{first: root},
-	}
+	t := &Tree{dim: dim, nodes: []treeNode{{parent: -1, child: -1}}, zones: []Zone{UnitZone(dim)}, free: -1, n: 1}
+	t.setLeaf(first, 0)
+	return t
 }
 
 // Dim returns the dimensionality of the space.
 func (t *Tree) Dim() int { return t.dim }
 
 // Len returns the number of zones (= alive owners).
-func (t *Tree) Len() int { return len(t.leaves) }
+func (t *Tree) Len() int { return t.n }
 
 // Owners returns all owners in ascending order. Intended for tests
 // and inspection tools.
 func (t *Tree) Owners() []OwnerID {
-	out := make([]OwnerID, 0, len(t.leaves))
-	for id := range t.leaves {
-		out = append(out, id)
+	out := make([]OwnerID, 0, t.n)
+	for id, s := range t.leaf {
+		if s != 0 {
+			out = append(out, OwnerID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// slot returns the slot of owner's leaf.
+func (t *Tree) slot(owner OwnerID) (int32, bool) {
+	if owner < 0 || int(owner) >= len(t.leaf) || t.leaf[owner] == 0 {
+		return 0, false
+	}
+	return t.leaf[owner] - 1, true
+}
+
+// setLeaf makes leaf slot s owner's.
+func (t *Tree) setLeaf(owner OwnerID, s int32) {
+	for int(owner) >= len(t.leaf) {
+		t.leaf = append(t.leaf, 0)
+	}
+	t.leaf[owner] = s + 1
+	t.nodes[s].owner = owner
 }
 
 // Contains reports whether owner currently owns a zone.
 func (t *Tree) Contains(owner OwnerID) bool {
-	_, ok := t.leaves[owner]
+	_, ok := t.slot(owner)
 	return ok
 }
 
 // ZoneOf returns the zone owned by owner.
 func (t *Tree) ZoneOf(owner OwnerID) (Zone, bool) {
-	leaf, ok := t.leaves[owner]
+	s, ok := t.slot(owner)
 	if !ok {
 		return Zone{}, false
 	}
-	return leaf.zone, true
+	return t.zones[s], true
 }
 
 // leafAt descends to the leaf containing p. When a coordinate equals
 // a split plane exactly, the point belongs to the right (>=) child,
-// matching the half-open zone convention.
-func (t *Tree) leafAt(p Point) *treeNode {
-	n := t.root
-	for !n.isLeaf() {
-		if p[n.splitDim] < n.splitAt {
-			n = n.left
-		} else {
-			n = n.right
+// matching the half-open zone convention — except along dimension
+// bias (-1 for none), where it goes left: that finds the zone whose
+// upper boundary is p[bias], the negative-side neighbor, without
+// epsilon arithmetic.
+func (t *Tree) leafAt(p Point, bias int) int32 {
+	nodes, s := t.nodes, int32(0)
+	for n := &nodes[0]; n.child >= 0; n = &nodes[s] {
+		x := p[n.dim]
+		s = n.child
+		if !(x < n.splitAt) && (x != n.splitAt || int(n.dim) != bias) {
+			s++
 		}
 	}
-	return n
+	return s
 }
 
 // OwnerAt returns the owner of the zone containing p.
-func (t *Tree) OwnerAt(p Point) OwnerID { return t.leafAt(p).owner }
-
-// ZoneAt returns the zone containing p.
-func (t *Tree) ZoneAt(p Point) Zone { return t.leafAt(p).zone }
+func (t *Tree) OwnerAt(p Point) OwnerID { return t.nodes[t.leafAt(p, -1)].owner }
 
 // ErrDuplicateOwner is returned by Split when the joining owner is
 // already present in the tree.
@@ -132,31 +153,56 @@ var ErrLastOwner = errors.New("space: cannot remove last owner")
 // p while the previous owner keeps the other half. It returns the
 // previous owner of the split zone (the joiner's bootstrap contact).
 func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
-	if _, dup := t.leaves[joiner]; dup {
+	if t.Contains(joiner) {
 		return NoOwner, ErrDuplicateOwner
+	}
+	if joiner < 0 {
+		return NoOwner, fmt.Errorf("space: owner %d is negative", joiner)
 	}
 	if !p.InUnitCube() {
 		return NoOwner, fmt.Errorf("space: split point %v outside unit cube", p)
 	}
-	leaf := t.leafAt(p)
-	dim := int(leaf.depth) % t.dim
-	lowerZ, upperZ := leaf.zone.Split(dim)
-	mid := upperZ.Lo[dim]
+	s := t.leafAt(p, -1)
+	dim, z := int(t.nodes[s].dim), t.zones[s]
+	bounds := make(Point, 2*t.dim) // the two bounds that move, one object
+	hi, lo := bounds[:t.dim:t.dim], bounds[t.dim:]
+	copy(hi, z.Hi)
+	copy(lo, z.Lo)
+	lower, upper := z.splitInto(dim, hi, lo)
 
-	left := &treeNode{zone: lowerZ, parent: leaf, depth: leaf.depth + 1}
-	right := &treeNode{zone: upperZ, parent: leaf, depth: leaf.depth + 1}
-	if p[dim] < mid {
-		left.owner, right.owner = joiner, leaf.owner
+	// The children: a released pair of slots, or two new ones.
+	c := t.free
+	if c >= 0 {
+		t.free = t.nodes[c].parent
 	} else {
-		left.owner, right.owner = leaf.owner, joiner
+		c = int32(len(t.nodes))
+		t.nodes = append(t.nodes, treeNode{}, treeNode{})
+		t.zones = append(t.zones, Zone{}, Zone{})
 	}
-	prev = leaf.owner
-	leaf.left, leaf.right = left, right
-	leaf.splitDim, leaf.splitAt = int32(dim), mid
-	leaf.owner = NoOwner
-	t.leaves[left.owner] = left
-	t.leaves[right.owner] = right
+	leaf := treeNode{parent: s, child: -1, owner: NoOwner, dim: int32(dim+1) % int32(t.dim)}
+	t.nodes[c], t.nodes[c+1] = leaf, leaf
+	t.zones[c], t.zones[c+1] = lower, upper
+	prev = t.nodes[s].owner
+	if p[dim] < upper.Lo[dim] {
+		t.setLeaf(joiner, c)
+		t.setLeaf(prev, c+1)
+	} else {
+		t.setLeaf(prev, c)
+		t.setLeaf(joiner, c+1)
+	}
+	n := &t.nodes[s]
+	n.child, n.splitAt, n.owner = c, upper.Lo[dim], NoOwner
+	t.n++
 	return prev, nil
+}
+
+// merge releases the children of s, which becomes owner's leaf.
+func (t *Tree) merge(s int32, owner OwnerID) {
+	c := t.nodes[s].child
+	t.nodes[c].parent, t.free = t.free, c
+	t.zones[c], t.zones[c+1] = Zone{}, Zone{}
+	t.nodes[s].child = -1
+	t.setLeaf(owner, s)
 }
 
 // Reassignment describes the ownership changes caused by a departure.
@@ -179,88 +225,91 @@ type Reassignment struct {
 //     the other relocates into the departed zone (Mover = relocated
 //     peer).
 func (t *Tree) Remove(owner OwnerID) (Reassignment, error) {
-	leaf, ok := t.leaves[owner]
+	s, ok := t.slot(owner)
 	if !ok {
 		return Reassignment{}, ErrUnknownOwner
 	}
-	if len(t.leaves) == 1 {
+	if t.n == 1 {
 		return Reassignment{}, ErrLastOwner
 	}
-	parent := leaf.parent
-	sibling := parent.left
-	if sibling == leaf {
-		sibling = parent.right
+	parent := t.nodes[s].parent
+	sibling := t.nodes[parent].child
+	if sibling == s {
+		sibling++
 	}
-	delete(t.leaves, owner)
+	t.leaf[owner] = 0
+	t.n--
 
-	if sibling.isLeaf() {
+	if t.nodes[sibling].child < 0 {
 		// Merge: sibling's owner absorbs the whole parent zone.
-		absorber := sibling.owner
-		parent.left, parent.right = nil, nil
-		parent.owner = absorber
-		t.leaves[absorber] = parent
+		absorber := t.nodes[sibling].owner
+		t.merge(parent, absorber)
 		return Reassignment{Departed: owner, Absorber: absorber, Mover: NoOwner}, nil
 	}
 
 	// Find the deepest buddy pair (internal node with two leaf
 	// children) inside the sibling subtree, merge it, and relocate
 	// one buddy into the departed zone.
-	buddyParent := deepestBuddyPair(sibling)
-	a, b := buddyParent.left, buddyParent.right
-	absorber, mover := a.owner, b.owner
-	buddyParent.left, buddyParent.right = nil, nil
-	buddyParent.owner = absorber
-	t.leaves[absorber] = buddyParent
-	delete(t.leaves, mover)
-
-	leaf.owner = mover
-	t.leaves[mover] = leaf
+	buddyParent := t.deepestBuddyPair(sibling)
+	c := t.nodes[buddyParent].child
+	absorber, mover := t.nodes[c].owner, t.nodes[c+1].owner
+	t.merge(buddyParent, absorber)
+	t.setLeaf(mover, s)
 	return Reassignment{Departed: owner, Absorber: absorber, Mover: mover}, nil
 }
 
 // deepestBuddyPair returns the deepest internal node of the subtree
-// rooted at n whose two children are both leaves. Every internal
-// subtree has at least one such node.
-func deepestBuddyPair(n *treeNode) *treeNode {
-	best := n
-	bestDepth := int32(-1)
-	var walk func(m *treeNode)
-	walk = func(m *treeNode) {
-		if m.isLeaf() {
-			return
+// rooted at s whose two children are both leaves, the first in
+// depth-first order among equals. Every internal subtree has one.
+func (t *Tree) deepestBuddyPair(s int32) int32 {
+	best, bestDepth := int32(-1), -1
+	t.visit(s, 0, func(m int32, depth int) bool {
+		c := t.nodes[m].child
+		if c < 0 || t.nodes[c].child >= 0 || t.nodes[c+1].child >= 0 {
+			return c >= 0
 		}
-		if m.left.isLeaf() && m.right.isLeaf() {
-			if m.depth > bestDepth {
-				best, bestDepth = m, m.depth
-			}
-			return
+		if depth > bestDepth {
+			best, bestDepth = m, depth
 		}
-		walk(m.left)
-		walk(m.right)
-	}
-	walk(n)
-	if bestDepth < 0 {
+		return false
+	})
+	if best < 0 {
 		panic("space: internal subtree without buddy pair (corrupt tree)")
 	}
 	return best
+}
+
+// visit calls fn on slot s, at the given depth, and, for every
+// internal node on which fn returns true, on its children, left
+// subtree first.
+func (t *Tree) visit(s int32, depth int, fn func(s int32, depth int) bool) {
+	if fn(s, depth) && t.nodes[s].child >= 0 {
+		t.visit(t.nodes[s].child, depth+1, fn)
+		t.visit(t.nodes[s].child+1, depth+1, fn)
+	}
 }
 
 // Neighbors returns the owners of all zones adjacent to owner's zone
 // per the CAN adjacency definition, in ascending owner order, with
 // the adjacency description for each.
 func (t *Tree) Neighbors(owner OwnerID) []Neighbor {
-	leaf, ok := t.leaves[owner]
+	s, ok := t.slot(owner)
 	if !ok {
 		return nil
 	}
+	z := t.zones[s]
 	var out []Neighbor
-	t.visitClosure(t.root, leaf.zone, func(cand *treeNode) {
-		if cand == leaf {
-			return
+	// Prune subtrees whose closed hull misses z's.
+	t.visit(0, 0, func(c int32, _ int) bool {
+		if !t.zones[c].ClosureIntersects(z) {
+			return false
 		}
-		if adj, ok := leaf.zone.AdjacentTo(cand.zone); ok {
-			out = append(out, Neighbor{Owner: cand.owner, Zone: cand.zone, Adj: adj})
+		if t.nodes[c].child < 0 && c != s {
+			if adj, ok := z.AdjacentTo(t.zones[c]); ok {
+				out = append(out, Neighbor{Owner: t.nodes[c].owner, Zone: t.zones[c], Adj: adj})
+			}
 		}
+		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })
 	return out
@@ -273,39 +322,21 @@ type Neighbor struct {
 	Adj   Adjacency
 }
 
-// visitClosure calls fn for every leaf whose closed hull intersects
-// the closed hull of z, pruning disjoint subtrees.
-func (t *Tree) visitClosure(n *treeNode, z Zone, fn func(*treeNode)) {
-	if !n.zone.ClosureIntersects(z) {
-		return
-	}
-	if n.isLeaf() {
-		fn(n)
-		return
-	}
-	t.visitClosure(n.left, z, fn)
-	t.visitClosure(n.right, z, fn)
-}
-
 // RangeOwners returns the owners of every zone intersecting the
 // closed query range [lo, hi] — the "responsible nodes" (shaded zones
 // of Fig. 1) that INSCAN-RQ must visit. Owners are returned in
 // ascending order.
 func (t *Tree) RangeOwners(lo, hi Point) []OwnerID {
 	var out []OwnerID
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if !n.zone.OverlapsRange(lo, hi) {
-			return
+	t.visit(0, 0, func(s int32, _ int) bool {
+		if !t.zones[s].OverlapsRange(lo, hi) {
+			return false
 		}
-		if n.isLeaf() {
-			out = append(out, n.owner)
-			return
+		if t.nodes[s].child < 0 {
+			out = append(out, t.nodes[s].owner)
 		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -323,105 +354,71 @@ func (t *Tree) AdjacentLeafAcross(z Zone, dim int, positive bool, at Point) (Own
 			return NoOwner, Zone{}, false
 		}
 		q[dim] = z.Hi[dim] // first coordinate of the next zone (half-open)
-		leaf := t.leafAt(q)
-		return leaf.owner, leaf.zone, true
+		s := t.leafAt(q, -1)
+		return t.nodes[s].owner, t.zones[s], true
 	}
 	if z.Lo[dim] <= 0 {
 		return NoOwner, Zone{}, false
 	}
 	q[dim] = z.Lo[dim]
-	leaf := t.leafBiasedLeft(q, dim)
-	return leaf.owner, leaf.zone, true
-}
-
-// leafBiasedLeft descends to the leaf containing p, except that when
-// p's coordinate along biasDim coincides exactly with a split plane
-// on that dimension, descent goes left (strictly below). This finds
-// the zone whose upper boundary is p[biasDim] — the negative-side
-// neighbor — without epsilon arithmetic.
-func (t *Tree) leafBiasedLeft(p Point, biasDim int) *treeNode {
-	n := t.root
-	for !n.isLeaf() {
-		if int(n.splitDim) == biasDim && p[biasDim] == n.splitAt {
-			n = n.left
-			continue
-		}
-		if p[n.splitDim] < n.splitAt {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n
+	s := t.leafAt(q, dim)
+	return t.nodes[s].owner, t.zones[s], true
 }
 
 // Walk visits every leaf in depth-first order.
 func (t *Tree) Walk(fn func(owner OwnerID, z Zone)) {
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n.isLeaf() {
-			fn(n.owner, n.zone)
-			return
+	t.visit(0, 0, func(s int32, _ int) bool {
+		if t.nodes[s].child < 0 {
+			fn(t.nodes[s].owner, t.zones[s])
 		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
+		return true
+	})
 }
 
 // Validate checks the structural invariants of the tree: children
 // exactly partition their parent along the recorded split, leaves
 // tile the unit cube (total volume 1, pairwise disjoint), the leaf
-// index matches the tree, and depths are consistent. It returns the
+// index matches the tree, and split dimensions cycle with depth. It returns the
 // first violation found. Intended for tests and failure injection.
 func (t *Tree) Validate() error {
-	seen := make(map[OwnerID]bool)
-	var walk func(n *treeNode) error
-	walk = func(n *treeNode) error {
-		if n.isLeaf() {
-			if n.owner == NoOwner {
-				return fmt.Errorf("leaf %v has no owner", n.zone)
-			}
-			if seen[n.owner] {
-				return fmt.Errorf("owner %d owns two leaves", n.owner)
-			}
-			seen[n.owner] = true
-			if t.leaves[n.owner] != n {
-				return fmt.Errorf("leaf index mismatch for owner %d", n.owner)
-			}
-			return nil
-		}
-		if n.owner != NoOwner {
-			return fmt.Errorf("internal node %v has owner %d", n.zone, n.owner)
-		}
-		if n.left.parent != n || n.right.parent != n {
-			return fmt.Errorf("parent links broken at %v", n.zone)
-		}
-		if n.left.depth != n.depth+1 || n.right.depth != n.depth+1 {
-			return fmt.Errorf("depth mismatch at %v", n.zone)
-		}
-		lo, hi := n.zone.Split(int(n.splitDim))
-		_ = hi
-		if n.left.zone.Hi[n.splitDim] != n.splitAt || n.right.zone.Lo[n.splitDim] != n.splitAt {
-			return fmt.Errorf("split plane mismatch at %v", n.zone)
-		}
-		if !n.left.zone.Equal(Zone{Lo: n.zone.Lo, Hi: n.left.zone.Hi}) ||
-			!n.right.zone.Equal(Zone{Lo: n.right.zone.Lo, Hi: n.zone.Hi}) {
-			return fmt.Errorf("children do not partition parent at %v", n.zone)
-		}
-		if n.left.zone.Lo[n.splitDim] != lo.Lo[n.splitDim] {
-			return fmt.Errorf("left child lower bound mismatch at %v", n.zone)
-		}
-		if err := walk(n.left); err != nil {
-			return err
-		}
-		return walk(n.right)
+	if r := t.nodes[0]; r.parent != -1 || r.dim != 0 {
+		return fmt.Errorf("root has parent %d, split dimension %d", r.parent, r.dim)
 	}
-	if err := walk(t.root); err != nil {
+	var err error
+	leaves := 0
+	t.visit(0, 0, func(s int32, _ int) bool {
+		n, z := t.nodes[s], t.zones[s]
+		if err != nil {
+			return false
+		} else if n.child < 0 {
+			if got, ok := t.slot(n.owner); !ok || got != s {
+				err = fmt.Errorf("leaf %v of owner %d is not in the leaf index", z, n.owner)
+			}
+			leaves++
+			return false
+		}
+		l, r := t.nodes[n.child], t.nodes[n.child+1]
+		lz, rz := t.zones[n.child], t.zones[n.child+1]
+		dim := int(n.dim)
+		switch {
+		case n.owner != NoOwner:
+			err = fmt.Errorf("internal node %v has owner %d", z, n.owner)
+		case l.parent != s || r.parent != s:
+			err = fmt.Errorf("parent links broken at %v", z)
+		case l.dim != (n.dim+1)%int32(t.dim) || r.dim != l.dim:
+			err = fmt.Errorf("split dimension mismatch at %v", z)
+		case n.splitAt != (z.Lo[dim]+z.Hi[dim])/2 || lz.Hi[dim] != n.splitAt || rz.Lo[dim] != n.splitAt:
+			err = fmt.Errorf("split plane mismatch at %v", z)
+		case !lz.Equal(Zone{Lo: z.Lo, Hi: lz.Hi}) || !rz.Equal(Zone{Lo: rz.Lo, Hi: z.Hi}):
+			err = fmt.Errorf("children do not partition parent at %v", z)
+		}
+		return err == nil
+	})
+	if err != nil {
 		return err
 	}
-	if len(seen) != len(t.leaves) {
-		return fmt.Errorf("leaf index has %d entries, tree has %d leaves", len(t.leaves), len(seen))
+	if owners := len(t.Owners()); owners != leaves || leaves != t.n {
+		return fmt.Errorf("leaf index has %d entries, tree has %d leaves, Len %d", owners, leaves, t.n)
 	}
 	// Volume check: leaves must tile the unit cube.
 	total := 0.0
@@ -435,17 +432,11 @@ func (t *Tree) Validate() error {
 // MaxDepth returns the maximum leaf depth (for balance diagnostics).
 func (t *Tree) MaxDepth() int {
 	max := 0
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n.isLeaf() {
-			if int(n.depth) > max {
-				max = int(n.depth)
-			}
-			return
+	t.visit(0, 0, func(_ int32, depth int) bool {
+		if depth > max {
+			max = depth
 		}
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
+		return true
+	})
 	return max
 }
