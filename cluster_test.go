@@ -170,8 +170,9 @@ func TestClusterJoinLeave(t *testing.T) {
 	}
 }
 
-// TestClusterLeaveForgetsTheNode: a departed node costs nothing for the
-// rest of the process — Leave used to park it in the live set as false.
+// TestClusterLeaveForgetsTheNode: a departed node holds nothing for the
+// rest of the process but its id's empty slots (TestClusterChurnSoak
+// bounds those), and nothing reaches it.
 func TestClusterLeaveForgetsTheNode(t *testing.T) {
 	c := newTestCluster(t, 50, 5)
 	var last NodeID
