@@ -1067,7 +1067,7 @@ func BenchmarkWireMixed(b *testing.B) {
 
 // BenchmarkServeHTTPQuery is the JSON/HTTP baseline the wire numbers
 // are judged against: the same engine and demand working set driven
-// through NewEngineHandler over loopback HTTP with keep-alive
+// through NewHandler over loopback HTTP with keep-alive
 // connections.
 func BenchmarkServeHTTPQuery(b *testing.B) {
 	for _, clients := range []int{1, 8} {
@@ -1082,7 +1082,7 @@ func BenchmarkServeHTTPQuery(b *testing.B) {
 				}
 				bodies[i] = buf
 			}
-			srv := httptest.NewServer(NewEngineHandler(eng))
+			srv := httptest.NewServer(NewHandler(eng))
 			b.Cleanup(srv.Close)
 			hc := srv.Client()
 			runServeBench(b, 4, clients, func(c, i int) {

@@ -16,12 +16,11 @@
 //
 // -proto picks the serving edge: "http" posts the JSON API, "wire"
 // drives the binary wire protocol (-wire host:port, the server's
-// -wire-addr) over persistent pipelined connections — one connection
-// per worker, a sender/reader goroutine pair keeping deep bursts in
-// flight. A rate of 0 runs closed-loop, which on the wire edge
-// measures the server's pipelined ceiling. -compare reruns the same
-// load on the other protocol afterward and prints a one-line
-// wire-vs-http comparison.
+// -wire-addr) over persistent pipelined connections — one
+// pidcan.WireMux per worker, keeping deep bursts in flight. A rate of
+// 0 runs closed-loop, which on the wire edge measures the server's
+// pipelined ceiling. -compare reruns the same load on the other
+// protocol afterward and prints a one-line wire-vs-http comparison.
 //
 // The traffic mix is query-dominated by default; tune with
 // -mix query=90,update=6,join=2,leave=2. A -consistent fraction of
@@ -84,6 +83,18 @@ type sample struct {
 	class opClass
 	lat   time.Duration
 	err   bool
+}
+
+// op is one request the job loop drew; a protocol issues it.
+type op struct {
+	class      opClass
+	t0         time.Time // latency origin
+	demand     []float64 // query
+	consistent bool      // query
+	node       uint64    // update, leave
+	avail      []float64 // update, join
+	announce   bool      // update
+	shard      int       // join: < 0 leaves placement to the server
 }
 
 func main() {
@@ -273,30 +284,6 @@ func runLoad(rc runCfg) summary {
 			demands = append(demands, randVec(rng, rc.cmax, 0, 0.6))
 		}
 	}
-	// The HTTP path additionally pre-marshals its JSON bodies.
-	var queryBodies, consistentBodies [][]byte
-	if rc.proto == "http" {
-		for _, demand := range demands {
-			body, err := json.Marshal(struct {
-				Demand []float64 `json:"demand"`
-				K      int       `json:"k"`
-			}{demand, rc.k})
-			if err != nil {
-				log.Fatal(err)
-			}
-			queryBodies = append(queryBodies, body)
-			body, err = json.Marshal(struct {
-				Demand     []float64 `json:"demand"`
-				K          int       `json:"k"`
-				Consistent bool      `json:"consistent"`
-				Scope      string    `json:"scope,omitempty"`
-			}{demand, rc.k, true, rc.conScope})
-			if err != nil {
-				log.Fatal(err)
-			}
-			consistentBodies = append(consistentBodies, body)
-		}
-	}
 
 	// Open-loop arrival schedule feeding a worker pool. The queue is
 	// deep so a lagging server delays service (visible as latency),
@@ -362,11 +349,7 @@ func runLoad(rc runCfg) summary {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if rc.proto == "wire" {
-				runWireWorker(rc, w, jobs, deadline, closedLoop, demands, st)
-			} else {
-				runHTTPWorker(rc, w, jobs, deadline, closedLoop, queryBodies, consistentBodies, st)
-			}
+			runWorker(rc, w, jobs, deadline, closedLoop, demands, st)
 		}(w)
 	}
 	wg.Wait()
@@ -374,60 +357,163 @@ func runLoad(rc runCfg) summary {
 		int(shed.Load()), int(st.late.Load()))
 }
 
-// runHTTPWorker serves jobs against the JSON API, one synchronous
-// request at a time.
-func runHTTPWorker(rc runCfg, w int, jobs <-chan job, deadline time.Time, closedLoop bool,
-	queryBodies, consistentBodies [][]byte, st *runState) {
+// runWorker serves jobs: it draws each job's op and issues it over
+// the run's protocol — HTTP one synchronous request at a time, wire
+// over one pipelined connection with responses recorded as they
+// arrive.
+func runWorker(rc runCfg, w int, jobs <-chan job, deadline time.Time, closedLoop bool,
+	demands [][]float64, st *runState) {
+	wk := &worker{st: st}
+	var is issuer = httpIssuer{rc, wk}
+	if rc.proto == "wire" {
+		c, err := pidcan.DialWire(rc.wireAddr)
+		if err != nil {
+			log.Fatalf("worker %d: dial wire %s: %v", w, rc.wireAddr, err)
+		}
+		is = &wireIssuer{wk: wk, m: pidcan.NewWireMux(c), q: pidcan.WireQuery{K: rc.k}, scopeOne: rc.conScope == "one"}
+	}
 	rng := rand.New(rand.NewPCG(rc.seed, uint64(w)+0xbee))
 	var zipf *rand.Zipf
 	if rc.skew > 1 && rc.shardCount > 1 {
 		zipf = rand.NewZipf(rng, rc.skew, 1, uint64(rc.shardCount-1))
 	}
-	local := make([]sample, 0, 4096)
 	for j := range jobs {
 		if closedLoop && !time.Now().Before(deadline) {
 			break
 		}
-		t0 := holdUntilDue(j, st)
-		s := sample{class: j.class}
+		o := op{class: j.class, t0: holdUntilDue(j, st)}
 		switch j.class {
 		case clQuery:
-			consistent := rc.consist > 0 && rng.Float64() < rc.consist
-			bodies := queryBodies
-			if consistent {
-				bodies = consistentBodies
-			}
-			if len(bodies) > 0 {
-				s.err = postRaw(rc.client, rc.baseURL+"/query", bodies[rng.IntN(len(bodies))]) != nil
+			o.consistent = rc.consist > 0 && rng.Float64() < rc.consist
+			if len(demands) > 0 {
+				o.demand = demands[rng.IntN(len(demands))]
 			} else {
-				// -profiles 0: fresh random demand per query,
-				// honoring the consistent fraction and scope.
-				s.err = doQuery(rc.client, rc.baseURL, rng, rc.cmax, rc.k, consistent, rc.conScope) != nil
+				o.demand = randVec(rng, rc.cmax, 0, 0.6)
 			}
 		case clUpdate:
-			s.err = doUpdate(rc.client, rc.baseURL, rng, rc.cmax, pickUpdateNode(rc, rng, zipf)) != nil
+			o.node = pickUpdateNode(rc, rng, zipf)
+			o.avail = randVec(rng, rc.cmax, 0.1, 1)
+			o.announce = rng.IntN(4) == 0
 		case clJoin:
-			shard := -1
+			o.shard = -1
 			if zipf != nil {
-				shard = int(zipf.Uint64())
+				o.shard = int(zipf.Uint64())
 			}
-			id, err := doJoin(rc.client, rc.baseURL, rng, rc.cmax, shard)
-			if err != nil {
-				s.err = true
-			} else {
-				st.pushJoined(id)
-			}
+			o.avail = randVec(rng, rc.cmax, 0.1, 1)
 		case clLeave:
 			id, ok := st.popJoined()
 			if !ok {
 				continue // nothing safe to remove yet
 			}
-			s.err = doLeave(rc.client, rc.baseURL, id) != nil
+			o.node = id
 		}
-		s.lat = time.Since(t0)
-		local = append(local, s)
+		if !is.issue(o) {
+			break
+		}
 	}
-	st.record(local)
+	is.wait()
+	st.record(wk.samples)
+}
+
+// worker collects one worker's samples.
+type worker struct {
+	st      *runState
+	mu      sync.Mutex // the wire reader records beside the job loop
+	samples []sample
+}
+
+// done records a completed op; a join that succeeded makes its node
+// eligible for leave.
+func (wk *worker) done(o *op, node uint64, err error) {
+	s := sample{class: o.class, lat: time.Since(o.t0), err: err != nil}
+	if err == nil && o.class == clJoin {
+		wk.st.pushJoined(node)
+	}
+	wk.mu.Lock()
+	wk.samples = append(wk.samples, s)
+	wk.mu.Unlock()
+}
+
+// An issuer sends ops over one protocol. issue calls worker.done once
+// the op completes — before it returns (HTTP), or later on another
+// goroutine (wire) — and reports false once the worker must stop;
+// wait returns when every issued op is done.
+type issuer interface {
+	issue(o op) bool
+	wait()
+}
+
+// httpIssuer posts each op to the JSON API and waits for the answer.
+type httpIssuer struct {
+	rc runCfg
+	wk *worker
+}
+
+func (h httpIssuer) issue(o op) bool {
+	node, err := postOp(h.rc, &o)
+	h.wk.done(&o, node, err)
+	return true
+}
+
+func (httpIssuer) wait() {}
+
+// wireIssuer starts each op on one pipelined connection and records
+// it on the connection's reader goroutine.
+type wireIssuer struct {
+	wk       *worker
+	m        *pidcan.WireMux
+	q        pidcan.WireQuery // reused: Start encodes it before returning
+	scopeOne bool
+	inflight sync.WaitGroup
+}
+
+func (x *wireIssuer) issue(o op) bool {
+	x.inflight.Add(1)
+	c := &wireCall{op: o, x: x}
+	if err := x.m.Start(0, c); err != nil {
+		log.Printf("wire: %v", err)
+		c.Done(nil, err)
+		return false
+	}
+	return true
+}
+
+// wireCall is one op in flight on the wire.
+type wireCall struct {
+	op
+	x *wireIssuer
+}
+
+func (c *wireCall) Enqueue(cl *pidcan.WireClient) uint32 {
+	switch c.class {
+	case clQuery:
+		q := &c.x.q
+		q.Demand, q.Consistent = c.demand, c.consistent
+		q.ScopeOne = c.consistent && c.x.scopeOne
+		return cl.EnqueueQuery(q)
+	case clUpdate:
+		return cl.EnqueueUpdate(c.node, c.avail, c.announce)
+	case clJoin:
+		return cl.EnqueueJoin(c.shard, c.avail)
+	}
+	return cl.EnqueueLeave(c.node)
+}
+
+func (c *wireCall) Done(r *pidcan.WireResponse, err error) {
+	var node uint64
+	if err == nil && r.Errored {
+		e := r.Err
+		err = &e
+	} else if err == nil {
+		node = r.Node
+	}
+	c.x.wk.done(&c.op, node, err)
+	c.x.inflight.Done()
+}
+
+func (x *wireIssuer) wait() {
+	x.inflight.Wait()
+	x.m.Close()
 }
 
 // pickUpdateNode picks an update victim, honoring zipf shard skew.
@@ -439,112 +525,6 @@ func pickUpdateNode(rc runCfg, rng *rand.Rand, zipf *rand.Zipf) uint64 {
 		}
 	}
 	return id
-}
-
-// wirePending tracks one in-flight pipelined request; the protocol
-// answers strictly in order, so a FIFO queue pairs responses back to
-// their send records.
-type wirePending struct {
-	class opClass
-	t0    time.Time
-}
-
-// wireFlushBatch bounds how many requests buffer client-side before
-// a flush; one write syscall then carries the whole burst.
-const wireFlushBatch = 256
-
-// runWireWorker serves jobs over one persistent wire connection,
-// split into the protocol's sanctioned pipeline halves: this
-// goroutine enqueues and flushes requests, a paired reader goroutine
-// consumes in-order responses and records the samples.
-func runWireWorker(rc runCfg, w int, jobs <-chan job, deadline time.Time, closedLoop bool,
-	demands [][]float64, st *runState) {
-	c, err := pidcan.DialWire(rc.wireAddr)
-	if err != nil {
-		log.Fatalf("worker %d: dial wire %s: %v", w, rc.wireAddr, err)
-	}
-	defer c.Close()
-	rng := rand.New(rand.NewPCG(rc.seed, uint64(w)+0xbee))
-	var zipf *rand.Zipf
-	if rc.skew > 1 && rc.shardCount > 1 {
-		zipf = rand.NewZipf(rng, rc.skew, 1, uint64(rc.shardCount-1))
-	}
-
-	inflight := make(chan wirePending, 16*wireFlushBatch)
-	var rdone sync.WaitGroup
-	rdone.Add(1)
-	go func() {
-		defer rdone.Done()
-		local := make([]sample, 0, 4096)
-		dead := false
-		for p := range inflight {
-			s := sample{class: p.class}
-			if dead {
-				s.err = true
-			} else if r, err := c.ReadResponse(); err != nil {
-				dead = true // connection lost: everything in flight failed
-				s.err = true
-			} else if r.Errored {
-				s.err = true
-			} else if p.class == clJoin {
-				st.pushJoined(r.Node)
-			}
-			s.lat = time.Since(p.t0)
-			local = append(local, s)
-		}
-		st.record(local)
-	}()
-
-	var q pidcan.WireQuery
-	q.K = rc.k
-	unflushed := 0
-	for j := range jobs {
-		if closedLoop && !time.Now().Before(deadline) {
-			break
-		}
-		t0 := holdUntilDue(j, st)
-		switch j.class {
-		case clQuery:
-			consistent := rc.consist > 0 && rng.Float64() < rc.consist
-			if len(demands) > 0 {
-				q.Demand = demands[rng.IntN(len(demands))]
-			} else {
-				q.Demand = randVec(rng, rc.cmax, 0, 0.6)
-			}
-			q.Consistent = consistent
-			q.ScopeOne = consistent && rc.conScope == "one"
-			c.EnqueueQuery(&q)
-		case clUpdate:
-			c.EnqueueUpdate(pickUpdateNode(rc, rng, zipf), randVec(rng, rc.cmax, 0.1, 1), rng.IntN(4) == 0)
-		case clJoin:
-			shard := -1
-			if zipf != nil {
-				shard = int(zipf.Uint64())
-			}
-			c.EnqueueJoin(shard, randVec(rng, rc.cmax, 0.1, 1))
-		case clLeave:
-			id, ok := st.popJoined()
-			if !ok {
-				continue // nothing safe to remove yet
-			}
-			c.EnqueueLeave(id)
-		}
-		unflushed++
-		// Flush whenever the job feed is momentarily dry (responses
-		// are owed and nothing else is coming) or the batch is full.
-		if unflushed >= wireFlushBatch || len(jobs) == 0 {
-			if err := c.Flush(); err != nil {
-				log.Printf("worker %d: wire flush: %v", w, err)
-				inflight <- wirePending{class: j.class, t0: t0}
-				break
-			}
-			unflushed = 0
-		}
-		inflight <- wirePending{class: j.class, t0: t0}
-	}
-	c.Flush()
-	close(inflight)
-	rdone.Wait()
 }
 
 // printComparison emits the one-line wire-vs-http verdict after a
@@ -665,20 +645,6 @@ func expDur(rng *rand.Rand, mean time.Duration) time.Duration {
 
 // --- HTTP ops ---------------------------------------------------------------
 
-// postRaw posts a pre-marshaled body and drains the response.
-func postRaw(client *http.Client, url string, body []byte) error {
-	r, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	io.Copy(io.Discard, r.Body)
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, r.Status)
-	}
-	return nil
-}
-
 // post sends one JSON request.
 func post(client *http.Client, url string, req, resp any) error {
 	body, err := json.Marshal(req)
@@ -752,53 +718,45 @@ func randVec(rng *rand.Rand, cmax []float64, lo, hi float64) []float64 {
 	return v
 }
 
-func doQuery(client *http.Client, base string, rng *rand.Rand, cmax []float64, k int, consistent bool, scope string) error {
-	req := struct {
-		Demand     []float64 `json:"demand"`
-		K          int       `json:"k"`
-		Consistent bool      `json:"consistent,omitempty"`
-		Scope      string    `json:"scope,omitempty"`
-	}{randVec(rng, cmax, 0, 0.6), k, consistent, ""}
-	if consistent {
-		req.Scope = scope
+// postOp issues o over the JSON API; a join returns its node.
+func postOp(rc runCfg, o *op) (uint64, error) {
+	switch o.class {
+	case clQuery:
+		req := struct {
+			Demand     []float64 `json:"demand"`
+			K          int       `json:"k"`
+			Consistent bool      `json:"consistent,omitempty"`
+			Scope      string    `json:"scope,omitempty"`
+		}{Demand: o.demand, K: rc.k, Consistent: o.consistent}
+		if o.consistent {
+			req.Scope = rc.conScope
+		}
+		return 0, post(rc.client, rc.baseURL+"/query", req, nil)
+	case clUpdate:
+		req := struct {
+			Node     uint64    `json:"node"`
+			Avail    []float64 `json:"avail"`
+			Announce bool      `json:"announce"`
+		}{o.node, o.avail, o.announce}
+		return 0, post(rc.client, rc.baseURL+"/update", req, nil)
+	case clJoin:
+		req := struct {
+			Avail []float64 `json:"avail"`
+			Shard *int      `json:"shard,omitempty"`
+		}{Avail: o.avail}
+		if o.shard >= 0 {
+			req.Shard = &o.shard
+		}
+		var resp struct {
+			Node uint64 `json:"node"`
+		}
+		err := post(rc.client, rc.baseURL+"/join", req, &resp)
+		return resp.Node, err
 	}
-	return post(client, base+"/query", req, nil)
-}
-
-func doUpdate(client *http.Client, base string, rng *rand.Rand, cmax []float64, node uint64) error {
-	req := struct {
-		Node     uint64    `json:"node"`
-		Avail    []float64 `json:"avail"`
-		Announce bool      `json:"announce"`
-	}{node, randVec(rng, cmax, 0.1, 1), rng.IntN(4) == 0}
-	return post(client, base+"/update", req, nil)
-}
-
-// doJoin joins a node; shard >= 0 targets that shard explicitly
-// (the skewed-traffic mode), -1 leaves placement to the server's
-// round-robin.
-func doJoin(client *http.Client, base string, rng *rand.Rand, cmax []float64, shard int) (uint64, error) {
-	var resp struct {
-		Node uint64 `json:"node"`
-	}
-	req := struct {
-		Avail []float64 `json:"avail"`
-		Shard *int      `json:"shard,omitempty"`
-	}{Avail: randVec(rng, cmax, 0.1, 1)}
-	if shard >= 0 {
-		req.Shard = &shard
-	}
-	if err := post(client, base+"/join", req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Node, nil
-}
-
-func doLeave(client *http.Client, base string, node uint64) error {
 	req := struct {
 		Node uint64 `json:"node"`
-	}{node}
-	return post(client, base+"/leave", req, nil)
+	}{o.node}
+	return 0, post(rc.client, rc.baseURL+"/leave", req, nil)
 }
 
 // --- reporting --------------------------------------------------------------

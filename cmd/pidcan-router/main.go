@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"pidcan"
+	"pidcan/internal/serve"
 )
 
 func main() {
@@ -79,31 +80,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", pidcan.NewServiceHandler(router))
-	mux.HandleFunc("GET /map", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(router.Map())
-	})
-	mux.HandleFunc("POST /migrate", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Node   uint64 `json:"node"`
-			Member int    `json:"member"`
-		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
-			return
-		}
-		if err := router.Migrate(pidcan.GlobalNodeID(req.Node), req.Member); err != nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"ok":true}` + "\n"))
-	})
-
 	var ws *pidcan.WireServer
 	if *wireAddr != "" {
 		ws = pidcan.NewServiceWireServer(func() pidcan.Service { return router }, pidcan.WireServerConfig{})
@@ -119,7 +95,7 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: newHandler(router)}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -136,4 +112,23 @@ func main() {
 		log.Fatal(err)
 	}
 	router.Close()
+}
+
+// newHandler is the router's HTTP surface: the Service API plus GET
+// /map and POST /migrate, whose body is decoded and whose errors are
+// answered as every other route's are.
+func newHandler(router *pidcan.FedRouter) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", pidcan.NewHandler(router))
+	mux.HandleFunc("GET /map", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(router.Map())
+	})
+	mux.HandleFunc("POST /migrate", serve.HandleJSON(router, func(req struct {
+		Node   pidcan.GlobalNodeID `json:"node"`
+		Member int                 `json:"member"`
+	}) (any, error) {
+		return map[string]bool{"ok": true}, router.Migrate(req.Node, req.Member)
+	}))
+	return mux
 }

@@ -167,7 +167,7 @@ type dynHandler struct {
 
 func (d *dynHandler) set(e *pidcan.Engine) {
 	d.mu.Lock()
-	d.eng, d.h = e, pidcan.NewEngineHandler(e)
+	d.eng, d.h = e, pidcan.NewHandler(e)
 	w := d.wire
 	d.mu.Unlock()
 	if w != nil {

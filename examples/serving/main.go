@@ -177,7 +177,7 @@ func main() {
 
 	// The same engine behind HTTP: this handler is exactly what
 	// cmd/pidcan-serve listens with.
-	ts := httptest.NewServer(pidcan.NewEngineHandler(eng))
+	ts := httptest.NewServer(pidcan.NewHandler(eng))
 	defer ts.Close()
 	body, _ := json.Marshal(map[string]any{"demand": []float64{4, 16, 100}, "k": 2})
 	httpResp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))

@@ -18,7 +18,7 @@ import (
 // interface, so the chase/take/migrate code written over placements
 // (serve.ForwardTable) drives remote processes as it drives shards.
 //
-// The transport is one shared pipelined connection (muxConn):
+// The transport is one shared pipelined connection (wire.Mux):
 // concurrent scatter legs and router requests enqueue onto it and a
 // single flush carries them all, so a leg costs a fraction of an RTT
 // instead of a synchronous exchange — and every concurrent leg lands
@@ -37,7 +37,8 @@ type RemotePrimary struct {
 	mu    sync.Mutex
 	addrs []string
 	cur   int
-	conn  *muxConn // dialed lazily, replaced when dead or rotated away
+	conn  *wire.Mux // dialed lazily, replaced when failed or rotated away
+	cAddr string    // the address conn is connected to
 	// Dial backoff: consecutive failures gate redials exponentially
 	// (jittered); rotation clears the gate — it belongs to the
 	// address that failed, not to its fallback.
@@ -86,7 +87,7 @@ func (r *RemotePrimary) Addr() string {
 	return r.addrs[r.cur]
 }
 
-// Close poisons the member connection and fails subsequent calls
+// Close closes the member connection and fails subsequent calls
 // with serve.ErrClosed.
 func (r *RemotePrimary) Close() {
 	r.mu.Lock()
@@ -115,7 +116,7 @@ func backoffAfter(fails int) time.Duration {
 // getConn returns the healthy shared connection to the member's
 // current address, replacing a dead or rotated-away one by dialing
 // (outside the lock) — or failing fast while the backoff gate holds.
-func (r *RemotePrimary) getConn() (*muxConn, string, error) {
+func (r *RemotePrimary) getConn() (*wire.Mux, string, error) {
 	for tries := 0; tries < 2; tries++ {
 		r.mu.Lock()
 		if r.closed {
@@ -123,7 +124,7 @@ func (r *RemotePrimary) getConn() (*muxConn, string, error) {
 			return nil, "", serve.ErrClosed
 		}
 		addr := r.addrs[r.cur]
-		if mc := r.conn; mc != nil && mc.addr == addr && !mc.isDead() {
+		if mc := r.liveConn(addr); mc != nil {
 			r.mu.Unlock()
 			return mc, addr, nil
 		}
@@ -160,15 +161,15 @@ func (r *RemotePrimary) getConn() (*muxConn, string, error) {
 			c.Close()
 			continue
 		}
-		if mc := r.conn; mc != nil && mc.addr == addr && !mc.isDead() {
+		if mc := r.liveConn(addr); mc != nil {
 			// A concurrent caller already replaced it.
 			r.mu.Unlock()
 			c.Close()
 			return mc, addr, nil
 		}
 		old := r.conn
-		mc := newMuxConn(c, addr)
-		r.conn = mc
+		mc := wire.NewMux(c)
+		r.conn, r.cAddr = mc, addr
 		r.mu.Unlock()
 		if old != nil {
 			old.Close()
@@ -176,6 +177,15 @@ func (r *RemotePrimary) getConn() (*muxConn, string, error) {
 		return mc, addr, nil
 	}
 	return nil, "", fmt.Errorf("fed: member %d: address rotated repeatedly mid-dial", r.member)
+}
+
+// liveConn returns the member connection if it is healthy and
+// connected to addr. Callers hold r.mu.
+func (r *RemotePrimary) liveConn(addr string) *wire.Mux {
+	if r.conn == nil || r.cAddr != addr || r.conn.Failed() {
+		return nil
+	}
+	return r.conn
 }
 
 // rotate advances to the member's next fallback address, if addr is
@@ -211,34 +221,56 @@ func (r *RemotePrimary) beginWrite() func() {
 	return func() { r.writeEnd(r.member) }
 }
 
-// pendingCall is one request in flight on the member connection.
+// pendingCall is one request in flight on the member connection:
+// enq appends its frame, on consumes a non-errored response on the
+// connection's reader goroutine.
 type pendingCall struct {
-	done  chan error // the mux call's completion channel (see muxConn.start)
+	enq   func(c *wire.Client) uint32
+	on    func(resp *wire.Response) error
+	done  chan error // delivers the call's outcome exactly once
 	epoch uint64     // the response's epoch; valid once done has delivered
 }
 
-// begin enqueues one request — enq appends the frame, on consumes a
-// non-errored response — onto mc, stamped with the member's recorded
-// write epoch. A server rejection completes the call with its
-// *wire.Error. After receiving from done, pass the call to observe.
-func (r *RemotePrimary) begin(mc *muxConn, enq func(c *wire.Client) uint32, on func(resp *wire.Response) error) (*pendingCall, error) {
+func (pc *pendingCall) Enqueue(c *wire.Client) uint32 { return pc.enq(c) }
+
+// Done hands the outcome to done: a server rejection as its
+// *wire.Error, a connection failure as the error that failed it.
+func (pc *pendingCall) Done(resp *wire.Response, err error) {
+	if err == nil {
+		pc.epoch = resp.Epoch
+		if resp.Errored {
+			e := resp.Err
+			err = &e
+		} else {
+			err = pc.on(resp)
+		}
+	}
+	pc.done <- err
+}
+
+// donePool recycles the per-call completion channels: a call's
+// channel is empty again after its receive, so it is safe to hand to
+// the next call instead of allocating one per request. A caller that
+// abandons the wait must not return it (the late send still lands in
+// the buffer).
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// begin starts one request on mc, stamped with the member's recorded
+// write epoch. After receiving from the call's done channel, return
+// it to donePool and pass the call to observe.
+func (r *RemotePrimary) begin(mc *wire.Mux, enq func(c *wire.Client) uint32, on func(resp *wire.Response) error) (*pendingCall, error) {
 	var we uint64
 	if r.writeEpoch != nil {
 		we = r.writeEpoch(r.member)
 	}
-	r.depthSum.Add(uint64(mc.inflight.Load() + 1))
+	r.depthSum.Add(uint64(mc.Inflight() + 1))
 	r.depthN.Add(1)
-	pc := new(pendingCall)
-	var err error
-	pc.done, err = mc.start(we, enq, func(resp *wire.Response) error {
-		pc.epoch = resp.Epoch
-		if resp.Errored {
-			e := resp.Err
-			return &e
-		}
-		return on(resp)
-	})
-	return pc, err
+	pc := &pendingCall{enq: enq, on: on, done: donePool.Get().(chan error)}
+	if err := mc.Start(we, pc); err != nil {
+		donePool.Put(pc.done)
+		return nil, err
+	}
+	return pc, nil
 }
 
 // observe reports a completed call's epoch to the router. Every
@@ -305,8 +337,8 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 		if errors.Is(err, wire.ErrClosed) && r.isClosed() {
 			return serve.ErrClosed
 		}
-		// Transport error: the mux poisoned the shared connection;
-		// the next getConn replaces it.
+		// Transport error: it failed the shared connection; the next
+		// getConn replaces it.
 		lastErr = fmt.Errorf("fed: member %d: %w", r.member, err)
 		r.rotate(addr)
 	}
@@ -314,26 +346,11 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 }
 
 // translate maps a wire rejection onto the serve sentinel the
-// engine-facing code paths already branch on, so call sites never
-// type-switch local placements against remote ones.
+// engine-facing code paths already branch on (wire.Sentinel), so call
+// sites never type-switch local placements against remote ones.
 func (r *RemotePrimary) translate(we *wire.Error) error {
-	var sentinel error
-	switch we.Code {
-	case wire.CodeClosed:
-		sentinel = serve.ErrClosed
-	case wire.CodeWAL:
-		sentinel = serve.ErrWAL
-	case wire.CodeNoShard:
-		sentinel = serve.ErrNoShard
-	case wire.CodeScatterTimeout:
-		sentinel = serve.ErrScatterTimeout
-	case wire.CodeReadOnly:
-		sentinel = serve.ErrReadOnly
-	case wire.CodeFenced:
-		sentinel = serve.ErrFenced
-	case wire.CodeBadRequest:
-		sentinel = serve.ErrBadDemand
-	default:
+	sentinel := wire.Sentinel(we.Code)
+	if sentinel == nil {
 		return fmt.Errorf("fed: member %d: %w", r.member, we)
 	}
 	return fmt.Errorf("%w (member %d: %s)", sentinel, r.member, we.Msg)

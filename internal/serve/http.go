@@ -9,7 +9,8 @@ import (
 	"pidcan/internal/vector"
 )
 
-// NewHandler exposes an Engine over HTTP with a JSON API:
+// NewHandler exposes a Service — an *Engine or a federation router —
+// over HTTP with a JSON API:
 //
 //	POST /query  {"demand":[...],"k":3,"consistent":false,
 //	              "scope":"all|one","no_cache":false}
@@ -18,9 +19,9 @@ import (
 //	POST /join   {"avail":[...],"shard":S}                -> {"node":N}
 //	POST /leave  {"node":N}                               -> {"ok":true}
 //	POST /take   {"node":N}                               -> {"avail":[...]}
-//	POST /rebalance -> RebalanceResult
-//	POST /checkpoint -> CheckpointResult
-//	POST /promote -> {"role":"primary","epoch":E}
+//	POST /rebalance -> RebalanceResult                 (engine only)
+//	POST /checkpoint -> CheckpointResult               (engine only)
+//	POST /promote -> {"role":"primary","epoch":E}      (engine only)
 //	GET  /nodes  -> {"nodes":[N,...]}
 //	GET  /stats  -> Stats
 //	GET  /healthz -> {"ok":true}
@@ -28,100 +29,37 @@ import (
 // Node ids on the wire are GlobalIDs (shard in the high 32 bits); a
 // migrated node keeps answering to every id it was ever known by.
 // /join's optional "shard" targets a specific placement instead of
-// the round-robin pick; /rebalance triggers one adaptive rebalance
-// pass on demand; /checkpoint snapshots a durable (DataDir) engine's
-// state and truncates its op-logs. On a replication follower, writes
-// return 503 naming the primary's wire address, the one the follower
-// streams from, in the body's "primary" (reads
-// — /query, /nodes, /stats — serve normally) and POST /promote turns
-// the follower into the primary under a fresh epoch. Request bodies
-// are capped at 1
-// MiB. Errors come
-// back as {"error":"..."} with status 400 (bad input, including
-// oversized bodies), 404 (no such shard), 409 (rejected operation),
-// 500 (write applied but not durable: op-log failure), 503 (engine
-// closed, or a write on a read-only follower or fenced primary) or
-// 504 (scatter-gather deadline expired with no leg answered).
-func NewHandler(e *Engine) http.Handler {
+// the round-robin pick; /take removes a node, returning its
+// availability for re-homing elsewhere. The engine-only routes are
+// added when the service has them: /rebalance triggers one adaptive
+// rebalance pass on demand; /checkpoint snapshots a durable (DataDir)
+// engine's state and truncates its op-logs. On a replication follower,
+// writes return 503 naming the primary's wire address, the one the
+// follower streams from, in the body's "primary" (reads — /query,
+// /nodes, /stats — serve normally) and POST /promote turns the
+// follower into the primary under a fresh epoch. Request bodies are
+// capped at 1 MiB. Errors come back as {"error":"..."} with status 400
+// (bad input, including oversized bodies), 404 (no such shard), 409
+// (rejected operation), 500 (write applied but not durable: op-log
+// failure), 503 (service closed, or a write on a read-only follower or
+// fenced primary) or 504 (scatter-gather deadline expired with no leg
+// answered).
+func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
-	addServiceRoutes(mux, e)
-	// Engine-only operator surface: these drive machinery a generic
-	// Service does not expose.
-	mux.HandleFunc("POST /rebalance", func(w http.ResponseWriter, r *http.Request) {
-		res, err := e.Rebalance()
-		if err != nil {
-			writeErr(w, e.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		res, err := e.Checkpoint()
-		if err != nil {
-			writeErr(w, e.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
-		epoch, err := e.Promote()
-		if err != nil {
-			writeErr(w, e.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"role": e.Role(), "epoch": epoch})
-	})
-	return mux
-}
-
-// NewServiceHandler exposes any Service — an *Engine or a federation
-// router — over the same JSON API as NewHandler, minus the
-// engine-only operator routes (/rebalance, /checkpoint, /promote)
-// and plus POST /take (remove a node, returning its availability for
-// re-homing elsewhere).
-func NewServiceHandler(s Service) http.Handler {
-	mux := http.NewServeMux()
-	addServiceRoutes(mux, s)
-	return mux
-}
-
-// addServiceRoutes registers the Service-generic routes on mux.
-func addServiceRoutes(mux *http.ServeMux, s Service) {
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		resp, err := s.Query(req)
-		if err != nil {
-			writeErr(w, s.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Node     GlobalID   `json:"node"`
-			Avail    vector.Vec `json:"avail"`
-			Announce bool       `json:"announce"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Update(req.Node, req.Avail, req.Announce); err != nil {
-			writeErr(w, s.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("POST /join", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Avail vector.Vec `json:"avail"`
-			Shard *int       `json:"shard"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
+	mux.HandleFunc("POST /query", HandleJSON(s, func(req QueryRequest) (any, error) {
+		return s.Query(req)
+	}))
+	mux.HandleFunc("POST /update", HandleJSON(s, func(req struct {
+		Node     GlobalID   `json:"node"`
+		Avail    vector.Vec `json:"avail"`
+		Announce bool       `json:"announce"`
+	}) (any, error) {
+		return okBody, s.Update(req.Node, req.Avail, req.Announce)
+	}))
+	mux.HandleFunc("POST /join", HandleJSON(s, func(req struct {
+		Avail vector.Vec `json:"avail"`
+		Shard *int       `json:"shard"`
+	}) (any, error) {
 		var id GlobalID
 		var err error
 		if req.Shard != nil {
@@ -129,42 +67,18 @@ func addServiceRoutes(mux *http.ServeMux, s Service) {
 		} else {
 			id, err = s.Join(req.Avail)
 		}
-		if err != nil {
-			writeErr(w, s.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]GlobalID{"node": id})
-	})
-	mux.HandleFunc("POST /leave", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Node GlobalID `json:"node"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		if err := s.Leave(req.Node); err != nil {
-			writeErr(w, s.PrimaryAddr(), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("POST /take", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Node GlobalID `json:"node"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
+		return map[string]GlobalID{"node": id}, err
+	}))
+	mux.HandleFunc("POST /leave", HandleJSON(s, func(req nodeRequest) (any, error) {
+		return okBody, s.Leave(req.Node)
+	}))
+	mux.HandleFunc("POST /take", HandleJSON(s, func(req nodeRequest) (any, error) {
 		avail, err := s.Take(req.Node)
-		if err != nil {
-			writeErr(w, s.PrimaryAddr(), err)
-			return
-		}
 		if avail == nil {
 			avail = vector.Vec{}
 		}
-		writeJSON(w, http.StatusOK, map[string]vector.Vec{"avail": avail})
-	})
+		return map[string]vector.Vec{"avail": avail}, err
+	}))
 	mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, r *http.Request) {
 		nodes := s.Nodes()
 		if nodes == nil {
@@ -176,8 +90,70 @@ func addServiceRoutes(mux *http.ServeMux, s Service) {
 		writeJSON(w, http.StatusOK, s.StatsPayload())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
+		writeJSON(w, http.StatusOK, okBody)
 	})
+	o, isOperated := s.(operated)
+	if !isOperated {
+		return mux
+	}
+	// Engine-only operator surface: these take no body.
+	mux.HandleFunc("POST /rebalance", func(w http.ResponseWriter, r *http.Request) {
+		res, err := o.Rebalance()
+		reply(w, s, res, err)
+	})
+	mux.HandleFunc("POST /checkpoint", func(w http.ResponseWriter, r *http.Request) {
+		res, err := o.Checkpoint()
+		reply(w, s, res, err)
+	})
+	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
+		epoch, err := o.Promote()
+		reply(w, s, map[string]any{"role": o.Role(), "epoch": epoch}, err)
+	})
+	return mux
+}
+
+// operated is the operator surface of an engine that a generic Service
+// lacks; NewHandler serves its routes when the service has it.
+type operated interface {
+	Rebalance() (RebalanceResult, error)
+	Checkpoint() (CheckpointResult, error)
+	Promote() (uint64, error)
+	Role() string
+}
+
+var _ operated = (*Engine)(nil)
+
+// nodeRequest is the body of the routes that name one node.
+type nodeRequest struct {
+	Node GlobalID `json:"node"`
+}
+
+// okBody is the body of a request that succeeded with nothing to return.
+var okBody = map[string]bool{"ok": true}
+
+// HandleJSON returns the handler of one JSON route: it decodes the
+// request body into a Req (at most 1 MiB, unknown fields refused: 400)
+// and answers do's result as JSON, or do's error with the status
+// NewHandler documents. Front-ends that add routes of their own to a
+// Service's API build them with it.
+func HandleJSON[Req any](s Service, do func(req Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decode(w, r, &req) {
+			return
+		}
+		res, err := do(req)
+		reply(w, s, res, err)
+	}
+}
+
+// reply answers res, or err with its status.
+func reply(w http.ResponseWriter, s Service, res any, err error) {
+	if err != nil {
+		writeErr(w, s.PrimaryAddr(), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // maxRequestBody caps decoded request bodies; anything larger is

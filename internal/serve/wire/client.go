@@ -5,19 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
-	"time"
 )
 
 // Client speaks the wire protocol over one persistent TCP
-// connection. It is deliberately not safe for arbitrary concurrent
-// use — one Client per goroutine is the model — with exactly one
-// sanctioned split: because the protocol answers strictly in request
-// order, ONE goroutine may Enqueue*/Flush while ONE other goroutine
-// runs ReadResponse, which is how the pipelined load generator keeps
-// hundreds of requests in flight per connection. The sync wrappers
-// (Query, Update, Join, Leave, Stats) are one-request-one-response
-// and use both halves.
+// connection with one owner. It is not safe for concurrent use, with
+// exactly one sanctioned split: because the protocol answers strictly
+// in request order, ONE goroutine may Enqueue*/Flush while ONE other
+// goroutine runs ReadResponse. Goroutines that share a connection go
+// through Mux, which is that split behind a mutex. The
+// sync wrappers (Query, Update, Join, Leave, Stats) are
+// one-request-one-response and use both halves.
 //
 // All decode state is reused across responses: the hot query path
 // allocates nothing after the first call.
@@ -25,28 +22,12 @@ type Client struct {
 	c      net.Conn
 	out    []byte
 	nextID uint32
-	// pendingOut counts requests enqueued but not yet flushed
-	// (sender-side only; folded into sent at Flush).
-	pendingOut int
 
 	// WriteEpoch, when non-zero, is stamped into every write frame
 	// (update/join/leave) for server-side fencing: set it to the
 	// epoch learned from responses to guarantee writes never land on
 	// a primary from another timeline.
 	WriteEpoch uint64
-
-	// DrainTimeout bounds how long Close waits for the reader to
-	// consume responses still owed to flushed requests (default
-	// 500ms; <= 0 uses the default).
-	DrainTimeout time.Duration
-
-	// sent counts flushed requests, rcvd complete responses; their
-	// difference is what Close must wait out so pipelined readers
-	// are not cut off mid-stream. closed gates ReadResponse's error
-	// translation to ErrClosed.
-	sent   atomic.Uint64
-	rcvd   atomic.Uint64
-	closed atomic.Bool
 
 	// read half
 	br      *reader
@@ -112,39 +93,13 @@ func NewClient(c net.Conn) *Client {
 	}
 }
 
-// ErrClosed is returned by ReadResponse once Close has been called
-// and every owed response has been consumed — a blocked pipelined
-// reader unblocks with it instead of a raw connection error.
-var ErrClosed = errors.New("wire: client closed")
-
-// Close shuts the client down. With pipelined reads in flight (the
-// one sanctioned concurrent split: one enqueuer, one reader), it
-// first drains: responses already owed to flushed requests keep
-// flowing to the reader goroutine until caught up or DrainTimeout
-// expires, so queued responses are not dropped silently. Only then
-// does the connection close, and any reader still blocked unblocks
-// with ErrClosed. A second Close returns ErrClosed.
-func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return ErrClosed
-	}
-	deadline := time.Now().Add(c.drainTimeout())
-	for c.rcvd.Load() < c.sent.Load() && time.Now().Before(deadline) {
-		time.Sleep(500 * time.Microsecond)
-	}
-	return c.c.Close()
-}
-
-func (c *Client) drainTimeout() time.Duration {
-	if c.DrainTimeout > 0 {
-		return c.DrainTimeout
-	}
-	return 500 * time.Millisecond
-}
+// Close closes the connection: responses still owed are dropped, and a
+// Flush or ReadResponse blocked on it fails with the connection's
+// error.
+func (c *Client) Close() error { return c.c.Close() }
 
 func (c *Client) reqID() uint32 {
 	c.nextID++
-	c.pendingOut++
 	return c.nextID
 }
 
@@ -190,11 +145,6 @@ func (c *Client) Flush() error {
 	if len(c.out) == 0 {
 		return nil
 	}
-	// Count before the write: a partially-written burst may still be
-	// answered, and over-counting only makes Close wait out its
-	// drain deadline — under-counting would cut a reader off.
-	c.sent.Add(uint64(c.pendingOut))
-	c.pendingOut = 0
 	_, err := c.c.Write(c.out)
 	c.out = c.out[:0]
 	return err
@@ -203,16 +153,10 @@ func (c *Client) Flush() error {
 // ReadResponse reads and decodes the next response into the
 // returned *Response (owned by the client, valid until the next
 // call). Responses arrive in request order; an Errored response is
-// a server-side rejection, not a read error. After Close, owed
-// responses remain readable until the drain deadline; once the
-// stream is cut, ReadResponse returns ErrClosed instead of the raw
-// connection error.
+// a server-side rejection, not a read error.
 func (c *Client) ReadResponse() (*Response, error) {
-	if c.closed.Load() && c.rcvd.Load() >= c.sent.Load() {
-		return nil, ErrClosed
-	}
 	if _, err := c.br.readFull(c.hdr[:]); err != nil {
-		return nil, c.readErr(err)
+		return nil, err
 	}
 	h, err := ParseHeader(c.hdr[:])
 	if err != nil {
@@ -226,12 +170,11 @@ func (c *Client) ReadResponse() (*Response, error) {
 	}
 	c.payload = c.payload[:h.PLen]
 	if _, err := c.br.readFull(c.payload); err != nil {
-		return nil, c.readErr(err)
+		return nil, err
 	}
 	if !VerifyFrame(c.hdr[:], c.payload) {
 		return nil, errBadCRC
 	}
-	c.rcvd.Add(1)
 	r := &c.resp
 	r.Op, r.ReqID, r.Epoch = h.Op, h.ReqID, h.Epoch
 	r.Errored = h.Flags&FlagError != 0
@@ -269,16 +212,6 @@ func (c *Client) ReadResponse() (*Response, error) {
 // but are not yet read: a frame has started arriving exactly when it
 // is nonzero.
 func (c *Client) Buffered() int { return c.br.buffered() }
-
-// readErr translates transport errors after Close into ErrClosed so
-// a reader blocked in ReadResponse when the drain deadline cuts the
-// connection sees a clean shutdown, not "use of closed connection".
-func (c *Client) readErr(err error) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	return err
-}
 
 // roundTrip completes one synchronous exchange for the request just
 // enqueued: flush, read its response, and surface a server rejection
@@ -332,18 +265,16 @@ func (c *Client) write(enq func()) (*Response, error) {
 	// (one request, one response), so it can be parked and restored.
 	oldC, oldBr := c.c, c.br
 	c.c, c.br = nc, newReader(nc, 64<<10)
-	c.out, c.pendingOut = c.out[:0], 0
+	c.out = c.out[:0]
 	enq()
 	r, rerr := c.roundTrip()
 	var we *Error
 	if rerr != nil && !errors.As(rerr, &we) {
 		// Transport failure before the primary answered: abandon the
-		// redirect (its flushed request will never be answered —
-		// settle the drain ledger) and keep the follower connection.
+		// redirect and keep the follower connection.
 		nc.Close()
 		c.c, c.br = oldC, oldBr
-		c.out, c.pendingOut = c.out[:0], 0
-		c.rcvd.Store(c.sent.Load())
+		c.out = c.out[:0]
 		return nil, err
 	}
 	oldC.Close()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"testing"
-	"time"
 
 	"pidcan"
 	"pidcan/internal/serve"
@@ -45,104 +44,6 @@ func deadListener(t *testing.T) string {
 		}
 	}()
 	return ln.Addr().String()
-}
-
-// TestClientCloseDrainsPipelinedReads: Close during in-flight
-// pipelined reads must not drop queued responses silently or leak
-// the reader — every response owed to a flushed request stays
-// readable through the drain, and the reader's next read after the
-// stream is cut returns ErrClosed, not a raw connection error.
-func TestClientCloseDrainsPipelinedReads(t *testing.T) {
-	eng := newTestEngine(t, serve.Config{Shards: 2, NodesPerShard: 8, Seed: 3})
-	_, addr := startWire(t, eng)
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const inflight = 64
-	dim := eng.Config().CMax.Dim()
-	q := wire.Query{Demand: make([]float64, dim), K: 1}
-	for i := 0; i < inflight; i++ {
-		c.EnqueueQuery(&q)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	type outcome struct {
-		got    int
-		tail   error
-		doneAt time.Time
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		var o outcome
-		for i := 0; i < inflight; i++ {
-			if _, err := c.ReadResponse(); err != nil {
-				o.tail = err
-				break
-			}
-			o.got++
-		}
-		if o.tail == nil {
-			// One more read past the owed responses: the blocked
-			// waiter must unblock with ErrClosed.
-			_, o.tail = c.ReadResponse()
-		}
-		o.doneAt = time.Now()
-		done <- o
-	}()
-
-	// Close races the reader: the drain must hand it all 64 queued
-	// responses before cutting the connection.
-	if err := c.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	o := <-done
-	if o.got != inflight {
-		t.Fatalf("reader got %d of %d pipelined responses across Close (tail err: %v)",
-			o.got, inflight, o.tail)
-	}
-	if !errors.Is(o.tail, wire.ErrClosed) {
-		t.Fatalf("read past the drained stream: %v, want ErrClosed", o.tail)
-	}
-	if err := c.Close(); !errors.Is(err, wire.ErrClosed) {
-		t.Fatalf("second close: %v, want ErrClosed", err)
-	}
-}
-
-// TestClientCloseUnblocksIdleReader: a reader blocked on an empty
-// stream (nothing owed) unblocks promptly with ErrClosed when Close
-// cuts the connection — no drain wait applies with nothing to drain.
-func TestClientCloseUnblocksIdleReader(t *testing.T) {
-	eng := newTestEngine(t, serve.Config{Shards: 1, NodesPerShard: 4, Seed: 4})
-	_, addr := startWire(t, eng)
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.ReadResponse()
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the reader block on the socket
-	start := time.Now()
-	if err := c.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, wire.ErrClosed) {
-			t.Fatalf("blocked reader got %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader still blocked 2s after Close")
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("close with nothing owed took %v", waited)
-	}
 }
 
 // TestClientFollowsReadOnlyRedirect: a sync write rejected by a

@@ -410,30 +410,56 @@ func (s *Server) fence(out []byte, h Header, eng serve.Service, epoch uint64) ([
 		fmt.Sprintf("epoch mismatch: frame %d, engine %d", h.Epoch, epoch)), false
 }
 
-// appendErr maps an engine error onto a wire error frame, mirroring
-// the HTTP handler's status mapping. Read-only and fenced
-// rejections carry the primary's address and a retry-after hint —
-// the wire twin of HTTP 503 + Retry-After.
+// codes is the one table between serve's sentinels and wire codes.
+// The server answers an error with the code of the first row whose
+// sentinel it wraps (CodeRejected when none does); Sentinel maps a
+// code back to its first row's sentinel. So CodeBadRequest comes back
+// as ErrBadDemand even when the member returned ErrBadScope or
+// ErrNotDurable. retry rows carry the retry-after hint.
+var codes = []struct {
+	err   error
+	code  uint16
+	retry bool
+}{
+	{serve.ErrClosed, CodeClosed, true},
+	{serve.ErrReadOnly, CodeReadOnly, true},
+	{serve.ErrFenced, CodeFenced, true},
+	{serve.ErrWAL, CodeWAL, false},
+	{serve.ErrBadDemand, CodeBadRequest, false},
+	{serve.ErrBadScope, CodeBadRequest, false},
+	{serve.ErrNotDurable, CodeBadRequest, false},
+	{serve.ErrNoShard, CodeNoShard, false},
+	{serve.ErrScatterTimeout, CodeScatterTimeout, false},
+}
+
+// Sentinel returns the serve sentinel a rejection code stands for, or
+// nil for codes with none (CodeRejected, CodeNotReady).
+func Sentinel(code uint16) error {
+	for _, row := range codes {
+		if row.code == code {
+			return row.err
+		}
+	}
+	return nil
+}
+
+// appendErr maps an engine error onto a wire error frame through
+// codes, as the HTTP handler maps it onto a status. Read-only
+// rejections also carry the primary's address — the wire twin of
+// HTTP 503 + Retry-After.
 func (s *Server) appendErr(out []byte, h Header, epoch uint64, eng serve.Service, err error) []byte {
-	code := CodeRejected
-	retry := time.Duration(0)
-	primary := ""
-	switch {
-	case errors.Is(err, serve.ErrClosed):
-		code, retry = CodeClosed, retryAfter
-	case errors.Is(err, serve.ErrReadOnly):
-		code, retry = CodeReadOnly, retryAfter
+	code, retry, primary := CodeRejected, time.Duration(0), ""
+	for _, row := range codes {
+		if errors.Is(err, row.err) {
+			code = row.code
+			if row.retry {
+				retry = retryAfter
+			}
+			break
+		}
+	}
+	if code == CodeReadOnly {
 		primary = eng.PrimaryAddr()
-	case errors.Is(err, serve.ErrFenced):
-		code, retry = CodeFenced, retryAfter
-	case errors.Is(err, serve.ErrWAL):
-		code = CodeWAL
-	case errors.Is(err, serve.ErrBadDemand), errors.Is(err, serve.ErrBadScope), errors.Is(err, serve.ErrNotDurable):
-		code = CodeBadRequest
-	case errors.Is(err, serve.ErrNoShard):
-		code = CodeNoShard
-	case errors.Is(err, serve.ErrScatterTimeout):
-		code = CodeScatterTimeout
 	}
 	return AppendError(out, h.Op, h.ReqID, epoch, code, retry, primary, err.Error())
 }

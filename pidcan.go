@@ -276,10 +276,28 @@ type WireServer = wire.Server
 // WireServerConfig tunes a WireServer.
 type WireServerConfig = wire.ServerConfig
 
-// WireClient is a synchronous or pipelined client for the wire
-// protocol (one connection; see the package docs for the sanctioned
-// sender/reader goroutine split).
+// WireClient is the wire protocol over one connection with one owner:
+// synchronous calls, or Enqueue*/Flush on one goroutine with
+// ReadResponse on one other. Goroutines that share a connection go
+// through a WireMux instead.
 type WireClient = wire.Client
+
+// WireMux is the concurrent pipelined wire client: any number of
+// goroutines start requests on one WireClient, a flusher batches
+// their frames into one write, and one reader hands each response to
+// its request in order. A request is any value with the methods
+// Enqueue(*WireClient) uint32, which appends its frame, and
+// Done(*WireResponse, error), which receives the response or the
+// error that failed the connection. A transport error or Close fails
+// every request in flight.
+type WireMux = wire.Mux
+
+// WireResponse is one decoded wire response, as a WireMux hands it to
+// a request's Done.
+type WireResponse = wire.Response
+
+// NewWireMux takes ownership of c and shares it between goroutines.
+func NewWireMux(c *WireClient) *WireMux { return wire.NewMux(c) }
 
 // WireQuery is a wire query request.
 type WireQuery = wire.Query
@@ -336,10 +354,12 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	})
 }
 
-// NewEngineHandler exposes an Engine over HTTP (the JSON API of
-// cmd/pidcan-serve): POST /query, /update, /join, /leave and GET
-// /nodes, /stats, /healthz.
-func NewEngineHandler(e *Engine) http.Handler { return serve.NewHandler(e) }
+// NewHandler exposes a Service — an Engine or a FedRouter — over HTTP
+// (the JSON API of cmd/pidcan-serve and cmd/pidcan-router): POST
+// /query, /update, /join, /leave, /take and GET /nodes, /stats,
+// /healthz, plus an Engine's operator routes /rebalance, /checkpoint
+// and /promote.
+func NewHandler(s Service) http.Handler { return serve.NewHandler(s) }
 
 // NewCaptureHandler exposes the traffic-capture control surface
 // (internal/serve/capture): POST /capture/start and /capture/stop
@@ -355,10 +375,6 @@ func NewCaptureHandler(engine func() *Engine) http.Handler { return capture.NewH
 // and a federation Router: anything that serves the PID-CAN API,
 // local or scatter-gathered across processes.
 type Service = serve.Service
-
-// NewServiceHandler exposes any Service over the same HTTP JSON API
-// as NewEngineHandler (minus the engine-only admin routes).
-func NewServiceHandler(s Service) http.Handler { return serve.NewServiceHandler(s) }
 
 // FedRouter scatter-gathers the Service API across federation
 // members over the wire protocol, exactly as an Engine scatters
