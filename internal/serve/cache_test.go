@@ -14,9 +14,11 @@ import (
 
 // TestCachedQueryAllocations pins the allocations of a cached hit — the
 // cache key, the cell's corners, the answer, what externalizing it
-// takes — of the walk that validates it when it absorbs nothing (none)
-// and of one that absorbs a write (the entry's copy: itself, its ids,
-// its rows and its versions).
+// takes — of an uncached query (the candidates and the answer), of a
+// fill's scan (its entry and versions, the candidates, what the entry
+// keeps), of the walk that validates an entry when it absorbs nothing
+// (none) and of one that absorbs a write (the entry's copy: itself, its
+// ids, its rows and its versions).
 func TestCachedQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -41,14 +43,21 @@ func TestCachedQueryAllocations(t *testing.T) {
 	}
 	hit := testing.AllocsPerRun(200, func() { mustQuery(t, e, q) })
 	uncached := testing.AllocsPerRun(200, func() { mustQuery(t, e, QueryRequest{Demand: q.Demand, K: 3, NoCache: true}) })
-	t.Logf("a cached hit allocates %.0f times, an uncached query %.0f", hit, uncached)
+	key, lo, ub, _ := e.cache.quantize(q.Demand, q.K)
+	fill := testing.AllocsPerRun(200, func() { e.searchShards(lo, ub, q.K, newCacheEntry(len(e.shards))) })
+	t.Logf("a cached hit allocates %.0f times, an uncached query %.0f, a fill %.0f", hit, uncached, fill)
 	if hit > 5 {
 		t.Fatalf("a cached hit allocates %.0f times, want <= 5", hit)
+	}
+	if uncached > 2 {
+		t.Fatalf("an uncached query allocates %.0f times, want <= 2", uncached)
+	}
+	if fill > 4 {
+		t.Fatalf("a fill allocates %.0f times, want <= 4", fill)
 	}
 
 	// walk resets the entry's version of shard 0 to before its last
 	// change set and validates it again.
-	key, lo, ub, _ := e.cache.quantize(q.Demand, q.K)
 	walk := func(absorbs bool) float64 {
 		ent := e.cache.newGen[key]
 		last := e.shards[0].snapshot().changes

@@ -547,11 +547,11 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 		cands    []Candidate
 		expBuf   [32]sim.Time
 	)
-	if k > 0 {
-		cands = make([]Candidate, 0, min(k, 64)+4)
-	}
-	if fill != nil {
+	switch {
+	case fill != nil:
 		cands = make([]Candidate, 0, 24) // a cell's set: ≈ 10 members and what the scan passes over
+	case k > 0:
+		cands = make([]Candidate, 0, min(k, 64)+4)
 	}
 	snaps, cursors, expires := snapBuf[:0], curBuf[:0], expBuf[:0]
 	visited := 0

@@ -81,10 +81,12 @@
 //     signatures up to there, and runs the dead, expiry and exact
 //     dominance tests on the entries that pass; then it compares every
 //     signature of the block's tail, holding the few that pass to the
-//     cutoff. Every match is reported and its score offered to the
-//     Bound, which keeps the k smallest match scores seen by any
-//     cursor (of matches dominating its corner, when it has one: see
-//     Bound); the cutoff is the largest of them
+//     cutoff. Every signature compare goes through passing: an AVX2
+//     kernel, 16 entries to a branch, where the CPU has it, and a
+//     four-entry Go loop anywhere else. Every match is reported and
+//     its score offered to the Bound, which keeps the k smallest match
+//     scores seen by any cursor (of matches dominating its corner, when
+//     it has one: see Bound); the cutoff is the largest of them
 //     plus a tie slack (near-equal-score entries stay in play: the
 //     caller re-ranks by the exactly-computed surplus, so rounding
 //     between score subtraction and the reference Σ(a-w)/c summation
@@ -1094,8 +1096,11 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 		// A tail is at most patchCap entries: every signature is
 		// compared, and only an entry that passes has its score held to
 		// the cutoff (one under D, in Seek's block, fails the exact test).
-		for j, sig := range t.sig {
-			if !passes(sig, c.sig) || t.score[j] > bound.cut || !c.match(t, j) {
+		for j := 0; ; j++ {
+			if j += passing(t.sig[j:], c.sig); j == len(t.sig) {
+				break
+			}
+			if t.score[j] > bound.cut || !c.match(t, j) {
 				continue
 			}
 			if dst = append(dst, int32(bi<<posShift|blockCap|j)); bound.counts(f.row(t, j)) {
@@ -1133,15 +1138,28 @@ func (c *Cursor) match(p *cols, i int) bool {
 func passes(sig, want uint64) bool { return ((sig|lanes)-want)&lanes == lanes }
 
 // passing returns the position of the first of sigs that passes the
-// demand signature want — every lane >= want's — or len(sigs). This
-// loop is the scan: one word read and one compare per rejected entry,
-// four entries to a branch (a one-entry loop ran up to 15% slower or
-// faster with where the linker happened to place it). Kept out of line
-// because inlined into Step it loses its registers to the code around
-// it (measured: 15-25% of a search).
+// demand signature want — every lane >= want's — or len(sigs). It is
+// the scan: every signature compare of a Step goes through it. Where
+// the CPU has AVX2 (useAVX2, set once at start) it runs passingAVX2,
+// 16 entries to a branch; anywhere else passingGeneric. The one call
+// through a function value keeps it within the inliner's budget, which
+// two direct calls exceed.
+func passing(sigs []uint64, want uint64) int {
+	kernel := passingGeneric
+	if useAVX2 {
+		kernel = passingAVX2
+	}
+	return kernel(sigs, want)
+}
+
+// passingGeneric is passing in Go: one word read and one compare per
+// rejected entry, four entries to a branch (a one-entry loop ran up to
+// 15% slower or faster with where the linker happened to place it).
+// Kept out of line because inlined into Step it loses its registers to
+// the code around it (measured: 15-25% of a search).
 //
 //go:noinline
-func passing(sigs []uint64, want uint64) int {
+func passingGeneric(sigs []uint64, want uint64) int {
 	i := 0
 	for ; i+4 <= len(sigs); i += 4 {
 		s := sigs[i : i+4 : i+4]

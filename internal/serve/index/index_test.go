@@ -78,8 +78,10 @@ func rankReturned(f *Flat, entries []int32, demand, cmax vector.Vec, k int) []ov
 // TestSearchMatchesLinear is the index-vs-linear property test: over
 // randomized populations, demands, expiries, and k, the index's
 // re-ranked answer must be identical — same nodes, same order — to
-// the brute-force linear ranking.
-func TestSearchMatchesLinear(t *testing.T) {
+// the brute-force linear ranking, on either scan kernel.
+func TestSearchMatchesLinear(t *testing.T) { eachKernel(t, searchMatchesLinear) }
+
+func searchMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		dims := 1 + rng.Intn(4)

@@ -16,8 +16,11 @@ import (
 // signature passes the demand's. Over 1 to 10 dimensions (more than a
 // signature has lanes), unscored dimensions, values above cmax, and
 // demands built from the availability itself: equal to it, one ulp
-// either side, a fraction of it, zero and negative zero.
-func TestSignatureNeverRejectsAMatch(t *testing.T) {
+// either side, a fraction of it, zero and negative zero. On either
+// scan kernel.
+func TestSignatureNeverRejectsAMatch(t *testing.T) { eachKernel(t, signatureNeverRejectsAMatch) }
+
+func signatureNeverRejectsAMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dominated, passed := 0, 0
 	for trial := range 400 {

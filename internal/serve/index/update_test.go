@@ -566,60 +566,70 @@ func FuzzUpdateMatchesLinear(f *testing.F) {
 	f.Add(refill)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
+		updateMatchesLinear(t, data)
+		if useAVX2 { // and on the generic loop, which this machine otherwise never runs
+			useGeneric(t)
+			updateMatchesLinear(t, data)
 		}
-		dims, k := 1+int(data[0])%4, int(data[1])%12
-		u := &updateCase{data: data[2:], cmax: vector.New(dims), next: 1}
-		head, ok := u.take(2*dims + 1)
+	})
+}
+
+// updateMatchesLinear replays the history data spells, checking every
+// step (see FuzzUpdateMatchesLinear).
+func updateMatchesLinear(t *testing.T, data []byte) {
+	if len(data) < 3 {
+		return
+	}
+	dims, k := 1+int(data[0])%4, int(data[1])%12
+	u := &updateCase{data: data[2:], cmax: vector.New(dims), next: 1}
+	head, ok := u.take(2*dims + 1)
+	if !ok {
+		return
+	}
+	demand := vector.New(dims)
+	for d := range dims {
+		u.cmax[d] = float64(head[d] % 33)
+		demand[d] = fuzzValue(u.cmax[d], head[dims+d])
+	}
+	for i := range 4 * int(head[2*dims]) {
+		r, ok := u.record(overlay.NodeID(2 * i))
 		if !ok {
-			return
+			break
 		}
-		demand := vector.New(dims)
-		for d := range dims {
-			u.cmax[d] = float64(head[d] % 33)
-			demand[d] = fuzzValue(u.cmax[d], head[dims+d])
-		}
-		for i := range 4 * int(head[2*dims]) {
-			r, ok := u.record(overlay.NodeID(2 * i))
+		u.recs = append(u.recs, r)
+	}
+	flat := Build(u.recs, u.cmax)
+	for range fuzzSteps {
+		dirty := map[overlay.NodeID]bool{}
+		demands := []vector.Vec{demand}
+		if len(u.data) > 0 && u.data[0]%8 == 7 {
+			count, ok := u.take(2)
 			if !ok {
-				break
+				return
 			}
-			u.recs = append(u.recs, r)
-		}
-		flat := Build(u.recs, u.cmax)
-		for range fuzzSteps {
-			dirty := map[overlay.NodeID]bool{}
-			demands := []vector.Vec{demand}
-			if len(u.data) > 0 && u.data[0]%8 == 7 {
-				count, ok := u.take(2)
+			for range 1 + int(count[1])%16 {
+				r, ok := u.op(dirty)
 				if !ok {
 					return
 				}
-				for range 1 + int(count[1])%16 {
-					r, ok := u.op(dirty)
-					if !ok {
-						return
-					}
-					if r != nil {
-						demands = append(demands, r.Avail)
-					}
-				}
-			} else if r, ok := u.op(dirty); !ok {
-				return
-			} else if r != nil {
-				demands = append(demands, r.Avail)
-			}
-			var add []proto.Record
-			for _, r := range u.recs {
-				if dirty[r.Node] {
-					add = append(add, r)
+				if r != nil {
+					demands = append(demands, r.Avail)
 				}
 			}
-			flat = flat.Update(add, dirty)
-			checkUpdateCase(t, u, flat, demands, k)
+		} else if r, ok := u.op(dirty); !ok {
+			return
+		} else if r != nil {
+			demands = append(demands, r.Avail)
 		}
-	})
+		var add []proto.Record
+		for _, r := range u.recs {
+			if dirty[r.Node] {
+				add = append(add, r)
+			}
+		}
+		flat = flat.Update(add, dirty)
+		checkUpdateCase(t, u, flat, demands, k)
+	}
 }
 
 // checkUpdateCase asserts that flat answers every demand like the
