@@ -26,18 +26,22 @@
 // included. Over the blocks sits a per-version directory: the block
 // pointers, each block's first score (binary searched to find where a
 // scan starts) and, per block, the per-dimension maximum over that
-// block and every later one. A second sequence of chunks, ordered by
-// node id, maps every node to its current score, so an entry can be
-// found from its node id in O(log n). A reported position is the block
-// index shifted by posShift, or'ed with the entry's place in the
-// prefix, or with blockCap plus its place in the tail.
+// block and every later one. A reported position is the block index
+// shifted by posShift, or'ed with the entry's place in the prefix, or
+// with blockCap plus its place in the tail. The by-node views, Nodes
+// and Records, are the blocks' live entries sorted by node id.
 //
 // Invariants, held by every version and asserted by the tests:
 //
 //   - A version is immutable and forkable: nothing derived from it ever
-//     writes memory it can read. A patch copies the header (the dead
-//     bitmap is part of it) and the tail it changes, and shares the
-//     rest.
+//     writes memory a reader of it can read. A patch copies the header
+//     (the dead bitmap is part of it) and the tail it changes, and
+//     shares the rest. The one thing written in place, the node table
+//     (see What an update costs), is read by no reader and written by
+//     one Update at a time: the one that claimed it, atomically, from
+//     the version that owns it.
+//   - The node table maps exactly its owner's live entries to their
+//     scores.
 //   - first[b] <= every score in block b, tail and dead entries
 //     included, <= first[b+1]; an entering entry goes to the tail of
 //     the last block whose first prefix key is at or below its own (of
@@ -113,31 +117,35 @@
 //
 // What an update costs. Every version is immutable; Update derives
 // the next one by copy-on-write. A batch that dirtied b nodes finds
-// their old entries through the by-node chunks and the blocks they
-// leave or enter by binary search on the directory. A touched block is
-// patched — a new header sharing the prefix, carrying its own dead
-// bitmap and new tail columns holding the entering entries — unless
-// the patch would push its dead plus tail entries past patchCap or
-// drop its live entries under minFill; then it is rewritten, dead
-// entries dropped and tail merged in order, splitting evenly when over
-// blockCap and carrying into its successor while under carryFill. A
-// touched chunk whose nodes only changed score shares its node column;
-// any other is rewritten the same way. Every other block and chunk is
-// shared, and so are the directories unless a block's first score or
-// its row of reach moved. A one-node update therefore copies two block
-// headers (a tail a few hundred bytes more), one chunk's scores and
-// the two pointer arrays: O(b·patchCap + n/blockCap) words, amortizing
-// a rewrite over patchCap touches, nothing allocated per record. A
-// publication that changed nothing reuses the previous version
-// outright.
+// their old entries' keys in the node table — every indexed node's
+// score, in a slice by node id (ids are dense) — and the blocks they
+// leave or enter by binary search on the directory. Build's version
+// owns a fresh table; Update on the owner writes the dirty nodes'
+// scores into it and hands it to the version it returns, and Update on
+// any other version forks, rebuilding a private table from that
+// version's live entries in O(n). A touched block is patched — a
+// new header sharing the prefix, carrying its own dead bitmap and new
+// tail columns holding the entering entries — unless the patch would
+// push its dead plus tail entries past patchCap or drop its live
+// entries under minFill; then it is rewritten, dead entries dropped and
+// tail merged in order, splitting evenly when over blockCap and
+// carrying into its successor while under carryFill. Every other block
+// is shared, and so are the directories unless a block's first score
+// or its row of reach moved. A one-node update therefore copies two
+// block headers (a tail a few hundred bytes more) and the block pointer
+// array: O(b·patchCap + n/blockCap) words, amortizing a rewrite over
+// patchCap touches, nothing allocated per record. A publication that
+// changed nothing reuses the previous version outright.
 package index
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
@@ -184,10 +192,9 @@ const (
 
 const never = sim.Time(1<<63 - 1)
 
-// cols is an immutable run of entries in sequence order, one column
-// per field: a block's sorted prefix, its tail, or a by-node chunk
-// (which fills only nodes and score). The columns a scan reads for
-// every entry come first.
+// cols is an immutable run of entries in (score, node) order, one
+// column per field: a block's sorted prefix or its tail. The columns a
+// scan reads for every entry come first.
 type cols struct {
 	sig     []uint64 // entry i's dominance signature (see Flat.signature)
 	score   []float64
@@ -199,6 +206,12 @@ type cols struct {
 }
 
 func (c *cols) key(i int) key { return key{c.score[i], c.nodes[i]} }
+
+// find returns where k is in c, or would be, and whether it is there.
+func (c *cols) find(k key) (int, bool) {
+	i := sort.Search(len(c.nodes), func(i int) bool { return c.key(i).cmp(k) >= 0 })
+	return i, i < len(c.nodes) && c.key(i) == k
+}
 
 // block is a prefix of at most blockCap entries, minus its dead, plus
 // its tail. The header holds the tail's columns and the dead bitmap
@@ -253,7 +266,7 @@ func (b *block) spans(run []span, n int) ([]span, int) {
 	lo, j := 0, 0 // the prefix run not yet added starts at lo; the tail's at j
 	for i := range b.nodes {
 		hi := j // the tail entries sorting before prefix entry i
-		for hi < len(t.nodes) && t.key(hi).cmp(b.key(i), false) < 0 {
+		for hi < len(t.nodes) && t.key(hi).cmp(b.key(i)) < 0 {
 			hi++
 		}
 		if dead := b.isDead(i); dead || hi > j {
@@ -269,15 +282,14 @@ func (b *block) spans(run []span, n int) ([]span, int) {
 	return run, n
 }
 
-// key orders a sequence: (score, node) for the blocks, node alone for
-// the by-node chunks, where the score is what the node maps to.
+// key orders the blocks: by score, then node.
 type key struct {
 	score float64
 	node  overlay.NodeID
 }
 
-func (k key) cmp(o key, byNode bool) int {
-	if !byNode && k.score != o.score { // scores are never NaN
+func (k key) cmp(o key) int {
+	if k.score != o.score { // scores are never NaN
 		if k.score < o.score {
 			return -1
 		}
@@ -293,7 +305,7 @@ type span struct {
 	lo, hi int32
 }
 
-// op is one change to a sequence: the entry at key leaves (at < 0), or
+// op is one change to the blocks: the entry at key leaves (at < 0), or
 // the record recs[at] of the input, whose key it is, joins.
 type op struct {
 	key
@@ -308,7 +320,7 @@ type Flat struct {
 	blocks []*block  // ascending (score, node)
 	first  []float64 // first[b] = blocks[b].lowest()
 	reach  []float64 // row-major: reach[b*dims+d] = max of dimension d over blocks b..
-	byNode []*block  // node → score, ascending by node
+	nodes  *table    // the chain's node table; this version's only while it owns it
 	n      int
 
 	// The blocks the Update that derived this version patched, and the
@@ -327,22 +339,19 @@ type Flat struct {
 func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 	f := &Flat{inv: NewScale(cmax), dims: cmax.Dim()}
 	// What is sorted is a (score, node, position in recs) triple per
-	// record, not the records; each sequence is then written in one run.
+	// record, not the records; the blocks are then written in one run.
 	n := len(recs)
 	order := make([]op, n)
-	ids := f.newBlock(n, true)
 	for i := range recs {
 		order[i] = op{key{f.inv.Score(recs[i].Avail), recs[i].Node}, int32(i)}
-		ids.nodes[i], ids.score[i] = order[i].node, order[i].score
 	}
-	f.byNode = f.emit(nil, []span{{&ids.cols, 0, int32(n)}}, n, true)
-	slices.SortFunc(order, func(a, b op) int { return a.cmp(b.key, false) })
-	stage := f.newBlock(n, false)
+	slices.SortFunc(order, func(a, b op) int { return a.cmp(b.key) })
+	stage := f.newBlock(n)
 	for at, o := range order {
 		f.put(&stage.cols, at, &recs[o.at], o.score)
 	}
-	f.blocks = f.emit(nil, []span{{&stage.cols, 0, int32(n)}}, n, false)
-	f.n, f.first, f.reach = n, f.firsts(), f.reaches()
+	f.blocks = f.emit(nil, []span{{&stage.cols, 0, int32(n)}}, n)
+	f.n, f.first, f.reach, f.nodes = n, f.firsts(), f.reaches(), f.newTable()
 	return f
 }
 
@@ -350,25 +359,32 @@ func Build(recs []proto.Record, cmax vector.Vec) *Flat {
 // values are ignored) every node whose record changed, appeared, or
 // disappeared since f was built; recs holds at least every surviving
 // dirty node, ascending by node id — a dirty node absent from recs has
-// left, records of other nodes are ignored. Only the blocks and chunks
-// a dirty node leaves or enters are written, most of them as patches;
-// see the package comment for the cost.
+// left, records of other nodes are ignored. Only the blocks a dirty
+// node leaves or enters are written, most of them as patches; see the
+// package comment for the cost, and for the node table, which Update
+// hands on when f owns it and rebuilds, forking, when it does not.
 func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat {
-	nf := &Flat{inv: f.inv, dims: f.dims, n: f.n}
+	nf := &Flat{inv: f.inv, dims: f.dims, n: f.n, nodes: f.nodes}
+	if !nf.nodes.owner.CompareAndSwap(f, nf) {
+		nf.nodes = f.newTable()
+		nf.nodes.owner.Store(nf)
+	}
+	tab := nf.nodes
 	var buf [8]op
 	ops := buf[:0]
 	for id := range dirty {
-		if score, ok := f.scoreOfNode(id); ok {
+		if score, ok := tab.get(id); ok {
 			ops, nf.n = append(ops, op{key{score, id}, -1}), nf.n-1
+			tab.set(id, math.NaN())
 		}
 		if i, ok := slices.BinarySearchFunc(recs, id, func(r proto.Record, id overlay.NodeID) int { return cmp.Compare(r.Node, id) }); ok {
-			ops, nf.n = append(ops, op{key{nf.inv.Score(recs[i].Avail), id}, int32(i)}), nf.n+1
+			score := nf.inv.Score(recs[i].Avail)
+			ops, nf.n = append(ops, op{key{score, id}, int32(i)}), nf.n+1
+			tab.set(id, score)
 		}
 	}
-	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key, true) })
-	nf.byNode, _, _ = nf.derive(f, f.byNode, ops, recs, true)
-	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key, false) })
-	blocks, firstMoved, reachMoved := nf.derive(f, f.blocks, ops, recs, false)
+	slices.SortFunc(ops, func(a, b op) int { return a.cmp(b.key) })
+	blocks, firstMoved, reachMoved := nf.derive(f, ops, recs)
 	nf.blocks, nf.first, nf.reach = blocks, f.first, f.reach
 	if firstMoved {
 		nf.first = nf.firsts()
@@ -377,6 +393,43 @@ func (f *Flat) Update(recs []proto.Record, dirty map[overlay.NodeID]bool) *Flat 
 		nf.reach = nf.reaches()
 	}
 	return nf
+}
+
+// table is a chain's node table: score[id] is node id's score in the
+// version that owns it, NaN for a node that version does not index.
+// Only the Update that claims it from its owner writes it.
+type table struct {
+	owner atomic.Pointer[Flat]
+	score []float64
+}
+
+// newTable returns a node table, owned by f, of f's live entries.
+func (f *Flat) newTable() *table {
+	top := overlay.NodeID(-1)
+	f.each(func(c *cols, i int, _ int32) { top = max(top, c.nodes[i]) })
+	t := &table{score: make([]float64, top+1)}
+	for i := range t.score {
+		t.score[i] = math.NaN()
+	}
+	f.each(func(c *cols, i int, _ int32) { t.score[c.nodes[i]] = c.score[i] })
+	t.owner.Store(f)
+	return t
+}
+
+// get returns node id's score, and whether it is indexed.
+func (t *table) get(id overlay.NodeID) (float64, bool) {
+	if int(id) < len(t.score) && !math.IsNaN(t.score[id]) {
+		return t.score[id], true
+	}
+	return 0, false
+}
+
+// set records node id's score, growing the table to reach it.
+func (t *table) set(id overlay.NodeID, score float64) {
+	for int(id) >= len(t.score) {
+		t.score = append(t.score, math.NaN())
+	}
+	t.score[id] = score
 }
 
 // Churn reports how the Update that derived f wrote its blocks: how
@@ -396,16 +449,16 @@ func (f *Flat) move(dst *cols, at int, src *cols, i int) {
 	copy(dst.vals[at*f.dims:(at+1)*f.dims], src.vals[i*f.dims:(i+1)*f.dims])
 }
 
-// derive writes the next version of a block sequence (byNode: of the
-// by-node chunks) from ops, sorted in that sequence's order (a leaving
-// key is present; a joining one is not, unless it also leaves). It
-// finds each touched block by binary search and shares every other
-// one. A touched block is patched; when the patch does not fit, it is
-// rewritten instead, and while what has been rewritten is under
-// carryFill the next block is taken in too, so only the last block may
-// hold fewer than minFill. firstMoved and reachMoved report whether
-// the first-score and reach directories are stale.
-func (f *Flat) derive(prev *Flat, seq []*block, ops []op, recs []proto.Record, byNode bool) (out []*block, firstMoved, reachMoved bool) {
+// derive writes the next block sequence from prev's and ops, sorted by
+// key (a leaving key is present; a joining one is not, unless it also
+// leaves). It finds each touched block by binary search and shares
+// every other one. A touched block is patched; when the patch does not
+// fit, it is rewritten instead, and while what has been rewritten is
+// under carryFill the next block is taken in too, so only the last
+// block may hold fewer than minFill. firstMoved and reachMoved report
+// whether the first-score and reach directories are stale.
+func (f *Flat) derive(prev *Flat, ops []op, recs []proto.Record) (out []*block, firstMoved, reachMoved bool) {
+	seq := prev.blocks
 	if len(ops) == 0 {
 		return seq, false, false
 	}
@@ -417,7 +470,7 @@ func (f *Flat) derive(prev *Flat, seq []*block, ops []op, recs []proto.Record, b
 	bi := 0
 	for len(ops) > 0 || n > 0 {
 		if n == 0 {
-			to := prev.route(seq, ops[0].key, byNode)
+			to := prev.route(ops[0].key)
 			out, bi = append(out, seq[bi:to]...), to
 		} else if bi == len(seq) {
 			break
@@ -425,37 +478,31 @@ func (f *Flat) derive(prev *Flat, seq []*block, ops []op, recs []proto.Record, b
 		b, mine, moved := seq[bi], len(ops), false // mine: the ops sorting before the next block's first key
 		if bi+1 < len(seq) {
 			next := seq[bi+1].key(0)
-			for mine = 0; mine < len(ops) && ops[mine].cmp(next, byNode) < 0; mine++ {
+			for mine = 0; mine < len(ops) && ops[mine].cmp(next) < 0; mine++ {
 			}
 		}
 		if mine > 0 {
-			if byNode {
-				b = f.rechunk(b, ops[:mine])
-			} else {
-				b, moved = f.patch(b, ops[:mine], recs)
-			}
+			b, moved = f.patch(b, ops[:mine], recs)
 			ops = ops[mine:]
 		}
 		if n == 0 && b.fits(bi+1 == len(seq)) {
 			out = append(out, b)
-			if !byNode {
-				f.patched++
-				firstMoved = firstMoved || b.lowest() != prev.first[bi]
-				reachMoved = reachMoved || moved && prev.reachMoves(b, bi)
-			}
+			f.patched++
+			firstMoved = firstMoved || b.lowest() != prev.first[bi]
+			reachMoved = reachMoved || moved && prev.reachMoves(b, bi)
 		} else {
-			if run, n = b.spans(run, n); !byNode && len(seq[bi].nodes) > 0 {
+			if run, n = b.spans(run, n); len(seq[bi].nodes) > 0 {
 				f.rewritten++
 			}
 			if n >= carryFill {
-				out, run, n = f.emit(out, run, n, byNode), run[:0], 0
+				out, run, n = f.emit(out, run, n), run[:0], 0
 			}
 			firstMoved, reachMoved = true, true
 		}
 		bi++
 	}
 	if n > 0 {
-		out = f.emit(out, run, n, byNode)
+		out = f.emit(out, run, n)
 	}
 	return append(out, seq[bi:]...), firstMoved, reachMoved
 }
@@ -477,16 +524,16 @@ func (f *Flat) reachMoves(b *block, bi int) bool {
 	return false
 }
 
-// route returns the block of seq a key belongs to: the last one whose
-// first prefix key is at or below it, or block 0. It binary-searches
-// the first-score directory, reading a block only on a tie; past block
-// 0, a block's first score is its prefix's.
-func (f *Flat) route(seq []*block, k key, byNode bool) int {
-	return sort.Search(len(seq)-1, func(i int) bool {
-		if !byNode && f.first[i+1] != k.score {
+// route returns the block a key belongs to: the last one whose first
+// prefix key is at or below it, or block 0. It binary-searches the
+// first-score directory, reading a block only on a tie; past block 0,
+// a block's first score is its prefix's.
+func (f *Flat) route(k key) int {
+	return sort.Search(len(f.blocks)-1, func(i int) bool {
+		if f.first[i+1] != k.score {
 			return f.first[i+1] > k.score
 		}
-		return seq[i+1].key(0).cmp(k, byNode) > 0
+		return f.blocks[i+1].key(0).cmp(k) > 0
 	})
 }
 
@@ -506,8 +553,11 @@ func (f *Flat) patch(b *block, ops []op, recs []proto.Record) (nb *block, moved 
 			size++
 			continue
 		}
-		i := sort.Search(len(b.nodes), func(i int) bool { return b.key(i).cmp(o.key, false) >= 0 })
-		if i == len(b.nodes) || b.key(i) != o.key || b.isDead(i) {
+		i, ok := b.find(o.key)
+		if !ok || b.isDead(i) {
+			if _, ok := t.find(o.key); !ok {
+				panic(fmt.Sprintf("index: node %d leaves at score %v, which its block does not hold: the node table is out of step with the blocks", o.node, o.score))
+			}
 			size-- // the entry leaves the tail
 			continue
 		}
@@ -517,11 +567,11 @@ func (f *Flat) patch(b *block, ops []op, recs []proto.Record) (nb *block, moved 
 	}
 	if len(ops) > int(nb.ndead-b.ndead) { // some op enters or leaves the tail
 		tail := &nb.tail
-		f.alloc(tail, size, false, 0)
+		f.alloc(tail, size, 0)
 		nb.ntail = int32(size)
 		at, j := 0, 0
 		for _, o := range ops {
-			for ; j < nt && t.key(j).cmp(o.key, false) < 0; j, at = j+1, at+1 {
+			for ; j < nt && t.key(j).cmp(o.key) < 0; j, at = j+1, at+1 {
 				f.move(tail, at, t, j)
 			}
 			if o.at >= 0 {
@@ -597,98 +647,44 @@ func (f *Flat) liveMax(b *block) []float64 {
 	return m
 }
 
-// rechunk returns chunk c with ops — all of which fall into it —
-// applied: when they only move nodes c holds to new scores, a chunk
-// sharing c's node column; otherwise a merged copy, which derive
-// accepts as it is or rewrites when its size does not fit.
-func (f *Flat) rechunk(c *block, ops []op) *block {
-	moves := len(ops)%2 == 0
-	for i := 0; moves && i < len(ops); i += 2 {
-		moves = ops[i].node == ops[i+1].node
-	}
-	if moves {
-		nc := &block{cols: cols{nodes: c.nodes, score: slices.Clone(c.score)}}
-		for _, o := range ops {
-			if o.at >= 0 {
-				i, _ := slices.BinarySearch(c.nodes, o.node)
-				nc.score[i] = o.score
-			}
-		}
-		return nc
-	}
-	size := len(c.nodes)
-	for _, o := range ops {
-		if o.at < 0 {
-			size--
-		} else {
-			size++
-		}
-	}
-	nc := f.newBlock(size, true)
-	at, lo := 0, 0 // c's entries from lo on are kept and not yet copied
-	for _, o := range ops {
-		i := lo + sort.Search(len(c.nodes)-lo, func(i int) bool { return c.nodes[lo+i] >= o.node })
-		copy(nc.nodes[at:], c.nodes[lo:i])
-		at += copy(nc.score[at:], c.score[lo:i])
-		if lo = i; o.at < 0 {
-			lo++
-		} else {
-			nc.nodes[at], nc.score[at] = o.node, o.score
-			at++
-		}
-	}
-	copy(nc.nodes[at:], c.nodes[lo:])
-	copy(nc.score[at:], c.score[lo:])
-	return nc
-}
-
 // emit appends the n entries of run to out as evenly filled blocks of
 // at most blockCap entries.
-func (f *Flat) emit(out []*block, run []span, n int, byNode bool) []*block {
+func (f *Flat) emit(out []*block, run []span, n int) []*block {
 	for pieces := (n + blockCap - 1) / blockCap; pieces > 0; pieces-- {
 		size := (n + pieces - 1) / pieces
-		b := f.newBlock(size, byNode)
+		b := f.newBlock(size)
 		for at := 0; at < size; {
 			s := &run[0]
 			take := min(int(s.hi-s.lo), size-at)
 			lo, hi := int(s.lo), int(s.lo)+take
 			copy(b.nodes[at:], s.c.nodes[lo:hi])
 			copy(b.score[at:], s.c.score[lo:hi])
-			if !byNode {
-				copy(b.sig[at:], s.c.sig[lo:hi])
-				copy(b.stored[at:], s.c.stored[lo:hi])
-				copy(b.expires[at:], s.c.expires[lo:hi])
-				copy(b.vals[at*f.dims:], s.c.vals[lo*f.dims:hi*f.dims])
-			}
+			copy(b.sig[at:], s.c.sig[lo:hi])
+			copy(b.stored[at:], s.c.stored[lo:hi])
+			copy(b.expires[at:], s.c.expires[lo:hi])
+			copy(b.vals[at*f.dims:], s.c.vals[lo*f.dims:hi*f.dims])
 			if at, s.lo = at+take, s.lo+int32(take); s.lo == s.hi {
 				run = run[1:]
 			}
 		}
-		if !byNode {
-			f.summarize(b)
-		}
+		f.summarize(b)
 		out, n = append(out, b), n-size
 	}
 	return out
 }
 
 // newBlock allocates an n-entry block.
-func (f *Flat) newBlock(n int, byNode bool) *block {
+func (f *Flat) newBlock(n int) *block {
 	b := new(block)
-	b.max = f.alloc(&b.cols, n, byNode, f.dims)
+	b.max = f.alloc(&b.cols, n, f.dims)
 	return b
 }
 
 // alloc gives c n entries — one allocation per element type, whatever
 // the number of columns — and returns extra floats from the same
-// allocation (a block's maximum). A by-node chunk gets nodes and score
-// only.
-func (f *Flat) alloc(c *cols, n int, byNode bool, extra int) []float64 {
+// allocation (a block's maximum).
+func (f *Flat) alloc(c *cols, n int, extra int) []float64 {
 	c.nodes = make([]overlay.NodeID, n)
-	if byNode {
-		c.score = make([]float64, n)
-		return nil
-	}
 	w := n * f.dims
 	floats := make([]float64, n+w+extra)
 	c.score, c.vals = floats[:n:n], floats[n:n+w:n+w]
@@ -767,26 +763,31 @@ func (s Scale) Score(avail vector.Vec) float64 {
 	return sum
 }
 
-// scoreOfNode looks id up in the by-node chunks.
-func (f *Flat) scoreOfNode(id overlay.NodeID) (float64, bool) {
-	ci := sort.Search(len(f.byNode), func(i int) bool { return f.byNode[i].nodes[0] > id }) - 1
-	if ci >= 0 {
-		if i, ok := slices.BinarySearch(f.byNode[ci].nodes, id); ok {
-			return f.byNode[ci].score[i], true
-		}
-	}
-	return 0, false
-}
-
 // Len returns the number of indexed records.
 func (f *Flat) Len() int { return f.n }
 
-// Nodes appends every indexed node id to dst, ascending.
+// Nodes appends every indexed node id to dst, ascending: the ids of
+// the live entries, collected block by block and sorted.
 func (f *Flat) Nodes(dst []overlay.NodeID) []overlay.NodeID {
-	for _, c := range f.byNode {
-		dst = append(dst, c.nodes...)
-	}
+	at := len(dst)
+	f.each(func(c *cols, i int, _ int32) { dst = append(dst, c.nodes[i]) })
+	slices.Sort(dst[at:])
 	return dst
+}
+
+// each calls fn for every live entry, block by block: entry i of c,
+// reported as position e.
+func (f *Flat) each(fn func(c *cols, i int, e int32)) {
+	for bi, b := range f.blocks {
+		for i := range b.nodes {
+			if !b.isDead(i) {
+				fn(&b.cols, i, int32(bi<<posShift|i))
+			}
+		}
+		for j := range b.tail.nodes {
+			fn(&b.tail, j, int32(bi<<posShift|blockCap|j))
+		}
+	}
 }
 
 // RaiseMax raises each m[d] to the largest availability any indexed
@@ -808,16 +809,7 @@ func (f *Flat) Records() []proto.Record {
 		// Sort (node, entry) pairs packed into one word each — ids are
 		// never negative — then resolve the entries in that order.
 		order := make([]uint64, 0, f.n)
-		for bi, b := range f.blocks {
-			for i, id := range b.nodes {
-				if !b.isDead(i) {
-					order = append(order, uint64(id)<<32|uint64(bi<<posShift|i))
-				}
-			}
-			for j, id := range b.tail.nodes {
-				order = append(order, uint64(id)<<32|uint64(bi<<posShift|blockCap|j))
-			}
-		}
+		f.each(func(c *cols, i int, e int32) { order = append(order, uint64(c.nodes[i])<<32|uint64(e)) })
 		slices.Sort(order)
 		f.recs = make([]proto.Record, len(order))
 		for at, o := range order {

@@ -3,11 +3,13 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"pidcan/internal/overlay"
@@ -204,13 +206,26 @@ func checkSame(t *testing.T, h *history, got, want *Flat, queries int) {
 }
 
 // checkBlocks asserts the package comment's invariants on f's blocks
-// and chunks: sizes, the dead-plus-tail bound, the first-score
-// directory bracketing every score, exact maxima and reach.
+// and node table: sizes, the dead-plus-tail bound, the first-score
+// directory bracketing every score, exact maxima and reach, and — when
+// f owns the table, as the newest version of a chain does — a table
+// mapping exactly the live entries to their scores.
 func checkBlocks(t *testing.T, f *Flat) {
 	t.Helper()
-	for i, c := range f.byNode {
-		if n := len(c.nodes); n > blockCap || n == 0 || (n < minFill && i+1 < len(f.byNode)) {
-			t.Fatalf("chunk %d of %d holds %d entries", i, len(f.byNode), n)
+	if tab := f.nodes; tab.owner.Load() == f {
+		indexed := 0
+		for _, s := range tab.score {
+			if !math.IsNaN(s) {
+				indexed++
+			}
+		}
+		f.each(func(c *cols, i int, _ int32) {
+			if s, ok := tab.get(c.nodes[i]); !ok || s != c.score[i] {
+				t.Fatalf("node %d scores %v in the blocks, %v in the node table (present: %v)", c.nodes[i], c.score[i], s, ok)
+			}
+		})
+		if indexed != f.Len() {
+			t.Fatalf("node table holds %d nodes, the version %d", indexed, f.Len())
 		}
 	}
 	if len(f.first) != len(f.blocks) || len(f.reach) != len(f.blocks)*f.dims {
@@ -238,10 +253,10 @@ func checkBlocks(t *testing.T, f *Flat) {
 		}
 		scores := slices.Clone(b.score)
 		if len(b.tail.nodes) > 0 {
-			if !sort.SliceIsSorted(b.tail.nodes, func(x, y int) bool { return b.tail.key(x).cmp(b.tail.key(y), false) < 0 }) {
+			if !sort.SliceIsSorted(b.tail.nodes, func(x, y int) bool { return b.tail.key(x).cmp(b.tail.key(y)) < 0 }) {
 				t.Fatalf("block %d: tail out of order", i)
 			}
-			if i > 0 && b.tail.key(0).cmp(b.key(0), false) < 0 {
+			if i > 0 && b.tail.key(0).cmp(b.key(0)) < 0 {
 				t.Fatalf("block %d: tail entry %v below the prefix's first key %v", i, b.tail.key(0), b.key(0))
 			}
 			scores = append(scores, b.tail.score...)
@@ -293,7 +308,7 @@ func TestUpdateMatchesBuild(t *testing.T) {
 		for len(h.recs) > 0 {
 			step(1, 0)
 		}
-		if f.Len() != 0 || len(f.blocks) != 0 || len(f.byNode) != 0 {
+		if f.Len() != 0 || len(f.blocks) != 0 {
 			t.Fatalf("seed %d: emptied index holds %d records in %d blocks", seed, f.Len(), len(f.blocks))
 		}
 		sizes := []int{1, 7, 64}
@@ -379,7 +394,7 @@ func TestVersionsPersist(t *testing.T) {
 	if p, r := patched.Churn(); p != 1 || r != 0 {
 		t.Fatalf("a one-node join patched %d blocks and rewrote %d; want one patch", p, r)
 	}
-	at := patched.route(patched.blocks, key{patched.inv.Score(avail), 1 << 20}, false)
+	at := patched.route(key{patched.inv.Score(avail), 1 << 20})
 	if len(patched.blocks[at].tail.nodes) == 0 {
 		t.Fatalf("the joined entry is not in block %d's tail", at)
 	}
@@ -508,7 +523,9 @@ func (u *updateCase) op(dirty map[overlay.NodeID]bool) (written *proto.Record, o
 // FuzzUpdateMatchesLinear holds an Update chain to the brute-force
 // ranking and to a Build of the same records after every step of
 // whatever history the bytes spell: one-node re-advertisements, joins
-// and leaves, each its own Update, and now and then a batch. The seed
+// and leaves, each its own Update, and now and then a batch. Each step
+// is derived a second time from its parent, a fork, which must answer
+// and read off like the chain's version. The seed
 // corpus drives blocks through both rewrite triggers — tails filling
 // past patchCap, a block drained under minFill — and an index emptied
 // and refilled.
@@ -627,8 +644,25 @@ func updateMatchesLinear(t *testing.T, data []byte) {
 				add = append(add, r)
 			}
 		}
+		prev := flat
 		flat = flat.Update(add, dirty)
 		checkUpdateCase(t, u, flat, demands, k)
+		// prev no longer owns the node table: deriving the step from it
+		// again forks, through a table rebuilt from prev's blocks.
+		fork := prev.Update(add, dirty)
+		for _, demand := range demands {
+			got, _ := fork.Search(nil, demand, fuzzNow, k)
+			want, _ := flat.Search(nil, demand, fuzzNow, k)
+			if !slices.Equal(resolve(fork, got), resolve(flat, want)) {
+				t.Fatalf("demand %v k %d: the fork answers %v, the chain %v", demand, k, resolve(fork, got), resolve(flat, want))
+			}
+		}
+		if !slices.EqualFunc(fork.Records(), flat.Records(), func(a, b proto.Record) bool {
+			return a.Node == b.Node && a.Avail.Equal(b.Avail) && a.Stored == b.Stored && a.Expires == b.Expires
+		}) {
+			t.Fatal("the fork's Records differ from the chain's")
+		}
+		checkBlocks(t, fork)
 	}
 }
 
@@ -704,14 +738,14 @@ func updater(n, b int) (f *Flat, update func()) {
 // must not follow the population — ten times the records, at most
 // twice the bytes (the pointer arrays and the directories are the part
 // that grows) — and stays within the patch path's budget: a patched
-// header, dead bitmap and tail per touched block, one chunk's scores,
-// the two pointer arrays, and a share of the rewrites.
+// header, dead bitmap and tail per touched block, the block pointer
+// array, and a share of the rewrites; in bytes and in allocations.
 func TestUpdateAllocationIsNotPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const smallCap, largeCap = 6 << 10, 12 << 10
-	perUpdate := func(n int) float64 {
+	const bytesCap, allocsCap = 3 << 10, 10
+	perUpdate := func(n int) (bytes, allocs float64) {
 		_, update := updater(n, 1)
 		for range 200 { // past the splits of the freshly built, full blocks
 			update()
@@ -723,15 +757,19 @@ func TestUpdateAllocationIsNotPerRecord(t *testing.T) {
 			update()
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		// Less the one availability the updater clones per call.
+		return float64(after.TotalAlloc-before.TotalAlloc)/runs - float64(8*benchCMax.Dim()),
+			float64(after.Mallocs-before.Mallocs)/runs - 1
 	}
-	small, large := perUpdate(2500), perUpdate(25000)
-	t.Logf("one-node Update allocates %.0f B at n=2500, %.0f B at n=25000", small, large)
+	small, smallAllocs := perUpdate(2500)
+	large, largeAllocs := perUpdate(25000)
+	t.Logf("one-node Update allocates %.0f B in %.2f allocations at n=2500, %.0f B in %.2f at n=25000", small, smallAllocs, large, largeAllocs)
 	if large > 2*small {
 		t.Fatalf("one-node Update allocates %.0f B at n=25000, more than twice the %.0f B at n=2500", large, small)
 	}
-	if small > smallCap || large > largeCap {
-		t.Fatalf("one-node Update allocates %.0f B at n=2500 (cap %d), %.0f B at n=25000 (cap %d)", small, smallCap, large, largeCap)
+	if max(small, large) > bytesCap || max(smallAllocs, largeAllocs) > allocsCap {
+		t.Fatalf("one-node Update allocates %.0f B in %.2f allocations at n=2500, %.0f B in %.2f at n=25000; caps %d B, %d allocations",
+			small, smallAllocs, large, largeAllocs, bytesCap, allocsCap)
 	}
 }
 
@@ -770,4 +808,25 @@ func BenchmarkFlatSearch(b *testing.B) {
 		i++
 	}
 	b.ReportMetric(float64(visited)/float64(i), "visited/op")
+}
+
+// TestUpdatePanicsOnAStaleNodeTable: a leaving key its block does not
+// hold — a node table out of step with the blocks — stops Update with a
+// message that says so, not an index out of range further on.
+func TestUpdatePanicsOnAStaleNodeTable(t *testing.T) {
+	recs := population(rand.New(rand.NewSource(3)), 3*blockCap, benchCMax)
+	id := recs[blockCap].Node
+	other, _ := Build(recs, benchCMax).nodes.get(recs[0].Node)
+	for _, stale := range []float64{-1, other} { // a score no entry has; another node's
+		f := Build(recs, benchCMax)
+		f.nodes.score[id] = stale
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "out of step") {
+					t.Fatalf("table score %v: Update of the node panicked with %q", stale, msg)
+				}
+			}()
+			f.Update(nil, map[overlay.NodeID]bool{id: false})
+		}()
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pidcan/internal/serve/wal"
 	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
@@ -88,14 +89,14 @@ func TestSnapshotRecordsIsADerivedView(t *testing.T) {
 // TestPublicationAllocationIsNotPerRecord: one Engine.Update — ack
 // path and publication — must allocate about the same whatever the
 // shard's population: ten times the nodes, at most twice the bytes;
-// and at 2 500 nodes no more than the publication's budget, which
+// and at either size no more than the publication's budget, which
 // holds when most touched blocks take the patch path (the running
 // engine's counters say they do).
 func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const smallCap = 7 << 10
+	const smallCap, largeCap = 4 << 10, 7 << 10
 	perUpdate := func(n int) float64 {
 		cfg := testConfig(1)
 		cfg.NodesPerShard = n
@@ -134,7 +135,52 @@ func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 	if large > 2*small {
 		t.Fatalf("one Engine.Update allocates %.0f B at 25000 nodes, more than twice the %.0f B at 2500", large, small)
 	}
-	if small > smallCap {
-		t.Fatalf("one Engine.Update allocates %.0f B at 2500 nodes, over the %d B budget", small, smallCap)
+	if small > smallCap || large > largeCap {
+		t.Fatalf("one Engine.Update allocates %.0f B at 2500 nodes (budget %d B), %.0f B at 25000 (budget %d B)", small, smallCap, large, largeCap)
+	}
+}
+
+// TestFollowerApplyAllocation: a follower's apply of one replicated
+// update at 2 500 nodes — the op queued and answered, the mirror log
+// append and the publication — allocates no more than the 5 054 B in
+// 23.5 allocations it took while the index still kept a second,
+// by-node sequence (≈ 3 490 B in 20.5 without it).
+func TestFollowerApplyAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bytesCap, allocsCap = 5000, 23
+	cfg := testConfig(1)
+	cfg.NodesPerShard = 2500
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	cfg.DataDir = t.TempDir()
+	cfg.Follower = true
+	e, _ := newClockedEngine(t, cfg)
+	rng := rand.New(rand.NewSource(3))
+	rec := []wal.Record{{Kind: wal.KindUpdate, Avail: make([]float64, cfg.CMax.Dim())}}
+	apply := func() {
+		rec[0].Node = uint32(rng.Intn(cfg.NodesPerShard))
+		for d := range rec[0].Avail {
+			rec[0].Avail[d] = cfg.CMax[d] * rng.Float64()
+		}
+		if err := e.ReplApply(0, e.Epoch(), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2000 { // spread the all-zero start-up scores, split the full blocks
+		apply()
+	}
+	const runs = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("a follower's apply of one update allocates %.0f B in %.2f allocations", bytes, allocs)
+	if bytes > bytesCap || allocs > allocsCap {
+		t.Fatalf("a follower's apply of one update allocates %.0f B in %.2f allocations; budget %d B, %d allocations", bytes, allocs, bytesCap, allocsCap)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -463,6 +464,45 @@ func TestQueryCodecZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("query encode/decode path allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestServerCachedQueryAllocations: the server side of one cached
+// OpQuery — header and frame check, decode, Engine.Query answered from
+// the cache, the answer's external ids and the encoded response —
+// allocates no more than the 288 B in 4 allocations it was measured
+// at (the hit's own, TestCachedQueryAllocations in package serve;
+// decode and encode allocate nothing).
+func TestServerCachedQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const bytesCap, allocsCap = 288, 4
+	eng := newTestEngine(t, serve.Config{Shards: 4, NodesPerShard: 64, Seed: 3, FlushInterval: time.Hour})
+	srv := wire.NewServer(func() serve.Service { return eng }, wire.ServerConfig{})
+	handle := srv.HandleFrame()
+	demand := make([]float64, eng.Config().CMax.Dim())
+	for d, c := range eng.Config().CMax {
+		demand[d] = 0.3 * c
+	}
+	frame := wire.AppendQuery(nil, 1, 0, &wire.Query{Demand: demand, K: 3})
+	out := handle(nil, frame) // the fill
+	var res wire.QueryResult
+	if out = handle(out[:0], frame); wire.DecodeQueryResponse(out[wire.HeaderSize:], &res) != nil || !res.Cached || len(res.Candidates) != 3 {
+		t.Fatalf("the second query: cached %v, %d candidates; want a hit with 3", res.Cached, len(res.Candidates))
+	}
+	const runs = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		out = handle(out[:0], frame)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("the server side of a cached OpQuery allocates %.0f B in %.2f allocations", bytes, allocs)
+	if bytes > bytesCap || allocs > allocsCap {
+		t.Fatalf("the server side of a cached OpQuery allocates %.0f B in %.2f allocations; budget %d B, %d allocations", bytes, allocs, bytesCap, allocsCap)
 	}
 }
 
