@@ -484,40 +484,10 @@ func BenchmarkServeAdaptiveCache(b *testing.B) {
 	}
 }
 
-// BenchmarkServeConsistentScatter measures the protocol-routed
-// scatter-gather path: every query fans one PID-CAN protocol query
-// out to each shard's write queue and merges the partial views. The
-// shard sweep shows the fan-out cost (total hops grow with shards)
-// against the wall-clock benefit of the legs running concurrently.
-func BenchmarkServeConsistentScatter(b *testing.B) {
-	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d/clients=8", shards), func(b *testing.B) {
-			eng := newBenchEngine(b, shards, 128)
-			demands := benchDemands(eng, 512)
-			var hops, legs atomic.Int64
-			runServeBench(b, shards, 8, func(c, i int) {
-				resp, err := eng.Query(QueryRequest{
-					Demand:     demands[(i+c)%len(demands)],
-					K:          3,
-					Consistent: true,
-				})
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				hops.Add(int64(resp.Hops))
-				legs.Add(int64(resp.ShardsQueried))
-			})
-			n := float64(b.N)
-			b.ReportMetric(float64(hops.Load())/n, "hops/query")
-			b.ReportMetric(float64(legs.Load())/n, "shards/query")
-		})
-	}
-}
-
-// BenchmarkServeConsistentOne is the paper-faithful single-shard
-// consistent path (Scope "one"), the PR-1 baseline the scatter
-// numbers compare against.
+// BenchmarkServeConsistentOne measures the protocol-routed
+// consistent path: each query runs the paper's protocol on one shard,
+// the shards taken round-robin, so more shards spread the queries
+// over more shard goroutines.
 func BenchmarkServeConsistentOne(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d/clients=8", shards), func(b *testing.B) {
@@ -528,7 +498,6 @@ func BenchmarkServeConsistentOne(b *testing.B) {
 					Demand:     demands[(i+c)%len(demands)],
 					K:          3,
 					Consistent: true,
-					Scope:      ScopeOne,
 				}); err != nil {
 					b.Error(err)
 				}

@@ -24,9 +24,8 @@
 //
 // The traffic mix is query-dominated by default; tune with
 // -mix query=90,update=6,join=2,leave=2. A -consistent fraction of
-// queries routes through the PID-CAN protocol itself;
-// -consistent-scope picks between the scatter-gather merge of every
-// shard ("all") and the paper-faithful single shard ("one").
+// queries routes through the PID-CAN protocol itself, each on one
+// shard (round-robin on the server).
 //
 // -skew Z (Z > 1) zipf-concentrates joins and updates onto a few
 // shards (exponent Z over the shard indexes, shard 0 hottest):
@@ -113,7 +112,6 @@ func main() {
 		k        = flag.Int("k", 3, "candidates per query")
 		profiles = flag.Int("profiles", 64, "distinct demand profiles (0 = every query draws a fresh random demand)")
 		consist  = flag.Float64("consistent", 0, "fraction of queries routed through the PID-CAN protocol instead of the snapshot path")
-		conScope = flag.String("consistent-scope", "all", "consistent-query scope: all (scatter-gather every shard) or one (single shard)")
 		skew     = flag.Float64("skew", 0, "zipf exponent (> 1) concentrating joins and updates onto low shard indexes; 0 = uniform")
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		router   = flag.Bool("router", false, "target is a pidcan-router: the server: line and JSON report scatter legs/query, pruned legs, and pipeline depth from its /stats")
@@ -166,7 +164,7 @@ func main() {
 		rate: *rate, duration: *duration, workers: *workers,
 		arrivals: *arrivals, burst: *burst, period: *period,
 		weights: weights, k: *k, profiles: *profiles,
-		consist: *consist, conScope: *conScope, skew: *skew, seed: *seed,
+		consist: *consist, skew: *skew, seed: *seed,
 		client: client, cmax: cmax, nodes: nodes,
 		nodesByShard: nodesByShard, shardCount: shardCount,
 	}
@@ -212,7 +210,6 @@ type runCfg struct {
 	k        int
 	profiles int
 	consist  float64
-	conScope string
 	skew     float64
 	seed     uint64
 
@@ -370,7 +367,7 @@ func runWorker(rc runCfg, w int, jobs <-chan job, deadline time.Time, closedLoop
 		if err != nil {
 			log.Fatalf("worker %d: dial wire %s: %v", w, rc.wireAddr, err)
 		}
-		is = &wireIssuer{wk: wk, m: pidcan.NewWireMux(c), q: pidcan.WireQuery{K: rc.k}, scopeOne: rc.conScope == "one"}
+		is = &wireIssuer{wk: wk, m: pidcan.NewWireMux(c), q: pidcan.WireQuery{K: rc.k}}
 	}
 	rng := rand.New(rand.NewPCG(rc.seed, uint64(w)+0xbee))
 	var zipf *rand.Zipf
@@ -463,7 +460,6 @@ type wireIssuer struct {
 	wk       *worker
 	m        *pidcan.WireMux
 	q        pidcan.WireQuery // reused: Start encodes it before returning
-	scopeOne bool
 	inflight sync.WaitGroup
 }
 
@@ -489,7 +485,6 @@ func (c *wireCall) Enqueue(cl *pidcan.WireClient) uint32 {
 	case clQuery:
 		q := &c.x.q
 		q.Demand, q.Consistent = c.demand, c.consistent
-		q.ScopeOne = c.consistent && c.x.scopeOne
 		return cl.EnqueueQuery(q)
 	case clUpdate:
 		return cl.EnqueueUpdate(c.node, c.avail, c.announce)
@@ -726,11 +721,7 @@ func postOp(rc runCfg, o *op) (uint64, error) {
 			Demand     []float64 `json:"demand"`
 			K          int       `json:"k"`
 			Consistent bool      `json:"consistent,omitempty"`
-			Scope      string    `json:"scope,omitempty"`
 		}{Demand: o.demand, K: rc.k, Consistent: o.consistent}
-		if o.consistent {
-			req.Scope = rc.conScope
-		}
 		return 0, post(rc.client, rc.baseURL+"/query", req, nil)
 	case clUpdate:
 		req := struct {

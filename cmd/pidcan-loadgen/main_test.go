@@ -83,7 +83,7 @@ func runAndCheck(t *testing.T, proto string, rate float64, mix string) {
 		proto: proto, baseURL: tg.base, wireAddr: tg.wireAddr,
 		rate: rate, duration: 150 * time.Millisecond, workers: 4,
 		arrivals: "poisson", weights: weights, k: 3, profiles: 16,
-		consist: 0.1, conScope: "all", seed: 3,
+		consist: 0.1, seed: 3,
 		client: client, cmax: cmax, nodes: nodes, shardCount: shards,
 	})
 	after := tg.eng.Stats()

@@ -1,10 +1,11 @@
 // Command pidcan-router fronts a federation of pidcan-serve primary
-// processes with one serving surface: queries scatter-gather across
-// every member (each a primary engine with its own WAL and follower
-// set) exactly as one engine scatters across its shards, joins go
-// round-robin over the members, and writes chase nodes migrated
-// between members through a forwarding table — every id a node was
-// ever known by stays routable.
+// processes with one serving surface: snapshot queries scatter-gather
+// across every member (each a primary engine with its own WAL and
+// follower set) under one deadline (-scatter-timeout), a consistent
+// query runs the protocol on one member round-robin as an engine runs
+// it on one shard, joins go round-robin over the members, and writes
+// chase nodes migrated between members through a forwarding table —
+// every id a node was ever known by stays routable.
 //
 //	pidcan-router -addr :8090 -members "hostA:9001,hostB:9001|hostB2:9001"
 //
@@ -46,7 +47,7 @@ func main() {
 		addr     = flag.String("addr", ":8090", "HTTP listen address")
 		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (empty disables)")
 		members  = flag.String("members", "", "federation members: comma-separated, each a pipe-separated wire address list (primary first)")
-		scatter  = flag.Duration("scatter-timeout", 2*time.Second, "whole-gather deadline of cross-member scatter queries")
+		scatter  = flag.Duration("scatter-timeout", 2*time.Second, "whole-gather deadline of a snapshot query's member gather")
 		grace    = flag.Duration("forward-grace", time.Minute, "how long a migrated-away id stays routable after its move")
 		sumTTL   = flag.Duration("summary-ttl", time.Second, "max availability-summary age that may still prune a scatter leg")
 		sumEvery = flag.Duration("summary-refresh", 250*time.Millisecond, "background summary exchange period (<0 disables)")

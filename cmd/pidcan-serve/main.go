@@ -11,9 +11,8 @@
 // and the next start with the same -data-dir (and shard/seed shape)
 // recovers every join, update and migration it ever acknowledged —
 // kill -9 included, minus nothing but unacknowledged requests.
-// Consistent queries ({"consistent":true})
-// scatter-gather through every shard's protocol by default;
-// {"scope":"one"} keeps the paper-faithful single-shard routing.
+// A consistent query ({"consistent":true}) runs the paper's protocol
+// on one shard, the shards taken round-robin.
 // With -rebalance-interval set, an adaptive rebalancer migrates
 // nodes between shards whenever populations skew past
 // -rebalance-threshold (joins targeted with {"shard":S} are how
@@ -68,7 +67,6 @@ func main() {
 		noCache  = flag.Bool("no-cache", false, "disable the query cache")
 		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 keeps the quantization grid fixed)")
 		populate = flag.Bool("populate", true, "publish a random initial availability per node")
-		scatter  = flag.Duration("scatter-timeout", 5*time.Second, "whole-gather deadline of scatter-gather consistent queries")
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
 		rebalThr = flag.Float64("rebalance-threshold", 1.25, "max/min shard-population ratio that triggers migration")
 		rebalMax = flag.Int("rebalance-moves", 8, "migration cap per rebalance pass")
@@ -89,7 +87,6 @@ func main() {
 		FlushInterval:      *flush,
 		CacheDisabled:      *noCache,
 		CacheAdaptEvery:    *adaptEvr,
-		ScatterTimeout:     *scatter,
 		RebalanceInterval:  *rebal,
 		RebalanceThreshold: *rebalThr,
 		RebalanceMaxMoves:  *rebalMax,

@@ -103,30 +103,19 @@ func main() {
 	}
 
 	// A consistent query trades the lock-free snapshot read for the
-	// paper's three-phase protocol. By default it scatter-gathers:
-	// one protocol query per shard, partial views merged best-fit
-	// first, with the message cost reported as the total (Hops) and
-	// the critical path (HopsMax). Scope "one" keeps the
-	// paper-faithful single-shard routing for comparison.
-	resp, err = eng.Query(pidcan.QueryRequest{
-		Demand: vector.Of(4, 16, 100), K: 4, Consistent: true,
-	})
-	if err != nil {
-		log.Fatal(err)
+	// paper's three-phase protocol: one querying node searching one
+	// shard's overlay, the shards taken round-robin, its message cost
+	// reported as Hops. Two in a row consult two different shards.
+	for i := 0; i < 2; i++ {
+		resp, err := eng.Query(pidcan.QueryRequest{
+			Demand: vector.Of(4, 16, 100), K: 4, Consistent: true,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("consistent query: %d shard answered, %d hops: %s\n",
+			resp.ShardsQueried, resp.Hops, describe(resp.Candidates))
 	}
-	shardSet := map[int]bool{}
-	for _, c := range resp.Candidates {
-		shardSet[c.Node.Shard()] = true
-	}
-	fmt.Printf("consistent scatter-gather: %d shards answered, candidates from %d shards, %d hops total (max %d per shard)\n",
-		resp.ShardsQueried, len(shardSet), resp.Hops, resp.HopsMax)
-	one, err := eng.Query(pidcan.QueryRequest{
-		Demand: vector.Of(4, 16, 100), K: 4, Consistent: true, Scope: pidcan.ScopeOne,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("consistent scope=one: %d shard answered, %d hops\n", one.ShardsQueried, one.Hops)
 
 	// Repeated equivalent demands are served from the query cache
 	// until a write that could change their answer.

@@ -105,7 +105,6 @@ func (r *Recorder) CaptureQuery(req serve.QueryRequest, resp *serve.QueryRespons
 		Demand:     req.Demand, // aliased: encoded under the lock, never retained
 		K:          req.K,
 		Consistent: req.Consistent,
-		ScopeOne:   req.Scope == serve.ScopeOne,
 		NoCache:    req.NoCache,
 		Cached:     resp.Cached,
 		Digest:     Digest(resp.Candidates),

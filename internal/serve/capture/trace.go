@@ -1,6 +1,6 @@
 // Package capture records a serving engine's live operation stream
 // into a replayable binary trace: every answered query (demand
-// vector, scope flags, arrival delta, response digest) interleaved
+// vector, query flags, arrival delta, response digest) interleaved
 // with the engine's mutation stream (the same canonical wal records
 // the op-log appends), in one total order. The recorder attaches to
 // an engine through serve.SetCapture and never blocks the serving
@@ -71,7 +71,6 @@ type Event struct {
 	Demand     []float64
 	K          int
 	Consistent bool
-	ScopeOne   bool
 	NoCache    bool
 	// Cached reports the response came from the query cache; strict
 	// digest comparison skips cached responses (cell-demand
@@ -105,7 +104,9 @@ const (
 	traceVersion = 1
 )
 
-// query event flag bits (on-disk).
+// query event flag bits (on-disk). qfScopeOne rides on every
+// consistent event: one without it asked for the retired scatter over
+// every shard and does not decode.
 const (
 	qfConsistent = 1 << 0
 	qfScopeOne   = 1 << 1
@@ -186,10 +187,7 @@ func appendEvent(dst []byte, ev *Event, rbuf *bytes.Buffer) ([]byte, error) {
 	case EvQuery:
 		var flags byte
 		if ev.Consistent {
-			flags |= qfConsistent
-		}
-		if ev.ScopeOne {
-			flags |= qfScopeOne
+			flags |= qfConsistent | qfScopeOne
 		}
 		if ev.NoCache {
 			flags |= qfNoCache
@@ -237,8 +235,10 @@ func decodeEvent(p []byte) (Event, error) {
 			return Event{}, fmt.Errorf("capture: query event truncated")
 		}
 		flags := p[0]
+		if flags&(qfConsistent|qfScopeOne) == qfConsistent {
+			return Event{}, fmt.Errorf("capture: consistent query event without the one-shard flag")
+		}
 		ev.Consistent = flags&qfConsistent != 0
-		ev.ScopeOne = flags&qfScopeOne != 0
 		ev.NoCache = flags&qfNoCache != 0
 		ev.Cached = flags&qfCached != 0
 		ev.K = int(binary.LittleEndian.Uint16(p[1:]))

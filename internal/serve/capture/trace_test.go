@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"encoding/hex"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ func testEvents() []Event {
 		{Kind: EvQuery, At: time.Millisecond, Demand: []float64{1, 2, 3}, K: 3,
 			NoCache: true, Digest: 0xdeadbeef, NCand: 2},
 		{Kind: EvQuery, At: 2 * time.Millisecond, Demand: []float64{0.5, 0, 9.25}, K: 1,
-			Consistent: true, ScopeOne: true, Cached: true, Digest: 1, NCand: 0},
+			Consistent: true, Cached: true, Digest: 1, NCand: 0},
 		{Kind: EvMutation, At: 3 * time.Millisecond, Shard: 2,
 			Rec: wal.Record{Kind: wal.KindUpdate, Node: 7, Avail: vector.Vec{4, 5, 6}, Announce: true}},
 		{Kind: EvMutation, At: 4 * time.Millisecond, Shard: 0,
@@ -68,6 +69,34 @@ func TestTraceRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("event %d: %#v vs %#v", i, a, b)
 		}
+	}
+}
+
+// TestTraceQueryEventBytes pins a consistent query event's bytes to
+// the ones written when a consistent query could also scatter (then
+// flagged qfScopeOne for its one-shard form), and refuses the
+// scatter's event, which lacks the flag: replaying it on one shard
+// would not be the query that was recorded.
+func TestTraceQueryEventBytes(t *testing.T) {
+	const (
+		consistent = "0180841e00000000000303000200cefaedfe000000000300000000000000e03f00000000000000000000000000802240"
+		legacyAll  = "0180841e00000000000103000200cefaedfe000000000300000000000000e03f00000000000000000000000000802240"
+	)
+	ev := Event{Kind: EvQuery, At: 2 * time.Millisecond, Demand: []float64{0.5, 0, 9.25}, K: 3,
+		Consistent: true, Digest: 0xfeedface, NCand: 2}
+	got, err := appendEvent(nil, &ev, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != consistent {
+		t.Fatalf("consistent query event\n%x\nwant\n%s", got, consistent)
+	}
+	if back, err := decodeEvent(got); err != nil || !reflect.DeepEqual(back, ev) {
+		t.Fatalf("consistent query event decodes as %+v, %v", back, err)
+	}
+	old, _ := hex.DecodeString(legacyAll)
+	if back, err := decodeEvent(old); err == nil {
+		t.Fatalf("a scatter's query event decoded as %+v", back)
 	}
 }
 

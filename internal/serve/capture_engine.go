@@ -59,9 +59,9 @@ func (e *Engine) Capturing() bool { return e.capture.Load() != nil }
 
 // HaltShard permanently stops shard i's goroutine — the fault
 // surface replay drills and scenario traces use to model a shard (or
-// the member it stands in for) dying. Writes routed to the halted
-// shard fail with ErrClosed; snapshot reads keep serving its last
-// published snapshot, exactly like a shard lost mid-scatter.
+// the member it stands in for) dying. Writes and consistent queries
+// routed to the halted shard fail with ErrClosed; snapshot reads keep
+// serving its last published snapshot.
 // Idempotent; there is no resurrection short of restarting the
 // engine.
 func (e *Engine) HaltShard(i int) error {

@@ -24,7 +24,7 @@ type Engine struct {
 	fwd    *ForwardTable // migrated-node id forwarding; owns the placement operations
 
 	nextShard atomic.Uint64 // round-robin join target
-	nextQuery atomic.Uint64 // round-robin ScopeOne consistent-query target
+	nextQuery atomic.Uint64 // round-robin consistent-query target
 
 	// epoch is the engine-wide write epoch: each shard bumps it once
 	// per applied batch that mutated state.
@@ -105,17 +105,12 @@ type QueryRequest struct {
 	// K bounds the candidate count (default 1; <= 0 after default
 	// resolution means 1).
 	K int `json:"k,omitempty"`
-	// Consistent routes the query through the shards' write queues
+	// Consistent routes the query through one shard's write queue
 	// and the paper's three-phase protocol instead of the lock-free
-	// snapshot path. Slower, but observes every write applied before
-	// it on the queried shard(s).
+	// snapshot path, the shards taken round-robin. Slower, and it
+	// searches that shard's overlay only, but it observes every
+	// write applied before it there.
 	Consistent bool `json:"consistent,omitempty"`
-	// Scope selects how many shards a consistent query consults:
-	// ScopeAll (the default, also "") scatter-gathers through every
-	// shard's protocol and merges the partial views; ScopeOne keeps
-	// the paper-faithful single-shard behavior. Ignored on the
-	// snapshot path, which always merges every shard's snapshot.
-	Scope string `json:"scope,omitempty"`
 	// NoCache bypasses the query cache (snapshot path only).
 	NoCache bool `json:"no_cache,omitempty"`
 }
@@ -127,17 +122,12 @@ type QueryResponse struct {
 	// Cached reports whether the response was served from the query
 	// cache.
 	Cached bool `json:"cached,omitempty"`
-	// Hops is the total protocol message count summed across every
-	// shard leg (consistent path only; the snapshot path spends no
-	// protocol messages).
+	// Hops is the protocol message count of a consistent query (the
+	// snapshot path spends no protocol messages).
 	Hops int `json:"hops,omitempty"`
-	// HopsMax is the largest single-shard protocol message count of
-	// the legs behind this response — the scatter's critical path
-	// (consistent path only).
-	HopsMax int `json:"hops_max,omitempty"`
-	// ShardsQueried counts the shards whose protocol answered this
-	// query: Config.Shards (minus halted or timed-out legs) under
-	// ScopeAll, 1 under ScopeOne (consistent path only).
+	// ShardsQueried counts the shards whose protocol answered a
+	// consistent query: always 1. A federation router also reports
+	// how many members its snapshot gather consulted.
 	ShardsQueried int `json:"shards_queried,omitempty"`
 }
 
@@ -319,7 +309,7 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 		cache: newQueryCache(cfg),
 		stop:  make(chan struct{}),
 	}
-	e.fwd = NewForwardTable(2*(cfg.FlushInterval+cfg.ScatterTimeout), GlobalID.Shard, e.stop)
+	e.fwd = NewForwardTable(2*(cfg.FlushInterval+readHold), GlobalID.Shard, e.stop)
 	e.replEpoch.Store(1) // cold start; recovery overrides from disk
 	e.follower.Store(cfg.Follower)
 	for i := 0; i < cfg.Shards; i++ {
@@ -486,13 +476,6 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 		e.errors.Add(1)
 		return QueryResponse{}, err
 	}
-	switch req.Scope {
-	case "", ScopeAll, ScopeOne:
-	default:
-		e.errors.Add(1)
-		return QueryResponse{}, fmt.Errorf("%w: %q (want %q or %q)",
-			ErrBadScope, req.Scope, ScopeAll, ScopeOne)
-	}
 	if req.K <= 0 {
 		req.K = 1
 	}
@@ -593,23 +576,12 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 }
 
 // consistentQuery routes the query through the PID-CAN protocol
-// itself. Under ScopeOne it consults a single placement's index
-// chosen round-robin (ForwardTable.QueryOne). Under ScopeAll (the
-// default) it scatters one protocol query to every placement
-// concurrently through ScatterQuery — the decentralized
-// merge-partial-views shape of ART/DEPAS lifted above the shards. A
-// shard halting mid-scatter fails only its own leg (ErrClosed).
-// Config.ScatterTimeout is the whole-gather deadline; see
-// ScatterQuery for the partial-merge semantics.
+// itself: one protocol leg against one placement, chosen round-robin
+// (ForwardTable.QueryOne) — one querying node searching one overlay,
+// as in the paper.
 func (e *Engine) consistentQuery(req QueryRequest) (QueryResponse, error) {
 	e.consistent.Add(1)
-	var resp QueryResponse
-	var err error
-	if req.Scope == ScopeOne {
-		resp, err = e.fwd.QueryOne(e.places, e.nextQuery.Add(1)-1, req)
-	} else if resp, err = ScatterQuery(e.places, req, e.cfg.ScatterTimeout); err == nil {
-		resp.Candidates = e.fwd.Externalize(resp.Candidates)
-	}
+	resp, err := e.fwd.QueryOne(e.places, e.nextQuery.Add(1)-1, req)
 	if err != nil {
 		e.errors.Add(1)
 	}

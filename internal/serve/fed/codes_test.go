@@ -24,7 +24,7 @@ func (s refusing) Update(serve.GlobalID, vector.Vec, bool) error { return s.err 
 // TestRouterReturnsTheMembersSentinel sends each error a member can
 // return through the wire server and a router in front of it: the
 // router must hand back the sentinel the member's code stands for.
-// CodeBadRequest stands for ErrBadDemand, whichever of the three
+// CodeBadRequest stands for ErrBadDemand, whichever of the two
 // bad-input sentinels the member returned; an error with no sentinel
 // comes back as the member's CodeRejected.
 func TestRouterReturnsTheMembersSentinel(t *testing.T) {
@@ -39,7 +39,6 @@ func TestRouterReturnsTheMembersSentinel(t *testing.T) {
 		{"fenced", serve.ErrFenced, wire.CodeFenced, serve.ErrFenced},
 		{"wal", serve.ErrWAL, wire.CodeWAL, serve.ErrWAL},
 		{"bad_demand", serve.ErrBadDemand, wire.CodeBadRequest, serve.ErrBadDemand},
-		{"bad_scope", serve.ErrBadScope, wire.CodeBadRequest, serve.ErrBadDemand},
 		{"not_durable", serve.ErrNotDurable, wire.CodeBadRequest, serve.ErrBadDemand},
 		{"no_shard", serve.ErrNoShard, wire.CodeNoShard, serve.ErrNoShard},
 		{"scatter_timeout", serve.ErrScatterTimeout, wire.CodeScatterTimeout, serve.ErrScatterTimeout},

@@ -486,17 +486,17 @@ func TestPlacementContract(t *testing.T) {
 			// Round-robin: four queries ask each placement twice.
 			for i := 0; i < 4; i++ {
 				resp, err := r.svc.Query(serve.QueryRequest{
-					Demand: vector.Of(1, 1), K: 16, Consistent: true, Scope: serve.ScopeOne,
+					Demand: vector.Of(1, 1), K: 16, Consistent: true,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if resp.ShardsQueried != 1 {
-					t.Fatalf("ScopeOne consulted %d shards", resp.ShardsQueried)
+					t.Fatalf("consistent query consulted %d shards", resp.ShardsQueried)
 				}
 				for _, c := range resp.Candidates {
 					if c.Node == p1 {
-						t.Fatalf("ScopeOne leaked physical id %v", p1)
+						t.Fatalf("consistent query leaked physical id %v", p1)
 					}
 				}
 			}

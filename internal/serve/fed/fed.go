@@ -4,18 +4,18 @@
 // the serve.Placement interface, and a Router serves the federation.
 //
 // What the router shares with an Engine is everything about which
-// placement holds a node: its writes, takes, migrations, ScopeOne
+// placement holds a node: its writes, takes, migrations, consistent
 // queries and node listings are the serve.ForwardTable placement
 // operations, run over members where the engine runs them over
-// shards. What it owns is the transport (RemotePrimary: one shared
+// shards. A consistent query is one protocol leg against one member,
+// round-robin, as on an engine it is one leg against one shard. What
+// the router owns is the transport (RemotePrimary: one shared
 // pipelined connection per member, address rotation after fail-over,
 // epoch fencing, retries, wire-error translation onto the serve
-// sentinels), demand-region pruning — and the scatter: fedScatter
-// starts every leg on the members' connections and gathers them on
-// the calling goroutine, where the engine's serve.ScatterQuery parks a
-// goroutine per leg on a shard queue. The two agree on semantics and
-// share no logic, because each is the cheap way to wait on its own
-// transport.
+// sentinels), demand-region pruning — and the snapshot query's member
+// gather: fedScatter starts every leg on the members' connections and
+// gathers them on the calling goroutine under one deadline, the one
+// scatter-gather in the stack.
 //
 // The federation map is configuration plus observation: the member
 // list and each member's addresses are what the router was started

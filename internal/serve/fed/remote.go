@@ -363,7 +363,6 @@ func legWireQuery(req serve.QueryRequest) wire.Query {
 		K:          req.K,
 		Consistent: req.Consistent,
 		NoCache:    req.NoCache,
-		ScopeOne:   req.Scope == serve.ScopeOne,
 	}
 	if wq.K > 0xFFFF || wq.K < 0 {
 		wq.K = 0xFFFF // wire K is u16; the merge re-truncates anyway
@@ -378,7 +377,7 @@ func legWireQuery(req serve.QueryRequest) wire.Query {
 func (r *RemotePrimary) legDecoder(leg *serve.PlacementLeg) func(resp *wire.Response) error {
 	return func(resp *wire.Response) error {
 		res := &resp.Query
-		leg.Hops, leg.HopsMax, leg.Queried = res.Hops, res.HopsMax, res.ShardsQueried
+		leg.Hops, leg.Queried = res.Hops, res.ShardsQueried
 		if leg.Queried == 0 {
 			leg.Queried = 1 // snapshot path: answered without protocol legs
 		}
@@ -405,12 +404,11 @@ func (r *RemotePrimary) legDecoder(leg *serve.PlacementLeg) func(resp *wire.Resp
 }
 
 // QueryLeg runs one query against the member and waits for the answer,
-// translating candidate ids into the federation namespace. The cancel
-// channel is not consulted: the exchange is bounded by the transport's
-// own retries, and the router's scatter never comes through here while
-// a leg is healthy — it gathers QueryLegAsync legs under its own
-// deadline.
-func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, _ <-chan struct{}) (serve.PlacementLeg, error) {
+// translating candidate ids into the federation namespace. The
+// exchange is bounded by the transport's own retries; the router's
+// snapshot gather comes through here only when a QueryLegAsync leg
+// could not start or failed in flight.
+func (r *RemotePrimary) QueryLeg(req serve.QueryRequest) (serve.PlacementLeg, error) {
 	wq := legWireQuery(req)
 	var leg serve.PlacementLeg
 	err := r.do(
@@ -439,7 +437,7 @@ func (r *RemotePrimary) QueryLeg(req serve.QueryRequest, _ <-chan struct{}) (ser
 // (timeout) must simply not call collect; the reader's buffered send
 // completes regardless.
 func (r *RemotePrimary) QueryLegAsync(req serve.QueryRequest) (done chan error, collect func(err error) (serve.PlacementLeg, error)) {
-	sync := func(error) (serve.PlacementLeg, error) { return r.QueryLeg(req, nil) }
+	sync := func(error) (serve.PlacementLeg, error) { return r.QueryLeg(req) }
 	mc, _, err := r.getConn()
 	if err != nil {
 		return nil, sync
@@ -460,7 +458,7 @@ func (r *RemotePrimary) QueryLegAsync(req serve.QueryRequest) (done chan error, 
 		if errors.Is(err, wire.ErrClosed) && r.isClosed() {
 			return serve.PlacementLeg{}, serve.ErrClosed
 		}
-		return r.QueryLeg(req, nil)
+		return r.QueryLeg(req)
 	}
 	return pc.done, collect
 }

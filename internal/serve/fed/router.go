@@ -65,10 +65,10 @@ type Stats struct {
 	Migrations   uint64        `json:"migrations"`
 	Errors       uint64        `json:"errors"`
 	ForwardedIDs int           `json:"forwarded_ids"`
-	// LegsSent counts scatter legs actually dispatched by queries;
-	// LegsPruned counts legs skipped because a member's availability
-	// summary proved it could not satisfy the demand. Their sum is
-	// what an unpruned router would have sent.
+	// LegsSent counts gather legs actually dispatched by snapshot
+	// queries; LegsPruned counts legs skipped because a member's
+	// availability summary proved it could not satisfy the demand.
+	// Their sum is what an unpruned router would have sent.
 	LegsSent   uint64 `json:"fed_legs_sent"`
 	LegsPruned uint64 `json:"fed_legs_pruned"`
 	// PipelineDepth is the mean in-flight request count observed on
@@ -90,8 +90,9 @@ type MemberStats struct {
 }
 
 // Router federates primary processes behind the serve.Service
-// surface: queries scatter-gather across the members (fedScatter,
-// over the members' pipelined connections), writes, takes and
+// surface: snapshot queries scatter-gather across the members
+// (fedScatter, over the members' pipelined connections), a consistent
+// query asks one member round-robin, writes, takes and
 // migrations run the placement operations of its serve.ForwardTable
 // over the members — the code an Engine runs over its shards — and a
 // member's promotion is learned from the replication epoch on that
@@ -410,10 +411,11 @@ func (r *Router) checkDemand(demand vector.Vec) error {
 	return nil
 }
 
-// Query answers one best-fit query across the federation: consistent
-// ScopeOne round-robins a single member's protocol, everything else
-// scatter-gathers every member (fedScatter) — partial merges when a
-// member is down, one whole-gather deadline.
+// Query answers one best-fit query across the federation: a
+// consistent query round-robins a single member's protocol
+// (ForwardTable.QueryOne), a snapshot query gathers every member its
+// summary does not prune (fedScatter) — partial merges when a member
+// is down, one whole-gather deadline.
 func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	if r.closed.Load() {
 		return serve.QueryResponse{}, serve.ErrClosed
@@ -422,18 +424,11 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 		r.errors.Add(1)
 		return serve.QueryResponse{}, err
 	}
-	switch req.Scope {
-	case "", serve.ScopeAll, serve.ScopeOne:
-	default:
-		r.errors.Add(1)
-		return serve.QueryResponse{}, fmt.Errorf("%w: %q (want %q or %q)",
-			serve.ErrBadScope, req.Scope, serve.ScopeAll, serve.ScopeOne)
-	}
 	if req.K <= 0 {
 		req.K = 1
 	}
 	r.queries.Add(1)
-	if req.Consistent && req.Scope == serve.ScopeOne {
+	if req.Consistent {
 		resp, err := r.fwd.QueryOne(r.places, r.rrQuery.Add(1)-1, req)
 		if err != nil {
 			r.errors.Add(1)
@@ -441,12 +436,10 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 		return resp, err
 	}
 	// Demand-region pruning: skip legs whose summary proves the
-	// member cannot satisfy the demand. Consistent queries never
-	// prune — they must observe writes still queued behind the
-	// members' published snapshots, which summaries cannot bound.
+	// member cannot satisfy the demand.
 	targets := r.members
 	pruned := 0
-	if !r.noPrune && !req.Consistent {
+	if !r.noPrune {
 		targets, pruned = r.scatterTargets(req.Demand)
 	}
 	r.legsSent.Add(uint64(len(targets)))
@@ -465,7 +458,7 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	return resp, nil
 }
 
-// legCall is one scatter leg in flight: done delivers the pipelined
+// legCall is one gather leg in flight: done delivers the pipelined
 // response's outcome (nil: the leg could not be enqueued), collect
 // turns it into the leg — see RemotePrimary.QueryLegAsync.
 type legCall struct {
@@ -478,15 +471,11 @@ type legCall struct {
 // members' shared pipelined connections (QueryLegAsync) — one flush
 // train often carries all of them — and then gathered against one
 // whole-gather deadline, the merged candidates ranked best-fit first
-// and cut to req.K.
-//
-// It shares its semantics with serve.ScatterQuery — partial gathers
-// merge, the query fails only when no leg succeeds, legs outstanding
-// at the deadline are abandoned — and none of its logic, on purpose:
-// ScatterQuery spends a goroutine per leg because a shard leg blocks
-// on a write queue; a member leg is an enqueue and a channel receive,
-// so the router spends zero goroutines per query, which is most of a
-// busy router's per-query cost.
+// and cut to req.K. Partial gathers merge, the query fails only when
+// no leg succeeds, and legs outstanding at the deadline are abandoned.
+// A member leg is an enqueue and a channel receive, so the router
+// spends zero goroutines per query, which is most of a busy router's
+// per-query cost.
 func (r *Router) fedScatter(targets []*RemotePrimary, req serve.QueryRequest) (serve.QueryResponse, error) {
 	cands, resp, err := gatherLegs(startLegs(targets, req), r.scatterTimeout)
 	if err != nil {
@@ -558,9 +547,6 @@ func gatherLegs(pend []legCall, timeout time.Duration) (cands []serve.Candidate,
 		}
 		resp.ShardsQueried += leg.Queried
 		resp.Hops += leg.Hops
-		if leg.HopsMax > resp.HopsMax {
-			resp.HopsMax = leg.HopsMax
-		}
 		cands = append(cands, leg.Cands...)
 	}
 	if resp.ShardsQueried == 0 {

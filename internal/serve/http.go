@@ -13,8 +13,7 @@ import (
 // over HTTP with a JSON API:
 //
 //	POST /query  {"demand":[...],"k":3,"consistent":false,
-//	              "scope":"all|one","no_cache":false}
-//	             -> QueryResponse
+//	              "no_cache":false}                        -> QueryResponse
 //	POST /update {"node":N,"avail":[...],"announce":true} -> {"ok":true}
 //	POST /join   {"avail":[...],"shard":S}                -> {"node":N}
 //	POST /leave  {"node":N}                               -> {"ok":true}
@@ -42,8 +41,8 @@ import (
 // (bad input, including oversized bodies), 404 (no such shard), 409
 // (rejected operation), 500 (write applied but not durable: op-log
 // failure), 503 (service closed, or a write on a read-only follower or
-// fenced primary) or 504 (scatter-gather deadline expired with no leg
-// answered).
+// fenced primary) or 504 (a federation router's member gather hit its
+// deadline with no member answered).
 func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", HandleJSON(s, func(req QueryRequest) (any, error) {
@@ -202,7 +201,7 @@ func writeErr(w http.ResponseWriter, primary string, err error) {
 		// Applied in memory, not durable — a server-side storage
 		// fault, not a client error.
 		status = http.StatusInternalServerError
-	case errors.Is(err, ErrBadDemand), errors.Is(err, ErrBadScope), errors.Is(err, ErrNotDurable):
+	case errors.Is(err, ErrBadDemand), errors.Is(err, ErrNotDurable):
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrNoShard):
 		status = http.StatusNotFound

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"pidcan/internal/vector"
 )
@@ -182,40 +181,6 @@ func TestHTTPOversizedBodyRejected(t *testing.T) {
 	}
 }
 
-// TestHTTPConsistentScatterQuery drives the scatter-gather path over
-// the wire and checks the extended response fields.
-func TestHTTPConsistentScatterQuery(t *testing.T) {
-	e, ts := newTestServer(t, 3)
-	for _, id := range e.Nodes() {
-		if id.Local() == 0 {
-			if err := e.Update(id, vector.Of(6, 6), false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	resp, out := postJSON(t, ts.URL+"/query",
-		map[string]any{"demand": []float64{2, 2}, "k": 8, "consistent": true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("consistent query: %d %v", resp.StatusCode, out)
-	}
-	if got := out["shards_queried"].(float64); got != 3 {
-		t.Fatalf("shards_queried = %v, want 3 (%v)", got, out)
-	}
-	cands := out["candidates"].([]any)
-	shards := map[int]bool{}
-	for _, c := range cands {
-		shards[GlobalID(c.(map[string]any)["node"].(float64)).Shard()] = true
-	}
-	if len(shards) != 3 {
-		t.Fatalf("candidates span %d shards, want 3: %v", len(shards), out)
-	}
-	resp, out = postJSON(t, ts.URL+"/query",
-		map[string]any{"demand": []float64{2, 2}, "k": 8, "consistent": true, "scope": "one"})
-	if resp.StatusCode != http.StatusOK || out["shards_queried"].(float64) != 1 {
-		t.Fatalf("scope=one: %d %v", resp.StatusCode, out)
-	}
-}
-
 // TestHTTPJoinTargetedAndRebalance drives the skew-then-rebalance
 // cycle over the wire: {"shard":S} joins pile onto shard 0, POST
 // /rebalance levels the populations, and /stats reports the
@@ -264,32 +229,6 @@ func TestHTTPJoinTargetedAndRebalance(t *testing.T) {
 	r.Body.Close()
 	if st.Migrations != uint64(res.Moved) || st.Rebalances != 1 || st.LastImbalance != 3 {
 		t.Fatalf("stats after rebalance: %+v", st)
-	}
-}
-
-// TestHTTPScatterTimeoutIs504 pins the writeErr mapping: a query no
-// scatter leg answered by the deadline comes back as 504, not the
-// default 409.
-func TestHTTPScatterTimeoutIs504(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.ScatterTimeout = 20 * time.Millisecond
-	gate := make(chan struct{})
-	e, err := New(cfg, func(i int, rc Config) (Backend, error) {
-		f := newFake(rc.NodesPerShard, rc.CMax.Dim())
-		f.gate = gate
-		return f, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	t.Cleanup(func() { close(gate) })
-	ts := httptest.NewServer(NewHandler(e))
-	t.Cleanup(ts.Close)
-
-	resp, out := postJSON(t, ts.URL+"/query", map[string]any{"demand": []float64{1, 1}, "consistent": true})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("stalled scatter over HTTP: %d %v, want 504", resp.StatusCode, out)
 	}
 }
 

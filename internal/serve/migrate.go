@@ -25,14 +25,15 @@ import (
 // physical ids form chains that lookups path-compress on the fly,
 // union-find style. Former physical ids are never handed out as
 // identities (query responses and Nodes externalize to the stable
-// external id); the only holders are snapshots and in-flight scatter
-// legs, which age out within FlushInterval and ScatterTimeout. (A
-// cache entry cannot serve a vacated id: the move's take is a change
-// on the source shard, which invalidates every entry naming the
-// node.) Aliases therefore expire after a grace period comfortably
-// above both and are reclaimed, bounding the table by live migrated
-// nodes (two entries each: external id -> current, current ->
-// external) instead of by lifetime migrations.
+// external id); the only holders are snapshots, which age out within
+// FlushInterval, and queries that read one and have not yet
+// externalized it (readHold). (A cache entry cannot serve a vacated
+// id: the move's take is a change on the source shard, which
+// invalidates every entry naming the node.) Aliases therefore expire
+// after a grace period comfortably above both and are reclaimed,
+// bounding the table by live migrated nodes (two entries each:
+// external id -> current, current -> external) instead of by lifetime
+// migrations.
 type ForwardTable struct {
 	mu sync.RWMutex
 	// next maps an id one step toward the node's current physical id
@@ -78,11 +79,17 @@ type fwdAlias struct {
 	expires time.Time
 }
 
+// readHold bounds how long a query holds a physical id it read — from
+// a snapshot search or a consistent query's protocol leg — before the
+// forwarding table externalizes it: a reader descheduled that long
+// past its read is the slowest one the table still serves.
+const readHold = 5 * time.Second
+
 // NewForwardTable builds an empty table. grace bounds how long a
 // vacated id stays routable after its last repoint: a former physical
-// id can be observed via a stale snapshot or a scatter leg, so pick
-// twice the longest time either can hold one (an Engine uses
-// 2 x (FlushInterval + ScatterTimeout)).
+// id can be observed via a stale snapshot or a query still holding
+// one, so pick twice the longest time either can hold one (an Engine
+// uses 2 x (FlushInterval + readHold)).
 // owner and stop are described on the type.
 func NewForwardTable(grace time.Duration, owner func(GlobalID) int, stop <-chan struct{}) *ForwardTable {
 	return &ForwardTable{

@@ -234,7 +234,7 @@ func TestTakeChecksLivenessWithoutListingNodes(t *testing.T) {
 	f.nodesCalls = 0
 	take := func(node overlay.NodeID) opResult {
 		t.Helper()
-		res, err := s.submit(op{kind: opTake, node: node, reply: make(chan opResult, 1)}, nil)
+		res, err := s.submit(op{kind: opTake, node: node, reply: make(chan opResult, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

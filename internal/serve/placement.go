@@ -4,21 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"pidcan/internal/vector"
 )
 
-// PlacementLeg is one placement's contribution to a scatter-gather
-// consistent query: its candidates, already scored against the
-// request demand and named in the caller's id namespace, plus the
-// hop accounting the caller folds into the response. Queried counts
-// the shards that actually answered inside the placement (1 for an
-// in-process shard; a remote primary reports its own gather count).
+// PlacementLeg is one placement's answer to a consistent query: its
+// candidates, already scored against the request demand and named in
+// the caller's id namespace, plus the protocol's hop count. Queried
+// counts the shards that answered inside the placement (1 for an
+// in-process shard; a remote primary reports its own count).
 type PlacementLeg struct {
 	Cands   []Candidate
 	Hops    int
-	HopsMax int
 	Queried int
 }
 
@@ -30,11 +27,11 @@ type PlacementLeg struct {
 // a []Placement, as methods of the set's ForwardTable below: the
 // id-resolution and migration-chase loop of a write (Apply), the
 // out-take (Take), migration with its roll-back and forget rules
-// (Migrate), the ScopeOne single-leg query (QueryOne) and the node
-// listing's identity mapping (Nodes). serve.Engine and fed.Router call
-// those and add only what differs between them: their pre-checks
-// (role, demand shape, the checkpoint barrier), their counters and
-// their scatter loop.
+// (Migrate), the consistent query (QueryOne) and the node listing's
+// identity mapping (Nodes). serve.Engine and fed.Router call those and
+// add only what differs between them: their pre-checks (role, demand
+// shape, the checkpoint barrier), their counters and their snapshot
+// read (the engine's merged index scan, the router's member gather).
 //
 // What an implementation owns: how an operation reaches its nodes
 // (a shard's write queue; a pipelined connection with address
@@ -44,14 +41,10 @@ type PlacementLeg struct {
 // applied, CompleteMigration repoints it before any reader can see
 // the new id. Ids crossing the interface are physical ids in the
 // owner's namespace, already resolved through its table.
-//
-// The scatter is deliberately NOT shared: see ScatterQuery.
 type Placement interface {
 	// QueryLeg runs one consistent protocol query against this
-	// placement. cancel, when non-nil, abandons a leg whose gather
-	// has already returned (scatter deadline fired); implementations
-	// backed by a blocking transport may ignore it.
-	QueryLeg(req QueryRequest, cancel <-chan struct{}) (PlacementLeg, error)
+	// placement.
+	QueryLeg(req QueryRequest) (PlacementLeg, error)
 
 	// Update republishes a node's availability.
 	Update(node GlobalID, avail vector.Vec, announce bool) error
@@ -243,19 +236,18 @@ func (t *ForwardTable) Migrate(places []Placement, node GlobalID, to int, out bo
 	return true, nil
 }
 
-// QueryOne is the ScopeOne consistent query: one protocol leg against
+// QueryOne is the consistent query: one protocol leg against
 // places[seq mod len] — like any one querying node of the paper would
 // ask — ranked and reported under stable external ids. The caller
 // owns seq, its round-robin counter.
 func (t *ForwardTable) QueryOne(places []Placement, seq uint64, req QueryRequest) (QueryResponse, error) {
-	leg, err := places[seq%uint64(len(places))].QueryLeg(req, nil)
+	leg, err := places[seq%uint64(len(places))].QueryLeg(req)
 	if err != nil {
 		return QueryResponse{}, err
 	}
 	return QueryResponse{
 		Candidates:    t.Externalize(bestFit(leg.Cands, req.K)),
 		Hops:          leg.Hops,
-		HopsMax:       leg.HopsMax,
 		ShardsQueried: leg.Queried,
 	}, nil
 }
@@ -307,9 +299,9 @@ var _ Placement = (*shardPlacement)(nil)
 
 // do runs one op through the shard's write queue and waits for its
 // result, the op's own failure folded into the error.
-func (p *shardPlacement) do(o op, cancel <-chan struct{}) (opResult, error) {
+func (p *shardPlacement) do(o op) (opResult, error) {
 	o.reply = make(chan opResult, 1)
-	res, err := p.s.submit(o, cancel)
+	res, err := p.s.submit(o)
 	if err == nil {
 		err = res.err
 	}
@@ -317,28 +309,26 @@ func (p *shardPlacement) do(o op, cancel <-chan struct{}) (opResult, error) {
 }
 
 // QueryLeg runs one protocol query through the shard's write queue.
-// The demand is cloned per leg, so concurrent shard goroutines never
-// share a vector.
-func (p *shardPlacement) QueryLeg(req QueryRequest, cancel <-chan struct{}) (PlacementLeg, error) {
-	res, err := p.do(op{kind: opQuery, node: -1, demand: req.Demand.Clone(), k: req.K}, cancel)
+// The shard goroutine gets its own copy of the demand.
+func (p *shardPlacement) QueryLeg(req QueryRequest) (PlacementLeg, error) {
+	res, err := p.do(op{kind: opQuery, node: -1, demand: req.Demand.Clone(), k: req.K})
 	if err != nil {
 		return PlacementLeg{}, err
 	}
 	return PlacementLeg{
 		Cands:   legCandidates(nil, p.s.idx, res.recs, req.Demand, p.e.cfg.CMax),
 		Hops:    res.hops,
-		HopsMax: res.hops,
 		Queried: 1,
 	}, nil
 }
 
 func (p *shardPlacement) Update(node GlobalID, avail vector.Vec, announce bool) error {
-	_, err := p.do(op{kind: opUpdate, node: node.Local(), avail: avail.Clone(), announce: announce}, nil)
+	_, err := p.do(op{kind: opUpdate, node: node.Local(), avail: avail.Clone(), announce: announce})
 	return err
 }
 
 func (p *shardPlacement) Join(avail vector.Vec) (GlobalID, error) {
-	res, err := p.do(op{kind: opJoin, avail: avail}, nil)
+	res, err := p.do(op{kind: opJoin, avail: avail})
 	return Global(p.s.idx, res.node), err
 }
 
@@ -355,12 +345,12 @@ func (p *shardPlacement) Leave(node GlobalID) error {
 				p.e.fwd.Forget(node) // removed ids only matter to recovery
 			}
 		},
-	}, nil)
+	})
 	return err
 }
 
 func (p *shardPlacement) Take(node GlobalID, out bool) (vector.Vec, error) {
-	res, err := p.do(op{kind: opTake, node: node.Local(), fedTake: out}, nil)
+	res, err := p.do(op{kind: opTake, node: node.Local(), fedTake: out})
 	return res.avail, err
 }
 
@@ -379,85 +369,14 @@ func (p *shardPlacement) CompleteMigration(avail vector.Vec, ext, old GlobalID) 
 				p.e.fwd.Repoint(ext, old, Global(p.s.idx, res.node))
 			}
 		},
-	}, nil)
+	})
 	return Global(p.s.idx, res.node), err
-}
-
-// ScatterQuery fans req out to every placement concurrently, a
-// goroutine per leg, and merges the gathered legs best-fit first. The
-// fan-in channel is buffered to the placement count, so abandoned legs
-// never block their senders, and the abandon channel unwinds legs
-// still waiting on a full write queue once the gather returns.
-// timeout is one whole-gather deadline: when it fires, legs still
-// outstanding are dropped and the merge proceeds over the legs
-// already gathered. The query fails only when no leg succeeds; with
-// zero legs at the deadline the error is ErrScatterTimeout.
-// Candidates in the response are ranked (bestFit) but not
-// externalized — the caller owns the forwarding table.
-//
-// This is the engine's scatter only. The federation router has its
-// own (fed.Router.fedScatter) with the same semantics and no shared
-// logic, because each wins on its own transport: a shard leg blocks
-// on a write queue, so it needs a goroutine to wait in and a cancel
-// channel to leave by; a member leg is an enqueue onto a shared
-// pipelined connection, so the router starts them all and gathers on
-// its own goroutine, spending none per leg.
-func ScatterQuery(places []Placement, req QueryRequest, timeout time.Duration) (QueryResponse, error) {
-	type result struct {
-		leg PlacementLeg
-		err error
-	}
-	legs := make(chan result, len(places))
-	abandon := make(chan struct{})
-	defer close(abandon)
-	for _, p := range places {
-		go func(p Placement) {
-			leg, err := p.QueryLeg(req, abandon)
-			legs <- result{leg: leg, err: err}
-		}(p)
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	var (
-		cands    []Candidate
-		resp     QueryResponse
-		firstErr error
-	)
-gather:
-	for pending := len(places); pending > 0; pending-- {
-		select {
-		case r := <-legs:
-			if r.err != nil {
-				if firstErr == nil {
-					firstErr = r.err
-				}
-				continue
-			}
-			resp.ShardsQueried += r.leg.Queried
-			resp.Hops += r.leg.Hops
-			if r.leg.HopsMax > resp.HopsMax {
-				resp.HopsMax = r.leg.HopsMax
-			}
-			cands = append(cands, r.leg.Cands...)
-		case <-deadline.C:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: after %v (%d of %d legs gathered)",
-					ErrScatterTimeout, timeout, resp.ShardsQueried, len(places))
-			}
-			break gather
-		}
-	}
-	if resp.ShardsQueried == 0 {
-		return QueryResponse{}, firstErr
-	}
-	resp.Candidates = bestFit(cands, req.K)
-	return resp, nil
 }
 
 // RankCandidates sorts candidates by descending best-fit quality
 // (ascending surplus, ids breaking ties) and truncates to k when
-// k > 0 — the merge step of a scatter-gather, exported for the
-// federation router's own scatter.
+// k > 0 — the merge step of the federation router's member gather,
+// exported for it.
 func RankCandidates(cands []Candidate, k int) []Candidate {
 	return bestFit(cands, k)
 }

@@ -262,9 +262,6 @@ type runner struct {
 func (r *runner) query(ev *capture.Event, t0 time.Time) time.Duration {
 	req := serve.QueryRequest{Demand: vector.Vec(ev.Demand), K: ev.K,
 		Consistent: ev.Consistent, NoCache: ev.NoCache}
-	if ev.ScopeOne {
-		req.Scope = serve.ScopeOne
-	}
 	resp, err := r.sut.Query(req)
 	lat := time.Since(t0)
 	if err != nil {

@@ -172,7 +172,6 @@ func (m *memSink) CaptureQuery(req serve.QueryRequest, resp *serve.QueryResponse
 		Demand:     append([]float64(nil), req.Demand...),
 		K:          req.K,
 		Consistent: req.Consistent,
-		ScopeOne:   req.Scope == serve.ScopeOne,
 		NoCache:    req.NoCache,
 		Cached:     resp.Cached,
 		Digest:     capture.Digest(resp.Candidates),

@@ -51,10 +51,9 @@
 //     instead of one per request.
 //
 //   - Consistent queries route through the paper's three-phase
-//     protocol: by default one protocol query is scattered to every
-//     shard's write queue concurrently and the partial views are
-//     gathered and merged best-fit first (ScopeAll); ScopeOne keeps
-//     the paper-faithful single-shard behavior.
+//     protocol: one querying node searches one overlay. Each runs as
+//     one protocol query on one shard's write queue, the shards taken
+//     round-robin; its answer is that overlay's best fit.
 //
 //   - Nodes migrate between shards (Engine.Migrate): the node Leaves
 //     its source shard and re-Joins the destination through both
@@ -101,16 +100,13 @@ var (
 	// ErrBadDemand is returned for demand vectors of the wrong
 	// dimensionality or with non-finite/negative components.
 	ErrBadDemand = errors.New("serve: invalid demand vector")
-	// ErrBadScope is returned for a QueryRequest whose Scope is not
-	// one of "", ScopeAll or ScopeOne.
-	ErrBadScope = errors.New("serve: invalid query scope")
 	// ErrNoShard is returned for operations addressing a shard index
 	// the engine was not built with.
 	ErrNoShard = errors.New("serve: no such shard")
-	// ErrScatterTimeout is returned when a scatter-gather consistent
-	// query's whole-gather deadline (Config.ScatterTimeout) expires
-	// before any shard leg answers.
-	ErrScatterTimeout = errors.New("serve: consistent scatter deadline exceeded")
+	// ErrScatterTimeout is returned when a federation router's
+	// whole-gather deadline (fed.Config.ScatterTimeout) expires before
+	// any member leg answers.
+	ErrScatterTimeout = errors.New("serve: scatter deadline exceeded")
 	// ErrNoNodes is returned for a consistent query against a shard
 	// with no alive nodes to act as the querying agent.
 	ErrNoNodes = errors.New("serve: shard has no alive nodes")
@@ -145,21 +141,6 @@ var (
 	// of receiving a silent acknowledgment. Stats.LogErrors counts
 	// these.
 	ErrWAL = errors.New("serve: op-log write failed (applied in memory, not durable)")
-)
-
-// errLegAbandoned unwinds a scatter leg whose query has already
-// returned (whole-gather deadline hit); it is never user-visible.
-var errLegAbandoned = errors.New("serve: scatter leg abandoned")
-
-// Consistent-query scopes (QueryRequest.Scope).
-const (
-	// ScopeAll scatter-gathers a consistent query through every
-	// shard's protocol and merges the partial views (the default).
-	ScopeAll = "all"
-	// ScopeOne routes a consistent query through a single shard's
-	// protocol (round-robin), like any one querying node of the paper
-	// would — the paper-faithful single-index behavior.
-	ScopeOne = "one"
 )
 
 // GlobalID addresses a node across shards: the shard index in the
@@ -304,12 +285,6 @@ type Config struct {
 	// entirely: appends reach the OS on the batch cadence but a host
 	// crash may lose the recent tail (a process crash does not).
 	FsyncEvery int
-	// ScatterTimeout is the whole-gather deadline of a scatter-gather
-	// consistent query: one timer covers the entire gather, and legs
-	// still outstanding when it fires are abandoned and dropped from
-	// the merge (default 5s of wall time). A query no leg answered by
-	// the deadline fails with ErrScatterTimeout.
-	ScatterTimeout time.Duration
 
 	// RebalanceInterval, when positive, runs the adaptive shard
 	// rebalancer: every interval the engine samples per-shard
@@ -395,9 +370,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Warmup < 0 {
 		c.Warmup = 0
-	}
-	if c.ScatterTimeout <= 0 {
-		c.ScatterTimeout = 5 * time.Second
 	}
 	if c.CheckpointEvery < 0 {
 		c.CheckpointEvery = 0

@@ -24,7 +24,7 @@ type fakeBackend struct {
 	dims  int
 
 	// gate, when non-nil, blocks Query until the channel closes —
-	// the hook scatter-timeout tests use to stall a shard goroutine.
+	// the hook tests use to stall a shard goroutine.
 	gate chan struct{}
 
 	announced int
@@ -505,56 +505,8 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 	}
 }
 
-// TestConsistentScatterSpansShards is the cross-shard acceptance
-// case: with one uniquely-identifiable qualifying node per shard, a
-// default-scope consistent query must merge candidates from every
-// shard's protocol, not just one.
-func TestConsistentScatterSpansShards(t *testing.T) {
-	const shards = 4
-	e := newTestEngine(t, testConfig(shards))
-	// Shard i's first node gets the unique availability (6+i, 6+i).
-	for _, id := range e.Nodes() {
-		if id.Local() == 0 {
-			f := 6 + float64(id.Shard())
-			if err := e.Update(id, vector.Of(f, f), false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	resp, err := e.Query(QueryRequest{Demand: vector.Of(2, 2), K: 8, Consistent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ShardsQueried != shards {
-		t.Fatalf("ShardsQueried = %d, want %d", resp.ShardsQueried, shards)
-	}
-	seen := map[int]bool{}
-	for _, c := range resp.Candidates {
-		seen[c.Node.Shard()] = true
-		want := 6 + float64(c.Node.Shard())
-		if c.Avail[0] != want {
-			t.Fatalf("candidate %v avail %v does not carry its shard's unique availability %v",
-				c.Node, c.Avail, want)
-		}
-	}
-	if len(seen) < 2 {
-		t.Fatalf("candidates span %d shard(s), want >= 2: %+v", len(seen), resp.Candidates)
-	}
-	if len(seen) != shards {
-		t.Fatalf("candidates span %d shards, want %d: %+v", len(seen), shards, resp.Candidates)
-	}
-	if resp.HopsMax > resp.Hops || (resp.Hops > 0 && resp.HopsMax == 0) {
-		t.Fatalf("hops accounting inconsistent: total %d, max %d", resp.Hops, resp.HopsMax)
-	}
-	// Best-fit order: ascending surplus means ascending unique
-	// availability here, so shard 0's node leads.
-	if resp.Candidates[0].Node.Shard() != 0 {
-		t.Fatalf("best fit is %v, want shard 0's node: %+v", resp.Candidates[0].Node, resp.Candidates)
-	}
-}
-
-// TestConsistentScopeOneSingleShard pins the paper-faithful scope:
-// one shard's index, one leg, per-shard hops equal to the total.
+// TestConsistentScopeOneSingleShard pins the paper-faithful shape of
+// every consistent query: one shard's index, one leg.
 func TestConsistentScopeOneSingleShard(t *testing.T) {
 	e := newTestEngine(t, testConfig(4))
 	for _, id := range e.Nodes() {
@@ -562,43 +514,26 @@ func TestConsistentScopeOneSingleShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), K: 16, Consistent: true, Scope: ScopeOne})
+	resp, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), K: 16, Consistent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ShardsQueried != 1 {
 		t.Fatalf("ShardsQueried = %d, want 1", resp.ShardsQueried)
 	}
-	if resp.Hops != resp.HopsMax {
-		t.Fatalf("single-shard query: hops %d != hops_max %d", resp.Hops, resp.HopsMax)
-	}
 	shards := map[int]bool{}
 	for _, c := range resp.Candidates {
 		shards[c.Node.Shard()] = true
 	}
 	if len(shards) != 1 {
-		t.Fatalf("scope=one candidates span %d shards: %+v", len(shards), resp.Candidates)
-	}
-}
-
-func TestConsistentScopeValidation(t *testing.T) {
-	e := newTestEngine(t, testConfig(2))
-	_, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true, Scope: "bogus"})
-	if !errors.Is(err, ErrBadScope) {
-		t.Fatalf("bogus scope: got %v, want ErrBadScope", err)
-	}
-	// The explicit scopes and the empty default are all accepted.
-	for _, scope := range []string{"", ScopeAll, ScopeOne} {
-		if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true, Scope: scope}); err != nil {
-			t.Fatalf("scope %q rejected: %v", scope, err)
-		}
+		t.Fatalf("consistent candidates span %d shards: %+v", len(shards), resp.Candidates)
 	}
 }
 
 // TestConsistentScatterToleratesHaltedShard pins the shutdown
-// semantics: a shard halting mid-scatter fails only its own leg; the
-// merge proceeds over the survivors, and only a fully halted engine
-// surfaces ErrClosed.
+// semantics of the round-robin: a consistent query whose turn falls on
+// a halted shard fails with ErrClosed, and the next query, whose turn
+// falls on a live shard, is answered there.
 func TestConsistentScatterToleratesHaltedShard(t *testing.T) {
 	e := newTestEngine(t, testConfig(4))
 	for _, id := range e.Nodes() {
@@ -606,32 +541,27 @@ func TestConsistentScatterToleratesHaltedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.shards[2].halt()
+	e.shards[0].halt() // the first query's turn
+	if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), K: 16, Consistent: true}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("query on the halted shard: got %v, want ErrClosed", err)
+	}
 	resp, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), K: 16, Consistent: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ShardsQueried != 3 {
-		t.Fatalf("ShardsQueried = %d after one shard halted, want 3", resp.ShardsQueried)
+	if resp.ShardsQueried != 1 || len(resp.Candidates) == 0 {
+		t.Fatalf("next query: %+v, want an answer from one live shard", resp)
 	}
 	for _, c := range resp.Candidates {
-		if c.Node.Shard() == 2 {
-			t.Fatalf("halted shard contributed candidate %v", c.Node)
+		if c.Node.Shard() != 1 {
+			t.Fatalf("next query answered from shard %d, want shard 1: %+v", c.Node.Shard(), resp.Candidates)
 		}
-	}
-	// With every shard halted (engine still nominally open), the
-	// scatter has no surviving leg and reports ErrClosed.
-	for _, s := range e.shards {
-		s.halt()
-	}
-	if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("all shards halted: got %v, want ErrClosed", err)
 	}
 }
 
 // TestJoinDistributionEvenUnderMixedTraffic pins the routing-counter
-// split: interleaved consistent queries (both scopes) must not skew
-// the join round-robin, so shard populations stay level.
+// split: interleaved consistent queries must not skew the join
+// round-robin, so shard populations stay level.
 func TestJoinDistributionEvenUnderMixedTraffic(t *testing.T) {
 	const shards, joins = 4, 16
 	e := newTestEngine(t, testConfig(shards))
@@ -642,11 +572,7 @@ func TestJoinDistributionEvenUnderMixedTraffic(t *testing.T) {
 		// Consistent queries advance their own counter, never the
 		// join one — an uneven number per join stresses exactly that.
 		for j := 0; j <= i%3; j++ {
-			scope := ScopeOne
-			if j%2 == 0 {
-				scope = ScopeAll
-			}
-			if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true, Scope: scope}); err != nil {
+			if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -883,7 +809,7 @@ func TestRecordTTLZeroNeverExpires(t *testing.T) {
 
 // TestRoundRobinStartsAtShardZero pins the counter fix: the first
 // join lands on shard 0 (not 1), subsequent joins walk the shards in
-// order, and the first ScopeOne consistent query consults shard 0.
+// order, and the first consistent query consults shard 0.
 func TestRoundRobinStartsAtShardZero(t *testing.T) {
 	e := newTestEngine(t, testConfig(3))
 	for want := 0; want < 6; want++ {
@@ -895,86 +821,21 @@ func TestRoundRobinStartsAtShardZero(t *testing.T) {
 			t.Fatalf("join %d placed on shard %d, want %d", want, id.Shard(), want%3)
 		}
 	}
-	if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true, Scope: ScopeOne}); err != nil {
+	if _, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true}); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
 	// Each shard applied its two joins; only shard 0 also applied the
-	// first ScopeOne query.
+	// first consistent query.
 	for _, ss := range st.Shards {
 		want := uint64(2)
 		if ss.Shard == 0 {
 			want = 3
 		}
 		if ss.OpsApplied != want {
-			t.Fatalf("shard %d applied %d ops, want %d (first ScopeOne query mis-routed): %+v",
+			t.Fatalf("shard %d applied %d ops, want %d (first consistent query mis-routed): %+v",
 				ss.Shard, ss.OpsApplied, want, st.Shards)
 		}
-	}
-}
-
-// TestScatterWholeGatherTimeout pins the corrected ScatterTimeout
-// semantics: one deadline covers the entire gather, and a query no
-// leg answered fails with ErrScatterTimeout.
-func TestScatterWholeGatherTimeout(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.ScatterTimeout = 30 * time.Millisecond
-	gate := make(chan struct{})
-	e, err := New(cfg, func(i int, rc Config) (Backend, error) {
-		f := newFake(rc.NodesPerShard, rc.CMax.Dim())
-		f.gate = gate
-		return f, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	t.Cleanup(func() { close(gate) }) // unblock the shard goroutines first
-
-	start := time.Now()
-	_, err = e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true})
-	if !errors.Is(err, ErrScatterTimeout) {
-		t.Fatalf("stalled scatter: got %v, want ErrScatterTimeout", err)
-	}
-	if elapsed := time.Since(start); elapsed < cfg.ScatterTimeout || elapsed > 10*cfg.ScatterTimeout {
-		t.Fatalf("scatter returned after %v, want ~%v (whole-gather deadline)", elapsed, cfg.ScatterTimeout)
-	}
-}
-
-// TestSubmitCancelUnblocksAbandonedLeg pins the scatter-leg leak
-// fix: a submit blocked on a full write queue unwinds when its
-// cancel channel closes instead of outliving its query.
-func TestSubmitCancelUnblocksAbandonedLeg(t *testing.T) {
-	cfg, err := testConfig(1).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.QueueDepth = 1
-	// The shard goroutine is never started, so the queue never
-	// drains — the worst case an abandoned leg can hit.
-	s := newShard(0, cfg, newFake(2, 2))
-	if _, err := s.submit(op{kind: opUpdate, node: 0, avail: vector.Of(1, 1)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	cancel := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.submit(op{kind: opQuery, node: -1, reply: make(chan opResult, 1)}, cancel)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("submit returned %v before cancel with a full queue", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(cancel)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, errLegAbandoned) {
-			t.Fatalf("canceled submit returned %v, want errLegAbandoned", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("submit still blocked after cancel")
 	}
 }
 
@@ -1111,7 +972,7 @@ func TestConsistentQueryEmptyShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true, Scope: ScopeOne})
+	_, err := e.Query(QueryRequest{Demand: vector.Of(1, 1), Consistent: true})
 	if !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("query against an empty shard: got %v, want ErrNoNodes", err)
 	}

@@ -251,8 +251,8 @@ func (s *shard) start() {
 }
 
 // halt asks the loop to exit and waits for it. It is idempotent, so
-// a shard already halted individually (e.g. mid-scatter in tests)
-// survives the engine-wide Close.
+// a shard already halted individually (e.g. by a test) survives
+// the engine-wide Close.
 func (s *shard) halt() {
 	if s.halted.CompareAndSwap(false, true) {
 		close(s.stop)
@@ -419,6 +419,13 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 				from = nodes[0]
 			}
 			res.recs, res.hops, res.err = s.be.Query(from, o.demand, o.k)
+			// The overlay's index keeps a departed node's records until
+			// they expire, and the protocol returns them like any
+			// other: answer with the nodes alive here only.
+			res.recs = slices.DeleteFunc(res.recs, func(r proto.Record) bool {
+				_, alive := s.fresh[r.Node]
+				return !alive
+			})
 		case opTake:
 			// Migration source half: capture the availability, then
 			// remove the node — one op, so no write can interleave.
@@ -818,17 +825,12 @@ func (s *shard) enqueue(o op) error {
 }
 
 // submit enqueues o and, when o.reply is set, waits for the result.
-// It fails with ErrClosed once the shard goroutine has exited, and
-// with errLegAbandoned when cancel closes first — the cancellation
-// path that lets an abandoned scatter leg unwind instead of blocking
-// forever on a full ops queue. cancel may be nil (never fires).
-func (s *shard) submit(o op, cancel <-chan struct{}) (opResult, error) {
+// It fails with ErrClosed once the shard goroutine has exited.
+func (s *shard) submit(o op) (opResult, error) {
 	select {
 	case s.ops <- o:
 	case <-s.done:
 		return opResult{}, ErrClosed
-	case <-cancel:
-		return opResult{}, errLegAbandoned
 	}
 	if o.reply == nil {
 		return opResult{}, nil
@@ -844,16 +846,6 @@ func (s *shard) submit(o op, cancel <-chan struct{}) (opResult, error) {
 			return r, nil
 		default:
 			return opResult{}, ErrClosed
-		}
-	case <-cancel:
-		// The op is enqueued and will be applied; the buffered reply
-		// channel absorbs its result, so abandoning here leaks
-		// nothing. Prefer the real result if it already landed.
-		select {
-		case r := <-o.reply:
-			return r, nil
-		default:
-			return opResult{}, errLegAbandoned
 		}
 	}
 }

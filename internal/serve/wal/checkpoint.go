@@ -62,7 +62,7 @@ type Checkpoint struct {
 
 	ShardStates []ShardState
 	Fwd         ForwardState
-	// Round-robin counters (join placement, ScopeOne routing).
+	// Round-robin counters (join placement, consistent-query routing).
 	NextShard, NextQuery uint64
 	// Counters carries the cumulative Stats counters by name.
 	Counters map[string]uint64

@@ -15,23 +15,18 @@ type Query struct {
 	K          int
 	Consistent bool
 	NoCache    bool
-	// ScopeOne routes a consistent query through a single shard
-	// (serve.ScopeOne); the default is the scatter-gather ScopeAll.
-	ScopeOne bool
 }
 
-// AppendQuery appends a query-request frame.
+// AppendQuery appends a query-request frame. A consistent query also
+// carries qfScopeOne: DecodeQuery refuses a consistent frame without it.
 func AppendQuery(dst []byte, reqID uint32, epoch uint64, q *Query) []byte {
 	dst, off := beginFrame(dst, OpQuery, 0, reqID, epoch)
 	var f byte
 	if q.Consistent {
-		f |= qfConsistent
+		f |= qfConsistent | qfScopeOne
 	}
 	if q.NoCache {
 		f |= qfNoCache
-	}
-	if q.ScopeOne {
-		f |= qfScopeOne
 	}
 	dst = append(dst, f)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(q.K))
@@ -41,16 +36,18 @@ func AppendQuery(dst []byte, reqID uint32, epoch uint64, q *Query) []byte {
 }
 
 // DecodeQuery decodes a query-request payload into q, reusing
-// q.Demand's backing array.
+// q.Demand's backing array. qfConsistent and qfScopeOne come together
+// or not at all: a consistent query without qfScopeOne asks for the
+// retired scatter over every shard and is refused, not answered from
+// one, and a snapshot query with it is not a frame AppendQuery writes.
 func DecodeQuery(payload []byte, q *Query) error {
 	d := dec{buf: payload}
 	f := d.u8()
-	if f&^(qfConsistent|qfNoCache|qfScopeOne) != 0 {
+	if f&^(qfConsistent|qfNoCache|qfScopeOne) != 0 || (f&qfConsistent == 0) != (f&qfScopeOne == 0) {
 		return errBadFlags
 	}
 	q.Consistent = f&qfConsistent != 0
 	q.NoCache = f&qfNoCache != 0
-	q.ScopeOne = f&qfScopeOne != 0
 	q.K = int(d.u16())
 	var err error
 	q.Demand, err = decodeVec(&d, q.Demand)
@@ -77,7 +74,6 @@ type QueryResult struct {
 	Cached        bool
 	ShardsQueried int
 	Hops          int
-	HopsMax       int
 	Candidates    []Candidate
 
 	avail []float64 // shared backing for the candidates' Avail
@@ -95,7 +91,8 @@ func AppendQueryResponse(dst []byte, reqID uint32, epoch uint64, resp *serve.Que
 	dst = append(dst, f)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(resp.ShardsQueried))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.Hops))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.HopsMax))
+	// The retired per-leg maximum's slot: one leg's maximum is its hops.
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.Hops))
 	dim := 0
 	if len(resp.Candidates) > 0 {
 		dim = len(resp.Candidates[0].Avail)
@@ -122,7 +119,7 @@ func DecodeQueryResponse(payload []byte, r *QueryResult) error {
 	r.Cached = f&rfCached != 0
 	r.ShardsQueried = int(d.u16())
 	r.Hops = int(d.u32())
-	r.HopsMax = int(d.u32())
+	legMax := int(d.u32()) // the retired per-leg maximum: one leg's is its hops
 	dim := int(d.u16())
 	count := int(d.u16())
 	if d.err != nil {
@@ -130,8 +127,9 @@ func DecodeQueryResponse(payload []byte, r *QueryResult) error {
 	}
 	// Bound before allocating: the frame cap bounds the payload, and
 	// the claimed geometry must fit in what remains. An encoder writes
-	// no dimension without a candidate, and no unknown flag.
-	if len(d.buf) != count*(16+8*dim) || (count == 0 && dim != 0) || f&^rfCached != 0 {
+	// no dimension without a candidate, no unknown flag and no leg
+	// maximum but Hops.
+	if len(d.buf) != count*(16+8*dim) || (count == 0 && dim != 0) || f&^rfCached != 0 || legMax != r.Hops {
 		return errTruncated
 	}
 	r.Candidates = r.Candidates[:0]

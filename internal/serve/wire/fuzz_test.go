@@ -122,7 +122,7 @@ func decodeResponse(h Header, p []byte) func(Header) []byte {
 		if DecodeQueryResponse(p, &r) != nil {
 			return nil
 		}
-		resp := serve.QueryResponse{Cached: r.Cached, ShardsQueried: r.ShardsQueried, Hops: r.Hops, HopsMax: r.HopsMax}
+		resp := serve.QueryResponse{Cached: r.Cached, ShardsQueried: r.ShardsQueried, Hops: r.Hops}
 		for _, c := range r.Candidates {
 			resp.Candidates = append(resp.Candidates, serve.Candidate{Node: serve.GlobalID(c.Node), Surplus: c.Surplus, Avail: c.Avail})
 		}
@@ -181,14 +181,14 @@ func decodeResponse(h Header, p []byte) func(Header) []byte {
 // TestCodecRoundTrips round-trips.
 func seedFrames() [][]byte {
 	resp := serve.QueryResponse{
-		Cached: true, ShardsQueried: 3, Hops: 17, HopsMax: 9,
+		Cached: true, ShardsQueried: 3, Hops: 17,
 		Candidates: []serve.Candidate{
 			{Node: serve.GlobalID(1<<32 | 5), Surplus: 2.5, Avail: []float64{4, 5}},
 			{Node: 7, Surplus: 0.25, Avail: []float64{1, 2}},
 		},
 	}
 	return [][]byte{
-		AppendQuery(nil, 42, 9, &Query{Demand: []float64{1.5, 0, 3.25}, K: 7, Consistent: true, NoCache: true, ScopeOne: true}),
+		AppendQuery(nil, 42, 9, &Query{Demand: []float64{1.5, 0, 3.25}, K: 7, Consistent: true, NoCache: true}),
 		AppendQueryResponse(nil, 3, 11, &resp),
 		AppendUpdate(nil, 8, 2, 1<<40|3, []float64{0.5, 9}, true),
 		AppendJoin(nil, 10, 0, 2, []float64{1, 2}),

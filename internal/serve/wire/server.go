@@ -272,16 +272,11 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		if err := DecodeQuery(payload, &st.q); err != nil {
 			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
 		}
-		scope := ""
-		if st.q.ScopeOne {
-			scope = serve.ScopeOne
-		}
 		resp, err := eng.Query(serve.QueryRequest{
 			Demand:     vector.Vec(st.q.Demand),
 			K:          st.q.K,
 			Consistent: st.q.Consistent,
 			NoCache:    st.q.NoCache,
-			Scope:      scope,
 		})
 		if err != nil {
 			return s.appendErr(out, h, epoch, eng, err)
@@ -414,8 +409,8 @@ func (s *Server) fence(out []byte, h Header, eng serve.Service, epoch uint64) ([
 // The server answers an error with the code of the first row whose
 // sentinel it wraps (CodeRejected when none does); Sentinel maps a
 // code back to its first row's sentinel. So CodeBadRequest comes back
-// as ErrBadDemand even when the member returned ErrBadScope or
-// ErrNotDurable. retry rows carry the retry-after hint.
+// as ErrBadDemand even when the member returned ErrNotDurable. retry
+// rows carry the retry-after hint.
 var codes = []struct {
 	err   error
 	code  uint16
@@ -426,7 +421,6 @@ var codes = []struct {
 	{serve.ErrFenced, CodeFenced, true},
 	{serve.ErrWAL, CodeWAL, false},
 	{serve.ErrBadDemand, CodeBadRequest, false},
-	{serve.ErrBadScope, CodeBadRequest, false},
 	{serve.ErrNotDurable, CodeBadRequest, false},
 	{serve.ErrNoShard, CodeNoShard, false},
 	{serve.ErrScatterTimeout, CodeScatterTimeout, false},

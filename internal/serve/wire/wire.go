@@ -92,7 +92,7 @@ const (
 	// availability for re-homing in another process. OpFedSummary asks
 	// a member for its availability summary, the routers' pruning
 	// feed. Op 6 (fed-query, a query prefixed with a federation-map
-	// version) is retired: a scatter leg is a plain OpQuery, and the
+	// version) is retired: a router's leg is a plain OpQuery, and the
 	// filter refuses 6 so the number is never reused by accident.
 	opRetired    byte = 6
 	OpFedTake    byte = 7
@@ -132,7 +132,7 @@ const MaxPayload = 1 << 20
 // handler's status mapping so both edges speak the same rejection
 // vocabulary.
 const (
-	// CodeBadRequest: malformed payload, bad demand vector or scope.
+	// CodeBadRequest: malformed payload or bad demand vector.
 	CodeBadRequest uint16 = 1
 	// CodeNoShard: the op addressed a shard the engine lacks.
 	CodeNoShard uint16 = 2
@@ -149,8 +149,8 @@ const (
 	// CodeWAL: the write applied in memory but its op-log append
 	// failed — acknowledged, not durable.
 	CodeWAL uint16 = 7
-	// CodeScatterTimeout: consistent scatter deadline expired with no
-	// shard leg answered.
+	// CodeScatterTimeout: a federation router's member gather hit its
+	// deadline with no member answered.
 	CodeScatterTimeout uint16 = 8
 	// CodeNotReady: no engine is mounted behind the listener yet (a
 	// follower still bootstrapping its mirror).
@@ -161,7 +161,9 @@ const (
 const (
 	qfConsistent byte = 1 << 0
 	qfNoCache    byte = 1 << 1
-	qfScopeOne   byte = 1 << 2
+	// qfScopeOne rides on every consistent query: a consistent frame
+	// without it is refused (DecodeQuery).
+	qfScopeOne byte = 1 << 2
 )
 
 // Query response flags.

@@ -132,14 +132,14 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 
 	t.Run("query", func(t *testing.T) {
-		q := wire.Query{Demand: []float64{1.5, 0, 3.25}, K: 7, Consistent: true, NoCache: true, ScopeOne: true}
+		q := wire.Query{Demand: []float64{1.5, 0, 3.25}, K: 7, Consistent: true, NoCache: true}
 		frame := wire.AppendQuery(nil, 42, 9, &q)
 		checkFrame(t, frame, wire.OpQuery, 42, 9)
 		var got wire.Query
 		if err := wire.DecodeQuery(frame[wire.HeaderSize:], &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.K != 7 || !got.Consistent || !got.NoCache || !got.ScopeOne ||
+		if got.K != 7 || !got.Consistent || !got.NoCache ||
 			!vecEq(got.Demand, q.Demand) {
 			t.Fatalf("query round trip: %+v", got)
 		}
@@ -150,7 +150,6 @@ func TestCodecRoundTrips(t *testing.T) {
 			Cached:        true,
 			ShardsQueried: 3,
 			Hops:          17,
-			HopsMax:       9,
 			Candidates: []serve.Candidate{
 				{Node: serve.GlobalID(1<<32 | 5), Surplus: 2.5, Avail: []float64{4, 5}},
 				{Node: 7, Surplus: 0.25, Avail: []float64{1, 2}},
@@ -162,7 +161,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		if err := wire.DecodeQueryResponse(frame[wire.HeaderSize:], &res); err != nil {
 			t.Fatal(err)
 		}
-		if !res.Cached || res.ShardsQueried != 3 || res.Hops != 17 || res.HopsMax != 9 ||
+		if !res.Cached || res.ShardsQueried != 3 || res.Hops != 17 ||
 			len(res.Candidates) != 2 {
 			t.Fatalf("response round trip: %+v", res)
 		}

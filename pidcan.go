@@ -182,15 +182,6 @@ type QueryRequest = serve.QueryRequest
 // QueryResponse is the outcome of an Engine query.
 type QueryResponse = serve.QueryResponse
 
-// Consistent-query scopes (QueryRequest.Scope): ScopeAll
-// scatter-gathers through every shard's protocol and merges the
-// partial views (the default); ScopeOne routes through a single
-// shard round-robin, the paper-faithful behavior.
-const (
-	ScopeAll = serve.ScopeAll
-	ScopeOne = serve.ScopeOne
-)
-
 // Candidate is one qualified node of a QueryResponse.
 type Candidate = serve.Candidate
 
@@ -212,7 +203,6 @@ type CheckpointResult = serve.CheckpointResult
 var (
 	ErrEngineClosed   = serve.ErrClosed
 	ErrBadDemand      = serve.ErrBadDemand
-	ErrBadScope       = serve.ErrBadScope
 	ErrNoShard        = serve.ErrNoShard
 	ErrScatterTimeout = serve.ErrScatterTimeout
 	ErrNoNodes        = serve.ErrNoNodes
@@ -376,9 +366,10 @@ func NewCaptureHandler(engine func() *Engine) http.Handler { return capture.NewH
 // local or scatter-gathered across processes.
 type Service = serve.Service
 
-// FedRouter scatter-gathers the Service API across federation
-// members over the wire protocol, exactly as an Engine scatters
-// across in-process shards.
+// FedRouter serves the Service API across federation members over
+// the wire protocol: a snapshot query gathers every member, as an
+// Engine's reads every shard's snapshot, and a consistent query asks
+// one member, as an Engine's asks one shard.
 type FedRouter = fed.Router
 
 // FedRouterConfig parameterizes NewFedRouter.
