@@ -116,8 +116,8 @@ func (r *Recorder) CaptureQuery(req serve.QueryRequest, resp *serve.QueryRespons
 }
 
 // CaptureMutations records a shard batch's applied mutations, one
-// event per record, in application order. Called on the shard
-// goroutine; recs aliases the shard's reusable buffer, which stays
+// event per record, in application order. Called under the shard's
+// combiner lock; recs aliases the shard's reusable buffer, which stays
 // valid for the duration of the call — the events are encoded here,
 // synchronously, so nothing is copied.
 func (r *Recorder) CaptureMutations(shard int, recs []wal.Record) {

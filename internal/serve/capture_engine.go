@@ -30,8 +30,8 @@ type CaptureSink interface {
 	// resp.Candidates alias caller-owned memory: the sink copies what
 	// it keeps.
 	CaptureQuery(req QueryRequest, resp *QueryResponse, err error)
-	// CaptureMutations is called on a shard goroutine immediately
-	// after a batch is applied, in exact application order — the same
+	// CaptureMutations is called under a shard's combiner lock
+	// immediately after a batch is applied, in exact application order — the same
 	// canonical records the op-log appends (so a trace's mutation
 	// stream and the WAL agree). recs aliases a reusable buffer: the
 	// sink copies what it keeps.

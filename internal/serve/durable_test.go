@@ -531,17 +531,19 @@ func TestDrainBatchesBeyondSixteen(t *testing.T) {
 	t.Cleanup(func() { e.Close() })
 	s := e.shards[0]
 
-	// Stall the shard goroutine inside a protocol query's batch: the
-	// op is submitted directly, so once the queue is empty the loop
-	// is provably blocked on the gate.
+	// Stall a combiner inside a protocol query's batch: the op is
+	// queued directly and served by a round of its own, so once the
+	// queue is empty that round provably holds the combiner lock,
+	// blocked on the gate.
 	qreply := make(chan opResult, 1)
 	s.ops <- op{kind: opQuery, node: -1, demand: vector.Of(0, 0), k: 1, reply: qreply}
+	go s.serveQueued()
 	for len(s.ops) > 0 {
 		time.Sleep(time.Millisecond)
 	}
 	batchesBefore := s.batches.Load()
 
-	// Pile 40 updates into the queue while the loop is blocked.
+	// Pile 40 updates into the queue while the combiner is blocked.
 	const writes = 40
 	replies := make([]chan opResult, writes)
 	for i := 0; i < writes; i++ {

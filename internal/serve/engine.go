@@ -105,7 +105,7 @@ type QueryRequest struct {
 	// K bounds the candidate count (default 1; <= 0 after default
 	// resolution means 1).
 	K int `json:"k,omitempty"`
-	// Consistent routes the query through one shard's write queue
+	// Consistent routes the query through one shard's write path
 	// and the paper's three-phase protocol instead of the lock-free
 	// snapshot path, the shards taken round-robin. Slower, and it
 	// searches that shard's overlay only, but it observes every
@@ -602,7 +602,7 @@ func legCandidates(dst []Candidate, shard int, recs []proto.Record, demand, scal
 }
 
 // Update publishes a node's availability vector through its shard's
-// write queue and waits for it to be applied. When announce is set
+// write path and returns once it is applied. When announce is set
 // the node also pushes an out-of-cycle state update into the index.
 // Any id the node was ever known by (its original id or a former
 // physical id, see Migrate) is accepted; an update racing a

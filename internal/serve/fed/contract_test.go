@@ -28,7 +28,7 @@ var errRefused = errors.New("contract: this placement refuses joins")
 
 // flaky is the backend behind one placement — one shard of the engine
 // rig, the only shard of one member of the router rig — with the
-// faults and the signals the scenarios need. The shard goroutine is
+// faults and the signals the scenarios need. Its shard's combiner is
 // its only caller; the test reaches it through atomics and channels.
 type flaky struct {
 	serve.Backend

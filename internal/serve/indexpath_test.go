@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -355,4 +356,49 @@ func BenchmarkEngineSearch(b *testing.B) {
 	searches := float64(st.IndexSearches - before.IndexSearches)
 	b.ReportMetric(float64(st.IndexScannedRecords-before.IndexScannedRecords)/searches, "scanned/op")
 	b.ReportMetric(float64(st.IndexCandidates-before.IndexCandidates)/searches, "candidates/op")
+}
+
+// BenchmarkEngineUpdate is the in-process write path: concurrent
+// Engine.Update calls (GOMAXPROCS writers — run it with -cpu 2 for
+// two) against 4 shards x 2 500 records, random nodes, availabilities
+// in [0.2, 1]·cmax. Each write is applied, published and acked before
+// it returns; ops/batch is how many writes a batch carried.
+func BenchmarkEngineUpdate(b *testing.B) {
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 2500
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	rng := rand.New(rand.NewSource(5))
+	e := seededEngine(b, cfg, func() vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		for d := range v {
+			v[d] = cfg.CMax[d] * (0.2 + 0.8*rng.Float64())
+		}
+		return v
+	})
+	nodes := e.Nodes()
+	batches := func() (n uint64) {
+		for _, sh := range e.Stats().Shards {
+			n += sh.Batches
+		}
+		return n
+	}
+	before := batches()
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		a := vector.New(cfg.CMax.Dim())
+		for pb.Next() {
+			for d := range a {
+				a[d] = cfg.CMax[d] * (0.2 + 0.8*rng.Float64())
+			}
+			if err := e.Update(nodes[rng.Intn(len(nodes))], a, false); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/float64(batches()-before), "ops/batch")
 }

@@ -180,9 +180,9 @@ func (t *ForwardTable) Count() int {
 // begin claims the node for migration, waiting out a move already in
 // flight. It returns the node's current physical id, its external
 // id, and a release function ending the claim. Repointing the table
-// is NOT release's job: it happens on the destination shard's
-// goroutine (via op.onApplied) before the snapshot carrying the new
-// physical id publishes, so no reader can see an unmapped id.
+// is NOT release's job: it happens under the destination shard's
+// combiner lock (via op.onApplied) before the snapshot carrying the
+// new physical id publishes, so no reader can see an unmapped id.
 // Closing the table's stop channel aborts the wait (ErrClosed).
 func (t *ForwardTable) begin(id GlobalID) (phys, x GlobalID, release func(), err error) {
 	for {
@@ -214,8 +214,8 @@ func (t *ForwardTable) begin(id GlobalID) (phys, x GlobalID, release func(), err
 // Repoint records a completed move of external id x from physical
 // id old to physical id now. A placement calls it from its
 // CompleteMigration, under the mover's inflight claim and before any
-// reader can observe the new id (an in-process shard: on the
-// destination shard's goroutine, between applying the join and
+// reader can observe the new id (an in-process shard: under the
+// destination shard's combiner lock, between applying the join and
 // publishing the snapshot) — and recovery calls it again,
 // idempotently, when it replays the join from the op-log.
 func (t *ForwardTable) Repoint(x, old, now GlobalID) {

@@ -234,7 +234,7 @@ func TestTakeChecksLivenessWithoutListingNodes(t *testing.T) {
 	f.nodesCalls = 0
 	take := func(node overlay.NodeID) opResult {
 		t.Helper()
-		res, err := s.submit(op{kind: opTake, node: node, reply: make(chan opResult, 1)})
+		res, err := s.submit(op{kind: opTake, node: node})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -297,10 +297,9 @@ type shardPlacement struct {
 
 var _ Placement = (*shardPlacement)(nil)
 
-// do runs one op through the shard's write queue and waits for its
-// result, the op's own failure folded into the error.
+// do runs one op on the shard (shard.submit) and returns its result,
+// the op's own failure folded into the error.
 func (p *shardPlacement) do(o op) (opResult, error) {
-	o.reply = make(chan opResult, 1)
 	res, err := p.s.submit(o)
 	if err == nil {
 		err = res.err
@@ -308,8 +307,8 @@ func (p *shardPlacement) do(o op) (opResult, error) {
 	return res, err
 }
 
-// QueryLeg runs one protocol query through the shard's write queue.
-// The shard goroutine gets its own copy of the demand.
+// QueryLeg runs one protocol query as a shard op. The op gets its own
+// copy of the demand.
 func (p *shardPlacement) QueryLeg(req QueryRequest) (PlacementLeg, error) {
 	res, err := p.do(op{kind: opQuery, node: -1, demand: req.Demand.Clone(), k: req.K})
 	if err != nil {
@@ -336,10 +335,10 @@ func (p *shardPlacement) Leave(node GlobalID) error {
 	_, err := p.do(op{
 		kind: opLeave,
 		node: node.Local(),
-		// Forwarding state dies on the shard goroutine, before the
-		// leave is acknowledged: a checkpoint captured later on that
-		// goroutine then cannot serialize forwarding entries whose
-		// leave record it no longer covers.
+		// Forwarding state dies under the shard's combiner lock,
+		// before the leave is acknowledged: a checkpoint captured
+		// later under that lock then cannot serialize forwarding
+		// entries whose leave record it no longer covers.
 		onApplied: func(res opResult) {
 			if res.err == nil {
 				p.e.fwd.Forget(node) // removed ids only matter to recovery
@@ -359,8 +358,8 @@ func (p *shardPlacement) CompleteMigration(avail vector.Vec, ext, old GlobalID) 
 		kind:  opJoin,
 		avail: avail,
 		mig:   &migMeta{ext: ext, old: old},
-		// Repoint on the destination shard goroutine, before the
-		// join is acknowledged and before the shard publishes a
+		// Repoint under the destination shard's combiner lock, before
+		// the join is acknowledged and before the shard publishes a
 		// snapshot containing the new id: no reader can observe the
 		// new physical id without the forwarding table already
 		// translating it back to the stable external id.

@@ -11,8 +11,8 @@ import (
 // internal/serve/repl builds its primary server and follower client
 // on. The division of labor: the wire protocol carries the stream;
 // repl owns sessions and reconnects; the engine owns every touch of
-// shard state and the mirrored DataDir, all funneled through the
-// shard goroutines so replication obeys the same single-writer
+// shard state and the mirrored DataDir, all funneled through each
+// shard's combiner lock so replication obeys the same single-writer
 // discipline as serving.
 //
 // A follower's DataDir is a byte-level mirror of its primary's:
@@ -28,7 +28,7 @@ import (
 // record batch and every completed checkpoint, in order (per shard;
 // a checkpoint event follows all record events of the segments it
 // covers). The repl server's fan-out hub implements it. Calls come
-// from shard goroutines and the checkpoint path and must not block.
+// from shard combiners and the checkpoint path and must not block.
 type ReplSink interface {
 	// ReplRecords delivers records appended to shard's segment seg
 	// starting at record ordinal pos, under the given epoch. recs
@@ -77,11 +77,11 @@ type ReplPos struct {
 	Seg, Pos uint64
 }
 
-// ReplSyncPosition flushes and fsyncs one shard's op-log on its own
-// goroutine and returns the exact position — everything at or before
-// it is readable from the segment file, which is what lets the repl
-// server stream a catching-up follower from disk without gaps
-// against the live feed.
+// ReplSyncPosition flushes and fsyncs one shard's op-log on its loop
+// and returns the exact position — everything at or before it is
+// readable from the segment file, which is what lets the repl server
+// stream a catching-up follower from disk without gaps against the
+// live feed.
 func (e *Engine) ReplSyncPosition(shard int) (ReplPos, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return ReplPos{}, fmt.Errorf("%w: shard %d", ErrNoShard, shard)
@@ -111,8 +111,9 @@ func (e *Engine) ReplLogPath(shard int, seg uint64) string {
 }
 
 // ReplApply applies one replicated record batch to a follower shard
-// through the write queue — the same applyBatch path recovery and
-// live serving use — and verifies it the way recovery does: every
+// through the write queue, serving a round of it itself when the
+// shard's combiner lock is free — the same applyBatch path recovery
+// and live serving use — and verifies it the way recovery does: every
 // join must re-assign the id the primary logged, or the backends
 // have diverged and the error aborts the stream rather than serve
 // unverifiable state. The records are re-logged to the follower's
@@ -142,9 +143,9 @@ func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 		repoint bool
 	}
 	pends := make([]pending, 0, len(recs))
-	// Enqueue the whole frame, then collect: the queue is FIFO, so
-	// order is preserved and the shard drains the frame in big
-	// batches instead of one op per batch.
+	// Enqueue the whole frame, serve it, then collect: the queue is
+	// FIFO, so order is preserved and the frame drains in big batches
+	// instead of one op per batch.
 	for i := range recs {
 		o, expect := s.opFromRecord(e, recs[i], notes)
 		o.reply = make(chan opResult, 1)
@@ -153,16 +154,11 @@ func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 		}
 		pends = append(pends, pending{o.reply, expect, recs[i].Kind, recs[i].Repoint})
 	}
+	s.serveQueued()
 	for i, p := range pends {
-		var res opResult
-		select {
-		case res = <-p.reply:
-		case <-s.done:
-			select {
-			case res = <-p.reply:
-			default:
-				return ErrClosed
-			}
+		res, err := s.await(p.reply)
+		if err != nil {
+			return err
 		}
 		if res.err != nil {
 			return fmt.Errorf("replicated record %d (kind %d): %w", i, p.kind, res.err)

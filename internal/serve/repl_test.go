@@ -13,9 +13,9 @@ import (
 
 // TestWALFailureSurfacesToWriter pins the satellite fix: a write
 // whose op-log append/fsync fails must come back with ErrWAL instead
-// of a silent acknowledgment. The shard goroutine is stalled inside
-// a batch (gated fake query), the log's file is closed underneath
-// it, and the update drained into the same batch must error.
+// of a silent acknowledgment. A combiner is stalled inside a round
+// (gated fake query), the log's file is closed underneath it, and the
+// update drained into the same round must error.
 func TestWALFailureSurfacesToWriter(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.FlushInterval = time.Hour // no idle interference
@@ -33,11 +33,12 @@ func TestWALFailureSurfacesToWriter(t *testing.T) {
 	t.Cleanup(func() { e.Close() })
 	s := e.shards[0]
 
-	// Stall the loop inside a query's applyBatch, then queue an
-	// update into the same drain and break the log while the loop is
-	// provably blocked.
+	// Stall a combiner inside a query's applyBatch, then queue an
+	// update into the same round and break the log while the
+	// combiner is provably blocked.
 	qreply := make(chan opResult, 1)
 	s.ops <- op{kind: opQuery, node: -1, demand: vector.Of(0, 0), k: 1, reply: qreply}
+	go s.serveQueued()
 	for len(s.ops) > 0 {
 		time.Sleep(time.Millisecond)
 	}

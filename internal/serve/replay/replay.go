@@ -19,7 +19,7 @@
 // only on the record set. Scenario-generated traces satisfy all three
 // by construction; live-captured traces of
 // concurrent traffic keep per-shard write order exact (mutations are
-// captured on the shard goroutines in application order) but may
+// captured under the shards' combiner locks in application order) but may
 // interleave query digests non-strictly — replay against a reference
 // engine stays exact, comparison against live-recorded digests is
 // opt-in via Options.Strict.

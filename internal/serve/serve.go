@@ -3,8 +3,9 @@
 // shard-parallel query service.
 //
 // The design keeps the paper's determinism intact where it matters:
-// every Cluster stays single-goroutine, owned exclusively by one
-// shard goroutine that applies batched writes and advances the
+// every Cluster has one writer at a time, whoever holds its shard's
+// combiner lock — a caller applying its own write (and the writes
+// queued behind it), or the shard's loop, which also advances the
 // shard-local simulation clock. Concurrency lives strictly above the
 // clusters:
 //
@@ -20,14 +21,18 @@
 //     index; a record array exists only as the view Engine.Snapshot
 //     materialises for its caller, on the caller's goroutine.
 //
-//   - Availability updates, announcements, joins and leaves flow
-//     through per-shard write queues and are applied in batches; a
-//     write is acknowledged after apply + op-log + snapshot
-//     publication and advances no simulated time.
+//   - Availability updates, announcements, joins and leaves are
+//     applied by flat combining: a writer that finds its shard's lock
+//     free and nothing queued applies its own write, with no hop to
+//     another goroutine; writers that find it taken queue behind it,
+//     and the lock's next holder — the loop, when no writer stays to
+//     do it — applies the queue in batches. A write is acknowledged
+//     after apply + op-log + snapshot publication and advances no
+//     simulated time.
 //
 //   - Clock contract. A shard's simulated clock follows wall time
 //     1:1: one simulated microsecond per wall microsecond since the
-//     shard goroutine started, on top of Warmup. It is advanced in one
+//     shard started, on top of Warmup. It is advanced in one
 //     place only, the idle tick of shard.loop (every FlushInterval),
 //     by target - Backend.Now() when positive, in slices of at most
 //     StepQuantum; a slice that finds ops queued ends the tick's
@@ -52,12 +57,12 @@
 //
 //   - Consistent queries route through the paper's three-phase
 //     protocol: one querying node searches one overlay. Each runs as
-//     one protocol query on one shard's write queue, the shards taken
+//     one protocol query on one shard's write path, the shards taken
 //     round-robin; its answer is that overlay's best fit.
 //
 //   - Nodes migrate between shards (Engine.Migrate): the node Leaves
 //     its source shard and re-Joins the destination through both
-//     write queues, carrying its availability. A forwarding table
+//     shards' write paths, carrying its availability. A forwarding table
 //     keeps every id the node was ever known by routable, so callers
 //     holding the original (external) id never notice the move. An
 //     adaptive rebalancer (RebalanceInterval) samples per-shard
@@ -160,10 +165,10 @@ func (g GlobalID) Local() overlay.NodeID { return overlay.NodeID(uint32(g)) }
 
 func (g GlobalID) String() string { return fmt.Sprintf("%d/%d", g.Shard(), g.Local()) }
 
-// Backend is the shard-local cluster a shard goroutine owns. It is
-// implemented by *pidcan.Cluster (and by fakes in tests). A Backend
-// is single-goroutine: after New hands it to its shard, only that
-// shard's goroutine may touch it.
+// Backend is the shard-local cluster a shard owns. It is implemented
+// by *pidcan.Cluster (and by fakes in tests). A Backend takes one
+// caller at a time: after New hands it to its shard, it is touched
+// only under the shard's combiner lock.
 type Backend interface {
 	// Nodes returns the alive node ids in ascending order.
 	Nodes() []overlay.NodeID
@@ -213,7 +218,8 @@ type Config struct {
 	// Net is the LAN/WAN latency model (default: Table I).
 	Net netmodel.Config
 
-	// QueueDepth bounds each shard's write queue (default 1024).
+	// QueueDepth bounds each shard's write queue, the writes waiting
+	// while another holds the shard's combiner lock (default 1024).
 	QueueDepth int
 	// MaxBatch bounds how many queued ops one batch applies
 	// (default 256).

@@ -24,7 +24,7 @@ type fakeBackend struct {
 	dims  int
 
 	// gate, when non-nil, blocks Query until the channel closes —
-	// the hook tests use to stall a shard goroutine.
+	// the hook tests use to stall a shard's combiner.
 	gate chan struct{}
 
 	announced int
@@ -32,7 +32,7 @@ type fakeBackend struct {
 
 	// Clock-contract instrumentation: steps logs every Step's d (the
 	// Warmup step included), onStep runs inside each Step on the shard
-	// goroutine, queryRuns is how far a Query runs the clock ahead
+	// loop, queryRuns is how far a Query runs the clock ahead
 	// (as Cluster.Query does while it drives the protocol), and
 	// nodesCalls counts Nodes() listings (the fake's own Query lists
 	// too; Size does not).

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,13 +36,6 @@ type migMeta struct {
 	ext, old GlobalID
 }
 
-// op is one queued shard operation. reply, when non-nil, receives
-// exactly one opResult (the channel must have capacity 1).
-// onApplied, when non-nil, runs on the shard goroutine right after
-// the op is applied and BEFORE the batch's snapshot publishes — the
-// hook migration uses to install forwarding for a joined node
-// before any snapshot can expose its new physical id, and Leave uses
-// to drop forwarding state ahead of any later checkpoint capture.
 // pendingReply is an applied, logged op whose ack is parked until
 // the snapshot publication covering its batch goes live.
 type pendingReply struct {
@@ -49,6 +43,14 @@ type pendingReply struct {
 	res   opResult
 }
 
+// op is one shard operation. reply, set on a queued op (capacity 1),
+// receives exactly one opResult; an op its caller serves itself has
+// none. onApplied, when non-nil, runs under the shard's combiner lock
+// right after the op is applied and BEFORE the batch's snapshot
+// publishes — the hook migration uses to install forwarding for a
+// joined node before any snapshot can expose its new physical id, and
+// Leave uses to drop forwarding state ahead of any later checkpoint
+// capture.
 type op struct {
 	kind      opKind
 	node      overlay.NodeID
@@ -70,8 +72,8 @@ type opResult struct {
 	err   error
 }
 
-// ctlKind enumerates the control requests a shard goroutine serves
-// between batches: the only way anything but a write reaches the log.
+// ctlKind enumerates the control requests the shard loop serves
+// between rounds: the only way anything but a write reaches the log.
 type ctlKind int
 
 const (
@@ -103,9 +105,10 @@ type ctlRes struct {
 	err   error
 }
 
-// shard owns one Backend. All Backend access happens on the shard's
-// goroutine (loop); the rest of the engine communicates through the
-// ops queue and reads the published snapshot.
+// shard owns one Backend. Whoever holds the combiner lock mu — a
+// writer serving its own op, or the shard loop — owns the backend and
+// every field marked "combiner" below; the rest of the engine
+// reads the published snapshot.
 type shard struct {
 	idx  int
 	cfg  Config
@@ -115,42 +118,53 @@ type shard struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// Clock seam (clock contract, serve.go): when the loop started, and
-	// the idle ticks (nil: a FlushInterval ticker; tests set their own).
+	// mu is the combiner lock: the shard's single writer is whoever
+	// holds it. Callers only TryLock it; the loop alone waits for it.
+	// stopped (combiner) is set by the loop's stop before the log
+	// closes: no round runs after it. kick (one slot) hands the loop
+	// ops a holder left queued when it unlocked.
+	mu      sync.Mutex
+	stopped bool
+	kick    chan struct{}
+
+	// Clock seam (clock contract, serve.go): when the shard started and
+	// the backend clock then, and the idle ticks (nil: a FlushInterval
+	// ticker; tests set their own).
 	started time.Time
+	base    sim.Time
 	ticks   <-chan time.Time
 
 	// fresh records the shard-local time of each node's last
 	// explicit availability write; it backs RecordTTL expiry. Its keys
 	// are exactly the alive ids (opTake's liveness check).
-	// Owned by the shard goroutine (initialized before start).
+	// Combiner (initialized before start).
 	fresh map[overlay.NodeID]sim.Time
 
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
-	// removed) — all publishDelta hands the index. Owned by the shard
-	// goroutine; cleared at every publication.
+	// removed) — all publishDelta hands the index. Combiner; cleared
+	// at every publication.
 	dirty map[overlay.NodeID]bool
 
 	// flat is the dominance index of the latest published snapshot —
-	// the predecessor incremental rebuilds derive from. Owned by the shard goroutine;
+	// the predecessor incremental rebuilds derive from. Combiner;
 	// readers see it only through the published Snapshot.
 	flat *index.Flat
 
 	// history lists the change sets the next published snapshot
-	// carries, oldest first, and historyN the nodes they name. Owned by
-	// the shard goroutine.
+	// carries, oldest first, and historyN the nodes they name.
+	// Combiner.
 	history  []*changeSet
 	historyN int
 
 	// nextLocal tracks the next local id the backend will assign —
 	// what a checkpoint records so recovery can re-create the same id
-	// sequence. Owned by the shard goroutine.
+	// sequence. Combiner.
 	nextLocal overlay.NodeID
 
-	// log, when non-nil, is the shard's append-only op-log. Owned by
-	// the shard goroutine after start (the recovery path uses it
-	// before). unsynced counts applied batches since the last fsync.
+	// log, when non-nil, is the shard's append-only op-log. Combiner
+	// after start (the recovery path uses it before). unsynced counts
+	// applied batches since the last fsync.
 	log      *wal.Log
 	unsynced int
 
@@ -175,10 +189,9 @@ type shard struct {
 	// where log is nil).
 	capture *atomic.Pointer[CaptureSink]
 
-	// Reusable batch buffers (shard goroutine only): drain and
-	// applyBatch run once per batch, so one MaxBatch-sized allocation
-	// each serves the shard's lifetime (satellite fix: the old code
-	// allocated a 16-cap slice per batch and regrew it past 16).
+	// Reusable batch buffers (combiner): drain and applyBatch run once
+	// per batch, so one MaxBatch-sized allocation each serves the
+	// shard's lifetime.
 	batchBuf []op
 	resBuf   []opResult
 	recBuf   []wal.Record
@@ -223,6 +236,7 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		ctl:      make(chan ctlReq),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+		kick:     make(chan struct{}, 1),
 		fresh:    make(map[overlay.NodeID]sim.Time),
 		dirty:    make(map[overlay.NodeID]bool),
 		batchBuf: make([]op, 0, cfg.MaxBatch),
@@ -239,14 +253,15 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 			s.nextLocal = id + 1
 		}
 	}
-	s.publish() // initial snapshot, before the goroutine starts
+	s.publish() // initial snapshot, before the shard starts
 	return s
 }
 
-// start launches the shard goroutine. The Backend is handed over
-// here: the constructor goroutine must not touch it afterwards.
+// start reads the clock base and launches the shard loop. The Backend
+// is handed over to the combiner lock here: the constructor goroutine
+// must not touch it afterwards.
 func (s *shard) start() {
-	s.started = time.Now()
+	s.started, s.base = time.Now(), s.be.Now()
 	go s.loop()
 }
 
@@ -260,78 +275,138 @@ func (s *shard) halt() {
 	<-s.done
 }
 
-// loop is the shard goroutine: batch writes, log them, republish the
-// snapshot, acknowledge. The idle tick is the only place simulated
-// time moves (the clock contract in serve.go): it steps the overlay up
-// to the tick's wall time and republishes under the new clock, so
-// record freshness and the protocol's periodic machinery run at real
-// time whatever the traffic. Reads never enter here: queries on the
-// snapshot path touch neither the ops queue nor the log.
+// loop is the shard goroutine: it serves what no writer serves
+// itself — the ops a combiner left queued (kick), control requests and
+// the idle tick — each under the combiner lock. The idle tick is the
+// only place simulated time moves (the clock contract in serve.go): it
+// steps the overlay up to the tick's wall time and republishes under
+// the new clock, so record freshness and the protocol's periodic
+// machinery run at real time whatever the traffic. Reads never enter
+// here: queries on the snapshot path touch neither the lock nor the
+// log.
 func (s *shard) loop() {
 	defer close(s.done)
-	if s.log != nil {
-		defer s.log.Close() // final flush + fsync on halt
-	}
 	ticks := s.ticks
 	if ticks == nil {
 		idle := time.NewTicker(s.cfg.FlushInterval)
 		defer idle.Stop()
 		ticks = idle.C
 	}
-	base := s.be.Now()
 	for {
 		select {
 		case <-s.stop:
+			s.mu.Lock()
+			s.stopped = true
+			if s.log != nil {
+				s.log.Close() // final flush + fsync
+			}
+			s.mu.Unlock()
 			return
-		case o := <-s.ops:
-			for {
-				batch := s.drain(o)
-				results, muts := s.applyBatch(batch)
-				// WAL discipline: the batch is durable (per the fsync
-				// policy) before any caller learns its write was
-				// applied.
-				s.logBatch(batch, results)
-				if muts > 0 && s.epoch != nil {
-					s.epoch.Add(1)
-				}
-				// The buffers persist across batches: park the
-				// replies, then drop op/result references (reply
-				// channels, vectors, hooks) so they do not outlive
-				// their batch.
-				for i := range batch {
-					if batch[i].reply != nil {
-						s.pend = append(s.pend, pendingReply{batch[i].reply, results[i]})
-					}
-					batch[i] = op{}
-					results[i] = opResult{}
-				}
-				// Coalesce publications under backlog: ops already
-				// queued join this round, so one index update — the
-				// blocks the dirty nodes leave or enter plus a
-				// directory rebuild, O(blocks) however few nodes
-				// moved — amortizes over every batch of a write
-				// burst instead of running per batch. MaxBatch
-				// pending acks bound the added latency (and the
-				// dirty-set growth).
-				if len(s.pend) >= s.cfg.MaxBatch || len(s.ops) == 0 {
-					break
-				}
-				o = <-s.ops
-			}
-			s.publishDelta()
-			// Replies go out only after the new snapshot is live, so
-			// a caller whose write returned reads its own write.
-			for i := range s.pend {
-				s.pend[i].reply <- s.pend[i].res
-				s.pend[i] = pendingReply{}
-			}
-			s.pend = s.pend[:0]
+		case <-s.kick:
+			s.mu.Lock()
+			s.combine(nil)
+			s.unlock()
 		case req := <-s.ctl:
-			req.reply <- s.control(req)
+			s.mu.Lock()
+			res := s.control(req)
+			s.unlock()
+			req.reply <- res
 		case now := <-ticks:
-			s.catchUp(base + sim.Time(now.Sub(s.started)/time.Microsecond))
+			s.mu.Lock()
+			s.catchUp(s.base + sim.Time(now.Sub(s.started)/time.Microsecond))
 			s.publishDelta()
+			s.unlock()
 		}
+	}
+}
+
+// combine serves one round under the combiner lock: own (nil: none) as
+// its first op, else the queue's head; batches drained from the queue
+// after it, each applied and logged with its acks parked, until
+// MaxBatch acks are pending or the queue is empty; then one
+// publication, and the parked acks. It returns own's result. Acks go
+// out only after the snapshot is live, so a caller whose write
+// returned reads its own write.
+func (s *shard) combine(own *op) opResult {
+	var first op
+	if own != nil {
+		first = *own
+	} else {
+		select {
+		case first = <-s.ops:
+		default:
+			return opResult{}
+		}
+	}
+	var ownRes opResult
+	for {
+		batch := s.drain(first)
+		results, muts := s.applyBatch(batch)
+		// WAL discipline: the batch is durable (per the fsync policy)
+		// before any caller learns its write was applied.
+		s.logBatch(batch, results)
+		if muts > 0 && s.epoch != nil {
+			s.epoch.Add(1)
+		}
+		if own != nil {
+			ownRes, own = results[0], nil
+		}
+		// The buffers persist across batches: park the replies, then
+		// drop op/result references (reply channels, vectors, hooks)
+		// so they do not outlive their batch.
+		for i := range batch {
+			if batch[i].reply != nil {
+				s.pend = append(s.pend, pendingReply{batch[i].reply, results[i]})
+			}
+			batch[i] = op{}
+			results[i] = opResult{}
+		}
+		// Coalesce publications under backlog: ops already queued
+		// join this round, so one index update — the blocks the dirty
+		// nodes leave or enter plus a directory rebuild, O(blocks)
+		// however few nodes moved — amortizes over every batch of a
+		// write burst instead of running per batch. MaxBatch pending
+		// acks bound the added latency (and the dirty-set growth).
+		// Only the lock holder receives from the queue, so a queue
+		// seen non-empty here does not block.
+		if len(s.pend) >= s.cfg.MaxBatch || len(s.ops) == 0 {
+			break
+		}
+		first = <-s.ops
+	}
+	s.publishDelta()
+	for i := range s.pend {
+		s.pend[i].reply <- s.pend[i].res
+		s.pend[i] = pendingReply{}
+	}
+	s.pend = s.pend[:0]
+	return ownRes
+}
+
+// unlock releases the combiner lock, then hands the loop whatever is
+// still queued. Looking after the unlock is what loses no op: a caller
+// queues before it tries the lock, so one whose TryLock failed queued
+// while this holder still held it — the queue shows the op here, or
+// someone has already served it.
+func (s *shard) unlock() {
+	s.mu.Unlock()
+	if len(s.ops) > 0 {
+		select {
+		case s.kick <- struct{}{}:
+		default: // a kick is pending already
+		}
+	}
+}
+
+// serveQueued serves one round of queued ops if the combiner lock is
+// free. A busy lock leaves nothing behind: its holder looks at the
+// queue when it unlocks.
+func (s *shard) serveQueued() {
+	if s.mu.TryLock() {
+		if !s.stopped {
+			s.combine(nil)
+		}
+		s.unlock()
 	}
 }
 
@@ -625,8 +700,8 @@ func (s *shard) rotate(seg uint64, compact bool) error {
 	return nil
 }
 
-// control serves the control requests on the shard goroutine — the
-// only goroutine allowed near the log.
+// control serves a control request under the combiner lock, the one
+// way to the log besides a write.
 func (s *shard) control(req ctlReq) ctlRes {
 	if s.log == nil {
 		return ctlRes{err: ErrNotDurable}
@@ -652,8 +727,8 @@ func (s *shard) control(req ctlReq) ctlRes {
 	return ctlRes{err: fmt.Errorf("serve: unknown control request %d", req.kind)}
 }
 
-// controlReq submits one control request to the shard goroutine and
-// waits for its result; ErrClosed once the goroutine has exited.
+// controlReq submits one control request to the shard loop and waits
+// for its result; ErrClosed once the loop has exited.
 func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 	req := ctlReq{kind: kind, seg: seg, reply: make(chan ctlRes, 1)}
 	select {
@@ -675,7 +750,7 @@ func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 	}
 }
 
-// checkpointNow runs on the shard goroutine: it rotates the log onto
+// checkpointNow runs under the combiner lock: it rotates the log onto
 // a fresh segment and captures the shard's logical state at exactly
 // that boundary — the old segments plus the captured state are two
 // encodings of the same history, so recovery may substitute one for
@@ -810,12 +885,19 @@ func (s *shard) installSnap(now sim.Time) {
 // newShard).
 func (s *shard) snapshot() *Snapshot { return s.snap.Load() }
 
-// enqueue inserts o into the write queue without waiting for its
-// result — the replication applier's pipelining primitive: a frame's
-// ops are all enqueued (order preserved, the queue is FIFO) before
-// their replies are collected. Fails with ErrClosed once the shard
-// goroutine has exited.
+// enqueue inserts o (o.reply set) into the write queue without
+// waiting for its result — the replication applier's pipelining
+// primitive: a frame's ops are all enqueued (order preserved, the
+// queue is FIFO) before serveQueued and their replies. A full queue
+// gets a round served before enqueue blocks. Fails with ErrClosed
+// once the shard loop has exited.
 func (s *shard) enqueue(o op) error {
+	select {
+	case s.ops <- o:
+		return nil
+	default:
+	}
+	s.serveQueued()
 	select {
 	case s.ops <- o:
 		return nil
@@ -824,28 +906,51 @@ func (s *shard) enqueue(o op) error {
 	}
 }
 
-// submit enqueues o and, when o.reply is set, waits for the result.
-// It fails with ErrClosed once the shard goroutine has exited.
-func (s *shard) submit(o op) (opResult, error) {
+// await waits for a queued op's result: ErrClosed once the shard loop
+// has exited with the op unserved.
+func (s *shard) await(reply chan opResult) (opResult, error) {
 	select {
-	case s.ops <- o:
-	case <-s.done:
-		return opResult{}, ErrClosed
-	}
-	if o.reply == nil {
-		return opResult{}, nil
-	}
-	select {
-	case r := <-o.reply:
+	case r := <-reply:
 		return r, nil
 	case <-s.done:
-		// The loop may have applied the op right before exiting;
-		// prefer the real result if it is already buffered.
+		// A round may have served the op right before the loop
+		// stopped; prefer the real result if it is already buffered.
 		select {
-		case r := <-o.reply:
+		case r := <-reply:
 			return r, nil
 		default:
 			return opResult{}, ErrClosed
 		}
 	}
+}
+
+// submit runs o and returns its result. With the combiner lock free
+// and nothing queued ahead of it, the caller is the shard's writer: it
+// serves o as the first op of a round and takes its result from the
+// round, no queue and no goroutine switch between. Otherwise o is
+// queued behind the others with a reply channel, and the caller serves
+// one round if the lock is free by then, or waits. It fails with
+// ErrClosed once the shard has stopped.
+func (s *shard) submit(o op) (opResult, error) {
+	if s.mu.TryLock() {
+		if s.stopped {
+			s.mu.Unlock()
+			return opResult{}, ErrClosed
+		}
+		if len(s.ops) == 0 {
+			res := s.combine(&o)
+			s.unlock()
+			return res, nil
+		}
+		// FIFO: o queues behind them. The queue needs no look here:
+		// serveQueued below, or the holder that beats it to the lock,
+		// serves it once o is in it.
+		s.mu.Unlock()
+	}
+	o.reply = make(chan opResult, 1)
+	if err := s.enqueue(o); err != nil {
+		return opResult{}, err
+	}
+	s.serveQueued()
+	return s.await(o.reply)
 }

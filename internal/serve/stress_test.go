@@ -16,6 +16,9 @@ import (
 	"time"
 
 	"pidcan"
+	"pidcan/internal/overlay"
+	"pidcan/internal/serve"
+	"pidcan/internal/serve/wal"
 	"pidcan/internal/vector"
 )
 
@@ -401,4 +404,215 @@ func TestStressScatterCloseUnderFire(t *testing.T) {
 		t.Fatal("a consistent query still hangs 10s after Close")
 	}
 	t.Logf("consistent close-under-fire: %d answered, %d ErrEngineClosed", answered.Load(), closedErrs.Load())
+}
+
+// TestStressCombiner drives one shard's combiner lock from 32 writers
+// at once, through a 4-op queue and 8-ack rounds, with control round
+// trips to the shard loop and idle ticks every millisecond in between,
+// and halts the shard at a random point. Each writer owns one node and
+// writes it an increasing sequence number. Every acked write must be
+// in the shard's snapshot when its call returns; each node's applied
+// writes, as the mutation stream saw them, must be exactly its
+// writer's acked ones, in order; after the halt every call must return
+// its real result or ErrClosed, and none may hang. The stalled run
+// gates the backend, so a combiner holding the lock stops mid-round
+// while the others queue behind it and hand their ops to the loop.
+func TestStressCombiner(t *testing.T) {
+	t.Run("cluster", func(t *testing.T) { stressCombiner(t, false) })
+	t.Run("stalled", func(t *testing.T) { stressCombiner(t, true) })
+}
+
+func stressCombiner(t *testing.T, stall bool) {
+	const writers = 32
+	var (
+		quit = make(chan struct{})
+		gate chan struct{}
+	)
+	defer close(quit)
+	if stall {
+		// The pacer lets 64 availability writes through, then none for
+		// a millisecond, again and again.
+		gate = make(chan struct{})
+		go func() {
+			for {
+				select {
+				case <-quit:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				for range 64 {
+					select {
+					case gate <- struct{}{}:
+					case <-quit:
+						return
+					}
+				}
+			}
+		}()
+	}
+	eng, err := serve.New(serve.Config{
+		Shards:        1,
+		NodesPerShard: writers + 8,
+		Seed:          37,
+		QueueDepth:    4,
+		MaxBatch:      8,
+		FlushInterval: time.Millisecond,
+	}, func(i int, rc serve.Config) (serve.Backend, error) {
+		c, err := pidcan.NewCluster(pidcan.ClusterConfig{Nodes: rc.NodesPerShard, CMax: rc.CMax, Seed: rc.Seed})
+		if err != nil || gate == nil {
+			return c, err
+		}
+		return &gatedBackend{Backend: c, gate: gate}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sink := &orderSink{seqs: map[uint32][]float64{}}
+	eng.SetCapture(sink)
+	cmax := eng.Config().CMax
+	nodes := eng.Nodes()
+
+	// Each writer makes its first prelude writes and waits at warm, so
+	// the last of them find the shard otherwise idle: an op left
+	// queued with nobody to serve it stalls its writer for good.
+	const prelude = 50
+	var wg, warm sync.WaitGroup
+	warm.Add(writers)
+	release := make(chan struct{})
+	acked := make([]int, writers)
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			node := nodes[w]
+			for seq := 1; ; seq++ {
+				if seq == prelude+1 {
+					warm.Done()
+					<-release
+				}
+				a := cmax.Scale(0.5)
+				a[len(a)-1] = float64(seq)
+				err := eng.Update(node, a, false)
+				if errors.Is(err, serve.ErrClosed) && seq > prelude {
+					// Halted: every later call is refused too.
+					for range 3 {
+						if err := eng.Update(node, a, false); !errors.Is(err, serve.ErrClosed) {
+							t.Errorf("writer %d: update after the halt returned %v, want ErrClosed", w, err)
+						}
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("writer %d update %d: %v", w, seq, err)
+					if seq <= prelude {
+						warm.Done()
+					}
+					return
+				}
+				acked[w] = seq
+				snap, _ := eng.Snapshot(0)
+				if got := snapAvail(snap, node); got == nil || got[len(got)-1] != float64(seq) {
+					t.Errorf("writer %d: update %d acked, snapshot %d holds %v", w, seq, snap.Version, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // control round trips through the shard loop
+		defer wg.Done()
+		for {
+			_, err := eng.ReplSyncPosition(0)
+			if errors.Is(err, serve.ErrClosed) {
+				return
+			}
+			if !errors.Is(err, serve.ErrNotDurable) {
+				t.Errorf("sync round trip: %v, want ErrNotDurable", err)
+				return
+			}
+		}
+	}()
+	watchdog := time.After(10 * time.Second)
+	warmed := make(chan struct{})
+	go func() { warm.Wait(); close(warmed) }()
+	select {
+	case <-warmed:
+	case <-watchdog:
+		t.Fatalf("a writer's first %d writes still hang after 10s", prelude)
+	}
+	close(release)
+	time.Sleep(time.Duration(1+rand.IntN(20)) * time.Millisecond)
+	if err := eng.HaltShard(0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-watchdog:
+		t.Fatal("a call still hangs after the halt")
+	}
+
+	total := 0
+	for w, n := range acked {
+		total += n
+		got := sink.of(uint32(nodes[w].Local()))
+		if len(got) != n {
+			t.Fatalf("writer %d: %d writes acked, %d applied: %v", w, n, len(got), got)
+		}
+		for i, seq := range got {
+			if seq != float64(i+1) {
+				t.Fatalf("writer %d: writes applied in the order %v", w, got)
+			}
+		}
+	}
+	st := eng.Stats()
+	t.Logf("%d writes acked before the halt in %d batches", total, st.Shards[0].Batches)
+}
+
+// snapAvail returns node's availability in snap, or nil.
+func snapAvail(snap *serve.Snapshot, node serve.GlobalID) vector.Vec {
+	for _, r := range snap.Records {
+		if serve.Global(snap.Shard, r.Node) == node {
+			return r.Avail
+		}
+	}
+	return nil
+}
+
+// gatedBackend makes every availability write wait for a token.
+type gatedBackend struct {
+	serve.Backend
+	gate chan struct{}
+}
+
+func (g *gatedBackend) SetAvailability(id overlay.NodeID, avail vector.Vec) error {
+	<-g.gate
+	return g.Backend.SetAvailability(id, avail)
+}
+
+// orderSink records, per node, the last availability component of
+// every applied update, in application order.
+type orderSink struct {
+	mu   sync.Mutex
+	seqs map[uint32][]float64
+}
+
+func (s *orderSink) CaptureQuery(serve.QueryRequest, *serve.QueryResponse, error) {}
+
+func (s *orderSink) CaptureMutations(_ int, recs []wal.Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range recs {
+		s.seqs[r.Node] = append(s.seqs[r.Node], r.Avail[len(r.Avail)-1])
+	}
+}
+
+func (s *orderSink) CaptureStats() serve.CaptureStats { return serve.CaptureStats{} }
+
+func (s *orderSink) of(node uint32) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seqs[node]
 }

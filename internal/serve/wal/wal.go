@@ -40,8 +40,8 @@ import (
 )
 
 // Log is one shard's append-only operation log. It is single-writer:
-// only the owning shard goroutine (or, before the goroutine starts,
-// the recovery path) may call its methods.
+// only the holder of the owning shard's combiner lock (or, before the
+// shard starts, the recovery path) may call its methods.
 type Log struct {
 	dir  string
 	seg  uint64

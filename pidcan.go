@@ -159,7 +159,8 @@ func DefaultOverhead() psm.Overhead { return psm.DefaultOverhead() }
 // --- concurrent serving engine (internal/serve) ------------------------------
 
 // Engine is the concurrent, shard-parallel query service built on
-// top of Cluster: per-shard goroutines apply batched writes while
+// top of Cluster: each shard's writers apply writes one at a time
+// under its combiner lock, batching any that queue up, while
 // best-fit range queries run lock-free on immutable copy-on-write
 // snapshots of the record index. Nodes migrate between shards
 // (Engine.Migrate) behind a stable external identity, and an
