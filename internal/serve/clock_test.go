@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -103,6 +104,46 @@ func TestClockCatchUpYieldsToQueuedOps(t *testing.T) {
 	snap, _ := e.Snapshot(0)
 	if !snap.Records[1].Avail.Equal(vector.Of(7, 7)) {
 		t.Fatalf("acked write not published: %+v", snap.Records[1])
+	}
+	clk.advance(0) // same wall instant: the next tick pays what is owed
+	if len(f.steps) != 5 || f.now != 500*sim.Millisecond {
+		t.Fatalf("after the next tick: steps %v, clock %v; want five 100ms slices, 500ms", f.steps, f.now)
+	}
+}
+
+// TestClockCatchUpYieldsToLockWaiters: a tick that owes several slices
+// and finds a caller waiting for the combiner lock after a slice — a
+// follower's apply — lets it in first; a later tick steps the rest.
+func TestClockCatchUpYieldsToLockWaiters(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.DataDir = t.TempDir()
+	cfg.Follower = true
+	cfg.StepQuantum = 100 * sim.Millisecond
+	e, clk := newClockedEngine(t, cfg)
+	f, s := clk.fakes[0], e.shards[0]
+	applied := make(chan error, 1)
+	f.onStep = func() { // under the combiner lock, mid catch-up
+		if len(f.steps) != 1 {
+			return
+		}
+		go func() {
+			applied <- e.ReplApply(0, e.Epoch(), []wal.Record{{Kind: wal.KindUpdate, Node: 1, Avail: []float64{7, 7}}})
+		}()
+		for s.waiters.Load() == 0 && len(applied) == 0 {
+			runtime.Gosched()
+		}
+	}
+	clk.advance(500 * time.Millisecond)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	clk.settle(0)
+	if len(f.steps) != 1 || f.now != 100*sim.Millisecond {
+		t.Fatalf("frame applied after steps %v (clock %v); want it applied after the first of five slices", f.steps, f.now)
+	}
+	snap, _ := e.Snapshot(0)
+	if snap.Taken != 100*sim.Millisecond || !snap.Records[1].Avail.Equal(vector.Of(7, 7)) {
+		t.Fatalf("snapshot taken at %v holds %+v; want the applied frame at 100ms", snap.Taken, snap.Records[1])
 	}
 	clk.advance(0) // same wall instant: the next tick pays what is owed
 	if len(f.steps) != 5 || f.now != 500*sim.Millisecond {

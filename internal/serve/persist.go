@@ -81,14 +81,18 @@ func (e *Engine) checkpoint() (CheckpointResult, error) {
 	// lose the node with its take record already pruned.
 	e.migMu.Lock()
 	for _, s := range e.shards {
-		cr, err := s.controlReq(ctlCheckpoint, 0)
+		var st wal.ShardState
+		err := s.locked(func() (err error) {
+			st, err = s.checkpointNow()
+			return err
+		})
 		if err != nil {
 			e.migMu.Unlock()
 			e.errors.Add(1)
 			return CheckpointResult{}, err
 		}
-		res.Nodes += len(cr.state.Nodes)
-		ck.ShardStates = append(ck.ShardStates, cr.state)
+		res.Nodes += len(st.Nodes)
+		ck.ShardStates = append(ck.ShardStates, st)
 	}
 	e.migMu.Unlock()
 	// The forwarding table and counters are captured after every
@@ -159,16 +163,40 @@ func (e *Engine) checkpointLoop(interval time.Duration) {
 	}
 }
 
-// replayTally counts what one shard's recovery re-applied, so the
-// engine counters cover the log tail as well as the checkpoint, and
-// collects the migration takes for orphan reconciliation.
+// kindCounts tallies replayed records by the engine counter their live
+// write bumped — what a follower's apply and recovery both add, so the
+// counters cover replicated and replayed writes too.
+type kindCounts struct {
+	updates, joins, leaves, migrations uint64
+}
+
+func (c *kindCounts) add(r wal.Record) {
+	switch {
+	case r.Kind == wal.KindUpdate:
+		c.updates++
+	case r.Kind == wal.KindJoin && r.Repoint:
+		c.migrations++
+	case r.Kind == wal.KindJoin:
+		c.joins++
+	case r.Kind == wal.KindLeave:
+		c.leaves++
+	}
+}
+
+// addCounts adds c to the engine's write counters.
+func (e *Engine) addCounts(c kindCounts) {
+	e.updates.Add(c.updates)
+	e.joins.Add(c.joins)
+	e.leaves.Add(c.leaves)
+	e.migrations.Add(c.migrations)
+}
+
+// replayTally counts what one shard's recovery re-applied and collects
+// the migration takes for orphan reconciliation.
 type replayTally struct {
-	records    uint64
-	updates    uint64
-	joins      uint64
-	leaves     uint64
-	migrations uint64
-	takes      []takenNode
+	kindCounts
+	records uint64
+	takes   []takenNode
 }
 
 // takenNode is one replayed migration take: the physical id the node
@@ -182,7 +210,8 @@ type takenNode struct {
 // former physical ids a replayed migration join moved away from, and
 // which ids a replayed leave removed for good. Reconciliation uses
 // both to tell an orphaned mid-flight take from a completed (or
-// properly ended) migration.
+// properly ended) migration. A follower's apply reconciles nothing
+// and notes nothing: its notes are nil.
 type recoveryNotes struct {
 	mu        sync.Mutex
 	repointed map[GlobalID]bool
@@ -190,12 +219,18 @@ type recoveryNotes struct {
 }
 
 func (rn *recoveryNotes) noteRepointed(old GlobalID) {
+	if rn == nil {
+		return
+	}
 	rn.mu.Lock()
 	rn.repointed[old] = true
 	rn.mu.Unlock()
 }
 
 func (rn *recoveryNotes) noteForgotten(ids []GlobalID) {
+	if rn == nil {
+		return
+	}
 	rn.mu.Lock()
 	for _, id := range ids {
 		rn.forgotten[id] = true
@@ -295,10 +330,7 @@ func (e *Engine) recover() error {
 	var total uint64
 	for _, t := range tallies {
 		total += t.records
-		e.updates.Add(t.updates)
-		e.joins.Add(t.joins)
-		e.leaves.Add(t.leaves)
-		e.migrations.Add(t.migrations)
+		e.addCounts(t.kindCounts)
 	}
 	if err := e.reconcileTakes(tallies, notes); err != nil {
 		return err
@@ -328,8 +360,11 @@ func (e *Engine) reconcileTakes(tallies []replayTally, notes *recoveryNotes) err
 			s := e.shards[i]
 			x := e.fwd.externalOf(tk.phys)
 			phys := tk.phys
-			o := op{
+			// Logged by replay, so the next recovery replays it instead
+			// of reconciling again; a log failure here fails recovery.
+			if _, err := s.replay([]op{{
 				kind:  opJoin,
+				node:  -1,
 				avail: vector.Vec(tk.avail),
 				mig:   &migMeta{ext: x, old: phys},
 				onApplied: func(res opResult) {
@@ -337,16 +372,8 @@ func (e *Engine) reconcileTakes(tallies []replayTally, notes *recoveryNotes) err
 						e.fwd.Repoint(x, phys, Global(s.idx, res.node))
 					}
 				},
-			}
-			batch := []op{o}
-			results, _ := s.applyBatch(batch)
-			if results[0].err != nil {
-				return fmt.Errorf("shard %d: rolling back orphaned take of %v: %w", i, phys, results[0].err)
-			}
-			// Durable, so the next recovery replays it instead of
-			// reconciling again; a log failure here fails recovery.
-			if err := s.logBatch(batch, results); err != nil {
-				return fmt.Errorf("shard %d: logging rollback of %v: %w", i, phys, err)
+			}}); err != nil {
+				return fmt.Errorf("shard %d: rolling back orphaned take of %v: %w", i, phys, err)
 			}
 			s.publish()
 		}
@@ -356,9 +383,10 @@ func (e *Engine) reconcileTakes(tallies []replayTally, notes *recoveryNotes) err
 
 // recoverShard rebuilds one shard: the checkpointed logical state is
 // re-applied as synthesized ops, then every post-checkpoint log
-// segment replays in order — all through shard.applyBatch, the same
-// code live batches run. It finishes by opening a fresh segment for
-// the shard's own appends.
+// segment replays in order — all through shard.replay, the path a
+// follower's apply takes too, and through applyBatch under it, the
+// code live batches run. It finishes by opening the log for the
+// shard's own appends: a fresh segment, or a follower's last one.
 func (e *Engine) recoverShard(s *shard, st *wal.ShardState, notes *recoveryNotes) (replayTally, error) {
 	var tally replayTally
 	dir := e.shardDir(s.idx)
@@ -398,23 +426,11 @@ func (e *Engine) recoverShard(s *shard, st *wal.ShardState, notes *recoveryNotes
 			return tally, err
 		}
 		lastSeg, lastValid, lastCount = seg, validSize, uint64(len(recs))
-		ops := make([]op, 0, len(recs))
-		expect := make([]overlay.NodeID, 0, len(recs))
-		for _, r := range recs {
-			o, exp := s.opFromRecord(e, r, notes)
-			ops = append(ops, o)
-			expect = append(expect, exp)
-			switch {
-			case r.Kind == wal.KindUpdate:
-				tally.updates++
-			case r.Kind == wal.KindJoin && r.Repoint:
-				tally.migrations++
-				notes.noteRepointed(GlobalID(r.Old))
-			case r.Kind == wal.KindJoin:
-				tally.joins++
-			case r.Kind == wal.KindLeave:
-				tally.leaves++
-			case r.Kind == wal.KindTake:
+		ops := make([]op, len(recs))
+		for i, r := range recs {
+			ops[i] = s.opFromRecord(e, r, notes)
+			tally.add(r)
+			if r.Kind == wal.KindTake {
 				tally.takes = append(tally.takes, takenNode{
 					phys:  Global(s.idx, overlay.NodeID(r.Node)),
 					avail: r.Avail,
@@ -422,7 +438,7 @@ func (e *Engine) recoverShard(s *shard, st *wal.ShardState, notes *recoveryNotes
 			}
 		}
 		tally.records += uint64(len(recs))
-		if err := s.replay(ops, expect); err != nil {
+		if _, err := s.replay(ops); err != nil {
 			return tally, fmt.Errorf("%s: %w", path, err)
 		}
 	}
@@ -459,7 +475,7 @@ func (e *Engine) recoverShard(s *shard, st *wal.ShardState, notes *recoveryNotes
 }
 
 // restoreCheckpoint re-applies a shard's checkpointed logical state
-// through applyBatch in O(alive nodes): the backend's id sequence is
+// through replay in O(alive nodes): the backend's id sequence is
 // advanced over dead ids directly (Backend.SeedNextID) and only alive
 // nodes are joined.
 func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
@@ -481,7 +497,7 @@ func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
 		if err := s.be.SeedNextID(id); err != nil {
 			return err
 		}
-		if err := s.replay([]op{{kind: opJoin}}, []overlay.NodeID{id}); err != nil {
+		if _, err := s.replay([]op{{kind: opJoin, node: id}}); err != nil {
 			return err
 		}
 	}
@@ -505,18 +521,16 @@ func (s *shard) restoreCheckpoint(st *wal.ShardState) error {
 			announce: true,
 		})
 	}
-	expect := make([]overlay.NodeID, len(ops))
-	for i := range expect {
-		expect[i] = -1
-	}
-	return s.replay(ops, expect)
+	_, err := s.replay(ops)
+	return err
 }
 
 // opFromRecord rebuilds the live op a log record was written from,
 // including the forwarding side effects that ride onApplied hooks —
-// so replay exercises exactly the mechanism the live write did.
-// expect is the local id a join must re-assign (-1: no expectation).
-func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op, overlay.NodeID) {
+// so replay exercises exactly the mechanism the live write did. A
+// join's node is the local id it must re-assign; notes (nil: none)
+// learn the repoints and forgotten ids the hooks apply.
+func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) op {
 	switch r.Kind {
 	case wal.KindUpdate:
 		return op{
@@ -524,9 +538,9 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 			node:     overlay.NodeID(r.Node),
 			avail:    vector.Vec(r.Avail),
 			announce: r.Announce,
-		}, -1
+		}
 	case wal.KindJoin:
-		o := op{kind: opJoin, avail: vector.Vec(r.Avail)}
+		o := op{kind: opJoin, node: overlay.NodeID(r.Node), avail: vector.Vec(r.Avail)}
 		if r.Repoint {
 			ext, old := GlobalID(r.Ext), GlobalID(r.Old)
 			o.mig = &migMeta{ext: ext, old: old}
@@ -534,10 +548,11 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 			o.onApplied = func(res opResult) {
 				if res.err == nil {
 					e.fwd.Repoint(ext, old, Global(idx, res.node))
+					notes.noteRepointed(old)
 				}
 			}
 		}
-		return o, overlay.NodeID(r.Node)
+		return o
 	case wal.KindLeave:
 		phys := Global(s.idx, overlay.NodeID(r.Node))
 		return op{
@@ -548,35 +563,39 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) (op,
 					notes.noteForgotten(e.fwd.Forget(phys))
 				}
 			},
-		}, -1
+		}
 	default: // wal.KindTake
-		return op{kind: opTake, node: overlay.NodeID(r.Node)}, -1
+		return op{kind: opTake, node: overlay.NodeID(r.Node)}
 	}
 }
 
-// replay drives ops through applyBatch in MaxBatch-sized batches —
-// the live write path minus the queue; like it, it advances no
-// simulated time — verifying every join re-assigns the id the log
-// recorded. Any op failing where the live engine succeeded means the
-// log and this engine's deterministic backend have diverged, and
-// recovery aborts rather than serve a state it cannot vouch for.
-func (s *shard) replay(ops []op, expect []overlay.NodeID) error {
+// replay is the one path from records to state: recovery, a follower's
+// apply and the rollback of an orphaned take all drive their ops
+// through it. It applies them in MaxBatch-sized batches and logs each
+// batch as a live one is (logBatch writes nothing during recovery,
+// which runs before the log opens); like the live path it advances no
+// simulated time. Every op must succeed and every join must re-assign
+// the id its op names: anything else means the log and this engine's
+// deterministic backend have diverged, and replay stops rather than
+// build on a state it cannot vouch for. It returns how many ops
+// mutated state; publishing them is the caller's.
+func (s *shard) replay(ops []op) (int, error) {
+	muts := 0
 	for len(ops) > 0 {
-		n := len(ops)
-		if n > s.cfg.MaxBatch {
-			n = s.cfg.MaxBatch
-		}
-		results, _ := s.applyBatch(ops[:n])
-		for i := 0; i < n; i++ {
+		batch := ops[:min(len(ops), s.cfg.MaxBatch)]
+		results, n := s.applyBatch(batch)
+		s.logBatch(batch, results)
+		muts += n
+		for i, o := range batch {
 			if err := results[i].err; err != nil {
-				return fmt.Errorf("replay op %d (kind %d, node %d): %w", i, ops[i].kind, ops[i].node, err)
+				return muts, fmt.Errorf("replay op %d (kind %d, node %d): %w", i, o.kind, o.node, err)
 			}
-			if exp := expect[i]; exp >= 0 && results[i].node != exp {
-				return fmt.Errorf("replay join assigned node %d, log recorded %d (divergent backend)",
-					results[i].node, exp)
+			if o.kind == opJoin && o.node >= 0 && results[i].node != o.node {
+				return muts, fmt.Errorf("replay join assigned node %d, log recorded %d (divergent backend)",
+					results[i].node, o.node)
 			}
 		}
-		ops, expect = ops[n:], expect[n:]
+		ops = ops[len(batch):]
 	}
-	return nil
+	return muts, nil
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"pidcan/internal/overlay"
 	"pidcan/internal/serve/wal"
 )
 
@@ -12,17 +11,18 @@ import (
 // on. The division of labor: the wire protocol carries the stream;
 // repl owns sessions and reconnects; the engine owns every touch of
 // shard state and the mirrored DataDir, all funneled through each
-// shard's combiner lock so replication obeys the same single-writer
-// discipline as serving.
+// shard's combiner lock (shard.locked) so replication obeys the same
+// single-writer discipline as serving.
 //
 // A follower's DataDir is a byte-level mirror of its primary's:
 // checkpoints are shipped verbatim (SaveRaw), and log segments are
-// rebuilt record by record through the same applyBatch + logBatch
-// path live writes take — the encoding is deterministic, so the
-// rebuilt segments are byte-identical to the primary's. The mirror
-// is what makes a follower crash/restart cheap: it recovers from its
-// own disk like any durable engine, then resumes the stream from the
-// exact (segment, record) position its log ends at.
+// rebuilt record by record through shard.replay, whose applyBatch +
+// logBatch are the path live writes take — the encoding is
+// deterministic, so the rebuilt segments are byte-identical to the
+// primary's. The mirror is what makes a follower crash/restart cheap:
+// it recovers from its own disk like any durable engine, then resumes
+// the stream from the exact (segment, record) position its log ends
+// at.
 
 // ReplSink receives a primary's replication feed: every logged
 // record batch and every completed checkpoint, in order (per shard;
@@ -77,20 +77,22 @@ type ReplPos struct {
 	Seg, Pos uint64
 }
 
-// ReplSyncPosition flushes and fsyncs one shard's op-log on its loop
-// and returns the exact position — everything at or before it is
-// readable from the segment file, which is what lets the repl server
-// stream a catching-up follower from disk without gaps against the
-// live feed.
+// ReplSyncPosition flushes and fsyncs one shard's op-log under its
+// combiner lock and returns the exact position — everything at or
+// before it is readable from the segment file, which is what lets the
+// repl server stream a catching-up follower from disk without gaps
+// against the live feed.
 func (e *Engine) ReplSyncPosition(shard int) (ReplPos, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return ReplPos{}, fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
-	res, err := e.shards[shard].controlReq(ctlSync, 0)
-	if err != nil {
-		return ReplPos{}, err
-	}
-	return ReplPos{Seg: res.seg, Pos: res.pos}, nil
+	s := e.shards[shard]
+	var pos ReplPos
+	err := s.locked(func() (err error) {
+		pos, err = s.syncLog()
+		return err
+	})
+	return pos, err
 }
 
 // ReplPositions returns every shard's live position from lock-free
@@ -111,10 +113,10 @@ func (e *Engine) ReplLogPath(shard int, seg uint64) string {
 }
 
 // ReplApply applies one replicated record batch to a follower shard
-// through the write queue, serving a round of it itself when the
-// shard's combiner lock is free — the same applyBatch path recovery
-// and live serving use — and verifies it the way recovery does: every
-// join must re-assign the id the primary logged, or the backends
+// under its combiner lock, through shard.replay — the path recovery
+// takes, and through its applyBatch the one live serving takes — and
+// publishes it once. Replay verifies it the way it verifies recovery:
+// every join must re-assign the id the primary logged, or the backends
 // have diverged and the error aborts the stream rather than serve
 // unverifiable state. The records are re-logged to the follower's
 // mirror by the shard's own logBatch (deterministic encoding: the
@@ -135,49 +137,24 @@ func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 		return fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
 	s := e.shards[shard]
-	notes := &recoveryNotes{repointed: map[GlobalID]bool{}, forgotten: map[GlobalID]bool{}}
-	type pending struct {
-		reply   chan opResult
-		expect  overlay.NodeID
-		kind    wal.Kind
-		repoint bool
-	}
-	pends := make([]pending, 0, len(recs))
-	// Enqueue the whole frame, serve it, then collect: the queue is
-	// FIFO, so order is preserved and the frame drains in big batches
-	// instead of one op per batch.
+	ops := make([]op, len(recs))
+	var counts kindCounts
 	for i := range recs {
-		o, expect := s.opFromRecord(e, recs[i], notes)
-		o.reply = make(chan opResult, 1)
-		if err := s.enqueue(o); err != nil {
-			return err
-		}
-		pends = append(pends, pending{o.reply, expect, recs[i].Kind, recs[i].Repoint})
+		ops[i] = s.opFromRecord(e, recs[i], nil)
+		counts.add(recs[i])
 	}
-	s.serveQueued()
-	for i, p := range pends {
-		res, err := s.await(p.reply)
-		if err != nil {
-			return err
+	err := s.locked(func() error {
+		muts, err := s.replay(ops)
+		if muts > 0 && s.epoch != nil {
+			s.epoch.Add(1)
 		}
-		if res.err != nil {
-			return fmt.Errorf("replicated record %d (kind %d): %w", i, p.kind, res.err)
-		}
-		if p.expect >= 0 && res.node != p.expect {
-			return fmt.Errorf("replicated join assigned node %d, primary logged %d (divergent backend)",
-				res.node, p.expect)
-		}
-		switch {
-		case p.kind == wal.KindUpdate:
-			e.updates.Add(1)
-		case p.kind == wal.KindJoin && p.repoint:
-			e.migrations.Add(1)
-		case p.kind == wal.KindJoin:
-			e.joins.Add(1)
-		case p.kind == wal.KindLeave:
-			e.leaves.Add(1)
-		}
+		s.publishDelta()
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	e.addCounts(counts)
 	return nil
 }
 
@@ -196,8 +173,13 @@ func (e *Engine) ReplRotate(shard int, seg uint64) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
-	_, err := e.shards[shard].controlReq(ctlRotate, seg)
-	return err
+	s := e.shards[shard]
+	return s.locked(func() error {
+		if s.log.Seg() >= seg {
+			return nil
+		}
+		return s.rotate(seg, true)
+	})
 }
 
 // checkCkptCompat guards against state written under an incompatible

@@ -35,8 +35,9 @@
 //     shard started, on top of Warmup. It is advanced in one
 //     place only, the idle tick of shard.loop (every FlushInterval),
 //     by target - Backend.Now() when positive, in slices of at most
-//     StepQuantum; a slice that finds ops queued ends the tick's
-//     catch-up and the next tick steps what is still owed. Nothing
+//     StepQuantum; a slice that finds ops queued or a caller waiting
+//     for the combiner lock ends the tick's catch-up and the next tick
+//     steps what is still owed. Nothing
 //     else calls Backend.Step — not the write ack path, not recovery
 //     replay, not follower apply — so the protocol's state-update and
 //     index-diffusion machinery (the paper's periods are real-time

@@ -31,11 +31,11 @@ type fakeBackend struct {
 	queries   int
 
 	// Clock-contract instrumentation: steps logs every Step's d (the
-	// Warmup step included), onStep runs inside each Step on the shard
-	// loop, queryRuns is how far a Query runs the clock ahead
-	// (as Cluster.Query does while it drives the protocol), and
-	// nodesCalls counts Nodes() listings (the fake's own Query lists
-	// too; Size does not).
+	// Warmup step included), onStep runs inside each Step under the
+	// shard's combiner lock, queryRuns is how far a Query runs the
+	// clock ahead (as Cluster.Query does while it drives the
+	// protocol), and nodesCalls counts Nodes() listings (the fake's own
+	// Query lists too; Size does not).
 	steps      []sim.Time
 	onStep     func()
 	queryRuns  sim.Time
@@ -163,10 +163,9 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 
 // handClock is the test side of the shards' clock seam: wall time, as
 // the shards see it, is whatever the test has advanced it to, and an
-// idle tick happens exactly when the test delivers one.
+// idle tick happens exactly when the test runs one.
 type handClock struct {
 	e       *Engine
-	ticks   []chan time.Time
 	fakes   []*fakeBackend
 	elapsed time.Duration
 }
@@ -186,31 +185,30 @@ func newClockedEngine(t *testing.T, cfg Config) (*Engine, *handClock) {
 	}
 	c.e = e
 	for _, s := range e.shards {
-		ch := make(chan time.Time)
-		s.ticks = ch
-		c.ticks = append(c.ticks, ch)
+		s.ticks = make(chan time.Time) // the loop's ticks never come
 	}
 	e.start()
 	t.Cleanup(func() { e.Close() })
 	return e, c
 }
 
-// advance moves wall time forward by d and delivers one tick to every
-// shard; it returns once each shard has finished handling its tick.
+// advance moves wall time forward by d and runs one tick on every
+// shard, under its combiner lock as the loop would.
 func (c *handClock) advance(d time.Duration) {
 	c.elapsed += d
-	for i, s := range c.e.shards {
-		c.ticks[i] <- s.started.Add(c.elapsed)
-		c.settle(i)
+	for _, s := range c.e.shards {
+		now := s.started.Add(c.elapsed)
+		s.locked(func() error { s.tick(now); return nil })
 	}
 }
 
-// settle returns once shard i's goroutine is past whatever it was
-// doing when settle was called: the loop serves a control request only
-// between events, and everything it wrote before replying is visible
-// to the caller.
+// settle returns once whoever held shard i's combiner lock when settle
+// was called has let it go: everything written under the lock before
+// is visible to the caller.
 func (c *handClock) settle(i int) {
-	c.e.shards[i].controlReq(ctlSync, 0) // in-memory: ErrNotDurable, still a round trip
+	s := c.e.shards[i]
+	s.mu.Lock()
+	s.mu.Unlock()
 }
 
 func TestGlobalIDRoundTrip(t *testing.T) {

@@ -43,14 +43,18 @@ type pendingReply struct {
 	res   opResult
 }
 
-// op is one shard operation. reply, set on a queued op (capacity 1),
-// receives exactly one opResult; an op its caller serves itself has
-// none. onApplied, when non-nil, runs under the shard's combiner lock
-// right after the op is applied and BEFORE the batch's snapshot
-// publishes — the hook migration uses to install forwarding for a
-// joined node before any snapshot can expose its new physical id, and
-// Leave uses to drop forwarding state ahead of any later checkpoint
-// capture.
+// op is one shard operation, applied by whoever holds the shard's
+// combiner lock: a writer's own op, an op queued behind a busy lock,
+// or one of the ops replay drives from records. node is the node the
+// op acts on; on a join, which picks its id itself, replay reads it as
+// the id the log recorded it getting (-1: no expectation). reply, set
+// on a queued op (capacity 1), receives exactly one opResult; an op
+// served by its own caller or by replay has none. onApplied, when
+// non-nil, runs under the combiner lock right after the op is applied
+// and BEFORE the batch's snapshot publishes — the hook migration uses
+// to install forwarding for a joined node before any snapshot can
+// expose its new physical id, and Leave uses to drop forwarding state
+// ahead of any later checkpoint capture.
 type op struct {
 	kind      opKind
 	node      overlay.NodeID
@@ -72,58 +76,28 @@ type opResult struct {
 	err   error
 }
 
-// ctlKind enumerates the control requests the shard loop serves
-// between rounds: the only way anything but a write reaches the log.
-type ctlKind int
-
-const (
-	// ctlSync flushes and fsyncs the op-log and reports the exact
-	// (segment, record) position — the handshake read point a
-	// catching-up follower's disk stream starts from.
-	ctlSync ctlKind = iota
-	// ctlRotate rotates the log onto segment seg (no-op when the log
-	// is already there or past), compacting the closed segment — how
-	// a follower mirrors its primary's rotation points.
-	ctlRotate
-	// ctlCheckpoint rotates the log onto a fresh segment and captures
-	// the shard's logical state at that exact boundary (ctlRes.state).
-	ctlCheckpoint
-)
-
-// ctlReq is one control request; reply (capacity 1) receives the
-// result.
-type ctlReq struct {
-	kind  ctlKind
-	seg   uint64 // ctlRotate target
-	reply chan ctlRes
-}
-
-type ctlRes struct {
-	seg   uint64
-	pos   uint64
-	state wal.ShardState // ctlCheckpoint
-	err   error
-}
-
-// shard owns one Backend. Whoever holds the combiner lock mu — a
-// writer serving its own op, or the shard loop — owns the backend and
-// every field marked "combiner" below; the rest of the engine
-// reads the published snapshot.
+// shard owns one Backend. Whoever holds the combiner lock mu owns the
+// backend and every field marked "combiner" below; the rest of the
+// engine reads the published snapshot. There is one door in: a writer
+// TryLocks mu to serve its own op (submit), and everything else — the
+// loop's rounds and ticks, control calls, a follower's apply — waits
+// for it (loop, locked).
 type shard struct {
 	idx  int
 	cfg  Config
 	be   Backend
 	ops  chan op
-	ctl  chan ctlReq
 	stop chan struct{}
 	done chan struct{}
 
 	// mu is the combiner lock: the shard's single writer is whoever
-	// holds it. Callers only TryLock it; the loop alone waits for it.
-	// stopped (combiner) is set by the loop's stop before the log
-	// closes: no round runs after it. kick (one slot) hands the loop
-	// ops a holder left queued when it unlocked.
+	// holds it. Writers only TryLock it; the loop and locked's callers
+	// wait for it, and waiters counts the latter, so a catch-up yields
+	// to them. stopped (combiner) is set by the loop's stop before the
+	// log closes: no round and no locked call runs after it. kick (one
+	// slot) hands the loop ops a holder left queued when it unlocked.
 	mu      sync.Mutex
+	waiters atomic.Int32
 	stopped bool
 	kick    chan struct{}
 
@@ -233,7 +207,6 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		cfg:      cfg,
 		be:       be,
 		ops:      make(chan op, cfg.QueueDepth),
-		ctl:      make(chan ctlReq),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
@@ -275,15 +248,11 @@ func (s *shard) halt() {
 	<-s.done
 }
 
-// loop is the shard goroutine: it serves what no writer serves
-// itself — the ops a combiner left queued (kick), control requests and
-// the idle tick — each under the combiner lock. The idle tick is the
-// only place simulated time moves (the clock contract in serve.go): it
-// steps the overlay up to the tick's wall time and republishes under
-// the new clock, so record freshness and the protocol's periodic
-// machinery run at real time whatever the traffic. Reads never enter
-// here: queries on the snapshot path touch neither the lock nor the
-// log.
+// loop is the shard goroutine: it serves what nobody else serves — the
+// ops a holder left queued (kick) and the idle tick — each under the
+// combiner lock, and on stop closes the log and marks the shard
+// stopped. Reads never enter here: queries on the snapshot path touch
+// neither the lock nor the log.
 func (s *shard) loop() {
 	defer close(s.done)
 	ticks := s.ticks
@@ -306,18 +275,22 @@ func (s *shard) loop() {
 			s.mu.Lock()
 			s.combine(nil)
 			s.unlock()
-		case req := <-s.ctl:
-			s.mu.Lock()
-			res := s.control(req)
-			s.unlock()
-			req.reply <- res
 		case now := <-ticks:
 			s.mu.Lock()
-			s.catchUp(s.base + sim.Time(now.Sub(s.started)/time.Microsecond))
-			s.publishDelta()
+			s.tick(now)
 			s.unlock()
 		}
 	}
+}
+
+// tick is the idle tick, under the combiner lock: the only place
+// simulated time moves (the clock contract in serve.go). It steps the
+// overlay up to wall time now and republishes under the new clock, so
+// record freshness and the protocol's periodic machinery run at real
+// time whatever the traffic.
+func (s *shard) tick(now time.Time) {
+	s.catchUp(s.base + sim.Time(now.Sub(s.started)/time.Microsecond))
+	s.publishDelta()
 }
 
 // combine serves one round under the combiner lock: own (nil: none) as
@@ -398,6 +371,22 @@ func (s *shard) unlock() {
 	}
 }
 
+// locked runs fn as the shard's writer: the door for everything that is
+// not a writer's own op. It waits for the combiner lock, counted in
+// waiters meanwhile, fails with ErrClosed once the shard has stopped,
+// and releases through unlock, so ops queued while fn ran still get
+// their kick.
+func (s *shard) locked(fn func() error) error {
+	s.waiters.Add(1)
+	s.mu.Lock()
+	s.waiters.Add(-1)
+	defer s.unlock()
+	if s.stopped {
+		return ErrClosed
+	}
+	return fn()
+}
+
 // serveQueued serves one round of queued ops if the combiner lock is
 // free. A busy lock leaves nothing behind: its holder looks at the
 // queue when it unlocks.
@@ -411,12 +400,13 @@ func (s *shard) serveQueued() {
 }
 
 // catchUp steps the overlay up to target in slices of at most
-// StepQuantum, returning early after a slice that finds ops queued (the
-// next tick steps the rest). A backend at or past target is left alone.
+// StepQuantum, returning early after a slice that finds ops queued or a
+// locked caller waiting (the next tick steps the rest). A backend at or
+// past target is left alone.
 func (s *shard) catchUp(target sim.Time) {
 	for d := target - s.be.Now(); d > 0; d = target - s.be.Now() {
 		s.be.Step(min(d, s.cfg.StepQuantum))
-		if len(s.ops) > 0 {
+		if len(s.ops) > 0 || s.waiters.Load() > 0 {
 			return
 		}
 	}
@@ -547,21 +537,21 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 // of writes costs one fsync, not one per record. A log failure
 // degrades durability, not serving — the shard keeps running on its
 // in-memory state — but it is no longer silent: every mutating op of
-// the failed batch has its result overridden with ErrWAL, so the
-// blocked writers learn their write is not durable instead of being
+// the failed batch has its result overridden with ErrWAL, so its
+// writers (and replay) learn the write is not durable instead of being
 // acked as if it were (Stats.LogErrors still counts the failures).
 // When the current segment outgrows Config.SegmentMaxBytes the log
 // rotates and the closed segment is compacted (followers rotate on
 // their primary's stream positions instead).
-func (s *shard) logBatch(batch []op, results []opResult) error {
+func (s *shard) logBatch(batch []op, results []opResult) {
 	snk := s.captureSink()
 	if s.log == nil && snk == nil {
-		return nil
+		return
 	}
 	recs := s.batchRecords(batch, results)
 	s.recBuf = recs[:0]
 	if len(recs) == 0 {
-		return nil
+		return
 	}
 	// The capture stream sees the batch whether or not a log exists
 	// (in-memory engines record traces too) and regardless of the
@@ -572,13 +562,13 @@ func (s *shard) logBatch(batch []op, results []opResult) error {
 		snk.CaptureMutations(s.idx, recs)
 	}
 	if s.log == nil {
-		return nil
+		return
 	}
 	before := s.log.Size()
 	if err := s.log.Append(recs...); err != nil {
 		s.logErrors.Add(1)
 		s.failBatch(batch, results, err)
-		return err
+		return
 	}
 	s.logRecords.Add(uint64(len(recs)))
 	s.logBytes.Add(s.log.Size() - before)
@@ -598,7 +588,7 @@ func (s *shard) logBatch(batch []op, results []opResult) error {
 		if err := s.log.Sync(); err != nil {
 			s.logErrors.Add(1)
 			s.failBatch(batch, results, err)
-			return err
+			return
 		}
 		s.unsynced = 0
 	}
@@ -606,7 +596,6 @@ func (s *shard) logBatch(batch []op, results []opResult) error {
 		(s.readOnly == nil || !s.readOnly.Load()) {
 		s.rotate(s.log.Seg()+1, true)
 	}
-	return nil
 }
 
 // captureSink returns the attached capture sink, or nil.
@@ -700,54 +689,19 @@ func (s *shard) rotate(seg uint64, compact bool) error {
 	return nil
 }
 
-// control serves a control request under the combiner lock, the one
-// way to the log besides a write.
-func (s *shard) control(req ctlReq) ctlRes {
+// syncLog flushes and fsyncs the op-log and returns its exact position
+// — the handshake read point a catching-up follower's disk stream
+// starts from. Combiner.
+func (s *shard) syncLog() (ReplPos, error) {
 	if s.log == nil {
-		return ctlRes{err: ErrNotDurable}
+		return ReplPos{}, ErrNotDurable
 	}
-	switch req.kind {
-	case ctlSync:
-		if err := s.log.Sync(); err != nil {
-			s.logErrors.Add(1)
-			return ctlRes{err: err}
-		}
-		s.unsynced = 0
-		return ctlRes{seg: s.log.Seg(), pos: s.segRecs.Load()}
-	case ctlRotate:
-		if s.log.Seg() < req.seg {
-			if err := s.rotate(req.seg, true); err != nil {
-				return ctlRes{err: err}
-			}
-		}
-		return ctlRes{seg: s.log.Seg(), pos: s.segRecs.Load()}
-	case ctlCheckpoint:
-		return s.checkpointNow()
+	if err := s.log.Sync(); err != nil {
+		s.logErrors.Add(1)
+		return ReplPos{}, err
 	}
-	return ctlRes{err: fmt.Errorf("serve: unknown control request %d", req.kind)}
-}
-
-// controlReq submits one control request to the shard loop and waits
-// for its result; ErrClosed once the loop has exited.
-func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
-	req := ctlReq{kind: kind, seg: seg, reply: make(chan ctlRes, 1)}
-	select {
-	case s.ctl <- req:
-	case <-s.done:
-		return ctlRes{}, ErrClosed
-	}
-	select {
-	case res := <-req.reply:
-		return res, res.err
-	case <-s.done:
-		// The loop may have served the request right before exiting.
-		select {
-		case res := <-req.reply:
-			return res, res.err
-		default:
-			return ctlRes{}, ErrClosed
-		}
-	}
+	s.unsynced = 0
+	return ReplPos{Seg: s.log.Seg(), Pos: s.segRecs.Load()}, nil
 }
 
 // checkpointNow runs under the combiner lock: it rotates the log onto
@@ -755,9 +709,9 @@ func (s *shard) controlReq(kind ctlKind, seg uint64) (ctlRes, error) {
 // that boundary — the old segments plus the captured state are two
 // encodings of the same history, so recovery may substitute one for
 // the other.
-func (s *shard) checkpointNow() ctlRes {
+func (s *shard) checkpointNow() (wal.ShardState, error) {
 	if err := s.rotate(s.log.Seg()+1, false); err != nil {
-		return ctlRes{err: err}
+		return wal.ShardState{}, err
 	}
 	s.logBytes.Store(0)
 	st := wal.ShardState{
@@ -771,7 +725,7 @@ func (s *shard) checkpointNow() ctlRes {
 			Avail: s.be.Availability(id),
 		})
 	}
-	return ctlRes{state: st}
+	return st, nil
 }
 
 // record builds one node's published record.
@@ -885,29 +839,8 @@ func (s *shard) installSnap(now sim.Time) {
 // newShard).
 func (s *shard) snapshot() *Snapshot { return s.snap.Load() }
 
-// enqueue inserts o (o.reply set) into the write queue without
-// waiting for its result — the replication applier's pipelining
-// primitive: a frame's ops are all enqueued (order preserved, the
-// queue is FIFO) before serveQueued and their replies. A full queue
-// gets a round served before enqueue blocks. Fails with ErrClosed
-// once the shard loop has exited.
-func (s *shard) enqueue(o op) error {
-	select {
-	case s.ops <- o:
-		return nil
-	default:
-	}
-	s.serveQueued()
-	select {
-	case s.ops <- o:
-		return nil
-	case <-s.done:
-		return ErrClosed
-	}
-}
-
-// await waits for a queued op's result: ErrClosed once the shard loop
-// has exited with the op unserved.
+// await waits for a queued op's result: ErrClosed once the shard has
+// stopped with the op unserved.
 func (s *shard) await(reply chan opResult) (opResult, error) {
 	select {
 	case r := <-reply:
@@ -948,8 +881,15 @@ func (s *shard) submit(o op) (opResult, error) {
 		s.mu.Unlock()
 	}
 	o.reply = make(chan opResult, 1)
-	if err := s.enqueue(o); err != nil {
-		return opResult{}, err
+	select {
+	case s.ops <- o:
+	default: // full: serve a round before blocking
+		s.serveQueued()
+		select {
+		case s.ops <- o:
+		case <-s.done:
+			return opResult{}, ErrClosed
+		}
 	}
 	s.serveQueued()
 	return s.await(o.reply)

@@ -149,15 +149,14 @@ func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 }
 
 // TestFollowerApplyAllocation: a follower's apply of one replicated
-// update at 2 500 nodes — the op queued and answered, the mirror log
-// append and the publication — allocates no more than the 5 054 B in
-// 23.5 allocations it took while the index still kept a second,
-// by-node sequence (≈ 3 490 B in 20.5 without it).
+// update at 2 500 nodes — the op replayed under the combiner lock, the
+// mirror log append and the publication — allocates no more than the
+// 3 270 B in 15.5 allocations measured for it.
 func TestFollowerApplyAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bytesCap, allocsCap = 5000, 23
+	const bytesCap, allocsCap = 3300, 16
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 2500
 	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)

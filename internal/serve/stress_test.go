@@ -9,6 +9,7 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -407,8 +408,8 @@ func TestStressScatterCloseUnderFire(t *testing.T) {
 }
 
 // TestStressCombiner drives one shard's combiner lock from 32 writers
-// at once, through a 4-op queue and 8-ack rounds, with control round
-// trips to the shard loop and idle ticks every millisecond in between,
+// at once, through a 4-op queue and 8-ack rounds, with control calls
+// through the combiner lock and idle ticks every millisecond in between,
 // and halts the shard at a random point. Each writer owns one node and
 // writes it an increasing sequence number. Every acked write must be
 // in the shard's snapshot when its call returns; each node's applied
@@ -520,7 +521,7 @@ func stressCombiner(t *testing.T, stall bool) {
 		}()
 	}
 	wg.Add(1)
-	go func() { // control round trips through the shard loop
+	go func() { // control calls through the combiner lock
 		defer wg.Done()
 		for {
 			_, err := eng.ReplSyncPosition(0)
@@ -569,6 +570,137 @@ func stressCombiner(t *testing.T, stall bool) {
 	}
 	st := eng.Stats()
 	t.Logf("%d writes acked before the halt in %d batches", total, st.Shards[0].Batches)
+}
+
+// TestStressFollowerApply comes at a follower shard through every door
+// at once: one goroutine streams replicated frames and mirror rotations
+// into it, 8 run consistent queries that queue on the same shard
+// behind a 4-op queue, one loops on log syncs, and the shard halts at a
+// random point. Every frame whose apply returned nil must be in the
+// shard's snapshot when the call returns, and the halted shard's last
+// snapshot must hold exactly the last applied frames; after the halt
+// every call must return its real result or ErrClosed, and none may
+// hang.
+func TestStressFollowerApply(t *testing.T) {
+	const nodes = 16
+	eng, err := serve.New(serve.Config{
+		Shards:        1,
+		NodesPerShard: nodes,
+		Seed:          41,
+		QueueDepth:    4,
+		FlushInterval: time.Millisecond,
+		DataDir:       t.TempDir(),
+		Follower:      true,
+	}, func(i int, rc serve.Config) (serve.Backend, error) {
+		return pidcan.NewCluster(pidcan.ClusterConfig{Nodes: rc.NodesPerShard, CMax: rc.CMax, Seed: rc.Seed})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	cmax := eng.Config().CMax
+
+	// run calls f until it returns ErrClosed, failing on any other
+	// error; once refused, a call stays refused.
+	var wg sync.WaitGroup
+	run := func(who string, f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				err := f()
+				if errors.Is(err, serve.ErrClosed) {
+					for range 3 {
+						if err := f(); !errors.Is(err, serve.ErrClosed) {
+							t.Errorf("%s after the halt: %v, want ErrClosed", who, err)
+						}
+					}
+					return
+				}
+				if err != nil {
+					t.Errorf("%s: %v", who, err)
+					return
+				}
+			}
+		}()
+	}
+
+	// The streamer writes node n%nodes the availability whose last
+	// component is n, three nodes a frame, and moves the mirror onto a
+	// new segment every 16 frames.
+	last := make([]float64, nodes) // the last applied value per node
+	streaming := make(chan struct{})
+	frame, seg := 0, uint64(1)
+	run("stream", func() error {
+		frame++
+		if frame%16 == 0 {
+			seg++
+			if err := eng.ReplRotate(0, seg); err != nil {
+				return err
+			}
+		}
+		recs := make([]wal.Record, 3)
+		for i := range recs {
+			n := 3*frame + i
+			a := cmax.Scale(0.5)
+			a[len(a)-1] = float64(n)
+			recs[i] = wal.Record{Kind: wal.KindUpdate, Node: uint32(n % nodes), Avail: a}
+		}
+		if err := eng.ReplApply(0, eng.Epoch(), recs); err != nil {
+			return err
+		}
+		snap, _ := eng.Snapshot(0)
+		for _, r := range recs {
+			last[r.Node] = r.Avail[len(r.Avail)-1]
+			if got := snapAvail(snap, serve.Global(0, overlay.NodeID(r.Node))); got == nil || got[len(got)-1] != last[r.Node] {
+				return fmt.Errorf("frame %d applied, snapshot %d holds %v for node %d", frame, snap.Version, got, r.Node)
+			}
+		}
+		if frame == 1 {
+			close(streaming)
+		}
+		return nil
+	})
+	for q := range 8 {
+		run(fmt.Sprintf("consistent query %d", q), func() error {
+			_, err := eng.Query(serve.QueryRequest{Demand: cmax.Scale(0.2), K: 2, Consistent: true})
+			return err
+		})
+	}
+	var lastSeg uint64
+	run("sync", func() error {
+		pos, err := eng.ReplSyncPosition(0)
+		if err == nil && pos.Seg < lastSeg {
+			return fmt.Errorf("synced at segment %d after %d", pos.Seg, lastSeg)
+		}
+		lastSeg = pos.Seg
+		return err
+	})
+
+	watchdog := time.After(10 * time.Second)
+	select {
+	case <-streaming:
+	case <-watchdog:
+		t.Fatal("the first frame still hangs after 10s")
+	}
+	time.Sleep(time.Duration(1+rand.IntN(20)) * time.Millisecond)
+	if err := eng.HaltShard(0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-watchdog:
+		t.Fatal("a call still hangs after the halt")
+	}
+	snap, _ := eng.Snapshot(0)
+	for n, want := range last {
+		if got := snapAvail(snap, serve.Global(0, overlay.NodeID(n))); want != 0 && (got == nil || got[len(got)-1] != want) {
+			t.Fatalf("node %d: last applied frame wrote %v, the halted shard's snapshot holds %v", n, want, got)
+		}
+	}
+	t.Logf("%d frames streamed before the halt, mirror on segment %d", frame, seg)
 }
 
 // snapAvail returns node's availability in snap, or nil.
