@@ -20,14 +20,14 @@
 // converging from what it observes.
 //
 // Endpoints: the standard JSON API (POST /query /update /join
-// /leave /take, GET /nodes /stats /healthz) plus GET /map (each
-// member's index, addresses and last observed epoch) and POST
-// /migrate {"node":N,"member":M} (cross-process node migration).
+// /leave /take, GET /nodes /stats /healthz) plus POST /migrate
+// {"node":N,"member":M} (cross-process node migration). /stats carries
+// the federation map under "map": each member's index, addresses and
+// last observed epoch.
 // -wire-addr adds the binary wire edge over the same router.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
 	"net"
@@ -115,16 +115,12 @@ func main() {
 	router.Close()
 }
 
-// newHandler is the router's HTTP surface: the Service API plus GET
-// /map and POST /migrate, whose body is decoded and whose errors are
-// answered as every other route's are.
+// newHandler is the router's HTTP surface: the Service API plus POST
+// /migrate, whose body is decoded and whose errors are answered as
+// every other route's are.
 func newHandler(router *pidcan.FedRouter) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", pidcan.NewHandler(router))
-	mux.HandleFunc("GET /map", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(router.Map())
-	})
 	mux.HandleFunc("POST /migrate", serve.HandleJSON(router, func(req struct {
 		Node   pidcan.GlobalNodeID `json:"node"`
 		Member int                 `json:"member"`

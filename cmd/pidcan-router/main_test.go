@@ -52,9 +52,10 @@ func post(t *testing.T, url, body string) (int, string, map[string]any) {
 }
 
 // TestRouterHTTP drives the router's HTTP surface in process: the
-// Service API, GET /map, and POST /migrate with the statuses every
-// other route answers — 404 for an unknown member, 400 for an unknown
-// field, 503 once the router is closed — all as JSON.
+// Service API, the federation map in /stats (there is no GET /map), and
+// POST /migrate with the statuses every other route answers — 404 for
+// an unknown member, 400 for an unknown field, 503 once the router is
+// closed — all as JSON.
 func TestRouterHTTP(t *testing.T) {
 	router, err := pidcan.NewFedRouter(pidcan.FedRouterConfig{
 		Members:        [][]string{{startMember(t, 1)}, {startMember(t, 2)}},
@@ -78,15 +79,24 @@ func TestRouterHTTP(t *testing.T) {
 		t.Fatalf("query: %d %v", status, out)
 	}
 
-	resp, err := http.Get(ts.URL + "/map")
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m []map[string]any
-	err = json.NewDecoder(resp.Body).Decode(&m)
+	var st struct {
+		Map []map[string]any `json:"map"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
-	if err != nil || len(m) != 2 {
-		t.Fatalf("map: %v %v", m, err)
+	if err != nil || len(st.Map) != 2 {
+		t.Fatalf("stats map: %v %v", st.Map, err)
+	}
+	if resp, err = http.Get(ts.URL + "/map"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /map: %d, want 404", resp.StatusCode)
 	}
 
 	migrate := func(body string) (int, string, map[string]any) {

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"pidcan"
+	"pidcan/internal/serve"
 	"pidcan/internal/vector"
 )
 
@@ -98,8 +99,8 @@ func main() {
 	var h dynHandler
 	h.capture = pidcan.NewCaptureHandler(h.engine)
 
-	// The wire edge starts before the engine: its listeners answer
-	// CodeNotReady until the role setup mounts one through h.set
+	// The wire edge starts before the engine: both edges answer
+	// serve.ErrNotReady until the role setup mounts one through h.set
 	// (exactly the follower re-bootstrap contract). JSON/HTTP stays up
 	// as the debug surface next to it.
 	var ws *pidcan.WireServer
@@ -173,7 +174,7 @@ func (d *dynHandler) set(e *pidcan.Engine) {
 }
 
 // engine is the wire server's view of the current engine (nil until
-// the first set; the wire edge answers CodeNotReady meanwhile).
+// the first set; both edges answer serve.ErrNotReady meanwhile).
 func (d *dynHandler) engine() *pidcan.Engine {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -191,7 +192,7 @@ func (d *dynHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h := d.h
 	d.mu.RUnlock()
 	if h == nil {
-		http.Error(w, `{"error":"engine not ready (follower still bootstrapping)"}`, http.StatusServiceUnavailable)
+		serve.WriteError(w, "", serve.ErrNotReady)
 		return
 	}
 	h.ServeHTTP(w, r)

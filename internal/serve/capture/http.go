@@ -59,7 +59,7 @@ func (h *httpCtl) start(w http.ResponseWriter, r *http.Request) {
 	}
 	e := h.engine()
 	if e == nil {
-		jsonErr(w, http.StatusServiceUnavailable, "no engine mounted")
+		serve.WriteError(w, "", serve.ErrNotReady)
 		return
 	}
 	h.mu.Lock()

@@ -447,14 +447,6 @@ func (e *Engine) writable() error {
 	return nil
 }
 
-func (e *Engine) checkDemand(demand vector.Vec) error {
-	if demand.Dim() != e.cfg.CMax.Dim() || !demand.IsFinite() || !demand.IsNonNegative() {
-		return fmt.Errorf("%w: %v (want %d non-negative finite dims)",
-			ErrBadDemand, demand, e.cfg.CMax.Dim())
-	}
-	return nil
-}
-
 // Query answers one best-fit range query. The default path reads
 // every shard's published snapshot lock-free, merges the qualified
 // records and ranks them by surplus; it consults the query cache
@@ -472,7 +464,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	if e.closed.Load() {
 		return QueryResponse{}, ErrClosed
 	}
-	if err := e.checkDemand(req.Demand); err != nil {
+	if err := CheckDemand(req.Demand, e.cfg.CMax); err != nil {
 		e.errors.Add(1)
 		return QueryResponse{}, err
 	}
@@ -615,7 +607,7 @@ func (e *Engine) Update(node GlobalID, avail vector.Vec, announce bool) error {
 		e.errors.Add(1)
 		return err
 	}
-	if err := e.checkDemand(avail); err != nil {
+	if err := CheckDemand(avail, e.cfg.CMax); err != nil {
 		e.errors.Add(1)
 		return err
 	}
@@ -659,7 +651,7 @@ func (e *Engine) join(si int, avail vector.Vec) (GlobalID, error) {
 		return 0, err
 	}
 	if avail != nil {
-		if err := e.checkDemand(avail); err != nil {
+		if err := CheckDemand(avail, e.cfg.CMax); err != nil {
 			e.errors.Add(1)
 			return 0, err
 		}

@@ -22,28 +22,37 @@ type refusing struct {
 func (s refusing) Update(serve.GlobalID, vector.Vec, bool) error { return s.err }
 
 // TestRouterReturnsTheMembersSentinel sends each error a member can
-// return through the wire server and a router in front of it: the
-// router must hand back the sentinel the member's code stands for.
-// CodeBadRequest stands for ErrBadDemand, whichever of the two
-// bad-input sentinels the member returned; an error with no sentinel
-// comes back as the member's CodeRejected.
+// return through the wire server and a router in front of it, one per
+// row of serve's rejection table: the router must hand back the
+// sentinel the member's code stands for. CodeBadRequest stands for
+// ErrBadDemand, whichever of the bad-input sentinels the member
+// returned; an error with no sentinel comes back as the member's
+// CodeRejected.
 func TestRouterReturnsTheMembersSentinel(t *testing.T) {
-	for _, tc := range []struct {
+	type tc struct {
 		name   string
 		member error
 		code   uint16
 		want   error // nil: no sentinel
-	}{
-		{"closed", serve.ErrClosed, wire.CodeClosed, serve.ErrClosed},
-		{"read_only", serve.ErrReadOnly, wire.CodeReadOnly, serve.ErrReadOnly},
-		{"fenced", serve.ErrFenced, wire.CodeFenced, serve.ErrFenced},
-		{"wal", serve.ErrWAL, wire.CodeWAL, serve.ErrWAL},
-		{"bad_demand", serve.ErrBadDemand, wire.CodeBadRequest, serve.ErrBadDemand},
-		{"not_durable", serve.ErrNotDurable, wire.CodeBadRequest, serve.ErrBadDemand},
-		{"no_shard", serve.ErrNoShard, wire.CodeNoShard, serve.ErrNoShard},
-		{"scatter_timeout", serve.ErrScatterTimeout, wire.CodeScatterTimeout, serve.ErrScatterTimeout},
-		{"unmapped", errors.New("no such node"), wire.CodeRejected, nil},
-	} {
+	}
+	// names keeps each row's subtest name; a row without one runs
+	// under its sentinel's text.
+	names := map[error]string{
+		serve.ErrClosed: "closed", serve.ErrReadOnly: "read_only", serve.ErrFenced: "fenced",
+		serve.ErrWAL: "wal", serve.ErrBadDemand: "bad_demand", serve.ErrNotDurable: "not_durable",
+		serve.ErrBadRequest: "bad_request", serve.ErrNoShard: "no_shard",
+		serve.ErrScatterTimeout: "scatter_timeout", serve.ErrNotReady: "not_ready",
+	}
+	var cases []tc
+	for _, row := range serve.Rejections() {
+		name, ok := names[row.Err]
+		if !ok {
+			name = row.Err.Error()
+		}
+		cases = append(cases, tc{name, row.Err, row.Code, serve.SentinelOf(row.Code)})
+	}
+	cases = append(cases, tc{"unmapped", errors.New("no such node"), serve.CodeRejected, nil})
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, err := pidcan.NewEngine(testCfg(3))
 			if err != nil {
@@ -81,10 +90,9 @@ func TestRouterReturnsTheMembersSentinel(t *testing.T) {
 				}
 				return
 			}
-			for _, s := range []error{serve.ErrClosed, serve.ErrReadOnly, serve.ErrFenced, serve.ErrWAL,
-				serve.ErrBadDemand, serve.ErrNoShard, serve.ErrScatterTimeout} {
-				if errors.Is(err, s) {
-					t.Fatalf("router returned %v, which is %v", err, s)
+			for _, row := range serve.Rejections() {
+				if errors.Is(err, row.Err) {
+					t.Fatalf("router returned %v, which is %v", err, row.Err)
 				}
 			}
 			if !errors.As(err, &we) || we.Code != tc.code {

@@ -322,11 +322,11 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 			// The server answered; the shared connection is healthy
 			// and keeps serving.
 			switch werr.Code {
-			case wire.CodeReadOnly, wire.CodeNotReady:
+			case serve.CodeReadOnly, serve.CodeNotReady:
 				lastErr = r.translate(werr)
 				r.rotate(addr)
 				continue
-			case wire.CodeFenced:
+			case serve.CodeFenced:
 				// Our stamped epoch was stale; the observation above
 				// recorded the newer one — retry stamps it.
 				lastErr = r.translate(werr)
@@ -346,10 +346,10 @@ func (r *RemotePrimary) do(enq func(c *wire.Client) uint32, on func(resp *wire.R
 }
 
 // translate maps a wire rejection onto the serve sentinel the
-// engine-facing code paths already branch on (wire.Sentinel), so call
-// sites never type-switch local placements against remote ones.
+// engine-facing code paths already branch on (serve.SentinelOf), so
+// call sites never type-switch local placements against remote ones.
 func (r *RemotePrimary) translate(we *wire.Error) error {
-	sentinel := wire.Sentinel(we.Code)
+	sentinel := serve.SentinelOf(we.Code)
 	if sentinel == nil {
 		return fmt.Errorf("fed: member %d: %w", r.member, we)
 	}

@@ -403,14 +403,6 @@ func (r *Router) scatterTargets(demand vector.Vec) ([]*RemotePrimary, int) {
 	return keep, pruned
 }
 
-func (r *Router) checkDemand(demand vector.Vec) error {
-	if demand.Dim() != r.cmax.Dim() || !demand.IsFinite() || !demand.IsNonNegative() {
-		return fmt.Errorf("%w: %v (want %d non-negative finite dims)",
-			serve.ErrBadDemand, demand, r.cmax.Dim())
-	}
-	return nil
-}
-
 // Query answers one best-fit query across the federation: a
 // consistent query round-robins a single member's protocol
 // (ForwardTable.QueryOne), a snapshot query gathers every member its
@@ -420,7 +412,7 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	if r.closed.Load() {
 		return serve.QueryResponse{}, serve.ErrClosed
 	}
-	if err := r.checkDemand(req.Demand); err != nil {
+	if err := serve.CheckDemand(req.Demand, r.cmax); err != nil {
 		r.errors.Add(1)
 		return serve.QueryResponse{}, err
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"time"
 
 	"pidcan/internal/vector"
 )
@@ -37,12 +39,9 @@ import (
 // follower streams from, in the body's "primary" (reads — /query,
 // /nodes, /stats — serve normally) and POST /promote turns the
 // follower into the primary under a fresh epoch. Request bodies are
-// capped at 1 MiB. Errors come back as {"error":"..."} with status 400
-// (bad input, including oversized bodies), 404 (no such shard), 409
-// (rejected operation), 500 (write applied but not durable: op-log
-// failure), 503 (service closed, or a write on a read-only follower or
-// fenced primary) or 504 (a federation router's member gather hit its
-// deadline with no member answered).
+// capped at 1 MiB. Errors are answered by WriteError, with the status
+// of their row in the rejection table (RejectionOf) — the row the wire
+// edge answers them from too.
 func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", HandleJSON(s, func(req QueryRequest) (any, error) {
@@ -132,9 +131,9 @@ var okBody = map[string]bool{"ok": true}
 
 // HandleJSON returns the handler of one JSON route: it decodes the
 // request body into a Req (at most 1 MiB, unknown fields refused: 400)
-// and answers do's result as JSON, or do's error with the status
-// NewHandler documents. Front-ends that add routes of their own to a
-// Service's API build them with it.
+// and answers do's result as JSON, or do's error by WriteError.
+// Front-ends that add routes of their own to a Service's API build
+// them with it.
 func HandleJSON[Req any](s Service, do func(req Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
@@ -149,7 +148,7 @@ func HandleJSON[Req any](s Service, do func(req Req) (any, error)) http.HandlerF
 // reply answers res, or err with its status.
 func reply(w http.ResponseWriter, s Service, res any, err error) {
 	if err != nil {
-		writeErr(w, s.PrimaryAddr(), err)
+		WriteError(w, s.PrimaryAddr(), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -164,51 +163,32 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		msg := "bad request: " + err.Error()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			msg = fmt.Sprintf("bad request: body exceeds %d bytes", mbe.Limit)
+			err = fmt.Errorf("body exceeds %d bytes", mbe.Limit)
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
+		WriteError(w, "", fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return false
 	}
 	return true
 }
 
-// retryAfterSeconds is the Retry-After hint on 503 rejections from a
-// read-only follower or fenced primary: long enough for a fail-over
-// promotion to complete, short enough that clients re-resolve the
-// primary promptly.
-const retryAfterSeconds = 1
-
-func writeErr(w http.ResponseWriter, primary string, err error) {
-	status := http.StatusConflict
-	switch {
-	case errors.Is(err, ErrClosed):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrReadOnly), errors.Is(err, ErrFenced):
-		// 503 + a structured redirect: Retry-After header plus the
-		// primary's address in the body, the client's cue to re-point
-		// writes (a follower serves only reads).
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error":          err.Error(),
-			"primary":        primary,
-			"retry_after_ms": retryAfterSeconds * 1000,
-		})
-		return
-	case errors.Is(err, ErrWAL):
-		// Applied in memory, not durable — a server-side storage
-		// fault, not a client error.
-		status = http.StatusInternalServerError
-	case errors.Is(err, ErrBadDemand), errors.Is(err, ErrNotDurable):
-		status = http.StatusBadRequest
-	case errors.Is(err, ErrNoShard):
-		status = http.StatusNotFound
-	case errors.Is(err, ErrScatterTimeout):
-		status = http.StatusGatewayTimeout
+// WriteError answers err from its rejection row (RejectionOf): the
+// row's status and {"error":"..."}, plus a Retry-After header and
+// "retry_after_ms" when the row carries the retry hint, and "primary"
+// when it names the primary. Front-ends that answer errors of their
+// own answer them with it.
+func WriteError(w http.ResponseWriter, primary string, err error) {
+	row := RejectionOf(err)
+	body := map[string]any{"error": err.Error()}
+	if row.Retry {
+		w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter/time.Second)))
+		body["retry_after_ms"] = RetryAfter.Milliseconds()
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	if row.Primary {
+		body["primary"] = primary
+	}
+	writeJSON(w, row.Status, body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -603,7 +603,7 @@ func TestReplStalePrimaryFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Errored || r.Err.Code != wire.CodeFenced {
+	if !r.Errored || r.Err.Code != serve.CodeFenced {
 		t.Fatalf("stale primary answered %+v, want CodeFenced", r.Err)
 	}
 	if got := p.Role(); got != "fenced" {

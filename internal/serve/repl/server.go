@@ -251,8 +251,8 @@ func (s *Server) Subscribe(epoch uint64, sub *wire.ReplSubscribe) (wire.ReplWelc
 		return w, nil, serve.ErrFenced
 	}
 	if sub.Shards != e.Shards() || (len(sub.Pos) != 0 && len(sub.Pos) != sub.Shards) {
-		return w, nil, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf(
-			"repl: follower has %d shards and %d positions, primary %d shards", sub.Shards, len(sub.Pos), e.Shards())}
+		return w, nil, fmt.Errorf("%w: repl: follower has %d shards and %d positions, primary %d shards",
+			serve.ErrBadRequest, sub.Shards, len(sub.Pos), e.Shards())
 	}
 	ss := &session{s: s, ch: make(chan event, sessionBuffer), dead: make(chan struct{})}
 	if !s.add(ss) {

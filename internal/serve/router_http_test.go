@@ -16,7 +16,7 @@ import (
 	"pidcan/internal/vector"
 )
 
-// TestHTTPScatterTimeoutIs504 pins the writeErr mapping on the one
+// TestHTTPScatterTimeoutIs504 pins the ErrScatterTimeout row on the one
 // Service that still gathers under a deadline, a federation router: a
 // snapshot query no member answered by the router's ScatterTimeout
 // comes back as 504, not the default 409. The member accepts the

@@ -88,6 +88,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"pidcan/internal/core"
@@ -147,7 +148,101 @@ var (
 	// of receiving a silent acknowledgment. Stats.LogErrors counts
 	// these.
 	ErrWAL = errors.New("serve: op-log write failed (applied in memory, not durable)")
+	// ErrNotReady is answered while a front-end has no engine mounted
+	// yet: a follower still bootstrapping its mirror.
+	ErrNotReady = errors.New("serve: engine not ready (follower still bootstrapping)")
+	// ErrBadRequest is answered for a request that does not decode: a
+	// malformed JSON body or wire payload, an unknown field, an
+	// oversized body.
+	ErrBadRequest = errors.New("serve: bad request")
 )
+
+// Rejection codes: the error codes of the wire protocol's error frames
+// (internal/serve/wire). The values are wire format; do not renumber.
+const (
+	CodeBadRequest     uint16 = 1 // malformed request or bad demand vector
+	CodeNoShard        uint16 = 2 // the op addressed a placement the service lacks
+	CodeRejected       uint16 = 3 // refused for a reason with no row (e.g. unknown node)
+	CodeClosed         uint16 = 4
+	CodeReadOnly       uint16 = 5
+	CodeFenced         uint16 = 6 // also a write frame whose epoch is not the engine's
+	CodeWAL            uint16 = 7
+	CodeScatterTimeout uint16 = 8
+	CodeNotReady       uint16 = 9
+)
+
+// Rejection is one row of the rejection table: how the HTTP edge and
+// the wire edge both answer an error that wraps Err.
+type Rejection struct {
+	Err    error
+	Code   uint16 // wire error code
+	Status int    // HTTP status
+	// Retry: the answer carries the RetryAfter hint (HTTP: the
+	// Retry-After header and "retry_after_ms"; wire: Error.RetryAfter).
+	Retry bool
+	// Primary: the answer names the service's PrimaryAddr, where the
+	// client re-points its writes.
+	Primary bool
+}
+
+// RetryAfter is the retry hint of the rows that carry one: long enough
+// for a fail-over promotion to complete, short enough that clients
+// re-resolve the primary promptly.
+const RetryAfter = time.Second
+
+// rejections is the one table between serve's sentinels and both
+// edges' answers. An error is answered by the first row whose sentinel
+// it wraps (unmapped when none); a code stands for its first row's
+// sentinel, so CodeBadRequest comes back as ErrBadDemand whichever
+// bad-input sentinel a member returned.
+var rejections = []Rejection{
+	{ErrClosed, CodeClosed, http.StatusServiceUnavailable, true, false},
+	{ErrReadOnly, CodeReadOnly, http.StatusServiceUnavailable, true, true},
+	{ErrFenced, CodeFenced, http.StatusServiceUnavailable, true, false},
+	{ErrWAL, CodeWAL, http.StatusInternalServerError, false, false},
+	{ErrBadDemand, CodeBadRequest, http.StatusBadRequest, false, false},
+	{ErrNotDurable, CodeBadRequest, http.StatusBadRequest, false, false},
+	{ErrBadRequest, CodeBadRequest, http.StatusBadRequest, false, false},
+	{ErrNoShard, CodeNoShard, http.StatusNotFound, false, false},
+	{ErrScatterTimeout, CodeScatterTimeout, http.StatusGatewayTimeout, false, false},
+	{ErrNotReady, CodeNotReady, http.StatusServiceUnavailable, true, false},
+}
+
+// unmapped answers an error that wraps no row's sentinel.
+var unmapped = Rejection{Code: CodeRejected, Status: http.StatusConflict}
+
+// Rejections returns a copy of the rejection table.
+func Rejections() []Rejection { return append([]Rejection(nil), rejections...) }
+
+// RejectionOf returns the row err is answered by.
+func RejectionOf(err error) Rejection {
+	for _, row := range rejections {
+		if errors.Is(err, row.Err) {
+			return row
+		}
+	}
+	return unmapped
+}
+
+// SentinelOf returns the sentinel a rejection code stands for, or nil
+// for a code with none (CodeRejected, unknown codes).
+func SentinelOf(code uint16) error {
+	for _, row := range rejections {
+		if row.Code == code {
+			return row.Err
+		}
+	}
+	return nil
+}
+
+// CheckDemand returns an error wrapping ErrBadDemand unless demand has
+// cmax's dimensionality and only finite, non-negative components.
+func CheckDemand(demand, cmax vector.Vec) error {
+	if demand.Dim() != cmax.Dim() || !demand.IsFinite() || !demand.IsNonNegative() {
+		return fmt.Errorf("%w: %v (want %d non-negative finite dims)", ErrBadDemand, demand, cmax.Dim())
+	}
+	return nil
+}
 
 // GlobalID addresses a node across shards: the shard index in the
 // high 32 bits, the shard-local overlay.NodeID in the low 32.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+
+	"pidcan/internal/serve"
 )
 
 // Client speaks the wire protocol over one persistent TCP
@@ -244,7 +246,7 @@ func (c *Client) Query(q *Query, res *QueryResult) error {
 }
 
 // write runs one synchronous write — enq appends its frame — and, on
-// a CodeReadOnly rejection naming a primary (a follower telling us
+// a serve.CodeReadOnly rejection naming a primary (a follower telling us
 // who to write to), retries it once against that primary. Bounded:
 // one hop. The original connection is kept until the primary
 // actually answers — a dead or unreachable primary restores it and
@@ -254,7 +256,7 @@ func (c *Client) write(enq func()) (*Response, error) {
 	enq()
 	r, err := c.roundTrip()
 	var ro *Error
-	if !errors.As(err, &ro) || ro.Code != CodeReadOnly || ro.Primary == "" {
+	if !errors.As(err, &ro) || ro.Code != serve.CodeReadOnly || ro.Primary == "" {
 		return r, err
 	}
 	nc, derr := net.Dial("tcp", ro.Primary)

@@ -206,6 +206,6 @@ func seedFrames() [][]byte {
 		}}),
 		AppendReplCheckpoint(nil, 26, 9, 13, []byte("image")),
 		AppendReplHeartbeat(nil, 27, 10, &ReplHeartbeat{Sent: 1_700_000_000_123_456_789, Pos: []serve.ReplPos{{Seg: 2, Pos: 9}}}),
-		AppendError(nil, OpUpdate, 12, 4, CodeReadOnly, 1500*time.Millisecond, "10.0.0.1:7000", "read-only follower"),
+		AppendError(nil, OpUpdate, 12, 4, serve.CodeReadOnly, 1500*time.Millisecond, "10.0.0.1:7000", "read-only follower"),
 	}
 }

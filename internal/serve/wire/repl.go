@@ -58,8 +58,9 @@ type ReplHeartbeat struct {
 // ReplSource is the replication server behind a listener
 // (repl.Server). Subscribe decides one follower's subscription; epoch
 // is the follower's. It returns the welcome and the stream that owns
-// the connection from then on, or the refusal to answer with
-// (serve.ErrReadOnly, serve.ErrFenced, serve.ErrClosed, or an *Error).
+// the connection from then on, or the refusal to answer with: a
+// serve sentinel, wrapped or not (ErrReadOnly, ErrFenced, ErrClosed,
+// ErrBadRequest).
 // The stream is called exactly once; out holds the responses still
 // owed on the connection, the welcome last, for it to write first.
 // The connection is closed once it returns.

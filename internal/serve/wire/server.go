@@ -25,16 +25,13 @@ const (
 	// idleTimeout closes a connection with no complete request for
 	// this long.
 	idleTimeout = 5 * time.Minute
-	// retryAfter is the retry hint stamped into CodeReadOnly,
-	// CodeFenced and CodeNotReady rejections.
-	retryAfter = time.Second
 )
 
 // Server serves the wire protocol over persistent TCP connections
 // (Serve). The service — an *serve.Engine or a federation router — is
 // resolved through a getter on every request so a follower
 // re-bootstrap can swap engines under a live listener (nil = not
-// ready, requests fail with CodeNotReady).
+// ready, requests fail with serve.ErrNotReady).
 type Server struct {
 	engine func() serve.Service
 	repl   ReplSource
@@ -253,7 +250,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		// population, has no summary, and a router that gets none
 		// simply does not prune this member's legs.
 		if len(payload) != 0 {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", errTruncated.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(errTruncated))
 		}
 		var sum *Summary
 		if az, ok := eng.(serve.AvailSummarizer); ok {
@@ -264,13 +261,12 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		return AppendFedSummaryResponse(out, h.ReqID, epoch, sum)
 	}
 	if eng == nil {
-		return AppendError(out, h.Op, h.ReqID, 0, CodeNotReady, retryAfter, "",
-			"engine not ready (follower still bootstrapping)")
+		return s.appendErr(out, h, 0, nil, serve.ErrNotReady)
 	}
 	switch h.Op {
 	case OpQuery:
 		if err := DecodeQuery(payload, &st.q); err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
 		resp, err := eng.Query(serve.QueryRequest{
 			Demand:     vector.Vec(st.q.Demand),
@@ -285,7 +281,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 
 	case OpUpdate:
 		if err := DecodeUpdate(payload, &st.u); err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
 		if out, ok := s.fence(out, h, eng, epoch); !ok {
 			return out
@@ -297,7 +293,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 
 	case OpJoin:
 		if err := DecodeJoin(payload, &st.j); err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
 		if out, ok := s.fence(out, h, eng, epoch); !ok {
 			return out
@@ -317,7 +313,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 	case OpLeave:
 		node, err := DecodeLeave(payload)
 		if err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
 		if out, ok := s.fence(out, h, eng, epoch); !ok {
 			return out
@@ -337,7 +333,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 	case OpFedTake:
 		node, err := DecodeFedTake(payload)
 		if err != nil {
-			return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
 		if out, ok := s.fence(out, h, eng, epoch); !ok {
 			return out
@@ -354,7 +350,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 	}
 	// The filter bounds h.Op: what is left are the ops only a primary
 	// pushes.
-	return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", "not a request op")
+	return s.appendErr(out, h, epoch, eng, malformed(errors.New("not a request op")))
 }
 
 // subscribe answers an OpReplSubscribe request. Accepted, it appends
@@ -363,7 +359,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 func (s *Server) subscribe(out []byte, h Header, payload []byte, eng serve.Service, epoch uint64, st *connState) []byte {
 	var sub ReplSubscribe
 	if err := DecodeReplSubscribe(payload, &sub); err != nil {
-		return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", err.Error())
+		return s.appendErr(out, h, epoch, eng, malformed(err))
 	}
 	// A follower from a newer epoch seals a deposed primary as a write
 	// frame does; an older one is no refusal: it bootstraps.
@@ -375,14 +371,10 @@ func (s *Server) subscribe(out []byte, h Header, payload []byte, eng serve.Servi
 	src := s.repl
 	s.mu.Unlock()
 	if src == nil {
-		return AppendError(out, h.Op, h.ReqID, epoch, CodeBadRequest, 0, "", "replication is not served on this listener")
+		return s.appendErr(out, h, epoch, eng, malformed(errors.New("replication is not served on this listener")))
 	}
 	w, stream, err := src.Subscribe(h.Epoch, &sub)
-	var we *Error
-	switch {
-	case errors.As(err, &we):
-		return AppendError(out, h.Op, h.ReqID, epoch, we.Code, 0, "", we.Msg)
-	case err != nil:
+	if err != nil {
 		return s.appendErr(out, h, epoch, eng, err)
 	}
 	st.stream = stream
@@ -401,62 +393,28 @@ func (s *Server) fence(out []byte, h Header, eng serve.Service, epoch uint64) ([
 	if h.Epoch > epoch {
 		eng.Fence(h.Epoch)
 	}
-	return AppendError(out, h.Op, h.ReqID, epoch, CodeFenced, retryAfter, "",
-		fmt.Sprintf("epoch mismatch: frame %d, engine %d", h.Epoch, epoch)), false
+	return s.appendErr(out, h, epoch, eng,
+		fmt.Errorf("%w: epoch mismatch: frame %d, engine %d", serve.ErrFenced, h.Epoch, epoch)), false
 }
 
-// codes is the one table between serve's sentinels and wire codes.
-// The server answers an error with the code of the first row whose
-// sentinel it wraps (CodeRejected when none does); Sentinel maps a
-// code back to its first row's sentinel. So CodeBadRequest comes back
-// as ErrBadDemand even when the member returned ErrNotDurable. retry
-// rows carry the retry-after hint.
-var codes = []struct {
-	err   error
-	code  uint16
-	retry bool
-}{
-	{serve.ErrClosed, CodeClosed, true},
-	{serve.ErrReadOnly, CodeReadOnly, true},
-	{serve.ErrFenced, CodeFenced, true},
-	{serve.ErrWAL, CodeWAL, false},
-	{serve.ErrBadDemand, CodeBadRequest, false},
-	{serve.ErrNotDurable, CodeBadRequest, false},
-	{serve.ErrNoShard, CodeNoShard, false},
-	{serve.ErrScatterTimeout, CodeScatterTimeout, false},
-}
-
-// Sentinel returns the serve sentinel a rejection code stands for, or
-// nil for codes with none (CodeRejected, CodeNotReady).
-func Sentinel(code uint16) error {
-	for _, row := range codes {
-		if row.code == code {
-			return row.err
-		}
-	}
-	return nil
-}
-
-// appendErr maps an engine error onto a wire error frame through
-// codes, as the HTTP handler maps it onto a status. Read-only
-// rejections also carry the primary's address — the wire twin of
-// HTTP 503 + Retry-After.
+// appendErr answers err with an error frame from its row in serve's
+// rejection table, the row the HTTP edge answers it from too. eng is
+// asked for its primary only by a row that names it (never nil then).
 func (s *Server) appendErr(out []byte, h Header, epoch uint64, eng serve.Service, err error) []byte {
-	code, retry, primary := CodeRejected, time.Duration(0), ""
-	for _, row := range codes {
-		if errors.Is(err, row.err) {
-			code = row.code
-			if row.retry {
-				retry = retryAfter
-			}
-			break
-		}
+	row := serve.RejectionOf(err)
+	var retry time.Duration
+	if row.Retry {
+		retry = serve.RetryAfter
 	}
-	if code == CodeReadOnly {
+	primary := ""
+	if row.Primary {
 		primary = eng.PrimaryAddr()
 	}
-	return AppendError(out, h.Op, h.ReqID, epoch, code, retry, primary, err.Error())
+	return AppendError(out, h.Op, h.ReqID, epoch, row.Code, retry, primary, err.Error())
 }
+
+// malformed wraps a request's decode error as the bad request it is.
+func malformed(err error) error { return fmt.Errorf("%w: %v", serve.ErrBadRequest, err) }
 
 // reader is a minimal buffered reader tuned for the frame loop:
 // readFull + buffered is all the handler needs, and keeping it local

@@ -38,11 +38,12 @@
 // the client's FIFO pipeline relies on it.
 //
 // Writes are epoch-fenced: a request stamped with a newer epoch than
-// the engine's seals a deposed primary on contact (Engine.Fence), a
-// stale-epoch write is refused with CodeFenced, and a read-only
-// follower refuses writes with CodeReadOnly naming its primary and a
-// retry-after hint — the wire mirror of the HTTP 503 + Retry-After
-// surface.
+// the engine's seals a deposed primary on contact (Engine.Fence), and a
+// stale-epoch write is refused as a wrapped serve.ErrFenced. Every
+// rejection's code, retry hint and primary address come from its row
+// in serve's rejection table (serve.RejectionOf), the row the HTTP
+// edge answers from too: a read-only follower's CodeReadOnly names its
+// primary and carries the retry hint, as its HTTP 503 does.
 //
 // Replication is a stream on the same protocol and port. A follower
 // sends one OpReplSubscribe carrying its epoch; a newer one seals
@@ -127,35 +128,6 @@ const (
 // stats JSON and large candidate sets; checkpoint images travel in
 // chunks under it.
 const MaxPayload = 1 << 20
-
-// Error codes carried by FlagError responses. They mirror the HTTP
-// handler's status mapping so both edges speak the same rejection
-// vocabulary.
-const (
-	// CodeBadRequest: malformed payload or bad demand vector.
-	CodeBadRequest uint16 = 1
-	// CodeNoShard: the op addressed a shard the engine lacks.
-	CodeNoShard uint16 = 2
-	// CodeRejected: the backend refused the op (e.g. unknown node).
-	CodeRejected uint16 = 3
-	// CodeClosed: the engine is shut down.
-	CodeClosed uint16 = 4
-	// CodeReadOnly: write on a replication follower; Error.Primary
-	// names where writes go and Error.RetryAfter when to retry.
-	CodeReadOnly uint16 = 5
-	// CodeFenced: write on a deposed primary, or a write frame whose
-	// epoch does not match the engine's.
-	CodeFenced uint16 = 6
-	// CodeWAL: the write applied in memory but its op-log append
-	// failed — acknowledged, not durable.
-	CodeWAL uint16 = 7
-	// CodeScatterTimeout: a federation router's member gather hit its
-	// deadline with no member answered.
-	CodeScatterTimeout uint16 = 8
-	// CodeNotReady: no engine is mounted behind the listener yet (a
-	// follower still bootstrapping its mirror).
-	CodeNotReady uint16 = 9
-)
 
 // Query op flags (first payload byte of an OpQuery request).
 const (
@@ -285,10 +257,10 @@ func sealFrame(buf []byte, off int) {
 
 // Error is the decoded payload of a FlagError response.
 type Error struct {
-	// Code is one of the Code* constants.
+	// Code is one of serve's Code* constants.
 	Code uint16
-	// RetryAfter is the server's retry hint (read-only followers and
-	// fenced primaries); zero means none.
+	// RetryAfter is the server's retry hint (the rejection rows that
+	// carry one); zero means none.
 	RetryAfter time.Duration
 	// Primary is the address writes should go to (read-only
 	// followers that know their primary).

@@ -401,7 +401,7 @@ func TestCodecRoundTrips(t *testing.T) {
 	})
 
 	t.Run("error", func(t *testing.T) {
-		frame := wire.AppendError(nil, wire.OpUpdate, 12, 4, wire.CodeReadOnly,
+		frame := wire.AppendError(nil, wire.OpUpdate, 12, 4, serve.CodeReadOnly,
 			1500*time.Millisecond, "10.0.0.1:7000", "read-only follower")
 		h := checkFrame(t, frame, wire.OpUpdate, 12, 4)
 		if h.Flags != wire.FlagResponse|wire.FlagError {
@@ -411,7 +411,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		if err := wire.DecodeError(frame[wire.HeaderSize:], &e); err != nil {
 			t.Fatal(err)
 		}
-		if e.Code != wire.CodeReadOnly || e.RetryAfter != 1500*time.Millisecond ||
+		if e.Code != serve.CodeReadOnly || e.RetryAfter != 1500*time.Millisecond ||
 			e.Primary != "10.0.0.1:7000" || e.Msg != "read-only follower" {
 			t.Fatalf("error round trip: %+v", e)
 		}
@@ -561,11 +561,11 @@ func TestWireE2E(t *testing.T) {
 	// Bad requests come back as typed errors, connection stays up.
 	err = c.Update(1<<40, avail, false) // no such shard
 	var we *wire.Error
-	if !errors.As(err, &we) || we.Code != wire.CodeNoShard {
+	if !errors.As(err, &we) || we.Code != serve.CodeNoShard {
 		t.Fatalf("update on missing shard: %v, want CodeNoShard", err)
 	}
 	err = c.Query(&wire.Query{Demand: nil, K: 1}, &res)
-	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+	if !errors.As(err, &we) || we.Code != serve.CodeBadRequest {
 		t.Fatalf("nil-demand query: %v, want CodeBadRequest", err)
 	}
 
@@ -720,7 +720,7 @@ func TestWireEpochFence(t *testing.T) {
 		c.WriteEpoch = eng.Epoch() + 4
 		err := c.Update(0, avail, false)
 		var we *wire.Error
-		if !errors.As(err, &we) || we.Code != wire.CodeFenced {
+		if !errors.As(err, &we) || we.Code != serve.CodeFenced {
 			t.Fatalf("future-epoch update: %v, want CodeFenced", err)
 		}
 		if eng.Role() != "fenced" {
@@ -729,7 +729,7 @@ func TestWireEpochFence(t *testing.T) {
 		// Even don't-care writes now bounce off the sealed engine.
 		c.WriteEpoch = 0
 		err = c.Update(0, avail, false)
-		if !errors.As(err, &we) || we.Code != wire.CodeFenced {
+		if !errors.As(err, &we) || we.Code != serve.CodeFenced {
 			t.Fatalf("update on fenced engine: %v, want CodeFenced", err)
 		}
 		// Reads still serve on a fenced engine.
@@ -777,7 +777,7 @@ func TestWireEpochFence(t *testing.T) {
 		c.WriteEpoch = oldEpoch // stale: the pre-promotion timeline
 		err = c.Update(0, avail, false)
 		var we *wire.Error
-		if !errors.As(err, &we) || we.Code != wire.CodeFenced {
+		if !errors.As(err, &we) || we.Code != serve.CodeFenced {
 			t.Fatalf("stale-epoch update: %v, want CodeFenced", err)
 		}
 		if eng.Role() != "primary" {

@@ -296,8 +296,9 @@ type WireQuery = wire.Query
 // WireQueryResult is a decoded wire query response.
 type WireQueryResult = wire.QueryResult
 
-// WireError is a typed server-side rejection (wire.Code* constants;
-// read-only followers carry the primary's address and a retry hint).
+// WireError is a typed server-side rejection (the Code* constants of
+// internal/serve's rejection table; read-only followers carry the
+// primary's address and a retry hint).
 type WireError = wire.Error
 
 // WireStats is the gauge set a WireServer feeds into Engine.Stats.

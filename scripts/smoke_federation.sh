@@ -232,7 +232,9 @@ while :; do
 	# Traffic is what carries epoch evidence; queries keep flowing
 	# while the router walks dead primary -> fallback follower.
 	post /query "$query" >"$work/query.after" 2>/dev/null || true
-	epoch=$(curl -sf "$rbase/map" | sed 's/.*"index":1[^}]*"epoch":\([0-9]*\).*/\1/')
+	# Member 1's observed epoch, from /stats: its "map" entry and its
+	# "members" entry carry the same one.
+	epoch=$(curl -sf "$rbase/stats" | sed 's/.*"index":1[^}]*"epoch":\([0-9]*\).*/\1/')
 	if [ "$epoch" = "2" ]; then
 		curl -sf "$rbase/nodes" >"$work/nodes.after" || true
 		cmp -s "$work/nodes.acked" "$work/nodes.after" &&
@@ -242,7 +244,7 @@ while :; do
 	if [ "$i" -gt 100 ]; then
 		if [ "$epoch" != "2" ]; then
 			echo "FAIL: router never observed epoch 2 (last: $epoch)" >&2
-			curl -sf "$rbase/map" >&2 || true
+			curl -sf "$rbase/stats" >&2 || true
 		else
 			echo "FAIL: acked node set or query results lost across member fail-over" >&2
 			diff "$work/nodes.acked" "$work/nodes.after" >&2 || true
