@@ -137,40 +137,13 @@ type Hop struct {
 	Dist int // 2^k for some k, or fewer if the walk hit the space edge
 }
 
-// Links holds a node's index links: Pos[dim] and Neg[dim] list the
-// 2^k-hop targets along each dimension in increasing distance (the
-// 2^0 entry is the adjacent neighbor on the walk latitude).
-type Links struct {
-	Pos [][]Hop
-	Neg [][]Hop
-}
-
-// IndexLinks computes id's current index links by walking adjacent
-// zones at the latitude of id's zone center — the INSCAN structure
-// each node refreshes periodically. Walks stop at the space edge, so
-// edge nodes simply have fewer links (the space is not a torus).
-func (nw *Network) IndexLinks(id NodeID) (Links, bool) {
-	z, ok := nw.tree.ZoneOf(id)
-	if !ok {
-		return Links{}, false
-	}
-	k := nw.MaxIndexExponent()
-	maxDist := 1 << uint(k)
-	at := z.Center()
-	links := Links{
-		Pos: make([][]Hop, nw.dim),
-		Neg: make([][]Hop, nw.dim),
-	}
-	for dim := 0; dim < nw.dim; dim++ {
-		links.Pos[dim] = nw.walkPowers(z, dim, true, at, maxDist)
-		links.Neg[dim] = nw.walkPowers(z, dim, false, at, maxDist)
-	}
-	return links, true
-}
-
 // walkPowers walks up to maxDist adjacent-zone hops along (dim,
 // positive) at the fixed latitude, recording the nodes at hop
-// distances 1, 2, 4, …, maxDist.
+// distances 1, 2, 4, …, maxDist: from z, at the latitude of z's
+// center and with maxDist 2^MaxIndexExponent, the index links of z's
+// owner along that direction — the INSCAN structure each node
+// refreshes periodically. Walks stop at the space edge, so edge nodes
+// simply have fewer links (the space is not a torus).
 func (nw *Network) walkPowers(z space.Zone, dim int, positive bool, at space.Point, maxDist int) []Hop {
 	var out []Hop
 	cur := z
@@ -343,7 +316,7 @@ func (nw *Network) route(origin NodeID, target space.Point, useLinks bool) (Path
 		next := NoNode
 		var nz space.Zone
 		if useLinks {
-			next, nz = nw.bestLinkJump(cur, z, target)
+			next, nz = nw.bestLinkJump(z, target)
 		}
 		if next == NoNode {
 			// Adjacent step toward the target along the dimension
@@ -365,10 +338,10 @@ func (nw *Network) route(origin NodeID, target space.Point, useLinks bool) (Path
 	return path, fmt.Errorf("overlay: hop cap exceeded routing to %v", target)
 }
 
-// bestLinkJump returns the farthest index link of cur that strictly
-// decreases the zone distance to target, or NoNode when no link
-// qualifies (adjacent fallback will run).
-func (nw *Network) bestLinkJump(cur NodeID, z space.Zone, target space.Point) (NodeID, space.Zone) {
+// bestLinkJump returns the farthest index link of the owner of zone z
+// that strictly decreases the zone distance to target, or NoNode when
+// no link qualifies (adjacent fallback will run).
+func (nw *Network) bestLinkJump(z space.Zone, target space.Point) (NodeID, space.Zone) {
 	curDist := intervalDistSq(z, target)
 	// Choose the dimension with the largest gap and jump as far as
 	// possible along it without overshooting the target coordinate.
@@ -376,11 +349,8 @@ func (nw *Network) bestLinkJump(cur NodeID, z space.Zone, target space.Point) (N
 	if bestDim == -1 {
 		return NoNode, space.Zone{}
 	}
-	links, _ := nw.IndexLinks(cur)
-	hops := links.Pos[bestDim]
-	if !positive {
-		hops = links.Neg[bestDim]
-	}
+	// Only the links along (bestDim, positive) can be taken: walk those.
+	hops := nw.walkPowers(z, bestDim, positive, z.Center(), 1<<nw.MaxIndexExponent())
 	// Scan from the farthest link down; accept the first whose zone
 	// does not overshoot along bestDim and strictly improves the
 	// distance. Skip the 2^0 link — the fallback handles adjacency

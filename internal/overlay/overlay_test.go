@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +100,118 @@ func TestMaxIndexExponent(t *testing.T) {
 	nw = build(t, 2, 256, 4) // n^(1/2) = 16 → K = 4
 	if got := nw.MaxIndexExponent(); got != 4 {
 		t.Errorf("K = %d, want 4", got)
+	}
+}
+
+// Links holds a node's index links: Pos[dim] and Neg[dim] list the
+// 2^k-hop targets along each dimension in increasing distance (the
+// 2^0 entry is the adjacent neighbor on the walk latitude).
+type Links struct {
+	Pos [][]Hop
+	Neg [][]Hop
+}
+
+// IndexLinks computes all 2·d of id's index-link walks from its zone's
+// center: the reference that Route's one-direction link jump is held
+// to (TestRouteMatchesIndexLinkRouting).
+func (nw *Network) IndexLinks(id NodeID) (Links, bool) {
+	z, ok := nw.tree.ZoneOf(id)
+	if !ok {
+		return Links{}, false
+	}
+	maxDist := 1 << nw.MaxIndexExponent()
+	links := Links{Pos: make([][]Hop, nw.dim), Neg: make([][]Hop, nw.dim)}
+	for dim := range nw.dim {
+		links.Pos[dim] = nw.walkPowers(z, dim, true, z.Center(), maxDist)
+		links.Neg[dim] = nw.walkPowers(z, dim, false, z.Center(), maxDist)
+	}
+	return links, true
+}
+
+// refRoute is Route as it reads with every index link computed: each
+// hop looks up cur's links through IndexLinks, takes the farthest one
+// along the widest gap that neither overshoots nor fails to bring the
+// zone closer, and otherwise steps to the adjacent zone at the
+// target's latitude.
+func refRoute(nw *Network, origin NodeID, target space.Point) ([]NodeID, error) {
+	z, ok := nw.ZoneOf(origin)
+	if !ok {
+		return nil, fmt.Errorf("origin %d not in overlay", origin)
+	}
+	var hops []NodeID
+	for cur := origin; !z.Contains(target); {
+		if len(hops) > nw.Size()+4 {
+			return hops, fmt.Errorf("hop cap exceeded routing to %v", target)
+		}
+		dim, positive := widestGap(z, target)
+		if dim == -1 {
+			return hops, fmt.Errorf("routing stuck at node %d", cur)
+		}
+		links, _ := nw.IndexLinks(cur)
+		along := links.Pos[dim]
+		if !positive {
+			along = links.Neg[dim]
+		}
+		next := NoNode
+		for i := len(along) - 1; i >= 0 && along[i].Dist > 1; i-- {
+			lz, _ := nw.ZoneOf(along[i].ID)
+			overshoots := positive && lz.Lo[dim] > target[dim] || !positive && lz.Hi[dim] <= target[dim]
+			if !overshoots && intervalDistSq(lz, target) < intervalDistSq(z, target) {
+				next = along[i].ID
+				break
+			}
+		}
+		if next == NoNode {
+			id, _, ok := nw.tree.AdjacentLeafAcross(z, dim, positive, clampInto(target, z))
+			if !ok {
+				return hops, fmt.Errorf("routing hit space edge at node %d", cur)
+			}
+			next = id
+		}
+		cur = next
+		z, _ = nw.ZoneOf(cur)
+		hops = append(hops, cur)
+	}
+	return hops, nil
+}
+
+// TestRouteMatchesIndexLinkRouting: Route walks only the one
+// direction of index links a hop can take, and must route exactly as
+// the reference that computes all of them — the same hops, or the same
+// failure — on random trees of 1-4 dimensions between rounds of joins
+// and leaves.
+func TestRouteMatchesIndexLinkRouting(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		dim := 1 + int(seed%4)
+		nw := build(t, dim, 40+int(seed)*20, seed)
+		rng := sim.NewRNG(seed, 42)
+		next := NodeID(10000)
+		for round := range 4 {
+			for range 60 {
+				nodes := nw.Nodes()
+				origin := nodes[rng.IntN(len(nodes))]
+				target := nw.RandomPoint()
+				got, gerr := nw.Route(origin, target)
+				want, werr := refRoute(nw, origin, target)
+				if (gerr == nil) != (werr == nil) || !slices.Equal(got.Hops, want) {
+					t.Fatalf("seed %d round %d: Route(%d, %v) = %v (%v), the index-link reference %v (%v)",
+						seed, round, origin, target, got.Hops, gerr, want, werr)
+				}
+			}
+			for range 25 { // churn: a join and a leave each, reshaping the tree
+				if _, err := nw.Join(next); err != nil {
+					t.Fatal(err)
+				}
+				next++
+				nodes := nw.Nodes()
+				if _, err := nw.Leave(nodes[rng.IntN(len(nodes))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := nw.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -438,17 +552,6 @@ func BenchmarkRouteAdjacent(b *testing.B) {
 		target := space.Point{rng.Float64(), rng.Float64()}
 		if _, err := nw.RouteAdjacent(origin, target); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIndexLinks(b *testing.B) {
-	nw := build(b, 5, 2048, 16)
-	nodes := nw.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := nw.IndexLinks(nodes[i%len(nodes)]); !ok {
-			b.Fatal("missing links")
 		}
 	}
 }

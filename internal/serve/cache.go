@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"pidcan/internal/serve/index"
-	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
@@ -25,9 +24,8 @@ import (
 // at; a lookup walks each shard's change history (the sets publishDelta
 // links, see Snapshot) from there and folds each change into a copy of
 // the entry, which replaces it (holds). A walk that reaches a cut
-// history or would pass cacheWalkMax changes, a copy left too small to
-// answer from, and an entry with an expired member (RecordTTL) are
-// misses. A write is acknowledged only once its snapshot is live, so a
+// history or would pass cacheWalkMax changes and a copy left too small
+// to answer from are misses. A write is acknowledged only once its snapshot is live, so a
 // caller's next cached query sees its own write.
 //
 // Entries live in two generations: puts fill the new generation, and
@@ -127,31 +125,29 @@ func newQueryCache(cfg Config) *queryCache {
 }
 
 // cacheEntry is the set a cell [lo, ub]'s answers are drawn from: the
-// records, unexpired at their snapshots, that dominate lo and score at
-// most Cutoff(kth), kth being the k-th smallest score among those
-// dominating ub at the fill — or, with fewer than k of those, every
-// record dominating lo (kth = +Inf, a full set). Members are kept in
-// ascending score, so a lookup reads only as far as its answer's
-// cutoff. The rows are the entry's own, so it pins no superseded index
+// records that dominate lo and score at most Cutoff(kth), kth being
+// the k-th smallest score among those dominating ub at the fill — or,
+// with fewer than k of those, every record dominating lo (kth = +Inf, a
+// full set). Members are kept in ascending score, so a lookup reads only
+// as far as its answer's cutoff. The rows are the entry's own, so it pins no superseded index
 // block; once shared, only seen is written.
 type cacheEntry struct {
-	ids     []GlobalID // the members' physical ids, ascending by score
-	vals    []float64  // row-major: member i's availability
-	idBits  [4]uint64  // idBit of every member (and of some former ones): what a walk tests first
-	kth     float64
-	expires sim.Time        // the earliest member expiry (or earlier)
-	seen    []atomic.Uint64 // per shard, a Version the set is exact at
+	ids    []GlobalID // the members' physical ids, ascending by score
+	vals   []float64  // row-major: member i's availability
+	idBits [4]uint64  // idBit of every member (and of some former ones): what a walk tests first
+	kth    float64
+	seen   []atomic.Uint64 // per shard, a Version the set is exact at
 }
 
 // newCacheEntry returns an entry for searchShards to fill.
 func newCacheEntry(shards int) *cacheEntry {
-	return &cacheEntry{expires: math.MaxInt64, seen: make([]atomic.Uint64, shards)}
+	return &cacheEntry{seen: make([]atomic.Uint64, shards)}
 }
 
 // keep makes the fill's matches within Cutoff(kth) the entry's
 // members, ascending by score: the scan reports a few past it, found
-// before its bound shrank. expires[i] is matches[i]'s expiry.
-func (ce *cacheEntry) keep(matches []Candidate, expires []sim.Time, kth float64, scale index.Scale) {
+// before its bound shrank.
+func (ce *cacheEntry) keep(matches []Candidate, kth float64, scale index.Scale) {
 	type scored struct {
 		score float64
 		i     int
@@ -170,7 +166,6 @@ func (ce *cacheEntry) keep(matches []Candidate, expires []sim.Time, kth float64,
 			ce.vals = make([]float64, 0, len(order)*len(matches[o.i].Avail))
 		}
 		ce.ids, ce.vals = append(ce.ids, matches[o.i].Node), append(ce.vals, matches[o.i].Avail...)
-		ce.expires = min(ce.expires, expires[o.i])
 		ce.addID(matches[o.i].Node)
 	}
 }
@@ -251,8 +246,8 @@ func (ce *cacheEntry) answer(demand, cmax vector.Vec, k int, scale index.Scale) 
 // shards' current snapshots: ce itself, its versions advanced, when no
 // change since touches its set, else a copy with the changes folded in
 // for the caller to cache in ce's place. ok is false when the walk
-// cannot tell (a cut history, past cacheWalkMax), a member may have
-// expired, or the copy is not enough to answer from.
+// cannot tell (a cut history, past cacheWalkMax) or the copy is not
+// enough to answer from.
 func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale index.Scale) (at *cacheEntry, ok bool) {
 	var setBuf [cacheWalkMax]*changeSet
 	at, walked := ce, 0
@@ -261,9 +256,6 @@ func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale ind
 		seen := at.seen[i].Load()
 		if snap.Version <= seen {
 			continue
-		}
-		if at.expires <= snap.Taken {
-			return nil, false
 		}
 		if snap.changes.version <= seen {
 			continue // republished unchanged: no store, so a hot entry's line stays shared
@@ -274,7 +266,7 @@ func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale ind
 				return nil, false
 			}
 			for _, ch := range c.nodes {
-				touched = touched || at.member(Global(s.idx, ch.node)) || at.enters(ch, lo, snap.Taken, scale)
+				touched = touched || at.member(Global(s.idx, ch.node)) || at.enters(ch, lo, scale)
 			}
 			if sets, c = append(sets, c), c.older.Load(); c == nil {
 				return nil, false // the history was cut
@@ -283,7 +275,7 @@ func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale ind
 		for j := len(sets) - 1; touched && j >= 0; j-- { // oldest first: a node's last change is what stands
 			for _, ch := range sets[j].nodes {
 				id := Global(s.idx, ch.node)
-				if enters := at.enters(ch, lo, snap.Taken, scale); enters || at.member(id) {
+				if enters := at.enters(ch, lo, scale); enters || at.member(id) {
 					at = ce.fold(at, id, ch, enters, len(lo), scale)
 				}
 			}
@@ -294,10 +286,9 @@ func (ce *cacheEntry) holds(lo, ub vector.Vec, k int, shards []*shard, scale ind
 }
 
 // enters reports whether the record a change publishes belongs in the
-// set on a snapshot taken at now: unexpired, dominating lo, scoring
-// within the cutoff.
-func (ce *cacheEntry) enters(ch nodeChange, lo vector.Vec, now sim.Time, scale index.Scale) bool {
-	return ch.avail != nil && ch.score <= index.Cutoff(ce.kth) && ch.expires > now && dominates(ch.avail, lo)
+// set: dominating lo, scoring within the cutoff.
+func (ce *cacheEntry) enters(ch nodeChange, lo vector.Vec, scale index.Scale) bool {
+	return ch.avail != nil && ch.score <= index.Cutoff(ce.kth) && dominates(ch.avail, lo)
 }
 
 // fold returns at with one change folded in: a changed member leaves,
@@ -311,7 +302,7 @@ func (ce *cacheEntry) fold(at *cacheEntry, id GlobalID, ch nodeChange, enters bo
 	if at == ce {
 		at = &cacheEntry{ids: append(make([]GlobalID, 0, len(ce.ids)+2), ce.ids...),
 			vals: append(make([]float64, 0, len(ce.vals)+2*dims), ce.vals...), idBits: ce.idBits,
-			kth: ce.kth, expires: ce.expires, seen: make([]atomic.Uint64, len(ce.seen))}
+			kth: ce.kth, seen: make([]atomic.Uint64, len(ce.seen))}
 		for s := range ce.seen {
 			at.seen[s].Store(ce.seen[s].Load())
 		}
@@ -322,7 +313,6 @@ func (ce *cacheEntry) fold(at *cacheEntry, id GlobalID, ch nodeChange, enters bo
 	if enters {
 		p := sort.Search(len(at.ids), func(j int) bool { return scale.Score(at.row(j, dims)) > ch.score })
 		at.ids, at.vals = slices.Insert(at.ids, p, id), slices.Insert(at.vals, p*dims, ch.avail...)
-		at.expires = min(at.expires, ch.expires)
 		at.addID(id)
 	}
 	return at

@@ -520,7 +520,6 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 		scoreBuf [8]float64
 		entryBuf [8]int32
 		cands    []Candidate
-		expBuf   [32]sim.Time
 	)
 	switch {
 	case fill != nil:
@@ -528,14 +527,14 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 	case k > 0:
 		cands = make([]Candidate, 0, min(k, 64)+4)
 	}
-	snaps, cursors, expires := snapBuf[:0], curBuf[:0], expBuf[:0]
+	snaps, cursors := snapBuf[:0], curBuf[:0]
 	visited := 0
 	for i, s := range e.shards {
 		snap := s.snapshot()
 		if fill != nil {
 			fill.seen[i].Store(snap.Version)
 		}
-		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand, snap.Taken))
+		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand))
 	}
 	bound := index.NewBound(k, corner, scoreBuf[:])
 	for {
@@ -550,16 +549,11 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 		}
 		entries, n := cursors[low].Step(entryBuf[:0], &bound)
 		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
-		if fill != nil {
-			for _, en := range entries {
-				expires = append(expires, snaps[low].flat.Expires(en))
-			}
-		}
 		visited += n
 	}
 	if fill != nil {
 		kth, _ := bound.Kth()
-		fill.keep(cands, expires, kth, e.cache.scale)
+		fill.keep(cands, kth, e.cache.scale)
 	}
 	e.idxSearches.Add(1)
 	e.idxScanned.Add(uint64(visited))

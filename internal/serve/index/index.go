@@ -14,11 +14,11 @@
 // Layout. A Flat holds the records sorted by (score, node), cut into
 // blocks. A block is a small structure-of-arrays, its sorted prefix of
 // at most blockCap entries: node ids, scores (binary searched),
-// one-word dominance signatures (what a scan reads), stored and expiry
-// times and a row-major packed availability matrix (read only for the
-// few entries whose signature passes). A block written by Update's
-// patch path shares its predecessor's prefix and adds two things: a
-// bitmap of prefix entries that have left (dead), and a sorted tail —
+// one-word dominance signatures (what a scan reads) and a row-major
+// packed availability matrix (read only for the few entries whose
+// signature passes). A block written by Update's patch path shares its
+// predecessor's prefix and adds two things: a bitmap of prefix entries
+// that have left (dead), and a sorted tail —
 // its own small set of columns, copied on every write, never appended
 // into shared capacity — of entries that have entered since the prefix
 // was written. Build and a rewrite produce blocks with neither. Each
@@ -82,8 +82,8 @@
 //     same order;
 //  2. Step scans one block ascending: it binary-searches the block's
 //     prefix scores for where the Bound's cutoff falls, compares the
-//     signatures up to there, and runs the dead, expiry and exact
-//     dominance tests on the entries that pass; then it compares every
+//     signatures up to there, and runs the dead and exact dominance
+//     tests on the entries that pass; then it compares every
 //     signature of the block's tail, holding the few that pass to the
 //     cutoff. Every signature compare goes through passing: an AVX2
 //     kernel, 16 entries to a branch, where the CPU has it, and a
@@ -190,19 +190,19 @@ const (
 	posShift   = blockShift + 1
 )
 
+// never is the Expires of every record Records materialises: a
+// snapshot reads each live node's availability from its backend, so
+// nothing it indexes goes stale.
 const never = sim.Time(1<<63 - 1)
 
 // cols is an immutable run of entries in (score, node) order, one
 // column per field: a block's sorted prefix or its tail. The columns a
 // scan reads for every entry come first.
 type cols struct {
-	sig     []uint64 // entry i's dominance signature (see Flat.signature)
-	score   []float64
-	expiry  bool      // any entry with a finite expiry (skip the check otherwise)
-	vals    []float64 // row-major: entry i's availability at vals[i*dims : (i+1)*dims]
-	expires []sim.Time
-	nodes   []overlay.NodeID
-	stored  []sim.Time
+	sig   []uint64 // entry i's dominance signature (see Flat.signature)
+	score []float64
+	vals  []float64 // row-major: entry i's availability at vals[i*dims : (i+1)*dims]
+	nodes []overlay.NodeID
 }
 
 func (c *cols) key(i int) key { return key{c.score[i], c.nodes[i]} }
@@ -439,13 +439,13 @@ func (f *Flat) Churn() (patched, rewritten int) { return f.patched, f.rewritten 
 
 // put writes r, whose score is score, as entry i of c.
 func (f *Flat) put(c *cols, i int, r *proto.Record, score float64) {
-	c.nodes[i], c.score[i], c.sig[i], c.stored[i], c.expires[i] = r.Node, score, f.signature(r.Avail, true), r.Stored, r.Expires
+	c.nodes[i], c.score[i], c.sig[i] = r.Node, score, f.signature(r.Avail, true)
 	copy(c.vals[i*f.dims:(i+1)*f.dims], r.Avail)
 }
 
 // move copies entry i of src as entry at of dst.
 func (f *Flat) move(dst *cols, at int, src *cols, i int) {
-	dst.nodes[at], dst.score[at], dst.sig[at], dst.stored[at], dst.expires[at] = src.nodes[i], src.score[i], src.sig[i], src.stored[i], src.expires[i]
+	dst.nodes[at], dst.score[at], dst.sig[at] = src.nodes[i], src.score[i], src.sig[i]
 	copy(dst.vals[at*f.dims:(at+1)*f.dims], src.vals[i*f.dims:(i+1)*f.dims])
 }
 
@@ -585,7 +585,6 @@ func (f *Flat) patch(b *block, ops []op, recs []proto.Record) (nb *block, moved 
 		for ; j < nt; j, at = j+1, at+1 {
 			f.move(tail, at, t, j)
 		}
-		tail.expiry = slices.ContainsFunc(tail.expires, func(e sim.Time) bool { return e != never })
 	}
 	if len(b.nodes) == 0 { // derive's empty block: rewritten, which sums it up
 		return nb, true
@@ -660,8 +659,6 @@ func (f *Flat) emit(out []*block, run []span, n int) []*block {
 			copy(b.nodes[at:], s.c.nodes[lo:hi])
 			copy(b.score[at:], s.c.score[lo:hi])
 			copy(b.sig[at:], s.c.sig[lo:hi])
-			copy(b.stored[at:], s.c.stored[lo:hi])
-			copy(b.expires[at:], s.c.expires[lo:hi])
 			copy(b.vals[at*f.dims:], s.c.vals[lo*f.dims:hi*f.dims])
 			if at, s.lo = at+take, s.lo+int32(take); s.lo == s.hi {
 				run = run[1:]
@@ -689,13 +686,10 @@ func (f *Flat) alloc(c *cols, n int, extra int) []float64 {
 	floats := make([]float64, n+w+extra)
 	c.score, c.vals = floats[:n:n], floats[n:n+w:n+w]
 	c.sig = make([]uint64, n)
-	times := make([]sim.Time, 2*n)
-	c.stored, c.expires = times[:n:n], times[n:]
 	return floats[n+w:]
 }
 
-// summarize derives a filled block's per-dimension maximum and expiry
-// flag.
+// summarize derives a filled block's per-dimension maximum.
 func (f *Flat) summarize(b *block) {
 	copy(b.max, b.vals)
 	for i := 1; i < len(b.nodes); i++ {
@@ -703,7 +697,6 @@ func (f *Flat) summarize(b *block) {
 			b.max[d] = max(b.max[d], v)
 		}
 	}
-	b.expiry = slices.ContainsFunc(b.expires, func(e sim.Time) bool { return e != never })
 }
 
 // firsts derives the first-score directory over f.blocks.
@@ -802,8 +795,10 @@ func (f *Flat) RaiseMax(m vector.Vec) {
 }
 
 // Records returns the indexed records ascending by node id, each
-// Avail a read-only view of its index row. The slice is built on the
-// first call and shared by every later one; it must not be mutated.
+// Avail a read-only view of its index row and none ever expiring
+// (Expires is the largest sim.Time; Stored is not kept). The slice is
+// built on the first call and shared by every later one; it must not
+// be mutated.
 func (f *Flat) Records() []proto.Record {
 	f.recsOnce.Do(func() {
 		// Sort (node, entry) pairs packed into one word each — ids are
@@ -814,7 +809,7 @@ func (f *Flat) Records() []proto.Record {
 		f.recs = make([]proto.Record, len(order))
 		for at, o := range order {
 			c, i := f.entry(int32(uint32(o)))
-			f.recs[at] = proto.Record{Node: c.nodes[i], Avail: f.row(c, i), Stored: c.stored[i], Expires: c.expires[i]}
+			f.recs[at] = proto.Record{Node: c.nodes[i], Avail: f.row(c, i), Expires: never}
 		}
 	})
 	return f.recs
@@ -841,12 +836,6 @@ func (f *Flat) NodeAt(entry int32) overlay.NodeID {
 // the indexed record's Avail.
 func (f *Flat) Row(entry int32) vector.Vec {
 	return f.row(f.entry(entry))
-}
-
-// Expires returns the expiry time of the entry a Search returned.
-func (f *Flat) Expires(entry int32) sim.Time {
-	c, i := f.entry(entry)
-	return c.expires[i]
 }
 
 // row is capped so an append cannot spill into the neighboring row.
@@ -971,21 +960,19 @@ func (b *Bound) counts(row []float64) bool {
 
 // Cursor is a resumable ascending scan of one version for one demand.
 // Seek makes one; Step advances it a block at a time until Done. It
-// fits in 64 bytes, which the engine copies once per shard and query.
+// fits in 56 bytes, which the engine copies once per shard and query.
 type Cursor struct {
 	f      *Flat
 	demand vector.Vec
-	now    sim.Time
 	sig    uint64  // the demand's signature
 	bi, lo int32   // the next entry to visit: prefix entry lo of blocks[bi] (then its tail); bi == len(blocks) once retired
 	next   float64 // a lower bound on its score and on every score the cursor can still report
 }
 
 // Seek returns a cursor at the first entry of f whose score allows it
-// to dominate demand, for a scan that treats entries expired at now as
-// absent.
-func (f *Flat) Seek(demand vector.Vec, now sim.Time) Cursor {
-	c := Cursor{f: f, demand: demand, now: now, bi: int32(len(f.blocks))}
+// to dominate demand.
+func (f *Flat) Seek(demand vector.Vec) Cursor {
+	c := Cursor{f: f, demand: demand, bi: int32(len(f.blocks))}
 	if len(f.blocks) == 0 {
 		return c
 	}
@@ -1043,12 +1030,12 @@ func (c *Cursor) Done() bool { return int(c.bi) == len(c.f.blocks) }
 func (c *Cursor) Next() float64 { return c.next }
 
 // Step scans the rest of the cursor's current block, as far as
-// bound's cutoff: it appends to dst every live, unexpired entry
-// dominating the demand (opaque positions: resolve them with
-// NodeAt/Row on the cursor's version), offers each one's score to
-// bound, and moves to the next block or retires. The second result is
-// how many entries it visited, dead ones included. Stepping a cursor
-// that is Done does nothing.
+// bound's cutoff: it appends to dst every live entry dominating the
+// demand (opaque positions: resolve them with NodeAt/Row on the
+// cursor's version), offers each one's score to bound, and moves to the
+// next block or retires. The second result is how many entries it
+// visited, dead ones included. Stepping a cursor that is Done does
+// nothing.
 func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 	if c.Done() {
 		return dst, 0
@@ -1110,12 +1097,9 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 	return dst, visited
 }
 
-// match runs the expiry and exact dominance tests on entry i of p, a
-// block's prefix or its tail, whose signature passed.
+// match runs the exact dominance test on entry i of p, a block's
+// prefix or its tail, whose signature passed.
 func (c *Cursor) match(p *cols, i int) bool {
-	if p.expiry && c.now >= p.expires[i] {
-		return false
-	}
 	row := p.vals[i*c.f.dims : (i+1)*c.f.dims]
 	for d, w := range c.demand {
 		if row[d] < w {
@@ -1198,7 +1182,7 @@ func below(scores []float64, x float64) int {
 
 // Search appends to dst the entries (opaque positions: resolve them
 // with NodeAt/Row on this version) of every record needed to rank the
-// k smallest-surplus unexpired records dominating demand: the first k
+// k smallest-surplus records dominating demand: the first k
 // matches in score order plus any further match within tieSlack of
 // the k-th score (so a caller re-ranking by exact surplus can never
 // be missing a true top-k member). k <= 0 returns every match. The
@@ -1206,11 +1190,11 @@ func below(scores []float64, x float64) int {
 // sub-linearity measurement the engine aggregates. It is the
 // one-cursor scan; the serving engine steps one cursor per shard
 // against one Bound.
-func (f *Flat) Search(dst []int32, demand vector.Vec, now sim.Time, k int) ([]int32, int) {
+func (f *Flat) Search(dst []int32, demand vector.Vec, k int) ([]int32, int) {
 	var scratch [8]float64
 	bound := NewBound(k, nil, scratch[:])
 	visited := 0
-	for c := f.Seek(demand, now); !c.Done(); {
+	for c := f.Seek(demand); !c.Done(); {
 		var n int
 		dst, n = c.Step(dst, &bound)
 		visited += n

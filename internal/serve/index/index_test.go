@@ -8,14 +8,12 @@ import (
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
-	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
 // randPopulation builds n records ascending by node id with
-// availabilities drawn under cmax; a fraction get finite expiries
-// around now so Search sees both live and stale entries.
-func randPopulation(rng *rand.Rand, n int, cmax vector.Vec, now sim.Time) []proto.Record {
+// availabilities drawn under cmax.
+func randPopulation(rng *rand.Rand, n int, cmax vector.Vec) []proto.Record {
 	recs := make([]proto.Record, n)
 	for i := range recs {
 		a := vector.New(cmax.Dim())
@@ -25,22 +23,16 @@ func randPopulation(rng *rand.Rand, n int, cmax vector.Vec, now sim.Time) []prot
 				a[d] = 0 // exact-zero edges: score ties, flat dimensions
 			}
 		}
-		exp := never
-		switch rng.Intn(4) {
-		case 0:
-			exp = now - sim.Time(rng.Intn(50)) // already expired
-		case 1:
-			exp = now + 1 + sim.Time(rng.Intn(100))
-		}
-		recs[i] = proto.Record{Node: overlay.NodeID(i * 2), Avail: a, Expires: exp}
+		recs[i] = proto.Record{Node: overlay.NodeID(i * 2), Avail: a, Expires: never}
 	}
 	return recs
 }
 
 // bruteTopK is the referee's answer (proto.BestFit) over the records
-// the index under test was given, as node ids.
-func bruteTopK(recs []proto.Record, demand, cmax vector.Vec, now sim.Time, k int) []overlay.NodeID {
-	fits := proto.BestFit(nil, recs, now, 0, demand, cmax, k)
+// the index under test was given, as node ids. The records never
+// expire, so the clock BestFit reads them at does not matter.
+func bruteTopK(recs []proto.Record, demand, cmax vector.Vec, k int) []overlay.NodeID {
+	fits := proto.BestFit(nil, recs, 0, 0, demand, cmax, k)
 	out := make([]overlay.NodeID, len(fits))
 	for i, f := range fits {
 		out[i] = overlay.NodeID(f.ID)
@@ -76,7 +68,7 @@ func rankReturned(f *Flat, entries []int32, demand, cmax vector.Vec, k int) []ov
 }
 
 // TestSearchMatchesLinear is the index-vs-linear property test: over
-// randomized populations, demands, expiries, and k, the index's
+// randomized populations, demands and k, the index's
 // re-ranked answer must be identical — same nodes, same order — to
 // the brute-force linear ranking, on either scan kernel.
 func TestSearchMatchesLinear(t *testing.T) { eachKernel(t, searchMatchesLinear) }
@@ -92,8 +84,7 @@ func searchMatchesLinear(t *testing.T) {
 		if rng.Intn(6) == 0 {
 			cmax[rng.Intn(dims)] = 0 // unscored dimension
 		}
-		now := sim.Time(1000)
-		recs := randPopulation(rng, rng.Intn(120), cmax, now)
+		recs := randPopulation(rng, rng.Intn(120), cmax)
 		f := Build(recs, cmax)
 
 		for q := 0; q < 20; q++ {
@@ -110,11 +101,11 @@ func searchMatchesLinear(t *testing.T) {
 				demand = recs[rng.Intn(len(recs))].Avail.Clone()
 			}
 			k := rng.Intn(12) // 0 = unlimited
-			got, visited := f.Search(nil, demand, now, k)
+			got, visited := f.Search(nil, demand, k)
 			if visited > len(recs) {
 				t.Fatalf("visited %d of %d records", visited, len(recs))
 			}
-			want := bruteTopK(recs, demand, cmax, now, k)
+			want := bruteTopK(recs, demand, cmax, k)
 			ranked := rankReturned(f, got, demand, cmax, k)
 			if len(ranked) != len(want) {
 				t.Fatalf("trial %d q %d: got %d ranked (%v), want %d (%v)",
@@ -151,9 +142,9 @@ func TestSearchSubLinear(t *testing.T) {
 		for d := range demand {
 			demand[d] = cmax[d] * rng.Float64() * 0.6
 		}
-		nodes, visited := f.Search(nil, demand, sim.Time(0), 8)
+		nodes, visited := f.Search(nil, demand, 8)
 		total += visited
-		want := bruteTopK(recs, demand, cmax, sim.Time(0), 8)
+		want := bruteTopK(recs, demand, cmax, 8)
 		ranked := rankReturned(f, nodes, demand, cmax, 8)
 		for i := range want {
 			if i >= len(ranked) || ranked[i] != want[i] {
@@ -168,19 +159,18 @@ func TestSearchSubLinear(t *testing.T) {
 
 // TestCornerBoundStopsOnTheCorner pins the query cache's fill scan: a
 // scan at a low demand under a Bound with a higher corner keeps only the
-// scores of matches dominating the corner, and reports every unexpired
-// record dominating the low demand up to Cutoff of the k-th of them —
+// scores of matches dominating the corner, and reports every record
+// dominating the low demand up to Cutoff of the k-th of them —
 // what brute force over the records says those are.
 func TestCornerBoundStopsOnTheCorner(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	now := sim.Time(1000)
 	for trial := range 200 {
 		dims := 1 + rng.Intn(4)
 		cmax := vector.New(dims)
 		for d := range cmax {
 			cmax[d] = 1 + 20*rng.Float64()
 		}
-		recs := randPopulation(rng, rng.Intn(400), cmax, now)
+		recs := randPopulation(rng, rng.Intn(400), cmax)
 		f := Build(recs, cmax)
 		lo, corner := vector.New(dims), vector.New(dims)
 		for d := range lo {
@@ -191,7 +181,7 @@ func TestCornerBoundStopsOnTheCorner(t *testing.T) {
 		var scratch [8]float64
 		bound := NewBound(k, corner, scratch[:])
 		reported := map[overlay.NodeID]bool{}
-		for c := f.Seek(lo, now); !c.Done(); {
+		for c := f.Seek(lo); !c.Done(); {
 			entries, _ := c.Step(nil, &bound)
 			for _, e := range entries {
 				reported[f.NodeAt(e)] = true
@@ -199,7 +189,7 @@ func TestCornerBoundStopsOnTheCorner(t *testing.T) {
 		}
 		var scores []float64
 		for _, r := range recs {
-			if !r.Expired(now) && r.Avail.Dominates(corner) {
+			if r.Avail.Dominates(corner) {
 				scores = append(scores, f.inv.Score(r.Avail))
 			}
 		}
@@ -209,7 +199,7 @@ func TestCornerBoundStopsOnTheCorner(t *testing.T) {
 			t.Fatalf("trial %d: Kth = %v, %v; the corner's %d-th score of %d is what brute force gives", trial, kth, ok, k, len(scores))
 		}
 		for _, r := range recs {
-			match := !r.Expired(now) && r.Avail.Dominates(lo)
+			match := r.Avail.Dominates(lo)
 			if match && f.inv.Score(r.Avail) <= Cutoff(kth) && !reported[r.Node] {
 				t.Fatalf("trial %d: node %d dominates the demand within the cutoff, not reported", trial, r.Node)
 			}
@@ -222,7 +212,7 @@ func TestCornerBoundStopsOnTheCorner(t *testing.T) {
 
 func TestEmptyAndDegenerate(t *testing.T) {
 	f := Build(nil, vector.Of(1, 1))
-	if got, visited := f.Search(nil, vector.Of(0.5, 0.5), 0, 3); len(got) != 0 || visited != 0 {
+	if got, visited := f.Search(nil, vector.Of(0.5, 0.5), 3); len(got) != 0 || visited != 0 {
 		t.Fatalf("empty index returned %v (visited %d)", got, visited)
 	}
 	if f.Len() != 0 {
@@ -234,7 +224,7 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		{Node: 2, Avail: vector.Of(1, 1), Expires: never},
 	}
 	z := Build(recs, vector.Of(0, 0))
-	got, _ := z.Search(nil, vector.Of(2, 2), 0, 0)
+	got, _ := z.Search(nil, vector.Of(2, 2), 0)
 	if len(got) != 1 || z.NodeAt(got[0]) != 1 {
 		t.Fatalf("zero-scale search returned %v, want [node 1]", got)
 	}

@@ -119,7 +119,7 @@ func TestSearchAllocations(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		i := 0
 		if n := testing.AllocsPerRun(200, func() {
-			dst, _ = f.Search(dst[:0], demands[i%len(demands)], 0, 3)
+			dst, _ = f.Search(dst[:0], demands[i%len(demands)], 3)
 			i++
 		}); n != 0 {
 			t.Fatalf("a Search into a pre-sized dst allocates %.1f times, want 0", n)

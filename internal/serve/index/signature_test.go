@@ -7,7 +7,6 @@ import (
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
-	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
@@ -102,7 +101,7 @@ func TestSignatureDoesTheRejecting(t *testing.T) {
 		}
 		var scratch [8]float64
 		bound := NewBound(3, nil, scratch[:])
-		for c := f.Seek(demand, 0); !c.Done(); {
+		for c := f.Seek(demand); !c.Done(); {
 			b, lo := f.blocks[c.bi], int(c.lo)
 			got, n := c.Step(nil, &bound)
 			for _, sig := range b.sig[lo : lo+n] {
@@ -122,13 +121,10 @@ func TestSignatureDoesTheRejecting(t *testing.T) {
 // A fuzz input is a search case on a byte grid: byte 0 the number of
 // dimensions (1-10), byte 1 k (0-11), then one byte per dimension of
 // cmax (0-32, 0 unscored), one per dimension of the demand, and
-// dims+1 per record: its availability, then its expiry. A value byte
+// dims per record: its availability. A value byte
 // b is b/128 of the dimension's cmax, so values reach past cmax, and
 // availabilities, demands and scores tie exactly all the time.
-const (
-	fuzzNow     = sim.Time(1000)
-	fuzzRecords = 600 // several blocks
-)
+const fuzzRecords = 600 // several blocks
 
 func fuzzValue(cmax float64, b byte) float64 {
 	if cmax == 0 {
@@ -157,16 +153,10 @@ func decodeSearchCase(data []byte) (cmax vector.Vec, recs []proto.Record, demand
 		cmax[d] = float64(data[d] % 33)
 		demand[d] = fuzzValue(cmax[d], data[dims+d])
 	}
-	for data = data[2*dims:]; len(data) > dims && len(recs) < fuzzRecords; data = data[dims+1:] {
+	for data = data[2*dims:]; len(data) >= dims && len(recs) < fuzzRecords; data = data[dims:] {
 		r := proto.Record{Node: overlay.NodeID(2 * len(recs)), Avail: vector.New(dims), Expires: never}
 		for d := range r.Avail {
 			r.Avail[d] = fuzzValue(cmax[d], data[d])
-		}
-		switch e := sim.Time(data[dims]); e % 4 {
-		case 0:
-			r.Expires = fuzzNow - e/4 // already expired
-		case 1:
-			r.Expires = fuzzNow + 1 + e/4
 		}
 		recs = append(recs, r)
 	}
@@ -174,7 +164,7 @@ func decodeSearchCase(data []byte) (cmax vector.Vec, recs []proto.Record, demand
 }
 
 // encodeSearchCase is decodeSearchCase's inverse up to the grid:
-// every value rounds to its nearest byte, expiries to the three kinds.
+// every value rounds to its nearest byte.
 func encodeSearchCase(cmax vector.Vec, recs []proto.Record, demand vector.Vec, k int) []byte {
 	out := []byte{byte(cmax.Dim() - 1), byte(k)}
 	for _, c := range cmax {
@@ -186,14 +176,6 @@ func encodeSearchCase(cmax vector.Vec, recs []proto.Record, demand vector.Vec, k
 	for _, r := range recs {
 		for d, v := range r.Avail {
 			out = append(out, fuzzByte(math.Round(cmax[d]), v))
-		}
-		switch {
-		case r.Expires == never:
-			out = append(out, 2)
-		case r.Expires <= fuzzNow:
-			out = append(out, 0)
-		default:
-			out = append(out, 1)
 		}
 	}
 	return out
@@ -218,7 +200,7 @@ func FuzzSearchMatchesLinear(f *testing.F) {
 		if seed == 0 {
 			n = 4 * blockCap
 		}
-		recs := randPopulation(rng, n, cmax, fuzzNow)
+		recs := randPopulation(rng, n, cmax)
 		demand := vector.New(dims)
 		for d := range demand {
 			demand[d] = cmax[d] * rng.Float64() * 0.9
@@ -234,11 +216,11 @@ func FuzzSearchMatchesLinear(f *testing.F) {
 			return
 		}
 		flat := Build(recs, cmax)
-		got, visited := flat.Search(nil, demand, fuzzNow, k)
+		got, visited := flat.Search(nil, demand, k)
 		if visited > len(recs) {
 			t.Fatalf("visited %d of %d records", visited, len(recs))
 		}
-		want := bruteTopK(recs, demand, cmax, fuzzNow, k)
+		want := bruteTopK(recs, demand, cmax, k)
 		ranked := rankReturned(flat, got, demand, cmax, k)
 		if len(ranked) != len(want) {
 			t.Fatalf("cmax %v demand %v k %d: ranked %v, brute force %v", cmax, demand, k, ranked, want)

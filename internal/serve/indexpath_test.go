@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
@@ -93,8 +92,7 @@ func TestIndexedQueryMatchesLinear(t *testing.T) {
 // over the engine's own records) where a shared cutoff could go wrong:
 // four shards of several blocks each, availabilities on a coarse grid
 // so that records of different shards tie exactly at the k-th
-// position, records expiring by RecordTTL, and k of 1, 3 and more than
-// there are matches. Responses must be byte-identical; the merged scan
+// position, and k of 1, 3 and more than there are matches. Responses must be byte-identical; the merged scan
 // may visit no more than the four per-shard searches it replaced would
 // together; and it must hand ranking about the k candidates asked for,
 // not k per shard.
@@ -102,7 +100,6 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.NodesPerShard = 320
 	cfg.CMax = vector.Of(8, 12, 5)
-	cfg.RecordTTL = 50 * sim.Second
 	idx, clock := newClockedEngine(t, cfg)
 
 	rng := rand.New(rand.NewSource(21))
@@ -122,11 +119,10 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 		return v
 	}
 	nodes := idx.Nodes()
-	var candidates, asked, tiedAcrossShards, expired int
+	var candidates, asked, tiedAcrossShards int
 	for round := range 6 {
 		// Re-advertise everything in round 0 and a third of the nodes
-		// afterwards, 20 s apart: what was last written more than 50 s
-		// ago has expired.
+		// afterwards, 20 s apart.
 		for _, n := range nodes {
 			if round > 0 && rng.Intn(3) > 0 {
 				continue
@@ -168,19 +164,10 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 				}
 			}
 		}
-		snap, err := idx.Snapshot(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range snap.Records {
-			if r.Expired(snap.Taken) {
-				expired++
-			}
-		}
 	}
-	t.Logf("%d candidates merged for %d asked; %d queries tied across shards at the k-th position; %d expired records seen on shard 0", candidates, asked, tiedAcrossShards, expired)
-	if tiedAcrossShards == 0 || expired == 0 {
-		t.Fatalf("the run exercised %d cross-shard ties at the k-th position and %d expired records, want both", tiedAcrossShards, expired)
+	t.Logf("%d candidates merged for %d asked; %d queries tied across shards at the k-th position", candidates, asked, tiedAcrossShards)
+	if tiedAcrossShards == 0 {
+		t.Fatal("the run exercised no cross-shard tie at the k-th position")
 	}
 	if candidates > 2*asked {
 		t.Fatalf("merged scans handed ranking %d candidates for %d asked, more than twice over", candidates, asked)

@@ -211,11 +211,10 @@ func TestJoinOnValidation(t *testing.T) {
 	}
 }
 
-// TestTakeChecksLivenessWithoutListingNodes: the migration take tests
-// liveness in the shard's own alive set — on a real cluster
-// Backend.Nodes() allocates and sorts the whole shard population, per
-// migrated node, under the shard's combiner lock. Results are what the listing
-// scan produced: a resident node leaves carrying its availability, a
+// TestTakeChecksLivenessWithoutListingNodes: the migration take asks
+// Backend.Alive — on a real cluster Backend.Nodes() allocates and sorts
+// the whole shard population, per migrated node, under the shard's
+// combiner lock. Results are what the listing scan produced: a resident node leaves carrying its availability, a
 // non-resident one is refused by name.
 func TestTakeChecksLivenessWithoutListingNodes(t *testing.T) {
 	e, clk := newClockedEngine(t, testConfig(1))

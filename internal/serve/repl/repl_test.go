@@ -55,6 +55,8 @@ func (f *fakeBackend) Nodes() []overlay.NodeID {
 	return out
 }
 
+func (f *fakeBackend) Alive(id overlay.NodeID) bool { return f.live[id] }
+
 func (f *fakeBackend) Availability(id overlay.NodeID) vector.Vec { return f.avail[id].Clone() }
 
 func (f *fakeBackend) SetAvailability(id overlay.NodeID, v vector.Vec) error {

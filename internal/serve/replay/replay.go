@@ -15,9 +15,9 @@
 // clock follows wall time, see serve's clock contract, so the
 // protocol's hop state depends on when the idle ticks fell) — cached
 // or not, a snapshot-path answer is the paper's answer over the
-// records — and (c) RecordTTL is unset so snapshot results depend
-// only on the record set. Scenario-generated traces satisfy all three
-// by construction; live-captured traces of
+// records, which carry no clock, so snapshot results depend only on
+// the record set. Scenario-generated traces satisfy both by
+// construction; live-captured traces of
 // concurrent traffic keep per-shard write order exact (mutations are
 // captured under the shards' combiner locks in application order) but may
 // interleave query digests non-strictly — replay against a reference

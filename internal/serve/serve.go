@@ -44,8 +44,12 @@
 //     periods) costs the same whatever the traffic, and consistent
 //     queries and announces see an overlay at most one FlushInterval
 //     behind real time. A protocol query that runs the backend ahead
-//     of the target makes the next ticks step nothing. Snapshot.Taken,
-//     Record.Stored/Expires and ShardStats.SimNow read Backend.Now().
+//     of the target makes the next ticks step nothing. Snapshot.Taken
+//     and ShardStats.SimNow read Backend.Now(). Snapshot records carry
+//     no clock: a snapshot reads every alive node's availability from
+//     the backend, so none of them is ever stale, and the protocol's
+//     own state-record TTL (core.Config.StateTTL) governs only the
+//     consistent path.
 //
 //   - Recent queries are cached per cell of a quantization grid over
 //     the demand space. An entry holds every record any demand of its
@@ -268,6 +272,9 @@ func (g GlobalID) String() string { return fmt.Sprintf("%d/%d", g.Shard(), g.Loc
 type Backend interface {
 	// Nodes returns the alive node ids in ascending order.
 	Nodes() []overlay.NodeID
+	// Alive reports whether id is an alive node, without listing the
+	// population: the shard's one record of which nodes it holds.
+	Alive(id overlay.NodeID) bool
 	// Availability returns a copy of the node's current availability.
 	Availability(id overlay.NodeID) vector.Vec
 	// SetAvailability publishes a node's availability vector.
@@ -329,15 +336,6 @@ type Config struct {
 	// owing more simulated time steps it in slices this long, looking
 	// at the write queue in between (default 1s of simulated time).
 	StepQuantum sim.Time
-	// RecordTTL, when positive, is the paper's state-record TTL
-	// applied to the serving path: a node whose last explicit
-	// availability write (Update/Join) is older than RecordTTL of
-	// shard-simulated time (wall time, to within a FlushInterval) is
-	// filtered from snapshot-path query results until it writes again.
-	// 0 (the default) never expires records: an alive node's
-	// availability is read live from the cluster at every snapshot, so
-	// it is fresh by construction.
-	RecordTTL sim.Time
 	// Warmup is simulated time each shard runs before serving, so
 	// state updates and index diffusion settle (default 0).
 	Warmup sim.Time
@@ -466,9 +464,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StepQuantum <= 0 {
 		c.StepQuantum = sim.Second
-	}
-	if c.RecordTTL < 0 {
-		c.RecordTTL = 0
 	}
 	if c.Warmup < 0 {
 		c.Warmup = 0

@@ -67,6 +67,8 @@ func (f *fakeBackend) Nodes() []overlay.NodeID {
 	return out
 }
 
+func (f *fakeBackend) Alive(id overlay.NodeID) bool { return f.live[id] }
+
 func (f *fakeBackend) Availability(id overlay.NodeID) vector.Vec { return f.avail[id].Clone() }
 
 func (f *fakeBackend) SetAvailability(id overlay.NodeID, v vector.Vec) error {
@@ -680,63 +682,21 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestRecordTTLExpiresStaleNodes(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.RecordTTL = 15 * sim.Second
-	// The shard clock moves only when the test advances it, so node
-	// ages are deterministic.
-	e, clk := newClockedEngine(t, cfg)
-	nodes := e.Nodes()
-	// t=0: nodes[0] written (fresh); the clock moves to 10s.
-	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(10 * time.Second)
-	// t=10s: nodes[1] written; the clock moves to 20s. nodes[0] is now
-	// 20s old (> TTL), nodes[1] 10s old (fresh).
-	if err := e.Update(nodes[1], vector.Of(6, 6), false); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(10 * time.Second)
-	resp, err := e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[1] {
-		t.Fatalf("want only fresh node %v, got %+v", nodes[1], resp.Candidates)
-	}
-	// A fresh write revives the stale node.
-	if err := e.Update(nodes[0], vector.Of(5, 5), false); err != nil {
-		t.Fatal(err)
-	}
-	clk.advance(10 * time.Second)
-	resp, err = e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != nodes[0] {
-		// nodes[1] is now 20s old and expired; nodes[0] wrote 10s ago.
-		t.Fatalf("want only re-freshed node %v, got %+v", nodes[0], resp.Candidates)
-	}
-}
-
 // TestSnapshotSearchHandBuiltMatchesPublished pins Snapshot.Search to
 // the referee: a hand-built answer (proto.BestFit over the published
 // snapshot's own records) must rank the same candidates, bit for bit,
 // as the published snapshot's index search, for bounded k, a score
-// tie, and k = 0 (every match) — with an expired best fit both must
-// skip.
+// tie, and k = 0 (every match) — with the best fit written a minute of
+// simulated time before the snapshot, which both must still rank.
 func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 6
-	cfg.RecordTTL = 55 * sim.Second
 	e, clk := newClockedEngine(t, cfg) // only advance below moves the clock
 	nodes := e.Nodes()
-	// One write per node, 10s apart: the clock ends at 60s, so only
-	// the first record (expires at 55s) is expired — and it would be
-	// the best fit.
+	// One write per node, 10s apart: the clock ends at 60s, and the
+	// oldest record is the best fit.
 	for i, a := range []vector.Vec{
-		vector.Of(5, 5), // expired
+		vector.Of(5, 5), // the best fit, written first
 		vector.Of(9, 9),
 		vector.Of(6, 7), // ties with the next on surplus
 		vector.Of(7, 6),
@@ -753,7 +713,7 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	demand := vector.Of(4, 4)
-	for _, tc := range []struct{ k, want int }{{1, 1}, {3, 3}, {0, 4}} {
+	for _, tc := range []struct{ k, want int }{{1, 1}, {3, 3}, {0, 5}} {
 		cands, _ := pub.Search(nil, demand, cfg.CMax, tc.k)
 		got := RankCandidates(cands, tc.k)
 		var want []Candidate
@@ -769,19 +729,23 @@ func TestSnapshotSearchHandBuiltMatchesPublished(t *testing.T) {
 			if a.Node != b.Node || math.Float64bits(a.Surplus) != math.Float64bits(b.Surplus) || !a.Avail.Equal(b.Avail) {
 				t.Fatalf("k=%d cand %d: published %+v != hand-built %+v", tc.k, i, a, b)
 			}
-			if a.Node == nodes[0] {
-				t.Fatalf("k=%d: expired record %v ranked", tc.k, nodes[0])
-			}
 		}
-		if got[0].Node != nodes[2] {
-			t.Fatalf("k=%d: best fit %v, want %v (the lower id of the surplus tie)", tc.k, got[0].Node, nodes[2])
+		if got[0].Node != nodes[0] {
+			t.Fatalf("k=%d: best fit %v, want the oldest record's node %v", tc.k, got[0].Node, nodes[0])
+		}
+		if len(got) > 2 && got[1].Node != nodes[2] {
+			t.Fatalf("k=%d: second fit %v, want %v (the lower id of the surplus tie)", tc.k, got[1].Node, nodes[2])
 		}
 	}
 }
 
-func TestRecordTTLZeroNeverExpires(t *testing.T) {
-	cfg := testConfig(1) // RecordTTL 0: the default, no expiry
-	e, clk := newClockedEngine(t, cfg)
+// TestSnapshotRecordsNeverExpire: a snapshot reads every alive node's
+// availability from its backend, so the records Snapshot.Records
+// materialises for the referee never expire, whatever the clock: a
+// record written a simulated day before the snapshot is expired at no
+// time a snapshot can be taken, and it still answers a query.
+func TestSnapshotRecordsNeverExpire(t *testing.T) {
+	e, clk := newClockedEngine(t, testConfig(1))
 	if err := e.Update(e.Nodes()[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
@@ -796,12 +760,22 @@ func TestRecordTTLZeroNeverExpires(t *testing.T) {
 	if snap.Taken != 24*sim.Hour {
 		t.Fatalf("snapshot taken at %v, want 24h (the tick did not move the clock)", snap.Taken)
 	}
+	if len(snap.Records) != 4 {
+		t.Fatalf("%d records, want 4", len(snap.Records))
+	}
+	for _, r := range snap.Records {
+		for _, now := range []sim.Time{0, snap.Taken, snap.Taken + 365*24*sim.Hour, math.MaxInt64 - 1} {
+			if r.Expired(now) {
+				t.Fatalf("record %+v reads as expired at %v", r, now)
+			}
+		}
+	}
 	resp, err := e.Query(QueryRequest{Demand: vector.Of(4, 4), K: 5, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Candidates) != 1 || resp.Candidates[0].Node != e.Nodes()[0] {
-		t.Fatalf("record expired with RecordTTL=0: %+v", resp.Candidates)
+		t.Fatalf("the record written a day ago did not answer: %+v", resp.Candidates)
 	}
 }
 
@@ -982,7 +956,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Shards != 1 || cfg.NodesPerShard != 64 || cfg.CMax == nil ||
-		cfg.QueueDepth <= 0 || cfg.CacheSize <= 0 || cfg.RecordTTL != 0 ||
+		cfg.QueueDepth <= 0 || cfg.CacheSize <= 0 ||
 		cfg.RebalanceInterval != 0 || cfg.RebalanceThreshold != 1.25 ||
 		cfg.RebalanceMaxMoves != 8 {
 		t.Fatalf("defaults not resolved: %+v", cfg)

@@ -67,9 +67,6 @@ type availSummary struct {
 // its records. The write epoch is read BEFORE the
 // scan: records applied mid-scan can only push the maxima higher, so
 // the result is always a valid upper bound for the returned seq.
-// Expired records are included — expiry only shrinks the true
-// maxima, so ignoring it keeps the bound safe while making the
-// summary insensitive to clock skew between members and routers.
 // The result is cached until the next mutating batch; the returned
 // vector is shared and must not be mutated.
 func (e *Engine) AvailSummary() (vector.Vec, int, uint64, bool) {

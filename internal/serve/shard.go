@@ -108,12 +108,6 @@ type shard struct {
 	base    sim.Time
 	ticks   <-chan time.Time
 
-	// fresh records the shard-local time of each node's last
-	// explicit availability write; it backs RecordTTL expiry. Its keys
-	// are exactly the alive ids (opTake's liveness check).
-	// Combiner (initialized before start).
-	fresh map[overlay.NodeID]sim.Time
-
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
 	// removed) — all publishDelta hands the index. Combiner; cleared
@@ -210,7 +204,6 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
-		fresh:    make(map[overlay.NodeID]sim.Time),
 		dirty:    make(map[overlay.NodeID]bool),
 		batchBuf: make([]op, 0, cfg.MaxBatch),
 		resBuf:   make([]opResult, cfg.MaxBatch),
@@ -221,7 +214,6 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		be.Step(cfg.Warmup)
 	}
 	for _, id := range be.Nodes() {
-		s.fresh[id] = be.Now()
 		if id >= s.nextLocal {
 			s.nextLocal = id + 1
 		}
@@ -286,8 +278,8 @@ func (s *shard) loop() {
 // tick is the idle tick, under the combiner lock: the only place
 // simulated time moves (the clock contract in serve.go). It steps the
 // overlay up to wall time now and republishes under the new clock, so
-// record freshness and the protocol's periodic machinery run at real
-// time whatever the traffic.
+// the protocol's periodic machinery runs at real time whatever the
+// traffic.
 func (s *shard) tick(now time.Time) {
 	s.catchUp(s.base + sim.Time(now.Sub(s.started)/time.Microsecond))
 	s.publishDelta()
@@ -446,7 +438,6 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 				res.err = s.be.Announce(o.node)
 			}
 			if res.err == nil {
-				s.fresh[o.node] = s.be.Now()
 				s.dirty[o.node] = true
 				muts++
 			}
@@ -459,7 +450,6 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 				}
 			}
 			if res.err == nil {
-				s.fresh[res.node] = s.be.Now()
 				s.dirty[res.node] = true
 				s.nextLocal = res.node + 1
 				muts++
@@ -467,7 +457,6 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 		case opLeave:
 			res.err = s.be.Leave(o.node)
 			if res.err == nil {
-				delete(s.fresh, o.node)
 				s.dirty[o.node] = false
 				muts++
 			}
@@ -487,14 +476,11 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 			// The overlay's index keeps a departed node's records until
 			// they expire, and the protocol returns them like any
 			// other: answer with the nodes alive here only.
-			res.recs = slices.DeleteFunc(res.recs, func(r proto.Record) bool {
-				_, alive := s.fresh[r.Node]
-				return !alive
-			})
+			res.recs = slices.DeleteFunc(res.recs, func(r proto.Record) bool { return !s.be.Alive(r.Node) })
 		case opTake:
 			// Migration source half: capture the availability, then
 			// remove the node — one op, so no write can interleave.
-			if _, alive := s.fresh[o.node]; !alive {
+			if !s.be.Alive(o.node) {
 				res.err = fmt.Errorf("serve: node %d not on shard %d", o.node, s.idx)
 				break
 			}
@@ -515,7 +501,6 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 			if res.err != nil {
 				res.avail = nil
 			} else {
-				delete(s.fresh, o.node)
 				s.dirty[o.node] = false
 				muts++
 			}
@@ -728,22 +713,10 @@ func (s *shard) checkpointNow() (wal.ShardState, error) {
 	return st, nil
 }
 
-// record builds one node's published record.
-func (s *shard) record(id overlay.NodeID, now sim.Time) proto.Record {
-	stored, ok := s.fresh[id]
-	if !ok {
-		stored = now
-	}
-	expires := sim.Time(1<<63 - 1) // RecordTTL 0: never expires
-	if s.cfg.RecordTTL > 0 {
-		expires = stored + s.cfg.RecordTTL
-	}
-	return proto.Record{
-		Node:    id,
-		Avail:   s.be.Availability(id), // already a copy
-		Stored:  stored,
-		Expires: expires,
-	}
+// record builds one node's published record: its id and its current
+// availability, which the backend returns as a copy.
+func (s *shard) record(id overlay.NodeID) proto.Record {
+	return proto.Record{Node: id, Avail: s.be.Availability(id)}
 }
 
 // publish builds and atomically installs a fresh immutable snapshot
@@ -755,7 +728,7 @@ func (s *shard) publish() {
 	nodes := s.be.Nodes()
 	recs := make([]proto.Record, 0, len(nodes))
 	for _, id := range nodes {
-		recs = append(recs, s.record(id, now))
+		recs = append(recs, s.record(id))
 	}
 	clear(s.dirty)
 	s.flat = index.Build(recs, s.cfg.CMax)
@@ -788,8 +761,8 @@ func (s *shard) publishDelta() {
 			if alive {
 				// The record's Avail is the backend's copy, which the
 				// index copies in turn: the set shares no index column.
-				recs = append(recs, s.record(id, now))
-				ch.avail, ch.expires = recs[len(recs)-1].Avail, recs[len(recs)-1].Expires
+				recs = append(recs, s.record(id))
+				ch.avail = recs[len(recs)-1].Avail
 				ch.score = s.flat.Scale().Score(ch.avail)
 			}
 			set.nodes = append(set.nodes, ch)

@@ -13,8 +13,9 @@ import (
 )
 
 // Snapshot is an immutable view of one shard's records — every alive
-// node's advertised availability with freshness bounds — taken at a
-// point of the shard's simulation clock. Shards publish snapshots
+// node's advertised availability, read from the shard's backend, so no
+// record in it is ever stale — taken at a point of the shard's
+// simulation clock. Shards publish snapshots
 // through an atomic pointer; readers never lock, never mutate, and
 // never observe a partially built snapshot.
 type Snapshot struct {
@@ -30,9 +31,9 @@ type Snapshot struct {
 	// in on the caller's goroutine, materialising it once per index
 	// version (every snapshot published over an unchanged index shares
 	// the array). It is what the referee (proto.BestFit, see
-	// Engine.Referee) reads. Records, their Avail vectors, and
-	// everything reachable from them are shared and must not be
-	// mutated.
+	// Engine.Referee) reads; no record in it ever expires. Records,
+	// their Avail vectors, and everything reachable from them are
+	// shared and must not be mutated.
 	Records []proto.Record
 	// flat is the shard's copy-on-write dominance index, built against
 	// the engine's CMax: the one stored representation of the records,
@@ -58,18 +59,17 @@ type changeSet struct {
 }
 
 type nodeChange struct {
-	node    overlay.NodeID
-	avail   vector.Vec // nil: the node left
-	expires sim.Time   // the new record's expiry
-	score   float64    // the new record's index score, which every walk over it compares first
+	node  overlay.NodeID
+	avail vector.Vec // nil: the node left
+	score float64    // the new record's index score, which every walk over it compares first
 }
 
 // Len returns the number of records (alive nodes) in the snapshot.
 func (s *Snapshot) Len() int { return s.flat.Len() }
 
 // Search appends to dst the candidates needed to rank the k
-// smallest-surplus unexpired records of this snapshot dominating
-// demand at the snapshot's simulation time — at least the true top k
+// smallest-surplus records of this snapshot dominating demand — at
+// least the true top k
 // (the index may add a few near score ties; callers rank the merged
 // set with RankCandidates, which is what guarantees the final
 // order). k <= 0 returns every match. scale must be the engine's
@@ -81,7 +81,7 @@ func (s *Snapshot) Len() int { return s.flat.Len() }
 // cutoff.
 func (s *Snapshot) Search(dst []Candidate, demand, scale vector.Vec, k int) ([]Candidate, int) {
 	var buf [8]int32
-	entries, visited := s.flat.Search(buf[:0], demand, s.Taken, k)
+	entries, visited := s.flat.Search(buf[:0], demand, k)
 	return s.resolve(dst, entries, demand, scale), visited
 }
 

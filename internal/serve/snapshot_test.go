@@ -1,19 +1,19 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"pidcan/internal/serve/wal"
-	"pidcan/internal/sim"
 	"pidcan/internal/vector"
 )
 
 // TestSnapshotRecordsIsADerivedView pins what Engine.Snapshot hands
 // out now that a shard stores no record array: Records is ascending by
-// node with the published availability and freshness bounds, it is
+// node with the published availability, never expiring, it is
 // materialised once per index version — a second call, and a call
 // after an idle-tick republication that changed nothing, return the
 // same backing array — and a write publishes a version that is
@@ -21,22 +21,19 @@ import (
 func TestSnapshotRecordsIsADerivedView(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 300 // three blocks
-	cfg.RecordTTL = 30 * sim.Second
 	e, clk := newClockedEngine(t, cfg)
 	rng := rand.New(rand.NewSource(1))
 	want := map[GlobalID]vector.Vec{}
-	stored := map[GlobalID]sim.Time{}
-	start := clk.fakes[0].now
 	for _, id := range e.Nodes() {
-		want[id], stored[id] = vector.Of(0, 0), start
+		want[id] = vector.Of(0, 0)
 		if rng.Intn(3) == 0 {
-			continue // never written: zero availability, stored at start-up
+			continue // never written: zero availability
 		}
 		a := vector.Of(10*rng.Float64(), 10*rng.Float64())
 		if err := e.Update(id, a, false); err != nil {
 			t.Fatal(err)
 		}
-		want[id], stored[id] = a, clk.fakes[0].now
+		want[id] = a
 		if rng.Intn(10) == 0 {
 			clk.advance(time.Second)
 		}
@@ -54,9 +51,8 @@ func TestSnapshotRecordsIsADerivedView(t *testing.T) {
 		if i > 0 && r.Node <= first.Records[i-1].Node {
 			t.Fatalf("records %d and %d out of node order", i-1, i)
 		}
-		a, at := want[id], stored[id]
-		if !r.Avail.Equal(a) || r.Stored != at || r.Expires != at+cfg.RecordTTL {
-			t.Fatalf("record %+v, want avail %v stored %v expires %v", r, a, at, at+cfg.RecordTTL)
+		if a := want[id]; !r.Avail.Equal(a) || r.Expires != math.MaxInt64 {
+			t.Fatalf("record %+v, want avail %v, never expiring", r, a)
 		}
 	}
 
@@ -92,15 +88,14 @@ func TestSnapshotRecordsIsADerivedView(t *testing.T) {
 // and at either size no more than the publication's budget, which
 // holds when most touched blocks take the patch path (the running
 // engine's counters say they do). The budgets are what an uncontended
-// Update took once its writer served it under the combiner lock, with
-// no reply channel: 3 187 B in 15.73 allocations at 2 500 nodes,
-// 5 751 B in 15.93 at 25 000 (3 379 B in 17.74 and 5 944 B in 17.95
-// through the queue).
+// Update takes when its writer serves it under the combiner lock, with
+// no reply channel: 2 649 B in 14.56 allocations at 2 500 nodes,
+// 5 191 B in 14.81 at 25 000.
 func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const smallCap, largeCap, allocsCap = 3328, 5888, 16
+	const smallCap, largeCap, allocsCap = 2752, 5312, 15
 	perUpdate := func(n int) (bytes, allocs float64) {
 		cfg := testConfig(1)
 		cfg.NodesPerShard = n
@@ -151,12 +146,12 @@ func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 // TestFollowerApplyAllocation: a follower's apply of one replicated
 // update at 2 500 nodes — the op replayed under the combiner lock, the
 // mirror log append and the publication — allocates no more than the
-// 3 270 B in 15.5 allocations measured for it.
+// 2 729 B in 14.4 allocations measured for it.
 func TestFollowerApplyAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const bytesCap, allocsCap = 3300, 16
+	const bytesCap, allocsCap = 2760, 15
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 2500
 	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
