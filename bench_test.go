@@ -441,10 +441,11 @@ func BenchmarkServeQueryNoCache(b *testing.B) {
 
 // BenchmarkServeAdaptiveCache replays the demand-drift workload (the
 // distribution's center wanders across the capacity range, so a
-// fine fixed grid sees almost only virgin cells) against fixed knobs
-// and against the adaptive controller. The interesting metric is
-// hit-rate — the controller coarsens the grid until drifting demands
-// alias onto live cells — with the qps gap as its consequence.
+// fixed grid keeps meeting virgin cells) against the engine's fixed
+// grid and against the adaptive controller. The interesting metric
+// is hit-rate — the controller coarsens the grid until drifting
+// demands alias onto live cells — with the qps gap as its
+// consequence.
 func BenchmarkServeAdaptiveCache(b *testing.B) {
 	for _, mode := range []string{"fixed", "adaptive"} {
 		b.Run(fmt.Sprintf("mode=%s/shards=4/clients=8", mode), func(b *testing.B) {
@@ -452,12 +453,9 @@ func BenchmarkServeAdaptiveCache(b *testing.B) {
 				Shards:        4,
 				NodesPerShard: 256,
 				Seed:          11,
-				CacheQuantum:  0.002,
-				CacheSize:     4096,
 			}
 			if mode == "adaptive" {
 				cfg.CacheAdaptEvery = 64
-				cfg.CacheQuantumMax = 0.1
 			}
 			eng := newBenchEngineCfg(b, cfg)
 			cmax := eng.Config().CMax
@@ -513,9 +511,9 @@ func BenchmarkServeConsistentOne(b *testing.B) {
 // migrates nodes away. Leaves go through ids handed out before the
 // node may have migrated, so the forwarding table sits on the churn
 // path. Metrics: sustained qps, migrations per 1000 ops, and the
-// last sampled max/min population imbalance — the rebalancer's move
-// cap is sized so migration capacity keeps up with the one-sided
-// join stream instead of drowning under it.
+// last sampled max/min population imbalance — whether the
+// rebalancer's per-pass move cap keeps up with the one-sided join
+// stream or drowns under it.
 func BenchmarkServeRebalance(b *testing.B) {
 	const clients = 8
 	for _, shards := range []int{4} {
@@ -525,7 +523,6 @@ func BenchmarkServeRebalance(b *testing.B) {
 				NodesPerShard:     128 / shards,
 				Seed:              11,
 				RebalanceInterval: 2 * time.Millisecond,
-				RebalanceMaxMoves: 32,
 			})
 			demands := benchDemands(eng, 512)
 			cmax := eng.Config().CMax
@@ -1115,7 +1112,9 @@ func zeroMember(b *testing.B, eng *Engine) {
 // replaces. The 1-member case isolates the wire + routing-tier tax;
 // 2 and 4 members add the real scatter. The skew variants hold all
 // the population on member 0 (the rest zeroed) and compare pruned
-// scatter against the forced full fan-out on that identical skew.
+// scatter against the full fan-out on that identical skew: the
+// full-fanout router never adopts a summary, and a member without one
+// is never pruned.
 func BenchmarkFedQuery(b *testing.B) {
 	b.Run("direct/shards=4/clients=8", func(b *testing.B) {
 		eng := newBenchEngine(b, 4, 128)
@@ -1157,14 +1156,15 @@ func BenchmarkFedQuery(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				router, engs := newBenchFed(b, members, 128, FedRouterConfig{
-					DisablePruning: !prune,
 					SummaryTTL:     time.Hour,
 					SummaryRefresh: -1,
 				})
 				for m := 1; m < members; m++ {
 					zeroMember(b, engs[m])
 				}
-				router.RefreshSummaries()
+				if prune {
+					router.RefreshSummaries()
+				}
 				demands := benchDemands(engs[0], 512)
 				runServeBench(b, members, 8, func(c, i int) {
 					if _, err := router.Query(QueryRequest{Demand: demands[(i+c)%len(demands)], K: 3}); err != nil {

@@ -2,6 +2,7 @@ package pidcan
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -382,6 +383,33 @@ func BenchmarkNewCluster25k(b *testing.B) {
 	}
 	b.ReportMetric(bytes, "B/node")
 	b.ReportMetric(allocs, "allocs/node")
+}
+
+// BenchmarkClusterStep is the cost of an idle cluster's periodic work:
+// the protocol's state updates and index diffusion, and the messages
+// they send — what a serving shard's idle tick steps and a consistent
+// query waits on. No node changes its availability. The cluster is
+// stepped one simulated minute to warm up; each iteration then steps
+// one more minute, and the cost is reported per simulated second.
+func BenchmarkClusterStep(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			c, err := NewCluster(ClusterConfig{Nodes: n, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Step(Minute)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for b.Loop() {
+				c.Step(Minute)
+			}
+			runtime.ReadMemStats(&after)
+			simSeconds := float64(b.N) * float64(Minute/Second)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/simSeconds, "ns/sim-s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/simSeconds, "allocs/sim-s")
+		})
+	}
 }
 
 func TestClusterDeterminism(t *testing.T) {

@@ -19,8 +19,7 @@
 // -wire-addr) over persistent pipelined connections — one
 // pidcan.WireMux per worker, keeping deep bursts in flight. A rate of
 // 0 runs closed-loop, which on the wire edge measures the server's
-// pipelined ceiling. -compare reruns the same load on the other
-// protocol afterward and prints a one-line wire-vs-http comparison.
+// pipelined ceiling.
 //
 // The traffic mix is query-dominated by default; tune with
 // -mix query=90,update=6,join=2,leave=2. A -consistent fraction of
@@ -100,8 +99,7 @@ func main() {
 	var (
 		baseURL  = flag.String("url", "http://localhost:8080", "pidcan-serve base URL (discovery and the http protocol)")
 		proto    = flag.String("proto", "http", "serving edge to drive: http (JSON API) or wire (binary protocol; needs -wire)")
-		wireTgt  = flag.String("wire", "", "wire-protocol address host:port (the server's -wire-addr; required by -proto wire and -compare)")
-		compare  = flag.Bool("compare", false, "rerun the same load on the other protocol afterward and print a wire-vs-http comparison line")
+		wireTgt  = flag.String("wire", "", "wire-protocol address host:port (the server's -wire-addr; required by -proto wire)")
 		rate     = flag.Float64("rate", 20000, "target arrival rate (requests/sec)")
 		duration = flag.Duration("duration", 10*time.Second, "generation window")
 		workers  = flag.Int("workers", 64, "concurrent request workers (wire: one pipelined connection each)")
@@ -125,8 +123,8 @@ func main() {
 	if *proto != "http" && *proto != "wire" {
 		log.Fatalf("unknown -proto %q (want http or wire)", *proto)
 	}
-	if (*proto == "wire" || *compare) && *wireTgt == "" {
-		log.Fatal("-proto wire and -compare need -wire host:port (the server's -wire-addr)")
+	if *proto == "wire" && *wireTgt == "" {
+		log.Fatal("-proto wire needs -wire host:port (the server's -wire-addr)")
 	}
 	weights, err := parseMix(*mix)
 	if err != nil {
@@ -180,22 +178,10 @@ func main() {
 	if *skew > 1 {
 		reportBalance(client, *baseURL)
 	}
-	if *compare {
-		other := rc
-		if rc.proto == "wire" {
-			other.proto = "http"
-		} else {
-			other.proto = "wire"
-		}
-		log.Printf("comparison run: same load on -proto %s", other.proto)
-		sum2 := runLoad(other)
-		report(sum2, "")
-		printComparison(sum, sum2)
-	}
 }
 
 // runCfg is one load run, fully resolved: flags plus the discovered
-// target shape. A -compare rerun copies it and flips proto.
+// target shape.
 type runCfg struct {
 	proto    string
 	baseURL  string
@@ -520,26 +506,6 @@ func pickUpdateNode(rc runCfg, rng *rand.Rand, zipf *rand.Zipf) uint64 {
 		}
 	}
 	return id
-}
-
-// printComparison emits the one-line wire-vs-http verdict after a
-// -compare rerun.
-func printComparison(a, b summary) {
-	wsum, hsum := a, b
-	if wsum.Proto != "wire" {
-		wsum, hsum = b, a
-	}
-	if wsum.Proto != "wire" || hsum.Proto != "http" {
-		return
-	}
-	speedup := math.Inf(1)
-	if hsum.AchievedQPS > 0 {
-		speedup = wsum.AchievedQPS / hsum.AchievedQPS
-	}
-	wa, ha := wsum.Classes["all"], hsum.Classes["all"]
-	fmt.Printf("\nwire vs http: %.0f vs %.0f req/s (%.1fx), p50 %.2fms vs %.2fms, p99 %.2fms vs %.2fms, errors %d vs %d\n",
-		wsum.AchievedQPS, hsum.AchievedQPS, speedup,
-		wa.P50ms, ha.P50ms, wa.P99ms, ha.P99ms, wsum.Errors, hsum.Errors)
 }
 
 // reportBalance prints the server's per-shard populations and

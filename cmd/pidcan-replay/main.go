@@ -109,9 +109,7 @@ func runTrace(path, pace string, strict, jsonOut bool) {
 		log.Printf("trace has a torn tail: %d trailing bytes dropped", torn)
 	}
 	log.Printf("trace %s: %d events, %d shards × %d nodes, seed %d", path, len(events), hdr.Shards, hdr.NodesPerShard, hdr.Seed)
-	refCfg := replay.EngineConfig(hdr)
-	refCfg.CacheDisabled = true
-	ref, err := pidcan.NewEngine(refCfg)
+	ref, err := pidcan.NewEngine(replay.EngineConfig(hdr))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,9 @@
 // A consistent query ({"consistent":true}) runs the paper's protocol
 // on one shard, the shards taken round-robin.
 // With -rebalance-interval set, an adaptive rebalancer migrates
-// nodes between shards whenever populations skew past
-// -rebalance-threshold (joins targeted with {"shard":S} are how
-// skew happens on purpose). Drive it with cmd/pidcan-loadgen — its
+// nodes between shards whenever the max/min shard population skews
+// past 1.25 (joins targeted with {"shard":S} are how skew happens on
+// purpose). Drive it with cmd/pidcan-loadgen — its
 // -skew flag zipf-concentrates joins and updates onto a few shards
 // — to watch populations converge in /stats.
 //
@@ -65,12 +65,9 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		warmup   = flag.Duration("warmup", 30*time.Minute, "simulated warmup per shard (state updates + index diffusion settle)")
 		flush    = flag.Duration("flush", 100*time.Millisecond, "idle-tick cadence: each tick steps the shard's simulation up to elapsed wall time and republishes its snapshot")
-		noCache  = flag.Bool("no-cache", false, "disable the query cache")
 		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 keeps the quantization grid fixed)")
 		populate = flag.Bool("populate", true, "publish a random initial availability per node")
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
-		rebalThr = flag.Float64("rebalance-threshold", 1.25, "max/min shard-population ratio that triggers migration")
-		rebalMax = flag.Int("rebalance-moves", 8, "migration cap per rebalance pass")
 		dataDir  = flag.String("data-dir", "", "durable state directory (op-log + checkpoints); empty serves purely in-memory")
 		ckptEvry = flag.Duration("checkpoint-every", 0, "background checkpoint cadence (0: only on shutdown and POST /checkpoint)")
 		fsync    = flag.Int("fsync-every", 1, "fsync the op-log once per N applied write batches (negative: never fsync)")
@@ -81,19 +78,16 @@ func main() {
 	flag.Parse()
 
 	cfg := pidcan.EngineConfig{
-		Shards:             *shards,
-		NodesPerShard:      *nodes,
-		Seed:               *seed,
-		Warmup:             pidcan.Time(warmup.Microseconds()),
-		FlushInterval:      *flush,
-		CacheDisabled:      *noCache,
-		CacheAdaptEvery:    *adaptEvr,
-		RebalanceInterval:  *rebal,
-		RebalanceThreshold: *rebalThr,
-		RebalanceMaxMoves:  *rebalMax,
-		DataDir:            *dataDir,
-		CheckpointEvery:    *ckptEvry,
-		FsyncEvery:         *fsync,
+		Shards:            *shards,
+		NodesPerShard:     *nodes,
+		Seed:              *seed,
+		Warmup:            pidcan.Time(warmup.Microseconds()),
+		FlushInterval:     *flush,
+		CacheAdaptEvery:   *adaptEvr,
+		RebalanceInterval: *rebal,
+		DataDir:           *dataDir,
+		CheckpointEvery:   *ckptEvry,
+		FsyncEvery:        *fsync,
 	}
 
 	var h dynHandler
@@ -140,7 +134,7 @@ func main() {
 	case "follower":
 		shutdown = runFollower(cfg, &h, *primary, ws)
 	case "primary":
-		shutdown = runPrimary(cfg, &h, *populate, *seed, ws, *rebal, *rebalThr, *rebalMax)
+		shutdown = runPrimary(cfg, &h, *populate, *seed, ws)
 	default:
 		log.Fatalf("unknown -role %q (want primary or follower)", *role)
 	}
@@ -201,8 +195,7 @@ func (d *dynHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // runPrimary builds the engine and, when it is durable and ws serves
 // the wire protocol, streams its op-log to the followers that
 // subscribe there.
-func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint64,
-	ws *pidcan.WireServer, rebal time.Duration, rebalThr float64, rebalMax int) (shutdown func()) {
+func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint64, ws *pidcan.WireServer) (shutdown func()) {
 	log.Printf("building engine: %d shard(s) x %d nodes, seed %d", cfg.Shards, cfg.NodesPerShard, cfg.Seed)
 	start := time.Now()
 	eng, err := pidcan.NewEngine(cfg)
@@ -210,8 +203,8 @@ func runPrimary(cfg pidcan.EngineConfig, h *dynHandler, populate bool, seed uint
 		log.Fatal(err)
 	}
 	log.Printf("engine up in %v (epoch %d)", time.Since(start).Round(time.Millisecond), eng.Epoch())
-	if rebal > 0 {
-		log.Printf("rebalancer on: every %v, threshold %.2f, <= %d moves/pass", rebal, rebalThr, rebalMax)
+	if cfg.RebalanceInterval > 0 {
+		log.Printf("rebalancer on: every %v", cfg.RebalanceInterval)
 	}
 
 	warm := false

@@ -35,17 +35,17 @@ import (
 // and an old-generation hit promotes its entry back into the new
 // generation.
 //
-// With Config.CacheAdaptEvery set, the quantization grid stops being
-// fixed: every adaptEvery lookups the controller reads the window's
-// hit-rate. A window of compulsory misses (demand drift marching across
-// grid cells, not invalidations) coarsens the grid so moving demands
-// alias onto live cells; a comfortable window refines it back toward
-// the configured quantum. Coarser cells hold larger sets.
+// With an adapt window (Config.CacheAdaptEvery), the quantization grid
+// stops being fixed: every adaptEvery lookups the controller reads the
+// window's hit-rate. A window of compulsory misses (demand drift
+// marching across grid cells, not invalidations) coarsens the grid so
+// moving demands alias onto live cells; a comfortable window refines it
+// back toward the finest quantum. Coarser cells hold larger sets.
 type queryCache struct {
-	half  int // entries each generation holds: CacheSize/2, at least 1
+	half  int // entries each generation holds: half the size, at least 1
 	cmax  vector.Vec
 	scale index.Scale               // what the indexes score by
-	grid  atomic.Pointer[cacheGrid] // CacheQuantum's unless the controller steers it
+	grid  atomic.Pointer[cacheGrid] // qMin's unless the controller steers it
 
 	// Adaptive-controller configuration (constants after build).
 	adaptEvery uint64
@@ -108,19 +108,31 @@ const (
 	cacheSetMax  = 64
 )
 
-func newQueryCache(cfg Config) *queryCache {
+// The engine's cache: a grid of cells cacheQuantum of cmax wide per
+// dimension (20 levels), which the adaptive controller may coarsen up
+// to cacheQuantumMax; at most cacheSize entries.
+const (
+	cacheQuantum    = 0.05
+	cacheQuantumMax = 16 * cacheQuantum
+	cacheSize       = 4096
+)
+
+// newQueryCache returns a cache over cmax whose grid starts at quantum
+// and which the controller, every adaptEvery lookups (0: never), steers
+// within [quantum, quantumMax]; it holds at most size entries.
+func newQueryCache(cmax vector.Vec, quantum, quantumMax float64, size, adaptEvery int) *queryCache {
 	qc := &queryCache{
-		half:   max(cfg.CacheSize/2, 1),
-		cmax:   cfg.CMax,
-		scale:  index.NewScale(cfg.CMax),
-		qMin:   cfg.CacheQuantum,
-		qMax:   cfg.CacheQuantumMax,
+		half:   max(size/2, 1),
+		cmax:   cmax,
+		scale:  index.NewScale(cmax),
+		qMin:   quantum,
+		qMax:   quantumMax,
 		newGen: make(map[string]*cacheEntry),
 		oldGen: make(map[string]*cacheEntry),
 
-		adaptEvery: uint64(cfg.CacheAdaptEvery), // withDefaults clamps it to >= 0
+		adaptEvery: uint64(adaptEvery), // withDefaults clamps Config.CacheAdaptEvery to >= 0
 	}
-	qc.grid.Store(newGrid(cfg.CacheQuantum, cfg.CMax))
+	qc.grid.Store(newGrid(quantum, cmax))
 	return qc
 }
 

@@ -17,8 +17,6 @@ type RecorderConfig struct {
 	// waiting for the background writer (default 8192). A full buffer
 	// drops the event and counts it; it never blocks serving.
 	Ring int
-	// Start anchors the trace clock (default: time of NewRecorder).
-	Start time.Time
 }
 
 // Recorder implements serve.CaptureSink: it turns the engine's live
@@ -63,13 +61,10 @@ type Recorder struct {
 }
 
 // NewRecorder creates the trace file at path under shape h and
-// starts the background writer.
+// starts the background writer. Event times count from this call.
 func NewRecorder(path string, h Header, cfg RecorderConfig) (*Recorder, error) {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 8192
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Now()
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -78,7 +73,7 @@ func NewRecorder(path string, h Header, cfg RecorderConfig) (*Recorder, error) {
 	r := &Recorder{
 		path:  path,
 		f:     f,
-		start: cfg.Start,
+		start: time.Now(),
 		max:   cfg.Ring,
 		buf:   encodeHeader(h),
 		quit:  make(chan struct{}),

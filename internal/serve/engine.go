@@ -163,8 +163,8 @@ type Stats struct {
 	// CacheStale counts the misses that found an entry a change had
 	// invalidated (its other misses are compulsory: no entry) and
 	// CacheAdaptions the re-grids of the adaptive controller (0 with a
-	// fixed grid). CacheQuantum is the live quantization granularity —
-	// CacheQuantum's configured value unless the controller steers it.
+	// fixed grid). CacheQuantum is the live quantization granularity,
+	// 0.05 of cmax unless the controller steers it.
 	CacheStale     uint64  `json:"cache_stale"`
 	CacheAdaptions uint64  `json:"cache_adaptions"`
 	CacheQuantum   float64 `json:"cache_quantum"`
@@ -306,7 +306,7 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:   cfg,
-		cache: newQueryCache(cfg),
+		cache: newQueryCache(cfg.CMax, cacheQuantum, cacheQuantumMax, cacheSize, cfg.CacheAdaptEvery),
 		stop:  make(chan struct{}),
 	}
 	e.fwd = NewForwardTable(2*(cfg.FlushInterval+readHold), GlobalID.Shard, e.stop)
@@ -478,7 +478,7 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 
 	// A cacheable query is answered from its cell's entry (cacheEntry),
 	// hit or fill: the uncached answer, bit for bit.
-	if e.cfg.CacheDisabled || req.NoCache {
+	if req.NoCache {
 		cands := e.searchShards(req.Demand, nil, req.K, nil)
 		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}

@@ -39,14 +39,10 @@ type Config struct {
 	SummaryTTL time.Duration
 
 	// SummaryRefresh is the period of the background summary
-	// exchange with every member (default 250ms; < 0 disables the
-	// loop — tests drive RefreshSummaries directly).
+	// exchange with every member (default 250ms). Below 0 it disables
+	// the loop: the router adopts summaries only when RefreshSummaries
+	// is called, and until then it prunes no leg.
 	SummaryRefresh time.Duration
-
-	// DisablePruning turns demand-region pruning off: every query
-	// fans out to every member regardless of summaries. Test hook for
-	// the pruned ≡ unpruned property; no router flag sets it.
-	DisablePruning bool
 
 	// AfterTake, when non-nil, runs between a migration's take and
 	// its destination re-join — a crash-injection point for tests.
@@ -117,7 +113,6 @@ type Router struct {
 	// dirty-tracking that invalidates a summary the moment a write
 	// might have outrun it.
 	summaryTTL time.Duration
-	noPrune    bool
 	sums       []atomic.Pointer[memberSummary]
 	wstart     []atomic.Uint64
 	wdone      []atomic.Uint64
@@ -180,7 +175,6 @@ func New(cfg Config) (*Router, error) {
 	if r.summaryTTL <= 0 {
 		r.summaryTTL = time.Second
 	}
-	r.noPrune = cfg.DisablePruning
 	r.sums = make([]atomic.Pointer[memberSummary], n)
 	r.wstart = make([]atomic.Uint64, n)
 	r.wdone = make([]atomic.Uint64, n)
@@ -206,7 +200,7 @@ func New(cfg Config) (*Router, error) {
 	if refresh == 0 {
 		refresh = 250 * time.Millisecond
 	}
-	if refresh > 0 && !r.noPrune {
+	if refresh > 0 {
 		go r.summaryLoop(refresh)
 	}
 	return r, nil
@@ -429,11 +423,7 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	}
 	// Demand-region pruning: skip legs whose summary proves the
 	// member cannot satisfy the demand.
-	targets := r.members
-	pruned := 0
-	if !r.noPrune {
-		targets, pruned = r.scatterTargets(req.Demand)
-	}
+	targets, pruned := r.scatterTargets(req.Demand)
 	r.legsSent.Add(uint64(len(targets)))
 	r.legsPruned.Add(uint64(pruned))
 	if len(targets) == 0 {

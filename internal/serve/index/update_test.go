@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"pidcan/internal/memtest"
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/vector"
@@ -734,16 +735,9 @@ func TestUpdateAllocationIsNotPerRecord(t *testing.T) {
 		for range 200 { // past the splits of the freshly built, full blocks
 			update()
 		}
-		const runs = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			update()
-		}
-		runtime.ReadMemStats(&after)
+		bytes, allocs = memtest.PerCall(1, 200, update)
 		// Less the one availability the updater clones per call.
-		return float64(after.TotalAlloc-before.TotalAlloc)/runs - float64(8*benchCMax.Dim()),
-			float64(after.Mallocs-before.Mallocs)/runs - 1
+		return bytes - float64(8*benchCMax.Dim()), allocs - 1
 	}
 	small, smallAllocs := perUpdate(2500)
 	large, largeAllocs := perUpdate(25000)

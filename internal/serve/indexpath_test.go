@@ -174,16 +174,18 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 	}
 }
 
-// driftConfig is the demand-drift scenario: a fine quantization grid
+// driftQuantum is the demand-drift scenario's fine quantization grid.
+const driftQuantum = 0.002
+
+// driftEngine builds the demand-drift scenario's engine: a fine grid
 // against a slowly wandering demand distribution, so nearly every
-// lookup lands in a virgin cell and the fixed-knob cache can't
-// amortize anything.
-func driftConfig() Config {
+// lookup lands in a virgin cell and a fixed grid can't amortize
+// anything. adaptEvery > 0 lets the controller coarsen the grid up to
+// 0.1.
+func driftEngine(t *testing.T, adaptEvery int) *Engine {
 	cfg := testConfig(1)
 	cfg.NodesPerShard = 32
-	cfg.CacheQuantum = 0.002
-	cfg.CacheSize = 4096
-	return cfg
+	return newCacheTestEngine(t, cfg, driftQuantum, 0.1, cacheSize, adaptEvery)
 }
 
 // driftHitRate drives n random-walk demands through the engine and
@@ -221,11 +223,8 @@ func driftHitRate(t *testing.T, e *Engine, n int) float64 {
 // controller detects the compulsory-miss pattern, coarsens the grid,
 // and recovers a useful hit-rate from the very same workload.
 func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
-	fixed := newTestEngine(t, driftConfig())
-	adaptCfg := driftConfig()
-	adaptCfg.CacheAdaptEvery = 64
-	adaptCfg.CacheQuantumMax = 0.1
-	adaptive := newTestEngine(t, adaptCfg)
+	fixed := driftEngine(t, 0)
+	adaptive := driftEngine(t, 64)
 
 	const n = 3000
 	fixedRate := driftHitRate(t, fixed, n)
@@ -246,8 +245,8 @@ func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
 	if st.CacheAdaptions == 0 {
 		t.Fatalf("controller never adapted: %+v", st)
 	}
-	if st.CacheQuantum <= adaptCfg.CacheQuantum {
-		t.Fatalf("quantum %v never coarsened past %v", st.CacheQuantum, adaptCfg.CacheQuantum)
+	if st.CacheQuantum <= driftQuantum {
+		t.Fatalf("quantum %v never coarsened past %v", st.CacheQuantum, driftQuantum)
 	}
 	if fs := fixed.Stats(); fs.CacheAdaptions != 0 {
 		t.Fatalf("fixed-knob engine adapted %d times", fs.CacheAdaptions)
@@ -258,10 +257,8 @@ func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
 // generations (shedding the coldest half) rather than wiping the
 // whole cache — a hot key stays served across the rotation.
 func TestCacheRotationKeepsHotHalf(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.CacheSize = 8 // each generation holds 4
-	cfg.CacheQuantum = 0.01
-	e := newTestEngine(t, cfg)
+	const size = 8 // each generation holds 4
+	e := newCacheTestEngine(t, testConfig(1), 0.01, 0.01, size, 0)
 
 	hot := QueryRequest{Demand: vector.Of(1, 1), K: 2}
 	if _, err := e.Query(hot); err != nil { // fill the hot cell
@@ -286,8 +283,8 @@ func TestCacheRotationKeepsHotHalf(t *testing.T) {
 	if st.CacheResets == 0 {
 		t.Fatalf("no generation rotation happened: %+v", st)
 	}
-	if st.CacheEntries > cfg.CacheSize {
-		t.Fatalf("cache grew past its bound: %d > %d", st.CacheEntries, cfg.CacheSize)
+	if st.CacheEntries > size {
+		t.Fatalf("cache grew past its bound: %d > %d", st.CacheEntries, size)
 	}
 }
 

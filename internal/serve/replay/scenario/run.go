@@ -19,7 +19,7 @@ import (
 
 // Run replays a compiled scenario against a fresh engine (built from
 // the scenario header, so it starts bit-identical to the recording
-// engine) with a cache-off reference engine mirroring every write and
+// engine) with an uncached reference engine mirroring every write and
 // the referee (serve.Engine.Referee) checking every snapshot-path
 // response, and returns the measured result plus the invariant
 // violations (empty = scenario passed).
@@ -34,9 +34,7 @@ func Run(sc *Scenario, dir string, logf func(string, ...any)) (*replay.Result, [
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	refCfg := replay.EngineConfig(sc.Header)
-	refCfg.CacheDisabled = true
-	ref, err := newEngine(refCfg)
+	ref, err := newEngine(replay.EngineConfig(sc.Header))
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: reference engine: %w", err)
 	}

@@ -72,7 +72,7 @@
 //     holding the original (external) id never notice the move. An
 //     adaptive rebalancer (RebalanceInterval) samples per-shard
 //     populations and migrates nodes from the most- to the
-//     least-loaded shard when the skew exceeds RebalanceThreshold,
+//     least-loaded shard when the skew exceeds rebalanceThreshold,
 //     capped per pass so rebalancing never starves serving.
 //
 //   - With a DataDir the engine is durable (internal/serve/wal):
@@ -356,15 +356,6 @@ type Config struct {
 	// Checkpoint calls (POST /checkpoint over HTTP). Ignored without
 	// DataDir.
 	CheckpointEvery time.Duration
-	// SegmentMaxBytes rotates a shard's op-log onto a fresh segment
-	// once the current one exceeds this many record bytes, compacting
-	// the closed segment (superseded same-node updates dropped) so
-	// recovery replay and follower catch-up stay bounded between
-	// checkpoints. Default 4 MiB; negative disables size-based
-	// rotation (segments then rotate only at checkpoints, which prune
-	// them anyway). Followers ignore it: their segments mirror the
-	// primary's rotation points.
-	SegmentMaxBytes int64
 	// Follower starts the engine as a read-only replication
 	// follower: writes fail with ErrReadOnly while the replication
 	// client (internal/serve/repl) applies the primary's op-log
@@ -390,38 +381,20 @@ type Config struct {
 	// rebalancer: every interval the engine samples per-shard
 	// populations and migrates nodes from the most- to the
 	// least-loaded shard while the max/min population ratio exceeds
-	// RebalanceThreshold. 0 (the default) disables the background
+	// 1.25, at most 8 nodes a pass (rebalanceThreshold,
+	// rebalanceMaxMoves). 0 (the default) disables the background
 	// rebalancer; Engine.Rebalance still runs single passes on
 	// demand.
 	RebalanceInterval time.Duration
-	// RebalanceThreshold is the max/min shard-population ratio above
-	// which a rebalance pass migrates nodes (default 1.25; must be
-	// > 1).
-	RebalanceThreshold float64
-	// RebalanceMaxMoves caps the migrations of one rebalance pass so
-	// rebalancing never starves serving (default 8).
-	RebalanceMaxMoves int
-
-	// CacheDisabled turns the query cache off.
-	CacheDisabled bool
-	// CacheQuantum is the demand-quantization granularity as a
-	// fraction of cmax per dimension (default 0.05, i.e. demands are
-	// bucketed into a 20-level grid before cache lookup).
-	CacheQuantum float64
-	// CacheSize bounds the number of cached entries (default 4096).
-	CacheSize int
 
 	// CacheAdaptEvery, when positive, lets an adaptive controller
-	// steer the quantization grid: every CacheAdaptEvery cache lookups
-	// it inspects the window's hit-rate, coarsens the grid when misses
-	// are compulsory (demand drift: moving demands then alias onto
-	// live cells) and refines it back when traffic is easy, within
-	// [CacheQuantum, CacheQuantumMax]. 0 (the default) keeps the grid
-	// fixed.
+	// steer the query cache's quantization grid: every CacheAdaptEvery
+	// cache lookups it inspects the window's hit-rate, coarsens the
+	// grid when misses are compulsory (demand drift: moving demands
+	// then alias onto live cells) and refines it back when traffic is
+	// easy, within [cacheQuantum, cacheQuantumMax] of cmax per
+	// dimension. 0 (the default) keeps the grid fixed at cacheQuantum.
 	CacheAdaptEvery int
-	// CacheQuantumMax is the coarsest quantization granularity the
-	// adaptive controller may reach (default min(1, 16*CacheQuantum)).
-	CacheQuantumMax float64
 }
 
 // withDefaults returns cfg with zero fields resolved.
@@ -474,38 +447,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FsyncEvery == 0 {
 		c.FsyncEvery = 1
 	}
-	if c.SegmentMaxBytes == 0 {
-		c.SegmentMaxBytes = 4 << 20
-	}
 	if c.Follower && c.DataDir == "" {
 		return c, fmt.Errorf("serve: Follower requires DataDir (the op-log mirror)")
 	}
 	if c.RebalanceInterval < 0 {
 		c.RebalanceInterval = 0
 	}
-	if c.RebalanceThreshold == 0 {
-		c.RebalanceThreshold = 1.25
-	}
-	if c.RebalanceThreshold <= 1 {
-		return c, fmt.Errorf("serve: RebalanceThreshold %v <= 1", c.RebalanceThreshold)
-	}
-	if c.RebalanceMaxMoves <= 0 {
-		c.RebalanceMaxMoves = 8
-	}
-	if c.CacheQuantum <= 0 || c.CacheQuantum > 1 {
-		c.CacheQuantum = 0.05
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 4096
-	}
 	if c.CacheAdaptEvery < 0 {
 		c.CacheAdaptEvery = 0
-	}
-	if c.CacheQuantumMax <= 0 || c.CacheQuantumMax < c.CacheQuantum {
-		c.CacheQuantumMax = 16 * c.CacheQuantum
-	}
-	if c.CacheQuantumMax > 1 {
-		c.CacheQuantumMax = 1
 	}
 	return c, nil
 }

@@ -163,6 +163,21 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// newCacheTestEngine is newTestEngine with a query cache of the given
+// grid, size and adapt window (newQueryCache) in place of the engine's
+// own, installed before any goroutine starts.
+func newCacheTestEngine(t *testing.T, cfg Config, quantum, quantumMax float64, size, adaptEvery int) *Engine {
+	t.Helper()
+	e, err := build(cfg, fakeFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.cache = newQueryCache(e.cfg.CMax, quantum, quantumMax, size, adaptEvery)
+	e.start()
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
 // handClock is the test side of the shards' clock seam: wall time, as
 // the shards see it, is whatever the test has advanced it to, and an
 // idle tick happens exactly when the test runs one.
@@ -335,7 +350,7 @@ func TestQueryCacheHitAndExpiry(t *testing.T) {
 		t.Fatal("second query not served from cache")
 	}
 	// Nearby demand in the same quantization cell (cell size is
-	// CacheQuantum·cmax = 0.5 here) also hits.
+	// cacheQuantum·cmax = 0.5 here) also hits.
 	near := vector.Of(1.9, 1.9)
 	third, err := e.Query(QueryRequest{Demand: near, K: 2})
 	if err != nil {
@@ -819,30 +834,26 @@ func TestRoundRobinStartsAtShardZero(t *testing.T) {
 // 1.7999999999999998), which cached a record sitting in that gap for a
 // demand it does not dominate. Beyond the table, it sweeps every
 // quantum the controller reaches from the default (×1.5 up to
-// CacheQuantumMax, then ÷1.25 back down) over demands on exact cell
+// cacheQuantumMax, then ÷1.25 back down) over demands on exact cell
 // boundaries, one ulp either side of them, 0 and cmax, with a
 // zero-capacity dimension among the paper's five: the corners must
 // bracket each, must be functions of the key alone, and on the
 // zero-capacity dimension must both be the demand.
 func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
-	defaults, err := Config{CMax: vector.Of(25.6, 80, 0, 10, 240, 4096)}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cmax := vector.Of(25.6, 80, 0, 10, 240, 4096)
 	var quanta []float64
-	for q := defaults.CacheQuantum; ; q = math.Min(q*1.5, defaults.CacheQuantumMax) {
-		for down := q; ; down = math.Max(down/1.25, defaults.CacheQuantum) {
+	for q := cacheQuantum; ; q = math.Min(q*1.5, cacheQuantumMax) {
+		for down := q; ; down = math.Max(down/1.25, cacheQuantum) {
 			quanta = append(quanta, down)
-			if down == defaults.CacheQuantum {
+			if down == cacheQuantum {
 				break
 			}
 		}
-		if q == defaults.CacheQuantumMax {
+		if q == cacheQuantumMax {
 			break
 		}
 	}
-	qc := newQueryCache(defaults)
-	cmax := defaults.CMax
+	qc := newQueryCache(cmax, cacheQuantum, cacheQuantumMax, cacheSize, 0)
 	for _, quantum := range quanta {
 		qc.grid.Store(newGrid(quantum, cmax))
 		bounds := map[string][2]vector.Vec{}
@@ -891,14 +902,7 @@ func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
 		{16, 0.1125, 1.75},
 		{80, 0.05, 40},
 	} {
-		cfg := testConfig(1)
-		cfg.CMax = vector.Of(tc.cmax)
-		cfg.CacheQuantum = tc.quantum
-		cfg, err := cfg.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		qc := newQueryCache(cfg)
+		qc := newQueryCache(vector.Of(tc.cmax), tc.quantum, tc.quantum, cacheSize, 0)
 		demand := vector.Of(tc.demand)
 		key, lo, ub, _ := qc.quantize(demand, 3)
 		if !ub.Dominates(demand) || !demand.Dominates(lo) {
@@ -956,16 +960,11 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Shards != 1 || cfg.NodesPerShard != 64 || cfg.CMax == nil ||
-		cfg.QueueDepth <= 0 || cfg.CacheSize <= 0 ||
-		cfg.RebalanceInterval != 0 || cfg.RebalanceThreshold != 1.25 ||
-		cfg.RebalanceMaxMoves != 8 {
+		cfg.QueueDepth <= 0 || cfg.RebalanceInterval != 0 {
 		t.Fatalf("defaults not resolved: %+v", cfg)
 	}
 	if _, err := (Config{Shards: -1}).withDefaults(); err == nil {
 		t.Fatal("negative Shards accepted")
-	}
-	if _, err := (Config{RebalanceThreshold: 0.9}).withDefaults(); err == nil {
-		t.Fatal("RebalanceThreshold <= 1 accepted")
 	}
 	if _, err := (Config{NodesPerShard: 1}).withDefaults(); err == nil {
 		t.Fatal("NodesPerShard=1 accepted")

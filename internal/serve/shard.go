@@ -132,9 +132,11 @@ type shard struct {
 
 	// log, when non-nil, is the shard's append-only op-log. Combiner
 	// after start (the recovery path uses it before). unsynced counts
-	// applied batches since the last fsync.
+	// applied batches since the last fsync; segMax is the segment size
+	// that rotates the log (segmentMaxBytes).
 	log      *wal.Log
 	unsynced int
+	segMax   int64
 
 	// epoch, when non-nil, is the engine-wide write epoch, bumped
 	// once per applied batch that contained at least one mutation
@@ -195,6 +197,12 @@ type shard struct {
 	idxRewritten atomic.Uint64
 }
 
+// segmentMaxBytes rotates a shard's op-log onto a fresh segment once
+// the current one holds this many record bytes, compacting the closed
+// segment (superseded same-node updates dropped) so recovery replay
+// and follower catch-up stay bounded between checkpoints.
+const segmentMaxBytes = 4 << 20
+
 func newShard(idx int, cfg Config, be Backend) *shard {
 	s := &shard{
 		idx:      idx,
@@ -209,6 +217,7 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		resBuf:   make([]opResult, cfg.MaxBatch),
 		recBuf:   make([]wal.Record, 0, cfg.MaxBatch),
 		pubBuf:   make([]proto.Record, 0, cfg.MaxBatch),
+		segMax:   segmentMaxBytes,
 	}
 	if cfg.Warmup > 0 {
 		be.Step(cfg.Warmup)
@@ -525,9 +534,9 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 // the failed batch has its result overridden with ErrWAL, so its
 // writers (and replay) learn the write is not durable instead of being
 // acked as if it were (Stats.LogErrors still counts the failures).
-// When the current segment outgrows Config.SegmentMaxBytes the log
-// rotates and the closed segment is compacted (followers rotate on
-// their primary's stream positions instead).
+// When the current segment outgrows segmentMaxBytes the log rotates
+// and the closed segment is compacted (followers rotate on their
+// primary's stream positions instead).
 func (s *shard) logBatch(batch []op, results []opResult) {
 	snk := s.captureSink()
 	if s.log == nil && snk == nil {
@@ -577,8 +586,7 @@ func (s *shard) logBatch(batch []op, results []opResult) {
 		}
 		s.unsynced = 0
 	}
-	if s.cfg.SegmentMaxBytes > 0 && s.log.Size() >= s.cfg.SegmentMaxBytes &&
-		(s.readOnly == nil || !s.readOnly.Load()) {
+	if s.log.Size() >= s.segMax && (s.readOnly == nil || !s.readOnly.Load()) {
 		s.rotate(s.log.Seg()+1, true)
 	}
 }

@@ -3,10 +3,10 @@ package serve
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
+	"pidcan/internal/memtest"
 	"pidcan/internal/serve/wal"
 	"pidcan/internal/vector"
 )
@@ -115,19 +115,13 @@ func TestPublicationAllocationIsNotPerRecord(t *testing.T) {
 		for range 2000 { // spread the all-zero start-up scores, split the full blocks
 			update()
 		}
-		const runs = 300
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			update()
-		}
-		runtime.ReadMemStats(&after)
+		bytes, allocs = memtest.PerCall(1, 300, update)
 		st := e.Stats()
 		t.Logf("%d nodes: %d blocks patched, %d rewritten", n, st.IndexPatchedBlocks, st.IndexRewrittenBlocks)
 		if st.IndexPatchedBlocks < 4*st.IndexRewrittenBlocks {
 			t.Fatalf("%d nodes: %d blocks patched, %d rewritten: the patch path is not the common one", n, st.IndexPatchedBlocks, st.IndexRewrittenBlocks)
 		}
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs, float64(after.Mallocs-before.Mallocs) / runs
+		return bytes, allocs
 	}
 	small, smallN := perUpdate(2500)
 	large, largeN := perUpdate(25000)
@@ -172,15 +166,7 @@ func TestFollowerApplyAllocation(t *testing.T) {
 	for range 2000 { // spread the all-zero start-up scores, split the full blocks
 		apply()
 	}
-	const runs = 300
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		apply()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes, allocs := memtest.PerCall(1, 300, apply)
 	t.Logf("a follower's apply of one update allocates %.0f B in %.2f allocations", bytes, allocs)
 	if bytes > bytesCap || allocs > allocsCap {
 		t.Fatalf("a follower's apply of one update allocates %.0f B in %.2f allocations; budget %d B, %d allocations", bytes, allocs, bytesCap, allocsCap)

@@ -37,8 +37,9 @@ func TestStressConcurrentMixedTraffic(t *testing.T) {
 		// The background rebalancer migrates nodes between shards
 		// while clients hammer them — Update/Leave must chase moved
 		// nodes through the forwarding table without ever failing.
-		RebalanceInterval:  3 * time.Millisecond,
-		RebalanceThreshold: 1.05,
+		// Every join lands on shard 0, which skews the populations
+		// past the rebalancer's threshold.
+		RebalanceInterval: 3 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +104,8 @@ func TestStressConcurrentMixedTraffic(t *testing.T) {
 						return
 					}
 					updates.Add(1)
-				case p < 0.95: // join
-					id, err := eng.Join(cmax.Scale(0.3 + 0.7*rng.Float64()))
+				case p < 0.95: // join, onto the hot shard
+					id, err := eng.JoinOn(0, cmax.Scale(0.3+0.7*rng.Float64()))
 					if err != nil {
 						t.Errorf("client %d join: %v", c, err)
 						return
@@ -145,16 +146,17 @@ func TestStressConcurrentMixedTraffic(t *testing.T) {
 	}
 	// Snapshot totals may trail queued ops briefly, and a node mid-
 	// migration is visible on neither shard for a moment; poll until
-	// the population settles.
+	// the population settles and the rebalancer has moved nodes off
+	// the hot shard.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		st = eng.Stats()
-		if st.TotalNodes == shards*12+int(st.Joins-st.Leaves) {
+		if st.TotalNodes == shards*12+int(st.Joins-st.Leaves) && st.Migrations > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("population %d, want %d (+%d joins -%d leaves)",
-				st.TotalNodes, shards*12, st.Joins, st.Leaves)
+			t.Fatalf("population %d, want %d (+%d joins -%d leaves); %d migrations",
+				st.TotalNodes, shards*12, st.Joins, st.Leaves, st.Migrations)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

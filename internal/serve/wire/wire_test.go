@@ -7,11 +7,11 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"pidcan"
+	"pidcan/internal/memtest"
 	"pidcan/internal/serve"
 	"pidcan/internal/serve/wal"
 	"pidcan/internal/serve/wire"
@@ -490,15 +490,9 @@ func TestServerCachedQueryAllocations(t *testing.T) {
 	if out = handle(out[:0], frame); wire.DecodeQueryResponse(out[wire.HeaderSize:], &res) != nil || !res.Cached || len(res.Candidates) != 3 {
 		t.Fatalf("the second query: cached %v, %d candidates; want a hit with 3", res.Cached, len(res.Candidates))
 	}
-	const runs = 300
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		out = handle(out[:0], frame)
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	// Every call is the same hit, so the fewest over five windows is
+	// its cost.
+	bytes, allocs := memtest.PerCall(5, 300, func() { out = handle(out[:0], frame) })
 	t.Logf("the server side of a cached OpQuery allocates %.0f B in %.2f allocations", bytes, allocs)
 	if bytes > bytesCap || allocs > allocsCap {
 		t.Fatalf("the server side of a cached OpQuery allocates %.0f B in %.2f allocations; budget %d B, %d allocations", bytes, allocs, bytesCap, allocsCap)

@@ -3,7 +3,7 @@
 #
 #  1. Scenario corpus: compile the flash-crowd and correlated-death
 #     scenarios (their queries go through the cache), replay each
-#     against a fresh engine with a cache-off reference engine and the
+#     against a fresh engine with an uncached reference engine and the
 #     referee checking every response, and assert their invariant sets
 #     (pidcan-replay exits non-zero on any violation). The flash-crowd
 #     trace also round-trips through a trace file.
