@@ -84,6 +84,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c.net = netmodel.New(cfg.Net, cfg.Nodes, sim.NewRNG(cfg.Seed, sim.StreamNetwork))
 	c.nw = overlay.New(dims, 0, sim.NewRNG(cfg.Seed, sim.StreamOverlay))
+	c.nw.Grow(cfg.Nodes - 1)
 	for i := 0; i < cfg.Nodes; i++ {
 		id := NodeID(i)
 		if i > 0 {

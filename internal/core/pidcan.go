@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"pidcan/internal/metrics"
@@ -72,9 +73,17 @@ func (p *PIDCAN) SetCMaxSource(src func(overlay.NodeID) vector.Vec) { p.cmaxSour
 
 // Start installs the periodic state-update and index-diffusion
 // behaviour on every alive node, with per-node phase jitter so cycles
-// are not synchronized.
+// are not synchronized. It reserves the nodes' slots and their two
+// timers' queue entries first.
 func (p *PIDCAN) Start() {
-	for _, id := range p.env.AliveNodes() {
+	alive := p.env.AliveNodes()
+	top := overlay.NodeID(-1)
+	for _, id := range alive {
+		top = max(top, id)
+	}
+	p.nodes = slices.Grow(p.nodes, max(0, int(top)+1-len(p.nodes)))
+	p.env.Engine().Grow(2 * len(alive))
+	for _, id := range alive {
 		p.NodeJoined(id)
 	}
 }

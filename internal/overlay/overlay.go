@@ -41,6 +41,7 @@ type Network struct {
 	dim  int
 	tree *space.Tree
 	rng  *sim.RNG
+	pt   space.Point // Join's point, drawn afresh for every join
 }
 
 // New creates an overlay of dimensionality dim whose first node
@@ -49,6 +50,10 @@ type Network struct {
 func New(dim int, first NodeID, rng *sim.RNG) *Network {
 	return &Network{dim: dim, tree: space.NewTree(dim, first), rng: rng}
 }
+
+// Grow reserves room for n more nodes, so a caller that knows its
+// population joins them without re-copying the zone tree.
+func (nw *Network) Grow(n int) { nw.tree.Grow(n) }
 
 // Dim returns the dimensionality of the coordinate space.
 func (nw *Network) Dim() int { return nw.dim }
@@ -68,21 +73,18 @@ func (nw *Network) ZoneOf(id NodeID) (space.Zone, bool) { return nw.tree.ZoneOf(
 // OwnerAt returns the node whose zone contains p.
 func (nw *Network) OwnerAt(p space.Point) NodeID { return nw.tree.OwnerAt(p) }
 
-// RandomPoint draws a uniform point of the space.
-func (nw *Network) RandomPoint() space.Point {
-	p := make(space.Point, nw.dim)
-	for i := range p {
-		p[i] = nw.rng.Float64()
-	}
-	return p
-}
-
 // Join adds id to the overlay at a uniformly random point, splitting
 // the zone that contains it (the CAN join). It returns the previous
 // owner of the split zone — the joiner's bootstrap contact — so the
 // caller can account maintenance traffic.
 func (nw *Network) Join(id NodeID) (contact NodeID, err error) {
-	return nw.JoinAt(id, nw.RandomPoint())
+	if nw.pt == nil {
+		nw.pt = make(space.Point, nw.dim)
+	}
+	for i := range nw.pt {
+		nw.pt[i] = nw.rng.Float64()
+	}
+	return nw.JoinAt(id, nw.pt)
 }
 
 // JoinAt is Join with an explicit join point.
@@ -143,9 +145,9 @@ type Hop struct {
 // center and with maxDist 2^MaxIndexExponent, the index links of z's
 // owner along that direction — the INSCAN structure each node
 // refreshes periodically. Walks stop at the space edge, so edge nodes
-// simply have fewer links (the space is not a torus).
-func (nw *Network) walkPowers(z space.Zone, dim int, positive bool, at space.Point, maxDist int) []Hop {
-	var out []Hop
+// simply have fewer links (the space is not a torus). The hops are
+// appended to out.
+func (nw *Network) walkPowers(z space.Zone, dim int, positive bool, at space.Point, maxDist int, out []Hop) []Hop {
 	cur := z
 	steps := 0
 	nextPow := 1
@@ -265,20 +267,32 @@ func widestGap(z space.Zone, t space.Point) (dim int, positive bool) {
 	return dim, positive
 }
 
-// clampInto returns t clamped into z (using the closed lower and the
-// open upper bound; the upper clamp stays strictly inside).
-func clampInto(t space.Point, z space.Zone) space.Point {
-	p := t.Clone()
-	for k := range p {
-		if p[k] < z.Lo[k] {
-			p[k] = z.Lo[k]
-		} else if p[k] >= z.Hi[k] {
+// clampInto appends t clamped into z to p (using the closed lower and
+// the open upper bound; the upper clamp stays strictly inside).
+func clampInto(p, t space.Point, z space.Zone) space.Point {
+	for k, x := range t {
+		if x < z.Lo[k] {
+			x = z.Lo[k]
+		} else if x >= z.Hi[k] {
 			// Strictly inside the half-open zone.
-			p[k] = z.Lo[k] + (z.Hi[k]-z.Lo[k])*0.999999
+			x = z.Lo[k] + (z.Hi[k]-z.Lo[k])*0.999999
 		}
+		p = append(p, x)
 	}
 	return p
 }
+
+// centerInto appends z's center to p: z.Center without allocating.
+func centerInto(p space.Point, z space.Zone) space.Point {
+	for k := range z.Lo {
+		p = append(p, (z.Lo[k]+z.Hi[k])/2)
+	}
+	return p
+}
+
+// pointBuf is stack room for a point of the routing loop: spaces of
+// up to this many dimensions route without allocating one.
+type pointBuf [8]float64
 
 // Route greedily routes from origin to the node owning target using
 // index links with binary lifting, falling back to adjacent-zone
@@ -307,6 +321,7 @@ func (nw *Network) route(origin NodeID, target space.Point, useLinks bool) (Path
 		return Path{}, fmt.Errorf("overlay: origin %d not in overlay", origin)
 	}
 	var path Path
+	var buf pointBuf
 	cur := origin
 	hopCap := nw.Size() + 4 // adjacent stepping visits each zone at most once
 	for hop := 0; hop < hopCap; hop++ {
@@ -321,7 +336,7 @@ func (nw *Network) route(origin NodeID, target space.Point, useLinks bool) (Path
 		if next == NoNode {
 			// Adjacent step toward the target along the dimension
 			// with the largest gap, at the target's latitude.
-			p := clampInto(target, z)
+			p := clampInto(buf[:0], target, z)
 			bestDim, positive := widestGap(z, target)
 			if bestDim == -1 {
 				return path, fmt.Errorf("overlay: routing stuck at node %d zone %v target %v", cur, z, target)
@@ -350,7 +365,9 @@ func (nw *Network) bestLinkJump(z space.Zone, target space.Point) (NodeID, space
 		return NoNode, space.Zone{}
 	}
 	// Only the links along (bestDim, positive) can be taken: walk those.
-	hops := nw.walkPowers(z, bestDim, positive, z.Center(), 1<<nw.MaxIndexExponent())
+	var at pointBuf
+	var walk [16]Hop
+	hops := nw.walkPowers(z, bestDim, positive, centerInto(at[:0], z), 1<<nw.MaxIndexExponent(), walk[:0])
 	// Scan from the farthest link down; accept the first whose zone
 	// does not overshoot along bestDim and strictly improves the
 	// distance. Skip the 2^0 link — the fallback handles adjacency

@@ -23,6 +23,16 @@ func build(t testing.TB, dim, n int, seed uint64) *Network {
 	return nw
 }
 
+// randomPoint draws a uniform point of nw's space from the stream its
+// joins draw from.
+func randomPoint(nw *Network) space.Point {
+	p := make(space.Point, nw.dim)
+	for i := range p {
+		p[i] = nw.rng.Float64()
+	}
+	return p
+}
+
 func TestJoinLeaveBasics(t *testing.T) {
 	nw := build(t, 2, 16, 1)
 	if nw.Size() != 16 {
@@ -122,8 +132,8 @@ func (nw *Network) IndexLinks(id NodeID) (Links, bool) {
 	maxDist := 1 << nw.MaxIndexExponent()
 	links := Links{Pos: make([][]Hop, nw.dim), Neg: make([][]Hop, nw.dim)}
 	for dim := range nw.dim {
-		links.Pos[dim] = nw.walkPowers(z, dim, true, z.Center(), maxDist)
-		links.Neg[dim] = nw.walkPowers(z, dim, false, z.Center(), maxDist)
+		links.Pos[dim] = nw.walkPowers(z, dim, true, z.Center(), maxDist, nil)
+		links.Neg[dim] = nw.walkPowers(z, dim, false, z.Center(), maxDist, nil)
 	}
 	return links, true
 }
@@ -162,7 +172,7 @@ func refRoute(nw *Network, origin NodeID, target space.Point) ([]NodeID, error) 
 			}
 		}
 		if next == NoNode {
-			id, _, ok := nw.tree.AdjacentLeafAcross(z, dim, positive, clampInto(target, z))
+			id, _, ok := nw.tree.AdjacentLeafAcross(z, dim, positive, clampInto(nil, target, z))
 			if !ok {
 				return hops, fmt.Errorf("routing hit space edge at node %d", cur)
 			}
@@ -190,7 +200,7 @@ func TestRouteMatchesIndexLinkRouting(t *testing.T) {
 			for range 60 {
 				nodes := nw.Nodes()
 				origin := nodes[rng.IntN(len(nodes))]
-				target := nw.RandomPoint()
+				target := randomPoint(nw)
 				got, gerr := nw.Route(origin, target)
 				want, werr := refRoute(nw, origin, target)
 				if (gerr == nil) != (werr == nil) || !slices.Equal(got.Hops, want) {
@@ -210,6 +220,41 @@ func TestRouteMatchesIndexLinkRouting(t *testing.T) {
 			}
 			if err := nw.Validate(); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// pathSink keeps TestRouteAllocatesOnlyItsPath's reference appends on
+// the heap, where a Route's path goes.
+var pathSink []NodeID
+
+// TestRouteAllocatesOnlyItsPath: a Route's link walks, centers and
+// clamped points live on its stack, so what it allocates is its
+// returned path, no more than appending as many ids one by one does.
+func TestRouteAllocatesOnlyItsPath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, dim := range []int{2, 5} {
+		nw := build(t, dim, 3000, uint64(dim))
+		rng := sim.NewRNG(uint64(dim), 7)
+		nodes := nw.Nodes()
+		for range 40 {
+			origin, target := nodes[rng.IntN(len(nodes))], randomPoint(nw)
+			path, err := nw.Route(origin, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := testing.AllocsPerRun(20, func() { nw.Route(origin, target) })
+			want := testing.AllocsPerRun(20, func() {
+				pathSink = nil
+				for _, id := range path.Hops {
+					pathSink = append(pathSink, id)
+				}
+			})
+			if got > want {
+				t.Fatalf("dim %d: a %d-hop Route allocates %.0f objects, its path's appends %.0f", dim, path.Len(), got, want)
 			}
 		}
 	}

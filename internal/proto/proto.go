@@ -7,6 +7,7 @@
 package proto
 
 import (
+	"math"
 	"sort"
 
 	"pidcan/internal/metrics"
@@ -109,9 +110,24 @@ type Discovery interface {
 // Cache is a duty-node record store (the paper's cache γ) with TTL
 // expiry. Iteration is in ascending node order so simulations remain
 // deterministic (Go map order is randomized). The zero Cache is empty
-// and holds no map until its first Put.
+// and holds nothing until its first Put.
+//
+// Purge and NonEmpty run on every state-update delivery and index
+// diffusion round, and almost always find nothing expired: the cache
+// keeps a lower bound on its records' expiries and scans only once
+// that bound has passed. The map and the bound sit behind one pointer,
+// so a Cache is one word wherever it is embedded.
 type Cache struct {
+	s *cacheSet
+}
+
+// cacheSet holds a Cache's records and their expiry bound; the first
+// Put makes it.
+type cacheSet struct {
 	m map[overlay.NodeID]Record
+	// due is at most every stored record's Expires, expired ones
+	// included: before due nothing in m has expired.
+	due sim.Time
 }
 
 // NewCache returns an empty cache.
@@ -119,23 +135,41 @@ func NewCache() *Cache { return &Cache{} }
 
 // Put stores or refreshes the record for rec.Node.
 func (c *Cache) Put(rec Record) {
-	if c.m == nil {
-		c.m = make(map[overlay.NodeID]Record)
+	if c.s == nil {
+		c.s = &cacheSet{m: make(map[overlay.NodeID]Record)}
 	}
-	c.m[rec.Node] = rec
+	if len(c.s.m) == 0 || rec.Expires < c.s.due {
+		c.s.due = rec.Expires
+	}
+	c.s.m[rec.Node] = rec
 }
 
 // Delete removes the record for the node, if any.
-func (c *Cache) Delete(id overlay.NodeID) { delete(c.m, id) }
+func (c *Cache) Delete(id overlay.NodeID) {
+	if c.s != nil {
+		delete(c.s.m, id)
+	}
+}
 
 // Len returns the number of stored records, including expired ones
 // not yet purged.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() int {
+	if c.s == nil {
+		return 0
+	}
+	return len(c.s.m)
+}
 
 // NonEmpty reports whether any unexpired record is present — the
 // index-sender trigger of Algorithm 1.
 func (c *Cache) NonEmpty(now sim.Time) bool {
-	for _, r := range c.m {
+	if c.Len() == 0 {
+		return false
+	}
+	if now < c.s.due {
+		return true
+	}
+	for _, r := range c.s.m {
 		if !r.Expired(now) {
 			return true
 		}
@@ -145,17 +179,27 @@ func (c *Cache) NonEmpty(now sim.Time) bool {
 
 // Purge drops expired records.
 func (c *Cache) Purge(now sim.Time) {
-	for id, r := range c.m {
+	if c.Len() == 0 || now < c.s.due {
+		return
+	}
+	due := sim.Time(math.MaxInt64)
+	for id, r := range c.s.m {
 		if r.Expired(now) {
-			delete(c.m, id)
+			delete(c.s.m, id)
+		} else if r.Expires < due {
+			due = r.Expires
 		}
 	}
+	c.s.due = due
 }
 
 // sortedIDs returns the cache keys in ascending order.
 func (c *Cache) sortedIDs() []overlay.NodeID {
-	ids := make([]overlay.NodeID, 0, len(c.m))
-	for id := range c.m {
+	if c.s == nil {
+		return nil
+	}
+	ids := make([]overlay.NodeID, 0, len(c.s.m))
+	for id := range c.s.m {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -167,7 +211,7 @@ func (c *Cache) sortedIDs() []overlay.NodeID {
 func (c *Cache) Qualified(demand vector.Vec, now sim.Time, max int) []Record {
 	var out []Record
 	for _, id := range c.sortedIDs() {
-		r := c.m[id]
+		r := c.s.m[id]
 		if r.Expired(now) || !r.Qualifies(demand) {
 			continue
 		}
@@ -196,7 +240,7 @@ func (c *Cache) QualifiedSample(demand vector.Vec, now sim.Time, max int, rng *s
 func (c *Cache) Records(now sim.Time) []Record {
 	var out []Record
 	for _, id := range c.sortedIDs() {
-		r := c.m[id]
+		r := c.s.m[id]
 		if !r.Expired(now) {
 			out = append(out, r)
 		}

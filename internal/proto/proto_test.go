@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"pidcan/internal/overlay"
@@ -90,6 +92,58 @@ func TestCacheExpiryAndPurge(t *testing.T) {
 	c.Delete(2)
 	if c.Len() != 0 {
 		t.Error("Delete failed")
+	}
+}
+
+// TestCacheMatchesBruteForce holds the cache, whose Purge and NonEmpty
+// skip their scan until the earliest expiry may have passed, to a
+// plain map scanned on every call, under random puts, refreshes
+// (shorter-lived ones included), deletes and clock advances.
+func TestCacheMatchesBruteForce(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0))
+		c, model := NewCache(), map[overlay.NodeID]Record{}
+		now := sim.Time(0)
+		for step := 0; step < 300; step++ {
+			id := overlay.NodeID(r.IntN(12))
+			switch op := r.IntN(10); {
+			case op < 5: // put or refresh, possibly already expired
+				stored := now - sim.Time(r.IntN(3))*sim.Second
+				rc := rec(id, vector.Of(float64(r.IntN(4))), stored, sim.Time(r.IntN(8))*sim.Second)
+				c.Put(rc)
+				model[id] = rc
+			case op < 6:
+				c.Delete(id)
+				delete(model, id)
+			case op < 8:
+				now += sim.Time(r.IntN(4)) * sim.Second
+			default:
+				c.Purge(now)
+				for id, rc := range model {
+					if rc.Expired(now) {
+						delete(model, id)
+					}
+				}
+			}
+			// Read at the clock and at a probe on either side of it.
+			for _, at := range []sim.Time{now, now + sim.Time(r.IntN(9)-4)*sim.Second} {
+				var want []Record
+				for id := overlay.NodeID(0); id < 12; id++ {
+					if rc, ok := model[id]; ok && !rc.Expired(at) {
+						want = append(want, rc)
+					}
+				}
+				if got := c.Records(at); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: Records(%v) = %v, want %v", seed, step, at, got, want)
+				}
+				if got := c.NonEmpty(at); got != (len(want) > 0) {
+					t.Fatalf("seed %d step %d: NonEmpty(%v) = %v with %d live records", seed, step, at, got, len(want))
+				}
+			}
+			if c.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, c.Len(), len(model))
+			}
+		}
 	}
 }
 

@@ -72,9 +72,9 @@ type Event struct {
 	K          int
 	Consistent bool
 	NoCache    bool
-	// Cached reports the response came from the query cache; strict
-	// digest comparison skips cached responses (cell-demand
-	// evaluation makes them legitimately differ from a cold replay).
+	// Cached reports the response came from the query cache. It is
+	// informational: a cached answer is the uncached one bit for bit,
+	// so strict replay compares its digest like any other.
 	Cached bool
 	// Digest is the response digest (see Digest) captured live.
 	Digest uint64

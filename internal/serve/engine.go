@@ -279,7 +279,14 @@ type WireStats struct {
 
 // New builds an engine: the factory is invoked once per shard, each
 // backend is warmed up and snapshotted, then the shard goroutines
-// start. With a DataDir configured, New first recovers: it loads the
+// start. New calls the factory from its own goroutine, in shard order
+// and never twice at once, so a factory may share state such as a
+// generator across shards. Each backend's warm-up step, first snapshot
+// and index build run on a goroutine of their own while the next
+// factory call makes the next backend; New waits for all of them
+// before it recovers or returns, on a factory error too.
+//
+// With a DataDir configured, New then recovers: it loads the
 // latest valid checkpoint and replays every newer op-log segment
 // through the same batch-application path live writes use, so a
 // restarted engine serves the identical node populations,
@@ -312,19 +319,30 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	e.fwd = NewForwardTable(2*(cfg.FlushInterval+readHold), GlobalID.Shard, e.stop)
 	e.replEpoch.Store(1) // cold start; recovery overrides from disk
 	e.follower.Store(cfg.Follower)
-	for i := 0; i < cfg.Shards; i++ {
+	// The factory runs here, in shard order, one call at a time; each
+	// backend's warm-up and first snapshot run on a goroutine of its
+	// own while the next factory call builds the next backend.
+	e.shards = make([]*shard, cfg.Shards)
+	var wg sync.WaitGroup
+	for i := range e.shards {
 		be, err := factory(i, cfg)
 		if err != nil {
-			// No goroutine has started yet; nothing to tear down.
+			wg.Wait() // leave no shard being built behind
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
-		s := newShard(i, cfg, be)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.shards[i] = newShard(i, cfg, be)
+		}()
+	}
+	wg.Wait()
+	for _, s := range e.shards {
 		s.epoch = &e.epoch
 		s.replEpoch = &e.replEpoch
 		s.sink = &e.replSink
 		s.readOnly = &e.follower
 		s.capture = &e.capture
-		e.shards = append(e.shards, s)
 		e.places = append(e.places, &shardPlacement{e: e, s: s})
 	}
 	if cfg.DataDir != "" {

@@ -301,7 +301,11 @@ type Backend interface {
 }
 
 // BackendFactory builds the backend for one shard. cfg is the
-// resolved (defaults applied) engine configuration.
+// resolved (defaults applied) engine configuration. New calls it once
+// per shard, in shard order, from one goroutine and never twice at
+// once; the backend it returns is warmed up and snapshotted on another
+// goroutine, concurrently with the next call, so it must share no
+// unsynchronized state with the other shards' backends.
 type BackendFactory func(shard int, cfg Config) (Backend, error)
 
 // Config parameterizes an Engine. Zero fields take the documented

@@ -17,6 +17,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a simulation timestamp in microseconds since the start of
@@ -117,6 +118,10 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
+
+// Grow reserves queue room for n more events, so a caller about to
+// schedule a known number of them pushes without re-copying the heap.
+func (e *Engine) Grow(n int) { e.events = slices.Grow(e.events, n) }
 
 // Pending returns the number of scheduled (possibly stopped) events.
 func (e *Engine) Pending() int { return len(e.events) }

@@ -3,6 +3,7 @@ package space
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -67,6 +68,15 @@ func NewTree(dim int, first OwnerID) *Tree {
 	return t
 }
 
+// Grow reserves room for n more owners: the slot pair each one's
+// split adds and leaf index entries for ids below Len()+n, so a caller
+// that knows its population builds the tree without re-copying it.
+func (t *Tree) Grow(n int) {
+	t.nodes = slices.Grow(t.nodes, 2*n)
+	t.zones = slices.Grow(t.zones, 2*n)
+	t.leaf = slices.Grow(t.leaf, max(0, t.n+n-len(t.leaf)))
+}
+
 // Dim returns the dimensionality of the space.
 func (t *Tree) Dim() int { return t.dim }
 
@@ -117,18 +127,22 @@ func (t *Tree) ZoneOf(owner OwnerID) (Zone, bool) {
 	return t.zones[s], true
 }
 
-// leafAt descends to the leaf containing p. When a coordinate equals
-// a split plane exactly, the point belongs to the right (>=) child,
-// matching the half-open zone convention — except along dimension
-// bias (-1 for none), where it goes left: that finds the zone whose
-// upper boundary is p[bias], the negative-side neighbor, without
-// epsilon arithmetic.
-func (t *Tree) leafAt(p Point, bias int) int32 {
+// leafAt descends to the leaf containing p, reading x in place of
+// p[over] (over -1: none). When a coordinate equals a split plane
+// exactly, the point belongs to the right (>=) child, matching the
+// half-open zone convention — except along dimension over with left
+// set, where it goes left: that finds the zone whose upper boundary is
+// x, the negative-side neighbor, without epsilon arithmetic.
+func (t *Tree) leafAt(p Point, over int, x float64, left bool) int32 {
 	nodes, s := t.nodes, int32(0)
 	for n := &nodes[0]; n.child >= 0; n = &nodes[s] {
-		x := p[n.dim]
+		d := int(n.dim)
+		y := p[d]
+		if d == over {
+			y = x
+		}
 		s = n.child
-		if !(x < n.splitAt) && (x != n.splitAt || int(n.dim) != bias) {
+		if !(y < n.splitAt) && (y != n.splitAt || !left || d != over) {
 			s++
 		}
 	}
@@ -136,7 +150,7 @@ func (t *Tree) leafAt(p Point, bias int) int32 {
 }
 
 // OwnerAt returns the owner of the zone containing p.
-func (t *Tree) OwnerAt(p Point) OwnerID { return t.nodes[t.leafAt(p, -1)].owner }
+func (t *Tree) OwnerAt(p Point) OwnerID { return t.nodes[t.leafAt(p, -1, 0, false)].owner }
 
 // ErrDuplicateOwner is returned by Split when the joining owner is
 // already present in the tree.
@@ -152,6 +166,7 @@ var ErrLastOwner = errors.New("space: cannot remove last owner")
 // along dimension depth mod d, and joiner takes the half containing
 // p while the previous owner keeps the other half. It returns the
 // previous owner of the split zone (the joiner's bootstrap contact).
+// It does not retain p.
 func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	if t.Contains(joiner) {
 		return NoOwner, ErrDuplicateOwner
@@ -162,7 +177,7 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	if !p.InUnitCube() {
 		return NoOwner, fmt.Errorf("space: split point %v outside unit cube", p)
 	}
-	s := t.leafAt(p, -1)
+	s := t.leafAt(p, -1, 0, false)
 	dim, z := int(t.nodes[s].dim), t.zones[s]
 	bounds := make(Point, 2*t.dim) // the two bounds that move, one object
 	hi, lo := bounds[:t.dim:t.dim], bounds[t.dim:]
@@ -344,24 +359,22 @@ func (t *Tree) RangeOwners(lo, hi Point) []OwnerID {
 // AdjacentLeafAcross returns the owner and zone of the leaf just
 // across the boundary of z along dimension dim in the given
 // direction, at the cross-section fixed by at (only at's coordinates
-// in dimensions other than dim matter). ok is false at the edge of
-// the space. This is the primitive used to walk zone sequences along
-// a dimension when building 2^k index links.
+// in dimensions other than dim matter; at is not written). ok is
+// false at the edge of the space. This is the primitive used to walk
+// zone sequences along a dimension when building 2^k index links.
 func (t *Tree) AdjacentLeafAcross(z Zone, dim int, positive bool, at Point) (OwnerID, Zone, bool) {
-	q := at.Clone()
+	var s int32
 	if positive {
 		if z.Hi[dim] >= 1 {
 			return NoOwner, Zone{}, false
 		}
-		q[dim] = z.Hi[dim] // first coordinate of the next zone (half-open)
-		s := t.leafAt(q, -1)
-		return t.nodes[s].owner, t.zones[s], true
+		s = t.leafAt(at, dim, z.Hi[dim], false) // first coordinate of the next zone (half-open)
+	} else {
+		if z.Lo[dim] <= 0 {
+			return NoOwner, Zone{}, false
+		}
+		s = t.leafAt(at, dim, z.Lo[dim], true)
 	}
-	if z.Lo[dim] <= 0 {
-		return NoOwner, Zone{}, false
-	}
-	q[dim] = z.Lo[dim]
-	s := t.leafAt(q, dim)
 	return t.nodes[s].owner, t.zones[s], true
 }
 
