@@ -2,13 +2,13 @@ package pidcan
 
 import (
 	"fmt"
+	"slices"
 
 	"pidcan/internal/core"
-	"pidcan/internal/metrics"
 	"pidcan/internal/netmodel"
-	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/sim"
+	"pidcan/internal/simenv"
 	"pidcan/internal/vector"
 )
 
@@ -36,16 +36,16 @@ type ClusterConfig struct {
 // A Cluster is single-goroutine: drive it with Step and the
 // synchronous query helpers.
 type Cluster struct {
+	*world
 	cfg   ClusterConfig
-	eng   *sim.Engine
-	rng   *sim.RNG
-	net   *netmodel.Model
-	nw    *overlay.Network
 	p     *core.PIDCAN
-	rec   *metrics.Recorder
 	avail []Vec // by NodeID: nil unless alive, so a departed id costs 24 B
-	next  NodeID
 }
+
+// world is the simulated host a Cluster runs on, embedded under an
+// unexported name so the host is not an exported field of the public
+// type.
+type world = simenv.Env
 
 var _ proto.Env = (*Cluster)(nil)
 
@@ -75,63 +75,19 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Core.VirtualDim {
 		dims++
 	}
-	c := &Cluster{
-		cfg:   cfg,
-		eng:   sim.New(),
-		rng:   sim.NewRNG(cfg.Seed, sim.StreamProtocol),
-		rec:   metrics.NewRecorder(),
-		avail: make([]Vec, cfg.Nodes),
-	}
-	c.net = netmodel.New(cfg.Net, cfg.Nodes, sim.NewRNG(cfg.Seed, sim.StreamNetwork))
-	c.nw = overlay.New(dims, 0, sim.NewRNG(cfg.Seed, sim.StreamOverlay))
-	c.nw.Grow(cfg.Nodes - 1)
-	for i := 0; i < cfg.Nodes; i++ {
-		id := NodeID(i)
-		if i > 0 {
-			if _, err := c.nw.Join(id); err != nil {
-				return nil, err
-			}
-		}
-		c.avail[id] = vector.New(cfg.CMax.Dim())
-	}
-	c.next = NodeID(cfg.Nodes)
-	p, err := core.New(c, cfg.Core)
+	w, err := simenv.New(cfg.Seed, cfg.Nodes, dims, cfg.CMax, &cfg.Net)
 	if err != nil {
 		return nil, err
 	}
-	c.p = p
-	p.Start()
-	return c, nil
-}
-
-// --- proto.Env --------------------------------------------------------------
-
-// Engine implements proto.Env.
-func (c *Cluster) Engine() *sim.Engine { return c.eng }
-
-// ProtoRNG implements proto.Env.
-func (c *Cluster) ProtoRNG() *sim.RNG { return c.rng }
-
-// Overlay implements proto.Env.
-func (c *Cluster) Overlay() *overlay.Network { return c.nw }
-
-// CMax implements proto.Env.
-func (c *Cluster) CMax() Vec { return c.cfg.CMax }
-
-// Alive implements proto.Env.
-func (c *Cluster) Alive(id NodeID) bool {
-	return id >= 0 && int(id) < len(c.avail) && c.avail[id] != nil
-}
-
-// AliveNodes implements proto.Env.
-func (c *Cluster) AliveNodes() []NodeID {
-	out := make([]NodeID, 0, c.Size())
-	for id, a := range c.avail {
-		if a != nil {
-			out = append(out, NodeID(id))
-		}
+	c := &Cluster{world: w, cfg: cfg, avail: make([]Vec, cfg.Nodes)}
+	for id := range c.avail {
+		c.avail[id] = vector.New(cfg.CMax.Dim())
 	}
-	return out
+	if c.p, err = core.New(c, cfg.Core); err != nil {
+		return nil, err
+	}
+	c.p.Start()
+	return c, nil
 }
 
 // Availability implements proto.Env.
@@ -142,49 +98,14 @@ func (c *Cluster) Availability(id NodeID) Vec {
 	return vector.New(c.cfg.CMax.Dim())
 }
 
-// Send implements proto.Env using the LAN/WAN latency model.
-func (c *Cluster) Send(from, to NodeID, kind MsgKind, size int, deliver func(), onDrop func()) {
-	if !c.Alive(from) {
-		return
-	}
-	c.rec.Message(kind)
-	c.deliverAfter(c.net.Latency(int(from), int(to), size), to, deliver, onDrop)
-}
-
-// SendPath implements proto.Env.
-func (c *Cluster) SendPath(from NodeID, path []NodeID, kind MsgKind, size int, deliver func(), onDrop func()) {
-	if !c.Alive(from) || len(path) == 0 {
-		return
-	}
-	c.rec.Messages(kind, int64(len(path)))
-	var lat sim.Time
-	prev := from
-	for _, hop := range path {
-		lat += c.net.Latency(int(prev), int(hop), size)
-		prev = hop
-	}
-	c.deliverAfter(lat, prev, deliver, onDrop)
-}
-
-// deliverAfter runs deliver after lat if node to is alive then, and
-// onDrop, if any, if it is not.
-func (c *Cluster) deliverAfter(lat sim.Time, to NodeID, deliver, onDrop func()) {
-	c.eng.After(lat, func() {
-		if c.Alive(to) {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
-}
-
 // --- public cluster API -------------------------------------------------------
 
-// Nodes returns the alive node IDs in ascending order.
-func (c *Cluster) Nodes() []NodeID { return c.AliveNodes() }
+// Nodes returns the alive node IDs in ascending order, in a slice of
+// the caller's own (AliveNodes is the shared one).
+func (c *Cluster) Nodes() []NodeID { return slices.Clone(c.AliveNodes()) }
 
 // Now returns the cluster's simulation clock.
-func (c *Cluster) Now() Time { return c.eng.Now() }
+func (c *Cluster) Now() Time { return c.Engine().Now() }
 
 // SetAvailability publishes a node's availability vector. It takes
 // effect at the node's next state-update cycle; use Announce to push
@@ -213,7 +134,7 @@ func (c *Cluster) Announce(id NodeID) error {
 // Step advances the cluster by d of simulated time, letting state
 // updates, index diffusion and in-flight messages progress.
 func (c *Cluster) Step(d Time) {
-	c.eng.Run(c.eng.Now() + d)
+	c.Engine().Run(c.Now() + d)
 }
 
 // Query performs one best-fit multi-dimensional range query from the
@@ -243,8 +164,9 @@ func (c *Cluster) await(what string, from NodeID, start func(done func(proto.Que
 		out = r
 		resolved = true
 	})
-	deadline := c.eng.Now() + 10*sim.Minute
-	for !resolved && c.eng.Now() < deadline && c.eng.Step() {
+	eng := c.Engine()
+	deadline := eng.Now() + 10*sim.Minute
+	for !resolved && eng.Now() < deadline && eng.Step() {
 	}
 	if !resolved {
 		return nil, 0, fmt.Errorf("pidcan: %s from %d did not resolve", what, from)
@@ -254,14 +176,9 @@ func (c *Cluster) await(what string, from NodeID, start func(done func(proto.Que
 
 // Join adds a new node to the cluster and returns its ID.
 func (c *Cluster) Join() (NodeID, error) {
-	id := c.next
-	if _, err := c.nw.Join(id); err != nil {
+	id, err := c.world.Join()
+	if err != nil {
 		return 0, err
-	}
-	c.next++
-	idx := c.net.AddNode()
-	if idx != int(id) {
-		panic("pidcan: netmodel index diverged")
 	}
 	for int(id) >= len(c.avail) {
 		c.avail = append(c.avail, nil)
@@ -271,30 +188,12 @@ func (c *Cluster) Join() (NodeID, error) {
 	return id, nil
 }
 
-// SeedNextID advances the cluster's id sequence to next without
-// materializing the nodes in between, extending the latency model by
-// exactly the slots the skipped live joins would have added (so the
-// model's RNG stream stays aligned with a live history). The serving
-// engine's checkpoint restore uses it (serve.Backend) to skip dead
-// ids, making a warm restart O(alive nodes) instead of O(lifetime
-// joins).
-func (c *Cluster) SeedNextID(next NodeID) error {
-	if next < c.next {
-		return fmt.Errorf("pidcan: seed id %d below next id %d", next, c.next)
-	}
-	for c.net.Nodes() < int(next) {
-		c.net.AddNode()
-	}
-	c.next = next
-	return nil
-}
-
 // Leave removes a node; its cached records and indexes die with it.
 func (c *Cluster) Leave(id NodeID) error {
 	if !c.Alive(id) {
 		return fmt.Errorf("pidcan: node %d not in cluster", id)
 	}
-	if _, err := c.nw.Leave(id); err != nil {
+	if err := c.world.Leave(id); err != nil {
 		return err // refused (the last node): the node stays
 	}
 	c.avail[id] = nil
@@ -303,7 +202,4 @@ func (c *Cluster) Leave(id NodeID) error {
 }
 
 // Metrics exposes the cluster's message counters.
-func (c *Cluster) Metrics() *Recorder { return c.rec }
-
-// Size returns the alive population.
-func (c *Cluster) Size() int { return c.nw.Size() }
+func (c *Cluster) Metrics() *Recorder { return c.Recorder() }

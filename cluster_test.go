@@ -299,7 +299,8 @@ func clusterFootprint(tb testing.TB, n int) (bytesPerNode, allocsPerNode float64
 // and zones shared bounds, 776 as pointer trees and maps, ≈ 480 as
 // arrays (see the space package comment), ≈ 454 once the tree, the
 // protocol's node slots and the event queue were reserved at the
-// population instead of doubling their way to it.
+// population instead of doubling their way to it, ≈ 459 with the
+// host's liveness byte and alive-list entry.
 func TestClusterBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what is allocated")
@@ -330,11 +331,11 @@ func TestClusterAllocationsPerNode(t *testing.T) {
 // TestClusterChurnSoak runs a 20 000-node cluster through ten times its
 // population in joins and leaves, then checks the overlay and bounds
 // what the churned cluster holds against a fresh one of the same
-// size: a departed id costs 68 B for good (4 B of leaf index, 24 of
-// availability slot, 32 of protocol slot, 8 of latency model), and its
-// two stopped periodic timers stay queued until their next firing,
-// within one cycle — this soak runs at one instant, so all of them
-// still are.
+// size: a departed id costs 69 B for good (4 B of leaf index, 24 of
+// availability slot, 32 of protocol slot, 8 of latency model, 1 of
+// liveness), and its two stopped periodic timers stay queued until
+// their next firing, within one cycle — this soak runs at one instant,
+// so all of them still are.
 func TestClusterChurnSoak(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes what is allocated")
@@ -361,7 +362,7 @@ func TestClusterChurnSoak(t *testing.T) {
 		alive[j] = alive[len(alive)-1]
 		alive = alive[:len(alive)-1]
 	}
-	if err := c.nw.Validate(); err != nil {
+	if err := c.Overlay().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Size() != n || len(c.Nodes()) != n {

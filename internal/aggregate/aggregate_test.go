@@ -118,12 +118,9 @@ func TestEpochRestartForgetsDepartedMax(t *testing.T) {
 func TestNodeJoinedParticipates(t *testing.T) {
 	env, e := newEstimator(t, 16, 4)
 	env.Eng.Run(10 * 400 * sim.Second)
-	id, err := env.Net.Join(overlay.NodeID(16))
-	_ = id
-	if err != nil {
-		t.Fatal(err)
+	if id, err := env.Join(); err != nil || id != 16 {
+		t.Fatalf("joined %d, %v; want node 16", id, err)
 	}
-	env.Live[16] = true
 	e.NodeJoined(16)
 	env.Eng.Run(env.Eng.Now() + 10*400*sim.Second)
 	if est := e.Estimate(16); !est.Dominates(vector.Of(16, 32)) {

@@ -1,7 +1,8 @@
 // Package cloud is the Self-Organizing Cloud simulation glue (§II,
-// §IV.A): it wires the event engine, network model, overlay, PSM
-// hosts, workload generator, churn process and a discovery protocol
-// into one deterministic run, and drives the task pipeline
+// §IV.A): on a simulated world (internal/simenv: event engine,
+// network model, overlay, liveness) it wires PSM hosts, the workload
+// generator, the churn process and a discovery protocol into one
+// deterministic run, and drives the task pipeline
 // (generate → query → select best-fit → place → run → finish) whose
 // outcomes the paper's metrics summarize.
 package cloud

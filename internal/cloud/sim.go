@@ -11,11 +11,11 @@ import (
 	"pidcan/internal/gossip"
 	"pidcan/internal/khdn"
 	"pidcan/internal/metrics"
-	"pidcan/internal/netmodel"
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/psm"
 	"pidcan/internal/sim"
+	"pidcan/internal/simenv"
 	"pidcan/internal/task"
 	"pidcan/internal/trace"
 	"pidcan/internal/vector"
@@ -24,9 +24,8 @@ import (
 // node is one SOC participant: its PSM host plus the task-pipeline
 // bookkeeping.
 type node struct {
-	id    overlay.NodeID
-	host  *psm.Host
-	alive bool
+	id   overlay.NodeID
+	host *psm.Host
 
 	arrival    *sim.Timer
 	completion *sim.Timer
@@ -39,20 +38,14 @@ type node struct {
 // with Run. A Simulation is single-goroutine; run many Simulations
 // in parallel for sweeps (see internal/experiment).
 type Simulation struct {
-	cfg Config
+	*simenv.Env // the nodes' liveness, overlay (nil for Newscast), network and clock
 
-	eng      *sim.Engine
-	rngProto *sim.RNG
+	cfg      Config
 	rngChurn *sim.RNG
-	net      *netmodel.Model
-	nw       *overlay.Network // nil for Newscast
 	gen      *task.Generator
-	rec      *metrics.Recorder
 	disc     proto.Discovery
 
 	nodes     map[overlay.NodeID]*node
-	aliveIDs  []overlay.NodeID // sorted cache
-	nextID    overlay.NodeID
 	capSum    vector.Vec
 	capCount  int
 	churner   *churn.Scheduler
@@ -68,36 +61,28 @@ func New(cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	dims := 0
+	if cfg.usesOverlay() {
+		dims = cfg.overlayDims()
+	}
+	env, err := simenv.New(cfg.Seed, cfg.Nodes, dims, task.CMax(), &cfg.Net)
+	if err != nil {
+		return nil, err
+	}
 	s := &Simulation{
+		Env:      env,
 		cfg:      cfg,
-		eng:      sim.New(),
-		rngProto: sim.NewRNG(cfg.Seed, sim.StreamProtocol),
 		rngChurn: sim.NewRNG(cfg.Seed, sim.StreamChurn),
-		rec:      metrics.NewRecorder(),
 		nodes:    make(map[overlay.NodeID]*node),
 		capSum:   vector.New(task.Dims),
 		tr:       trace.New(cfg.TraceCapacity),
 	}
-	s.net = netmodel.New(cfg.Net, cfg.Nodes, sim.NewRNG(cfg.Seed, sim.StreamNetwork))
-	gen, err := task.NewGenerator(cfg.genConfig(), sim.NewRNG(cfg.Seed, sim.StreamWorkload))
-	if err != nil {
+	if s.gen, err = task.NewGenerator(cfg.genConfig(), sim.NewRNG(cfg.Seed, sim.StreamWorkload)); err != nil {
 		return nil, err
 	}
-	s.gen = gen
-
-	if cfg.usesOverlay() {
-		s.nw = overlay.New(cfg.overlayDims(), 0, sim.NewRNG(cfg.Seed, sim.StreamOverlay))
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		id := overlay.NodeID(i)
-		if s.nw != nil && i > 0 {
-			if _, err := s.nw.Join(id); err != nil {
-				return nil, fmt.Errorf("cloud: building overlay: %w", err)
-			}
-		}
+	for _, id := range s.AliveNodes() {
 		s.addNode(id)
 	}
-	s.nextID = overlay.NodeID(cfg.Nodes)
 
 	if s.disc, err = s.buildDiscovery(); err != nil {
 		return nil, err
@@ -116,7 +101,7 @@ func New(cfg Config) (*Simulation, error) {
 			p.SetCMaxSource(s.agg.Estimate)
 		}
 	}
-	s.churner, err = churn.New(s.eng, s.rngChurn, cfg.Churn, cfg.Nodes, s.churnLeave, s.churnJoin)
+	s.churner, err = churn.New(s.Engine(), s.rngChurn, cfg.Churn, cfg.Nodes, s.churnLeave, s.churnJoin)
 	if err != nil {
 		return nil, err
 	}
@@ -157,25 +142,9 @@ func (s *Simulation) addNode(id overlay.NodeID) {
 	n := &node{
 		id:    id,
 		host:  psm.NewHost(cap, task.WorkDims, psm.DefaultOverhead()),
-		alive: true,
 		specs: make(map[psm.TaskID]*task.Spec),
 	}
 	s.nodes[id] = n
-	s.insertAlive(id)
-}
-
-func (s *Simulation) insertAlive(id overlay.NodeID) {
-	i := sort.Search(len(s.aliveIDs), func(i int) bool { return s.aliveIDs[i] >= id })
-	s.aliveIDs = append(s.aliveIDs, 0)
-	copy(s.aliveIDs[i+1:], s.aliveIDs[i:])
-	s.aliveIDs[i] = id
-}
-
-func (s *Simulation) removeAlive(id overlay.NodeID) {
-	i := sort.Search(len(s.aliveIDs), func(i int) bool { return s.aliveIDs[i] >= id })
-	if i < len(s.aliveIDs) && s.aliveIDs[i] == id {
-		s.aliveIDs = append(s.aliveIDs[:i], s.aliveIDs[i+1:]...)
-	}
 }
 
 // avgCap returns the running average node capacity — the baseline of
@@ -187,30 +156,8 @@ func (s *Simulation) avgCap() vector.Vec {
 	return s.capSum.Scale(1 / float64(s.capCount))
 }
 
-// --- proto.Env implementation ----------------------------------------------
-
-// Engine implements proto.Env.
-func (s *Simulation) Engine() *sim.Engine { return s.eng }
-
-// ProtoRNG implements proto.Env.
-func (s *Simulation) ProtoRNG() *sim.RNG { return s.rngProto }
-
-// Overlay implements proto.Env.
-func (s *Simulation) Overlay() *overlay.Network { return s.nw }
-
-// CMax implements proto.Env.
-func (s *Simulation) CMax() vector.Vec { return task.CMax() }
-
-// Alive implements proto.Env.
-func (s *Simulation) Alive(id overlay.NodeID) bool {
-	n, ok := s.nodes[id]
-	return ok && n.alive
-}
-
-// AliveNodes implements proto.Env.
-func (s *Simulation) AliveNodes() []overlay.NodeID { return s.aliveIDs }
-
-// Availability implements proto.Env.
+// Availability implements proto.Env: what the node's PSM host has
+// free.
 func (s *Simulation) Availability(id overlay.NodeID) vector.Vec {
 	n, ok := s.nodes[id]
 	if !ok {
@@ -219,52 +166,13 @@ func (s *Simulation) Availability(id overlay.NodeID) vector.Vec {
 	return n.host.Availability()
 }
 
-// Send implements proto.Env.
-func (s *Simulation) Send(from, to overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func()) {
-	if !s.Alive(from) {
-		return
-	}
-	s.rec.Message(kind)
-	lat := s.net.Latency(int(from), int(to), size)
-	s.eng.After(lat, func() {
-		if s.Alive(to) {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
-}
-
-// SendPath implements proto.Env: one counted message per hop with
-// cumulative latency; delivery requires the final hop alive.
-func (s *Simulation) SendPath(from overlay.NodeID, path []overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func()) {
-	if !s.Alive(from) || len(path) == 0 {
-		return
-	}
-	s.rec.Messages(kind, int64(len(path)))
-	var lat sim.Time
-	prev := from
-	for _, hop := range path {
-		lat += s.net.Latency(int(prev), int(hop), size)
-		prev = hop
-	}
-	final := path[len(path)-1]
-	s.eng.After(lat, func() {
-		if s.Alive(final) {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
-}
-
 // --- task pipeline ----------------------------------------------------------
 
 // scheduleArrival arms the node's next Poisson task arrival.
 func (s *Simulation) scheduleArrival(n *node) {
 	gap := s.gen.Interarrival()
-	n.arrival = s.eng.After(gap, func() {
-		if !n.alive {
+	n.arrival = s.Engine().After(gap, func() {
+		if !s.Alive(n.id) {
 			return
 		}
 		s.submit(n)
@@ -285,19 +193,19 @@ type pending struct {
 
 // submit generates a task at node n and starts discovery.
 func (s *Simulation) submit(n *node) {
-	spec := s.gen.Next(int(n.id), s.eng.Now())
-	s.rec.TaskGenerated()
-	s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.TaskSubmitted, Node: n.id, Task: spec.ID})
+	spec := s.gen.Next(int(n.id), s.Engine().Now())
+	s.Recorder().TaskGenerated()
+	s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.TaskSubmitted, Node: n.id, Task: spec.ID})
 	s.runQuery(n, &pending{spec: spec})
 }
 
 // runQuery launches one discovery attempt for the task.
 func (s *Simulation) runQuery(n *node, pt *pending) {
-	started := s.eng.Now()
+	started := s.Engine().Now()
 	s.disc.Query(n.id, pt.spec.Demand, s.cfg.ResultsWanted, func(res proto.QueryResult) {
-		s.rec.QueryResolved(res.Hops)
-		s.rec.ObserveQueryDelay(s.eng.Now() - started)
-		s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.QueryResolved, Node: n.id,
+		s.Recorder().QueryResolved(res.Hops)
+		s.Recorder().ObserveQueryDelay(s.Engine().Now() - started)
+		s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.QueryResolved, Node: n.id,
 			Task: pt.spec.ID, Arg: int64(len(res.Candidates))})
 		s.onQueryDone(n, pt, res)
 	})
@@ -305,13 +213,13 @@ func (s *Simulation) runQuery(n *node, pt *pending) {
 
 // onQueryDone ranks candidates and attempts placement.
 func (s *Simulation) onQueryDone(n *node, pt *pending, res proto.QueryResult) {
-	if !n.alive {
-		s.rec.TaskLost()
+	if !s.Alive(n.id) {
+		s.Recorder().TaskLost()
 		return
 	}
 	cands := s.rankCandidates(pt.spec.Demand, res.Candidates)
 	if len(cands) == 0 {
-		s.rec.EmptyQueries++
+		s.Recorder().EmptyQueries++
 		s.retryOrFail(n, pt)
 		return
 	}
@@ -343,8 +251,8 @@ func (s *Simulation) rankCandidates(demand vector.Vec, cands []proto.Record) []p
 // Rejections (stale records, contention races, churn) fall through to
 // the next candidate and finally to a re-query.
 func (s *Simulation) tryPlace(n *node, pt *pending, cands []proto.Record) {
-	if !n.alive {
-		s.rec.TaskLost()
+	if !s.Alive(n.id) {
+		s.Recorder().TaskLost()
 		return
 	}
 	if len(cands) == 0 {
@@ -353,10 +261,10 @@ func (s *Simulation) tryPlace(n *node, pt *pending, cands []proto.Record) {
 	}
 	target := cands[0]
 	rest := cands[1:]
-	s.rec.PlacementAttempts++
+	s.Recorder().PlacementAttempts++
 	s.Send(n.id, target.Node, metrics.MsgPlacement, proto.SizePlacement, func() {
 		host := s.nodes[target.Node]
-		now := s.eng.Now()
+		now := s.Engine().Now()
 		host.host.Advance(now)
 		t := pt.spec.NewPSMTask()
 		if host.host.Add(t, now, !s.cfg.ValidatePlacement) {
@@ -369,12 +277,12 @@ func (s *Simulation) tryPlace(n *node, pt *pending, cands []proto.Record) {
 		// Rejected: Inequality (2) no longer holds at the host — a
 		// staleness/admission race with concurrent analogous
 		// queries. One reject message travels back.
-		s.rec.PlacementRejects++
+		s.Recorder().PlacementRejects++
 		s.tr.Record(trace.Event{At: now, Kind: trace.PlacementRejected, Node: target.Node, Task: pt.spec.ID})
 		s.Send(target.Node, n.id, metrics.MsgPlacement, proto.SizeNotify, func() {
 			s.tryPlace(n, pt, rest)
 		}, func() {
-			s.rec.TaskLost() // requester gone
+			s.Recorder().TaskLost() // requester gone
 		})
 	}, func() {
 		// Candidate died before delivery.
@@ -386,8 +294,8 @@ func (s *Simulation) tryPlace(n *node, pt *pending, cands []proto.Record) {
 // task counts as failed (never found qualified records — F-Ratio) or
 // unplaced (found records but lost every admission race).
 func (s *Simulation) retryOrFail(n *node, pt *pending) {
-	if !n.alive {
-		s.rec.TaskLost()
+	if !s.Alive(n.id) {
+		s.Recorder().TaskLost()
 		return
 	}
 	if pt.attempt < s.cfg.QueryRetries {
@@ -396,11 +304,11 @@ func (s *Simulation) retryOrFail(n *node, pt *pending) {
 		return
 	}
 	if pt.sawCandidates {
-		s.rec.TaskUnplaced()
-		s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.TaskUnplaced, Node: n.id, Task: pt.spec.ID})
+		s.Recorder().TaskUnplaced()
+		s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.TaskUnplaced, Node: n.id, Task: pt.spec.ID})
 	} else {
-		s.rec.TaskFailed()
-		s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.TaskFailed, Node: n.id, Task: pt.spec.ID})
+		s.Recorder().TaskFailed()
+		s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.TaskFailed, Node: n.id, Task: pt.spec.ID})
 	}
 }
 
@@ -411,23 +319,23 @@ func (s *Simulation) refreshCompletion(n *node) {
 		n.completion.Stop()
 		n.completion = nil
 	}
-	if !n.alive {
+	if !s.Alive(n.id) {
 		return
 	}
 	_, at, ok := n.host.NextCompletion()
 	if !ok {
 		return
 	}
-	n.completion = s.eng.At(at, func() { s.onCompletion(n) })
+	n.completion = s.Engine().At(at, func() { s.onCompletion(n) })
 }
 
 // onCompletion advances the host and retires every task whose work
 // is drained.
 func (s *Simulation) onCompletion(n *node) {
-	if !n.alive {
+	if !s.Alive(n.id) {
 		return
 	}
-	now := s.eng.Now()
+	now := s.Engine().Now()
 	n.host.Advance(now)
 	avg := s.avgCap()
 	for _, id := range n.host.Tasks() {
@@ -444,7 +352,7 @@ func (s *Simulation) onCompletion(n *node) {
 		if real <= 0 {
 			real = 1e-6
 		}
-		s.rec.TaskFinished(spec.ExpectedSeconds(avg) / real)
+		s.Recorder().TaskFinished(spec.ExpectedSeconds(avg) / real)
 		s.tr.Record(trace.Event{At: now, Kind: trace.TaskFinished, Node: n.id, Task: id})
 	}
 	s.refreshCompletion(n)
@@ -454,29 +362,27 @@ func (s *Simulation) onCompletion(n *node) {
 
 // churnLeave disconnects one random alive node (never below 2 nodes).
 func (s *Simulation) churnLeave() {
-	if len(s.aliveIDs) <= 2 {
+	alive := s.AliveNodes()
+	if len(alive) <= 2 {
 		return
 	}
-	id := s.aliveIDs[s.rngChurn.IntN(len(s.aliveIDs))]
-	s.kill(id)
+	s.kill(alive[s.rngChurn.IntN(len(alive))])
 }
 
-// kill tears one node down: running tasks are lost, timers stop, the
-// zone is reassigned, the protocol state dies.
+// kill tears one node down: timers stop, running tasks are lost or
+// recovered, then the zone is reassigned and the protocol state dies.
 func (s *Simulation) kill(id overlay.NodeID) {
 	n, ok := s.nodes[id]
-	if !ok || !n.alive {
+	if !ok || !s.Alive(id) {
 		return
 	}
-	n.alive = false
-	s.removeAlive(id)
 	if n.arrival != nil {
 		n.arrival.Stop()
 	}
 	if n.completion != nil {
 		n.completion.Stop()
 	}
-	now := s.eng.Now()
+	now := s.Engine().Now()
 	n.host.Advance(now)
 	// Deterministic iteration: recovery consumes protocol RNG draws.
 	tids := make([]psm.TaskID, 0, len(n.specs))
@@ -490,40 +396,44 @@ func (s *Simulation) kill(id overlay.NodeID) {
 		if s.cfg.CheckpointSec > 0 {
 			s.recoverTask(n, spec, now)
 		} else {
-			s.rec.TaskLost()
+			s.Recorder().TaskLost()
 			s.tr.Record(trace.Event{At: now, Kind: trace.TaskLost, Node: id, Task: tid})
 		}
 	}
-	if s.nw != nil {
-		if _, err := s.nw.Leave(id); err == nil {
-			// Departure maintenance: neighbor refresh on the
-			// affected nodes (§IV.B), roughly 2 messages per
-			// dimension plus the takeover handshake.
-			s.rec.Messages(metrics.MsgMaintenance, int64(2*s.nw.Dim()+2))
-		}
+	// The recovery queries above were routed over the overlay the node
+	// is still part of; it leaves only now. With churnLeave's floor of
+	// three alive nodes the overlay never refuses.
+	if err := s.Leave(id); err != nil {
+		panic(fmt.Sprintf("cloud: node %d cannot leave: %v", id, err))
+	}
+	if nw := s.Overlay(); nw != nil {
+		// Departure maintenance: neighbor refresh on the affected
+		// nodes (§IV.B), roughly 2 messages per dimension plus the
+		// takeover handshake.
+		s.Recorder().Messages(metrics.MsgMaintenance, int64(2*nw.Dim()+2))
 	}
 	s.disc.NodeLeft(id)
 	if s.agg != nil {
 		s.agg.NodeLeft(id)
 	}
-	s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.NodeLeft, Node: id, Arg: int64(len(s.aliveIDs))})
+	s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.NodeLeft, Node: id, Arg: int64(s.Size())})
 }
 
 // recoverTask re-queues a task killed by its execution node's
 // departure, resuming from its last checkpoint: the residual work is
 // the host's current remaining work plus up to one checkpoint
 // interval of progress lost since the last checkpoint (at the task's
-// expected rates). The origin node must still be alive to own the
-// re-query.
+// expected rates). The origin node must be another node, still
+// alive, to own the re-query.
 func (s *Simulation) recoverTask(dead *node, spec *task.Spec, now sim.Time) {
 	origin, ok := s.nodes[overlay.NodeID(spec.Origin)]
-	if !ok || !origin.alive {
-		s.rec.TaskLost()
+	if !ok || origin == dead || !s.Alive(origin.id) {
+		s.Recorder().TaskLost()
 		return
 	}
 	t := dead.host.Task(spec.ID)
 	if t == nil {
-		s.rec.TaskLost()
+		s.Recorder().TaskLost()
 		return
 	}
 	elapsed := (now - t.Started).Seconds()
@@ -541,32 +451,27 @@ func (s *Simulation) recoverTask(dead *node, spec *task.Spec, now sim.Time) {
 	}
 	rspec := *spec
 	rspec.Remaining = remaining
-	s.rec.TaskRecovered()
+	s.Recorder().TaskRecovered()
 	s.tr.Record(trace.Event{At: now, Kind: trace.TaskRecovered, Node: origin.id, Task: spec.ID, Arg: int64(dead.id)})
 	s.runQuery(origin, &pending{spec: &rspec})
 }
 
 // churnJoin adds one brand-new node.
 func (s *Simulation) churnJoin() {
-	id := s.nextID
-	s.nextID++
-	idx := s.net.AddNode()
-	if idx != int(id) {
-		panic(fmt.Sprintf("cloud: netmodel index %d diverged from node id %d", idx, id))
+	id, err := s.Join()
+	if err != nil {
+		return
 	}
-	if s.nw != nil {
-		if _, err := s.nw.Join(id); err != nil {
-			return
-		}
+	if nw := s.Overlay(); nw != nil {
 		// Join maintenance: bootstrap routing plus neighbor updates.
-		s.rec.Messages(metrics.MsgMaintenance, int64(2*s.nw.Dim()+4))
+		s.Recorder().Messages(metrics.MsgMaintenance, int64(2*nw.Dim()+4))
 	}
 	s.addNode(id)
 	s.disc.NodeJoined(id)
 	if s.agg != nil {
 		s.agg.NodeJoined(id)
 	}
-	s.tr.Record(trace.Event{At: s.eng.Now(), Kind: trace.NodeJoined, Node: id, Arg: int64(len(s.aliveIDs))})
+	s.tr.Record(trace.Event{At: s.Engine().Now(), Kind: trace.NodeJoined, Node: id, Arg: int64(s.Size())})
 	s.scheduleArrival(s.nodes[id])
 }
 
@@ -595,28 +500,25 @@ func (s *Simulation) Run() *Result {
 	if s.agg != nil {
 		s.agg.Start()
 	}
-	for _, id := range s.aliveIDs {
+	for _, id := range s.AliveNodes() {
 		s.scheduleArrival(s.nodes[id])
 	}
-	s.eng.Every(s.cfg.SnapshotEvery, s.cfg.SnapshotEvery, func() {
-		s.rec.Snapshot(s.eng.Now())
+	s.Engine().Every(s.cfg.SnapshotEvery, s.cfg.SnapshotEvery, func() {
+		s.Recorder().Snapshot(s.Engine().Now())
 	})
 	s.churner.Start()
-	s.eng.Run(s.cfg.Duration)
-	s.rec.Snapshot(s.eng.Now())
+	s.Engine().Run(s.cfg.Duration)
+	s.Recorder().Snapshot(s.Engine().Now())
 	return &Result{
 		Protocol:   s.disc.Name(),
 		Config:     s.cfg,
-		Rec:        s.rec,
-		FinalNodes: len(s.aliveIDs),
-		Events:     s.eng.Processed(),
+		Rec:        s.Recorder(),
+		FinalNodes: s.Size(),
+		Events:     s.Engine().Processed(),
 		Wall:       time.Since(s.wallStart),
 		Trace:      s.tr,
 	}
 }
-
-// Recorder exposes the metrics recorder (tests, invariant checks).
-func (s *Simulation) Recorder() *metrics.Recorder { return s.rec }
 
 // Trace exposes the structured event log (enabled via
 // Config.TraceCapacity).
@@ -625,24 +527,24 @@ func (s *Simulation) Trace() *trace.Log { return s.tr }
 // CheckInvariants verifies the conservation laws every run must
 // satisfy; tests and failure-injection suites call it after Run.
 func (s *Simulation) CheckInvariants() error {
-	rec := s.rec
+	rec := s.Recorder()
 	if rec.Accounted() > rec.Generated {
 		return fmt.Errorf("cloud: accounted %d > generated %d", rec.Accounted(), rec.Generated)
 	}
 	running := int64(0)
-	for _, id := range s.aliveIDs {
+	for _, id := range s.AliveNodes() {
 		running += int64(s.nodes[id].host.Len())
 	}
 	if rec.Accounted()+running > rec.Generated {
 		return fmt.Errorf("cloud: accounted %d + running %d > generated %d",
 			rec.Accounted(), running, rec.Generated)
 	}
-	if s.nw != nil {
-		if err := s.nw.Validate(); err != nil {
+	if nw := s.Overlay(); nw != nil {
+		if err := nw.Validate(); err != nil {
 			return fmt.Errorf("cloud: overlay invalid after run: %w", err)
 		}
-		if s.nw.Size() != len(s.aliveIDs) {
-			return fmt.Errorf("cloud: overlay has %d zones, %d alive nodes", s.nw.Size(), len(s.aliveIDs))
+		if nw.Size() != s.Size() {
+			return fmt.Errorf("cloud: overlay has %d zones, %d alive nodes", nw.Size(), s.Size())
 		}
 	}
 	if t := rec.TRatio(); t < 0 || t > 1 {

@@ -372,8 +372,8 @@ func TestKillEdgeCases(t *testing.T) {
 	if s.Alive(3) {
 		t.Error("node still alive after kill")
 	}
-	if s.nw.Size() != cfg.Nodes-1 {
-		t.Errorf("overlay size = %d", s.nw.Size())
+	if s.Overlay().Size() != cfg.Nodes-1 {
+		t.Errorf("overlay size = %d", s.Overlay().Size())
 	}
 	// churnLeave never shrinks below 2 nodes.
 	for i := 0; i < cfg.Nodes+10; i++ {
@@ -396,7 +396,7 @@ func TestChurnJoinGrowsPopulation(t *testing.T) {
 	if got := len(s.AliveNodes()); got != before+2 {
 		t.Errorf("population = %d, want %d", got, before+2)
 	}
-	if err := s.nw.Validate(); err != nil {
+	if err := s.Overlay().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// New nodes participate in discovery state.
@@ -427,11 +427,11 @@ func TestSendFromDeadNodeDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.kill(5)
-	before := s.rec.MessageTotal()
+	before := s.Recorder().MessageTotal()
 	s.Send(5, 6, metrics.MsgPlacement, 100, func() { t.Error("delivered from dead sender") }, nil)
 	s.SendPath(5, []overlay.NodeID{6}, metrics.MsgPlacement, 100, func() { t.Error("path-delivered from dead sender") }, nil)
-	s.eng.Run(s.eng.Now() + sim.Minute)
-	if s.rec.MessageTotal() != before {
+	s.Engine().Run(s.Engine().Now() + sim.Minute)
+	if s.Recorder().MessageTotal() != before {
 		t.Error("dead sender's messages were counted")
 	}
 }

@@ -169,14 +169,11 @@ func TestChurnPrunesStaleEntries(t *testing.T) {
 
 func TestNodeJoinedBootstraps(t *testing.T) {
 	env, g := runGossip(t, 32, 8)
-	id := env.Net.Nodes()[0] // reuse id space: add a brand new node
-	_ = id
 	// Simulate a joiner.
-	newID := env.Net.Nodes()[len(env.Net.Nodes())-1] + 1
-	if _, err := env.Net.Join(newID); err != nil {
+	newID, err := env.Join()
+	if err != nil {
 		t.Fatal(err)
 	}
-	env.Live[newID] = true
 	env.Avail[newID] = vector.Of(3, 3)
 	g.NodeJoined(newID)
 	if len(g.views[newID]) == 0 {

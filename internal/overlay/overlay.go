@@ -36,12 +36,16 @@ type NodeID = space.OwnerID
 const NoNode NodeID = space.NoOwner
 
 // Network is the CAN/INSCAN overlay. It is not safe for concurrent
-// mutation; each simulation run drives it from one goroutine.
+// use, routes included (they cache K); each simulation run drives it
+// from one goroutine.
 type Network struct {
 	dim  int
 	tree *space.Tree
 	rng  *sim.RNG
 	pt   space.Point // Join's point, drawn afresh for every join
+	// k is MaxIndexExponent at size kSize: every route hop asks for
+	// it, and it changes only with the size.
+	k, kSize int
 }
 
 // New creates an overlay of dimensionality dim whose first node
@@ -121,15 +125,13 @@ func (nw *Network) NeighborsAlong(id NodeID, dim int, positive bool) []NodeID {
 // which 2^k-hop index links are maintained (paper §III.B), never
 // below 0.
 func (nw *Network) MaxIndexExponent() int {
-	n := float64(nw.Size())
-	if n < 2 {
-		return 0
+	if n := nw.Size(); n != nw.kSize {
+		nw.k, nw.kSize = 0, n
+		if n >= 2 {
+			nw.k = max(0, int(math.Floor(math.Log2(math.Pow(float64(n), 1/float64(nw.dim))))))
+		}
 	}
-	k := int(math.Floor(math.Log2(math.Pow(n, 1/float64(nw.dim)))))
-	if k < 0 {
-		k = 0
-	}
-	return k
+	return nw.k
 }
 
 // Hop is one index link: the node reached after walking Dist zone

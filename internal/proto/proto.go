@@ -54,8 +54,10 @@ type QueryResult struct {
 	Hops int
 }
 
-// Env is the simulation environment a protocol runs against. It is
-// implemented by internal/cloud (and by lightweight fakes in tests).
+// Env is the simulation environment a protocol runs against. Its one
+// implementation is internal/simenv's, which the paper's simulation
+// (internal/cloud), pidcan.Cluster and the test double
+// (internal/prototest) embed, each adding Availability.
 type Env interface {
 	// Engine returns the shared event engine.
 	Engine() *sim.Engine
@@ -70,7 +72,8 @@ type Env interface {
 	// Alive reports whether the node is currently up.
 	Alive(id overlay.NodeID) bool
 	// AliveNodes returns the ids of all alive nodes in ascending
-	// order. Callers must not mutate the result.
+	// order, in a shared slice that is valid until the next join or
+	// leave. Callers must not mutate it.
 	AliveNodes() []overlay.NodeID
 	// Availability returns the node's current true availability
 	// vector (what a local probe would measure).
@@ -82,9 +85,11 @@ type Env interface {
 	// already dead is silently discarded.
 	Send(from, to overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func())
 	// SendPath schedules a multi-hop forwarding chain along path
-	// (e.g. a CAN route), counting one message per hop, and runs
-	// deliver at the final node (onDrop if any hop is dead when the
-	// message reaches it).
+	// (e.g. a CAN route), counting one message per hop, with the
+	// hops' latencies summed. At the end deliver runs if the final
+	// node is alive then, else onDrop (if non-nil); the hops on the
+	// way are not checked. A send from a dead node, or along an empty
+	// path, is discarded uncounted.
 	SendPath(from overlay.NodeID, path []overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func())
 }
 

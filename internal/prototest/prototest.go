@@ -1,31 +1,27 @@
-// Package prototest provides an in-memory proto.Env implementation
-// for protocol unit tests: fixed one-millisecond hop latency, full
-// message accounting, and direct control over node liveness and
-// availability vectors.
+// Package prototest provides the proto.Env protocol unit tests run
+// on: the simulated world of internal/simenv with a fixed
+// one-millisecond hop, every node's availability set directly by the
+// test, and Kill.
 package prototest
 
 import (
-	"sort"
-
 	"pidcan/internal/metrics"
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/sim"
+	"pidcan/internal/simenv"
 	"pidcan/internal/vector"
 )
 
-// Env is a test double for proto.Env.
+// Env is a test double for proto.Env. Eng, Net, Rec and Cmax are the
+// embedded world's engine, overlay, recorder and cmax.
 type Env struct {
+	*simenv.Env
 	Eng   *sim.Engine
-	Rng   *sim.RNG
 	Net   *overlay.Network
-	Cmax  vector.Vec
-	Live  map[overlay.NodeID]bool
-	Avail map[overlay.NodeID]vector.Vec
 	Rec   *metrics.Recorder
-
-	// HopLatency is the fixed per-hop delivery delay.
-	HopLatency sim.Time
+	Cmax  vector.Vec
+	Avail map[overlay.NodeID]vector.Vec
 }
 
 var _ proto.Env = (*Env)(nil)
@@ -33,56 +29,19 @@ var _ proto.Env = (*Env)(nil)
 // New builds a fake environment with n nodes on a dim-dimensional
 // overlay, every node alive with availability = cmax/2.
 func New(dim, n int, cmax vector.Vec, seed uint64) *Env {
-	e := &Env{
-		Eng:        sim.New(),
-		Rng:        sim.NewRNG(seed, sim.StreamProtocol),
-		Cmax:       cmax,
-		Live:       make(map[overlay.NodeID]bool),
-		Avail:      make(map[overlay.NodeID]vector.Vec),
-		Rec:        metrics.NewRecorder(),
-		HopLatency: sim.Millisecond,
+	w, err := simenv.New(seed, n, dim, cmax, nil)
+	if err != nil {
+		panic(err)
 	}
-	e.Net = overlay.New(dim, 0, sim.NewRNG(seed, sim.StreamOverlay))
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			if _, err := e.Net.Join(overlay.NodeID(i)); err != nil {
-				panic(err)
-			}
-		}
-		e.Live[overlay.NodeID(i)] = true
-		e.Avail[overlay.NodeID(i)] = cmax.Scale(0.5)
+	e := &Env{Env: w, Eng: w.Engine(), Net: w.Overlay(), Rec: w.Recorder(), Cmax: cmax,
+		Avail: make(map[overlay.NodeID]vector.Vec)}
+	for _, id := range w.AliveNodes() {
+		e.Avail[id] = cmax.Scale(0.5)
 	}
 	return e
 }
 
-// Engine implements proto.Env.
-func (e *Env) Engine() *sim.Engine { return e.Eng }
-
-// ProtoRNG implements proto.Env.
-func (e *Env) ProtoRNG() *sim.RNG { return e.Rng }
-
-// Overlay implements proto.Env.
-func (e *Env) Overlay() *overlay.Network { return e.Net }
-
-// CMax implements proto.Env.
-func (e *Env) CMax() vector.Vec { return e.Cmax }
-
-// Alive implements proto.Env.
-func (e *Env) Alive(id overlay.NodeID) bool { return e.Live[id] }
-
-// AliveNodes implements proto.Env.
-func (e *Env) AliveNodes() []overlay.NodeID {
-	out := make([]overlay.NodeID, 0, len(e.Live))
-	for id, up := range e.Live {
-		if up {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Availability implements proto.Env.
+// Availability implements proto.Env: what the test set, else zero.
 func (e *Env) Availability(id overlay.NodeID) vector.Vec {
 	if a, ok := e.Avail[id]; ok {
 		return a.Clone()
@@ -90,47 +49,10 @@ func (e *Env) Availability(id overlay.NodeID) vector.Vec {
 	return vector.New(e.Cmax.Dim())
 }
 
-// Send implements proto.Env with fixed hop latency.
-func (e *Env) Send(from, to overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func()) {
-	if !e.Live[from] {
-		return
-	}
-	e.Rec.Message(kind)
-	e.Eng.After(e.HopLatency, func() {
-		if e.Live[to] {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
-}
-
-// SendPath implements proto.Env: one message per hop, cumulative
-// latency, delivery at the final hop.
-func (e *Env) SendPath(from overlay.NodeID, path []overlay.NodeID, kind metrics.MsgKind, size int, deliver func(), onDrop func()) {
-	if !e.Live[from] {
-		return
-	}
-	e.Rec.Messages(kind, int64(len(path)))
-	total := e.HopLatency * sim.Time(len(path))
-	e.Eng.After(total, func() {
-		for _, hop := range path {
-			if !e.Live[hop] {
-				if onDrop != nil {
-					onDrop()
-				}
-				return
-			}
-		}
-		deliver()
-	})
-}
-
-// Kill marks a node dead (protocol NodeLeft must be invoked by the
+// Kill takes a node down (protocol NodeLeft must be invoked by the
 // test separately, mirroring the cloud layer's ordering).
 func (e *Env) Kill(id overlay.NodeID) {
-	e.Live[id] = false
-	if _, err := e.Net.Leave(id); err != nil {
+	if err := e.Leave(id); err != nil {
 		panic(err)
 	}
 }

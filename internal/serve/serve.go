@@ -270,7 +270,8 @@ func (g GlobalID) String() string { return fmt.Sprintf("%d/%d", g.Shard(), g.Loc
 // caller at a time: after New hands it to its shard, it is touched
 // only under the shard's combiner lock.
 type Backend interface {
-	// Nodes returns the alive node ids in ascending order.
+	// Nodes returns the alive node ids in ascending order, in a slice
+	// the caller owns and may modify.
 	Nodes() []overlay.NodeID
 	// Alive reports whether id is an alive node, without listing the
 	// population: the shard's one record of which nodes it holds.
