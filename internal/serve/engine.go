@@ -140,6 +140,14 @@ type ShardStats struct {
 	QueueDepth      int      `json:"queue_depth"`
 	OpsApplied      uint64   `json:"ops_applied"`
 	Batches         uint64   `json:"batches"`
+	// WritesQueued counts the write-path calls (updates, joins,
+	// leaves, migration halves and consistent queries) that found the
+	// shard's combiner lock taken or ops queued ahead of them, and
+	// WritesParked those of them whose caller stopped spinning and
+	// slept until its result came: parked/queued is the share of
+	// contended writes that paid a wake-up.
+	WritesQueued uint64 `json:"writes_queued"`
+	WritesParked uint64 `json:"writes_parked"`
 	// LogBytes is the shard's op-log volume since its last
 	// checkpoint rotation (0 on in-memory engines). Sums to the
 	// engine-wide wal_bytes.
@@ -811,6 +819,8 @@ func (e *Engine) Stats() Stats {
 			QueueDepth:      len(s.ops),
 			OpsApplied:      s.applied.Load(),
 			Batches:         s.batches.Load(),
+			WritesQueued:    s.queued.Load(),
+			WritesParked:    s.parked.Load(),
 			LogBytes:        s.logBytes.Load(),
 		})
 		st.TotalNodes += snap.Len()

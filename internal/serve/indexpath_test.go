@@ -346,27 +346,13 @@ func BenchmarkEngineSearch(b *testing.B) {
 // Engine.Update calls (GOMAXPROCS writers — run it with -cpu 2 for
 // two) against 4 shards x 2 500 records, random nodes, availabilities
 // in [0.2, 1]·cmax. Each write is applied, published and acked before
-// it returns; ops/batch is how many writes a batch carried.
+// it returns; ops/batch is how many writes a batch carried, queued/op
+// the share that found the combiner lock taken and parked/op the share
+// whose caller slept before its result came.
 func BenchmarkEngineUpdate(b *testing.B) {
-	cfg := testConfig(4)
-	cfg.NodesPerShard = 2500
-	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
-	rng := rand.New(rand.NewSource(5))
-	e := seededEngine(b, cfg, func() vector.Vec {
-		v := vector.New(cfg.CMax.Dim())
-		for d := range v {
-			v[d] = cfg.CMax[d] * (0.2 + 0.8*rng.Float64())
-		}
-		return v
-	})
+	cfg, e, draw := mixedEngine(b)
 	nodes := e.Nodes()
-	batches := func() (n uint64) {
-		for _, sh := range e.Stats().Shards {
-			n += sh.Batches
-		}
-		return n
-	}
-	before := batches()
+	before := writeCountsOf(e)
 	var seed atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -374,9 +360,7 @@ func BenchmarkEngineUpdate(b *testing.B) {
 		rng := rand.New(rand.NewSource(seed.Add(1)))
 		a := vector.New(cfg.CMax.Dim())
 		for pb.Next() {
-			for d := range a {
-				a[d] = cfg.CMax[d] * (0.2 + 0.8*rng.Float64())
-			}
+			draw(rng, a, 0.2, 1)
 			if err := e.Update(nodes[rng.Intn(len(nodes))], a, false); err != nil {
 				b.Error(err)
 				return
@@ -384,5 +368,89 @@ func BenchmarkEngineUpdate(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	b.ReportMetric(float64(b.N)/float64(batches()-before), "ops/batch")
+	writeCountsOf(e).report(b, before, b.N)
+}
+
+// BenchmarkEngineMixed is mixed_write_10k's shape in process: GOMAXPROCS
+// closed-loop callers (run it with -cpu 2, the repo benchmark's two)
+// against 4 shards x 2 500 records, each op a NoCache query (70%:
+// demand in [0, 0.6]·cmax, k = 3) or an update of a random node (30%:
+// availability in [0.2, 1]·cmax). queued/op and parked/op are per
+// update, as in BenchmarkEngineUpdate.
+func BenchmarkEngineMixed(b *testing.B) {
+	cfg, e, draw := mixedEngine(b)
+	nodes := e.Nodes()
+	before := writeCountsOf(e)
+	var seed atomic.Int64
+	var updates atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		v := vector.New(cfg.CMax.Dim())
+		n := int64(0)
+		for pb.Next() {
+			if rng.Intn(10) < 3 {
+				n++
+				draw(rng, v, 0.2, 1)
+				if err := e.Update(nodes[rng.Intn(len(nodes))], v, false); err != nil {
+					b.Error(err)
+					return
+				}
+				continue
+			}
+			draw(rng, v, 0, 0.6)
+			if _, err := e.Query(QueryRequest{Demand: v, K: 3, NoCache: true}); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		updates.Add(n)
+	})
+	b.StopTimer()
+	writeCountsOf(e).report(b, before, int(updates.Load()))
+}
+
+// mixedEngine is the engine of BenchmarkEngineUpdate and
+// BenchmarkEngineMixed — 4 shards x 2 500 records, availabilities in
+// [0.2, 1]·cmax — and draw, which fills v with cmax·[lo, hi) draws.
+func mixedEngine(b *testing.B) (Config, *Engine, func(rng *rand.Rand, v vector.Vec, lo, hi float64)) {
+	cfg := testConfig(4)
+	cfg.NodesPerShard = 2500
+	cfg.CMax = vector.Of(25.6, 80, 10, 240, 4096)
+	draw := func(rng *rand.Rand, v vector.Vec, lo, hi float64) {
+		for d := range v {
+			v[d] = cfg.CMax[d] * (lo + (hi-lo)*rng.Float64())
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	e := seededEngine(b, cfg, func() vector.Vec {
+		v := vector.New(cfg.CMax.Dim())
+		draw(rng, v, 0.2, 1)
+		return v
+	})
+	return cfg, e, draw
+}
+
+// writeCounts sums the shards' write-path counters.
+type writeCounts struct{ batches, queued, parked uint64 }
+
+func writeCountsOf(e *Engine) (c writeCounts) {
+	for _, sh := range e.Stats().Shards {
+		c.batches += sh.Batches
+		c.queued += sh.WritesQueued
+		c.parked += sh.WritesParked
+	}
+	return c
+}
+
+// report reports ops/batch, queued/op and parked/op over the writes
+// since before, if there were any.
+func (c writeCounts) report(b *testing.B, before writeCounts, writes int) {
+	if writes == 0 {
+		return
+	}
+	b.ReportMetric(float64(writes)/float64(c.batches-before.batches), "ops/batch")
+	b.ReportMetric(float64(c.queued-before.queued)/float64(writes), "queued/op")
+	b.ReportMetric(float64(c.parked-before.parked)/float64(writes), "parked/op")
 }

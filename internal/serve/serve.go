@@ -25,10 +25,14 @@
 //     applied by flat combining: a writer that finds its shard's lock
 //     free and nothing queued applies its own write, with no hop to
 //     another goroutine; writers that find it taken queue behind it,
-//     and the lock's next holder — the loop, when no writer stays to
-//     do it — applies the queue in batches. A write is acknowledged
-//     after apply + op-log + snapshot publication and advances no
-//     simulated time.
+//     and the lock's next holder applies the queue in batches. A
+//     queued writer waits on its own core: it polls its buffered reply
+//     and takes the lock itself whenever it comes free, and parks only
+//     after a bounded spin or while the holder waits on an fsync —
+//     a parked writer's wake-up costs more than most rounds. The loop
+//     applies what parked writers leave queued. A write is
+//     acknowledged after apply + op-log + snapshot publication and
+//     advances no simulated time.
 //
 //   - Clock contract. A shard's simulated clock follows wall time
 //     1:1: one simulated microsecond per wall microsecond since the
