@@ -80,8 +80,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{world: w, cfg: cfg, avail: make([]Vec, cfg.Nodes)}
+	dim := cfg.CMax.Dim()
+	rows := make([]float64, cfg.Nodes*dim) // the initial nodes' rows, one array
 	for id := range c.avail {
-		c.avail[id] = vector.New(cfg.CMax.Dim())
+		c.avail[id] = rows[id*dim : (id+1)*dim : (id+1)*dim]
 	}
 	if c.p, err = core.New(c, cfg.Core); err != nil {
 		return nil, err

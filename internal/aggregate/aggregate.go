@@ -69,7 +69,7 @@ type Estimator struct {
 	ownCap func(overlay.NodeID) vector.Vec
 
 	est    map[overlay.NodeID]*state
-	timers map[overlay.NodeID]*sim.Timer
+	timers map[overlay.NodeID]sim.Timer
 }
 
 // New builds an estimator; ownCap must return the capacity vector of
@@ -83,7 +83,7 @@ func New(env proto.Env, ownCap func(overlay.NodeID) vector.Vec, cfg Config) (*Es
 		cfg:    cfg,
 		ownCap: ownCap,
 		est:    make(map[overlay.NodeID]*state),
-		timers: make(map[overlay.NodeID]*sim.Timer),
+		timers: make(map[overlay.NodeID]sim.Timer),
 	}, nil
 }
 
@@ -108,10 +108,8 @@ func (e *Estimator) NodeJoined(id overlay.NodeID) {
 
 // NodeLeft tears per-node state down.
 func (e *Estimator) NodeLeft(id overlay.NodeID) {
-	if tm, ok := e.timers[id]; ok {
-		tm.Stop()
-		delete(e.timers, id)
-	}
+	e.env.Engine().Stop(e.timers[id])
+	delete(e.timers, id)
 	delete(e.est, id)
 }
 

@@ -48,7 +48,7 @@ type Scheduler struct {
 	leave   func()
 	join    func()
 	stopped bool
-	windowT *sim.Timer
+	windowT sim.Timer
 }
 
 // New builds a scheduler over the engine; n is the baseline node
@@ -83,9 +83,7 @@ func (s *Scheduler) Start() {
 // Stop halts the process after the current window's events.
 func (s *Scheduler) Stop() {
 	s.stopped = true
-	if s.windowT != nil {
-		s.windowT.Stop()
-	}
+	s.eng.Stop(s.windowT)
 }
 
 // scheduleWindow lays out one window's events and re-arms itself.

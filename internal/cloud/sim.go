@@ -27,8 +27,8 @@ type node struct {
 	id   overlay.NodeID
 	host *psm.Host
 
-	arrival    *sim.Timer
-	completion *sim.Timer
+	arrival    sim.Timer
+	completion sim.Timer
 	// specs holds the task.Spec of every task currently running on
 	// this host, for fairness accounting at completion.
 	specs map[psm.TaskID]*task.Spec
@@ -315,10 +315,7 @@ func (s *Simulation) retryOrFail(n *node, pt *pending) {
 // refreshCompletion re-arms the host's earliest-completion timer
 // after any membership change.
 func (s *Simulation) refreshCompletion(n *node) {
-	if n.completion != nil {
-		n.completion.Stop()
-		n.completion = nil
-	}
+	s.Engine().Stop(n.completion)
 	if !s.Alive(n.id) {
 		return
 	}
@@ -376,12 +373,8 @@ func (s *Simulation) kill(id overlay.NodeID) {
 	if !ok || !s.Alive(id) {
 		return
 	}
-	if n.arrival != nil {
-		n.arrival.Stop()
-	}
-	if n.completion != nil {
-		n.completion.Stop()
-	}
+	s.Engine().Stop(n.arrival)
+	s.Engine().Stop(n.completion)
 	now := s.Engine().Now()
 	n.host.Advance(now)
 	// Deterministic iteration: recovery consumes protocol RNG draws.

@@ -38,8 +38,8 @@ type nodeState struct {
 	cache  proto.Cache                 // duty cache γ (records this zone keeps)
 	pilist map[overlay.NodeID]sim.Time // PIList: index origin → expiry
 
-	stateTimer *sim.Timer
-	diffTimer  *sim.Timer
+	stateTimer sim.Timer
+	diffTimer  sim.Timer
 }
 
 // index records an index message from origin, valid until exp.
@@ -74,7 +74,7 @@ func (p *PIDCAN) SetCMaxSource(src func(overlay.NodeID) vector.Vec) { p.cmaxSour
 // Start installs the periodic state-update and index-diffusion
 // behaviour on every alive node, with per-node phase jitter so cycles
 // are not synchronized. It reserves the nodes' slots and their two
-// timers' queue entries first.
+// timers' engine slots and queue entries first.
 func (p *PIDCAN) Start() {
 	alive := p.env.AliveNodes()
 	top := overlay.NodeID(-1)
@@ -113,15 +113,16 @@ func (p *PIDCAN) NodeLeft(id overlay.NodeID) {
 	if st == nil {
 		return
 	}
-	st.stateTimer.Stop()
-	st.diffTimer.Stop()
+	eng := p.env.Engine()
+	eng.Stop(st.stateTimer)
+	eng.Stop(st.diffTimer)
 	*st = nodeState{}
 }
 
 // state returns the protocol state of an alive node, or nil. The
 // pointer is good until the next NodeJoined.
 func (p *PIDCAN) state(id overlay.NodeID) *nodeState {
-	if id < 0 || int(id) >= len(p.nodes) || p.nodes[id].stateTimer == nil {
+	if id < 0 || int(id) >= len(p.nodes) || p.nodes[id].stateTimer == (sim.Timer{}) {
 		return nil
 	}
 	return &p.nodes[id]

@@ -56,7 +56,7 @@ type Newscast struct {
 	cfg Config
 
 	views    map[overlay.NodeID]map[overlay.NodeID]proto.Record
-	timers   map[overlay.NodeID]*sim.Timer
+	timers   map[overlay.NodeID]sim.Timer
 	viewSize int
 	queryTTL int
 }
@@ -70,7 +70,7 @@ func New(env proto.Env, cfg Config) (*Newscast, error) {
 		env:    env,
 		cfg:    cfg,
 		views:  make(map[overlay.NodeID]map[overlay.NodeID]proto.Record),
-		timers: make(map[overlay.NodeID]*sim.Timer),
+		timers: make(map[overlay.NodeID]sim.Timer),
 	}, nil
 }
 
@@ -119,10 +119,8 @@ func (g *Newscast) NodeJoined(id overlay.NodeID) {
 
 // NodeLeft implements proto.Discovery.
 func (g *Newscast) NodeLeft(id overlay.NodeID) {
-	if tm, ok := g.timers[id]; ok {
-		tm.Stop()
-		delete(g.timers, id)
-	}
+	g.env.Engine().Stop(g.timers[id])
+	delete(g.timers, id)
 	delete(g.views, id)
 }
 

@@ -56,7 +56,7 @@ type KHDN struct {
 	cfg Config
 
 	caches map[overlay.NodeID]*proto.Cache
-	timers map[overlay.NodeID]*sim.Timer
+	timers map[overlay.NodeID]sim.Timer
 }
 
 // New builds a KHDN-CAN instance over env.
@@ -68,7 +68,7 @@ func New(env proto.Env, cfg Config) (*KHDN, error) {
 		env:    env,
 		cfg:    cfg,
 		caches: make(map[overlay.NodeID]*proto.Cache),
-		timers: make(map[overlay.NodeID]*sim.Timer),
+		timers: make(map[overlay.NodeID]sim.Timer),
 	}, nil
 }
 
@@ -95,10 +95,8 @@ func (k *KHDN) NodeJoined(id overlay.NodeID) {
 
 // NodeLeft implements proto.Discovery.
 func (k *KHDN) NodeLeft(id overlay.NodeID) {
-	if tm, ok := k.timers[id]; ok {
-		tm.Stop()
-		delete(k.timers, id)
-	}
+	k.env.Engine().Stop(k.timers[id])
+	delete(k.timers, id)
 	delete(k.caches, id)
 }
 

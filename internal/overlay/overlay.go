@@ -12,7 +12,9 @@
 //
 // Zone bookkeeping uses the binary partition tree in internal/space;
 // joins split the zone containing a random point, departures trigger
-// the paper's zone-reassignment keeping node↔zone strictly 1:1.
+// the paper's zone-reassignment keeping node↔zone strictly 1:1. An
+// initial population joins in one pass (JoinAll), which builds the
+// tree its joins one by one would.
 // Neighbor and index-link lookups are answered from the live tree,
 // which models CAN's periodically refreshed neighbor state; the
 // *application-level* soft state that the paper's churn experiments
@@ -37,7 +39,8 @@ const NoNode NodeID = space.NoOwner
 
 // Network is the CAN/INSCAN overlay. It is not safe for concurrent
 // use, routes included (they cache K); each simulation run drives it
-// from one goroutine.
+// from one goroutine. A population known up front joins through
+// JoinAll, one pass over the zone tree; later nodes through Join.
 type Network struct {
 	dim  int
 	tree *space.Tree
@@ -54,10 +57,6 @@ type Network struct {
 func New(dim int, first NodeID, rng *sim.RNG) *Network {
 	return &Network{dim: dim, tree: space.NewTree(dim, first), rng: rng}
 }
-
-// Grow reserves room for n more nodes, so a caller that knows its
-// population joins them without re-copying the zone tree.
-func (nw *Network) Grow(n int) { nw.tree.Grow(n) }
 
 // Dim returns the dimensionality of the coordinate space.
 func (nw *Network) Dim() int { return nw.dim }
@@ -89,6 +88,18 @@ func (nw *Network) Join(id NodeID) (contact NodeID, err error) {
 		nw.pt[i] = nw.rng.Float64()
 	}
 	return nw.JoinAt(id, nw.pt)
+}
+
+// JoinAll adds n nodes first, first+1, … as n Joins in that order
+// would: the same points drawn from the same stream, the same zones.
+// It draws every point first and builds the tree in one pass
+// (space.Tree.SplitAll), which allocates no object per node.
+func (nw *Network) JoinAll(first NodeID, n int) error {
+	coords := make([]float64, n*nw.dim)
+	for i := range coords {
+		coords[i] = nw.rng.Float64()
+	}
+	return nw.tree.SplitAll(coords, first)
 }
 
 // JoinAt is Join with an explicit join point.

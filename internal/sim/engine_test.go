@@ -72,8 +72,8 @@ func TestStopTimer(t *testing.T) {
 	e := New()
 	fired := false
 	tm := e.At(1*Second, func() { fired = true })
-	tm.Stop()
-	if !tm.Stopped() {
+	e.Stop(tm)
+	if !e.Stopped(tm) {
 		t.Error("Stopped() = false after Stop")
 	}
 	e.Run(2 * Second)
@@ -99,7 +99,7 @@ func TestEvery(t *testing.T) {
 			t.Errorf("firing %d at %v, want %v", i, times[i], want[i])
 		}
 	}
-	tm.Stop()
+	e.Stop(tm)
 	e.Run(20 * Second)
 	if len(times) != len(want) {
 		t.Error("periodic timer fired after Stop")
@@ -109,11 +109,11 @@ func TestEvery(t *testing.T) {
 func TestEveryStopFromInside(t *testing.T) {
 	e := New()
 	count := 0
-	var tm *Timer
+	var tm Timer
 	tm = e.Every(1*Second, 1*Second, func() {
 		count++
 		if count == 3 {
-			tm.Stop()
+			e.Stop(tm)
 		}
 	})
 	e.Run(10 * Second)

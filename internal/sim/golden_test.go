@@ -45,12 +45,12 @@ func TestGoldenOrder(t *testing.T) {
 	log := func(label string) { fired = append(fired, fmt.Sprintf("%s@%d", label, e.Now()/Second)) }
 
 	// A stops itself in its fourth firing.
-	var a *Timer
+	var a Timer
 	aCount := 0
 	a = e.Every(1*Second, 3*Second, func() {
 		log("A")
 		if aCount++; aCount == 4 {
-			a.Stop()
+			e.Stop(a)
 		}
 	})
 	// B is stopped from outside with a firing queued: that firing
@@ -65,8 +65,8 @@ func TestGoldenOrder(t *testing.T) {
 	})
 	// D stops one-shot E, which is then discarded uncounted; F ties
 	// with B's first firing and was scheduled after it.
-	var eTimer *Timer
-	e.At(4*Second, func() { log("D"); eTimer.Stop() })
+	var eTimer Timer
+	e.At(4*Second, func() { log("D"); e.Stop(eTimer) })
 	eTimer = e.At(6*Second, func() { log("E") })
 	e.After(2*Second, func() { log("F") })
 	rng := NewRNG(23, StreamProtocol)
@@ -77,14 +77,14 @@ func TestGoldenOrder(t *testing.T) {
 	// G is stopped before anything runs and sits beyond the first Run
 	// horizons; Z is a periodic stopped while its firing is far out.
 	g := e.At(9*Second, func() { log("G") })
-	g.Stop()
+	e.Stop(g)
 	z := e.Every(13*Second, 1*Second, func() { log("Z") })
 
 	var rows []string
 	row := func(call string) {
 		rows = append(rows, fmt.Sprintf("%s: %s | now=%d processed=%d pending=%d when=%d,%d,%d",
 			call, strings.Join(fired, " "), e.Now()/Second, e.Processed(), e.Pending(),
-			a.When()/Second, b.When()/Second, c.When()/Second))
+			e.When(a)/Second, e.When(b)/Second, e.When(c)/Second))
 		fired = fired[:0]
 	}
 	step := func() { row(fmt.Sprintf("step=%v", e.Step())) }
@@ -96,20 +96,20 @@ func TestGoldenOrder(t *testing.T) {
 	run(2 * Second)
 	step()
 	run(4 * Second)
-	b.Stop() // B's firing at 6 s is queued
+	e.Stop(b) // B's firing at 6 s is queued
 	step()
 	run(5 * Second)
 	run(5 * Second)
 	step()
 	step()
 	run(8 * Second)
-	z.Stop()
+	e.Stop(z)
 	run(10 * Second)
 	step()
 	run(12 * Second)
 	run(14 * Second) // Z's stopped firing at 13 s counts
 	run(16 * Second)
-	c.Stop()
+	e.Stop(c)
 	run(30 * Second)
 	step()
 
@@ -123,17 +123,18 @@ func TestGoldenOrder(t *testing.T) {
 	}
 }
 
-// TestPeriodicTimerAllocations: a periodic timer is one object for its
-// whole life, and firing it allocates nothing inside the engine.
+// TestPeriodicTimerAllocations: a periodic timer takes a slot of the
+// engine's slab, not an object of its own, and firing it allocates
+// nothing.
 func TestPeriodicTimerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	e := New()
-	e.events = make(eventHeap, 0, 1024) // the queue's own growth is not the timer's
+	e.Grow(1024) // the slab's and the queue's own growth is not the timer's
 	fn := func() {}
-	if n := testing.AllocsPerRun(500, func() { e.Every(Second, Second, fn) }); n != 1 {
-		t.Errorf("Every allocates %v objects, want 1", n)
+	if n := testing.AllocsPerRun(500, func() { e.Every(Second, Second, fn) }); n != 0 {
+		t.Errorf("Every allocates %v objects, want 0", n)
 	}
 	if n := testing.AllocsPerRun(5000, func() { e.Step() }); n != 0 {
 		t.Errorf("a periodic firing allocates %v objects, want 0", n)

@@ -37,9 +37,23 @@ type Env struct {
 	ids   []overlay.NodeID
 	stale int
 	next  overlay.NodeID // the id the next Join takes
+
+	// inflight holds the messages on their way, each at the Arg of its
+	// delivery timer, whose callback land passes it to arrive; idle
+	// lists the free slots.
+	inflight []delivery
+	idle     []int32
+	land     func()
 }
 
-// New builds a world of n nodes, ids 0..n-1, all alive. With dims > 0
+// delivery is a message in flight: deliver runs if node to is alive
+// when it arrives, onDrop, if any, if it is not.
+type delivery struct {
+	deliver, onDrop func()
+	to              overlay.NodeID
+}
+
+// New builds a world of n >= 1 nodes, ids 0..n-1, all alive. With dims > 0
 // they all join a dims-dimensional overlay; dims 0 builds none. net
 // configures the LAN/WAN latency model; nil makes every hop take one
 // millisecond. All randomness derives from seed, one stream per
@@ -54,22 +68,19 @@ func New(seed uint64, n, dims int, cmax vector.Vec, net *netmodel.Config) (*Env,
 		ids:   make([]overlay.NodeID, n),
 		next:  overlay.NodeID(n),
 	}
+	e.land = func() { e.arrive(e.eng.Arg()) }
 	if net != nil {
 		e.net = netmodel.New(*net, n, sim.NewRNG(seed, sim.StreamNetwork))
 	}
 	if dims > 0 {
 		e.nw = overlay.New(dims, 0, sim.NewRNG(seed, sim.StreamOverlay))
-		e.nw.Grow(n - 1)
+		if err := e.nw.JoinAll(1, n-1); err != nil {
+			return nil, fmt.Errorf("simenv: building overlay: %w", err)
+		}
 	}
 	for i := range n {
-		id := overlay.NodeID(i)
-		if e.nw != nil && i > 0 {
-			if _, err := e.nw.Join(id); err != nil {
-				return nil, fmt.Errorf("simenv: building overlay: %w", err)
-			}
-		}
-		e.alive[id] = true
-		e.ids[i] = id
+		e.alive[i] = true
+		e.ids[i] = overlay.NodeID(i)
 	}
 	return e, nil
 }
@@ -146,15 +157,30 @@ func (e *Env) latency(from, to overlay.NodeID, size int) sim.Time {
 }
 
 // deliverAfter runs deliver after lat if node to is alive then, and
-// onDrop, if any, if it is not.
+// onDrop, if any, if it is not. It allocates nothing: the message
+// takes a slot of inflight, and its timer a slot of the engine's.
 func (e *Env) deliverAfter(lat sim.Time, to overlay.NodeID, deliver, onDrop func()) {
-	e.eng.After(lat, func() {
-		if e.Alive(to) {
-			deliver()
-		} else if onDrop != nil {
-			onDrop()
-		}
-	})
+	var i int32
+	if n := len(e.idle); n > 0 {
+		i, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		i = int32(len(e.inflight))
+		e.inflight = append(e.inflight, delivery{})
+	}
+	e.inflight[i] = delivery{deliver: deliver, onDrop: onDrop, to: to}
+	e.eng.AfterArg(lat, i, e.land)
+}
+
+// arrive delivers or drops message i and frees its slot.
+func (e *Env) arrive(i int32) {
+	d := e.inflight[i]
+	e.inflight[i] = delivery{}
+	e.idle = append(e.idle, i)
+	if e.Alive(d.to) {
+		d.deliver()
+	} else if d.onDrop != nil {
+		d.onDrop()
+	}
 }
 
 // Join adds the next node: it joins the overlay, takes its latency

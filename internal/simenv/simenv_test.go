@@ -189,3 +189,37 @@ func b2i(b bool) int {
 	}
 	return 0
 }
+
+// TestDeliveryAllocations: a message in flight takes a slot of the
+// host's and one of the engine's, not objects of its own, so sending,
+// delivering and dropping allocate nothing beyond the caller's
+// closures (made once here).
+func TestDeliveryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	e, err := simenv.New(1, 4, 0, vector.Of(1, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Leave(3); err != nil {
+		t.Fatal(err)
+	}
+	eng := e.Engine()
+	var delivered, dropped int
+	deliver, drop := func() { delivered++ }, func() { dropped++ }
+	path := []overlay.NodeID{2, 3}
+	round := func() {
+		e.Send(0, 1, metrics.MsgGossip, 1, deliver, drop)
+		e.SendPath(0, path, metrics.MsgGossip, 1, deliver, drop) // node 3 left: dropped
+		eng.Step()
+		eng.Step()
+	}
+	round() // the slabs grow to two messages
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("a delivered and a dropped message allocate %v objects, want 0", n)
+	}
+	if delivered != 1002 || dropped != 1002 {
+		t.Errorf("%d delivered, %d dropped; want 1002 each", delivered, dropped)
+	}
+}

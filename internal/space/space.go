@@ -14,8 +14,10 @@
 // released by a merge as one pair, and released pairs are reused.
 // Zones are a parallel slice by slot, and the leaf index is a slice
 // by owner id. Zones share the bounds a split does not move, and a
-// split allocates the two it does move as one object, so a zone's
-// bounds are never written once the zone exists.
+// split allocates the two it does move as one object — or, in a
+// one-pass build (Tree.SplitAll), carves them from one array for all
+// its splits — so a zone's bounds are never written once the zone
+// exists.
 package space
 
 import (

@@ -3,6 +3,7 @@ package space
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -22,7 +23,10 @@ const NoOwner OwnerID = -1
 //   - Split: a joining peer picks a random point; the leaf containing
 //     it splits in half (split dimension cycles with depth, as in the
 //     original CAN), and the joiner takes the half containing the
-//     point.
+//     point. SplitAll joins a whole population in one pass that
+//     builds the same tree: it deals each subtree the points that
+//     land in it, in arrival order, and a leaf's first point splits
+//     it. A single Split is its one-point case.
 //   - Remove: a departing peer's zone is merged with its sibling leaf
 //     if possible; otherwise a "buddy pair" of sibling leaves deepest
 //     in the sibling subtree is located, one of the buddies merges
@@ -36,9 +40,10 @@ const NoOwner OwnerID = -1
 //
 // Memory (see the package comment for the layout): 24 B of node and
 // 48 B of zone header per slot, two slots per owner at the
-// population's high-water mark, one bound object of 2·dim float64s
-// per internal node, and 4 B of leaf index per owner id ever used,
-// alive or not.
+// population's high-water mark, 2·dim float64s of bounds per
+// internal node (one object per Split; one array per SplitAll, kept
+// while any of its zones lives), and 4 B of leaf index per owner id
+// ever used, alive or not.
 type Tree struct {
 	dim   int
 	nodes []treeNode
@@ -66,15 +71,6 @@ func NewTree(dim int, first OwnerID) *Tree {
 	t := &Tree{dim: dim, nodes: []treeNode{{parent: -1, child: -1}}, zones: []Zone{UnitZone(dim)}, free: -1, n: 1}
 	t.setLeaf(first, 0)
 	return t
-}
-
-// Grow reserves room for n more owners: the slot pair each one's
-// split adds and leaf index entries for ids below Len()+n, so a caller
-// that knows its population builds the tree without re-copying it.
-func (t *Tree) Grow(n int) {
-	t.nodes = slices.Grow(t.nodes, 2*n)
-	t.zones = slices.Grow(t.zones, 2*n)
-	t.leaf = slices.Grow(t.leaf, max(0, t.n+n-len(t.leaf)))
 }
 
 // Dim returns the dimensionality of the space.
@@ -166,7 +162,7 @@ var ErrLastOwner = errors.New("space: cannot remove last owner")
 // along dimension depth mod d, and joiner takes the half containing
 // p while the previous owner keeps the other half. It returns the
 // previous owner of the split zone (the joiner's bootstrap contact).
-// It does not retain p.
+// It does not retain p. It is SplitAll's one-point case.
 func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	if t.Contains(joiner) {
 		return NoOwner, ErrDuplicateOwner
@@ -174,12 +170,123 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	if joiner < 0 {
 		return NoOwner, fmt.Errorf("space: owner %d is negative", joiner)
 	}
-	if !p.InUnitCube() {
-		return NoOwner, fmt.Errorf("space: split point %v outside unit cube", p)
+	if len(p) != t.dim || !p.InUnitCube() {
+		return NoOwner, fmt.Errorf("space: split point %v outside the %d-dimensional unit cube", p, t.dim)
 	}
-	s := t.leafAt(p, -1, 0, false)
+	var one [1]int32
+	d := dealer{t: t, coords: p, first: joiner}
+	d.deal(0, one[:])
+	return d.prev, nil
+}
+
+// SplitAll joins len(coords)/Dim() owners first, first+1, … at the
+// points coords holds back to back, in that order, building the tree
+// those Splits would build in one pass: each subtree is handed the
+// points that land in it in arrival order; at a leaf the first one
+// splits it and the rest are dealt to its two halves. It reserves the
+// tree's room up front and carves every bound the splits allocate
+// from one array, which lives as long as any zone shares it. It
+// validates every point and joiner first and changes nothing on an
+// error. It does not retain coords.
+func (t *Tree) SplitAll(coords []float64, first OwnerID) error {
+	k := len(coords) / t.dim
+	if len(coords) != k*t.dim {
+		return fmt.Errorf("space: %d coordinates are not %d-dimensional points", len(coords), t.dim)
+	}
+	if first < 0 || int64(first)+int64(k)-1 > math.MaxInt32 {
+		return fmt.Errorf("space: owners %d..%d out of range", first, int64(first)+int64(k)-1)
+	}
+	for i := range k {
+		if t.Contains(first + OwnerID(i)) {
+			return ErrDuplicateOwner
+		}
+	}
+	if !Point(coords).InUnitCube() {
+		return fmt.Errorf("space: split point outside unit cube")
+	}
+	t.nodes = slices.Grow(t.nodes, 2*k)
+	t.zones = slices.Grow(t.zones, 2*k)
+	t.leaf = slices.Grow(t.leaf, max(0, int(first)+k-len(t.leaf)))
+	order := make([]int32, 2*k) // the points in arrival order, then scratch
+	for i := range k {
+		order[i] = int32(i)
+	}
+	d := dealer{t: t, coords: coords, first: first, tmp: order[k:k], bounds: make([]float64, 2*t.dim*k)}
+	d.deal(0, order[:k])
+	return nil
+}
+
+// dealer is one Split or SplitAll in progress.
+type dealer struct {
+	t      *Tree
+	coords []float64 // point i is coords[i*dim:(i+1)*dim]
+	first  OwnerID   // point i's joiner is first+i
+	tmp    []int32   // partition scratch, as long as the longest deal
+	bounds []float64 // carved into the bounds each split moves; empty: allocate
+	prev   OwnerID   // the previous owner of the last zone split
+}
+
+// deal hands the points named by ord, in arrival order, to the
+// subtree at slot s. At an internal node they are partitioned, keeping
+// their order, as leafAt would route each; at a leaf the first one
+// splits it and the rest are dealt on.
+func (d *dealer) deal(s int32, ord []int32) {
+	t := d.t
+	for len(ord) > 0 {
+		n := t.nodes[s]
+		if n.child < 0 {
+			d.split(s, ord[0])
+			ord = ord[1:]
+			continue
+		}
+		coords, dim, sd, at := d.coords, t.dim, int(n.dim), n.splitAt
+		if len(ord) == 1 {
+			s = n.child
+			if !(coords[int(ord[0])*dim+sd] < at) {
+				s++
+			}
+			continue
+		}
+		// A stable partition without a branch on the side, which is a
+		// coin toss: each point is written to both lists, and only
+		// its own list's end moves past it.
+		l, r, right := 0, 0, d.tmp[:len(ord)]
+		for _, i := range ord {
+			ord[l], right[r] = i, i
+			b := 0
+			if coords[int(i)*dim+sd] < at {
+				b = 1
+			}
+			l += b
+			r += 1 - b
+		}
+		copy(ord[l:], right[:r])
+		switch {
+		case l == len(ord):
+			s = n.child
+		case l == 0:
+			s = n.child + 1
+		default:
+			d.deal(n.child, ord[:l])
+			s, ord = n.child+1, ord[l:]
+		}
+	}
+}
+
+// split splits leaf s at point i: its joiner takes the half containing
+// the point, and the leaf's owner the other.
+func (d *dealer) split(s, i int32) {
+	t := d.t
+	p := d.coords[int(i)*t.dim:][:t.dim]
+	joiner := d.first + OwnerID(i)
 	dim, z := int(t.nodes[s].dim), t.zones[s]
-	bounds := make(Point, 2*t.dim) // the two bounds that move, one object
+	w := 2 * t.dim
+	var bounds Point // the two bounds that move, one object
+	if len(d.bounds) >= w {
+		bounds, d.bounds = d.bounds[:w:w], d.bounds[w:]
+	} else {
+		bounds = make(Point, w)
+	}
 	hi, lo := bounds[:t.dim:t.dim], bounds[t.dim:]
 	copy(hi, z.Hi)
 	copy(lo, z.Lo)
@@ -197,7 +304,7 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	leaf := treeNode{parent: s, child: -1, owner: NoOwner, dim: int32(dim+1) % int32(t.dim)}
 	t.nodes[c], t.nodes[c+1] = leaf, leaf
 	t.zones[c], t.zones[c+1] = lower, upper
-	prev = t.nodes[s].owner
+	prev := t.nodes[s].owner
 	if p[dim] < upper.Lo[dim] {
 		t.setLeaf(joiner, c)
 		t.setLeaf(prev, c+1)
@@ -208,7 +315,7 @@ func (t *Tree) Split(p Point, joiner OwnerID) (prev OwnerID, err error) {
 	n := &t.nodes[s]
 	n.child, n.splitAt, n.owner = c, upper.Lo[dim], NoOwner
 	t.n++
-	return prev, nil
+	d.prev = prev
 }
 
 // merge releases the children of s, which becomes owner's leaf.

@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,193 @@ func buildRandomTree(r *rand.Rand, d, n int) *Tree {
 		}
 	}
 	return tr
+}
+
+// splitSequential is Split as it was before the one-pass build: find
+// the leaf holding p, split it. TestSplitAllMatchesSequentialSplits
+// holds SplitAll and Split to it.
+func splitSequential(t *Tree, p Point, joiner OwnerID) OwnerID {
+	s := t.leafAt(p, -1, 0, false)
+	dim, z := int(t.nodes[s].dim), t.zones[s]
+	bounds := make(Point, 2*t.dim)
+	hi, lo := bounds[:t.dim:t.dim], bounds[t.dim:]
+	copy(hi, z.Hi)
+	copy(lo, z.Lo)
+	lower, upper := z.splitInto(dim, hi, lo)
+	c := t.free
+	if c >= 0 {
+		t.free = t.nodes[c].parent
+	} else {
+		c = int32(len(t.nodes))
+		t.nodes = append(t.nodes, treeNode{}, treeNode{})
+		t.zones = append(t.zones, Zone{}, Zone{})
+	}
+	leaf := treeNode{parent: s, child: -1, owner: NoOwner, dim: int32(dim+1) % int32(t.dim)}
+	t.nodes[c], t.nodes[c+1] = leaf, leaf
+	t.zones[c], t.zones[c+1] = lower, upper
+	prev := t.nodes[s].owner
+	if p[dim] < upper.Lo[dim] {
+		t.setLeaf(joiner, c)
+		t.setLeaf(prev, c+1)
+	} else {
+		t.setLeaf(prev, c)
+		t.setLeaf(joiner, c+1)
+	}
+	n := &t.nodes[s]
+	n.child, n.splitAt, n.owner = c, upper.Lo[dim], NoOwner
+	t.n++
+	return prev
+}
+
+// sameTree reports the first difference between a and b that an owner
+// can see: the leaves in Walk order, owner and zone bit for bit, and
+// the neighbours of every sample-th owner.
+func sameTree(a, b *Tree, sample int) error {
+	type leaf struct {
+		owner OwnerID
+		zone  Zone
+	}
+	var la, lb []leaf
+	a.Walk(func(o OwnerID, z Zone) { la = append(la, leaf{o, z}) })
+	b.Walk(func(o OwnerID, z Zone) { lb = append(lb, leaf{o, z}) })
+	if len(la) != len(lb) {
+		return fmt.Errorf("%d leaves, want %d", len(la), len(lb))
+	}
+	for i := range la {
+		if la[i].owner != lb[i].owner || !sameZoneBits(la[i].zone, lb[i].zone) {
+			return fmt.Errorf("leaf %d is %d %v, want %d %v", i, la[i].owner, la[i].zone, lb[i].owner, lb[i].zone)
+		}
+		if i%sample != 0 {
+			continue
+		}
+		na, nb := a.Neighbors(la[i].owner), b.Neighbors(lb[i].owner)
+		if len(na) != len(nb) {
+			return fmt.Errorf("owner %d has %d neighbours, want %d", la[i].owner, len(na), len(nb))
+		}
+		for j := range na {
+			if na[j].Owner != nb[j].Owner || na[j].Adj != nb[j].Adj || !sameZoneBits(na[j].Zone, nb[j].Zone) {
+				return fmt.Errorf("owner %d neighbour %d is %+v, want %+v", la[i].owner, j, na[j], nb[j])
+			}
+		}
+	}
+	return nil
+}
+
+func sameZoneBits(a, b Zone) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.Hi, b.Hi) }
+
+func sameBits(a, b Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSplitAllMatchesSequentialSplits builds random 1–5-dimension
+// trees three ways from the same points — SplitAll in one pass, one
+// Split per point, and the sequential reference — on a fresh tree or
+// on one pre-populated by up to 50 splits and a few removes (so that
+// released slot pairs are reused), and holds them equal: zones per
+// owner bit for bit, Walk order and neighbours, then the Reassignment
+// of every one of a run of later removes and the trees after them.
+func TestSplitAllMatchesSequentialSplits(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		d := 1 + int(seed%5)
+		trees := [3]*Tree{NewTree(d, 0), NewTree(d, 0), NewTree(d, 0)}
+		all, bulk, single, ref := trees[:], trees[0], trees[1], trees[2]
+		alive, next := []OwnerID{0}, OwnerID(1)
+		if seed%4 != 0 {
+			for range r.Intn(51) {
+				p := randPoint(r, d)
+				for _, tr := range all {
+					splitSequential(tr, p, next)
+				}
+				alive = append(alive, next)
+				next++
+			}
+			for range r.Intn(4) {
+				if len(alive) < 2 {
+					break
+				}
+				i := r.Intn(len(alive))
+				for _, tr := range all {
+					if _, err := tr.Remove(alive[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				alive = append(alive[:i], alive[i+1:]...)
+			}
+		}
+		k := 1 + r.Intn(3000)
+		coords := make([]float64, 0, k*d)
+		for range k {
+			coords = append(coords, randPoint(r, d)...)
+		}
+		if err := bulk.SplitAll(coords, next); err != nil {
+			t.Fatal(err)
+		}
+		for i := range k {
+			p := Point(coords[i*d : (i+1)*d])
+			want := splitSequential(ref, p, next+OwnerID(i))
+			if got, err := single.Split(p, next+OwnerID(i)); err != nil || got != want {
+				t.Fatalf("seed %d: Split %d returned %d, %v; want %d", seed, i, got, err, want)
+			}
+			alive = append(alive, next+OwnerID(i))
+		}
+		for i, tr := range all[:2] {
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("seed %d tree %d: %v", seed, i, err)
+			}
+			if err := sameTree(tr, ref, 7); err != nil {
+				t.Fatalf("seed %d, %d-dim, %d points, tree %d: %v", seed, d, k, i, err)
+			}
+		}
+		for range min(len(alive)-1, 200) {
+			i := r.Intn(len(alive))
+			want, err := ref.Remove(alive[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range all[:2] {
+				if got, err := tr.Remove(alive[i]); err != nil || got != want {
+					t.Fatalf("seed %d: Remove(%d) = %+v, %v; want %+v", seed, alive[i], got, err, want)
+				}
+			}
+			alive = append(alive[:i], alive[i+1:]...)
+		}
+		for i, tr := range all[:2] {
+			if err := sameTree(tr, ref, 7); err != nil {
+				t.Fatalf("seed %d after removes, tree %d: %v", seed, i, err)
+			}
+		}
+	}
+}
+
+// TestSplitAllRefusesAndChangesNothing: a bad point or a joiner already
+// present fails the whole call before any split.
+func TestSplitAllRefusesAndChangesNothing(t *testing.T) {
+	tr := NewTree(2, 0)
+	for _, c := range []struct {
+		coords []float64
+		first  OwnerID
+	}{
+		{[]float64{0.5, 0.5, 0.2}, 1},      // not 2-dimensional points
+		{[]float64{0.5, 0.5, 0.2, 1.0}, 1}, // a coordinate outside [0,1)
+		{[]float64{0.5, 0.5}, 0},           // owner 0 is present
+		{[]float64{0.5, 0.5}, -1},          // a negative owner
+	} {
+		if err := tr.SplitAll(c.coords, c.first); err == nil {
+			t.Errorf("SplitAll(%v, %d) succeeded", c.coords, c.first)
+		}
+		if tr.Len() != 1 || len(tr.nodes) != 1 {
+			t.Fatalf("a refused SplitAll changed the tree: %d owners, %d slots", tr.Len(), len(tr.nodes))
+		}
+	}
 }
 
 func TestNewTree(t *testing.T) {
@@ -311,11 +499,26 @@ func TestTreeChurnInvariant(t *testing.T) {
 // if no zone is ever written after it is built: every zone the tree
 // hands out over a long join/leave history — leaves, and through the
 // zones held from before a split, internal nodes — must still read,
-// bit for bit, as it did when it was handed out.
+// bit for bit, as it did when it was handed out. The history starts
+// from a single zone, and again from 300 owners built by SplitAll,
+// whose bounds are carved from one array.
 func TestZonesAreNeverWrittenAfterConstruction(t *testing.T) {
+	for _, bulk := range []int{0, 300} {
+		zonesNeverWritten(t, bulk)
+	}
+}
+
+func zonesNeverWritten(t *testing.T, bulk int) {
 	const d = 3
 	r := rand.New(rand.NewSource(41))
 	tr := NewTree(d, 0)
+	coords := make([]float64, 0, bulk*d)
+	for range bulk {
+		coords = append(coords, randPoint(r, d)...)
+	}
+	if err := tr.SplitAll(coords, 1); err != nil {
+		t.Fatal(err)
+	}
 	type held struct{ zone, copy Zone }
 	var handed []held
 	hold := func(ids ...OwnerID) {
@@ -325,17 +528,12 @@ func TestZonesAreNeverWrittenAfterConstruction(t *testing.T) {
 			}
 		}
 	}
-	sameBits := func(a, b Point) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return len(a) == len(b)
-	}
-	hold(0)
-	next := OwnerID(1)
 	alive := []OwnerID{0}
+	for id := range OwnerID(bulk) {
+		alive = append(alive, id+1)
+	}
+	hold(alive...)
+	next := OwnerID(bulk + 1)
 	for op := 1; op <= 5000; op++ {
 		if len(alive) < 2 || r.Float64() < 0.55 {
 			prev, err := tr.Split(randPoint(r, d), next)
@@ -358,11 +556,11 @@ func TestZonesAreNeverWrittenAfterConstruction(t *testing.T) {
 			continue
 		}
 		if err := tr.Validate(); err != nil {
-			t.Fatalf("op %d: %v", op, err)
+			t.Fatalf("from %d owners, op %d: %v", bulk+1, op, err)
 		}
 		for i, h := range handed {
 			if !sameBits(h.zone.Lo, h.copy.Lo) || !sameBits(h.zone.Hi, h.copy.Hi) {
-				t.Fatalf("op %d: zone %d handed out as %v now reads %v", op, i, h.copy, h.zone)
+				t.Fatalf("from %d owners, op %d: zone %d handed out as %v now reads %v", bulk+1, op, i, h.copy, h.zone)
 			}
 		}
 	}
