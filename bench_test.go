@@ -484,7 +484,7 @@ func BenchmarkServeAdaptiveCache(b *testing.B) {
 // BenchmarkServeConsistentOne measures the protocol-routed
 // consistent path: each query runs the paper's protocol on one shard,
 // the shards taken round-robin, so more shards spread the queries
-// over more shard goroutines.
+// over more combiner locks.
 func BenchmarkServeConsistentOne(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d/clients=8", shards), func(b *testing.B) {

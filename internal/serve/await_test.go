@@ -12,9 +12,10 @@ import (
 	"pidcan/internal/vector"
 )
 
-// The queued-writer tests drive one shard's write path by hand: its loop
-// never ticks, so nothing serves a queued op but a spinning caller, a
-// holder's round and a kick.
+// The queued-writer tests drive one shard's write path by hand: the
+// engine's idle tick never comes, so nothing serves a queued op but a
+// spinning caller, a parker's last look, a holder's round and a kicked
+// parker.
 
 // seqSink records the last availability component of every applied
 // update, in application order.
@@ -188,7 +189,7 @@ func TestQueuedWriterSpinsThroughShortRound(t *testing.T) {
 // TestQueuedWriterParksBehindLongRound: a writer queued behind a round
 // that outlasts spinMax parks, and is still served — by that round,
 // which drains the queue before it publishes, and behind a locked call,
-// which serves no queue, by the kick the call's unlock sends the loop.
+// which serves no queue, by itself once the call's unlock kicks it.
 func TestQueuedWriterParksBehindLongRound(t *testing.T) {
 	e, s, fb, sink := awaitShard(t)
 	node := e.Nodes()[0]
@@ -221,10 +222,11 @@ func TestQueuedWriterParksBehindLongRound(t *testing.T) {
 }
 
 // TestQueuedWriterParksBehindSync: a writer queued while the holder
-// waits on an fsync of the op-log parks at once, without trying the
-// lock. The lock is let go with disk still set, so a writer that tried
-// the lock before it read disk would serve itself instead; once disk
-// clears, the holder's unlock kicks the loop to serve the parked op.
+// waits on an fsync of the op-log parks at once, without spinning. The
+// lock is let go with disk still set, so a writer that spun before it
+// read disk would serve itself without parking; a parker's one last
+// look may still serve it. Otherwise, once disk clears, the holder's
+// unlock kicks the parked writer to serve its op.
 func TestQueuedWriterParksBehindSync(t *testing.T) {
 	e, s, _, sink := awaitShard(t)
 	node := e.Nodes()[0]
@@ -250,6 +252,33 @@ func TestQueuedWriterParksBehindSync(t *testing.T) {
 	}
 }
 
+// TestQueuedWriterLooksBeforeItParks: a writer that parks at once —
+// disk set — with the lock free and an op queued ahead of it takes one
+// last look before it sleeps, and serves both ops in FIFO order: no
+// holder is left to kick it.
+func TestQueuedWriterLooksBeforeItParks(t *testing.T) {
+	e, s, _, sink := awaitShard(t)
+	node := e.Nodes()[0]
+	s.disk.Store(true)
+	t.Cleanup(func() { s.disk.Store(false) })
+	reply := make(chan opResult, 1)
+	s.ops <- op{kind: opUpdate, node: node.Local(), avail: vector.Of(1, 1), reply: reply}
+	w := make(chan error, 1)
+	go func() { w <- e.Update(node, vector.Of(2, 2), false) }()
+	if err := recv(t, "the writer", w); err != nil {
+		t.Fatal(err)
+	}
+	if res := recv(t, "the op queued ahead of the writer", reply); res.err != nil {
+		t.Fatal(res.err)
+	}
+	if got := sink.tail(2); !slices.Equal(got, []float64{1, 2}) {
+		t.Fatalf("updates applied in the order %v, want [1 2]", got)
+	}
+	if p := s.parked.Load(); p != 1 {
+		t.Fatalf("parked %d; want the writer parked", p)
+	}
+}
+
 // TestQueuedWriterClosedWhileParked: a writer parked behind a holder
 // gets ErrClosed when the shard halts with its op unserved.
 func TestQueuedWriterClosedWhileParked(t *testing.T) {
@@ -260,7 +289,8 @@ func TestQueuedWriterClosedWhileParked(t *testing.T) {
 	halted := make(chan error, 1)
 	go func() { halted <- e.HaltShard(0) }()
 	waitFor(t, "the halt to begin", s.halted.Load)
-	// No kick: the loop's next move is its stop, which serves nothing.
+	// A plain Unlock kicks nobody: the halt takes the lock next, and its
+	// unlock's kick finds the shard stopped.
 	release()
 	if err := recv(t, "the halt", halted); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ type CaptureStats struct {
 //
 // Both capture methods are called on serving goroutines and must not
 // block: a sink under backpressure drops (and counts) rather than
-// stalling queries or the shard loops.
+// stalling queries or a shard's combiner.
 type CaptureSink interface {
 	// CaptureQuery is called on the querying caller's goroutine after
 	// the response is computed, before it is returned. req.Demand and
@@ -57,9 +57,9 @@ func (e *Engine) SetCapture(s CaptureSink) {
 // Capturing reports whether a capture sink is attached.
 func (e *Engine) Capturing() bool { return e.capture.Load() != nil }
 
-// HaltShard permanently stops shard i's goroutine — the fault
-// surface replay drills and scenario traces use to model a shard (or
-// the member it stands in for) dying. Writes and consistent queries
+// HaltShard permanently stops shard i — its op-log closes and the idle
+// tick skips it — the fault surface replay drills and scenario traces
+// use to model a shard (or the member it stands in for) dying. Writes and consistent queries
 // routed to the halted shard fail with ErrClosed; snapshot reads keep
 // serving its last published snapshot.
 // Idempotent; there is no resurrection short of restarting the

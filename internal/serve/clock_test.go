@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -80,22 +81,26 @@ func TestClockTickFollowsWallTime(t *testing.T) {
 }
 
 // TestClockCatchUpYieldsToQueuedOps: a tick that owes several slices
-// and finds an op queued after a slice serves the op first; a later
-// tick steps the rest.
+// and finds an op queued after a slice ends there, and the op's writer
+// serves it; a later tick steps the rest.
 func TestClockCatchUpYieldsToQueuedOps(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.StepQuantum = 100 * sim.Millisecond
 	e, clk := newClockedEngine(t, cfg)
 	f, s := clk.fakes[0], e.shards[0]
-	reply := make(chan opResult, 1)
-	f.onStep = func() { // on the shard goroutine, mid catch-up
+	var w <-chan error
+	f.onStep = func() { // under the combiner lock, mid catch-up
 		if len(f.steps) == 1 {
-			s.ops <- op{kind: opUpdate, node: 1, avail: vector.Of(7, 7), reply: reply}
+			// queued is bumped before the op is sent: wait for the op.
+			w = queuedUpdate(e, s, Global(0, 1), 7)
+			for len(s.ops) == 0 {
+				runtime.Gosched()
+			}
 		}
 	}
 	clk.advance(500 * time.Millisecond)
-	if res := <-reply; res.err != nil {
-		t.Fatal(res.err)
+	if err := <-w; err != nil {
+		t.Fatal(err)
 	}
 	clk.settle(0)
 	if len(f.steps) != 1 || f.now != 100*sim.Millisecond {
@@ -244,4 +249,53 @@ func TestClockRecoveryAndFollowerApplyStepNothing(t *testing.T) {
 	re2, clk2 := newClockedEngine(t, cfg)
 	assertNoSteps(clk2, "checkpoint restore + tail")
 	assertSameState(t, pre, fingerprint(t, re2, cfg.Shards), "checkpoint restore + tail")
+}
+
+// TestEngineTicksEveryShard: the engine's own idle tick, with no hand
+// clock, moves every shard's clock past Warmup, and keeps moving the
+// other shards' after one of them halts.
+func TestEngineTicksEveryShard(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Warmup = 3 * sim.Second
+	cfg.FlushInterval = time.Millisecond
+	e := newTestEngine(t, cfg)
+	simNow := func(i int) sim.Time { return e.Stats().Shards[i].SimNow }
+	for i := range cfg.Shards {
+		waitFor(t, fmt.Sprintf("shard %d's clock to pass Warmup", i), func() bool { return simNow(i) > cfg.Warmup })
+	}
+	if err := e.HaltShard(1); err != nil {
+		t.Fatal(err)
+	}
+	halted := simNow(1)
+	for _, i := range []int{0, 2, 3} {
+		from := simNow(i)
+		waitFor(t, fmt.Sprintf("shard %d's clock to move after shard 1 halted", i), func() bool { return simNow(i) > from })
+	}
+	if now := simNow(1); now != halted {
+		t.Fatalf("halted shard 1's clock moved from %v to %v", halted, now)
+	}
+}
+
+// TestEngineRunsNoGoroutinePerShard: an engine of 8 shards adds as
+// many goroutines as an engine of 1.
+func TestEngineRunsNoGoroutinePerShard(t *testing.T) {
+	added := func(shards int) int {
+		before := runtime.NumGoroutine()
+		e, err := New(testConfig(shards), fakeFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		// New's build goroutines are done but may not have exited yet:
+		// take the fewest seen over a few milliseconds.
+		n := runtime.NumGoroutine()
+		for range 50 {
+			time.Sleep(100 * time.Microsecond)
+			n = min(n, runtime.NumGoroutine())
+		}
+		return n - before
+	}
+	if one, eight := added(1), added(8); one != eight {
+		t.Fatalf("an engine of 1 shard adds %d goroutines, one of 8 shards %d", one, eight)
+	}
 }

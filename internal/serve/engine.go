@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
@@ -59,8 +60,7 @@ type Engine struct {
 	checkpoints   atomic.Uint64
 	recoveryNanos atomic.Int64 // duration of the last startup recovery
 	recoveredRecs atomic.Uint64
-	warmStart     bool          // set before serving starts
-	ckptDone      chan struct{} // non-nil iff the background checkpointer runs
+	warmStart     bool // set before serving starts
 
 	// Replication state. follower marks the read-only role (writes
 	// fail with ErrReadOnly until promotion lifts it); fencedBy is
@@ -86,13 +86,15 @@ type Engine struct {
 	// capture, when set, receives every answered query and applied
 	// mutation for trace recording (see SetCapture).
 	capture atomic.Pointer[CaptureSink]
-	// loopMu orders background-loop starts (deferred to promotion on
-	// followers) against Close's teardown waits.
-	loopMu sync.Mutex
+	// loops holds the done channel of every periodic loop started
+	// (every); loopMu orders the starts of the loops deferred to
+	// promotion on followers (loopsOn) against Close's teardown waits.
+	loopMu  sync.Mutex
+	loops   []chan struct{}
+	loopsOn bool
 
 	closed      atomic.Bool
-	stop        chan struct{} // closed by Close; aborts waits and the rebalancer
-	rebalDone   chan struct{} // non-nil iff the background rebalancer runs
+	stop        chan struct{} // closed by Close; aborts waits and stops the loops
 	rebalanceMu sync.Mutex    // serializes rebalance passes (manual vs background)
 }
 
@@ -286,8 +288,8 @@ type WireStats struct {
 }
 
 // New builds an engine: the factory is invoked once per shard, each
-// backend is warmed up and snapshotted, then the shard goroutines
-// start. New calls the factory from its own goroutine, in shard order
+// backend is warmed up and snapshotted, then the engine's idle tick
+// starts. New calls the factory from its own goroutine, in shard order
 // and never twice at once, so a factory may share state such as a
 // generator across shards. Each backend's warm-up step, first snapshot
 // and index build run on a goroutine of their own while the next
@@ -300,9 +302,9 @@ type WireStats struct {
 // restarted engine serves the identical node populations,
 // availability vectors, forwarding state and query results its
 // predecessor acknowledged (ErrRecovery wraps any failure). On a
-// factory error New returns without teardown: no shard goroutine
-// has started yet, so the already-built backends hold no resources
-// beyond memory and are left to the garbage collector.
+// factory error New returns without teardown: no goroutine of the
+// engine has started yet, so the already-built backends hold no
+// resources beyond memory and are left to the garbage collector.
 func New(cfg Config, factory BackendFactory) (*Engine, error) {
 	e, err := build(cfg, factory)
 	if err != nil {
@@ -368,11 +370,15 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	return e, nil
 }
 
-// start launches the shard goroutines and the background loops.
+// start reads each shard's clock base, which hands its Backend over to
+// the combiner lock (the constructor goroutine must not touch it
+// afterwards), and starts the idle tick and the background loops. The
+// engine runs no goroutine per shard.
 func (e *Engine) start() {
 	for _, s := range e.shards {
-		s.start()
+		s.started, s.base = time.Now(), s.be.Now()
 	}
+	e.loops = append(e.loops, e.every(e.cfg.FlushInterval, e.tick))
 	// Followers defer the write-driving background loops (the
 	// rebalancer migrates, the checkpointer rotates segments the
 	// primary's stream did not) until promotion starts them.
@@ -383,20 +389,52 @@ func (e *Engine) start() {
 
 // startLoops launches the configured background loops that are
 // deferred on followers: the adaptive rebalancer and the periodic
-// checkpointer. Idempotent; ordered against Close via loopMu.
+// checkpointer, whose errors surface through Stats.Errors. Idempotent;
+// ordered against Close via loopMu.
 func (e *Engine) startLoops() {
 	e.loopMu.Lock()
 	defer e.loopMu.Unlock()
-	if e.closed.Load() {
+	if e.closed.Load() || e.loopsOn {
 		return
 	}
-	if e.cfg.RebalanceInterval > 0 && e.cfg.Shards > 1 && e.rebalDone == nil {
-		e.rebalDone = make(chan struct{})
-		go e.rebalanceLoop(e.cfg.RebalanceInterval)
+	e.loopsOn = true
+	if e.cfg.RebalanceInterval > 0 && e.cfg.Shards > 1 {
+		e.loops = append(e.loops, e.every(e.cfg.RebalanceInterval, func() { e.Rebalance() }))
 	}
-	if e.cfg.DataDir != "" && e.cfg.CheckpointEvery > 0 && e.ckptDone == nil {
-		e.ckptDone = make(chan struct{})
-		go e.checkpointLoop(e.cfg.CheckpointEvery)
+	if e.cfg.DataDir != "" && e.cfg.CheckpointEvery > 0 {
+		e.loops = append(e.loops, e.every(e.cfg.CheckpointEvery, func() { e.checkpoint() }))
+	}
+}
+
+// every calls fn every interval on a goroutine of its own until Close,
+// and returns a channel closed once that goroutine has returned.
+func (e *Engine) every(interval time.Duration, fn func()) chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-e.stop:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+	return done
+}
+
+// tick is the idle tick (the clock contract, serve.go): it runs each
+// shard's tick under its combiner lock, one shard after another,
+// skipping a halted shard.
+func (e *Engine) tick() {
+	for _, s := range e.shards {
+		s.locked(func() error {
+			s.tick(time.Now())
+			return nil
+		})
 	}
 }
 
@@ -414,11 +452,11 @@ func (e *Engine) SetWireStats(f func() WireStats) {
 	e.wireStats.Store(&f)
 }
 
-// Close stops the background loops, writes a final clean checkpoint
-// (durable engines), and halts every shard goroutine — which flushes
-// and fsyncs each op-log, so the next New warm-restarts without
-// replay. Queued but unapplied writes are dropped; concurrent and
-// subsequent calls fail with ErrClosed.
+// Close stops the idle tick and the background loops and waits for
+// them, writes a final clean checkpoint (durable engines), and halts
+// every shard — which flushes and fsyncs each op-log, so the next New
+// warm-restarts without replay. Queued but unapplied writes are
+// dropped; concurrent and subsequent calls fail with ErrClosed.
 func (e *Engine) Close() error {
 	return e.close(true)
 }
@@ -430,14 +468,11 @@ func (e *Engine) close(checkpoint bool) error {
 		return ErrClosed
 	}
 	close(e.stop)
-	e.loopMu.Lock() // a concurrent promotion may have just started them
-	rebalDone, ckptDone := e.rebalDone, e.ckptDone
+	e.loopMu.Lock() // a concurrent promotion may have just started some
+	loops := e.loops
 	e.loopMu.Unlock()
-	if rebalDone != nil {
-		<-rebalDone
-	}
-	if ckptDone != nil {
-		<-ckptDone
+	for _, done := range loops {
+		<-done
 	}
 	var ckptErr error
 	if checkpoint && e.cfg.DataDir != "" && !e.follower.Load() {

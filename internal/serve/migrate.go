@@ -557,19 +557,3 @@ func (e *Engine) Rebalance() (RebalanceResult, error) {
 	}
 	return res, nil
 }
-
-// rebalanceLoop is the background rebalancer goroutine, started by
-// New when Config.RebalanceInterval > 0 and stopped by Close.
-func (e *Engine) rebalanceLoop(interval time.Duration) {
-	defer close(e.rebalDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-tick.C:
-			e.Rebalance() // errors surface through Stats.Errors
-		}
-	}
-}

@@ -147,22 +147,6 @@ func (e *Engine) checkpoint() (CheckpointResult, error) {
 	return res, nil
 }
 
-// checkpointLoop is the background checkpointer goroutine, started
-// by New when Config.CheckpointEvery > 0 and stopped by Close.
-func (e *Engine) checkpointLoop(interval time.Duration) {
-	defer close(e.ckptDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-tick.C:
-			e.checkpoint() // errors surface through Stats.Errors
-		}
-	}
-}
-
 // kindCounts tallies replayed records by the engine counter their live
 // write bumped — what a follower's apply and recovery both add, so the
 // counters cover replicated and replayed writes too.

@@ -5,9 +5,9 @@
 // The design keeps the paper's determinism intact where it matters:
 // every Cluster has one writer at a time, whoever holds its shard's
 // combiner lock — a caller applying its own write (and the writes
-// queued behind it), or the shard's loop, which also advances the
-// shard-local simulation clock. Concurrency lives strictly above the
-// clusters:
+// queued behind it), or the engine's idle tick, which also advances
+// the shard-local simulation clock. The engine runs no goroutine per
+// shard. Concurrency lives strictly above the clusters:
 //
 //   - Each shard publishes an immutable Snapshot through an atomic
 //     pointer, so best-fit multi-dimensional range queries run
@@ -29,16 +29,17 @@
 //     queued writer waits on its own core: it polls its buffered reply
 //     and takes the lock itself whenever it comes free, and parks only
 //     after a bounded spin or while the holder waits on an fsync —
-//     a parked writer's wake-up costs more than most rounds. The loop
-//     applies what parked writers leave queued. A write is
+//     a parked writer's wake-up costs more than most rounds. A holder
+//     that leaves ops queued when it unlocks kicks a parked writer,
+//     which serves them itself. A write is
 //     acknowledged after apply + op-log + snapshot publication and
 //     advances no simulated time.
 //
 //   - Clock contract. A shard's simulated clock follows wall time
 //     1:1: one simulated microsecond per wall microsecond since the
 //     shard started, on top of Warmup. It is advanced in one
-//     place only, the idle tick of shard.loop (every FlushInterval),
-//     by target - Backend.Now() when positive, in slices of at most
+//     place only, the engine's idle tick (every FlushInterval, one
+//     shard after another), by target - Backend.Now() when positive, in slices of at most
 //     StepQuantum; a slice that finds ops queued or a caller waiting
 //     for the combiner lock ends the tick's catch-up and the next tick
 //     steps what is still owed. Nothing

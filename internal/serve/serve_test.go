@@ -188,10 +188,11 @@ type handClock struct {
 }
 
 // newClockedEngine builds an engine of fake backends whose shards tick
-// only by hand (cfg.FlushInterval is never consulted).
+// only by hand: its own idle tick comes once an hour.
 func newClockedEngine(t *testing.T, cfg Config) (*Engine, *handClock) {
 	t.Helper()
 	c := &handClock{}
+	cfg.FlushInterval = time.Hour
 	e, err := build(cfg, func(i int, rc Config) (Backend, error) {
 		f := newFake(rc.NodesPerShard, rc.CMax.Dim())
 		c.fakes = append(c.fakes, f)
@@ -201,16 +202,13 @@ func newClockedEngine(t *testing.T, cfg Config) (*Engine, *handClock) {
 		t.Fatal(err)
 	}
 	c.e = e
-	for _, s := range e.shards {
-		s.ticks = make(chan time.Time) // the loop's ticks never come
-	}
 	e.start()
 	t.Cleanup(func() { e.Close() })
 	return e, c
 }
 
 // advance moves wall time forward by d and runs one tick on every
-// shard, under its combiner lock as the loop would.
+// shard, under its combiner lock as the engine's idle tick would.
 func (c *handClock) advance(d time.Duration) {
 	c.elapsed += d
 	for _, s := range c.e.shards {

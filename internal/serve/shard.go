@@ -79,33 +79,41 @@ type opResult struct {
 
 // shard owns one Backend. Whoever holds the combiner lock mu owns the
 // backend and every field marked "combiner" below; the rest of the
-// engine reads the published snapshot. There is one door in: a writer
-// TryLocks mu to serve its own op (submit), and everything else — the
-// loop's ticks, control calls, a follower's apply — waits for it
-// (loop, locked). A writer that finds the lock taken queues its op and
-// waits for the reply on its own core, serving the queue itself
-// whenever the lock comes free, and parks only after spinMax or while
-// the holder waits on the disk (await): a parked caller costs a
-// wake-up longer than most rounds.
+// engine reads the published snapshot. The shard runs no goroutine of
+// its own. There is one door in: a writer TryLocks mu to serve its own
+// op (submit), and everything else — the engine's idle tick, control
+// calls, a follower's apply, halt — waits for it (locked). A writer
+// that finds the lock taken queues its op and waits for the reply on
+// its own core, serving the queue itself whenever the lock comes free,
+// and parks only after spinMax or while the holder waits on the disk
+// (await): a parked caller costs a wake-up longer than most rounds.
+//
+// No queued op is lost: a parker counts itself in asleep, then tries
+// the lock once more (serveQueued); unlock releases the lock, then
+// reads asleep and kicks when ops are queued. A parker whose last
+// TryLock failed did so while some holder held the lock, and that
+// holder's unlock comes after the parker's count: it sees the parker
+// and the parker's op (or the op was served), and kicks. A kicked
+// parker serves the queue itself and waits again.
 type shard struct {
 	idx  int
 	cfg  Config
 	be   Backend
 	ops  chan op
-	stop chan struct{}
-	done chan struct{}
+	done chan struct{} // closed once halt has stopped the shard
 
 	// mu is the combiner lock: the shard's single writer is whoever
-	// holds it. Writers and the loop's kick only TryLock it; the loop's
-	// tick and stop and locked's callers wait for it, and waiters counts
-	// the latter, so a catch-up yields to them. stopped (combiner) is
-	// set by the loop's stop before the log closes: no round and no
-	// locked call runs after it. kick (one slot) hands the loop ops a
+	// holds it. Writers only TryLock it; locked's callers wait for it,
+	// and waiters counts them, so a catch-up yields to them. stopped
+	// (combiner) is set by halt before the log closes: no round and no
+	// locked call runs after it. asleep counts the callers parked in
+	// await, and kick (one slot) wakes one of them to serve what a
 	// holder left queued when it unlocked. disk is set while the holder
 	// waits on an fsync of the op-log, so queued callers park at once.
 	mu      sync.Mutex
 	waiters atomic.Int32
 	stopped bool
+	asleep  atomic.Int32
 	kick    chan struct{}
 	disk    atomic.Bool
 
@@ -116,11 +124,9 @@ type shard struct {
 	parked atomic.Uint64
 
 	// Clock seam (clock contract, serve.go): when the shard started and
-	// the backend clock then, and the idle ticks (nil: a FlushInterval
-	// ticker; tests set their own).
+	// the backend clock then.
 	started time.Time
 	base    sim.Time
-	ticks   <-chan time.Time
 
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
@@ -223,7 +229,6 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 		cfg:      cfg,
 		be:       be,
 		ops:      make(chan op, cfg.QueueDepth),
-		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		kick:     make(chan struct{}, 1),
 		dirty:    make(map[overlay.NodeID]bool),
@@ -245,58 +250,23 @@ func newShard(idx int, cfg Config, be Backend) *shard {
 	return s
 }
 
-// start reads the clock base and launches the shard loop. The Backend
-// is handed over to the combiner lock here: the constructor goroutine
-// must not touch it afterwards.
-func (s *shard) start() {
-	s.started, s.base = time.Now(), s.be.Now()
-	go s.loop()
-}
-
-// halt asks the loop to exit and waits for it. It is idempotent, so
-// a shard already halted individually (e.g. by a test) survives
-// the engine-wide Close.
+// halt stops the shard for good: under the combiner lock it marks the
+// shard stopped and closes the log (final flush + fsync), then closes
+// done, which fails the parked callers no round served. It is
+// idempotent — a second call waits for the first — so a shard already
+// halted individually (e.g. by a test) survives the engine-wide Close.
 func (s *shard) halt() {
 	if s.halted.CompareAndSwap(false, true) {
-		close(s.stop)
-	}
-	<-s.done
-}
-
-// loop is the shard goroutine: it serves what nobody else serves — the
-// ops a holder left queued (kick) and the idle tick — each under the
-// combiner lock, and on stop closes the log and marks the shard
-// stopped. A kick only tries the lock: a loop asleep in Lock behind
-// spinning callers could tip the mutex into starvation mode, which
-// fails every spinner's TryLock, and a holder that beat the loop to
-// the lock kicks again when it unlocks. Reads never enter here:
-// queries on the snapshot path touch neither the lock nor the log.
-func (s *shard) loop() {
-	defer close(s.done)
-	ticks := s.ticks
-	if ticks == nil {
-		idle := time.NewTicker(s.cfg.FlushInterval)
-		defer idle.Stop()
-		ticks = idle.C
-	}
-	for {
-		select {
-		case <-s.stop:
-			s.mu.Lock()
+		s.locked(func() error {
 			s.stopped = true
 			if s.log != nil {
-				s.log.Close() // final flush + fsync
+				s.log.Close()
 			}
-			s.mu.Unlock()
-			return
-		case <-s.kick:
-			s.serveQueued()
-		case now := <-ticks:
-			s.mu.Lock()
-			s.tick(now)
-			s.unlock()
-		}
+			return nil
+		})
+		close(s.done)
 	}
+	<-s.done
 }
 
 // tick is the idle tick, under the combiner lock: the only place
@@ -372,16 +342,13 @@ func (s *shard) combine(own *op) opResult {
 	return ownRes
 }
 
-// unlock releases the combiner lock, then hands the loop whatever is
-// still queued. Looking after the unlock is what loses no op: a caller
-// queues before it tries the lock or reads disk, so one whose TryLock
-// failed, or who saw disk set, queued while this holder still held the
-// lock — the queue shows the op here, or someone has already served
-// it. The kick matters only to a caller that parked; a spinning one
-// serves its op itself once the lock is free.
+// unlock releases the combiner lock, then kicks a parked caller if ops
+// are still queued. Looking after the unlock is what loses no op (the
+// shard comment); a spinning caller needs no kick, it serves its op
+// itself once the lock is free.
 func (s *shard) unlock() {
 	s.mu.Unlock()
-	if len(s.ops) > 0 {
+	if s.asleep.Load() > 0 && len(s.ops) > 0 {
 		select {
 		case s.kick <- struct{}{}:
 		default: // a kick is pending already
@@ -392,8 +359,8 @@ func (s *shard) unlock() {
 // locked runs fn as the shard's writer: the door for everything that is
 // not a writer's own op. It waits for the combiner lock, counted in
 // waiters meanwhile, fails with ErrClosed once the shard has stopped,
-// and releases through unlock, so ops queued while fn ran still get
-// their kick.
+// and releases through unlock, so a caller that parked while fn ran
+// still gets its kick.
 func (s *shard) locked(fn func() error) error {
 	s.waiters.Add(1)
 	s.mu.Lock()
@@ -861,11 +828,13 @@ const spinMax = 50 * time.Microsecond
 // waits on its own core: it polls its buffered reply — a send into a
 // buffer no receiver waits on wakes nobody — and serves the queue
 // itself whenever the lock is free (serveQueued), until its result
-// comes. It parks on the reply after spinMax, or at once while the
-// holder waits on an fsync of the op-log (disk): spinning through a
-// sync outlasts the bound and takes the core from the holder's
-// syscall and the other callers. It returns ErrClosed once the shard
-// has stopped with the op unserved.
+// comes. It parks after spinMax, or at once while the holder waits on
+// an fsync of the op-log (disk): spinning through a sync outlasts the
+// bound and takes the core from the holder's syscall and the other
+// callers. A parker counts itself in asleep, takes one last look, and
+// waits for its reply or a kick, which sends it back to serve the
+// queue (the shard comment). It returns ErrClosed once the shard has
+// stopped with the op unserved.
 func (s *shard) await(reply chan opResult) (opResult, error) {
 	for start := time.Now(); !s.disk.Load(); runtime.Gosched() {
 		s.serveQueued()
@@ -879,17 +848,23 @@ func (s *shard) await(reply chan opResult) (opResult, error) {
 		}
 	}
 	s.parked.Add(1)
-	select {
-	case r := <-reply:
-		return r, nil
-	case <-s.done:
-		// A round may have served the op right before the loop
-		// stopped; prefer the real result if it is already buffered.
+	s.asleep.Add(1)
+	defer s.asleep.Add(-1)
+	for {
+		s.serveQueued()
 		select {
 		case r := <-reply:
 			return r, nil
-		default:
-			return opResult{}, ErrClosed
+		case <-s.kick:
+		case <-s.done:
+			// A round may have served the op right before the shard
+			// stopped; prefer the real result if it is already buffered.
+			select {
+			case r := <-reply:
+				return r, nil
+			default:
+				return opResult{}, ErrClosed
+			}
 		}
 	}
 }

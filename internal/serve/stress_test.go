@@ -5,7 +5,7 @@ package serve_test
 // concurrent clients issuing mixed Query/Update/Join/Leave traffic.
 // Run it with -race; that is the whole point — it exercises the
 // snapshot read path, the write queues and the query cache across
-// shard goroutines at once.
+// shards at once.
 
 import (
 	"errors"
@@ -419,7 +419,7 @@ func TestStressScatterCloseUnderFire(t *testing.T) {
 // writer's acked ones, in order; after the halt every call must return
 // its real result or ErrClosed, and none may hang. The stalled run
 // gates the backend, so a combiner holding the lock stops mid-round
-// while the others queue behind it and hand their ops to the loop.
+// while the others queue behind it and park.
 func TestStressCombiner(t *testing.T) {
 	t.Run("cluster", func(t *testing.T) { stressCombiner(t, false) })
 	t.Run("stalled", func(t *testing.T) { stressCombiner(t, true) })

@@ -332,8 +332,8 @@ var _ serve.Backend = (*Cluster)(nil)
 
 // NewEngine builds a serving engine whose shards are independent
 // PID-CAN Clusters (shard i runs on seed Seed⊕mix(i), so shards stay
-// deterministic per seed but mutually uncorrelated) and starts the
-// shard goroutines. Callers must Close the engine when done.
+// deterministic per seed but mutually uncorrelated) and starts its
+// idle tick. Callers must Close the engine when done.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return serve.New(cfg, func(i int, rc serve.Config) (serve.Backend, error) {
 		return NewCluster(ClusterConfig{
