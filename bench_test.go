@@ -384,8 +384,8 @@ func runServeBench(b *testing.B, shards, clients int, fn func(client, i int)) {
 
 // BenchmarkServeQuery measures the full read path (query cache +
 // lock-free snapshot scan) across shard counts and client
-// concurrency. The demand working set revisits quantization cells,
-// so the cache carries its realistic share of the load.
+// concurrency. The demand working set repeats 512 exact demands, so
+// the cache carries its realistic share of the load.
 func BenchmarkServeQuery(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		for _, clients := range []int{1, 8, 32} {
@@ -433,49 +433,6 @@ func BenchmarkServeQueryNoCache(b *testing.B) {
 			st := eng.Stats()
 			if st.IndexSearches > 0 {
 				b.ReportMetric(float64(st.IndexScannedRecords)/float64(st.IndexSearches), "scanned/query")
-			}
-		})
-	}
-}
-
-// BenchmarkServeAdaptiveCache replays the demand-drift workload (the
-// distribution's center wanders across the capacity range, so a
-// fixed grid keeps meeting virgin cells) against the engine's fixed
-// grid and against the adaptive controller. The interesting metric
-// is hit-rate — the controller coarsens the grid until drifting
-// demands alias onto live cells — with the qps gap as its
-// consequence.
-func BenchmarkServeAdaptiveCache(b *testing.B) {
-	for _, mode := range []string{"fixed", "adaptive"} {
-		b.Run(fmt.Sprintf("mode=%s/shards=4/clients=8", mode), func(b *testing.B) {
-			cfg := EngineConfig{
-				Shards:        4,
-				NodesPerShard: 256,
-				Seed:          11,
-			}
-			if mode == "adaptive" {
-				cfg.CacheAdaptEvery = 64
-			}
-			eng := newBenchEngineCfg(b, cfg)
-			cmax := eng.Config().CMax
-			rng := rand.New(rand.NewPCG(29, 0xfeed5))
-			jitter := make([]float64, 4096)
-			for i := range jitter {
-				jitter[i] = rng.Float64()
-			}
-			runServeBench(b, 4, 8, func(c, i int) {
-				demand := make(Vec, cmax.Dim())
-				for d := range demand {
-					base := (0.15 + 0.5*float64(i)/float64(b.N)) * cmax[d]
-					demand[d] = base + 0.08*cmax[d]*jitter[(i*7+c*13+d)%len(jitter)]
-				}
-				if _, err := eng.Query(QueryRequest{Demand: demand, K: 3}); err != nil {
-					b.Error(err)
-				}
-			})
-			st := eng.Stats()
-			if total := st.CacheHits + st.CacheMisses; total > 0 {
-				b.ReportMetric(float64(st.CacheHits)/float64(total), "hit-rate")
 			}
 		})
 	}

@@ -258,8 +258,8 @@ func holdUntilDue(j job, st *runState) time.Time {
 // runLoad executes one complete load run and returns its summary.
 func runLoad(rc runCfg) summary {
 	// Demand profiles are drawn once: recurring demand shapes are what
-	// real tenants issue, and they are what makes the server's
-	// quantized query cache earn its keep.
+	// real tenants issue, and they are what the server's exact query
+	// cache can answer.
 	var demands [][]float64
 	if rc.profiles > 0 {
 		rng := rand.New(rand.NewPCG(rc.seed, 0xf0f))
@@ -749,9 +749,8 @@ type summary struct {
 }
 
 // serverProbe mirrors the cache/index counters of the server's
-// /stats endpoint. Counter fields are deltas over the run; the knob
-// fields (quantum, population) are the post-run values, which is what
-// makes the adaptive controller's drift visible.
+// /stats endpoint. Counter fields are deltas over the run; the
+// population is the post-run value.
 type serverProbe struct {
 	TotalNodes      int     `json:"total_nodes"`
 	CacheHits       uint64  `json:"cache_hits"`
@@ -759,8 +758,6 @@ type serverProbe struct {
 	CacheHitRate    float64 `json:"cache_hit_rate"`
 	CacheStale      uint64  `json:"cache_stale"`
 	CacheStaleShare float64 `json:"cache_stale_share"`
-	CacheAdaptions  uint64  `json:"cache_adaptions"`
-	CacheQuantum    float64 `json:"cache_quantum"`
 	IndexSearches   uint64  `json:"index_searches"`
 	IndexScanned    uint64  `json:"index_scanned_records"`
 	IndexCandidates uint64  `json:"index_candidates"`
@@ -797,13 +794,12 @@ func fetchServerProbe(client *http.Client, base string) (*serverProbe, error) {
 }
 
 // diff returns the counter deltas of after over before, keeping
-// after's knob values.
+// after's population.
 func (p *serverProbe) diff(before *serverProbe) *serverProbe {
 	d := *p
 	d.CacheHits -= before.CacheHits
 	d.CacheMisses -= before.CacheMisses
 	d.CacheStale -= before.CacheStale
-	d.CacheAdaptions -= before.CacheAdaptions
 	d.IndexSearches -= before.IndexSearches
 	d.IndexScanned -= before.IndexScanned
 	d.IndexCandidates -= before.IndexCandidates
@@ -914,8 +910,8 @@ func report(sum summary, jsonOut string) {
 		fmt.Printf("server:  router: %.2f legs/query (%d sent, %d pruned over %d queries); pipeline depth %.1f\n",
 			p.FedLegsPerQuery, p.FedLegsSent, p.FedLegsPruned, p.Queries, p.FedPipelineDepth)
 	} else if p != nil {
-		fmt.Printf("server:  %d nodes; cache %.1f%% hits, %.1f%% invalidated (%d adaptions; quantum %.4f); index %.1f records/search, %.1f candidates/search over %d searches (%d builds, %d deltas, %d reuses)\n",
-			p.TotalNodes, 100*p.CacheHitRate, 100*p.CacheStaleShare, p.CacheAdaptions, p.CacheQuantum,
+		fmt.Printf("server:  %d nodes; cache %.1f%% hits, %.1f%% invalidated; index %.1f records/search, %.1f candidates/search over %d searches (%d builds, %d deltas, %d reuses)\n",
+			p.TotalNodes, 100*p.CacheHitRate, 100*p.CacheStaleShare,
 			p.ScannedPerQuery, p.CandsPerQuery, p.IndexSearches,
 			p.IndexBuilds, p.IndexDeltas, p.IndexReuses)
 	}

@@ -65,7 +65,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		warmup   = flag.Duration("warmup", 30*time.Minute, "simulated warmup per shard (state updates + index diffusion settle)")
 		flush    = flag.Duration("flush", 100*time.Millisecond, "idle-tick cadence: each tick steps the shard's simulation up to elapsed wall time and republishes its snapshot")
-		adaptEvr = flag.Int("cache-adapt-every", 4096, "adaptive cache-controller window in lookups (0 keeps the quantization grid fixed)")
 		populate = flag.Bool("populate", true, "publish a random initial availability per node")
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
 		dataDir  = flag.String("data-dir", "", "durable state directory (op-log + checkpoints); empty serves purely in-memory")
@@ -83,7 +82,6 @@ func main() {
 		Seed:              *seed,
 		Warmup:            pidcan.Time(warmup.Microseconds()),
 		FlushInterval:     *flush,
-		CacheAdaptEvery:   *adaptEvr,
 		RebalanceInterval: *rebal,
 		DataDir:           *dataDir,
 		CheckpointEvery:   *ckptEvry,

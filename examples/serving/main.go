@@ -117,8 +117,8 @@ func main() {
 			resp.ShardsQueried, resp.Hops, describe(resp.Candidates))
 	}
 
-	// Repeated equivalent demands are served from the query cache
-	// until a write that could change their answer.
+	// A repeated demand is served from the query cache until a write
+	// publishes a new index on any shard.
 	for i := 0; i < 3; i++ {
 		resp, err := eng.Query(pidcan.QueryRequest{Demand: vector.Of(4, 16, 100), K: 3})
 		if err != nil {

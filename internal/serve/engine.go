@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -165,19 +166,16 @@ type Stats struct {
 	Queries     uint64       `json:"queries"`
 	CacheHits   uint64       `json:"cache_hits"`
 	CacheMisses uint64       `json:"cache_misses"`
-	// CacheResets counts cache generation rotations: the cache keeps
-	// two generations and, when full, drops only the older one (the
-	// historical name survives for stats continuity).
-	CacheResets  uint64 `json:"cache_resets"`
-	CacheEntries int    `json:"cache_entries"`
-	// CacheStale counts the misses that found an entry a change had
-	// invalidated (its other misses are compulsory: no entry) and
-	// CacheAdaptions the re-grids of the adaptive controller (0 with a
-	// fixed grid). CacheQuantum is the live quantization granularity,
-	// 0.05 of cmax unless the controller steers it.
-	CacheStale     uint64  `json:"cache_stale"`
-	CacheAdaptions uint64  `json:"cache_adaptions"`
-	CacheQuantum   float64 `json:"cache_quantum"`
+	// CacheEntries counts the cache slots holding an answer, and
+	// CacheStale the misses that found their key's entry read from an
+	// index since replaced (its other misses are compulsory: no entry,
+	// or another key's). CacheResets and CacheAdaptions are always 0:
+	// the cache has no generations and no grid controller, and the
+	// fields stay only for the repo benchmark, which reads them.
+	CacheEntries   int    `json:"cache_entries"`
+	CacheStale     uint64 `json:"cache_stale"`
+	CacheResets    uint64 `json:"cache_resets"`
+	CacheAdaptions uint64 `json:"cache_adaptions"`
 	// IndexSearches counts snapshot-path index searches (uncached
 	// queries + cache fills); IndexScannedRecords the records those
 	// searches visited — scanned/searches vs total_nodes is the
@@ -323,7 +321,7 @@ func build(cfg Config, factory BackendFactory) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:   cfg,
-		cache: newQueryCache(cfg.CMax, cacheQuantum, cacheQuantumMax, cacheSize, cfg.CacheAdaptEvery),
+		cache: new(queryCache),
 		stop:  make(chan struct{}),
 	}
 	e.fwd = NewForwardTable(2*(cfg.FlushInterval+readHold), GlobalID.Shard, e.stop)
@@ -537,25 +535,20 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 		return e.consistentQuery(req)
 	}
 
-	// A cacheable query is answered from its cell's entry (cacheEntry),
-	// hit or fill: the uncached answer, bit for bit.
+	// A cacheable query is answered from its key's slot, hit or fill:
+	// the uncached answer, bit for bit.
 	if req.NoCache {
-		cands := e.searchShards(req.Demand, nil, req.K, nil)
+		cands := e.searchShards(req.Demand, req.K, nil)
 		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
 	}
-	key, lo, ub, grid := e.cache.quantize(req.Demand, req.K)
-	ent, hit := e.cache.get(key, grid, lo, ub, req.K, e.shards)
-	if !hit {
-		ent = newCacheEntry(len(e.shards))
-		e.searchShards(lo, ub, req.K, ent)
-		if ent.enough(ub, req.K, e.cache.scale) {
-			e.cache.put(key, grid, ent)
-		}
+	slot, ent := e.cache.get(req.Demand, req.K, e.shards)
+	if ent != nil {
+		return QueryResponse{Candidates: e.fwd.Externalize(slices.Clone(ent.cands)), Cached: true}, nil
 	}
-	return QueryResponse{
-		Candidates: e.fwd.Externalize(ent.answer(req.Demand, e.cfg.CMax, req.K, e.cache.scale)),
-		Cached:     hit,
-	}, nil
+	indexed := make([]uint64, len(e.shards))
+	cands := bestFit(e.searchShards(req.Demand, req.K, indexed), req.K)
+	e.cache.put(slot, newCacheEntry(req.Demand, req.K, cands, indexed))
+	return QueryResponse{Candidates: e.fwd.Externalize(cands)}, nil
 }
 
 // searchShards collects the candidates needed to rank the k best fits
@@ -567,11 +560,9 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 // index over the whole population would, not k matches' worth per
 // shard. The returned candidates still need bestFit: they arrive block
 // by block, not in order, and a match found before the bound shrank
-// past it stays in. A cache fill scans at its cell's lower corner and
-// stops on the upper one, corner (nil otherwise); its entry, fill,
-// keeps what the scan found (cacheEntry.keep) and each snapshot's
-// Version.
-func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry) []Candidate {
+// past it stays in. A cache fill passes indexed, which receives each
+// scanned snapshot's Snapshot.indexed (nil otherwise).
+func (e *Engine) searchShards(demand vector.Vec, k int, indexed []uint64) []Candidate {
 	// The usual shard counts and k keep all of this on the stack; the
 	// candidates are the one allocation, k plus a margin for ties and
 	// for matches the shrinking bound overtook.
@@ -582,22 +573,19 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 		entryBuf [8]int32
 		cands    []Candidate
 	)
-	switch {
-	case fill != nil:
-		cands = make([]Candidate, 0, 24) // a cell's set: ≈ 10 members and what the scan passes over
-	case k > 0:
+	if k > 0 {
 		cands = make([]Candidate, 0, min(k, 64)+4)
 	}
 	snaps, cursors := snapBuf[:0], curBuf[:0]
 	visited := 0
 	for i, s := range e.shards {
 		snap := s.snapshot()
-		if fill != nil {
-			fill.seen[i].Store(snap.Version)
+		if indexed != nil {
+			indexed[i] = snap.indexed
 		}
 		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand))
 	}
-	bound := index.NewBound(k, corner, scoreBuf[:])
+	bound := index.NewBound(k, scoreBuf[:])
 	for {
 		low := -1
 		for i := range cursors {
@@ -611,10 +599,6 @@ func (e *Engine) searchShards(demand, corner vector.Vec, k int, fill *cacheEntry
 		entries, n := cursors[low].Step(entryBuf[:0], &bound)
 		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
 		visited += n
-	}
-	if fill != nil {
-		kth, _ := bound.Kth()
-		fill.keep(cands, kth, e.cache.scale)
 	}
 	e.idxSearches.Add(1)
 	e.idxScanned.Add(uint64(visited))
@@ -838,9 +822,7 @@ func (e *Engine) Stats() Stats {
 	}
 	qc := e.cache
 	st.CacheHits, st.CacheMisses = qc.hits.Load(), qc.misses.Load()
-	st.CacheResets, st.CacheEntries = qc.rotations.Load(), qc.entries()
-	st.CacheStale, st.CacheAdaptions = qc.stale.Load(), qc.adaptions.Load()
-	st.CacheQuantum = qc.grid.Load().quantum
+	st.CacheEntries, st.CacheStale = qc.entries(), qc.stale.Load()
 	st.IndexSearches = e.idxSearches.Load()
 	st.IndexScannedRecords = e.idxScanned.Load()
 	st.IndexCandidates = e.idxCands.Load()

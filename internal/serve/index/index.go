@@ -89,8 +89,7 @@
 //     kernel, 16 entries to a branch, where the CPU has it, and a
 //     four-entry Go loop anywhere else. Every match is reported and
 //     its score offered to the Bound, which keeps the k smallest match
-//     scores seen by any cursor (of matches dominating its corner, when
-//     it has one: see Bound); the cutoff is the largest of them
+//     scores seen by any cursor; the cutoff is the largest of them
 //     plus a tie slack (near-equal-score entries stay in play: the
 //     caller re-ranks by the exactly-computed surplus, so rounding
 //     between score subtraction and the reference Σ(a-w)/c summation
@@ -337,7 +336,7 @@ type Flat struct {
 // Build indexes recs (ascending by node id) against the cmax scale.
 // Everything is copied into the index's blocks; recs is not retained.
 func Build(recs []proto.Record, cmax vector.Vec) *Flat {
-	f := &Flat{inv: NewScale(cmax), dims: cmax.Dim()}
+	f := &Flat{inv: newScale(cmax), dims: cmax.Dim()}
 	// What is sorted is a (score, node, position in recs) triple per
 	// record, not the records; the blocks are then written in one run.
 	n := len(recs)
@@ -728,11 +727,8 @@ func (f *Flat) reaches() []float64 {
 // for an unscored dimension.
 type Scale []float64
 
-// Scale returns the scale f scores by.
-func (f *Flat) Scale() Scale { return f.inv }
-
-// NewScale returns the scale of an index built against cmax.
-func NewScale(cmax vector.Vec) Scale {
+// newScale returns the scale of an index built against cmax.
+func newScale(cmax vector.Vec) Scale {
 	s := make(Scale, cmax.Dim())
 	for d, c := range cmax {
 		if c > 0 {
@@ -871,36 +867,17 @@ func (f *Flat) signature(v vector.Vec, up bool) uint64 {
 // smallest match scores any of them has reported, and once there are k
 // no cursor needs to look past the largest (plus tieSlack). The cutoff
 // only ever shrinks. k <= 0 means no cutoff: every match is wanted.
-// With a corner it keeps only the scores of matches dominating the
-// corner too: the query cache's fill scans at a cell's lower corner and
-// stops on its upper one.
 type Bound struct {
-	k, n   int
-	heap   []float64 // heap[:n] holds the kept scores, a max-heap
-	cut    float64
-	corner vector.Vec
+	k, n int
+	heap []float64 // heap[:n] holds the kept scores, a max-heap
+	cut  float64
 }
 
-// NewBound returns the bound of a k-best query, corner nil but for a
-// cache fill. The kept scores live in scratch (all of it: its contents
-// are overwritten) while they fit.
-func NewBound(k int, corner vector.Vec, scratch []float64) Bound {
-	return Bound{k: k, heap: scratch, cut: math.Inf(1), corner: corner}
+// NewBound returns the bound of a k-best query. The kept scores live
+// in scratch (all of it: its contents are overwritten) while they fit.
+func NewBound(k int, scratch []float64) Bound {
+	return Bound{k: k, heap: scratch, cut: math.Inf(1)}
 }
-
-// Kth returns the k-th smallest score the bound keeps; ok is false while
-// it keeps fewer than k.
-func (b *Bound) Kth() (kth float64, ok bool) {
-	if b.k <= 0 || b.n < b.k {
-		return math.Inf(1), false
-	}
-	return b.heap[0], true
-}
-
-// Cutoff is the score past which no record can rank with a k-th match
-// of score kth, whatever demand the two dominate: kth plus the tie
-// slack.
-func Cutoff(kth float64) float64 { return kth + tieSlack }
 
 // offer records a match's score and reports whether the cutoff shrank.
 func (b *Bound) offer(score float64) bool {
@@ -943,18 +920,7 @@ func (b *Bound) offer(score float64) bool {
 	default:
 		return false
 	}
-	b.cut = Cutoff(h[0])
-	return true
-}
-
-// counts reports whether the bound keeps the score of a match whose
-// availability is row.
-func (b *Bound) counts(row []float64) bool {
-	for d, w := range b.corner {
-		if row[d] < w {
-			return false
-		}
-	}
+	b.cut = h[0] + tieSlack
 	return true
 }
 
@@ -1064,7 +1030,7 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 			continue
 		}
 		dst = append(dst, int32(bi<<posShift|i))
-		if bound.counts(f.row(&b.cols, i)) && bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
+		if bound.offer(b.score[i]) && b.score[past-1] > bound.cut {
 			past = i + 1 + within(b.score[i+1:past], bound.cut)
 		}
 	}
@@ -1082,9 +1048,8 @@ func (c *Cursor) Step(dst []int32, bound *Bound) ([]int32, int) {
 			if t.score[j] > bound.cut || !c.match(t, j) {
 				continue
 			}
-			if dst = append(dst, int32(bi<<posShift|blockCap|j)); bound.counts(f.row(t, j)) {
-				bound.offer(t.score[j])
-			}
+			dst = append(dst, int32(bi<<posShift|blockCap|j))
+			bound.offer(t.score[j])
 		}
 		visited += len(t.sig)
 		hopeless = hopeless || cuts && t.score[len(t.score)-1] > bound.cut
@@ -1192,7 +1157,7 @@ func below(scores []float64, x float64) int {
 // against one Bound.
 func (f *Flat) Search(dst []int32, demand vector.Vec, k int) ([]int32, int) {
 	var scratch [8]float64
-	bound := NewBound(k, nil, scratch[:])
+	bound := NewBound(k, scratch[:])
 	visited := 0
 	for c := f.Seek(demand); !c.Done(); {
 		var n int

@@ -157,59 +157,6 @@ func TestSearchSubLinear(t *testing.T) {
 	}
 }
 
-// TestCornerBoundStopsOnTheCorner pins the query cache's fill scan: a
-// scan at a low demand under a Bound with a higher corner keeps only the
-// scores of matches dominating the corner, and reports every record
-// dominating the low demand up to Cutoff of the k-th of them —
-// what brute force over the records says those are.
-func TestCornerBoundStopsOnTheCorner(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := range 200 {
-		dims := 1 + rng.Intn(4)
-		cmax := vector.New(dims)
-		for d := range cmax {
-			cmax[d] = 1 + 20*rng.Float64()
-		}
-		recs := randPopulation(rng, rng.Intn(400), cmax)
-		f := Build(recs, cmax)
-		lo, corner := vector.New(dims), vector.New(dims)
-		for d := range lo {
-			lo[d] = cmax[d] * rng.Float64() * 0.6
-			corner[d] = lo[d] + cmax[d]*0.1*rng.Float64()
-		}
-		k := 1 + rng.Intn(5)
-		var scratch [8]float64
-		bound := NewBound(k, corner, scratch[:])
-		reported := map[overlay.NodeID]bool{}
-		for c := f.Seek(lo); !c.Done(); {
-			entries, _ := c.Step(nil, &bound)
-			for _, e := range entries {
-				reported[f.NodeAt(e)] = true
-			}
-		}
-		var scores []float64
-		for _, r := range recs {
-			if r.Avail.Dominates(corner) {
-				scores = append(scores, f.inv.Score(r.Avail))
-			}
-		}
-		sort.Float64s(scores)
-		kth, ok := bound.Kth()
-		if ok != (len(scores) >= k) || ok && kth != scores[k-1] {
-			t.Fatalf("trial %d: Kth = %v, %v; the corner's %d-th score of %d is what brute force gives", trial, kth, ok, k, len(scores))
-		}
-		for _, r := range recs {
-			match := r.Avail.Dominates(lo)
-			if match && f.inv.Score(r.Avail) <= Cutoff(kth) && !reported[r.Node] {
-				t.Fatalf("trial %d: node %d dominates the demand within the cutoff, not reported", trial, r.Node)
-			}
-			if reported[r.Node] && !match {
-				t.Fatalf("trial %d: node %d reported, not a match", trial, r.Node)
-			}
-		}
-	}
-}
-
 func TestEmptyAndDegenerate(t *testing.T) {
 	f := Build(nil, vector.Of(1, 1))
 	if got, visited := f.Search(nil, vector.Of(0.5, 0.5), 3); len(got) != 0 || visited != 0 {

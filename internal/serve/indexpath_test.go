@@ -174,120 +174,6 @@ func TestMergedScanMatchesLinear(t *testing.T) {
 	}
 }
 
-// driftQuantum is the demand-drift scenario's fine quantization grid.
-const driftQuantum = 0.002
-
-// driftEngine builds the demand-drift scenario's engine: a fine grid
-// against a slowly wandering demand distribution, so nearly every
-// lookup lands in a virgin cell and a fixed grid can't amortize
-// anything. adaptEvery > 0 lets the controller coarsen the grid up to
-// 0.1.
-func driftEngine(t *testing.T, adaptEvery int) *Engine {
-	cfg := testConfig(1)
-	cfg.NodesPerShard = 32
-	return newCacheTestEngine(t, cfg, driftQuantum, 0.1, cacheSize, adaptEvery)
-}
-
-// driftHitRate drives n random-walk demands through the engine and
-// returns the cache hit-rate.
-func driftHitRate(t *testing.T, e *Engine, n int) float64 {
-	t.Helper()
-	rng := rand.New(rand.NewSource(99))
-	cmax := e.Config().CMax
-	for i := 0; i < n; i++ {
-		demand := vector.New(2)
-		for d := range demand {
-			// The distribution's center drifts across half the
-			// capacity range over the run — hundreds of fine grid
-			// cells — while per-query jitter spreads each batch of
-			// demands over a ~40x40 cell neighborhood. Far more
-			// virgin cells than repeat visits for a fixed fine grid;
-			// a handful of live cells once the grid coarsens.
-			base := (0.15 + 0.5*float64(i)/float64(n)) * cmax[d]
-			demand[d] = base + 0.08*cmax[d]*rng.Float64()
-		}
-		if _, err := e.Query(QueryRequest{Demand: demand, K: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats()
-	total := st.CacheHits + st.CacheMisses
-	if total == 0 {
-		t.Fatal("no cache lookups recorded")
-	}
-	return float64(st.CacheHits) / float64(total)
-}
-
-// TestAdaptiveCacheRecoversFromDrift: under drifting demands the
-// fixed-knob cache misses almost always, while the adaptive
-// controller detects the compulsory-miss pattern, coarsens the grid,
-// and recovers a useful hit-rate from the very same workload.
-func TestAdaptiveCacheRecoversFromDrift(t *testing.T) {
-	fixed := driftEngine(t, 0)
-	adaptive := driftEngine(t, 64)
-
-	const n = 3000
-	fixedRate := driftHitRate(t, fixed, n)
-	adaptiveRate := driftHitRate(t, adaptive, n)
-	t.Logf("hit-rate under drift: fixed %.3f, adaptive %.3f", fixedRate, adaptiveRate)
-
-	if fixedRate > 0.25 {
-		t.Fatalf("fixed-knob cache hit-rate %.3f — drift scenario not hostile enough", fixedRate)
-	}
-	if adaptiveRate < 0.35 {
-		t.Fatalf("adaptive cache hit-rate %.3f, want >= 0.35 (fixed: %.3f)", adaptiveRate, fixedRate)
-	}
-	if adaptiveRate < 3*fixedRate {
-		t.Fatalf("adaptive hit-rate %.3f not >= 3x fixed %.3f", adaptiveRate, fixedRate)
-	}
-
-	st := adaptive.Stats()
-	if st.CacheAdaptions == 0 {
-		t.Fatalf("controller never adapted: %+v", st)
-	}
-	if st.CacheQuantum <= driftQuantum {
-		t.Fatalf("quantum %v never coarsened past %v", st.CacheQuantum, driftQuantum)
-	}
-	if fs := fixed.Stats(); fs.CacheAdaptions != 0 {
-		t.Fatalf("fixed-knob engine adapted %d times", fs.CacheAdaptions)
-	}
-}
-
-// TestCacheRotationKeepsHotHalf: filling past capacity must rotate
-// generations (shedding the coldest half) rather than wiping the
-// whole cache — a hot key stays served across the rotation.
-func TestCacheRotationKeepsHotHalf(t *testing.T) {
-	const size = 8 // each generation holds 4
-	e := newCacheTestEngine(t, testConfig(1), 0.01, 0.01, size, 0)
-
-	hot := QueryRequest{Demand: vector.Of(1, 1), K: 2}
-	if _, err := e.Query(hot); err != nil { // fill the hot cell
-		t.Fatal(err)
-	}
-	// Walk enough distinct cells to force several rotations, touching
-	// the hot key between fills so promotion keeps it live.
-	for i := 0; i < 40; i++ {
-		d := vector.Of(2+float64(i)*0.15, 3)
-		if _, err := e.Query(QueryRequest{Demand: d, K: 2}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := e.Query(hot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resp.Cached {
-			t.Fatalf("hot key evicted after %d cold fills (stats %+v)", i+1, e.Stats())
-		}
-	}
-	st := e.Stats()
-	if st.CacheResets == 0 {
-		t.Fatalf("no generation rotation happened: %+v", st)
-	}
-	if st.CacheEntries > size {
-		t.Fatalf("cache grew past its bound: %d > %d", st.CacheEntries, size)
-	}
-}
-
 // seededEngine builds an engine of fake backends whose nodes already
 // advertise avail() when the first snapshot is published, so a large
 // population costs one index build per shard, not a write per node.

@@ -337,8 +337,18 @@ func flashCrowd(d *driver) {
 			d.update(0.3, 1.0)
 		}
 	}
-	for i := 0; i < 120; i++ { // the crowd arrives on one hot region
-		d.query(d.vecAround(0.45, 0.05), 5)
+	// The crowd arrives on one hot region: most of it asks a few exact
+	// hot demands, which the cache answers between joins.
+	hot := make([]vector.Vec, 4)
+	for i := range hot {
+		hot[i] = d.vecAround(0.45, 0.05)
+	}
+	for i := 0; i < 120; i++ {
+		if i%3 == 2 {
+			d.query(d.vecAround(0.45, 0.05), 5)
+		} else {
+			d.query(hot[d.rng.Intn(len(hot))], 5)
+		}
 		if i%10 == 9 { // capacity joins to absorb it, round-robin
 			d.join(i / 10 % d.shards())
 		}

@@ -56,14 +56,12 @@
 //     own state-record TTL (core.Config.StateTTL) governs only the
 //     consistent path.
 //
-//   - Recent queries are cached per cell of a quantization grid over
-//     the demand space. An entry holds every record any demand of its
-//     cell can rank, so a hit filters and ranks it at the caller's
-//     demand and returns exactly the uncached answer. Each snapshot
-//     carries its shard's recent changes; a lookup walks them and
-//     folds each change into a copy of the entry, so repeated demands
-//     cost one snapshot scan per change the entry cannot absorb
-//     instead of one per request.
+//   - Recent queries are cached per exact (demand, k), one slot each
+//     in a direct-mapped table. An entry holds the answer and, per
+//     shard, which index it was read from; it answers while every
+//     shard still publishes that index, so a hit is the uncached
+//     answer bit for bit, and the first ask after a write to any
+//     shard is a miss.
 //
 //   - Consistent queries route through the paper's three-phase
 //     protocol: one querying node searches one overlay. Each runs as
@@ -397,13 +395,9 @@ type Config struct {
 	// demand.
 	RebalanceInterval time.Duration
 
-	// CacheAdaptEvery, when positive, lets an adaptive controller
-	// steer the query cache's quantization grid: every CacheAdaptEvery
-	// cache lookups it inspects the window's hit-rate, coarsens the
-	// grid when misses are compulsory (demand drift: moving demands
-	// then alias onto live cells) and refines it back when traffic is
-	// easy, within [cacheQuantum, cacheQuantumMax] of cmax per
-	// dimension. 0 (the default) keeps the grid fixed at cacheQuantum.
+	// CacheAdaptEvery is ignored: the query cache has no grid for a
+	// controller to steer. It stays only for the repo benchmark, which
+	// sets it.
 	CacheAdaptEvery int
 }
 
@@ -462,9 +456,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RebalanceInterval < 0 {
 		c.RebalanceInterval = 0
-	}
-	if c.CacheAdaptEvery < 0 {
-		c.CacheAdaptEvery = 0
 	}
 	return c, nil
 }

@@ -163,21 +163,6 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
-// newCacheTestEngine is newTestEngine with a query cache of the given
-// grid, size and adapt window (newQueryCache) in place of the engine's
-// own, installed before any goroutine starts.
-func newCacheTestEngine(t *testing.T, cfg Config, quantum, quantumMax float64, size, adaptEvery int) *Engine {
-	t.Helper()
-	e, err := build(cfg, fakeFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.cache = newQueryCache(e.cfg.CMax, quantum, quantumMax, size, adaptEvery)
-	e.start()
-	t.Cleanup(func() { e.Close() })
-	return e
-}
-
 // handClock is the test side of the shards' clock seam: wall time, as
 // the shards see it, is whatever the test has advanced it to, and an
 // idle tick happens exactly when the test runs one.
@@ -327,46 +312,54 @@ func TestQueryMergesAcrossShards(t *testing.T) {
 	}
 }
 
+// TestQueryCacheHitAndExpiry: the cache answers an exact repeat of a
+// demand, and nothing else — a nearby demand is another key, a miss
+// until it too is repeated — and a write expires every answer: the
+// next ask misses and refills.
 func TestQueryCacheHitAndExpiry(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	if err := e.Update(e.Nodes()[0], vector.Of(5, 5), false); err != nil {
 		t.Fatal(err)
 	}
-	demand := vector.Of(1.8, 1.8)
-	first, err := e.Query(QueryRequest{Demand: demand, K: 2})
-	if err != nil {
+	if st := e.Stats(); st.CacheEntries != 0 {
+		t.Fatalf("a fresh engine's cache holds %d entries", st.CacheEntries)
+	}
+	demand, near := vector.Of(1.8, 1.8), vector.Of(1.9, 1.9)
+	for i, tc := range []struct {
+		demand vector.Vec
+		cached bool
+	}{
+		{demand, false},
+		{demand, true},
+		{near, false},
+		{near, true},
+		{demand, true},
+	} {
+		if resp := mustQuery(t, e, QueryRequest{Demand: tc.demand, K: 2}); resp.Cached != tc.cached {
+			t.Fatalf("query %d (%v): cached=%v, want %v", i, tc.demand, resp.Cached, tc.cached)
+		}
+	}
+	if st := e.Stats(); st.CacheHits != 3 || st.CacheMisses != 2 || st.CacheEntries != 2 {
+		t.Fatalf("stats report %d hits, %d misses, %d entries; want 3, 2, 2", st.CacheHits, st.CacheMisses, st.CacheEntries)
+	}
+	if err := e.Update(e.Nodes()[1], vector.Of(6, 6), false); err != nil {
 		t.Fatal(err)
 	}
-	if first.Cached {
-		t.Fatal("first query reported cached")
+	for i, cached := range []bool{false, true} {
+		resp := mustQuery(t, e, QueryRequest{Demand: demand, K: 2})
+		if resp.Cached != cached || len(resp.Candidates) != 2 {
+			t.Fatalf("ask %d after a write: cached=%v with %d candidates, want cached=%v with 2", i, resp.Cached, len(resp.Candidates), cached)
+		}
 	}
-	second, err := e.Query(QueryRequest{Demand: demand, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("second query not served from cache")
-	}
-	// Nearby demand in the same quantization cell (cell size is
-	// cacheQuantum·cmax = 0.5 here) also hits.
-	near := vector.Of(1.9, 1.9)
-	third, err := e.Query(QueryRequest{Demand: near, K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !third.Cached {
-		t.Fatal("quantization-equivalent demand missed the cache")
-	}
-	if st := e.Stats(); st.CacheHits < 2 {
-		t.Fatalf("stats report %d cache hits, want >= 2", st.CacheHits)
+	if st := e.Stats(); st.CacheStale != 1 {
+		t.Fatalf("stats report %d stale misses, want 1: the ask after the write", st.CacheStale)
 	}
 }
 
-// TestCachedResponsesNeverViolateDominance: demands sharing a cache
-// cell get each its own answer from the cell's entry. A node inside the
-// (1.5, 2.0] cell (1.85 < 1.9) is never handed to the 1.9 query, and is
-// handed to the 1.8 query on the hit of the entry the 1.9 query filled,
-// like the node above the cell.
+// TestCachedResponsesNeverViolateDominance: nearby demands are cached
+// apart, each with its own answer. A node at 1.85 (< 1.9) is never
+// handed to the 1.9 query, and is handed to the 1.8 query, like the
+// node above both, on its fill and on its hit.
 func TestCachedResponsesNeverViolateDominance(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	nodes := e.Nodes()
@@ -378,15 +371,17 @@ func TestCachedResponsesNeverViolateDominance(t *testing.T) {
 	}
 	for i, tc := range []struct {
 		demand vector.Vec
+		cached bool
 		want   []GlobalID
 	}{
-		{vector.Of(1.9, 1.9), []GlobalID{nodes[1]}},
-		{vector.Of(1.8, 1.8), []GlobalID{nodes[0], nodes[1]}},
-		{vector.Of(1.9, 1.9), []GlobalID{nodes[1]}},
+		{vector.Of(1.9, 1.9), false, []GlobalID{nodes[1]}},
+		{vector.Of(1.8, 1.8), false, []GlobalID{nodes[0], nodes[1]}},
+		{vector.Of(1.9, 1.9), true, []GlobalID{nodes[1]}},
+		{vector.Of(1.8, 1.8), true, []GlobalID{nodes[0], nodes[1]}},
 	} {
 		resp := mustQuery(t, e, QueryRequest{Demand: tc.demand, K: 5})
-		if resp.Cached != (i > 0) {
-			t.Fatalf("query %d (%v): cached=%v, want %v", i, tc.demand, resp.Cached, i > 0)
+		if resp.Cached != tc.cached {
+			t.Fatalf("query %d (%v): cached=%v, want %v", i, tc.demand, resp.Cached, tc.cached)
 		}
 		got := make([]GlobalID, len(resp.Candidates))
 		for j, c := range resp.Candidates {
@@ -400,11 +395,10 @@ func TestCachedResponsesNeverViolateDominance(t *testing.T) {
 	}
 }
 
-// TestCachedSurplusUsesTrueDemand pins the cache-path scoring fix:
-// whether a response is computed fresh or served from the cache, the
-// surpluses it carries are for the demand the caller actually sent,
-// not the quantization cell's upper bound the candidate set was
-// evaluated against.
+// TestCachedSurplusUsesTrueDemand: whether a response is computed
+// fresh or served from the cache, the surpluses it carries are for the
+// demand the caller sent — two nearby demands never share an answer's
+// surpluses.
 func TestCachedSurplusUsesTrueDemand(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	avail := vector.Of(5, 5)
@@ -412,15 +406,13 @@ func TestCachedSurplusUsesTrueDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	cmax := e.Config().CMax
-	// (1.8, 1.8) and (1.9, 1.9) share the (1.5, 2.0] cell; the cell
-	// upper bound (2, 2) would yield surplus 0.60 for both.
-	for i, demand := range []vector.Vec{vector.Of(1.8, 1.8), vector.Of(1.9, 1.9), vector.Of(1.8, 1.8)} {
+	for i, demand := range []vector.Vec{vector.Of(1.8, 1.8), vector.Of(1.9, 1.9), vector.Of(1.8, 1.8), vector.Of(1.9, 1.9)} {
 		resp, err := e.Query(QueryRequest{Demand: demand, K: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && !resp.Cached {
-			t.Fatalf("query %d not served from cache", i)
+		if resp.Cached != (i >= 2) {
+			t.Fatalf("query %d (%v): cached=%v, want %v", i, demand, resp.Cached, i >= 2)
 		}
 		if len(resp.Candidates) != 1 {
 			t.Fatalf("query %d: %+v", i, resp.Candidates)
@@ -820,103 +812,6 @@ func TestRoundRobinStartsAtShardZero(t *testing.T) {
 		if ss.OpsApplied != want {
 			t.Fatalf("shard %d applied %d ops, want %d (first consistent query mis-routed): %+v",
 				ss.Shard, ss.OpsApplied, want, st.Shards)
-		}
-	}
-}
-
-// TestCacheQuantizeUpperBoundDominates pins the rounding fix in
-// quantize: the cell's corners — what a cached set is drawn against —
-// must bracket every demand keyed to the cell, lo <= demand <= ub.
-// cell/inv can round one ulp below an on-grid demand (cmax 16, quantum
-// 0.1125 — two adaptive regrids from 0.05 — demand 1.8 gave
-// 1.7999999999999998), which cached a record sitting in that gap for a
-// demand it does not dominate. Beyond the table, it sweeps every
-// quantum the controller reaches from the default (×1.5 up to
-// cacheQuantumMax, then ÷1.25 back down) over demands on exact cell
-// boundaries, one ulp either side of them, 0 and cmax, with a
-// zero-capacity dimension among the paper's five: the corners must
-// bracket each, must be functions of the key alone, and on the
-// zero-capacity dimension must both be the demand.
-func TestCacheQuantizeUpperBoundDominates(t *testing.T) {
-	cmax := vector.Of(25.6, 80, 0, 10, 240, 4096)
-	var quanta []float64
-	for q := cacheQuantum; ; q = math.Min(q*1.5, cacheQuantumMax) {
-		for down := q; ; down = math.Max(down/1.25, cacheQuantum) {
-			quanta = append(quanta, down)
-			if down == cacheQuantum {
-				break
-			}
-		}
-		if q == cacheQuantumMax {
-			break
-		}
-	}
-	qc := newQueryCache(cmax, cacheQuantum, cacheQuantumMax, cacheSize, 0)
-	for _, quantum := range quanta {
-		qc.grid.Store(newGrid(quantum, cmax))
-		bounds := map[string][2]vector.Vec{}
-		try := func(d int, v float64) {
-			demand := vector.New(cmax.Dim())
-			demand[d] = v
-			key, lo, ub, _ := qc.quantize(demand, 3)
-			if !ub.Dominates(demand) || !demand.Dominates(lo) {
-				t.Fatalf("quantum %v: corners %v, %v do not bracket demand %v", quantum, lo, ub, demand)
-			}
-			for z, c := range cmax {
-				if c == 0 && (lo[z] != demand[z] || ub[z] != demand[z]) {
-					t.Fatalf("quantum %v: zero-capacity dimension %d has corners %v, %v, want the demand's %v", quantum, z, lo[z], ub[z], demand[z])
-				}
-			}
-			if prev, ok := bounds[key]; ok && (!prev[0].Equal(lo) || !prev[1].Equal(ub)) {
-				t.Fatalf("quantum %v: key %q has two cells, %v and %v", quantum, key, prev, [2]vector.Vec{lo, ub})
-			}
-			bounds[key] = [2]vector.Vec{lo, ub}
-		}
-		for d, c := range cmax {
-			edges := []float64{0, c, 1.5}
-			for cell := 1.0; c > 0 && cell*quantum*c <= c; cell++ {
-				edges = append(edges, cell*quantum*c, cell/(1/(quantum*c)))
-			}
-			for _, v := range edges {
-				for _, w := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
-					try(d, w)
-				}
-			}
-		}
-	}
-
-	for _, tc := range []struct{ cmax, quantum, demand float64 }{
-		{16, 0.1125, 1.8},
-		{16, 0.1125, 3.6},
-		{16, 0.1125, 7.2},
-		{16, 0.1125, 14.4},
-		{4096, 0.1125, 460.8},
-		{4096, 0.1125, 3686.4},
-		{16, 0.05, 13.600000000000001},
-		{25.6, 0.05, 21.760000000000005},
-		{240, 0.05, 204.00000000000003},
-		{4096, 0.05, 3891.2000000000003},
-		{16, 0.1125, 0},
-		{16, 0.1125, 1.75},
-		{80, 0.05, 40},
-	} {
-		qc := newQueryCache(vector.Of(tc.cmax), tc.quantum, tc.quantum, cacheSize, 0)
-		demand := vector.Of(tc.demand)
-		key, lo, ub, _ := qc.quantize(demand, 3)
-		if !ub.Dominates(demand) || !demand.Dominates(lo) {
-			t.Errorf("cmax %v quantum %v: corners %v, %v do not bracket demand %v",
-				tc.cmax, tc.quantum, lo[0], ub[0], tc.demand)
-		}
-		// The corners belong to the cell, not to the demand that
-		// filled it: a neighbor sharing the key shares them.
-		for _, d := range []float64{math.Nextafter(tc.demand, 0), math.Nextafter(tc.demand, math.Inf(1))} {
-			if k2, lo2, ub2, _ := qc.quantize(vector.Of(d), 3); k2 == key && (lo2[0] != lo[0] || ub2[0] != ub[0]) {
-				t.Errorf("cmax %v quantum %v: demands %v and %v share key %q but not the corners (%v, %v vs %v, %v)",
-					tc.cmax, tc.quantum, tc.demand, d, key, lo[0], ub[0], lo2[0], ub2[0])
-			} else if !ub2.Dominates(vector.Of(d)) || !vector.Of(d).Dominates(lo2) {
-				t.Errorf("cmax %v quantum %v: corners %v, %v do not bracket demand %v",
-					tc.cmax, tc.quantum, lo2[0], ub2[0], d)
-			}
 		}
 	}
 }

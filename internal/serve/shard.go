@@ -139,11 +139,9 @@ type shard struct {
 	// readers see it only through the published Snapshot.
 	flat *index.Flat
 
-	// history lists the change sets the next published snapshot
-	// carries, oldest first, and historyN the nodes they name.
-	// Combiner.
-	history  []*changeSet
-	historyN int
+	// indexed is the Version that first published flat
+	// (Snapshot.indexed). Combiner.
+	indexed uint64
 
 	// nextLocal tracks the next local id the backend will assign —
 	// what a checkpoint records so recovery can re-create the same id
@@ -720,8 +718,7 @@ func (s *shard) record(id overlay.NodeID) proto.Record {
 
 // publish builds and atomically installs a fresh immutable snapshot
 // from the backend's whole population — the from-scratch path used at
-// startup and after recovery replay. It starts a new change history:
-// what changed before it is not told apart.
+// startup and after recovery replay.
 func (s *shard) publish() {
 	now := s.be.Now()
 	nodes := s.be.Nodes()
@@ -732,78 +729,53 @@ func (s *shard) publish() {
 	clear(s.dirty)
 	s.flat = index.Build(recs, s.cfg.CMax)
 	s.idxBuilds.Add(1)
-	clear(s.history)
-	s.history = append(s.history[:0], &changeSet{version: s.version.Load() + 1})
-	s.historyN = 0
-	s.installSnap(now)
+	s.installSnap(now, true)
 }
 
 // publishDelta publishes the post-batch snapshot at a cost that
 // follows the batch, not the population: the dirty nodes are re-read
 // from the backend and the index patches or rewrites only the blocks
-// they leave or enter (index.Update), and one change set naming them
-// joins the history; with nothing dirty (idle ticks, query-only
-// batches) the previous index and history are republished as they are
+// they leave or enter (index.Update); with nothing dirty (idle ticks,
+// query-only batches) the previous index is republished as it is
 // under a fresh clock.
 func (s *shard) publishDelta() {
 	now := s.be.Now()
 	if len(s.dirty) == 0 {
 		s.idxReuses.Add(1)
-	} else {
-		recs := s.pubBuf[:0]
-		set := &changeSet{version: s.version.Load() + 1}
-		if set.nodes = set.one[:0]; len(s.dirty) > len(set.one) {
-			set.nodes = make([]nodeChange, 0, len(s.dirty))
-		}
-		for id, alive := range s.dirty {
-			ch := nodeChange{node: id}
-			if alive {
-				// The record's Avail is the backend's copy, which the
-				// index copies in turn: the set shares no index column.
-				recs = append(recs, s.record(id))
-				ch.avail = recs[len(recs)-1].Avail
-				ch.score = s.flat.Scale().Score(ch.avail)
-			}
-			set.nodes = append(set.nodes, ch)
-		}
-		slices.SortFunc(recs, func(a, b proto.Record) int { return cmp.Compare(a.Node, b.Node) })
-		s.flat = s.flat.Update(recs, s.dirty)
-		clear(recs)
-		s.pubBuf = recs[:0]
-		patched, rewritten := s.flat.Churn()
-		s.idxPatched.Add(uint64(patched))
-		s.idxRewritten.Add(uint64(rewritten))
-		s.idxDeltas.Add(1)
-		clear(s.dirty)
-		set.older.Store(s.history[len(s.history)-1])
-		s.history = append(s.history, set)
-		s.historyN += len(set.nodes)
-		s.cutHistory()
+		s.installSnap(now, false)
+		return
 	}
-	s.installSnap(now)
+	recs := s.pubBuf[:0]
+	for id, alive := range s.dirty {
+		if alive {
+			recs = append(recs, s.record(id))
+		}
+	}
+	slices.SortFunc(recs, func(a, b proto.Record) int { return cmp.Compare(a.Node, b.Node) })
+	s.flat = s.flat.Update(recs, s.dirty)
+	clear(recs)
+	s.pubBuf = recs[:0]
+	patched, rewritten := s.flat.Churn()
+	s.idxPatched.Add(uint64(patched))
+	s.idxRewritten.Add(uint64(rewritten))
+	s.idxDeltas.Add(1)
+	clear(s.dirty)
+	s.installSnap(now, true)
 }
 
-// cutHistory unlinks the oldest change sets while the history names
-// more than changeRetain nodes (the newest set stays whatever its
-// size): a lookup that would walk further fails its cacheWalkMax
-// anyway.
-func (s *shard) cutHistory() {
-	for s.historyN > changeRetain && len(s.history) > 1 {
-		s.historyN -= len(s.history[0].nodes)
-		s.history[0] = nil
-		s.history = s.history[1:]
-		s.history[0].older.Store(nil)
+// installSnap publishes the shard's current index, a new one when
+// changed (its Version becomes indexed).
+func (s *shard) installSnap(now sim.Time, changed bool) {
+	v := s.version.Add(1)
+	if changed {
+		s.indexed = v
 	}
-}
-
-// installSnap publishes the shard's current index and history.
-func (s *shard) installSnap(now sim.Time) {
 	s.snap.Store(&Snapshot{
 		Shard:   s.idx,
-		Version: s.version.Add(1),
+		Version: v,
 		Taken:   now,
 		flat:    s.flat,
-		changes: s.history[len(s.history)-1],
+		indexed: s.indexed,
 	})
 }
 

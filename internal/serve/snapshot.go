@@ -3,9 +3,7 @@ package serve
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 
-	"pidcan/internal/overlay"
 	"pidcan/internal/proto"
 	"pidcan/internal/serve/index"
 	"pidcan/internal/sim"
@@ -40,28 +38,10 @@ type Snapshot struct {
 	// and what every read of a snapshot goes through. Immutable and
 	// shared, like everything else here.
 	flat *index.Flat
-	// changes is the newest change set of the shard's recent history,
-	// never nil in a published snapshot; the query cache walks it.
-	changes *changeSet
-}
-
-// changeSet is what one publication changed: every node it re-read or
-// removed, with a copy of its new availability (nil: gone). Sets link
-// newest to oldest. publish starts a history with an empty set whose
-// older link is nil, and the shard cuts an old history by storing nil
-// into a link, so a walk that reaches nil has lost changes: it cannot
-// tell what happened before.
-type changeSet struct {
-	version uint64 // the Version that first published these changes
-	nodes   []nodeChange
-	older   atomic.Pointer[changeSet]
-	one     [1]nodeChange // nodes' array for a one-node set: a walk reads it with the set
-}
-
-type nodeChange struct {
-	node  overlay.NodeID
-	avail vector.Vec // nil: the node left
-	score float64    // the new record's index score, which every walk over it compares first
+	// indexed is the Version that first published flat: snapshots an
+	// idle tick republishes over an unchanged index keep it. A cached
+	// answer read from this index stays valid while it does.
+	indexed uint64
 }
 
 // Len returns the number of records (alive nodes) in the snapshot.

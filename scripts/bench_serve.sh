@@ -3,10 +3,9 @@
 # write-path overhead (BenchmarkServeDurable*), warm-restart
 # recovery time (BenchmarkServeRecovery), the binary wire
 # protocol vs HTTP (BenchmarkWire*, BenchmarkServeHTTPQuery),
-# the snapshot-index population sweep
+# and the snapshot-index population sweep
 # (BenchmarkServeQueryNoCache/pop=*, sub-linear scaling to 100k
-# nodes) and the fixed-vs-adaptive cache drift replay
-# (BenchmarkServeAdaptiveCache) — and collect their results
+# nodes) — and collect their results
 # as BENCH_serve.json (one JSON object per line) for the perf
 # trajectory across PRs.
 #

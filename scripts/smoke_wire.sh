@@ -59,11 +59,12 @@ rejected=$(printf '%s' "$stats" | sed 's/.*"wire_rejected":\([0-9]*\).*/\1/')
 case "$rejected" in *[!0-9]*) rejected=0 ;; esac # omitempty: absent means 0
 
 fail=0
-# The indexed read path and adaptive cache report through /stats —
+# The indexed read path and the query cache report through /stats —
 # that is where pidcan-loadgen's end-of-run server probe reads them,
 # so every counter must be present, and a query-only load must have
-# driven searches through the snapshot index.
-for key in index_searches index_candidates index_builds cache_stale cache_adaptions cache_quantum; do
+# driven searches through the snapshot index and answered repeated
+# demands from the cache.
+for key in index_searches index_candidates index_builds cache_hits cache_stale; do
 	case "$stats" in
 	*"\"$key\":"*) ;;
 	*)
@@ -76,6 +77,12 @@ searches=$(printf '%s' "$stats" | sed 's/.*"index_searches":\([0-9]*\).*/\1/')
 case "$searches" in '' | *[!0-9]*) searches=0 ;; esac
 if [ "$searches" -eq 0 ]; then
 	echo "FAIL: index_searches is 0 after a query load — the read path is not using the snapshot index" >&2
+	fail=1
+fi
+hits=$(printf '%s' "$stats" | sed 's/.*"cache_hits":\([0-9]*\).*/\1/')
+case "$hits" in '' | *[!0-9]*) hits=0 ;; esac
+if [ "$hits" -eq 0 ]; then
+	echo "FAIL: cache_hits is 0 after a query-only load over repeated demand profiles" >&2
 	fail=1
 fi
 if [ "$errors" != "0" ]; then
