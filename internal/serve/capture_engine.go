@@ -54,9 +54,6 @@ func (e *Engine) SetCapture(s CaptureSink) {
 	e.capture.Store(&s)
 }
 
-// Capturing reports whether a capture sink is attached.
-func (e *Engine) Capturing() bool { return e.capture.Load() != nil }
-
 // HaltShard permanently stops shard i — its op-log closes and the idle
 // tick skips it — the fault surface replay drills and scenario traces
 // use to model a shard (or the member it stands in for) dying. Writes and consistent queries

@@ -147,11 +147,11 @@ func TestFwdRepointIdempotent(t *testing.T) {
 }
 
 // TestCacheEpochInvalidation pins exact invalidation: a cached answer
-// holds until a write publishes a new index on any shard; the next
-// query then misses and refills — whether or not the write changed the
-// answer — and its repeat hits. An update entering the answer, one
-// outside it and a cached candidate leaving are each seen by the very
-// next query.
+// holds until a write publishes a new index whose recheck changes it;
+// the next query then misses and refills, and its repeat hits. An
+// update entering the answer and a cached candidate leaving are each
+// seen by the very next query; an update outside the answer keeps it,
+// the next query a hit counted in cache_revalidated.
 func TestCacheEpochInvalidation(t *testing.T) {
 	e := newTestEngine(t, testConfig(1))
 	nodes := e.Nodes()
@@ -159,11 +159,11 @@ func TestCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := QueryRequest{Demand: vector.Of(4, 4), K: 8}
-	// askTwice asks q twice and wants a miss, then a hit, both with
-	// the candidates want.
-	askTwice := func(after string, want ...GlobalID) {
+	// ask asks q once per entry of cached and wants those hits and
+	// misses, every answer with the candidates want.
+	ask := func(after string, cached []bool, want ...GlobalID) {
 		t.Helper()
-		for i, cached := range []bool{false, true} {
+		for i, cached := range cached {
 			resp := mustQuery(t, e, q)
 			got := make([]GlobalID, len(resp.Candidates))
 			for j, c := range resp.Candidates {
@@ -174,26 +174,31 @@ func TestCacheEpochInvalidation(t *testing.T) {
 			}
 		}
 	}
-	askTwice("first", nodes[0])
+	missThenHit := []bool{false, true}
+	ask("first", missThenHit, nodes[0])
 
 	// Read-your-writes: one update entering the answer.
 	if err := e.Update(nodes[1], vector.Of(6, 6), false); err != nil {
 		t.Fatal(err)
 	}
-	askTwice("after an entering update", nodes[0], nodes[1])
+	ask("after an entering update", missThenHit, nodes[0], nodes[1])
 
 	// A node that does not dominate the demand does not enter the
-	// answer, and still ends the cached one.
+	// answer: the recheck of its shard keeps the cached one.
+	revalidated := e.Stats().CacheRevalidated
 	if err := e.Update(nodes[2], vector.Of(1, 1), false); err != nil {
 		t.Fatal(err)
 	}
-	askTwice("after an update outside the answer", nodes[0], nodes[1])
+	ask("after an update outside the answer", []bool{true, true}, nodes[0], nodes[1])
+	if n := e.Stats().CacheRevalidated - revalidated; n != 1 {
+		t.Fatalf("after an update outside the answer: %d revalidated hits, want 1", n)
+	}
 
 	// A cached candidate leaving.
 	if err := e.Leave(nodes[0]); err != nil {
 		t.Fatal(err)
 	}
-	askTwice("after a candidate left", nodes[1])
+	ask("after a candidate left", missThenHit, nodes[1])
 }
 
 func mustQuery(t *testing.T, e *Engine, q QueryRequest) QueryResponse {

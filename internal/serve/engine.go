@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,10 +37,8 @@ type Engine struct {
 	// answer repeated summary exchanges without rescanning snapshots.
 	availSum atomic.Pointer[availSummary]
 
-	queries       atomic.Uint64
-	idxSearches   atomic.Uint64 // snapshot-path index searches (uncached + cache fills)
-	idxScanned    atomic.Uint64 // records those searches visited
-	idxCands      atomic.Uint64 // candidates they merged before ranking
+	// reads are the counters every query writes, striped (readStripe).
+	reads         [readStripes]readStripe
 	consistent    atomic.Uint64
 	updates       atomic.Uint64
 	joins         atomic.Uint64
@@ -97,6 +95,47 @@ type Engine struct {
 	closed      atomic.Bool
 	stop        chan struct{} // closed by Close; aborts waits and stops the loops
 	rebalanceMu sync.Mutex    // serializes rebalance passes (manual vs background)
+}
+
+// readStripe is one stripe of the counters every query writes: a query
+// adds to the stripe it picks (Engine.stripe), Stats and the checkpoint
+// sum them. Striping keeps concurrent queries off one shared cache
+// line; 128 bytes a stripe puts any two stripes' counters at least a
+// cache line apart.
+type readStripe struct {
+	n [rdCounters]atomic.Uint64
+	_ [128 - rdCounters*8]byte
+}
+
+// The counters of a readStripe, by index.
+const (
+	rdQueries     = iota // queries answered (Stats.Queries)
+	rdSearches           // snapshot-path index searches: uncached queries + cache fills
+	rdScanned            // records those searches visited
+	rdCands              // candidates they merged before ranking
+	rdHits               // cache hits, rechecked or not
+	rdMisses             // cache misses
+	rdStale              // misses whose recheck failed
+	rdRevalidated        // hits that needed a recheck
+	rdRescanned          // records the rechecks visited
+	rdCounters
+)
+
+// readStripes is the number of stripes, a power of two.
+const readStripes = 8
+
+// stripe picks the stripe of one query, from the calling thread's own
+// generator.
+func (e *Engine) stripe() *readStripe { return &e.reads[rand.Uint32()&(readStripes-1)] }
+
+// readCounts sums the stripes.
+func (e *Engine) readCounts() (sum [rdCounters]uint64) {
+	for i := range e.reads {
+		for c := range sum {
+			sum[c] += e.reads[i].n[c].Load()
+		}
+	}
+	return sum
 }
 
 // QueryRequest is one best-fit multi-dimensional range query: find
@@ -166,19 +205,25 @@ type Stats struct {
 	Queries     uint64       `json:"queries"`
 	CacheHits   uint64       `json:"cache_hits"`
 	CacheMisses uint64       `json:"cache_misses"`
-	// CacheEntries counts the cache slots holding an answer, and
-	// CacheStale the misses that found their key's entry read from an
-	// index since replaced (its other misses are compulsory: no entry,
-	// or another key's). CacheResets and CacheAdaptions are always 0:
-	// the cache has no generations and no grid controller, and the
-	// fields stay only for the repo benchmark, which reads them.
-	CacheEntries   int    `json:"cache_entries"`
-	CacheStale     uint64 `json:"cache_stale"`
-	CacheResets    uint64 `json:"cache_resets"`
-	CacheAdaptions uint64 `json:"cache_adaptions"`
+	// CacheEntries counts the cache slots holding an answer.
+	// CacheRevalidated counts the hits whose key's entry was read from
+	// an index a shard has since replaced, and which a recheck of the
+	// moved shards kept; CacheStale the misses whose recheck failed (the
+	// other misses are compulsory: no entry, or another key's); and
+	// CacheRescanned the records every recheck visited, kept or failed.
+	// CacheResets and CacheAdaptions are always 0: the cache has no
+	// generations and no grid controller, and the fields stay only for
+	// the repo benchmark, which reads them.
+	CacheEntries     int    `json:"cache_entries"`
+	CacheStale       uint64 `json:"cache_stale"`
+	CacheRevalidated uint64 `json:"cache_revalidated"`
+	CacheRescanned   uint64 `json:"cache_rescanned"`
+	CacheResets      uint64 `json:"cache_resets"`
+	CacheAdaptions   uint64 `json:"cache_adaptions"`
 	// IndexSearches counts snapshot-path index searches (uncached
-	// queries + cache fills); IndexScannedRecords the records those
-	// searches visited — scanned/searches vs total_nodes is the
+	// queries + cache fills; a cache recheck is not one),
+	// IndexScannedRecords the records those searches visited —
+	// scanned/searches vs total_nodes is the
 	// sub-linearity gauge of the read path — and IndexCandidates the
 	// candidates they merged before ranking: candidates/searches vs k
 	// is how much of what a search collects it uses. IndexBuilds counts full
@@ -509,17 +554,25 @@ func (e *Engine) writable() error {
 // Query answers one best-fit range query. The default path reads
 // every shard's published snapshot lock-free, merges the qualified
 // records and ranks them by surplus; it consults the query cache
-// first unless the request opts out.
-func (e *Engine) Query(req QueryRequest) (QueryResponse, error) {
-	resp, err := e.query(req)
+// first unless the request opts out. The candidates are one new slice
+// of their own size.
+func (e *Engine) Query(req QueryRequest) (QueryResponse, error) { return e.QueryAppend(nil, req) }
+
+// QueryAppend is Query appending the candidates to dst: the response's
+// Candidates is dst with the answer appended, so a caller that passes
+// a buffer of its own (dst[:0]) is answered without an allocation.
+func (e *Engine) QueryAppend(dst []Candidate, req QueryRequest) (QueryResponse, error) {
+	resp, err := e.query(dst, req)
 	if p := e.capture.Load(); p != nil {
-		(*p).CaptureQuery(req, &resp, err)
+		// A copy, so that resp itself does not escape on every query.
+		r := resp
+		(*p).CaptureQuery(req, &r, err)
 	}
 	return resp, err
 }
 
-// query implements Query; the wrapper adds capture emission.
-func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
+// query implements QueryAppend; the wrapper adds capture emission.
+func (e *Engine) query(dst []Candidate, req QueryRequest) (QueryResponse, error) {
 	if e.closed.Load() {
 		return QueryResponse{}, ErrClosed
 	}
@@ -530,60 +583,78 @@ func (e *Engine) query(req QueryRequest) (QueryResponse, error) {
 	if req.K <= 0 {
 		req.K = 1
 	}
-	e.queries.Add(1)
+	st := e.stripe()
+	st.n[rdQueries].Add(1)
 	if req.Consistent {
-		return e.consistentQuery(req)
+		resp, err := e.consistentQuery(req)
+		resp.Candidates = append(dst, resp.Candidates...)
+		return resp, err
 	}
 
 	// A cacheable query is answered from its key's slot, hit or fill:
 	// the uncached answer, bit for bit.
-	if req.NoCache {
-		cands := e.searchShards(req.Demand, req.K, nil)
-		return QueryResponse{Candidates: e.fwd.Externalize(bestFit(cands, req.K))}, nil
+	at := len(dst)
+	var (
+		slot    int
+		indexed []uint64 // a fill's stamp: each shard's Snapshot.indexed
+	)
+	if !req.NoCache {
+		var ent *cacheEntry
+		if slot, ent = e.cached(req.Demand, req.K, st); ent != nil {
+			dst = append(dst, ent.cands...)
+			e.fwd.Externalize(dst[at:])
+			return QueryResponse{Candidates: dst, Cached: true}, nil
+		}
+		indexed = make([]uint64, len(e.shards))
 	}
-	slot, ent := e.cache.get(req.Demand, req.K, e.shards)
-	if ent != nil {
-		return QueryResponse{Candidates: e.fwd.Externalize(slices.Clone(ent.cands)), Cached: true}, nil
+	// The merged candidates stay on this stack unless they outgrow
+	// buf; what is kept is their best k, copied into dst (and into a
+	// fill's entry).
+	var buf [16]Candidate
+	cands, cut := e.searchShards(buf[:0], req.Demand, req.K, indexed, st)
+	best := bestFit(cands, req.K)
+	if indexed != nil {
+		e.cache.put(slot, newCacheEntry(req.Demand, req.K, best, cut, indexed))
 	}
-	indexed := make([]uint64, len(e.shards))
-	cands := bestFit(e.searchShards(req.Demand, req.K, indexed), req.K)
-	e.cache.put(slot, newCacheEntry(req.Demand, req.K, cands, indexed))
-	return QueryResponse{Candidates: e.fwd.Externalize(cands)}, nil
+	dst = append(dst, best...)
+	e.fwd.Externalize(dst[at:])
+	return QueryResponse{Candidates: dst}, nil
 }
 
-// searchShards collects the candidates needed to rank the k best fits
-// dominating demand over every shard's snapshot — the one read-path
-// ranking entry the uncached and cache-fill queries both go through.
-// The shards' indexes are scanned as one: a cursor each, always
-// stepping the one whose next score is lowest, against one shared
-// bound on the k smallest match scores — so the scan visits what one
-// index over the whole population would, not k matches' worth per
-// shard. The returned candidates still need bestFit: they arrive block
-// by block, not in order, and a match found before the bound shrank
-// past it stays in. A cache fill passes indexed, which receives each
-// scanned snapshot's Snapshot.indexed (nil otherwise).
-func (e *Engine) searchShards(demand vector.Vec, k int, indexed []uint64) []Candidate {
-	// The usual shard counts and k keep all of this on the stack; the
-	// candidates are the one allocation, k plus a margin for ties and
-	// for matches the shrinking bound overtook.
+// searchShards appends to dst the candidates needed to rank the k best
+// fits dominating demand over every shard's snapshot — the one
+// read-path ranking entry the uncached and cache-fill queries both go
+// through — and returns the scan's final cutoff (index.Bound.Cut). The
+// shards' indexes are scanned as one: a cursor each, always stepping
+// the one whose next score is lowest, against one shared bound on the
+// k smallest match scores — so the scan visits what one index over the
+// whole population would, not k matches' worth per shard. The demand
+// is prepared once, for every shard: their indexes are all built
+// against the engine's CMax. The appended candidates still need
+// bestFit: they arrive block by block, not in order, and a match found
+// before the bound shrank past it stays in. A cache fill passes
+// indexed, which receives each scanned snapshot's Snapshot.indexed
+// (nil otherwise). The counts go to st.
+func (e *Engine) searchShards(dst []Candidate, demand vector.Vec, k int, indexed []uint64, st *readStripe) ([]Candidate, float64) {
+	// The usual shard counts and k keep all of this on the stack.
 	var (
 		snapBuf  [8]*Snapshot
 		curBuf   [8]index.Cursor
 		scoreBuf [8]float64
 		entryBuf [8]int32
-		cands    []Candidate
 	)
-	if k > 0 {
-		cands = make([]Candidate, 0, min(k, 64)+4)
-	}
 	snaps, cursors := snapBuf[:0], curBuf[:0]
-	visited := 0
+	var q index.Demand
+	visited, at := 0, len(dst)
 	for i, s := range e.shards {
 		snap := s.snapshot()
 		if indexed != nil {
 			indexed[i] = snap.indexed
 		}
-		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(demand))
+		if i == 0 {
+			q = snap.flat.Prepare(demand)
+		}
+		snaps, cursors = append(snaps, snap), append(cursors, snap.flat.Seek(q))
 	}
 	bound := index.NewBound(k, scoreBuf[:])
 	for {
@@ -597,13 +668,13 @@ func (e *Engine) searchShards(demand vector.Vec, k int, indexed []uint64) []Cand
 			break
 		}
 		entries, n := cursors[low].Step(entryBuf[:0], &bound)
-		cands = snaps[low].resolve(cands, entries, demand, e.cfg.CMax)
+		dst = snaps[low].resolve(dst, entries, demand, e.cfg.CMax)
 		visited += n
 	}
-	e.idxSearches.Add(1)
-	e.idxScanned.Add(uint64(visited))
-	e.idxCands.Add(uint64(len(cands)))
-	return cands
+	st.n[rdSearches].Add(1)
+	st.n[rdScanned].Add(uint64(visited))
+	st.n[rdCands].Add(uint64(len(dst) - at))
+	return dst, bound.Cut()
 }
 
 // consistentQuery routes the query through the PID-CAN protocol
@@ -778,10 +849,11 @@ func (e *Engine) Referee(demand vector.Vec, k int) []Candidate {
 
 // Stats assembles a point-in-time view of all counters.
 func (e *Engine) Stats() Stats {
+	reads := e.readCounts()
 	st := Stats{
 		Dims:          e.cfg.CMax.Dim(),
 		CMax:          e.cfg.CMax,
-		Queries:       e.queries.Load(),
+		Queries:       reads[rdQueries],
 		Consistent:    e.consistent.Load(),
 		Updates:       e.updates.Load(),
 		Joins:         e.joins.Load(),
@@ -820,12 +892,9 @@ func (e *Engine) Stats() Stats {
 		st.CaptureDropped = cs.Dropped
 		st.CaptureBytes = cs.Bytes
 	}
-	qc := e.cache
-	st.CacheHits, st.CacheMisses = qc.hits.Load(), qc.misses.Load()
-	st.CacheEntries, st.CacheStale = qc.entries(), qc.stale.Load()
-	st.IndexSearches = e.idxSearches.Load()
-	st.IndexScannedRecords = e.idxScanned.Load()
-	st.IndexCandidates = e.idxCands.Load()
+	st.CacheHits, st.CacheMisses, st.CacheEntries = reads[rdHits], reads[rdMisses], e.cache.entries()
+	st.CacheStale, st.CacheRevalidated, st.CacheRescanned = reads[rdStale], reads[rdRevalidated], reads[rdRescanned]
+	st.IndexSearches, st.IndexScannedRecords, st.IndexCandidates = reads[rdSearches], reads[rdScanned], reads[rdCands]
 	for _, s := range e.shards {
 		snap := s.snapshot()
 		st.Shards = append(st.Shards, ShardStats{

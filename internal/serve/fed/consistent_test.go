@@ -129,7 +129,7 @@ func checkConsistentContract(t *testing.T, r *consistentRig, rng *rand.Rand) {
 		for q := 0; q < r.places; q++ {
 			demand := randAvail().Scale(0.4)
 			k := 1 + rng.IntN(8)
-			resp, err := r.svc.Query(serve.QueryRequest{Demand: demand, K: k, Consistent: true})
+			resp, err := r.svc.QueryAppend(nil, serve.QueryRequest{Demand: demand, K: k, Consistent: true})
 			if err != nil {
 				t.Fatalf("round %d: demand %v k %d: %v", round, demand, k, err)
 			}

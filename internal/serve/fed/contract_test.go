@@ -239,7 +239,7 @@ func (r *rig) migrate(t *testing.T, id serve.GlobalID, to int) serve.GlobalID {
 // (nil: not a candidate).
 func (r *rig) advertised(t *testing.T, id serve.GlobalID) vector.Vec {
 	t.Helper()
-	resp, err := r.svc.Query(serve.QueryRequest{Demand: vector.Of(0, 0), K: 64, NoCache: true})
+	resp, err := r.svc.QueryAppend(nil, serve.QueryRequest{Demand: vector.Of(0, 0), K: 64, NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestPlacementContract(t *testing.T) {
 			}
 			// Round-robin: four queries ask each placement twice.
 			for i := 0; i < 4; i++ {
-				resp, err := r.svc.Query(serve.QueryRequest{
+				resp, err := r.svc.QueryAppend(nil, serve.QueryRequest{
 					Demand: vector.Of(1, 1), K: 16, Consistent: true,
 				})
 				if err != nil {

@@ -401,8 +401,14 @@ func (r *Router) scatterTargets(demand vector.Vec) ([]*RemotePrimary, int) {
 // consistent query round-robins a single member's protocol
 // (ForwardTable.QueryOne), a snapshot query gathers every member its
 // summary does not prune (fedScatter) — partial merges when a member
-// is down, one whole-gather deadline.
+// is down, one whole-gather deadline. The candidates are one new slice
+// of their own size.
 func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
+	return r.QueryAppend(nil, req)
+}
+
+// QueryAppend is Query appending the candidates to dst (serve.Service).
+func (r *Router) QueryAppend(dst []serve.Candidate, req serve.QueryRequest) (serve.QueryResponse, error) {
 	if r.closed.Load() {
 		return serve.QueryResponse{}, serve.ErrClosed
 	}
@@ -419,6 +425,7 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 		if err != nil {
 			r.errors.Add(1)
 		}
+		resp.Candidates = append(dst, resp.Candidates...)
 		return resp, err
 	}
 	// Demand-region pruning: skip legs whose summary proves the
@@ -429,14 +436,14 @@ func (r *Router) Query(req serve.QueryRequest) (serve.QueryResponse, error) {
 	if len(targets) == 0 {
 		// Every member provably empty-handed: an honest miss without
 		// a single network hop.
-		return serve.QueryResponse{ShardsQueried: 0}, nil
+		return serve.QueryResponse{Candidates: dst, ShardsQueried: 0}, nil
 	}
 	resp, err := r.fedScatter(targets, req)
 	if err != nil {
 		r.errors.Add(1)
 		return serve.QueryResponse{}, err
 	}
-	resp.Candidates = r.fwd.Externalize(resp.Candidates)
+	resp.Candidates = append(dst, r.fwd.Externalize(resp.Candidates)...)
 	return resp, nil
 }
 

@@ -45,7 +45,8 @@ import (
 func NewHandler(s Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", HandleJSON(s, func(req QueryRequest) (any, error) {
-		return s.Query(req)
+		// Not nil: an empty answer encodes as [], not null.
+		return s.QueryAppend([]Candidate{}, req)
 	}))
 	mux.HandleFunc("POST /update", HandleJSON(s, func(req struct {
 		Node     GlobalID   `json:"node"`

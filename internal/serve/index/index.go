@@ -863,10 +863,27 @@ func (f *Flat) signature(v vector.Vec, up bool) uint64 {
 	return sig
 }
 
+// Demand is a demand prepared for the scans of one query: its
+// signature and its score, which depend only on the demand and the
+// scale, so one computation serves every index built against the same
+// cmax (every shard of an engine).
+type Demand struct {
+	vec   vector.Vec
+	sig   uint64
+	score float64
+}
+
+// Prepare returns demand prepared for Seek on f or on any other index
+// built against the same cmax.
+func (f *Flat) Prepare(demand vector.Vec) Demand {
+	return Demand{vec: demand, sig: f.signature(demand, false), score: f.inv.Score(demand)}
+}
+
 // Bound is the cutoff the cursors of one query share: it keeps the k
 // smallest match scores any of them has reported, and once there are k
 // no cursor needs to look past the largest (plus tieSlack). The cutoff
-// only ever shrinks. k <= 0 means no cutoff: every match is wanted.
+// only ever shrinks. k <= 0 means no cutoff, every match wanted, unless
+// the bound is a FixedBound.
 type Bound struct {
 	k, n int
 	heap []float64 // heap[:n] holds the kept scores, a max-heap
@@ -878,6 +895,15 @@ type Bound struct {
 func NewBound(k int, scratch []float64) Bound {
 	return Bound{k: k, heap: scratch, cut: math.Inf(1)}
 }
+
+// FixedBound returns a bound whose cutoff stays at cut whatever the
+// cursors report: a scan under it visits every match scoring at or
+// under cut, and nothing past it.
+func FixedBound(cut float64) Bound { return Bound{cut: cut} }
+
+// Cut returns the cutoff: the k-th smallest score offered plus the tie
+// slack, or +Inf while fewer than k were offered (and for k <= 0).
+func (b *Bound) Cut() float64 { return b.cut }
 
 // offer records a match's score and reports whether the cutoff shrank.
 func (b *Bound) offer(score float64) bool {
@@ -936,14 +962,14 @@ type Cursor struct {
 }
 
 // Seek returns a cursor at the first entry of f whose score allows it
-// to dominate demand.
-func (f *Flat) Seek(demand vector.Vec) Cursor {
-	c := Cursor{f: f, demand: demand, bi: int32(len(f.blocks))}
+// to dominate the demand q, prepared by Prepare on an index built
+// against f's cmax.
+func (f *Flat) Seek(q Demand) Cursor {
+	c := Cursor{f: f, demand: q.vec, sig: q.sig, bi: int32(len(f.blocks))}
 	if len(f.blocks) == 0 {
 		return c
 	}
-	c.sig = f.signature(demand, false)
-	D := f.inv.Score(demand)
+	D := q.score
 	// The first entry with score >= D is in the block before the first
 	// one that starts at or past D, or is that block's first entry.
 	bi := max(below(f.first, D)-1, 0)
@@ -1159,7 +1185,7 @@ func (f *Flat) Search(dst []int32, demand vector.Vec, k int) ([]int32, int) {
 	var scratch [8]float64
 	bound := NewBound(k, scratch[:])
 	visited := 0
-	for c := f.Seek(demand); !c.Done(); {
+	for c := f.Seek(f.Prepare(demand)); !c.Done(); {
 		var n int
 		dst, n = c.Step(dst, &bound)
 		visited += n

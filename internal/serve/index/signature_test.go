@@ -101,7 +101,7 @@ func TestSignatureDoesTheRejecting(t *testing.T) {
 		}
 		var scratch [8]float64
 		bound := NewBound(3, scratch[:])
-		for c := f.Seek(demand); !c.Done(); {
+		for c := f.Seek(f.Prepare(demand)); !c.Done(); {
 			b, lo := f.blocks[c.bi], int(c.lo)
 			got, n := c.Step(nil, &bound)
 			for _, sig := range b.sig[lo : lo+n] {

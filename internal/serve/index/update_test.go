@@ -123,7 +123,7 @@ func resolve(f *Flat, entries []int32) []hit {
 func searchDead(f *Flat, demand vector.Vec, k int) (entries []int32, visited, dead int) {
 	var scratch [8]float64
 	bound := NewBound(k, scratch[:])
-	for c := f.Seek(demand); !c.Done(); {
+	for c := f.Seek(f.Prepare(demand)); !c.Done(); {
 		dead += int(f.blocks[c.bi].ndead)
 		var n int
 		entries, n = c.Step(entries, &bound)

@@ -101,7 +101,7 @@ func (e *Engine) checkpoint() (CheckpointResult, error) {
 	// on top — repoint and forget are idempotent for exactly this.
 	ck.Fwd = e.fwd.export()
 	ck.Counters = map[string]uint64{
-		"queries":    e.queries.Load(),
+		"queries":    e.readCounts()[rdQueries],
 		"consistent": e.consistent.Load(),
 		"updates":    e.updates.Load(),
 		"joins":      e.joins.Load(),
@@ -277,7 +277,7 @@ func (e *Engine) recover() error {
 		e.fwd.restore(ck.Fwd)
 		e.nextShard.Store(ck.NextShard)
 		e.nextQuery.Store(ck.NextQuery)
-		e.queries.Store(ck.Counters["queries"])
+		e.reads[0].n[rdQueries].Store(ck.Counters["queries"])
 		e.consistent.Store(ck.Counters["consistent"])
 		e.updates.Store(ck.Counters["updates"])
 		e.joins.Store(ck.Counters["joins"])

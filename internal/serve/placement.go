@@ -372,9 +372,10 @@ func (p *shardPlacement) CompleteMigration(avail vector.Vec, ext, old GlobalID) 
 	return Global(p.s.idx, res.node), err
 }
 
-// RankCandidates sorts candidates by descending best-fit quality
-// (ascending surplus, ids breaking ties) and truncates to k when
-// k > 0 — the merge step of the federation router's member gather,
+// RankCandidates returns the k best of cands by best-fit quality
+// (ascending surplus, ids breaking ties), ranked, as a prefix of cands
+// reordered in place; k <= 0 ranks them all. It orders nothing past k.
+// It is the merge step of the federation router's member gather,
 // exported for it.
 func RankCandidates(cands []Candidate, k int) []Candidate {
 	return bestFit(cands, k)

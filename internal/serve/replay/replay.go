@@ -263,7 +263,7 @@ type runner struct {
 func (r *runner) query(ev *capture.Event, t0 time.Time) time.Duration {
 	req := serve.QueryRequest{Demand: vector.Vec(ev.Demand), K: ev.K,
 		Consistent: ev.Consistent, NoCache: ev.NoCache}
-	resp, err := r.sut.Query(req)
+	resp, err := r.sut.QueryAppend(nil, req)
 	lat := time.Since(t0)
 	if err != nil {
 		r.res.QueryErrors++

@@ -237,7 +237,9 @@ func TestReplayFaultSkip(t *testing.T) {
 // serviceOnly hides every optional capability of an engine.
 type serviceOnly struct{ e *serve.Engine }
 
-func (s serviceOnly) Query(q serve.QueryRequest) (serve.QueryResponse, error) { return s.e.Query(q) }
+func (s serviceOnly) QueryAppend(dst []serve.Candidate, q serve.QueryRequest) (serve.QueryResponse, error) {
+	return s.e.QueryAppend(dst, q)
+}
 func (s serviceOnly) Update(id serve.GlobalID, v vector.Vec, a bool) error {
 	return s.e.Update(id, v, a)
 }

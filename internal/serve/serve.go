@@ -57,11 +57,17 @@
 //     consistent path.
 //
 //   - Recent queries are cached per exact (demand, k), one slot each
-//     in a direct-mapped table. An entry holds the answer and, per
-//     shard, which index it was read from; it answers while every
-//     shard still publishes that index, so a hit is the uncached
-//     answer bit for bit, and the first ask after a write to any
-//     shard is a miss.
+//     in a direct-mapped table. An entry holds the answer, its cut
+//     (the fill's final cutoff) and, per shard, which index it was
+//     read from. It answers outright while every shard still
+//     publishes that index. A shard that published a new one is
+//     rechecked up to the cut: the entry holds when that shard still
+//     has every cached candidate of its own, row for row, and no
+//     other match that ranks ahead of the last one (none at all for
+//     an entry short of k). So a hit is the uncached answer bit for
+//     bit. Stats counts the hits a recheck kept (cache_revalidated),
+//     the rechecks that failed (cache_stale, misses) and the records
+//     rechecks visited (cache_rescanned).
 //
 //   - Consistent queries route through the paper's three-phase
 //     protocol: one querying node searches one overlay. Each runs as

@@ -12,7 +12,12 @@ import (
 // scatter-gathering over remote primaries — so one process and a
 // whole federation are served by the same handlers.
 type Service interface {
-	Query(req QueryRequest) (QueryResponse, error)
+	// QueryAppend answers one query, appending the candidates to dst:
+	// the response's Candidates is dst with the answer appended, so an
+	// edge that reuses a buffer per connection pays no allocation for
+	// it. The concrete services also have Query, QueryAppend with
+	// dst == nil.
+	QueryAppend(dst []Candidate, req QueryRequest) (QueryResponse, error)
 	Update(node GlobalID, avail vector.Vec, announce bool) error
 	Join(avail vector.Vec) (GlobalID, error)
 	// JoinOn targets one placement by index — a shard on an engine,

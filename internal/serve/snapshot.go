@@ -93,21 +93,45 @@ type Candidate struct {
 	Surplus float64 `json:"surplus"`
 }
 
-// bestFit sorts candidates by ascending surplus (ties broken by
-// global id, for deterministic responses) and truncates to k.
-// k <= 0 means no limit. (slices.SortFunc, not sort.Slice: the
-// comparator is a total order — no two candidates share surplus AND
-// node — so the non-stable sort is deterministic, without the
-// reflection-based swapping that dominated query-path profiles.)
+// bestFit ranks candidates by ascending surplus (ties broken by global
+// id, for deterministic responses) and returns the k best, ranked: a
+// prefix of cands, reordered in place. k <= 0 means no limit. For
+// k <= insertMax it keeps the best k by insertion, one pass that orders
+// nothing past k; otherwise it sorts them all (slices.SortFunc, not
+// sort.Slice: the comparator is a total order — no two candidates share
+// surplus AND node — so the non-stable sort is deterministic).
 func bestFit(cands []Candidate, k int) []Candidate {
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		if c := cmp.Compare(a.Surplus, b.Surplus); c != 0 {
-			return c
+	if k <= 0 || k > insertMax {
+		slices.SortFunc(cands, rank)
+		if k > 0 && len(cands) > k {
+			cands = cands[:k]
 		}
-		return cmp.Compare(a.Node, b.Node)
-	})
-	if k > 0 && len(cands) > k {
-		cands = cands[:k]
+		return cands
 	}
-	return cands
+	n := 0 // cands[:n] holds the best seen so far, ranked
+	for _, c := range cands {
+		if n == k && rank(c, cands[k-1]) >= 0 {
+			continue
+		}
+		if n < k {
+			n++ // then c is cands[n-1] itself: nothing was skipped yet
+		}
+		i := n - 1
+		for ; i > 0 && rank(c, cands[i-1]) < 0; i-- {
+			cands[i] = cands[i-1]
+		}
+		cands[i] = c
+	}
+	return cands[:n]
+}
+
+// insertMax is the largest k bestFit ranks by insertion.
+const insertMax = 32
+
+// rank orders candidates best fit first: by surplus, then by id.
+func rank(a, b Candidate) int {
+	if c := cmp.Compare(a.Surplus, b.Surplus); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Node, b.Node)
 }

@@ -152,6 +152,9 @@ type connState struct {
 	u       Update
 	j       Join
 	demand  vector.Vec // aliases q.Demand/u.Avail per request
+	// cands is the candidates' buffer every OpQuery answers into, grown
+	// by the first query that needs it, never by the connection's set-up.
+	cands []serve.Candidate
 	// stream, once set, owns the connection: an accepted subscribe.
 	stream func(net.Conn, uint32, []byte)
 }
@@ -268,7 +271,7 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		if err := DecodeQuery(payload, &st.q); err != nil {
 			return s.appendErr(out, h, epoch, eng, malformed(err))
 		}
-		resp, err := eng.Query(serve.QueryRequest{
+		resp, err := eng.QueryAppend(st.cands[:0], serve.QueryRequest{
 			Demand:     vector.Vec(st.q.Demand),
 			K:          st.q.K,
 			Consistent: st.q.Consistent,
@@ -277,7 +280,12 @@ func (s *Server) handle(out []byte, h Header, payload []byte, st *connState) []b
 		if err != nil {
 			return s.appendErr(out, h, epoch, eng, err)
 		}
-		return AppendQueryResponse(out, h.ReqID, epoch, &resp)
+		out = AppendQueryResponse(out, h.ReqID, epoch, &resp)
+		// Keep the buffer, not the rows it points into: a candidate's
+		// Avail views an index block, which must not stay live for it.
+		clear(resp.Candidates)
+		st.cands = resp.Candidates[:0]
+		return out
 
 	case OpUpdate:
 		if err := DecodeUpdate(payload, &st.u); err != nil {

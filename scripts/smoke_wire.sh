@@ -64,7 +64,7 @@ fail=0
 # so every counter must be present, and a query-only load must have
 # driven searches through the snapshot index and answered repeated
 # demands from the cache.
-for key in index_searches index_candidates index_builds cache_hits cache_stale; do
+for key in index_searches index_candidates index_builds cache_hits cache_stale cache_revalidated; do
 	case "$stats" in
 	*"\"$key\":"*) ;;
 	*)
