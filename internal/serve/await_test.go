@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"slices"
@@ -279,13 +280,30 @@ func TestQueuedWriterLooksBeforeItParks(t *testing.T) {
 	}
 }
 
+// asleepInAwait reports whether a goroutine is blocked in await's
+// parked select. A parker counts itself in asleep before its last look,
+// so the count alone does not say the look is over; the select does.
+func asleepInAwait() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte(".(*shard).await(")) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestQueuedWriterClosedWhileParked: a writer parked behind a holder
-// gets ErrClosed when the shard halts with its op unserved.
+// gets ErrClosed when the shard halts with its op unserved. The halt
+// begins only once the writer sleeps past its last look, which failed
+// on the held lock: otherwise that look could still serve the op once
+// the lock is let go.
 func TestQueuedWriterClosedWhileParked(t *testing.T) {
 	e, s, _, _ := awaitShard(t)
 	release := hold(t, s)
 	w := queuedUpdate(e, s, e.Nodes()[0], 1)
-	waitFor(t, "the writer to park", func() bool { return s.parked.Load() == 1 })
+	waitFor(t, "the writer to sleep", func() bool { return s.asleep.Load() == 1 && asleepInAwait() })
 	halted := make(chan error, 1)
 	go func() { halted <- e.HaltShard(0) }()
 	waitFor(t, "the halt to begin", s.halted.Load)

@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"bytes"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -40,9 +39,8 @@ type Recorder struct {
 	buf      []byte // encoded frames pending write (starts with the header)
 	spare    []byte // swap target, reused between flushes
 	scratch  []byte // payload scratch, reused per event
-	rbuf     bytes.Buffer
-	buffered int  // events in buf
-	stopped  bool // set by Close under mu: reject new events
+	buffered int    // events in buf
+	stopped  bool   // set by Close under mu: reject new events
 	// Counter shadows bumped under mu on the hot path; the writer
 	// mirrors them into the atomic gauges once per flush so capture
 	// pays no per-event atomic RMWs.
@@ -137,7 +135,7 @@ func (r *Recorder) append(ev *Event) {
 		r.dropped.Add(1)
 		return
 	}
-	payload, err := appendEvent(r.scratch[:0], ev, &r.rbuf)
+	payload, err := appendEvent(r.scratch[:0], ev)
 	r.scratch = payload
 	if err != nil {
 		r.writeErrs.Add(1)

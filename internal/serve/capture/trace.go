@@ -16,7 +16,6 @@
 package capture
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -178,9 +177,8 @@ func decodeHeader(data []byte) (Header, int, error) {
 	return h, n, nil
 }
 
-// appendEvent appends ev's frame payload to dst (rbuf scratches the
-// inner wal-record encoding).
-func appendEvent(dst []byte, ev *Event, rbuf *bytes.Buffer) ([]byte, error) {
+// appendEvent appends ev's frame payload to dst.
+func appendEvent(dst []byte, ev *Event) ([]byte, error) {
 	dst = append(dst, byte(ev.Kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.At))
 	switch ev.Kind {
@@ -205,11 +203,7 @@ func appendEvent(dst []byte, ev *Event, rbuf *bytes.Buffer) ([]byte, error) {
 		}
 	case EvMutation:
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(ev.Shard))
-		rbuf.Reset()
-		if _, err := wal.EncodeRecords(rbuf, []wal.Record{ev.Rec}); err != nil {
-			return dst, err
-		}
-		dst = append(dst, rbuf.Bytes()...)
+		dst = wal.AppendRecords(dst, []wal.Record{ev.Rec})
 	case EvFault:
 		dst = append(dst, byte(ev.Fault))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(ev.Target))
@@ -281,7 +275,6 @@ type Writer struct {
 	w     io.Writer
 	buf   []byte // event payload scratch
 	frame []byte // framed-event scratch
-	rbuf  bytes.Buffer
 	wrote int64
 }
 
@@ -297,7 +290,7 @@ func NewWriter(w io.Writer, h Header) (*Writer, error) {
 
 // WriteEvent frames and writes one event.
 func (w *Writer) WriteEvent(ev *Event) error {
-	payload, err := appendEvent(w.buf[:0], ev, &w.rbuf)
+	payload, err := appendEvent(w.buf[:0], ev)
 	w.buf = payload
 	if err != nil {
 		return err

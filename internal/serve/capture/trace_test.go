@@ -84,7 +84,7 @@ func TestTraceQueryEventBytes(t *testing.T) {
 	)
 	ev := Event{Kind: EvQuery, At: 2 * time.Millisecond, Demand: []float64{0.5, 0, 9.25}, K: 3,
 		Consistent: true, Digest: 0xfeedface, NCand: 2}
-	got, err := appendEvent(nil, &ev, nil)
+	got, err := appendEvent(nil, &ev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -563,3 +563,67 @@ func TestDrainBatchesBeyondSixteen(t *testing.T) {
 		t.Fatalf("%d writes drained in %d batches, want <= 2 (one drain picks up the whole backlog)", writes, got)
 	}
 }
+
+// TestDurableOneSyncPerWriteBatch: at the default fsync policy each
+// acked single-write batch costs its op-log exactly one fsync, also the
+// batches whose sync zero-fills the segment's next chunk.
+func TestDurableOneSyncPerWriteBatch(t *testing.T) {
+	dir := t.TempDir()
+	e := newDurableEngine(t, testConfig(1), dir)
+	nodes := e.Nodes()
+	seg := wal.SegmentPath(filepath.Join(dir, "shard-0"), e.shards[0].segNum.Load())
+	before := e.Stats().LogSyncs
+	// A 2-dimension update is a 32-byte record: 2 500 of them cross the
+	// segment's first 64 KiB chunk.
+	const writes = 2500
+	for i := 0; i < writes; i++ {
+		if err := e.Update(nodes[i%len(nodes)], vector.Of(float64(i%9+1), 2), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Stats().LogSyncs - before; got != writes {
+		t.Fatalf("%d single-write batches made %d op-log fsyncs; want %d", writes, got, writes)
+	}
+	if fi, err := os.Stat(seg); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != 2<<16 {
+		t.Fatalf("live segment is %d bytes; want two 64 KiB chunks", fi.Size())
+	}
+}
+
+// TestDurableRecoverFromOpenEngineCopy recovers from a copy of a live
+// engine's data directory, zero tails and all, as a host crash would
+// leave it: every acked write is there.
+func TestDurableRecoverFromOpenEngineCopy(t *testing.T) {
+	cfg := testConfig(2)
+	e := newDurableEngine(t, cfg, t.TempDir())
+	nodes := e.Nodes()
+	for i := 0; i < 2500; i++ {
+		if err := e.Update(nodes[i%len(nodes)], vector.Of(float64(i%9+1), float64(i%7+1)), i%3 == 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			if _, err := e.Join(vector.Of(float64(i%5+1), 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Leave(nodes[1]); err != nil {
+		t.Fatal(err)
+	}
+	pre := fingerprint(t, e, 2)
+	copied := t.TempDir()
+	if err := os.CopyFS(copied, os.DirFS(e.cfg.DataDir)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, tail, err := wal.ReadSegmentInfo(wal.SegmentPath(filepath.Join(copied, "shard-0"), 1))
+	if err != nil || tail == 0 {
+		t.Fatalf("copied live segment: %d bytes past its records (%v); want its zero tail", tail, err)
+	}
+	re := newDurableEngine(t, cfg, copied)
+	if st := re.Stats(); !st.WarmStart || st.RecoveredRecords != e.Stats().LogRecords {
+		t.Fatalf("recovered %d records (warm start %v); the open engine logged %d",
+			st.RecoveredRecords, st.WarmStart, e.Stats().LogRecords)
+	}
+	assertSameState(t, pre, fingerprint(t, re, 2), "recovery from an open engine's copy")
+}

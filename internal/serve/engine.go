@@ -269,10 +269,14 @@ type Stats struct {
 	// LogBytes/LogRecords aggregate the shards' op-logs: bytes since
 	// the last checkpoint, records over the engine's lifetime.
 	// LogErrors counts append/fsync failures (durability degraded,
-	// serving unaffected).
+	// serving unaffected). LogSyncs counts the op-logs' fsyncs since
+	// the engine opened them: one per synced write batch (see
+	// Config.FsyncEvery) and one per segment a rotation or Close
+	// seals, so LogSyncs over acked writes reads off fsyncs per write.
 	LogBytes   int64  `json:"wal_bytes,omitempty"`
 	LogRecords uint64 `json:"wal_records,omitempty"`
 	LogErrors  uint64 `json:"wal_errors,omitempty"`
+	LogSyncs   uint64 `json:"wal_syncs,omitempty"`
 	// Checkpoints counts completed checkpoint passes (periodic,
 	// explicit and on Close); CheckpointSeq is the latest sequence
 	// number on disk.
@@ -913,6 +917,9 @@ func (e *Engine) Stats() Stats {
 		st.LogBytes += s.logBytes.Load()
 		st.LogRecords += s.logRecords.Load()
 		st.LogErrors += s.logErrors.Load()
+		if s.log != nil {
+			st.LogSyncs += s.log.Syncs()
+		}
 		st.IndexBuilds += s.idxBuilds.Load()
 		st.IndexDeltaBuilds += s.idxDeltas.Load()
 		st.IndexReuses += s.idxReuses.Load()

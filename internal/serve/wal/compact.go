@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"os"
 	"path/filepath"
 )
@@ -67,21 +66,8 @@ func CompactSegment(path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	size := int64(segHeaderLen)
-	if _, err := w.Write(encodeSegHeader(SegCompacted, meta.Epoch)); err != nil {
-		f.Close()
-		return 0, err
-	}
-	for i := range kept {
-		n, err := encodeRecord(w, &kept[i])
-		if err != nil {
-			f.Close()
-			return 0, err
-		}
-		size += int64(n)
-	}
-	if err := w.Flush(); err != nil {
+	img := AppendRecords(encodeSegHeader(SegCompacted, meta.Epoch), kept)
+	if _, err := f.Write(img); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -99,7 +85,7 @@ func CompactSegment(path string) (int64, error) {
 		d.Sync()
 		d.Close()
 	}
-	saved := validSize + dropped - size
+	saved := validSize + dropped - int64(len(img))
 	if saved < 0 {
 		saved = 0
 	}

@@ -44,15 +44,10 @@ func TestLegacyHeaderlessSegmentReads(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := sampleRecords()
-	if _, err := EncodeRecords(f, recs); err != nil {
+	if err := os.WriteFile(path, AppendRecords(nil, recs), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	meta, got, _, dropped, err := ReadSegmentInfo(path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("read: %v (dropped %d)", err, dropped)
@@ -199,11 +194,7 @@ func TestCompactSegmentRewritesFile(t *testing.T) {
 
 func TestRecordBlobRoundTrip(t *testing.T) {
 	recs := sampleRecords()
-	var buf []byte
-	sink := sliceSink{&buf}
-	if _, err := EncodeRecords(sink, recs); err != nil {
-		t.Fatal(err)
-	}
+	buf := AppendRecords(nil, recs)
 	got, err := DecodeRecords(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -215,11 +206,4 @@ func TestRecordBlobRoundTrip(t *testing.T) {
 	if _, err := DecodeRecords(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated blob decoded")
 	}
-}
-
-type sliceSink struct{ buf *[]byte }
-
-func (s sliceSink) Write(p []byte) (int, error) {
-	*s.buf = append(*s.buf, p...)
-	return len(p), nil
 }

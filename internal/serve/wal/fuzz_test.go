@@ -14,18 +14,11 @@ import (
 //	go test -run '^$' -fuzz FuzzRecordBlob -fuzztime=20s ./internal/serve/wal
 func FuzzRecordBlob(f *testing.F) {
 	recs := sampleRecords()
-	var blob []byte
-	if _, err := EncodeRecords(sliceSink{&blob}, recs); err != nil {
-		f.Fatal(err)
-	}
+	blob := AppendRecords(nil, recs)
 	f.Add(blob)
 	f.Add(blob[:len(blob)-1])
 	for i := range recs {
-		var one []byte
-		if _, err := EncodeRecords(sliceSink{&one}, recs[i:i+1]); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(one)
+		f.Add(AppendRecords(nil, recs[i:i+1]))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got []Record
@@ -33,10 +26,7 @@ func FuzzRecordBlob(f *testing.F) {
 		for it.Next() {
 			got = append(got, it.Record())
 		}
-		var re []byte
-		if _, err := EncodeRecords(sliceSink{&re}, got); err != nil {
-			t.Fatal(err)
-		}
+		re := AppendRecords(nil, got)
 		if prefix := data[:it.Offset()]; !bytes.Equal(re, prefix) {
 			t.Fatalf("valid prefix\n%x\nre-encodes as\n%x", prefix, re)
 		}

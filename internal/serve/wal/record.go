@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 )
 
@@ -103,18 +102,22 @@ func NextFrame(data []byte) (payload []byte, n int, ok bool) {
 	return p, FrameHeader + plen, true
 }
 
-// encodeRecord frames and writes r, returning the bytes written.
-func encodeRecord(w io.Writer, r *Record) (int, error) {
-	n := 6
+// recordSize is the framed size of r's encoding.
+func recordSize(r *Record) int {
+	n := FrameHeader + 6
 	if r.Avail != nil {
 		n += 2 + 8*len(r.Avail)
 	}
 	if r.Repoint {
 		n += 16
 	}
-	buf := make([]byte, FrameHeader+n)
-	p := buf[FrameHeader:]
-	p[0] = byte(r.Kind)
+	return n
+}
+
+// appendRecord appends r's frame to dst: the one record encoder
+// behind segment files, compaction, the replication wire and capture
+// traces. It allocates only when dst must grow.
+func appendRecord(dst []byte, r *Record) []byte {
 	var flags byte
 	if r.Announce {
 		flags |= flagAnnounce
@@ -125,42 +128,32 @@ func encodeRecord(w io.Writer, r *Record) (int, error) {
 	if r.Repoint {
 		flags |= flagRepoint
 	}
-	p[1] = flags
-	binary.LittleEndian.PutUint32(p[2:], r.Node)
-	off := 6
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, byte(r.Kind), flags) // frame header, filled last
+	dst = binary.LittleEndian.AppendUint32(dst, r.Node)
 	if r.Avail != nil {
-		binary.LittleEndian.PutUint16(p[off:], uint16(len(r.Avail)))
-		off += 2
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Avail)))
 		for _, v := range r.Avail {
-			binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v))
-			off += 8
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	}
 	if r.Repoint {
-		binary.LittleEndian.PutUint64(p[off:], r.Ext)
-		binary.LittleEndian.PutUint64(p[off+8:], r.Old)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Ext)
+		dst = binary.LittleEndian.AppendUint64(dst, r.Old)
 	}
-	putFrameHeader(buf, p)
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
+	putFrameHeader(dst[start:], dst[start+FrameHeader:])
+	return dst
 }
 
-// EncodeRecords frames recs into w — the CRC-framed record encoding
+// AppendRecords appends recs to dst in the CRC-framed record encoding
 // shared by segment files and the replication wire (which is what
 // keeps a follower's rebuilt segments byte-identical to its
-// primary's). Returns the bytes written.
-func EncodeRecords(w io.Writer, recs []Record) (int, error) {
-	total := 0
+// primary's).
+func AppendRecords(dst []byte, recs []Record) []byte {
 	for i := range recs {
-		n, err := encodeRecord(w, &recs[i])
-		if err != nil {
-			return total, err
-		}
-		total += n
+		dst = appendRecord(dst, &recs[i])
 	}
-	return total, nil
+	return dst
 }
 
 // DecodeRecords parses a blob of framed records, requiring the blob
@@ -221,7 +214,11 @@ func (it *RecordIter) Record() Record { return it.rec }
 func (it *RecordIter) Offset() int64 { return int64(it.off) }
 
 // Dropped is how many trailing bytes follow the valid prefix (0 when
-// the input ended exactly on a record boundary).
+// the input ended exactly on a record boundary): a torn tail, or the
+// zero-filled tail of a live or crashed segment. A zero frame reads
+// as length 0 with CRC 0, the CRC of nothing, so it passes the frame
+// check and fails the payload's 6-byte minimum: the walk stops where
+// the zeros begin, with no check of its own.
 func (it *RecordIter) Dropped() int64 { return int64(len(it.data)) - int64(it.off) }
 
 // decodeRecord parses one framed record from the head of data. ok is

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,14 +19,15 @@ func sampleRecords() []Record {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	recs := sampleRecords()
+	var data []byte
 	for i := range recs {
-		if _, err := encodeRecord(&buf, &recs[i]); err != nil {
-			t.Fatal(err)
+		n := len(data)
+		data = appendRecord(data, &recs[i])
+		if got, want := len(data)-n, recordSize(&recs[i]); got != want {
+			t.Fatalf("record %d encodes to %d bytes; recordSize says %d", i, got, want)
 		}
 	}
-	data := buf.Bytes()
 	for i := range recs {
 		got, n, ok := decodeRecord(data)
 		if !ok {
@@ -268,5 +268,46 @@ func TestLoadLatestEmpty(t *testing.T) {
 	segs, err := Segments(filepath.Join(t.TempDir(), "missing"))
 	if err != nil || segs != nil {
 		t.Fatalf("missing dir: got %v, %v", segs, err)
+	}
+}
+
+// TestLogAppendAllocations holds Log.Append of one update record to no
+// allocation, across the write buffer's flushes.
+func TestLogAppendAllocations(t *testing.T) {
+	l, err := Create(t.TempDir(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := []Record{updateRecord(7)}
+	allocs := testing.AllocsPerRun(3000, func() {
+		if err := l.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Log.Append of one update: %.2f allocations; want 0", allocs)
+	}
+}
+
+// BenchmarkLogSync is the durable ack's op-log cost: one update Append
+// and the Sync that makes it durable, per op, on a fresh segment.
+//
+//	go test -run '^$' -bench LogSync -benchtime 2000x ./internal/serve/wal
+func BenchmarkLogSync(b *testing.B) {
+	l, err := Create(b.TempDir(), 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	recs := []Record{updateRecord(7)}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := l.Append(recs...); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

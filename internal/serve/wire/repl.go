@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -140,20 +139,17 @@ func AppendReplRecords(dst []byte, reqID uint32, epoch uint64, r *ReplRecords) [
 		dst = binary.LittleEndian.AppendUint64(dst, pos)
 		count := len(dst)
 		dst = append(dst, 0, 0) // the record count, known once the frame is full
-		b := bytes.NewBuffer(dst)
 		n := 0
 		for n < len(recs) && n < replChunkRecords {
-			mark := b.Len()
-			// Writes to a bytes.Buffer cannot fail.
-			_, _ = wal.EncodeRecords(b, recs[n:n+1])
+			mark := len(dst)
+			dst = wal.AppendRecords(dst, recs[n:n+1])
 			// One record always fits: its dimension is a u16.
-			if n > 0 && b.Len()-off-HeaderSize > MaxPayload {
-				b.Truncate(mark)
+			if n > 0 && len(dst)-off-HeaderSize > MaxPayload {
+				dst = dst[:mark]
 				break
 			}
 			n++
 		}
-		dst = b.Bytes()
 		binary.LittleEndian.PutUint16(dst[count:], uint16(n))
 		sealFrame(dst, off)
 		recs, pos = recs[n:], pos+uint64(n)
