@@ -69,7 +69,7 @@ func main() {
 		rebal    = flag.Duration("rebalance-interval", 0, "adaptive shard-rebalancer cadence (0 disables; POST /rebalance still triggers single passes)")
 		dataDir  = flag.String("data-dir", "", "durable state directory (op-log + checkpoints); empty serves purely in-memory")
 		ckptEvry = flag.Duration("checkpoint-every", 0, "background checkpoint cadence (0: only on shutdown and POST /checkpoint)")
-		fsync    = flag.Int("fsync-every", 1, "fsync the op-log once per N applied write batches (negative: never fsync)")
+		fsync    = flag.Int("fsync-every", 1, "fsync the op-log once per N acked write batches (negative: never fsync); every batch reaches the OS before its ack, so only a host crash can lose the unsynced tail")
 		role     = flag.String("role", "primary", "serving role: primary, or follower (read replica of -primary)")
 		primary  = flag.String("primary", "", "primary's wire-protocol address host:port (follower role)")
 		wireAddr = flag.String("wire-addr", "", "binary wire-protocol listen address (persistent TCP, pipelined; with -data-dir it also streams the op-log to followers, on a follower from promotion on; empty disables)")
@@ -125,8 +125,9 @@ func main() {
 
 	// shutdown runs after the HTTP listener stops: it flushes and
 	// fsyncs the op-log and (primary) writes the clean-shutdown
-	// checkpoint — without it a graceful exit could drop acked
-	// writes still buffered under -fsync-every > 1.
+	// checkpoint — without it acked writes left unsynced under
+	// -fsync-every > 1 would be in the page cache only, for a host
+	// crash to drop.
 	var shutdown func()
 	switch *role {
 	case "follower":

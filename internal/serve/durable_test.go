@@ -627,3 +627,36 @@ func TestDurableRecoverFromOpenEngineCopy(t *testing.T) {
 	}
 	assertSameState(t, pre, fingerprint(t, re, 2), "recovery from an open engine's copy")
 }
+
+// TestDurableFsyncEveryProcessCrash: under a fsync policy that leaves
+// acked batches unsynced, a process crash still loses none of them —
+// every logged batch reaches the OS before its writers are acked — so
+// a copy of the open engine's data directory (what the disk holds
+// when the process dies, the page cache included) recovers every
+// acked update.
+func TestDurableFsyncEveryProcessCrash(t *testing.T) {
+	for _, every := range []int{-1, 8} {
+		t.Run(fmt.Sprintf("fsync-every=%d", every), func(t *testing.T) {
+			cfg := testConfig(1)
+			cfg.FsyncEvery = every
+			e := newDurableEngine(t, cfg, t.TempDir())
+			nodes := e.Nodes()
+			const writes = 20
+			for i := 0; i < writes; i++ {
+				if err := e.Update(nodes[i%len(nodes)], vector.Of(float64(i%9+1), float64(i+1)/4), i%2 == 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pre := fingerprint(t, e, 1)
+			copied := t.TempDir()
+			if err := os.CopyFS(copied, os.DirFS(e.cfg.DataDir)); err != nil {
+				t.Fatal(err)
+			}
+			re := newDurableEngine(t, cfg, copied)
+			if got := re.Stats().RecoveredRecords; got != writes {
+				t.Fatalf("recovered %d of %d acked updates from the open engine's copy", got, writes)
+			}
+			assertSameState(t, pre, fingerprint(t, re, 1), "process crash under a lazy fsync policy")
+		})
+	}
+}

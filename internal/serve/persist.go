@@ -556,19 +556,20 @@ func (s *shard) opFromRecord(e *Engine, r wal.Record, notes *recoveryNotes) op {
 // replay is the one path from records to state: recovery, a follower's
 // apply and the rollback of an orphaned take all drive their ops
 // through it. It applies them in MaxBatch-sized batches and logs each
-// batch as a live one is (logBatch writes nothing during recovery,
-// which runs before the log opens); like the live path it advances no
-// simulated time. Every op must succeed and every join must re-assign
-// the id its op names: anything else means the log and this engine's
-// deterministic backend have diverged, and replay stops rather than
-// build on a state it cannot vouch for. It returns how many ops
-// mutated state; publishing them is the caller's.
+// batch as a live one is, but never fsyncs it, for it acks no writer
+// (logBatch writes nothing during recovery, which runs before the log
+// opens); like the live path it advances no simulated time. Every op
+// must succeed and every join must re-assign the id its op names:
+// anything else means the log and this engine's deterministic backend
+// have diverged, and replay stops rather than build on a state it
+// cannot vouch for. It returns how many ops mutated state; publishing
+// them is the caller's.
 func (s *shard) replay(ops []op) (int, error) {
 	muts := 0
 	for len(ops) > 0 {
 		batch := ops[:min(len(ops), s.cfg.MaxBatch)]
 		results, n := s.applyBatch(batch)
-		s.logBatch(batch, results)
+		s.logBatch(batch, results, false)
 		muts += n
 		for i, o := range batch {
 			if err := results[i].err; err != nil {

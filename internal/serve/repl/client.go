@@ -498,7 +498,7 @@ const maxGather = 256
 // gather merges into first the update frames that have already started
 // arriving behind it, one merged frame per shard, and returns the
 // frames to apply in order. A follower applies one frame at a time and
-// every apply costs its shard a log sync and a snapshot publication
+// every apply costs its shard a mirror write and a snapshot publication
 // (cheap per dirty node, but with a directory rebuild whatever the
 // batch size), so a follower that has fallen behind pays them once per
 // shard for its whole backlog instead of once per primary batch, and

@@ -465,6 +465,45 @@ func TestReplFollowerCrashRestartCatchUp(t *testing.T) {
 	assertMirrorIdentical(t, pdir, fdir, 2)
 }
 
+// TestReplFollowerResumesFromOpenMirrorCopy: a copy of a RUNNING
+// follower's mirror — no Close, so no seal: the live segment as
+// frames written but never fsynced left it, zero tail and all, which
+// is what a crash without a clean shutdown leaves — warm-starts a new
+// follower that resumes mid-segment (no bootstrap: the primary's
+// checkpoint counter must not move), converges, and mirrors the
+// primary byte for byte.
+func TestReplFollowerResumesFromOpenMirrorCopy(t *testing.T) {
+	cfg := testConfig(2)
+	pdir, fdir := t.TempDir(), t.TempDir()
+	p, _, addr := newPrimary(t, cfg, pdir)
+	cl := newFollowerClient(t, cfg, fdir, addr)
+	runFollower(t, cl)
+
+	drive(t, p, 40)
+	waitCaughtUp(t, p, cl)
+	copied := t.TempDir()
+	if err := os.CopyFS(copied, os.DirFS(fdir)); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+
+	drive(t, p, 30)
+
+	ckptsBefore := p.Stats().Checkpoints
+	cl2 := newFollowerClient(t, cfg, copied, addr)
+	f2 := runFollower(t, cl2)
+	if !f2.Stats().WarmStart {
+		t.Fatal("a follower on the open mirror's copy did not warm-start from it")
+	}
+	waitCaughtUp(t, p, cl2)
+	if got := p.Stats().Checkpoints; got != ckptsBefore {
+		t.Fatalf("resuming from the open mirror's copy forced a bootstrap checkpoint (%d -> %d), want a mid-segment resume",
+			ckptsBefore, got)
+	}
+	assertSameState(t, stateOf(t, p), stateOf(t, cl2.Engine()), "after resuming from an open mirror's copy")
+	assertMirrorIdentical(t, pdir, copied, 2)
+}
+
 // TestReplRebootstrapAfterCheckpoint: a follower that was down
 // across a primary checkpoint (segments rotated and pruned under it)
 // cannot resume mid-segment and must re-bootstrap by checkpoint

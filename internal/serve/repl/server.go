@@ -329,7 +329,7 @@ func (ss *session) run(c net.Conn, reqID uint32, out []byte) {
 	for {
 		select {
 		case ev := <-ss.ch:
-			if ss.send(ev) != nil {
+			if ss.sendQueued(ev) != nil {
 				return
 			}
 		case <-hb.C:
@@ -370,11 +370,11 @@ func (ss *session) bootstrap() bool {
 					return false
 				}
 				for _, ev := range held {
-					if ss.send(ev) != nil {
+					if ss.queue(ev) != nil {
 						return false
 					}
 				}
-				return true
+				return ss.flush() == nil
 			case ev.kind == evRecords:
 				held = append(held, ev)
 			}
@@ -386,37 +386,57 @@ func (ss *session) bootstrap() bool {
 	}
 }
 
-// send writes one queued event, trimmed against what the follower
-// already holds; a gap means the splice logic broke and the session
-// dies (the follower subscribes again from its durable position).
-func (ss *session) send(ev event) error {
-	switch ev.kind {
-	case evRecords:
-		cur := ss.next[ev.shard]
-		if ev.seg < cur.Seg {
-			return nil // superseded by a shipped checkpoint's rotation
+// sendQueued writes ev and every event already queued behind it, up
+// to keepOut bytes of frames, in one write: a follower that fell behind
+// while the session was blocked on its socket catches up in a few
+// writes, not one per logged batch. Frames keep stream order. A
+// checkpoint ends the round: its image goes out with what precedes it,
+// and the oversized buffer is dropped.
+func (ss *session) sendQueued(ev event) error {
+	for {
+		if ev.kind == evCkpt {
+			return ss.sendCkpt(ev)
 		}
-		if ev.seg > cur.Seg {
-			if ev.pos != 0 {
-				return fmt.Errorf("repl: shard %d jumped to segment %d at pos %d", ev.shard, ev.seg, ev.pos)
-			}
-			cur = serve.ReplPos{Seg: ev.seg}
+		if err := ss.queue(ev); err != nil {
+			return err
 		}
-		end := ev.pos + uint64(len(ev.recs))
-		if end <= cur.Pos {
-			return nil // already sent (disk splice overlap)
+		if len(ss.out) >= keepOut {
+			return ss.flush()
 		}
-		if ev.pos > cur.Pos {
-			return fmt.Errorf("repl: shard %d gap: have %d, frame starts at %d", ev.shard, cur.Pos, ev.pos)
+		select {
+		case ev = <-ss.ch:
+		default:
+			return ss.flush()
 		}
-		ss.out = wire.AppendReplRecords(ss.out, ss.reqID, ev.epoch, &wire.ReplRecords{
-			Shard: ev.shard, Seg: ev.seg, Pos: cur.Pos, Recs: ev.recs[cur.Pos-ev.pos:],
-		})
-		ss.next[ev.shard] = serve.ReplPos{Seg: ev.seg, Pos: end}
-		return ss.flush()
-	case evCkpt:
-		return ss.sendCkpt(ev)
 	}
+}
+
+// queue appends one record event's frame, trimmed against what the
+// follower already holds; a gap means the splice logic broke and the
+// session dies (the follower subscribes again from its durable
+// position).
+func (ss *session) queue(ev event) error {
+	cur := ss.next[ev.shard]
+	if ev.seg < cur.Seg {
+		return nil // superseded by a shipped checkpoint's rotation
+	}
+	if ev.seg > cur.Seg {
+		if ev.pos != 0 {
+			return fmt.Errorf("repl: shard %d jumped to segment %d at pos %d", ev.shard, ev.seg, ev.pos)
+		}
+		cur = serve.ReplPos{Seg: ev.seg}
+	}
+	end := ev.pos + uint64(len(ev.recs))
+	if end <= cur.Pos {
+		return nil // already sent (disk splice overlap)
+	}
+	if ev.pos > cur.Pos {
+		return fmt.Errorf("repl: shard %d gap: have %d, frame starts at %d", ev.shard, cur.Pos, ev.pos)
+	}
+	ss.out = wire.AppendReplRecords(ss.out, ss.reqID, ev.epoch, &wire.ReplRecords{
+		Shard: ev.shard, Seg: ev.seg, Pos: cur.Pos, Recs: ev.recs[cur.Pos-ev.pos:],
+	})
+	ss.next[ev.shard] = serve.ReplPos{Seg: ev.seg, Pos: end}
 	return nil
 }
 
@@ -435,8 +455,11 @@ func (ss *session) sendCkpt(ev event) error {
 	return ss.flush()
 }
 
-// flush writes every frame appended since the last write.
+// flush writes every frame appended since the last write, if any.
 func (ss *session) flush() error {
+	if len(ss.out) == 0 {
+		return nil
+	}
 	ss.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := ss.c.Write(ss.out)
 	ss.out = ss.out[:0]

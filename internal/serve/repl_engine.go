@@ -122,7 +122,25 @@ func (e *Engine) ReplLogPath(shard int, seg uint64) string {
 // mirror by the shard's own logBatch (deterministic encoding: the
 // mirror stays byte-identical). The epoch must match the engine's —
 // the per-frame fencing that keeps a deposed primary's stream from
-// leaking writes into a sealed follower.
+// leaking writes into a sealed follower. The frame's ops are built in
+// the shard's batch buffer, so an apply allocates nothing per frame
+// beyond what replay and the publication keep.
+//
+// The sync contract: a frame is written to the mirror, not fsynced. A
+// follower acknowledges nothing to anyone, and its mirror is only ever
+// resumed from a synced position, so nothing is promised that a per-
+// frame fsync would keep. A process crash loses no frame: the page
+// cache holds every one. A power cut leaves the mirror ending at a
+// valid prefix: records are CRC-framed, the zero tail reads like a torn
+// record, and blocks the tail's extension allocated but never wrote
+// read as zeros (ext4's ordered mode); OpenAppend truncates whatever
+// lies past the prefix, and the primary re-sends the rest from its
+// disk or re-bootstraps the follower. The mirror is fsynced where it
+// promises something: ReplSyncPosition, ReplRotate's seal and the
+// segment it creates, ReplInstallCheckpoint, PromoteLocal's checkpoint
+// (every shard sealed before the new epoch's first write is accepted)
+// and Close. After promotion the engine's own writes take combine's
+// path, fsynced per FsyncEvery, whatever the mirror held.
 func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -137,14 +155,17 @@ func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 		return fmt.Errorf("%w: shard %d", ErrNoShard, shard)
 	}
 	s := e.shards[shard]
-	ops := make([]op, len(recs))
 	var counts kindCounts
-	for i := range recs {
-		ops[i] = s.opFromRecord(e, recs[i], nil)
-		counts.add(recs[i])
-	}
 	err := s.locked(func() error {
+		ops := s.batchBuf[:0]
+		for i := range recs {
+			ops = append(ops, s.opFromRecord(e, recs[i], nil))
+			counts.add(recs[i])
+		}
 		muts, err := s.replay(ops)
+		// Drop the ops' vectors and hooks: the buffer outlives the frame.
+		clear(ops)
+		s.batchBuf = ops[:0]
 		if muts > 0 && s.epoch != nil {
 			s.epoch.Add(1)
 		}

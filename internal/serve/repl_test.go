@@ -189,6 +189,66 @@ func TestFollowerGatesAndPromoteLocal(t *testing.T) {
 	}
 }
 
+// TestFollowerSyncsOnlyWherePromised: a follower writes each applied
+// frame to its mirror and fsyncs none of them — its 1 000 frames add
+// no op-log fsync, yet the live segment holds every record — while
+// each call that promises a durable position still syncs: the
+// subscription position, a mirrored rotation's seal, and the
+// promotion's checkpoint.
+func TestFollowerSyncsOnlyWherePromised(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.DataDir = t.TempDir()
+	cfg.Follower = true
+	e, err := New(cfg, fakeFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	syncs := func() uint64 { return e.Stats().LogSyncs }
+
+	before := syncs()
+	const frames = 1000
+	rec := []wal.Record{{Kind: wal.KindUpdate, Avail: []float64{0, 0}}}
+	for i := 0; i < frames; i++ {
+		rec[0].Node = uint32(i % cfg.NodesPerShard)
+		rec[0].Avail[0], rec[0].Avail[1] = float64(i%9+1), float64(i%7+1)
+		if err := e.ReplApply(0, e.Epoch(), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := syncs() - before; got != 0 {
+		t.Fatalf("%d applied frames made %d op-log fsyncs; want 0", frames, got)
+	}
+	seg := e.ReplPositions()[0].Seg
+	_, recs, _, _, err := wal.ReadSegmentInfo(e.ReplLogPath(0, seg))
+	if err != nil || len(recs) != frames {
+		t.Fatalf("live mirror segment holds %d records (%v); want %d", len(recs), err, frames)
+	}
+
+	before = syncs()
+	pos, err := e.ReplSyncPosition(0)
+	if err != nil || pos != (ReplPos{Seg: seg, Pos: frames}) {
+		t.Fatalf("ReplSyncPosition = %+v, %v; want {%d %d}", pos, err, seg, frames)
+	}
+	if syncs() == before {
+		t.Fatal("ReplSyncPosition did not fsync the mirror")
+	}
+	before = syncs()
+	if err := e.ReplRotate(0, seg+1); err != nil {
+		t.Fatal(err)
+	}
+	if syncs() == before {
+		t.Fatal("ReplRotate did not seal the closed segment with an fsync")
+	}
+	before = syncs()
+	if _, err := e.PromoteLocal(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs() == before {
+		t.Fatal("PromoteLocal did not seal the mirror before opening writes")
+	}
+}
+
 // TestFenceSealsWrites: Fence with a newer epoch turns a primary
 // read-only with ErrFenced; older epochs are ignored.
 func TestFenceSealsWrites(t *testing.T) {

@@ -382,13 +382,17 @@ type Config struct {
 	// primary, reported in ErrReadOnly errors and Stats so clients
 	// can redirect writes. Informational only.
 	PrimaryAddr string
-	// FsyncEvery is the durability/throughput knob of the op-log: the
-	// log is fsynced once per FsyncEvery applied write batches
-	// (default 1: every batch is durable before its writers are
-	// acknowledged — note a batch is up to MaxBatch drained ops, so
-	// bursts already amortize the fsync). Negative disables fsync
-	// entirely: appends reach the OS on the batch cadence but a host
-	// crash may lose the recent tail (a process crash does not).
+	// FsyncEvery is the durability/throughput knob of the op-log, and
+	// it governs the batches writers are acknowledged on: the log is
+	// fsynced once per FsyncEvery of them (default 1: every batch is
+	// durable before its writers are acknowledged — note a batch is up
+	// to MaxBatch drained ops, so bursts already amortize the fsync).
+	// Negative disables that fsync entirely. Whatever the value, every
+	// logged batch is written to the OS before its writers are
+	// acknowledged, so a process crash loses nothing; a host crash may
+	// lose the unsynced tail. A follower's mirror is written through
+	// per applied frame and fsynced only where a position is promised
+	// (Engine.ReplApply).
 	FsyncEvery int
 
 	// RebalanceInterval, when positive, runs the adaptive shard

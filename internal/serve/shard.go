@@ -130,8 +130,11 @@ type shard struct {
 
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
-	// removed) — all publishDelta hands the index. Combiner; cleared
-	// at every publication.
+	// removed) — all publishDelta hands the index. Combiner; emptied
+	// at every publication, and replaced by a fresh map once it has
+	// held more than a batch (publish, publishDelta): clear keeps a
+	// map's buckets, and every later publication would iterate a map
+	// sized for a restored checkpoint's whole population.
 	dirty map[overlay.NodeID]bool
 
 	// flat is the dominance index of the latest published snapshot —
@@ -150,7 +153,7 @@ type shard struct {
 
 	// log, when non-nil, is the shard's append-only op-log. Combiner
 	// after start (the recovery path uses it before). unsynced counts
-	// applied batches since the last fsync; segMax is the segment size
+	// acked batches since the last fsync; segMax is the segment size
 	// that rotates the log (segmentMaxBytes).
 	log      *wal.Log
 	unsynced int
@@ -179,7 +182,9 @@ type shard struct {
 
 	// Reusable batch buffers (combiner): drain and applyBatch run once
 	// per batch, so one MaxBatch-sized allocation each serves the
-	// shard's lifetime.
+	// shard's lifetime. A follower's apply builds a frame's ops in
+	// batchBuf too (it holds the lock, so no round is draining into
+	// it); a frame longer than MaxBatch grows it once.
 	batchBuf []op
 	resBuf   []opResult
 	recBuf   []wal.Record
@@ -301,7 +306,7 @@ func (s *shard) combine(own *op) opResult {
 		results, muts := s.applyBatch(batch)
 		// WAL discipline: the batch is durable (per the fsync policy)
 		// before any caller learns its write was applied.
-		s.logBatch(batch, results)
+		s.logBatch(batch, results, true)
 		if muts > 0 && s.epoch != nil {
 			s.epoch.Add(1)
 		}
@@ -508,9 +513,15 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 
 // logBatch appends every successfully applied mutation of the batch
 // to the shard's op-log, forwards it to the replication sink, and
-// applies the fsync policy: one Sync per FsyncEvery applied batches
-// (default every batch), aligned with the MaxBatch drain so a burst
-// of writes costs one fsync, not one per record. A log failure
+// writes it to the OS, so a process crash loses no logged batch. A
+// batch writers are acked on (acked: combine's) is also fsynced per
+// the fsync policy: one Sync per FsyncEvery such batches (default
+// every batch), aligned with the MaxBatch drain so a burst of writes
+// costs one fsync, not one per record. A batch replay logs acks
+// nobody and is never fsynced here: on a follower that is every
+// replicated frame (ReplApply says why a written mirror is enough),
+// and during recovery only the rollback of an orphaned take, which
+// the next recovery redoes if a host crash loses it. A log failure
 // degrades durability, not serving — the shard keeps running on its
 // in-memory state — but it is no longer silent: every mutating op of
 // the failed batch has its result overridden with ErrWAL, so its
@@ -519,7 +530,7 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 // When the current segment outgrows segmentMaxBytes the log rotates
 // and the closed segment is compacted (followers rotate on their
 // primary's stream positions instead).
-func (s *shard) logBatch(batch []op, results []opResult) {
+func (s *shard) logBatch(batch []op, results []opResult, acked bool) {
 	snk := s.captureSink()
 	if s.log == nil && snk == nil {
 		return
@@ -559,17 +570,25 @@ func (s *shard) logBatch(batch []op, results []opResult) {
 		(*p).ReplRecords(s.idx, s.log.Seg(), s.segRecs.Load(), s.replEpoch.Load(), recs)
 	}
 	s.segRecs.Add(uint64(len(recs)))
-	s.unsynced++
-	if s.cfg.FsyncEvery > 0 && s.unsynced >= s.cfg.FsyncEvery {
+	fsync := false
+	if acked && s.cfg.FsyncEvery > 0 {
+		s.unsynced++
+		fsync = s.unsynced >= s.cfg.FsyncEvery
+	}
+	var err error
+	if fsync {
 		s.disk.Store(true)
-		err := s.log.Sync()
-		s.disk.Store(false)
-		if err != nil {
-			s.logErrors.Add(1)
-			s.failBatch(batch, results, err)
-			return
+		if err = s.log.Sync(); err == nil {
+			s.unsynced = 0
 		}
-		s.unsynced = 0
+		s.disk.Store(false)
+	} else {
+		err = s.log.Write()
+	}
+	if err != nil {
+		s.logErrors.Add(1)
+		s.failBatch(batch, results, err)
+		return
 	}
 	if s.log.Size() >= s.segMax && (s.readOnly == nil || !s.readOnly.Load()) {
 		s.rotate(s.log.Seg()+1, true)
@@ -726,7 +745,7 @@ func (s *shard) publish() {
 	for _, id := range nodes {
 		recs = append(recs, s.record(id))
 	}
-	clear(s.dirty)
+	s.dirty = make(map[overlay.NodeID]bool)
 	s.flat = index.Build(recs, s.cfg.CMax)
 	s.idxBuilds.Add(1)
 	s.installSnap(now, true)
@@ -759,7 +778,11 @@ func (s *shard) publishDelta() {
 	s.idxPatched.Add(uint64(patched))
 	s.idxRewritten.Add(uint64(rewritten))
 	s.idxDeltas.Add(1)
-	clear(s.dirty)
+	if len(s.dirty) > s.cfg.MaxBatch {
+		s.dirty = make(map[overlay.NodeID]bool)
+	} else {
+		clear(s.dirty)
+	}
 	s.installSnap(now, true)
 }
 

@@ -18,10 +18,17 @@
 // reports how many bytes it dropped, and the recovered engine simply
 // does not contain the never-acknowledged suffix.
 //
+// Append only buffers. Write hands the buffer to the OS, after which
+// a process crash loses nothing; Sync is Write plus an fsync, after
+// which a host crash loses nothing either. The engine writes every
+// logged batch and syncs the ones it acknowledges writers on, under
+// its fsync policy; a replication follower's mirror is written, not
+// synced, per frame (serve.Engine.ReplApply says why that is safe).
+//
 // Records are only ever added at the end of the valid prefix, but a
-// live segment's file runs ahead of them: Sync keeps it zero-filled up
-// to the next 64 KiB boundary past its records, so the per-batch fsync
-// writes into blocks that are already allocated and commits no
+// live segment's file runs ahead of them: Write keeps it zero-filled
+// up to the next 64 KiB boundary past its records, so the per-batch
+// fsync writes into blocks that are already allocated and commits no
 // file-system metadata. A zero tail reads like a torn one (the reader
 // stops where the zeros begin). Rotate and Close truncate it, so a
 // closed segment holds its header and records and nothing else; only
@@ -62,12 +69,12 @@ type Log struct {
 	head int64 // segment-header bytes before the records
 	size int64 // record bytes appended to the current segment
 	// filled is the file offset the segment is zero-filled up to:
-	// Sync extends it once the records reach it.
+	// Write extends it once the records reach it.
 	filled int64
 	syncs  atomic.Uint64
 }
 
-// zeroChunk is the granule a live segment is zero-filled in. Sync
+// zeroChunk is the granule a live segment is zero-filled in. Write
 // extends to the next multiple of it, a fixed boundary, so a segment's
 // file length depends on its valid length alone and a follower's live
 // mirror stays byte-identical to its primary's whatever their sync
@@ -75,7 +82,7 @@ type Log struct {
 // for an extension.
 const zeroChunk = 64 << 10
 
-// zeros is what Sync extends a segment with; it is never written to.
+// zeros is what Write extends a segment with; it is never written to.
 var zeros [zeroChunk]byte
 
 // Segment header (on-disk, since the replication PR): a magic, a
@@ -237,7 +244,7 @@ func newLog(dir string, seg uint64, f *os.File, head, size int64) *Log {
 // OpenAppend reopens an existing segment for appending at size —
 // the byte offset of its valid record prefix (header included), as
 // recovery established it — truncating any torn or zero tail past
-// it; the next Sync zero-fills it again, to the same boundary. It is
+// it; the next Write zero-fills it again, to the same boundary. It is
 // how a restarted replication follower continues its mirrored
 // segment in place instead of rotating onto a number its primary
 // never had. A missing file is created fresh under epoch.
@@ -288,8 +295,9 @@ func (l *Log) Size() int64 { return l.size }
 // and one per segment Rotate or Close seals.
 func (l *Log) Syncs() uint64 { return l.syncs.Load() }
 
-// Append encodes and buffers the records. Call Sync to make them
-// durable; the engine batches one Sync per applied write batch. A
+// Append encodes and buffers the records. Call Write to hand them to
+// the OS, Sync to make them durable; the engine writes every applied
+// write batch and syncs per its fsync policy. A
 // record is encoded straight into the write buffer, so Append
 // allocates nothing.
 func (l *Log) Append(recs ...Record) error {
@@ -308,14 +316,15 @@ func (l *Log) Append(recs ...Record) error {
 	return nil
 }
 
-// Sync flushes buffered records and fsyncs the segment. Once the
-// records reach the zero-filled end, it first writes zeros from there
-// to the next zeroChunk boundary, so that this fsync commits the
-// extension and every later one until the records reach it again
-// commits data alone. An extension that fails (a full disk) is not
-// the records' failure: they are written, this fsync makes them
-// durable as it would an append, and the next Sync tries again.
-func (l *Log) Sync() error {
+// Write hands buffered records to the OS, with no fsync: past it a
+// process crash loses none of them, a host crash may lose any not yet
+// synced. Once the records reach the zero-filled end, it first writes
+// zeros from there to the next zeroChunk boundary, so that the next
+// fsync commits the extension and every later one until the records
+// reach it again commits data alone. An extension that fails (a full
+// disk) is not the records' failure: they are written, and the next
+// Write tries again.
+func (l *Log) Write() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
@@ -324,6 +333,15 @@ func (l *Log) Sync() error {
 		if _, err := l.f.WriteAt(zeros[:to-end], end); err == nil {
 			l.filled = to
 		}
+	}
+	return nil
+}
+
+// Sync is Write plus an fsync of the segment: every record appended
+// so far is durable when it returns.
+func (l *Log) Sync() error {
+	if err := l.Write(); err != nil {
+		return err
 	}
 	l.syncs.Add(1)
 	return l.f.Sync()
