@@ -279,21 +279,25 @@ func TestEngineTicksEveryShard(t *testing.T) {
 // TestEngineRunsNoGoroutinePerShard: an engine of 8 shards adds as
 // many goroutines as an engine of 1.
 func TestEngineRunsNoGoroutinePerShard(t *testing.T) {
-	added := func(shards int) int {
-		before := runtime.NumGoroutine()
-		e, err := New(testConfig(shards), fakeFactory)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		// New's build goroutines are done but may not have exited yet:
-		// take the fewest seen over a few milliseconds.
+	// Goroutines that are done may not have exited yet (New's build
+	// goroutines, an earlier test's closed engines): count the fewest
+	// seen over a few milliseconds, before New as after it.
+	settled := func() int {
 		n := runtime.NumGoroutine()
 		for range 50 {
 			time.Sleep(100 * time.Microsecond)
 			n = min(n, runtime.NumGoroutine())
 		}
-		return n - before
+		return n
+	}
+	added := func(shards int) int {
+		before := settled()
+		e, err := New(testConfig(shards), fakeFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		return settled() - before
 	}
 	if one, eight := added(1), added(8); one != eight {
 		t.Fatalf("an engine of 1 shard adds %d goroutines, one of 8 shards %d", one, eight)

@@ -387,11 +387,15 @@ func (ss *session) bootstrap() bool {
 }
 
 // sendQueued writes ev and every event already queued behind it, up
-// to keepOut bytes of frames, in one write: a follower that fell behind
-// while the session was blocked on its socket catches up in a few
-// writes, not one per logged batch. Frames keep stream order. A
-// checkpoint ends the round: its image goes out with what precedes it,
-// and the oversized buffer is dropped.
+// to half of keepOut bytes of frames, in one write: a follower that
+// fell behind while the session was blocked on its socket catches up
+// in a few writes, not one per logged batch. Frames keep stream order.
+// A round ends once it holds keepOut/2 bytes, so the frame that crosses
+// that mark (one logged batch) leaves the buffer within keepOut and
+// flush keeps it for the next round; only a checkpoint image or a
+// resume's disk catch-up outgrows it. A checkpoint ends the round: its
+// image goes out with what precedes it, and the oversized buffer is
+// dropped.
 func (ss *session) sendQueued(ev event) error {
 	for {
 		if ev.kind == evCkpt {
@@ -400,7 +404,7 @@ func (ss *session) sendQueued(ev event) error {
 		if err := ss.queue(ev); err != nil {
 			return err
 		}
-		if len(ss.out) >= keepOut {
+		if len(ss.out) >= keepOut/2 {
 			return ss.flush()
 		}
 		select {

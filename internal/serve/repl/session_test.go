@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pidcan/internal/serve"
+	"pidcan/internal/serve/wal"
 	"pidcan/internal/serve/wire"
 	"pidcan/internal/vector"
 )
@@ -133,5 +134,48 @@ func TestSessionCoalescesQueuedFrames(t *testing.T) {
 			t.Fatalf("frame at shard %d seg %d pos %d; want shard 0 seg %d pos %d", f.Shard, f.Seg, f.Pos, pos[0].Seg, want)
 		}
 		want += uint64(len(f.Recs))
+	}
+}
+
+// TestSessionKeepsItsBufferUnderBacklog: a backlog larger than one
+// round goes out in several writes of at most keepOut bytes, and every
+// round leaves the session its buffer for the next one instead of a
+// buffer flush drops as oversized, to be regrown from nothing.
+func TestSessionKeepsItsBufferUnderBacklog(t *testing.T) {
+	const events = 3000
+	c := &writeCounter{closed: make(chan struct{})}
+	ss := &session{
+		ch:   make(chan event, events),
+		dead: make(chan struct{}),
+		next: []serve.ReplPos{{Seg: 1}},
+		c:    c,
+	}
+	for i := 0; i < events; i++ {
+		ss.ch <- event{kind: evRecords, seg: 1, pos: uint64(i), recs: []wal.Record{
+			{Kind: wal.KindUpdate, Node: uint32(i % 4), Avail: []float64{float64(i%9 + 1), 2}},
+		}}
+	}
+	for rounds := 1; len(ss.ch) > 0; rounds++ {
+		if err := ss.sendQueued(<-ss.ch); err != nil {
+			t.Fatal(err)
+		}
+		if cap(ss.out) == 0 || cap(ss.out) > keepOut {
+			t.Fatalf("round %d left the session a buffer of capacity %d; want one within (0, %d]", rounds, cap(ss.out), keepOut)
+		}
+	}
+	writes := c.snapshot()
+	if len(writes) < 2 {
+		t.Fatalf("%d queued events went out in %d writes; want a backlog split into rounds", events, len(writes))
+	}
+	for i, w := range writes {
+		if len(w) > keepOut {
+			t.Fatalf("write %d carried %d bytes; want at most %d", i, len(w), keepOut)
+		}
+	}
+	wc := arrived(t, bytes.Join(writes, nil))
+	for want := uint64(0); want < events; want++ {
+		if f := next(t, wc).Records; f.Pos != want {
+			t.Fatalf("frame at pos %d; want %d", f.Pos, want)
+		}
 	}
 }

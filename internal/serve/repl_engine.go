@@ -126,21 +126,34 @@ func (e *Engine) ReplLogPath(shard int, seg uint64) string {
 // the shard's batch buffer, so an apply allocates nothing per frame
 // beyond what replay and the publication keep.
 //
-// The sync contract: a frame is written to the mirror, not fsynced. A
-// follower acknowledges nothing to anyone, and its mirror is only ever
-// resumed from a synced position, so nothing is promised that a per-
-// frame fsync would keep. A process crash loses no frame: the page
-// cache holds every one. A power cut leaves the mirror ending at a
-// valid prefix: records are CRC-framed, the zero tail reads like a torn
-// record, and blocks the tail's extension allocated but never wrote
-// read as zeros (ext4's ordered mode); OpenAppend truncates whatever
-// lies past the prefix, and the primary re-sends the rest from its
-// disk or re-bootstraps the follower. The mirror is fsynced where it
-// promises something: ReplSyncPosition, ReplRotate's seal and the
-// segment it creates, ReplInstallCheckpoint, PromoteLocal's checkpoint
-// (every shard sealed before the new epoch's first write is accepted)
-// and Close. After promotion the engine's own writes take combine's
-// path, fsynced per FsyncEvery, whatever the mirror held.
+// The sync contract: a frame is written to the mirror, and fsynced
+// only when it holds a migration's take or repointing join. A follower
+// acknowledges nothing to anyone, so no frame needs to be durable for
+// its own sake; what the mirror needs is that whatever a crash leaves
+// of it recovers with no node lost or doubled. A process crash leaves
+// every frame: the page cache holds them. A power cut leaves each
+// segment file its own valid prefix, at least up to its last fsync:
+// the reader stops at the first record whose CRC fails (a torn record,
+// the zero tail, or a record block that never reached the disk while a
+// later one did), and OpenAppend truncates the rest. The primary
+// re-sends what lay past it from the follower's recovered position,
+// from its disk, or re-bootstraps the follower. The prefixes of
+// different shards are independent, which is safe for everything but a
+// migration: the destination's repointing join depends on the source's
+// take, and recovering the join without the take would leave the node
+// alive on both shards. So a migration's frames are fsynced before
+// ReplApply returns. The take is on disk before the stream can deliver
+// its join, so a join on disk always finds its take on disk. The join
+// is on disk before any later frame applies, so a take is left without
+// its join only by a crash between the two frames: the partial
+// migration recovery rolls back (reconcileTakes). Migrations are rare;
+// these are the only fsyncs the stream's frames cost. The mirror is
+// also fsynced where it promises a position: ReplSyncPosition,
+// ReplRotate's seal and the segment it creates, ReplInstallCheckpoint,
+// PromoteLocal's checkpoint (every shard sealed before the new epoch's
+// first write is accepted) and Close. After promotion the engine's own
+// writes take combine's path, fsynced per FsyncEvery, whatever the
+// mirror held.
 func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -158,14 +171,19 @@ func (e *Engine) ReplApply(shard int, epoch uint64, recs []wal.Record) error {
 	var counts kindCounts
 	err := s.locked(func() error {
 		ops := s.batchBuf[:0]
+		mig := false // a migration's take or repointing join
 		for i := range recs {
 			ops = append(ops, s.opFromRecord(e, recs[i], nil))
 			counts.add(recs[i])
+			mig = mig || recs[i].Kind == wal.KindTake || recs[i].Repoint
 		}
 		muts, err := s.replay(ops)
 		// Drop the ops' vectors and hooks: the buffer outlives the frame.
 		clear(ops)
 		s.batchBuf = ops[:0]
+		if err == nil && mig {
+			_, err = s.syncLog()
+		}
 		if muts > 0 && s.epoch != nil {
 			s.epoch.Add(1)
 		}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -248,6 +250,124 @@ func TestFollowerSyncsOnlyWherePromised(t *testing.T) {
 		t.Fatal("PromoteLocal did not seal the mirror before opening writes")
 	}
 }
+
+// TestFollowerPowerCutKeepsMigrationsWhole: a follower's mirror loses,
+// in a power cut, whatever each segment file holds past its last
+// fsync, and the files lose it independently. Each image here keeps
+// every shard's segment as of its last fsync except at most one, which
+// keeps everything written. Whichever shard that is, the image must
+// recover the primary's node set with the migration complete: a
+// repointing join on disk must find its take on disk, or the moved
+// node would come back on both shards, and the join must be on disk
+// once its frame is applied, or the take would be rolled back.
+func TestFollowerPowerCutKeepsMigrationsWhole(t *testing.T) {
+	cfg := testConfig(2)
+	p := newDurableEngine(t, cfg, t.TempDir())
+	sink := &frameSink{}
+	p.SetReplSink(sink)
+	nodes := p.Nodes()
+	for i, id := range nodes {
+		if err := p.Update(id, vector.Of(float64(i%9+1), 2), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved, dst := nodes[0], 1-nodes[0].Shard()
+	if err := p.Migrate(moved, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range p.Nodes() {
+		if err := p.Update(id, vector.Of(3, float64(i%7+1)), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fcfg := cfg
+	fcfg.Follower = true
+	dir := t.TempDir()
+	f := newDurableEngine(t, fcfg, dir)
+	// synced[i] is shard i's live segment as of its last fsync: all a
+	// power cut is sure to leave of it.
+	synced := make([][]byte, cfg.Shards)
+	syncs := make([]uint64, cfg.Shards)
+	keep := func(i int) {
+		data, err := os.ReadFile(f.ReplLogPath(i, f.ReplPositions()[i].Seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		synced[i], syncs[i] = data, f.shards[i].log.Syncs()
+	}
+	for i := range synced {
+		keep(i)
+	}
+	for _, fr := range sink.frames {
+		if at := f.ReplPositions()[fr.shard]; fr.seg != at.Seg || fr.pos != at.Pos {
+			t.Fatalf("shard %d frame at %d/%d, mirror at %d/%d", fr.shard, fr.seg, fr.pos, at.Seg, at.Pos)
+		}
+		if err := f.ReplApply(fr.shard, f.Epoch(), fr.recs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range synced {
+			if f.shards[i].log.Syncs() != syncs[i] {
+				keep(i)
+			}
+		}
+	}
+
+	for whole := -1; whole < cfg.Shards; whole++ {
+		img := t.TempDir()
+		if err := os.CopyFS(img, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range synced {
+			if i == whole {
+				continue
+			}
+			rel, err := filepath.Rel(dir, f.ReplLogPath(i, f.ReplPositions()[i].Seg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(img, rel), synced[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re := newDurableEngine(t, fcfg, img)
+		if got, want := re.Stats().TotalNodes, p.Stats().TotalNodes; got != want {
+			t.Fatalf("image with shard %d whole recovered %d nodes, the primary holds %d", whole, got, want)
+		}
+		if got, want := re.Nodes(), p.Nodes(); !slices.Equal(got, want) {
+			t.Fatalf("image with shard %d whole recovered nodes %v, the primary holds %v", whole, got, want)
+		}
+		if got := re.fwd.resolve(moved).Shard(); got != dst {
+			t.Fatalf("image with shard %d whole recovered the moved node on shard %d, want %d", whole, got, dst)
+		}
+	}
+}
+
+// frameSink records every logged batch as the replication stream
+// carries it.
+type frameSink struct {
+	mu     sync.Mutex
+	frames []sinkFrame
+}
+
+type sinkFrame struct {
+	shard    int
+	seg, pos uint64
+	recs     []wal.Record
+}
+
+func (c *frameSink) ReplRecords(shard int, seg, pos, epoch uint64, recs []wal.Record) {
+	cp := make([]wal.Record, len(recs))
+	for i, r := range recs {
+		r.Avail = slices.Clone(r.Avail)
+		cp[i] = r
+	}
+	c.mu.Lock()
+	c.frames = append(c.frames, sinkFrame{shard: shard, seg: seg, pos: pos, recs: cp})
+	c.mu.Unlock()
+}
+
+func (c *frameSink) ReplCheckpoint(seq, epoch uint64, firstSegs []uint64, data []byte) {}
 
 // TestFenceSealsWrites: Fence with a newer epoch turns a primary
 // read-only with ErrFenced; older epochs are ignored.

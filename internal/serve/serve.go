@@ -391,8 +391,8 @@ type Config struct {
 	// logged batch is written to the OS before its writers are
 	// acknowledged, so a process crash loses nothing; a host crash may
 	// lose the unsynced tail. A follower's mirror is written through
-	// per applied frame and fsynced only where a position is promised
-	// (Engine.ReplApply).
+	// per applied frame and fsynced only after a migration's take or
+	// join and where a position is promised (Engine.ReplApply).
 	FsyncEvery int
 
 	// RebalanceInterval, when positive, runs the adaptive shard

@@ -131,10 +131,10 @@ type shard struct {
 	// dirty collects the nodes the current batch mutated (true:
 	// alive, re-read from the backend at publication; false:
 	// removed) — all publishDelta hands the index. Combiner; emptied
-	// at every publication, and replaced by a fresh map once it has
-	// held more than a batch (publish, publishDelta): clear keeps a
-	// map's buckets, and every later publication would iterate a map
-	// sized for a restored checkpoint's whole population.
+	// at every publication. publish, the full publication that ends
+	// recovery, replaces it with a fresh map: clear keeps a map's
+	// buckets, and every later publication would iterate a map sized
+	// for a restored checkpoint's whole population.
 	dirty map[overlay.NodeID]bool
 
 	// flat is the dominance index of the latest published snapshot —
@@ -519,7 +519,8 @@ func (s *shard) applyBatch(batch []op) ([]opResult, int) {
 // every batch), aligned with the MaxBatch drain so a burst of writes
 // costs one fsync, not one per record. A batch replay logs acks
 // nobody and is never fsynced here: on a follower that is every
-// replicated frame (ReplApply says why a written mirror is enough),
+// replicated frame (ReplApply says why a written mirror is enough,
+// and fsyncs the frames of a migration itself),
 // and during recovery only the rollback of an orphaned take, which
 // the next recovery redoes if a host crash loses it. A log failure
 // degrades durability, not serving — the shard keeps running on its
@@ -778,11 +779,7 @@ func (s *shard) publishDelta() {
 	s.idxPatched.Add(uint64(patched))
 	s.idxRewritten.Add(uint64(rewritten))
 	s.idxDeltas.Add(1)
-	if len(s.dirty) > s.cfg.MaxBatch {
-		s.dirty = make(map[overlay.NodeID]bool)
-	} else {
-		clear(s.dirty)
-	}
+	clear(s.dirty)
 	s.installSnap(now, true)
 }
 

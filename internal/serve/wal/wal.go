@@ -22,8 +22,9 @@
 // a process crash loses nothing; Sync is Write plus an fsync, after
 // which a host crash loses nothing either. The engine writes every
 // logged batch and syncs the ones it acknowledges writers on, under
-// its fsync policy; a replication follower's mirror is written, not
-// synced, per frame (serve.Engine.ReplApply says why that is safe).
+// its fsync policy; a replication follower's mirror is written per
+// frame and synced only where it must be (serve.Engine.ReplApply says
+// where and why).
 //
 // Records are only ever added at the end of the valid prefix, but a
 // live segment's file runs ahead of them: Write keeps it zero-filled
